@@ -7,12 +7,10 @@
           main.exe --json E2 --backend faulty — run on another backend
                                                (mem | file | faulty)
           main.exe --json E2 --shards 4       — stripe every store across
-                                               4 domain-parallel shards
+                                               4 shards
           main.exe --json E18 --servers 2     — size the multi-server
                                                compaction leg's stripe
                                                (non-colluding servers)
-          main.exe --json E2 --prefetch       — double-buffered scan
-                                               prefetcher on
           main.exe --json E2 --journal        — run each entry twice,
                                                journal off then on, so
                                                the WAL overhead lands in
@@ -53,7 +51,6 @@ type record = {
   backend : string;
   shards : int;
   servers : int;  (* non-colluding servers of a multi-server protocol; 1 otherwise *)
-  prefetch : bool;
   journal : bool;
   cipher : string;  (* "none", or the engine sealing this run's stores *)
   n_cells : int;
@@ -86,10 +83,9 @@ let throughput ~bytes_moved ~wall_ms =
    the entries that build their own storage consult it directly. *)
 let current_backend = ref "mem"
 
-(* `--shards K` / `--prefetch` for the whole JSON run; every record
-   carries both so sweeps over either knob land in one comparable file. *)
+(* `--shards K` for the whole JSON run; every record carries it so a
+   sweep over K lands in one comparable file. *)
 let current_shards = ref 1
-let current_prefetch = ref false
 
 (* `--journal` runs every selected entry twice — journal off, then on —
    so BENCH_core.json carries the overhead comparison in one file. The
@@ -162,7 +158,6 @@ let collect ?(sorter = "") ?(servers = 1) ~experiment ~name ~n_cells ~b ~m s f =
       backend = Storage.backend_kind s;
       shards = !current_shards;
       servers;
-      prefetch = Storage.prefetch_enabled s;
       journal = !current_journal;
       n_cells;
       b;
@@ -259,7 +254,7 @@ let e10 () =
   let words = 1024 and m = 64 in
   let s =
     Storage.create ~telemetry:(!Workloads.telemetry ()) ~trace_mode:Trace.Digest
-      ~prefetch:!current_prefetch ~backend:(fresh_spec ()) ~block_size:4 ()
+      ~backend:(fresh_spec ()) ~block_size:4 ()
   in
   let rng = Odex_crypto.Rng.create ~seed:10 in
   [
@@ -279,7 +274,7 @@ let e11 () =
       let spec = fresh_spec () in
       let (o : Odex_obcheck.Pairtest.outcome), wall_ms =
         timed (fun () ->
-            Odex_obcheck.Pairtest.check ~backend:spec ~prefetch:!current_prefetch
+            Odex_obcheck.Pairtest.check ~backend:spec
               ~pair:(Odex_obcheck.Registry.pair_mode e)
               ~multi_server:(Odex_obcheck.Registry.multi_server e) e.subject
               ~n_cells:e.n_cells ~b:e.b ~m:e.m)
@@ -293,7 +288,6 @@ let e11 () =
         backend = o.Odex_obcheck.Pairtest.backend;
         shards = !current_shards;
         servers = 1;
-        prefetch = !current_prefetch;
         journal = !current_journal;
         cipher = !current_cipher;
         n_cells = e.n_cells;
@@ -436,7 +430,6 @@ let e16 () =
           backend = Storage.backend_kind s;
           shards = 1;
           servers = 1;
-          prefetch = false;
           journal = false;
           cipher = Odex_crypto.Cipher.engine_name engine;
           n_cells = run_blocks * b;
@@ -483,7 +476,7 @@ let e18 () =
   in
   let mk spec =
     Storage.create ~telemetry:(!Workloads.telemetry ()) ~trace_mode:Trace.Digest
-      ~prefetch:!current_prefetch ~backend:spec ~block_size:b ()
+      ~backend:spec ~block_size:b ()
   in
   let single =
     let spec = fresh_spec () in
@@ -534,14 +527,14 @@ let json_of_phase p =
 
 let json_of_record r =
   Printf.sprintf
-    "{\"experiment\":%S,\"name\":%S,\"sorter\":%S,\"backend\":%S,\"shards\":%d,\"servers\":%d,\"prefetch\":%b,\"journal\":%b,\"cipher\":%S,\"n_cells\":%d,\"b\":%d,\"m\":%d,\"reads\":%d,\"writes\":%d,\"total_ios\":%d,\"retries\":%d,\"trace_length\":%d,\"spans\":%d,\"wall_ms\":%.3f,\"bytes_moved\":%d,\"batched_ios\":%d,\"mb_per_s\":%.3f,\"seal_mb_per_s\":%.3f,\"ok\":%b,\"phases\":[%s]}"
-    r.experiment r.name r.sorter r.backend r.shards r.servers r.prefetch r.journal r.cipher r.n_cells
+    "{\"experiment\":%S,\"name\":%S,\"sorter\":%S,\"backend\":%S,\"shards\":%d,\"servers\":%d,\"journal\":%b,\"cipher\":%S,\"n_cells\":%d,\"b\":%d,\"m\":%d,\"reads\":%d,\"writes\":%d,\"total_ios\":%d,\"retries\":%d,\"trace_length\":%d,\"spans\":%d,\"wall_ms\":%.3f,\"bytes_moved\":%d,\"batched_ios\":%d,\"mb_per_s\":%.3f,\"seal_mb_per_s\":%.3f,\"ok\":%b,\"phases\":[%s]}"
+    r.experiment r.name r.sorter r.backend r.shards r.servers r.journal r.cipher r.n_cells
     r.b r.m r.reads r.writes r.total_ios r.retries r.trace_length r.spans r.wall_ms
     r.bytes_moved r.batched_ios r.mb_per_s r.seal_mb_per_s r.ok
     (String.concat "," (List.map json_of_phase r.phases))
 
-let run ?(backend = "mem") ?(shards = 1) ?(servers = 2) ?(prefetch = false)
-    ?(journal = false) ?(cipher = "none") ?(seal_domains = 1) ?sorter ?profile ids =
+let run ?(backend = "mem") ?(shards = 1) ?(servers = 2) ?(journal = false)
+    ?(cipher = "none") ?(seal_domains = 1) ?sorter ?profile ids =
   if not (List.mem backend Odex_obcheck.Registry.backend_names) then begin
     Printf.eprintf "unknown backend %S (available: %s)\n" backend
       (String.concat " " Odex_obcheck.Registry.backend_names);
@@ -585,8 +578,6 @@ let run ?(backend = "mem") ?(shards = 1) ?(servers = 2) ?(prefetch = false)
   Workloads.seal_domains := seal_domains;
   current_backend := backend;
   current_shards := shards;
-  current_prefetch := prefetch;
-  Workloads.prefetch := prefetch;
   Workloads.default_backend := fresh_spec;
   (match profile with
   | None -> ()
@@ -616,7 +607,7 @@ let run ?(backend = "mem") ?(shards = 1) ?(servers = 2) ?(prefetch = false)
       Printf.printf "wrote %s (%d profiled runs, Chrome trace-event JSON)\n" path
         (List.length !profiled));
   let oc = open_out "BENCH_core.json" in
-  output_string oc "{\n  \"schema\": \"odex-bench/9\",\n  \"records\": [\n";
+  output_string oc "{\n  \"schema\": \"odex-bench/10\",\n  \"records\": [\n";
   List.iteri
     (fun i r ->
       output_string oc "    ";

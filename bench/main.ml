@@ -19,9 +19,8 @@
    the JSON `retries` field.
 
    `--shards K` stripes every workload store across K inner devices
-   (domain-parallel, PRP fan-out; see DESIGN.md §9) and `--prefetch`
-   turns on the double-buffered scan prefetcher — both physical-only
-   knobs whose traces stay bit-identical to the plain run.
+   (PRP fan-out; see DESIGN.md §9) — a physical-only knob whose logical
+   trace stays bit-identical to the plain run.
 
    `--journal` (JSON mode) runs each selected entry twice — write-ahead
    journal off, then on (DESIGN.md §10) — so the WAL's overhead lands as
@@ -224,10 +223,6 @@ let rec extract_seal_domains = function
       let d, cleaned = extract_seal_domains rest in
       (d, arg :: cleaned)
 
-(* Pull the bare `--prefetch` flag out likewise. *)
-let extract_prefetch args =
-  (List.mem "--prefetch" args, List.filter (fun a -> a <> "--prefetch") args)
-
 (* Pull the bare `--journal` flag out likewise (JSON mode: run each
    selected entry journal-off then journal-on, recording both). *)
 let extract_journal args =
@@ -241,11 +236,10 @@ let () =
   let sorter, args = extract_sorter args in
   let cipher, args = extract_cipher args in
   let seal_domains, args = extract_seal_domains args in
-  let prefetch, args = extract_prefetch args in
   let journal, args = extract_journal args in
   match args with
   | "--json" :: ids ->
-      Json_bench.run ?backend ?shards ?servers ~prefetch ~journal ?cipher ?seal_domains
+      Json_bench.run ?backend ?shards ?servers ~journal ?cipher ?seal_domains
         ?sorter ?profile ids
   | args ->
       let backend_name = Option.value backend ~default:"mem" in
@@ -253,7 +247,6 @@ let () =
       if backend <> None || shard_count > 1 then
         Workloads.default_backend :=
           (fun () -> Odex_obcheck.Registry.backend_spec ~shards:shard_count backend_name);
-      Workloads.prefetch := prefetch;
       (match cipher with
       | None | Some "none" -> ()
       | Some ("prf_xor" | "chacha20") ->

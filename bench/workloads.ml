@@ -15,11 +15,6 @@ let default_backend : (unit -> Storage.backend_spec) ref = ref (fun () -> Storag
 let telemetry : (unit -> Odex_telemetry.Telemetry.t) ref =
   ref (fun () -> Odex_telemetry.Telemetry.disabled)
 
-(* Whether freshly created workload storages run the double-buffered
-   prefetch worker (`--prefetch`). Physical-only: traces and stats are
-   unchanged, so tables stay comparable across the switch. *)
-let prefetch = ref false
-
 (* Sealing knobs (`--cipher`, `--seal-domains`): a benchmark-wide cipher
    key (None = plaintext sealing), the keystream engine under it, and
    the run-seal fan-out. All physical-only; traces stay comparable. *)
@@ -34,7 +29,7 @@ let fresh_storage ?cipher:per_store ~trace ~b () =
   created_specs := spec :: !created_specs;
   let key = match per_store with Some _ as k -> k | None -> !cipher in
   Storage.create ?cipher:key ~cipher_engine:!cipher_engine ~seal_domains:!seal_domains
-    ~telemetry:(!telemetry ()) ~trace_mode:trace ~prefetch:!prefetch ~backend:spec
+    ~telemetry:(!telemetry ()) ~trace_mode:trace ~backend:spec
     ~block_size:b ()
 
 let cleanup () =

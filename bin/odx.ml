@@ -161,7 +161,7 @@ let store_arg =
 
 let shards_arg =
   let doc =
-    "Stripe the store across $(docv) domain-parallel shards (deterministic PRP fan-out). \
+    "Stripe the store across $(docv) shards (deterministic PRP fan-out). \
      The logical trace — and the answer — are bit-identical at every shard count; the \
      provider report adds the per-shard op split."
   in

@@ -9,9 +9,6 @@ let scan_chunk = 64
 let run ?(distinguished = fun (_ : Cell.item) -> true) ~into a =
   let n = Ext_array.blocks a in
   let b = Ext_array.block_size a in
-  (* Hint the first scan window before the output allocation below: on a
-     prefetching store the first fetch rides under the setup. *)
-  Ext_array.prime a ~chunk:scan_chunk;
   let dst =
     match into with
     | Some d ->

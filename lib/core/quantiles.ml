@@ -59,7 +59,6 @@ let in_cache ~cmp ~m ~q a =
 let by_sorting ~cmp ~m ~q a =
   let n = Ext_array.blocks a in
   let storage = Ext_array.storage a in
-  Ext_array.prime a ~chunk:scan_chunk;
   let copy = Ext_array.create storage ~blocks:n in
   let total = ref 0 in
   Ext_array.iter_runs a ~chunk:scan_chunk (fun base blks ->

@@ -26,9 +26,6 @@ let count_items a =
 let consolidate_sample ~rng ~p a =
   let n = Ext_array.blocks a in
   let b = Ext_array.block_size a in
-  (* First window hinted before the output allocation (see
-     Consolidation): the prefetcher overlaps setup with the first fetch. *)
-  Ext_array.prime a ~chunk:scan_chunk;
   let dst = Ext_array.create (Ext_array.storage a) ~blocks:n in
   let pending = Queue.create () in
   let sampled = ref 0 in

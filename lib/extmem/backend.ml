@@ -489,7 +489,7 @@ let faulty plan inner =
 
 let faults_injected (Packed ((module B), b)) = B.faults b
 
-(* ---------------- sharded, domain-parallel striping ---------------- *)
+(* ---------------- sharded striping ---------------- *)
 
 (* K inner stores behind one logical address space. Logical block [a]
    belongs to group [g = a / K] with lane [j = a mod K] and lives on
@@ -508,32 +508,43 @@ let faults_injected (Packed ((module B), b)) = B.faults b
      exactly one contiguous inner run per shard. The batched fast path
      (one positioned transfer per device) survives under the stripe.
 
-   Runs big enough to amortize the handoff are dispatched to one worker
-   domain per shard (spawned lazily on first use, joined on [close]);
-   smaller runs and single-block ops execute inline on the caller's
-   domain through the same decomposition, so which mode ran never shows
-   in the logical trace. *)
+   The map lives in one [router] value: the stripe routes through it and
+   {!Storage} records its per-server traces through it, so the two can
+   never disagree. *)
+
+type router = { shards : int; perm : int array; perm_inv : int array }
+
+let router ~shards ~seed =
+  if shards < 1 then invalid_arg "Backend.router: shards must be >= 1";
+  let prp = Odex_crypto.Prp.create ~domain:shards (Odex_crypto.Prf.key_of_int seed) in
+  let perm = Array.init shards (Odex_crypto.Prp.apply prp) in
+  let perm_inv = Array.make shards 0 in
+  Array.iteri (fun j s -> perm_inv.(s) <- j) perm;
+  { shards; perm; perm_inv }
+
+let route r a =
+  let g = a / r.shards in
+  (r.perm.(((a mod r.shards) + g) mod r.shards), g)
+
+let logical r ~shard ~index =
+  let j = (r.perm_inv.(shard) - index) mod r.shards in
+  (index * r.shards) + if j < 0 then j + r.shards else j
+
+let shard_route ~shards ~seed a =
+  if a < 0 then invalid_arg "Backend.shard_route: negative address";
+  route (router ~shards ~seed) a
+
+(* Every per-shard transfer runs on the caller's domain, one shard at a
+   time: the stripe models K servers, not K cores, and on the hosts
+   measured the domain hand-off cost more than the overlap won. *)
 
 module Sharded = struct
-  type worker = {
-    mu : Mutex.t;
-    cv : Condition.t;
-    mutable job : (unit -> unit) option;
-    mutable result : exn option option;  (** [Some None] = done, [Some (Some e)] = raised. *)
-    mutable stop : bool;
-    mutable dom : unit Domain.t option;
-  }
-
   type nonrec t = {
-    k : int;
+    r : router;
     inners : t array;
-    perm : int array;  (** lane -> shard *)
-    perm_inv : int array;  (** shard -> lane *)
     mutable len : int;  (** Logical block count (inner sizes are rounded up). *)
-    scratch : Bigbuf.t ref array;  (** Per-shard gather/scatter buffers. *)
-    ops : int array;  (** Per-shard block ops, tallied by the coordinator. *)
-    workers : worker array;
-    mutable spawned : bool;
+    mutable scratch : Bigbuf.t;  (** Gather/scatter buffer, reused shard after shard. *)
+    ops : int array;  (** Per-shard block ops. *)
     mutable closed : bool;
   }
 
@@ -541,169 +552,92 @@ module Sharded = struct
 
   let payload_bytes t = payload_bytes t.inners.(0)
 
-  (* ---- worker protocol: one mailbox per shard, mutex + condvar.
-     Only the coordinator posts and only worker [s] takes from mailbox
-     [s]; the mutex handoff gives the happens-before edges the OCaml
-     memory model needs for the scratch and caller buffers. ---- *)
-
-  let rec worker_loop w =
-    Mutex.lock w.mu;
-    while w.job = None && not w.stop do
-      Condition.wait w.cv w.mu
-    done;
-    if w.stop then Mutex.unlock w.mu
-    else begin
-      let f = Option.get w.job in
-      Mutex.unlock w.mu;
-      let r = (try f (); None with e -> Some e) in
-      Mutex.lock w.mu;
-      w.job <- None;
-      w.result <- Some r;
-      Condition.signal w.cv;
-      Mutex.unlock w.mu;
-      worker_loop w
-    end
-
-  let spawn_workers t =
-    if not t.spawned then begin
-      t.spawned <- true;
-      Array.iter (fun w -> w.dom <- Some (Domain.spawn (fun () -> worker_loop w))) t.workers
-    end
-
-  let post w f =
-    Mutex.lock w.mu;
-    w.job <- Some f;
-    w.result <- None;
-    Condition.signal w.cv;
-    Mutex.unlock w.mu
-
-  let await w =
-    Mutex.lock w.mu;
-    while w.result = None do
-      Condition.wait w.cv w.mu
-    done;
-    let r = Option.get w.result in
-    w.result <- None;
-    Mutex.unlock w.mu;
-    r
-
-  (* ---- the striping map ---- *)
-
-  let lane t s g =
-    let j = (t.perm_inv.(s) - g) mod t.k in
-    if j < 0 then j + t.k else j
-
-  let logical t s g = (g * t.k) + lane t s g
-
-  let route t a =
-    let g = a / t.k and j = a mod t.k in
-    (t.perm.((j + g) mod t.k), g)
+  let logical t s g = logical t.r ~shard:s ~index:g
 
   (* Member inner-address interval of shard [s] within logical [lo, hi):
      [logical t s g] is strictly increasing in [g], so the members form
      one contiguous inner run (possibly empty). Interior groups always
      contribute; only the two boundary groups need the window check. *)
   let members t s ~lo ~hi =
-    let g0 = lo / t.k and g1 = (hi - 1) / t.k in
+    let k = t.r.shards in
+    let g0 = lo / k and g1 = (hi - 1) / k in
     let gs = if logical t s g0 >= lo then g0 else g0 + 1 in
     let ge = if logical t s g1 < hi then g1 else g1 - 1 in
     if gs > ge then None else Some (gs, ge)
 
-  let scratch t s need =
-    let r = t.scratch.(s) in
-    if Bigbuf.length !r < need then r := Bigbuf.create (max need (2 * Bigbuf.length !r));
-    !r
+  let scratch t need =
+    if Bigbuf.length t.scratch < need then
+      t.scratch <- Bigbuf.create (max need (2 * Bigbuf.length t.scratch));
+    t.scratch
 
-  (* Execute one closure per participating shard and aggregate failures.
-     Every job runs to completion (or its own fault) even when another
-     shard faults first: the resume contract promises all logical blocks
-     below the faulted address transferred, and those blocks live on the
-     other shards. The smallest faulted logical address is re-raised; a
+  (* Run [f s gs ge] for every shard [s] holding members [gs, ge] of
+     logical [lo, hi), and aggregate failures. Every shard runs to
+     completion (or its own fault) even when another shard faults first:
+     the resume contract promises all logical blocks below the faulted
+     address transferred, and those blocks live on the other shards. A
      non-transient exception wins over any transient (it is a bug, not
-     weather). Serial and parallel execution share the decomposition, so
-     which one ran never shows in the logical trace. *)
-  let dispatch t ~parallel (jobs : (int * (unit -> unit)) array) =
-    let outcomes =
-      if parallel && Array.length jobs > 1 then begin
-        spawn_workers t;
-        Array.iter (fun (s, job) -> post t.workers.(s) job) jobs;
-        Array.map (fun (s, _) -> await t.workers.(s)) jobs
-      end
-      else Array.map (fun (_, job) -> (try job (); None with e -> Some e)) jobs
-    in
+     weather); otherwise the smallest faulted logical address is
+     re-raised. *)
+  let dispatch t ~lo ~hi f =
     let hard = ref None and fault = ref None in
-    Array.iter
-      (fun o ->
-        match o with
-        | None -> ()
-        | Some (Transient f) -> (
-            match !fault with
-            | Some (Transient g) when g.addr <= f.addr -> ()
-            | _ -> fault := Some (Transient f))
-        | Some e -> if !hard = None then hard := Some e)
-      outcomes;
-    (match !hard with Some e -> raise e | None -> ());
-    match !fault with Some e -> raise e | None -> ()
+    for s = 0 to t.r.shards - 1 do
+      match members t s ~lo ~hi with
+      | None -> ()
+      | Some (gs, ge) -> (
+          t.ops.(s) <- t.ops.(s) + (ge - gs + 1);
+          match f s gs ge with
+          | () -> ()
+          | exception Transient x -> (
+              match !fault with
+              | Some (y, _) when y <= x.addr -> ()
+              | _ -> fault := Some (x.addr, Transient x))
+          | exception e -> if !hard = None then hard := Some e)
+    done;
+    Option.iter raise !hard;
+    Option.iter (fun (_, e) -> raise e) !fault
 
   let check_open t = if t.closed then invalid_arg "Backend.Sharded: store is closed"
-
-  (* Below [2K] blocks a run cannot give every worker two blocks to
-     stream; the handoff would dominate, so it runs inline. *)
-  let parallel_threshold t = 2 * t.k
 
   let run_ops ~write t ~addr ~count ~payload ~buf ~off =
     let who = if write then "Backend.Sharded.write_run" else "Backend.Sharded.read_run" in
     check_open t;
     check_run ~who ~blocks:t.len ~addr ~count ~payload ~buf ~off;
     if count > 0 then begin
-      let lo = addr and hi = addr + count in
-      let jobs = ref [] in
-      for s = t.k - 1 downto 0 do
-        match members t s ~lo ~hi with
-        | None -> ()
-        | Some (gs, ge) -> (
-            let n = ge - gs + 1 in
-            t.ops.(s) <- t.ops.(s) + n;
-            let job () =
-              let scr = scratch t s (n * payload) in
-              if write then begin
-                for g = gs to ge do
-                  Bigbuf.blit buf
-                    (off + ((logical t s g - lo) * payload))
-                    scr
-                    ((g - gs) * payload)
-                    payload
-                done;
-                match write_run t.inners.(s) ~addr:gs ~count:n ~payload ~buf:scr ~off:0 with
-                | () -> ()
-                | exception Transient { addr = gf; access } ->
-                    (* Inner blocks [gs, gf) landed; their logical
-                       addresses are exactly the members below the
-                       faulted one. *)
-                    raise (Transient { addr = logical t s gf; access })
-              end
-              else begin
-                let scatter upto =
-                  for g = gs to upto do
-                    Bigbuf.blit scr
-                      ((g - gs) * payload)
-                      buf
-                      (off + ((logical t s g - lo) * payload))
-                      payload
-                  done
-                in
-                match read_run t.inners.(s) ~addr:gs ~count:n ~payload ~buf:scr ~off:0 with
-                | () -> scatter ge
-                | exception Transient { addr = gf; access } ->
-                    scatter (gf - 1);
-                    raise (Transient { addr = logical t s gf; access })
-              end
+      let lo = addr in
+      dispatch t ~lo ~hi:(addr + count) (fun s gs ge ->
+          let n = ge - gs + 1 in
+          let scr = scratch t (n * payload) in
+          if write then begin
+            for g = gs to ge do
+              Bigbuf.blit buf
+                (off + ((logical t s g - lo) * payload))
+                scr
+                ((g - gs) * payload)
+                payload
+            done;
+            match write_run t.inners.(s) ~addr:gs ~count:n ~payload ~buf:scr ~off:0 with
+            | () -> ()
+            | exception Transient { addr = gf; access } ->
+                (* Inner blocks [gs, gf) landed; their logical addresses
+                   are exactly the members below the faulted one. *)
+                raise (Transient { addr = logical t s gf; access })
+          end
+          else begin
+            let scatter upto =
+              for g = gs to upto do
+                Bigbuf.blit scr
+                  ((g - gs) * payload)
+                  buf
+                  (off + ((logical t s g - lo) * payload))
+                  payload
+              done
             in
-            jobs := (s, job) :: !jobs)
-      done;
-      dispatch t
-        ~parallel:(t.k > 1 && count >= parallel_threshold t)
-        (Array.of_list !jobs)
+            match read_run t.inners.(s) ~addr:gs ~count:n ~payload ~buf:scr ~off:0 with
+            | () -> scatter ge
+            | exception Transient { addr = gf; access } ->
+                scatter (gf - 1);
+                raise (Transient { addr = logical t s gf; access })
+          end)
     end
 
   let read_run t ~addr ~count ~payload ~buf ~off =
@@ -719,20 +653,20 @@ module Sharded = struct
 
   let read t a ~buf ~off =
     check_addr t a;
-    let s, g = route t a in
+    let s, g = route t.r a in
     t.ops.(s) <- t.ops.(s) + 1;
     read_into t.inners.(s) g ~buf ~off
 
   let write t a ~buf ~off =
     check_addr t a;
-    let s, g = route t a in
+    let s, g = route t.r a in
     t.ops.(s) <- t.ops.(s) + 1;
     write_from t.inners.(s) g ~buf ~off
 
   let ensure t n =
     check_open t;
     if n > t.len then begin
-      let groups = (n + t.k - 1) / t.k in
+      let groups = (n + t.r.shards - 1) / t.r.shards in
       Array.iter (fun inner -> ensure inner groups) t.inners;
       t.len <- n
     end
@@ -783,40 +717,13 @@ module Sharded = struct
   let close t =
     if not t.closed then begin
       t.closed <- true;
-      if t.spawned then
-        Array.iter
-          (fun w ->
-            Mutex.lock w.mu;
-            w.stop <- true;
-            Condition.signal w.cv;
-            Mutex.unlock w.mu;
-            match w.dom with
-            | Some d ->
-                Domain.join d;
-                w.dom <- None
-            | None -> ())
-          t.workers;
       Array.iter close t.inners
     end
 
   let faults t = Array.fold_left (fun acc inner -> acc + faults_injected inner) 0 t.inners
   let shard_ops t = Array.copy t.ops
-  let shard_count t = Some t.k
+  let shard_count t = Some t.r.shards
 end
-
-let shard_perm ~shards ~seed =
-  if shards < 1 then invalid_arg "Backend.sharded: shards must be >= 1";
-  let prp = Odex_crypto.Prp.create ~domain:shards (Odex_crypto.Prf.key_of_int seed) in
-  let perm = Array.init shards (Odex_crypto.Prp.apply prp) in
-  let perm_inv = Array.make shards 0 in
-  Array.iteri (fun j s -> perm_inv.(s) <- j) perm;
-  (perm, perm_inv)
-
-let shard_route ~shards ~seed a =
-  if a < 0 then invalid_arg "Backend.shard_route: negative address";
-  let perm, _ = shard_perm ~shards ~seed in
-  let g = a / shards and j = a mod shards in
-  (perm.((j + g) mod shards), g)
 
 let sharded ~seed inners =
   let k = Array.length inners in
@@ -828,31 +735,16 @@ let sharded ~seed inners =
           invalid_arg "Backend.sharded: inner stores disagree on payload size")
       inners
   end;
-  let perm, perm_inv = shard_perm ~shards:k ~seed in
-  let t =
-    {
-      Sharded.k;
-      inners;
-      perm;
-      perm_inv;
-      len = Sharded.recover_len inners;
-      scratch = Array.init k (fun _ -> ref (Bigbuf.create 0));
-      ops = Array.make k 0;
-      workers =
-        Array.init k (fun _ ->
-            {
-              Sharded.mu = Mutex.create ();
-              cv = Condition.create ();
-              job = None;
-              result = None;
-              stop = false;
-              dom = None;
-            });
-      spawned = false;
-      closed = false;
-    }
-  in
-  Packed ((module Sharded), t)
+  Packed
+    ( (module Sharded),
+      {
+        Sharded.r = router ~shards:k ~seed;
+        inners;
+        len = Sharded.recover_len inners;
+        scratch = Bigbuf.create 0;
+        ops = Array.make k 0;
+        closed = false;
+      } )
 
 (* ---------------- telemetry instrumentation ---------------- *)
 

@@ -207,44 +207,57 @@ val faulty : fault_plan -> t -> t
 val faults_injected : t -> int
 (** Total {!Transient} raises so far ([0] for non-faulty backends). *)
 
+type router = private { shards : int; perm : int array; perm_inv : int array }
+(** The striping map of {!sharded}, in one value: [shards] devices and a
+    keyed PRP [perm] of the lanes (lane to shard) with its inverse
+    [perm_inv]. Logical block [a] belongs to group [g = a / shards] and
+    lane [a mod shards], and lives on shard
+    [perm.((a mod shards + g) mod shards)] at inner address [g] — a
+    bijection, so every group of [shards] consecutive logical blocks
+    touches all devices, and a pure function of the block index and the
+    seed, so the fan-out is as data-independent as the flat address
+    sequence it refines. The stripe routes through this value and
+    {!Storage} records its per-server traces through it. *)
+
+val router : shards:int -> seed:int -> router
+(** The router of a [shards]-way stripe keyed by [seed]. Raises
+    [Invalid_argument] when [shards < 1]. *)
+
+val route : router -> int -> int * int
+(** [route r a] is the (shard, inner address) pair logical block [a >= 0]
+    maps to. *)
+
+val logical : router -> shard:int -> index:int -> int
+(** The inverse of {!route}: the logical address of the [index]-th block
+    held by [shard] ([0 <= shard < r.shards], [index >= 0]), so
+    [route r (logical r ~shard ~index) = (shard, index)]. Strictly
+    increasing in [index]. Arguments are not checked. *)
+
+val shard_route : shards:int -> seed:int -> int -> int * int
+(** [shard_route ~shards ~seed a] is [route (router ~shards ~seed) a],
+    with a negative [a] rejected. Exposed for property tests (the map
+    must be a bijection). *)
+
 val sharded : seed:int -> t array -> t
 (** [sharded ~seed inners] stripes one logical address space across the
     [K = Array.length inners] inner stores (requires [K >= 1], all with
-    the same payload size). Logical block [a] belongs to group
-    [g = a / K] and lives on shard [perm((a mod K + g) mod K)] at inner
-    address [g], where [perm] is a keyed PRP of the lanes derived from
-    [seed] — a bijection, so every group of [K] consecutive logical
-    blocks touches all [K] devices, and a pure function of the block
-    index, so the fan-out is as data-independent as the flat address
-    sequence it refines.
+    the same payload size), routed by [router ~shards:K ~seed].
 
     A contiguous logical run decomposes into exactly one contiguous
     inner run per shard (the logical addresses a shard serves are
-    strictly increasing in its inner address); runs of at least [2K]
-    blocks are dispatched to one worker domain per shard — spawned
-    lazily on first use and joined on {!close} — while smaller runs and
-    single-block ops execute inline through the same decomposition, so
-    execution mode never shows in the logical trace. On a mid-run
-    {!Transient} the smallest faulted {e logical} address is re-raised
-    after every shard has run to completion or its own fault: all blocks
-    below it have been transferred (blocks at or above it may have been
-    too — resuming re-transfers them, which is idempotent).
+    strictly increasing in its inner address). The per-shard runs and
+    single-block ops execute on the caller's domain, one shard at a
+    time. On a mid-run {!Transient} the smallest faulted {e logical}
+    address is re-raised after every shard has run to completion or its
+    own fault: all blocks below it have been transferred (blocks at or
+    above it may have been too — resuming re-transfers them, which is
+    idempotent). A non-transient exception from any shard is raised in
+    preference to every transient.
 
     [ensure n] grows every inner store to [ceil(n / K)] blocks; the
     exact logical length is persisted as an 8-byte prefix of the
     metadata blob on shard 0 (so client metadata is limited to
     [meta_capacity - 8] bytes) and recovered on reopen. *)
-
-val shard_route : shards:int -> seed:int -> int -> int * int
-(** [shard_route ~shards ~seed a] is the pure striping map of
-    {!sharded}: the (shard, inner address) pair logical block [a] maps
-    to. Exposed for property tests (the map must be a bijection). *)
-
-val shard_perm : shards:int -> seed:int -> int array * int array
-(** The keyed lane permutation behind {!shard_route}: [(perm, perm_inv)]
-    with [perm] mapping lane to shard and [perm_inv] its inverse.
-    Exposed so {!Storage} can mirror the stripe's routing without
-    re-deriving the PRP per address. *)
 
 val shard_count : t -> int option
 (** [Some k] when this backend stack contains a {!sharded} stripe of [k]

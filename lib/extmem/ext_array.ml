@@ -44,31 +44,13 @@ let write_blocks t i blks =
          (i + count) t.blocks);
   Storage.write_many t.storage (t.base + i) blks
 
-(* Post the first scan window to the prefetcher (a no-op on stores
-   without one): call it before the setup work that precedes a scan —
-   output allocation, parameter derivation — and the first fetch rides
-   under it. The window is a function of the public shape only. *)
-let prime t ~chunk =
-  if chunk < 1 then invalid_arg "Ext_array.prime: chunk must be >= 1";
-  if t.blocks > 0 then Storage.prefetch t.storage t.base (min chunk t.blocks)
-
-(* The double-buffered scan: while run [k]'s blocks are unsealed and
-   handed to [f], the prefetch worker (if any) is already streaming run
-   [k+1]. The hint schedule — chunk boundaries, in address order — is a
-   fixed function of (blocks, chunk), so issuing it reveals nothing the
-   scan itself would not; the logical trace is identical with and
-   without a prefetcher (pair-tested). *)
 let iter_runs t ~chunk f =
   if chunk < 1 then invalid_arg "Ext_array.iter_runs: chunk must be >= 1";
   let i = ref 0 in
   while !i < t.blocks do
     let c = min chunk (t.blocks - !i) in
-    let next = !i + c in
-    let blks = read_blocks t !i ~count:c in
-    if next < t.blocks then
-      Storage.prefetch t.storage (t.base + next) (min chunk (t.blocks - next));
-    f !i blks;
-    i := next
+    f !i (read_blocks t !i ~count:c);
+    i := !i + c
   done
 
 let with_span t label f = Storage.with_span t.storage label f

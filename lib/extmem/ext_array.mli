@@ -47,17 +47,7 @@ val iter_runs : t -> chunk:int -> (int -> Block.t array -> unit) -> unit
     batched runs of at most [chunk] blocks, calling [f base blks] for
     each run ([base] is the relative index of [blks.(0)]). The workhorse
     of the scan phases: the trace is identical to a per-block
-    [read_block] loop, the bytes travel [chunk] blocks at a time. On a
-    store with a prefetcher ({!Storage.create} [~prefetch:true]) run
-    [k+1] is hinted while run [k] is handed to [f], so the next fetch
-    overlaps [f]'s compute and output I/O; the hint schedule is a fixed
-    function of (blocks, chunk) — never of data — and the logical trace
-    is bit-identical with and without prefetch (pair-tested). *)
-
-val prime : t -> chunk:int -> unit
-(** [prime a ~chunk] hints the first [iter_runs] window to the store's
-    prefetcher (no-op without one): call it before the setup work that
-    precedes a scan and the first fetch rides under that setup. *)
+    [read_block] loop, the bytes travel [chunk] blocks at a time. *)
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [with_span a label f] runs [f ()] inside a labelled span of the

@@ -6,9 +6,10 @@ type snapshot = {
   batched_ios : int;
 }
 
-(* Counters are atomics so accounting stays exact if ops are ever tallied
-   off the coordinator domain (the sharded backend and the prefetcher put
-   worker domains under this layer). [last_span] stays plain: spans are a
+(* Counters are atomics so accounting would stay exact if ops were ever
+   tallied off the coordinator domain. Today no library code does: the
+   stripe runs on the caller's domain and the seal pool's chunks touch
+   only the run buffer. [last_span] stays plain: spans are a
    coordinator-only measurement protocol. *)
 type t = {
   r : int Atomic.t;

@@ -22,42 +22,6 @@ module Telemetry = Odex_telemetry.Telemetry
 
 type cipher_state = { st : Cipher.state; mutable next_nonce : int }
 
-(* ---- the oblivious prefetcher.
-
-   One worker domain fetches the {e next} run's raw payloads into a
-   spare buffer while the coordinator unseals and consumes the current
-   one. The fetch is a physical hint below the accounting layer: nothing
-   is counted, traced or unsealed until the coordinator's own
-   [read_many] asks for exactly that window, at which point the normal
-   per-block trace ops and stats fire as if the bytes had just come off
-   the device — so the logical trace with prefetch on is bit-identical
-   to the trace with it off (pair-tested). Obliviousness is preserved
-   because callers only prefetch windows that are a fixed function of
-   the public scan shape (N, M, B — see Ext_array.iter_runs), never of
-   data.
-
-   Two buffers alternate ([fetch_idx]): the worker fills one while the
-   coordinator drains the other, which is exactly the scan-loop
-   discipline (issue run k+1, consume run k). The protocol assumes a
-   single coordinator — Storage was never reentrant. [dev_mu] serializes
-   every backend access while a prefetcher exists: a faulty backend's
-   access counter must advance race-free. When no prefetcher is attached
-   the device path takes no lock and is byte-for-byte the old one. ---- *)
-
-type prefetcher = {
-  mu : Mutex.t;
-  cv : Condition.t;
-  mutable job : (int * int) option;  (** Posted window, not yet taken. *)
-  mutable inflight : (int * int) option;  (** Window the worker is fetching now. *)
-  mutable busy : bool;
-  mutable ready : (int * int * int) option;  (** (addr, count, buffer index). *)
-  mutable fetch_idx : int;
-  bufs : Bigbuf.t ref array;  (** Two alternating fetch targets. *)
-  mutable stop : bool;
-  mutable dom : unit Domain.t option;
-  dev_mu : Mutex.t;  (** Serializes all backend access while prefetch is on. *)
-}
-
 (* ---- the seal pool: worker domains for parallel run sealing.
 
    Sealing a run is pure CPU on disjoint stripes of one off-heap buffer
@@ -66,9 +30,9 @@ type prefetcher = {
    which core ran the arithmetic and nothing else: the sealed bytes, the
    nonce sequence, the trace and the device schedule are bit-identical
    to the serial seal (pair-tested). One mailbox per worker, mutex +
-   condvar, exactly the {!Backend.Sharded} protocol; workers are spawned
-   lazily on the first run big enough to split and joined on
-   [close]/[abandon]. *)
+   condvar; workers are spawned lazily on the first run big enough to
+   split and joined on [close]/[abandon]. This is the library's only
+   worker protocol. *)
 
 type seal_worker = {
   smu : Mutex.t;
@@ -83,21 +47,15 @@ type seal_worker = {
 
    Under a [Sharded] spec each shard is a separate adversary: a
    non-colluding server sees only the inner-address op sequence routed to
-   its own device, never the logical interleaving. The stripe's routing
-   is mirrored here — same PRP, same seed — and every counted op (and
+   its own device, never the logical interleaving. Every counted op (and
    counted retry) is recorded a second time into the trace of the shard
-   that served it, at its inner address. Recording happens on the
-   coordinator thread only (the stripe's worker domains move payloads,
-   never accounting), uncounted ops are excluded exactly as they are from
+   that served it, at its inner address, through a {!Backend.router}
+   built from the stripe's shards and seed — the map the stripe itself
+   routes by, not a copy of it. Uncounted ops are excluded exactly as they are from
    the logical trace, and the logical trace itself is untouched — every
    pinned digest survives. *)
 
-type shard_state = {
-  sk : int;
-  sperm : int array;  (** shard index of lane [l] — [Backend.shard_perm]. *)
-  sperm_inv : int array;
-  straces : Trace.t array;
-}
+type shard_state = { router : Backend.router; straces : Trace.t array }
 
 type t = {
   block_size : int;
@@ -121,7 +79,6 @@ type t = {
   journal : Journal.t option;
       (** The write-ahead journal handle, when the spec has a [Journaled]
           layer — owns the crash-atomicity and checkpoint machinery. *)
-  pf : prefetcher option;
   shard : shard_state option;
   seal_domains : int;
   seal_workers : seal_worker array;  (** [seal_domains - 1] mailboxes. *)
@@ -176,7 +133,7 @@ let rec instantiate ~payload_size ~engine ~resume ~auto_commit_bytes = function
       (Journal.backend journal, Some journal)
 
 (* The (shards, stripe seed) of the spec tree's [Sharded] layer, if any —
-   the routing parameters the per-server traces mirror. *)
+   the parameters of the router the per-server traces record through. *)
 let rec stripe_of_spec = function
   | Mem | File _ -> None
   | Faulty { inner; _ } | Journaled { inner; _ } | Crashing { inner; _ } ->
@@ -228,16 +185,7 @@ let build_header t =
   Bytes.set_int64_le m 24 (Cipher.engine_id t.engine);
   m
 
-(* Every path to the device goes through this gate when a prefetcher is
-   attached; without one it is a single match. *)
-let with_dev t f =
-  match t.pf with
-  | None -> f ()
-  | Some p ->
-      Mutex.lock p.dev_mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock p.dev_mu) f
-
-let write_header t = with_dev t (fun () -> Backend.write_meta t.backend (build_header t))
+let write_header t = Backend.write_meta t.backend (build_header t)
 
 let engine_id_name id =
   match Cipher.engine_of_id id with
@@ -265,7 +213,7 @@ let parse_header ~block_size m =
 
 let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = Trace.Digest)
     ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(batching = true)
-    ?(prefetch = false) ?(seal_domains = 1) ?(resume = false) ?journal_auto_commit_bytes
+    ?(seal_domains = 1) ?(resume = false) ?journal_auto_commit_bytes
     ~block_size () =
   if block_size < 1 then invalid_arg "Storage.create: block_size must be >= 1";
   if max_retries < 1 then invalid_arg "Storage.create: max_retries must be >= 1";
@@ -318,33 +266,15 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
       backoff_cap;
       batching;
       journal;
-      pf =
-        (* Prefetch serves whole runs from a buffered fetch, which only
-           makes sense under batching semantics; with batching off it is
-           silently disabled so the per-block degradation stays exact. *)
-        (if prefetch && batching then
-           Some
-             {
-               mu = Mutex.create ();
-               cv = Condition.create ();
-               job = None;
-               inflight = None;
-               busy = false;
-               ready = None;
-               fetch_idx = 0;
-               bufs = [| ref (Bigbuf.create 0); ref (Bigbuf.create 0) |];
-               stop = false;
-               dom = None;
-               dev_mu = Mutex.create ();
-             }
-         else None);
       shard =
         (* Shard traces carry no telemetry sink of their own: phases are
            already timed once, through the logical trace's spans. *)
         Option.map
-          (fun (k, seed) ->
-            let sperm, sperm_inv = Backend.shard_perm ~shards:k ~seed in
-            { sk = k; sperm; sperm_inv; straces = Array.init k (fun _ -> Trace.create trace_mode) })
+          (fun (shards, seed) ->
+            {
+              router = Backend.router ~shards ~seed;
+              straces = Array.init shards (fun _ -> Trace.create trace_mode);
+            })
           stripe;
       seal_domains;
       seal_workers =
@@ -379,24 +309,15 @@ let scratch_bytes t = Bigbuf.length t.run_buf
 let shard_ios t = Backend.shard_io_counts t.backend
 let shard_count t = Backend.shard_count t.backend
 let shard_traces t = match t.shard with None -> [||] | Some sh -> sh.straces
-let prefetch_enabled t = t.pf <> None
-
-(* Mirror of [Backend.Sharded]'s routing: logical block [a] lives on
-   shard [perm.((a mod k + a / k) mod k)] at inner address [a / k]. *)
-let route sh a = (sh.sperm.(((a mod sh.sk) + (a / sh.sk)) mod sh.sk), a / sh.sk)
-
-let shard_of t a = Option.map (fun sh -> fst (route sh a)) t.shard
 
 let shard_addr t ~shard ~index =
   match t.shard with
   | None -> invalid_arg "Storage.shard_addr: backend is not sharded"
   | Some sh ->
-      if shard < 0 || shard >= sh.sk then invalid_arg "Storage.shard_addr: shard out of range";
+      if shard < 0 || shard >= sh.router.shards then
+        invalid_arg "Storage.shard_addr: shard out of range";
       if index < 0 then invalid_arg "Storage.shard_addr: negative index";
-      (* The lane whose inner run [index] falls on shard [shard]:
-         perm ((lane + index) mod k) = shard. *)
-      let lane = (((sh.sperm_inv.(shard) - index) mod sh.sk) + sh.sk) mod sh.sk in
-      (index * sh.sk) + lane
+      Backend.logical sh.router ~shard ~index
 
 (* Record a counted op into the serving shard's trace, at the inner
    address that shard's device actually sees. *)
@@ -404,7 +325,7 @@ let shard_record t a op_of =
   match t.shard with
   | None -> ()
   | Some sh ->
-      let s, inner = route sh a in
+      let s, inner = Backend.route sh.router a in
       Trace.record sh.straces.(s) (op_of inner)
 
 (* Bracket a public phase across the logical trace {e and} every
@@ -506,143 +427,6 @@ let parallel_chunks t n f =
     match !worker_exn with Some e -> raise e | None -> ()
   end
 
-(* ---- prefetch worker ---- *)
-
-let pf_loop t p =
-  let rec go () =
-    Mutex.lock p.mu;
-    while p.job = None && not p.stop do
-      Condition.wait p.cv p.mu
-    done;
-    if p.stop then Mutex.unlock p.mu
-    else begin
-      let ((addr, count) as window) = Option.get p.job in
-      p.job <- None;
-      p.busy <- true;
-      p.inflight <- Some window;
-      let idx = p.fetch_idx in
-      let bufr = p.bufs.(idx) in
-      (* Grown under the sink lock: the coordinator only ever reads the
-         other buffer (they alternate, and a ready window is consumed
-         before the next hint is posted). *)
-      let need = count * t.payload_size in
-      if Bigbuf.length !bufr < need then bufr := Bigbuf.create need;
-      let target = !bufr in
-      Mutex.unlock p.mu;
-      let ok =
-        Mutex.lock p.dev_mu;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock p.dev_mu)
-          (fun () ->
-            match
-              Backend.read_run t.backend ~addr ~count ~payload:t.payload_size ~buf:target
-                ~off:0
-            with
-            | () -> true
-            | exception _ ->
-                (* A transient (or anything else) aborts the hint: the
-                   coordinator falls back to the counted path, whose own
-                   retry engine owns fault handling. *)
-                false)
-      in
-      Mutex.lock p.mu;
-      p.busy <- false;
-      p.inflight <- None;
-      if ok then begin
-        p.ready <- Some (addr, count, idx);
-        p.fetch_idx <- 1 - idx
-      end
-      else p.ready <- None;
-      Condition.signal p.cv;
-      Mutex.unlock p.mu;
-      go ()
-    end
-  in
-  go ()
-
-let prefetch t addr n =
-  match t.pf with
-  | None -> ()
-  | Some p ->
-      if n > 0 && addr >= 0 && addr + n <= t.used then begin
-        (match p.dom with
-        | Some _ -> ()
-        | None -> p.dom <- Some (Domain.spawn (fun () -> pf_loop t p)));
-        Mutex.lock p.mu;
-        let covered =
-          (match p.ready with Some (a, c, _) -> a = addr && c = n | None -> false)
-          || (match p.inflight with Some (a, c) -> a = addr && c = n | None -> false)
-          || match p.job with Some (a, c) -> a = addr && c = n | None -> false
-        in
-        (* One outstanding hint: a busy worker means the caller prefetches
-           faster than it consumes, so the new hint is dropped. *)
-        if (not covered) && (not p.busy) && p.job = None then begin
-          p.job <- Some (addr, n);
-          Condition.signal p.cv
-        end;
-        Mutex.unlock p.mu
-      end
-
-(* Take the raw payload buffer for window [addr, n) if it is ready (or
-   about to be: an in-flight fetch is waited out, since in the scan
-   discipline it is the window about to be consumed). Returns with the
-   window cleared — the buffer is valid until the next fetch completes
-   into it, i.e. until two more hints are posted, and the caller unseals
-   it before posting any. *)
-let pf_take t addr n =
-  match t.pf with
-  | None -> None
-  | Some p ->
-      Mutex.lock p.mu;
-      let rec get () =
-        match p.ready with
-        | Some (a, c, idx) when a = addr && c = n ->
-            p.ready <- None;
-            Some !(p.bufs.(idx))
-        | _ ->
-            if p.busy || p.job <> None then begin
-              Condition.wait p.cv p.mu;
-              get ()
-            end
-            else None
-      in
-      let r = get () in
-      Mutex.unlock p.mu;
-      r
-
-(* Drop any buffered or in-flight window overlapping [addr, n): called
-   before every device write, so a later hit can never serve bytes from
-   before the overwrite. Data-independent — it looks only at addresses. *)
-let pf_invalidate t addr n =
-  match t.pf with
-  | None -> ()
-  | Some p ->
-      Mutex.lock p.mu;
-      let overlaps (a, c) = addr < a + c && a < addr + n in
-      (match p.job with Some w when overlaps w -> p.job <- None | _ -> ());
-      while p.busy && (match p.inflight with Some w -> overlaps w | None -> false) do
-        Condition.wait p.cv p.mu
-      done;
-      (match p.ready with Some (a, c, _) when overlaps (a, c) -> p.ready <- None | _ -> ());
-      Mutex.unlock p.mu
-
-let stop_prefetcher t =
-  match t.pf with
-  | None -> ()
-  | Some p -> (
-      match p.dom with
-      | None -> ()
-      | Some d ->
-          Mutex.lock p.mu;
-          while p.busy do
-            Condition.wait p.cv p.mu
-          done;
-          p.stop <- true;
-          Condition.signal p.cv;
-          Mutex.unlock p.mu;
-          Domain.join d;
-          p.dom <- None)
-
 (* Persist the exact counter (not the rounded-up reservation) before the
    device flushes or the descriptor goes away: a cleanly closed store
    reopens with a gap-free nonce stream. *)
@@ -652,10 +436,9 @@ let checkpoint_header t =
 
 let sync t =
   checkpoint_header t;
-  with_dev t (fun () -> Backend.sync t.backend)
+  Backend.sync t.backend
 
 let close t =
-  stop_prefetcher t;
   stop_seal_workers t;
   checkpoint_header t;
   Backend.close t.backend
@@ -664,7 +447,6 @@ let close t =
    no journal commit, no flush — the on-disk state stays exactly as the
    crash point left it. Crash-sweep harness only. *)
 let abandon t =
-  stop_prefetcher t;
   stop_seal_workers t;
   match t.journal with
   | Some j -> Journal.abandon j
@@ -685,14 +467,14 @@ let checkpoint t ~owner ~phase ~cursor =
   | None -> ()
   | Some j ->
       checkpoint_header t;
-      with_dev t (fun () -> Journal.checkpoint j ~owner ~phase ~cursor)
+      Journal.checkpoint j ~owner ~phase ~cursor
 
 let checkpoint_clear t ~owner =
   match t.journal with
   | None -> ()
   | Some j ->
       checkpoint_header t;
-      with_dev t (fun () -> Journal.clear j ~owner)
+      Journal.clear j ~owner
 
 let checkpoint_state t ~owner =
   match t.journal with None -> (0, 0) | Some j -> Journal.state j ~owner
@@ -912,15 +694,6 @@ let run_transfer t ~counted ~record_retry ~record ~addr ~n ~do_run =
   in
   go addr 1
 
-(* The device lock is taken per attempt, not per logical transfer, so
-   retry backoff sleeps never hold the device against the prefetcher. *)
-let read_run_backend t ~buf ~addr ~count ~off =
-  with_dev t (fun () -> Backend.read_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
-
-let write_run_backend t ~buf ~addr ~count ~off =
-  with_dev t (fun () ->
-      Backend.write_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
-
 let record_read t a =
   Stats.record_read t.stats;
   Stats.record_moved t.stats t.payload_size;
@@ -949,18 +722,19 @@ let record_retry_write t a =
 
 let transfer_read t ~counted ~record ~addr ~n ~buf =
   run_transfer t ~counted ~record_retry:record_retry_read ~record ~addr ~n
-    ~do_run:(fun ~addr ~count ~off -> read_run_backend t ~buf ~addr ~count ~off)
+    ~do_run:(fun ~addr ~count ~off ->
+      Backend.read_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
 
 let transfer_write t ~counted ~record ~addr ~n ~buf =
-  pf_invalidate t addr n;
   run_transfer t ~counted ~record_retry:record_retry_write ~record ~addr ~n
-    ~do_run:(fun ~addr ~count ~off -> write_run_backend t ~buf ~addr ~count ~off)
+    ~do_run:(fun ~addr ~count ~off ->
+      Backend.write_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
 
 let alloc t n =
   if n < 0 then invalid_arg "Storage.alloc: negative size";
   let base = t.used in
   if n > 0 then begin
-    with_dev t (fun () -> Backend.ensure t.backend (t.used + n));
+    Backend.ensure t.backend (t.used + n);
     t.used <- t.used + n;
     (* Zero-initialization is the server's job and costs no counted I/O;
        retries here stay out of the trace for the same reason. Batched
@@ -1024,18 +798,6 @@ let read_many t addr n =
   if n > 0 then begin
     check_addr t addr;
     check_addr t (addr + n - 1);
-    match pf_take t addr n with
-    | Some buf ->
-        (* The payloads already travelled (uncounted, untraced); the
-           logical read happens now, so the accounting fires here
-           exactly as the batched transfer below would have fired it:
-           one trace op and one stats tick per block in address order. *)
-        for i = 0 to n - 1 do
-          record_read t (addr + i)
-        done;
-        if n > 1 then Stats.record_batched t.stats n;
-        unseal_run t buf n out
-    | None ->
     if t.batching && n > 1 then begin
       ensure_run_buf t n;
       transfer_read t ~counted:true ~record:(record_read t) ~addr ~n ~buf:t.run_buf;

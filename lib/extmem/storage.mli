@@ -37,9 +37,10 @@ type backend_spec =
   | Sharded of { inner : backend_spec; shards : int; seed : int }
       (** Stripe the address space across [shards] instances of [inner]
           (each a fresh device: file paths get a [.shardN] suffix, fault
-          seeds are mixed per shard), served in parallel by one domain
-          per shard for large runs — see {!Backend.sharded}. The fan-out
-          is a keyed PRP of the block index, so the {e logical} trace —
+          seeds are mixed per shard), one contiguous inner run per shard
+          for each batched run, all served on the caller's domain — see
+          {!Backend.sharded}. The fan-out is the keyed-PRP
+          {!Backend.router} of the block index, so the {e logical} trace —
           and therefore every obliviousness guarantee — is bit-identical
           to the single-shard run at every shard count. Nesting
           [Sharded] inside [Sharded] is rejected; composing [Faulty]
@@ -81,7 +82,6 @@ val create :
   ?max_retries:int ->
   ?backoff:float * float ->
   ?batching:bool ->
-  ?prefetch:bool ->
   ?seal_domains:int ->
   ?resume:bool ->
   ?journal_auto_commit_bytes:int ->
@@ -111,7 +111,10 @@ val create :
     the sealed bytes, nonce sequence, trace and device schedule are
     bit-identical at every setting (pair-tested) — the knob changes only
     which core runs the keystream arithmetic. Runs smaller than
-    [2 * seal_domains] blocks seal inline.
+    [2 * seal_domains] blocks seal inline. The seal pool is the only
+    place the library spawns domains, and its chunks touch only the run
+    buffer: no {!Stats} or telemetry write happens off the caller's
+    domain.
 
     [telemetry] (default: the disabled sink) wires this store into a
     profiling sink: every backend call is timed (through
@@ -162,24 +165,7 @@ val create :
     what Bob sees: traces, stats totals and retry sequences are
     identical either way (the batch-parity tests assert this on every
     backend). Disable it to measure the batching win or to bisect a
-    suspected batching bug.
-
-    [prefetch] (default [false]) attaches a double-buffered prefetch
-    worker (one domain, spawned lazily on the first {!prefetch} hint,
-    joined on {!close}). Callers — {!Ext_array.iter_runs} in practice —
-    hint the next scan window while consuming the current one; the
-    worker moves raw payloads into a spare buffer, and when [read_many]
-    asks for exactly that window the payloads are unsealed from the
-    buffer while the normal per-block trace and stats fire unchanged.
-    Purely physical: on a fault-free backend the logical trace with
-    prefetch on is bit-identical to prefetch off (pair-tested), and
-    since hints are a fixed function of the public scan shape they are
-    as oblivious as the scan itself. On a [Faulty] backend a fetch that
-    trips the fault gate is abandoned (the counted path re-reads and
-    owns the retries) but consumes fault-schedule accesses, so trace
-    {e parity across prefetch on/off} holds on fault-free backends only
-    — obliviousness (pair equality at fixed settings) holds on all.
-    Implies [batching]; with [~batching:false] the flag is ignored. *)
+    suspected batching bug. *)
 
 val block_size : t -> int
 val capacity : t -> int
@@ -197,18 +183,6 @@ val cipher_engine : t -> Odex_crypto.Cipher.engine
 
 val seal_domains : t -> int
 (** Total domains participating in run sealing (1 = serial). *)
-
-val prefetch_enabled : t -> bool
-(** Whether a prefetch worker is attached (see {!create}). *)
-
-val prefetch : t -> int -> int -> unit
-(** [prefetch t addr n] hints that the contiguous run [addr, addr + n)
-    will be read soon. Uncounted, untraced, asynchronous, best-effort:
-    out-of-range windows and hints posted while the worker is busy are
-    dropped, and a transient fault abandons the fetch. Never call it
-    with a data-dependent window — hints must be a function of public
-    shape only, or the physical schedule leaks. No-op without a
-    prefetcher. *)
 
 val shard_ios : t -> int array
 (** Per-shard counts of block ops served by a [Sharded] backend ([[||]]
@@ -234,15 +208,12 @@ val shard_traces : t -> Trace.t array
     requirement each individual server's view must satisfy, and the
     multi-server tier of the pair-tester checks it shard by shard. *)
 
-val shard_of : t -> int -> int option
-(** The shard serving logical address [a] (the stripe's PRP routing),
-    [None] on unsharded backends. Public: routing depends only on the
-    address and the stripe seed, never on data. *)
-
 val shard_addr : t -> shard:int -> index:int -> int
-(** The logical address of the [index]-th block held by [shard] — the
-    inverse enumeration of {!shard_of} ([shard_of t (shard_addr t
-    ~shard ~index) = Some shard], with inner address [index]). Lets a
+(** The logical address of the [index]-th block held by [shard] —
+    {!Backend.logical} on the stripe's router, so
+    [Backend.shard_route ~shards ~seed (shard_addr t ~shard ~index) =
+    (shard, index)] for the spec's [shards] and [seed]. Public: routing
+    depends only on the address and the stripe seed, never on data. Lets a
     multi-server algorithm address one chosen server's device through
     the logical store. Raises [Invalid_argument] on unsharded backends
     or out-of-range [shard]/negative [index]. *)

@@ -95,7 +95,6 @@ val check :
   ?backend:Storage.backend_spec ->
   ?backend_b:Storage.backend_spec ->
   ?telemetry:Odex_telemetry.Telemetry.t ->
-  ?prefetch:bool ->
   ?cipher:Odex_crypto.Cipher.key ->
   ?cipher_engine:Odex_crypto.Cipher.engine ->
   ?seal_domains:int ->
@@ -138,11 +137,6 @@ val check :
     the bare, unwrapped backend. [oblivious = true] therefore doubles as
     the assertion that profiling is invisible to Bob: the instrumented
     trace is bit-identical to the uninstrumented one.
-
-    [prefetch] (default [false]) attaches the double-buffered prefetch
-    worker to {e both} runs (see {!Odex_extmem.Storage.create}):
-    [oblivious = true] then certifies the prefetching schedule leaks
-    nothing either.
 
     [cipher], [cipher_engine] and [seal_domains] are forwarded to both
     runs' {!Odex_extmem.Storage.create}: sealing under a real keystream

@@ -130,10 +130,6 @@ let bitonic_exec ~levels_per_pass ~real ~cmp ~m a =
     let done_phase, done_cursor =
       if ck then Storage.checkpoint_state storage ~owner else (0, 0)
     in
-    (* Hint the pre-sort scan's first window before the padded work
-       array is allocated: on a prefetching store the fetch overlaps the
-       setup. *)
-    Ext_array.prime a ~chunk:32;
     let work, done_phase =
       if n2 = n then (a, done_phase)
       else if
@@ -172,10 +168,7 @@ let bitonic_exec ~levels_per_pass ~real ~cmp ~m a =
       done;
       stage := !stage * 2
     done;
-    (* Copy-back through [iter_runs] so a prefetching store streams run
-       k+1 of [work] while run k is written into [a]; the chunk
-       boundaries (32, in address order) match the old explicit loop, so
-       the trace is unchanged. *)
+    (* Copy-back in batched runs of 32 blocks, in address order. *)
     if work != a then
       run_phase (fun () ->
           Ext_array.iter_runs (Ext_array.sub work ~off:0 ~len:n) ~chunk:32 (fun base blks ->

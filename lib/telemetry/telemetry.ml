@@ -110,12 +110,13 @@ type frame = {
 type t = {
   on : bool;
   mu : Mutex.t;
-      (* Guards every mutation of the enabled sink: the storage stack may
-         report from worker domains (sharded backends, the prefetcher)
-         concurrently with the coordinator. The disabled sink never locks
-         — its entry points remain the single [on] branch. Readers
-         (op_stats, phases, counters, the printers) are called after the
-         run, with the workers quiesced, and stay lock-free. *)
+      (* Guards every mutation of the enabled sink, so a report from
+         another domain could never corrupt it. Today every report comes
+         from the coordinator: the stripe runs on the caller's domain
+         and the seal pool's chunks touch only the run buffer. The
+         disabled sink never locks — its entry points remain the single
+         [on] branch. Readers (op_stats, phases, counters, the printers)
+         are called after the run and stay lock-free. *)
   mutable ops : (op_kind * string * op_stat) list;
       (* (kind, backend) -> stat; a handful of combinations, assoc is fine. *)
   mutable rev_phases : phase list;

@@ -94,9 +94,9 @@ let hotspot =
 
 let test_prp_seed_leak_caught () =
   let k = 4 in
-  let p0, _ = Backend.shard_perm ~shards:k ~seed:0x5A4D in
+  let p0 = (Backend.router ~shards:k ~seed:0x5A4D).perm in
   let rec distinct_seed s =
-    let p, _ = Backend.shard_perm ~shards:k ~seed:s in
+    let p = (Backend.router ~shards:k ~seed:s).perm in
     if p.(0) <> p0.(0) then s else distinct_seed (s + 1)
   in
   let seed_b = distinct_seed 0x5A4E in

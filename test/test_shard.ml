@@ -1,7 +1,6 @@
 (* The sharded storage layer: PRP striping bijectivity, exact
    result/trace/stats parity between sharded and single-device runs for
-   every registered algorithm, obliviousness at every shard count, and
-   prefetch transparency. *)
+   every registered algorithm, and obliviousness at every shard count. *)
 
 open Odex_extmem
 open Odex_obcheck
@@ -11,11 +10,51 @@ open Odex_obcheck
 (* The fan-out must be a bijection on block indices: distinct logical
    addresses map to distinct (shard, inner address) slots, the inner
    address is always a/K, and within each K-aligned group the shard
-   assignment is a permutation of the K devices. *)
+   assignment is a permutation of the K devices. A store striped the same
+   way must agree with it: [Storage.shard_addr] inverts the backend's
+   route, and every block op the stripe serves lands in the serving
+   shard's per-server trace. *)
+let gen_store_mix =
+  QCheck2.Gen.(
+    triple (int_range 1 5) (int_range 0 4096)
+      (list_size (int_range 1 24) (triple bool (int_range 0 63) (int_range 1 20))))
+
+let check_store_router ~seed (k, index, mix) =
+  let backend = Storage.Sharded { inner = Storage.Mem; shards = k; seed } in
+  let s = Storage.create ~backend ~block_size:2 () in
+  Fun.protect ~finally:(fun () -> Storage.close s) @@ fun () ->
+  for shard = 0 to k - 1 do
+    let a = Storage.shard_addr s ~shard ~index in
+    if Backend.shard_route ~shards:k ~seed a <> (shard, index) then
+      QCheck2.Test.fail_reportf "K=%d: shard_addr ~shard:%d ~index:%d = %d routes elsewhere" k
+        shard index a
+  done;
+  let cap = 64 in
+  let base = Storage.alloc s cap in
+  (* The uncounted zero-fill reaches the devices but no trace. *)
+  let ios0 = Storage.shard_ios s in
+  List.iter
+    (fun (write, off, len) ->
+      let len = min len (cap - off) in
+      if write then Storage.write_many s (base + off) (Array.init len (fun _ -> Block.make 2))
+      else ignore (Storage.read_many s (base + off) len))
+    mix;
+  let ios = Storage.shard_ios s and traces = Storage.shard_traces s in
+  if Array.length traces <> k then
+    QCheck2.Test.fail_reportf "K=%d: %d shard traces" k (Array.length traces);
+  Array.iteri
+    (fun i tr ->
+      if Trace.length tr <> ios.(i) - ios0.(i) then
+        QCheck2.Test.fail_reportf "K=%d shard %d: trace length %d, served %d ops" k i
+          (Trace.length tr) (ios.(i) - ios0.(i)))
+    traces
+
 let qcheck_route_bijection =
   Util.qcheck_case ~count:200 ~name:"shard_route is a striping bijection"
-    QCheck2.Gen.(triple (int_range 1 8) (int_range 0 0xFFFF) (int_range 1 512))
-    (fun (shards, seed, n) ->
+    QCheck2.Gen.(
+      pair (triple (int_range 1 8) (int_range 0 0xFFFF) (int_range 1 512)) gen_store_mix)
+    (fun ((shards, seed, n), store_mix) ->
+      check_store_router ~seed store_mix;
       let seen = Hashtbl.create n in
       for a = 0 to n - 1 do
         let s, inner = Backend.shard_route ~shards ~seed a in
@@ -186,69 +225,6 @@ let sharded_pair_cases =
         Registry.all)
     Registry.backend_names
 
-(* --- prefetch transparency ----------------------------------------- *)
-
-(* Prefetch must be invisible to Bob: same trace digest, same stats,
-   same result, with the worker on or off — over a plain store and over
-   a sharded one. *)
-let test_prefetch_parity () =
-  let entry =
-    match Registry.find "sort" with Some e -> e | None -> Alcotest.fail "sort not registered"
-  in
-  let run ~prefetch backend =
-    let s =
-      Storage.create ~trace_mode:Trace.Digest ~backend ~backoff:(0., 0.) ~prefetch
-        ~block_size:entry.b ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Storage.close s)
-      (fun () ->
-        let cells, _ = Pairtest.pair_inputs ~seed:0x9F9F ~n:entry.n_cells in
-        let arr = Ext_array.of_cells s ~block_size:entry.b cells in
-        let rng = Odex_crypto.Rng.create ~seed:0x9F9F in
-        entry.subject.Pairtest.run ~rng ~m:entry.m s arr;
-        let st = Storage.stats s in
-        ( Trace.digest (Storage.trace s),
-          Stats.reads st,
-          Stats.writes st,
-          Ext_array.to_cells arr ))
-  in
-  List.iter
-    (fun (label, backend_of) ->
-      let d_off, r_off, w_off, c_off = run ~prefetch:false (backend_of ()) in
-      let d_on, r_on, w_on, c_on = run ~prefetch:true (backend_of ()) in
-      Alcotest.(check int64) (label ^ ": digest") d_off d_on;
-      Alcotest.(check int) (label ^ ": reads") r_off r_on;
-      Alcotest.(check int) (label ^ ": writes") w_off w_on;
-      Alcotest.(check bool) (label ^ ": results") true (c_off = c_on))
-    [
-      ("mem", fun () -> Storage.Mem);
-      ("sharded", fun () -> Storage.Sharded { inner = Storage.Mem; shards = 4; seed = 0x5A4D });
-    ]
-
-let test_prefetch_pair_oblivious () =
-  (* Consolidation plus the two randomized sorters: the prefetch worker
-     must stay invisible under the bucket pipeline's batched scans too
-     (rank-isomorphic pair for the merge phase, exact for the
-     routing-only permutation — same certificates as the plain runs). *)
-  List.iter
-    (fun name ->
-      let entry =
-        match Registry.find name with
-        | Some e -> e
-        | None -> Alcotest.fail (name ^ " not registered")
-      in
-      let o =
-        Pairtest.check ~prefetch:true
-          ~backend:(Storage.Sharded { inner = Storage.Mem; shards = 4; seed = 0x5A4D })
-          ~pair:(Registry.pair_mode entry) entry.subject ~n_cells:entry.n_cells
-          ~b:entry.b ~m:entry.m
-      in
-      Alcotest.(check bool)
-        (Format.asprintf "%s: %a" name Pairtest.pp_outcome o)
-        true o.oblivious)
-    [ "consolidation"; "bucket-sort"; "oblivious-permutation" ]
-
 (* --- sharded length survives close/reopen -------------------------- *)
 
 let test_sharded_file_persistence () =
@@ -299,8 +275,6 @@ let suite =
   [
     qcheck_route_bijection;
     Alcotest.test_case "roundtrip at K=1..8" `Quick test_roundtrip_shards;
-    Alcotest.test_case "prefetch on/off parity" `Quick test_prefetch_parity;
-    Alcotest.test_case "prefetch pair oblivious [K=4]" `Quick test_prefetch_pair_oblivious;
     Alcotest.test_case "file persistence across reopen [K=3]" `Quick
       test_sharded_file_persistence;
     Alcotest.test_case "nested sharding rejected" `Quick test_nested_sharded_rejected;
