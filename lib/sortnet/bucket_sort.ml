@@ -128,54 +128,54 @@ let scatter_phase a dst plan =
 
 (* One butterfly level: for each bucket pair (g, g|2^l), MergeSplit by a
    fresh coin bit per cell. Reads the occupied prefix of [src] (count
-   from the replayed table), writes packed prefixes into [dst]; cells
-   beyond a bucket's count are stale and never read. Excess cells on an
-   overflowing side are dropped — the trace is already fixed by the
-   counts, so the drop is Alice-private. *)
-let route_level ~src ~dst plan ~before ~master l =
+   [before], from the replayed table) and deals each cell straight into
+   fresh blocks sized by [after], the next level's replayed counts, which
+   are then written as packed prefixes into [dst]; cells beyond a
+   bucket's count are stale and never read. Excess cells on an
+   overflowing side are dropped ([after] is capped at Z) — the trace is
+   already fixed by the counts, so the drop is Alice-private. *)
+let route_level ~src ~dst plan ~before ~after ~master l =
   let b = Ext_array.block_size src in
   let rng = level_rng ~master l in
   let stride = 1 lsl l in
-  let gather bucket =
+  let read bucket =
     let cnt = before.(bucket) in
     if cnt = 0 then [||]
-    else begin
-      let blks = Ext_array.read_blocks src (bucket * plan.zb) ~count:(Emodel.ceil_div cnt b) in
-      Array.init cnt (fun j -> blks.(j / b).(j mod b))
-    end
+    else Ext_array.read_blocks src (bucket * plan.zb) ~count:(Emodel.ceil_div cnt b)
   in
-  let scatter bucket side cnt =
-    let cnt = min plan.z cnt in
-    if cnt > 0 then begin
-      let blks = Array.init (Emodel.ceil_div cnt b) (fun _ -> Block.make b) in
-      for j = 0 to cnt - 1 do
-        blks.(j / b).(j mod b) <- side.(j)
-      done;
-      Ext_array.write_blocks dst (bucket * plan.zb) blks
-    end
+  let fresh bucket = Array.init (Emodel.ceil_div after.(bucket) b) (fun _ -> Block.make b) in
+  let write bucket blks =
+    if Array.length blks > 0 then Ext_array.write_blocks dst (bucket * plan.zb) blks
   in
   for g = 0 to plan.beta - 1 do
     if g land stride = 0 then begin
       let h = g lor stride in
-      let cells_g = gather g and cells_h = gather h in
-      let lo = Array.make plan.z Cell.empty and hi = Array.make plan.z Cell.empty in
+      let blks_g = read g and blks_h = read h in
+      let lo = fresh g and hi = fresh h in
       let nlo = ref 0 and nhi = ref 0 in
-      let route c =
-        if Odex_crypto.Rng.bool rng then begin
-          if !nhi < plan.z then hi.(!nhi) <- c;
-          incr nhi
-        end
-        else begin
-          if !nlo < plan.z then lo.(!nlo) <- c;
-          incr nlo
-        end
+      let deal blks cnt =
+        for j = 0 to cnt - 1 do
+          let c = blks.(j / b).(j mod b) in
+          if Odex_crypto.Rng.bool rng then begin
+            if !nhi < plan.z then hi.(!nhi / b).(!nhi mod b) <- c;
+            incr nhi
+          end
+          else begin
+            if !nlo < plan.z then lo.(!nlo / b).(!nlo mod b) <- c;
+            incr nlo
+          end
+        done
       in
-      Array.iter route cells_g;
-      Array.iter route cells_h;
-      scatter g lo !nlo;
-      scatter h hi !nhi
+      deal blks_g before.(g);
+      deal blks_h before.(h);
+      write g lo;
+      write h hi
     end
   done
+
+(* Finalize order: a fresh random priority per element, ties broken by
+   the element's position in its bucket, so the order is total. *)
+let by_priority (p, i, _) (q, j, _) = if p <> q then Int.compare p q else Int.compare i j
 
 (* Emit every counted cell of [src]'s buckets in a fresh uniform
    within-bucket order, streamed through one staging block; pad the
@@ -190,7 +190,7 @@ let finalize_cells ~src plan ~counts ~master a =
     staging.(!fill) <- c;
     incr fill;
     if !fill = b then begin
-      Ext_array.write_block a !out (Block.copy staging);
+      Ext_array.write_block a !out staging;
       incr out;
       fill := 0
     end
@@ -203,7 +203,7 @@ let finalize_cells ~src plan ~counts ~master a =
       let keyed =
         Array.init cnt (fun j -> (Odex_crypto.Rng.int rng 0x3FFFFFFF, j, blks.(j / b).(j mod b)))
       in
-      Array.sort (fun (p, i, _) (q, j, _) -> compare (p, i) (q, j)) keyed;
+      Array.sort by_priority keyed;
       Array.iter (fun (_, _, c) -> emit c) keyed;
       emitted := !emitted + cnt
     end
@@ -270,7 +270,8 @@ let permute ?z_cells ~rng ~m a =
       run_phase (fun () -> scatter_phase a area_a plan);
       for l = 0 to plan.levels - 1 do
         let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
-        run_phase (fun () -> route_level ~src ~dst plan ~before:counts.(l) ~master l)
+        run_phase (fun () ->
+            route_level ~src ~dst plan ~before:counts.(l) ~after:counts.(l + 1) ~master l)
       done;
       let final = if plan.levels land 1 = 1 then area_b else area_a in
       run_phase (fun () -> finalize_cells ~src:final plan ~counts:counts.(plan.levels) ~master a);
@@ -345,7 +346,7 @@ let finalize_blocks ~src plan ~counts ~master a =
     if cnt > 0 then begin
       let blks = Ext_array.read_blocks src (g * plan.zb) ~count:cnt in
       let keyed = Array.mapi (fun j blk -> (Odex_crypto.Rng.int rng 0x3FFFFFFF, j, blk)) blks in
-      Array.sort (fun (p, i, _) (q, j, _) -> compare (p, i) (q, j)) keyed;
+      Array.sort by_priority keyed;
       Array.iter
         (fun (_, _, blk) ->
           Ext_array.write_block a !out blk;
@@ -412,7 +413,15 @@ exception Overflow of string
    run plus one staging output block. The read schedule visits every
    occupied block of every input run exactly once; only the visit
    *order* is data-driven (by ranks), which the rank-isomorphic pair
-   mode certifies. *)
+   mode certifies.
+
+   The next output cell comes from a binary min-heap over the live run
+   indices, keyed by (head cell under [cmp], run index): O(log k)
+   comparisons per cell. The index tie-break makes every pick the
+   lowest-numbered run whose head is minimal — for a total preorder
+   [cmp], a function of the comparison outcomes alone and not of the
+   heap's layout — so the refill order, the schedule's only
+   data-driven part, is fixed by the rank order. *)
 let merge_group ~cmp ~src ~dst ~dst_off runs =
   let b = Ext_array.block_size src in
   let k = Array.length runs in
@@ -425,36 +434,62 @@ let merge_group ~cmp ~src ~dst ~dst_off runs =
     bidx.(r) <- bidx.(r) + 1;
     bpos.(r) <- 0
   in
+  let heap = Array.make k 0 and size = ref 0 in
   for r = 0 to k - 1 do
-    if left.(r) > 0 then load r
+    if left.(r) > 0 then begin
+      load r;
+      heap.(!size) <- r;
+      incr size
+    end
+  done;
+  let before r s =
+    let c = cmp buf.(r).(bpos.(r)) buf.(s).(bpos.(s)) in
+    c < 0 || (c = 0 && r < s)
+  in
+  (* Restore the heap order below slot [i]. *)
+  let rec sift i =
+    let l = (2 * i) + 1 in
+    if l < !size then begin
+      let rt = l + 1 in
+      let c = if rt < !size && before heap.(rt) heap.(l) then rt else l in
+      if before heap.(c) heap.(i) then begin
+        let t = heap.(i) in
+        heap.(i) <- heap.(c);
+        heap.(c) <- t;
+        sift c
+      end
+    end
+  in
+  for i = (!size / 2) - 1 downto 0 do
+    sift i
   done;
   let staging = Block.make b in
   let fill = ref 0 and out = ref dst_off in
-  let total = Array.fold_left ( + ) 0 left in
-  for _ = 1 to total do
-    let best = ref (-1) in
-    for r = 0 to k - 1 do
-      if left.(r) > 0 then
-        if !best < 0 then best := r
-        else if cmp buf.(r).(bpos.(r)) buf.(!best).(bpos.(!best)) < 0 then best := r
-    done;
-    let r = !best in
+  while !size > 0 do
+    let r = heap.(0) in
     staging.(!fill) <- buf.(r).(bpos.(r));
     incr fill;
     if !fill = b then begin
-      Ext_array.write_block dst !out (Block.copy staging);
+      Ext_array.write_block dst !out staging;
       incr out;
       fill := 0
     end;
     bpos.(r) <- bpos.(r) + 1;
     left.(r) <- left.(r) - 1;
-    if left.(r) > 0 && bpos.(r) = b then load r
+    if left.(r) > 0 then begin
+      if bpos.(r) = b then load r
+    end
+    else begin
+      decr size;
+      heap.(0) <- heap.(!size)
+    end;
+    sift 0
   done;
   if !fill > 0 then begin
     for j = !fill to b - 1 do
       staging.(j) <- Cell.empty
     done;
-    Ext_array.write_block dst !out (Block.copy staging)
+    Ext_array.write_block dst !out staging
   end
 
 let sort ~plan ~master ~real ~cmp ~m a =
@@ -473,7 +508,8 @@ let sort ~plan ~master ~real ~cmp ~m a =
     run_phase (fun () -> scatter_phase a area_a plan);
     for l = 0 to plan.levels - 1 do
       let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
-      run_phase (fun () -> route_level ~src ~dst plan ~before:counts.(l) ~master l)
+      run_phase (fun () ->
+          route_level ~src ~dst plan ~before:counts.(l) ~after:counts.(l + 1) ~master l)
     done;
     let routed, spare =
       if plan.levels land 1 = 1 then (area_b, area_a) else (area_a, area_b)

@@ -92,10 +92,17 @@ val sort :
   Ext_array.t ->
   unit
 (** One bucket-oblivious sort pass over the whole array: scatter,
-    [levels] butterfly levels, per-group local sort into runs, k-way
-    merge passes, copy-back. Requires [feasible ~m plan] and
+    [levels] butterfly levels (each reading only the occupied prefix of
+    a bucket pair and writing packed prefixes, sized by the replayed
+    counts), per-group local sort into runs, k-way merge passes of
+    fan-in up to [m - 1], copy-back. Requires [feasible ~m plan] and
     [blocks a > m] (smaller inputs belong to the cache sorter).
-    [cmp] must order [Cell.Empty] last. When [real] is false the
+    [cmp] must be a total preorder (total and transitive; ties allowed)
+    that orders [Cell.Empty] last. Each merge picks its next cell from
+    a heap keyed by ([cmp] on the run heads, then run index) in
+    O(log k) comparisons; among tied heads the lowest-numbered run
+    wins, so the refill order — the trace's only data-driven part — is
+    a function of the rank order alone. When [real] is false the
     entire pipeline still runs on the scratch areas (identical trace)
     but the copy-back rewrites the array's own content, leaving it
     untouched. Usually reached through {!Ext_sort.bucket}. *)

@@ -11,11 +11,18 @@
 # file must carry journal-off E15 sorting-engine records, every one of
 # them verified sorted (`"ok":true`). When the default (e2) mode finds
 # E15 records alongside the E2 ones, the same sorter guard runs too.
+#
+# Bucket-sort E15 records are also gated exactly on counted I/Os: every
+# journal-off bucket record's total_ios must equal the value pinned for
+# its n_cells in bench/e15_bucket_ios.pin, and every pinned size must be
+# present.
+# Counted I/Os are deterministic, so any drift is a schedule change.
 set -eu
 
 json=${1:-BENCH_core.json}
 floor_file=${2:-bench/mb_per_s.floor}
 mode=${3:-e2}
+pin_file=bench/e15_bucket_ios.pin
 
 [ -s "$json" ] || { echo "check_bench_floor: $json missing or empty" >&2; exit 1; }
 
@@ -32,7 +39,37 @@ check_e15() {
   if grep '"experiment":"E15"' "$json" | grep '"sorter":"bucket"' | grep -q '"journal":false'; then
     n=$(grep -c '"experiment":"E15"' "$json" || true)
     echo "E15 sorter records: $n, all ok, journal-off bucket leg present"
+    check_e15_ios
   fi
+}
+
+# Exact I/O gate: "n_cells total_ios" per journal-off bucket record,
+# matched against the pin file's "n_cells total_ios" lines (# comments).
+check_e15_ios() {
+  [ -s "$pin_file" ] || { echo "check_bench_floor: $pin_file missing or empty" >&2; exit 1; }
+  grep '"experiment":"E15"' "$json" | grep '"sorter":"bucket"' | grep '"journal":false' \
+    | sed 's/"phases".*//; s/.*"n_cells":\([0-9]*\),.*"total_ios":\([0-9]*\),.*/\1 \2/' \
+    | awk -v pin="$pin_file" '
+      function fail(msg) { print "check_bench_floor: E15 bucket " msg > "/dev/stderr"; bad = 1 }
+      BEGIN {
+        while ((getline line < pin) > 0) {
+          if (line ~ /^[ \t]*(#|$)/) continue
+          split(line, f, " ")
+          want[f[1]] = f[2]
+          npin++
+        }
+      }
+      {
+        got[$1] = 1
+        if (!($1 in want)) fail("n_cells=" $1 " has no pinned I/O count")
+        else if ($2 != want[$1]) fail("n_cells=" $1 " total_ios " $2 ", pinned " want[$1])
+      }
+      END {
+        for (n in want) if (!(n in got)) fail("n_cells=" n ": no journal-off record")
+        if (bad) exit 1
+        printf "E15 bucket counted I/Os: all %d pinned sizes exact\n", npin
+      }' \
+    || { echo "check_bench_floor: E15 bucket I/O counts drifted from $pin_file" >&2; exit 1; }
 }
 
 if [ "$mode" = "e15" ]; then

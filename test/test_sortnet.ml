@@ -457,6 +457,133 @@ let test_permute_blocks_correct () =
       (Array.exists (fun o -> o = got) original)
   done
 
+(* ---------------- pinned bucket-sort merge and permutation ----------- *)
+
+(* Order-sensitive fingerprint of an array's full cell sequence
+   (empties included): pins the output order, not just the multiset. *)
+let cells_fingerprint a =
+  Array.fold_left
+    (fun h c ->
+      let w =
+        match c with
+        | Cell.Empty -> 0x5EED
+        | Cell.Item it -> (it.key * 1_000_003) + (it.tag * 8191) + it.value
+      in
+      ((h * 31) + w) land 0x3FFF_FFFF_FFFF)
+    17 (Ext_array.to_cells a)
+
+let check_pins msg (_, digest, length, ios) (exp_digest, exp_length, exp_ios) =
+  Alcotest.(check int64) (msg ^ ": trace digest") exp_digest digest;
+  Alcotest.(check int) (msg ^ ": trace length") exp_length length;
+  Alcotest.(check int) (msg ^ ": counted I/Os") exp_ios ios
+
+(* Items in non-decreasing [Cell.compare_keys] order, every empty after
+   every item. *)
+let check_cells_sorted msg a =
+  let cells = Ext_array.to_cells a in
+  let ok = ref true in
+  for i = 1 to Array.length cells - 1 do
+    if Cell.compare_keys cells.(i - 1) cells.(i) > 0 then ok := false
+  done;
+  Alcotest.(check bool) (msg ^ ": cells sorted, empties last") true !ok
+
+let check_items_multiset msg cells a =
+  let triples l =
+    List.sort compare (List.map (fun (it : Cell.item) -> (it.key, it.tag, it.value)) l)
+  in
+  let expected =
+    triples (List.filter_map (function Cell.Item it -> Some it | Cell.Empty -> None)
+               (Array.to_list cells))
+  in
+  Alcotest.(check bool) (msg ^ ": item multiset preserved") true
+    (triples (Ext_array.items a) = expected)
+
+(* A hand-made plan whose run count exceeds the merge fan-in: b = 4,
+   Z = 16 cells (zb = 4) over 1 024 cells gives β = 128 buckets; at
+   m = 18 two buckets form a run, so 64 runs meet a fan-in of 17 and
+   the merge takes two passes (fan-in 17, then 4). *)
+let multipass_b = 4
+let multipass_m = 18
+let multipass_plan = Bucket_sort.make_plan ~b:multipass_b ~z_cells:16 ~n_cells:1024
+
+let test_bucket_multipass_shape () =
+  let plan = multipass_plan and m = multipass_m in
+  Alcotest.(check bool) "plan feasible" true (Bucket_sort.feasible ~m plan);
+  let gpr = max 1 (m / (2 * plan.Bucket_sort.zb)) in
+  let nruns = Emodel.ceil_div plan.Bucket_sort.beta gpr in
+  let fan = max 2 (min nruns (m - 1)) in
+  Alcotest.(check bool) "runs exceed one pass's fan-in" true (nruns > m - 1);
+  Alcotest.(check bool) "first pass fan-in above 2" true (fan > 2);
+  Alcotest.(check bool) "second pass fan-in above 2" true (Emodel.ceil_div nruns fan > 2);
+  Alcotest.(check bool) "two passes suffice" true (Emodel.ceil_div nruns fan <= fan)
+
+(* The smallest master whose coins route [n_blocks] without overflow. *)
+let clean_master plan ~b ~n_blocks =
+  let rec find c =
+    if c > 1000 then Alcotest.fail "no overflow-free master below 1000"
+    else if Bucket_sort.simulate_overflow plan ~master:c ~b ~n_blocks then find (c + 1)
+    else c
+  in
+  find 0
+
+let multipass_case msg cells pins =
+  let b = multipass_b in
+  let n_blocks = Array.length cells / b in
+  Alcotest.(check bool) (msg ^ ": out of cache") true (n_blocks > multipass_m);
+  let master = clean_master multipass_plan ~b ~n_blocks in
+  let ((a, _, _, _) as run) =
+    Util.traced_run ~b cells (fun _s a ->
+        Bucket_sort.sort ~plan:multipass_plan ~master ~real:true ~cmp:Cell.compare_keys
+          ~m:multipass_m a)
+  in
+  check_cells_sorted msg a;
+  check_items_multiset msg cells a;
+  check_pins msg run pins;
+  a
+
+let test_bucket_multipass_distinct () =
+  let cells = Util.cells_of_keys (Array.init 1024 (fun i -> (i * 7919) mod 1024)) in
+  ignore (multipass_case "distinct" cells (-987544881994723714L, 7116, 7116))
+
+let test_bucket_multipass_ties () =
+  (* At most 5 distinct keys, tags cycling mod 3 (so (key, tag) repeats
+     and [cmp] reports true ties), and every 7th cell empty. *)
+  let cells =
+    Array.init 1024 (fun i ->
+        if i mod 7 = 3 then Cell.empty
+        else Cell.item ~tag:(i mod 3) ~key:((i * 37) mod 5) ~value:i ())
+  in
+  let a = multipass_case "ties" cells (7336876293027833161L, 7116, 7116) in
+  (* True ties leave the output order to the merge's tie-break: pin it. *)
+  Alcotest.(check int) "ties: output order" 49977057520366 (cells_fingerprint a)
+
+let test_bucket_sort_mem_shape_pinned () =
+  (* The sort-mem benchmark shape (N = 32 768, B = 8, m = 128): the
+     default-Z plan gives 256 runs, merged at fan-in 127, then 3. *)
+  let rng = Odex_crypto.Rng.create ~seed:0x50_47 in
+  let cells = Util.cells_of_keys (Util.random_keys rng 32768 ~bound:1_000_000) in
+  let ((a, _, _, _) as run) =
+    Util.traced_run ~b:8 cells (fun _s a -> Ext_sort.run (Ext_sort.bucket ~seed:0xB0C4E7 ()) ~m:128 a)
+  in
+  check_cells_sorted "sort-mem shape" a;
+  check_items_multiset "sort-mem shape" cells a;
+  check_pins "sort-mem shape" run (5268692118454413327L, 121760, 121760)
+
+let test_permute_pinned_order () =
+  (* The permutation's output order on one fixed seed, cell and block
+     granularity. *)
+  let keys = Array.init 512 (fun i -> i) in
+  let (), a =
+    Util.with_array ~b:4 (Util.cells_of_keys keys) (fun _s a ->
+        ignore (Oblivious_permutation.run ~rng:(Odex_crypto.Rng.create ~seed:42) ~m:66 a))
+  in
+  Alcotest.(check int) "cell permutation order" 5973043412041 (cells_fingerprint a);
+  let (), a =
+    Util.with_array ~b:4 (Util.cells_of_keys keys) (fun _s a ->
+        ignore (Oblivious_permutation.run_blocks ~rng:(Odex_crypto.Rng.create ~seed:44) ~m:66 a))
+  in
+  Alcotest.(check int) "block permutation order" 58671120780305 (cells_fingerprint a)
+
 let test_sorter_edge_sizes () =
   (* Every registered sorter through the Ext_sort.run dispatch at the
      degenerate and non-power-of-two sizes: N in {0,1,2,3} plus awkward
@@ -535,6 +662,11 @@ let suite =
     ("oblivious permutation correct", `Quick, test_permute_correct);
     ("oblivious permutation fixed trace", `Quick, test_permute_fixed_trace);
     ("oblivious block permutation", `Quick, test_permute_blocks_correct);
+    ("bucket multi-pass plan shape", `Quick, test_bucket_multipass_shape);
+    ("bucket multi-pass merge pinned (distinct)", `Quick, test_bucket_multipass_distinct);
+    ("bucket multi-pass merge pinned (ties)", `Quick, test_bucket_multipass_ties);
+    ("bucket sort-mem shape pinned", `Quick, test_bucket_sort_mem_shape_pinned);
+    ("oblivious permutation pinned order", `Quick, test_permute_pinned_order);
     ("sorter edge sizes", `Quick, test_sorter_edge_sizes);
     prop_sorters_agree;
     prop_bucket_pipeline_sorts;

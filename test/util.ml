@@ -34,13 +34,24 @@ let check_multiset msg expected_keys a =
     true
     (sorted_multiset_equal keys (Array.to_list expected_keys))
 
-(* Trace digest of running [f] on data [cells] with a fixed-seed rng. *)
-let trace_digest ~b ~seed cells f =
+(* Run [f] on a fresh digest-traced storage holding [cells]; return the
+   array, the whole run's trace digest and length, and the counted I/Os
+   [f] itself issued. *)
+let traced_run ~b cells f =
   let s = storage ~trace:Trace.Digest ~b () in
   let a = Ext_array.of_cells s ~block_size:b cells in
+  let before = Stats.total (Storage.stats s) in
+  f s a;
+  ( a,
+    Trace.digest (Storage.trace s),
+    Trace.length (Storage.trace s),
+    Stats.total (Storage.stats s) - before )
+
+(* Trace digest of running [f] on data [cells] with a fixed-seed rng. *)
+let trace_digest ~b ~seed cells f =
   let rng = Odex_crypto.Rng.create ~seed in
-  f rng s a;
-  (Trace.digest (Storage.trace s), Trace.length (Storage.trace s))
+  let _, digest, length, _ = traced_run ~b cells (f rng) in
+  (digest, length)
 
 (* One suite-wide base seed. Every pseudo-random choice in the test
    suites — qcheck generator streams, per-case rngs, Monte-Carlo trial
