@@ -20,11 +20,10 @@
                                                engine (none | prf_xor |
                                                chacha20); records carry
                                                the engine in "cipher"
-          main.exe --json E16 --seal-domains 4 — fan run sealing across
-                                               4 domains (E16 is the
-                                               seal/unseal throughput
-                                               microbench; its records
-                                               fill "seal_mb_per_s")
+          main.exe --json E16                 — the seal/unseal
+                                               throughput microbench
+                                               (records fill
+                                               "seal_mb_per_s")
           main.exe --json E2 --profile p.json — also collect telemetry:
                                                per-phase latency
                                                percentiles land in the
@@ -104,9 +103,8 @@ let current_servers = ref 2
 
 (* `--cipher NAME` (none | prf_xor | chacha20) seals every workload
    store under that engine with a fixed benchmark key; every record
-   names it. `--seal-domains K` fans run sealing across K domains. *)
+   names it. *)
 let current_cipher = ref "none"
-let current_seal_domains = ref 1
 
 let fresh_spec () =
   Odex_obcheck.Registry.backend_spec ~shards:!current_shards ~journal:!current_journal
@@ -382,7 +380,7 @@ let e16 () =
       let s =
         Storage.create
           ~cipher:(Odex_crypto.Cipher.key_of_int 0x5ea1)
-          ~cipher_engine:engine ~seal_domains:!current_seal_domains ~telemetry:tel
+          ~cipher_engine:engine ~telemetry:tel
           ~trace_mode:Trace.Digest ~backend:Storage.Mem ~block_size:b ()
       in
       let base = Storage.alloc s run_blocks in
@@ -422,10 +420,7 @@ let e16 () =
       let r =
         {
           experiment = "E16";
-          name =
-            Printf.sprintf "seal-roundtrip-%s-d%d"
-              (Odex_crypto.Cipher.engine_name engine)
-              !current_seal_domains;
+          name = "seal-roundtrip-" ^ Odex_crypto.Cipher.engine_name engine;
           sorter = "";
           backend = Storage.backend_kind s;
           shards = 1;
@@ -534,7 +529,7 @@ let json_of_record r =
     (String.concat "," (List.map json_of_phase r.phases))
 
 let run ?(backend = "mem") ?(shards = 1) ?(servers = 2) ?(journal = false)
-    ?(cipher = "none") ?(seal_domains = 1) ?sorter ?profile ids =
+    ?(cipher = "none") ?sorter ?profile ids =
   if not (List.mem backend Odex_obcheck.Registry.backend_names) then begin
     Printf.eprintf "unknown backend %S (available: %s)\n" backend
       (String.concat " " Odex_obcheck.Registry.backend_names);
@@ -557,10 +552,6 @@ let run ?(backend = "mem") ?(shards = 1) ?(servers = 2) ?(journal = false)
     exit 2
   end;
   current_servers := servers;
-  if seal_domains < 1 then begin
-    Printf.eprintf "--seal-domains must be >= 1 (got %d)\n" seal_domains;
-    exit 2
-  end;
   (match cipher with
   | "none" -> ()
   | "prf_xor" | "chacha20" ->
@@ -574,8 +565,6 @@ let run ?(backend = "mem") ?(shards = 1) ?(servers = 2) ?(journal = false)
       Printf.eprintf "unknown cipher %S (available: none prf_xor chacha20)\n" other;
       exit 2);
   current_cipher := cipher;
-  current_seal_domains := seal_domains;
-  Workloads.seal_domains := seal_domains;
   current_backend := backend;
   current_shards := shards;
   Workloads.default_backend := fresh_spec;

@@ -35,8 +35,7 @@
    can run one leg per engine.
 
    `--cipher none|prf_xor|chacha20` seals every workload store under the
-   named keystream engine (fixed benchmark key), and `--seal-domains K`
-   fans run sealing across K worker domains — both physical-only knobs
+   named keystream engine (fixed benchmark key) — a physical-only knob
    whose traces stay bit-identical to the plaintext run. E16 (JSON mode)
    is the seal/unseal throughput microbench. *)
 
@@ -207,22 +206,6 @@ let rec extract_cipher = function
       let cipher, cleaned = extract_cipher rest in
       (cipher, arg :: cleaned)
 
-(* Pull `--seal-domains K` out likewise. *)
-let rec extract_seal_domains = function
-  | [] -> (None, [])
-  | "--seal-domains" :: k :: rest ->
-      let d =
-        match int_of_string_opt k with
-        | Some d when d >= 1 -> d
-        | _ -> failwith "--seal-domains needs a positive integer"
-      in
-      let _, cleaned = extract_seal_domains rest in
-      (Some d, cleaned)
-  | [ "--seal-domains" ] -> failwith "--seal-domains needs a domain count"
-  | arg :: rest ->
-      let d, cleaned = extract_seal_domains rest in
-      (d, arg :: cleaned)
-
 (* Pull the bare `--journal` flag out likewise (JSON mode: run each
    selected entry journal-off then journal-on, recording both). *)
 let extract_journal args =
@@ -235,12 +218,10 @@ let () =
   let servers, args = extract_servers args in
   let sorter, args = extract_sorter args in
   let cipher, args = extract_cipher args in
-  let seal_domains, args = extract_seal_domains args in
   let journal, args = extract_journal args in
   match args with
   | "--json" :: ids ->
-      Json_bench.run ?backend ?shards ?servers ~journal ?cipher ?seal_domains
-        ?sorter ?profile ids
+      Json_bench.run ?backend ?shards ?servers ~journal ?cipher ?sorter ?profile ids
   | args ->
       let backend_name = Option.value backend ~default:"mem" in
       let shard_count = Option.value shards ~default:1 in
@@ -255,7 +236,6 @@ let () =
             (if cipher = Some "chacha20" then Odex_crypto.Cipher.Chacha20
              else Odex_crypto.Cipher.Prf_xor)
       | Some other -> failwith (Printf.sprintf "unknown cipher %S" other));
-      Workloads.seal_domains := Option.value seal_domains ~default:1;
       Fun.protect ~finally:Workloads.cleanup (fun () ->
           let want id = args = [] || List.mem id args in
           List.iter (fun (id, f) -> if want id then f ()) Experiments.all;

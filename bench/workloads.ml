@@ -15,12 +15,11 @@ let default_backend : (unit -> Storage.backend_spec) ref = ref (fun () -> Storag
 let telemetry : (unit -> Odex_telemetry.Telemetry.t) ref =
   ref (fun () -> Odex_telemetry.Telemetry.disabled)
 
-(* Sealing knobs (`--cipher`, `--seal-domains`): a benchmark-wide cipher
-   key (None = plaintext sealing), the keystream engine under it, and
-   the run-seal fan-out. All physical-only; traces stay comparable. *)
+(* Sealing knobs (`--cipher`): a benchmark-wide cipher key (None =
+   plaintext sealing) and the keystream engine under it. Both
+   physical-only; traces stay comparable. *)
 let cipher : Odex_crypto.Cipher.key option ref = ref None
 let cipher_engine = ref Odex_crypto.Cipher.Prf_xor
-let seal_domains = ref 1
 
 let created_specs : Storage.backend_spec list ref = ref []
 
@@ -28,9 +27,8 @@ let fresh_storage ?cipher:per_store ~trace ~b () =
   let spec = !default_backend () in
   created_specs := spec :: !created_specs;
   let key = match per_store with Some _ as k -> k | None -> !cipher in
-  Storage.create ?cipher:key ~cipher_engine:!cipher_engine ~seal_domains:!seal_domains
-    ~telemetry:(!telemetry ()) ~trace_mode:trace ~backend:spec
-    ~block_size:b ()
+  Storage.create ?cipher:key ~cipher_engine:!cipher_engine ~telemetry:(!telemetry ())
+    ~trace_mode:trace ~backend:spec ~block_size:b ()
 
 let cleanup () =
   List.iter Storage.remove_spec_files !created_specs;

@@ -64,7 +64,7 @@ let backend_of ~store ~shards ~journal name =
         exit 2)
 
 let setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
-    ~cipher ~seal_key ~seal_domains keys =
+    ~cipher ~seal_key keys =
   (* `--profile` turns on the telemetry sink; without it the storage
      carries the shared disabled sink and the I/O path is untouched. *)
   let telemetry =
@@ -87,7 +87,7 @@ let setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_comm
   in
   let server =
     Storage.create ~telemetry ~trace_mode:Trace.Digest ~resume ?cipher:cipher_key
-      ~cipher_engine ~seal_domains ?journal_auto_commit_bytes:auto_commit
+      ~cipher_engine ?journal_auto_commit_bytes:auto_commit
       ~backend:(backend_of ~store ~shards ~journal backend) ~block_size ()
   in
   let n = Array.length keys in
@@ -208,13 +208,6 @@ let seal_key_arg =
   in
   Arg.(value & opt int 1 & info [ "seal-key" ] ~docv:"KEY" ~doc)
 
-let seal_domains_arg =
-  let doc =
-    "Fan run sealing across $(docv) worker domains. Sealed bytes and the access trace \
-     are bit-identical at every $(docv); only the wall clock changes."
-  in
-  Arg.(value & opt int 1 & info [ "seal-domains" ] ~docv:"K" ~doc)
-
 let profile_arg =
   let doc =
     "Collect latency telemetry and write a Chrome trace-event JSON profile to $(docv) \
@@ -237,13 +230,13 @@ let sort_cmd =
     in
     Arg.(value & opt (some string) None & info [ "sorter" ] ~docv:"ENGINE" ~doc)
   in
-  let run block_size m seed backend store shards profile journal auto_commit resume cipher seal_key seal_domains sorter file =
+  let run block_size m seed backend store shards profile journal auto_commit resume cipher seal_key sorter file =
     let keys = read_keys file in
     if Array.length keys = 0 then prerr_endline "no input"
     else begin
       let server, a, rng =
         setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
-          ~cipher ~seal_key ~seal_domains keys
+          ~cipher ~seal_key keys
       in
       let ok =
         match sorter with
@@ -280,7 +273,7 @@ let sort_cmd =
     Term.(
       const run $ block_size_arg $ cache_arg $ seed_arg $ backend_arg $ store_arg
       $ shards_arg $ profile_arg $ journal_arg $ auto_commit_arg $ resume_arg $ cipher_arg $ seal_key_arg
-      $ seal_domains_arg $ sorter_arg $ file_arg)
+      $ sorter_arg $ file_arg)
 
 (* ---- select ---- *)
 
@@ -289,11 +282,11 @@ let select_cmd =
     let doc = "Rank to select (1-indexed)." in
     Arg.(required & opt (some int) None & info [ "k"; "rank" ] ~docv:"K" ~doc)
   in
-  let run block_size m seed backend store shards profile journal auto_commit resume cipher seal_key seal_domains k file =
+  let run block_size m seed backend store shards profile journal auto_commit resume cipher seal_key k file =
     let keys = read_keys file in
     let server, a, rng =
       setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
-          ~cipher ~seal_key ~seal_domains keys
+          ~cipher ~seal_key keys
     in
     let r = Odex.Selection.select ~m ~rng ~k a in
     (match r.Odex.Selection.item with
@@ -308,7 +301,7 @@ let select_cmd =
     Term.(
       const run $ block_size_arg $ cache_arg $ seed_arg $ backend_arg $ store_arg
       $ shards_arg $ profile_arg $ journal_arg $ auto_commit_arg $ resume_arg $ cipher_arg $ seal_key_arg
-      $ seal_domains_arg $ k_arg $ file_arg)
+      $ k_arg $ file_arg)
 
 (* ---- quantiles ---- *)
 
@@ -317,11 +310,11 @@ let quantiles_cmd =
     let doc = "Number of quantiles." in
     Arg.(value & opt int 3 & info [ "q"; "quantiles" ] ~docv:"Q" ~doc)
   in
-  let run block_size m seed backend store shards profile journal auto_commit resume cipher seal_key seal_domains q file =
+  let run block_size m seed backend store shards profile journal auto_commit resume cipher seal_key q file =
     let keys = read_keys file in
     let server, a, rng =
       setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
-          ~cipher ~seal_key ~seal_domains keys
+          ~cipher ~seal_key keys
     in
     let r = Odex.Quantiles.run ~m ~rng ~q a in
     Array.iteri
@@ -337,7 +330,7 @@ let quantiles_cmd =
     Term.(
       const run $ block_size_arg $ cache_arg $ seed_arg $ backend_arg $ store_arg
       $ shards_arg $ profile_arg $ journal_arg $ auto_commit_arg $ resume_arg $ cipher_arg $ seal_key_arg
-      $ seal_domains_arg $ q_arg $ file_arg)
+      $ q_arg $ file_arg)
 
 (* ---- compact ---- *)
 
@@ -356,12 +349,12 @@ let compact_cmd =
     in
     Arg.(value & opt int 1 & info [ "servers" ] ~docv:"K" ~doc)
   in
-  let run block_size m seed backend store shards servers profile journal auto_commit resume cipher seal_key seal_domains keep_even file =
+  let run block_size m seed backend store shards servers profile journal auto_commit resume cipher seal_key keep_even file =
     let keys = read_keys file in
     let shards = if servers >= 2 then max shards servers else shards in
     let server, a, _rng =
       setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
-          ~cipher ~seal_key ~seal_domains keys
+          ~cipher ~seal_key keys
     in
     let distinguished (it : Cell.item) = (not keep_even) || it.key mod 2 = 0 in
     let d = Odex.Consolidation.run ~distinguished ~into:None a in
@@ -385,7 +378,7 @@ let compact_cmd =
     Term.(
       const run $ block_size_arg $ cache_arg $ seed_arg $ backend_arg $ store_arg
       $ shards_arg $ servers_arg $ profile_arg $ journal_arg $ auto_commit_arg $ resume_arg $ cipher_arg $ seal_key_arg
-      $ seal_domains_arg $ keep_even $ file_arg)
+      $ keep_even $ file_arg)
 
 (* ---- audit ---- *)
 

@@ -2,10 +2,9 @@
 
     A [Bigbuf.t] is a C-layout char Bigarray: a flat, GC-opaque byte
     region that C stubs (ChaCha20 keystream, positional file I/O) can
-    address directly while the OCaml runtime lock is released, and that
-    worker domains can read and write concurrently on disjoint ranges
-    without copying. All multi-byte accessors are little-endian — the
-    sealed on-disk format — independent of host endianness. *)
+    address directly while the OCaml runtime lock is released. All
+    multi-byte accessors are little-endian — the sealed on-disk format —
+    independent of host endianness. *)
 
 type t = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -38,8 +38,7 @@ val engine_name : engine -> string
 val engine_of_name : string -> engine option
 
 type state
-(** A key expanded for one engine: immutable after {!init}, so worker
-    domains may seal disjoint regions through one shared state. *)
+(** A key expanded for one engine: immutable after {!init}. *)
 
 val init : engine -> key -> state
 val state_engine : state -> engine

@@ -6,55 +6,40 @@ type snapshot = {
   batched_ios : int;
 }
 
-(* Counters are atomics so accounting would stay exact if ops were ever
-   tallied off the coordinator domain. Today no library code does: the
-   stripe runs on the caller's domain and the seal pool's chunks touch
-   only the run buffer. [last_span] stays plain: spans are a
-   coordinator-only measurement protocol. *)
 type t = {
-  r : int Atomic.t;
-  w : int Atomic.t;
-  retry : int Atomic.t;
-  bytes : int Atomic.t;
-  batched : int Atomic.t;
+  mutable r : int;
+  mutable w : int;
+  mutable retry : int;
+  mutable bytes : int;
+  mutable batched : int;
   mutable last_span : snapshot option;
 }
 
-let create () =
-  {
-    r = Atomic.make 0;
-    w = Atomic.make 0;
-    retry = Atomic.make 0;
-    bytes = Atomic.make 0;
-    batched = Atomic.make 0;
-    last_span = None;
-  }
+let create () = { r = 0; w = 0; retry = 0; bytes = 0; batched = 0; last_span = None }
+let record_read t = t.r <- t.r + 1
+let record_write t = t.w <- t.w + 1
+let record_retry t = t.retry <- t.retry + 1
+let record_moved t n = t.bytes <- t.bytes + n
+let record_batched t n = t.batched <- t.batched + n
 
-let bump c n = ignore (Atomic.fetch_and_add c n)
-let record_read t = bump t.r 1
-let record_write t = bump t.w 1
-let record_retry t = bump t.retry 1
-let record_moved t n = bump t.bytes n
-let record_batched t n = bump t.batched n
+let reads t = t.r
+let writes t = t.w
+let total t = t.r + t.w
 
-let reads t = Atomic.get t.r
-let writes t = Atomic.get t.w
-let total t = Atomic.get t.r + Atomic.get t.w
-
-let retries t = Atomic.get t.retry
+let retries t = t.retry
 (* Retries are repeated attempts, not extra logical I/Os: they stay out
    of [total] so I/O-bound assertions hold on every backend, but Bob
    still sees them (the trace records each one). *)
 
-let bytes_moved t = Atomic.get t.bytes
-let batched_ios t = Atomic.get t.batched
+let bytes_moved t = t.bytes
+let batched_ios t = t.batched
 
 let reset t =
-  Atomic.set t.r 0;
-  Atomic.set t.w 0;
-  Atomic.set t.retry 0;
-  Atomic.set t.bytes 0;
-  Atomic.set t.batched 0;
+  t.r <- 0;
+  t.w <- 0;
+  t.retry <- 0;
+  t.bytes <- 0;
+  t.batched <- 0;
   t.last_span <- None
 
 let snapshot (t : t) : snapshot =

@@ -22,27 +22,6 @@ module Telemetry = Odex_telemetry.Telemetry
 
 type cipher_state = { st : Cipher.state; mutable next_nonce : int }
 
-(* ---- the seal pool: worker domains for parallel run sealing.
-
-   Sealing a run is pure CPU on disjoint stripes of one off-heap buffer
-   — encode the block image, XOR the keystream — with every nonce
-   reserved up front, so fanning the stripes across domains changes
-   which core ran the arithmetic and nothing else: the sealed bytes, the
-   nonce sequence, the trace and the device schedule are bit-identical
-   to the serial seal (pair-tested). One mailbox per worker, mutex +
-   condvar; workers are spawned lazily on the first run big enough to
-   split and joined on [close]/[abandon]. This is the library's only
-   worker protocol. *)
-
-type seal_worker = {
-  smu : Mutex.t;
-  scv : Condition.t;
-  mutable sjob : (unit -> unit) option;
-  mutable sresult : exn option option;  (** [Some None] = done, [Some (Some e)] = raised. *)
-  mutable sstop : bool;
-  mutable sdom : unit Domain.t option;
-}
-
 (* ---- per-server traces.
 
    Under a [Sharded] spec each shard is a separate adversary: a
@@ -80,9 +59,6 @@ type t = {
       (** The write-ahead journal handle, when the spec has a [Journaled]
           layer — owns the crash-atomicity and checkpoint machinery. *)
   shard : shard_state option;
-  seal_domains : int;
-  seal_workers : seal_worker array;  (** [seal_domains - 1] mailboxes. *)
-  mutable seal_spawned : bool;
   seal_buf : Bigbuf.t;  (** One payload: the single-block sealing scratch. *)
   mutable run_buf : Bigbuf.t;  (** Grows to the largest run requested; reused across calls. *)
 }
@@ -213,11 +189,9 @@ let parse_header ~block_size m =
 
 let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = Trace.Digest)
     ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(batching = true)
-    ?(seal_domains = 1) ?(resume = false) ?journal_auto_commit_bytes
-    ~block_size () =
+    ?(resume = false) ?journal_auto_commit_bytes ~block_size () =
   if block_size < 1 then invalid_arg "Storage.create: block_size must be >= 1";
   if max_retries < 1 then invalid_arg "Storage.create: max_retries must be >= 1";
-  if seal_domains < 1 then invalid_arg "Storage.create: seal_domains must be >= 1";
   let backoff_base, backoff_cap = backoff in
   if backoff_base < 0. || backoff_cap < backoff_base then
     invalid_arg "Storage.create: backoff must satisfy 0 <= base <= cap";
@@ -276,18 +250,6 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
               straces = Array.init shards (fun _ -> Trace.create trace_mode);
             })
           stripe;
-      seal_domains;
-      seal_workers =
-        Array.init (seal_domains - 1) (fun _ ->
-            {
-              smu = Mutex.create ();
-              scv = Condition.create ();
-              sjob = None;
-              sresult = None;
-              sstop = false;
-              sdom = None;
-            });
-      seal_spawned = false;
       seal_buf = Bigbuf.create payload_size;
       run_buf = Bigbuf.create 0;
     }
@@ -303,7 +265,6 @@ let telemetry t = t.tel
 let backend_kind t = t.kind
 let batching t = t.batching
 let cipher_engine t = t.engine
-let seal_domains t = t.seal_domains
 let faults_injected t = Backend.faults_injected t.backend
 let scratch_bytes t = Bigbuf.length t.run_buf
 let shard_ios t = Backend.shard_io_counts t.backend
@@ -341,92 +302,6 @@ let with_span t label f =
         ~finally:(fun () -> Array.iter Trace.span_exit sh.straces)
         (fun () -> Trace.with_span t.trace label f)
 
-(* ---- seal pool workers ---- *)
-
-let rec seal_worker_loop w =
-  Mutex.lock w.smu;
-  while w.sjob = None && not w.sstop do
-    Condition.wait w.scv w.smu
-  done;
-  if w.sstop then Mutex.unlock w.smu
-  else begin
-    let f = Option.get w.sjob in
-    Mutex.unlock w.smu;
-    let r = (try f (); None with e -> Some e) in
-    Mutex.lock w.smu;
-    w.sjob <- None;
-    w.sresult <- Some r;
-    Condition.signal w.scv;
-    Mutex.unlock w.smu;
-    seal_worker_loop w
-  end
-
-let spawn_seal_workers t =
-  if not t.seal_spawned then begin
-    t.seal_spawned <- true;
-    Array.iter
-      (fun w -> w.sdom <- Some (Domain.spawn (fun () -> seal_worker_loop w)))
-      t.seal_workers
-  end
-
-let seal_post w f =
-  Mutex.lock w.smu;
-  w.sjob <- Some f;
-  w.sresult <- None;
-  Condition.signal w.scv;
-  Mutex.unlock w.smu
-
-let seal_await w =
-  Mutex.lock w.smu;
-  while w.sresult = None do
-    Condition.wait w.scv w.smu
-  done;
-  let r = Option.get w.sresult in
-  w.sresult <- None;
-  Mutex.unlock w.smu;
-  r
-
-let stop_seal_workers t =
-  if t.seal_spawned then
-    Array.iter
-      (fun w ->
-        Mutex.lock w.smu;
-        w.sstop <- true;
-        Condition.signal w.scv;
-        Mutex.unlock w.smu;
-        match w.sdom with
-        | Some d ->
-            Domain.join d;
-            w.sdom <- None
-        | None -> ())
-      t.seal_workers
-
-(* Run [f lo hi] over a partition of [0, n) — one contiguous chunk per
-   domain when the run is big enough to split, inline otherwise. All
-   chunks complete (or raise) before this returns; the first exception
-   wins. The partition is a function of [n] and [seal_domains] alone,
-   never of data. *)
-let parallel_chunks t n f =
-  if t.seal_domains <= 1 || n < 2 * t.seal_domains then f 0 n
-  else begin
-    spawn_seal_workers t;
-    let d = t.seal_domains in
-    let per = (n + d - 1) / d in
-    for i = 1 to d - 1 do
-      let lo = i * per and hi = min n ((i + 1) * per) in
-      seal_post t.seal_workers.(i - 1) (fun () -> if lo < hi then f lo hi)
-    done;
-    let inline_exn = (try f 0 (min n per); None with e -> Some e) in
-    let worker_exn = ref None in
-    for i = 1 to d - 1 do
-      match seal_await t.seal_workers.(i - 1) with
-      | None -> ()
-      | Some e -> if !worker_exn = None then worker_exn := Some e
-    done;
-    (match inline_exn with Some e -> raise e | None -> ());
-    match !worker_exn with Some e -> raise e | None -> ()
-  end
-
 (* Persist the exact counter (not the rounded-up reservation) before the
    device flushes or the descriptor goes away: a cleanly closed store
    reopens with a gap-free nonce stream. *)
@@ -439,7 +314,6 @@ let sync t =
   Backend.sync t.backend
 
 let close t =
-  stop_seal_workers t;
   checkpoint_header t;
   Backend.close t.backend
 
@@ -447,7 +321,6 @@ let close t =
    no journal commit, no flush — the on-disk state stays exactly as the
    crash point left it. Crash-sweep harness only. *)
 let abandon t =
-  stop_seal_workers t;
   match t.journal with
   | Some j -> Journal.abandon j
   | None -> Backend.close t.backend
@@ -568,10 +441,8 @@ let unseal_from t buf off =
    The [n] nonces are reserved up front — block [i] seals under
    [base + i], exactly the sequence the per-block loop would draw — so
    the whole run can be encoded and XORed as equally-spaced regions of
-   [run_buf]: one [Cipher.xor_run] per chunk (the ChaCha20 engine
-   dispatches 8 regions per SIMD batch), fanned across the seal pool
-   when one is attached. Serial and parallel sealing produce the same
-   bytes by construction. *)
+   [run_buf] by one [Cipher.xor_run] (the ChaCha20 engine dispatches 8
+   regions per SIMD batch). *)
 
 let seal_run t blks n =
   match t.cipher with
@@ -589,26 +460,21 @@ let seal_run t blks n =
       end;
       cs.next_nonce <- base + n;
       with_seal_tel t ~op:Telemetry.Seal ~blocks:n (fun () ->
-          parallel_chunks t n (fun lo hi ->
-              if lo < hi then begin
-                for i = lo to hi - 1 do
-                  let off = i * t.payload_size in
-                  Bigbuf.set64_le t.run_buf off (Int64.of_int (base + i));
-                  Block.encode_into_big blks.(i) t.run_buf (off + 8)
-                done;
-                let nonces = Array.init (hi - lo) (fun j -> base + lo + j) in
-                Cipher.xor_run cs.st ~nonces t.run_buf
-                  ~off:((lo * t.payload_size) + 8)
-                  ~stride:t.payload_size
-                  ~len:(t.payload_size - 8)
-              end))
+          for i = 0 to n - 1 do
+            let off = i * t.payload_size in
+            Bigbuf.set64_le t.run_buf off (Int64.of_int (base + i));
+            Block.encode_into_big blks.(i) t.run_buf (off + 8)
+          done;
+          Cipher.xor_run cs.st
+            ~nonces:(Array.init n (fun i -> base + i))
+            t.run_buf ~off:8 ~stride:t.payload_size ~len:(t.payload_size - 8))
 
 (* Unseal a whole run from [buf] into [out]. When every payload is
    sealed (the steady state of a ciphered store) the nonces come from
    the payload headers and the run opens through the same
-   [Cipher.xor_run] fast path, chunk-parallel like [seal_run]; a mix of
-   plaintext and sealed blocks (or a cipherless store) falls back to the
-   per-block open. *)
+   [Cipher.xor_run] fast path as [seal_run]; a mix of plaintext and
+   sealed blocks (or a cipherless store) falls back to the per-block
+   open. *)
 let unseal_run t buf n out =
   let all_sealed =
     match t.cipher with
@@ -625,22 +491,14 @@ let unseal_run t buf n out =
   if all_sealed then
     let cs = Option.get t.cipher in
     with_seal_tel t ~op:Telemetry.Unseal ~blocks:n (fun () ->
-        parallel_chunks t n (fun lo hi ->
-            if lo < hi then begin
-              let nonces =
-                Array.init (hi - lo) (fun j ->
-                    Int64.to_int (Bigbuf.unsafe_get64_le buf ((lo + j) * t.payload_size)))
-              in
-              Cipher.xor_run cs.st ~nonces buf
-                ~off:((lo * t.payload_size) + 8)
-                ~stride:t.payload_size
-                ~len:(t.payload_size - 8);
-              for i = lo to hi - 1 do
-                out.(i) <-
-                  Block.decode_from_big ~block_size:t.block_size buf
-                    ((i * t.payload_size) + 8)
-              done
-            end))
+        let nonces =
+          Array.init n (fun i -> Int64.to_int (Bigbuf.unsafe_get64_le buf (i * t.payload_size)))
+        in
+        Cipher.xor_run cs.st ~nonces buf ~off:8 ~stride:t.payload_size
+          ~len:(t.payload_size - 8);
+        for i = 0 to n - 1 do
+          out.(i) <- Block.decode_from_big ~block_size:t.block_size buf ((i * t.payload_size) + 8)
+        done)
   else
     for i = 0 to n - 1 do
       out.(i) <- unseal_from t buf (i * t.payload_size)

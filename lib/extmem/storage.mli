@@ -72,6 +72,11 @@ exception Io_failure of { addr : int; attempts : int }
     tries: the fault outlasted the retry budget. *)
 
 type t
+(** One domain owns a store: a store, its {!Stats}, its trace and its
+    telemetry sink belong to the domain that created the store and must
+    not be shared across domains. None of them is synchronised — every
+    I/O, every seal and every accounting update runs on the caller's
+    domain — so concurrent use from two domains is a data race. *)
 
 val create :
   ?cipher:Odex_crypto.Cipher.key ->
@@ -82,7 +87,6 @@ val create :
   ?max_retries:int ->
   ?backoff:float * float ->
   ?batching:bool ->
-  ?seal_domains:int ->
   ?resume:bool ->
   ?journal_auto_commit_bytes:int ->
   block_size:int ->
@@ -103,18 +107,6 @@ val create :
     with the wrong keystream. Engine choice is invisible to Bob — traces,
     stats and the nonce schedule are engine-independent (pair-tested);
     only the ciphertext bytes (and the keystream cost) differ.
-
-    [seal_domains] (default 1) fans run sealing/unsealing across that
-    many domains (the caller's plus [seal_domains - 1] lazily spawned
-    workers, joined on {!close}). Sealing is pure CPU on disjoint
-    stripes of one off-heap buffer with all nonces reserved up front, so
-    the sealed bytes, nonce sequence, trace and device schedule are
-    bit-identical at every setting (pair-tested) — the knob changes only
-    which core runs the keystream arithmetic. Runs smaller than
-    [2 * seal_domains] blocks seal inline. The seal pool is the only
-    place the library spawns domains, and its chunks touch only the run
-    buffer: no {!Stats} or telemetry write happens off the caller's
-    domain.
 
     [telemetry] (default: the disabled sink) wires this store into a
     profiling sink: every backend call is timed (through
@@ -180,9 +172,6 @@ val batching : t -> bool
 val cipher_engine : t -> Odex_crypto.Cipher.engine
 (** The keystream engine this store seals under (meaningful only when a
     cipher key was supplied; reported regardless). *)
-
-val seal_domains : t -> int
-(** Total domains participating in run sealing (1 = serial). *)
 
 val shard_ios : t -> int array
 (** Per-shard counts of block ops served by a [Sharded] backend ([[||]]

@@ -97,7 +97,6 @@ val check :
   ?telemetry:Odex_telemetry.Telemetry.t ->
   ?cipher:Odex_crypto.Cipher.key ->
   ?cipher_engine:Odex_crypto.Cipher.engine ->
-  ?seal_domains:int ->
   ?pair:[ `Disjoint | `Isomorphic ] ->
   ?multi_server:bool ->
   subject ->
@@ -138,12 +137,9 @@ val check :
     the assertion that profiling is invisible to Bob: the instrumented
     trace is bit-identical to the uninstrumented one.
 
-    [cipher], [cipher_engine] and [seal_domains] are forwarded to both
-    runs' {!Odex_extmem.Storage.create}: sealing under a real keystream
-    engine, or fanning the sealing across domains, must not move a
-    single trace op (the parallel-seal parity suite runs the whole
-    registry through this with [seal_domains] on and off and demands
-    identical digests and [shard_ios]).
+    [cipher] and [cipher_engine] are forwarded to both runs'
+    {!Odex_extmem.Storage.create}: sealing under a real keystream engine
+    must not move a single trace op.
 
     [pair] selects the input pair: [`Disjoint] (default,
     {!pair_inputs}) for fixed-trace subjects, [`Isomorphic]

@@ -107,73 +107,64 @@ type frame = {
   mutable f_bytes : int;
 }
 
+(* The live counterpart of [op_stat]: updated in place on every call,
+   copied into the public record only when read. *)
+type op_cell = {
+  c_op : op_kind;
+  c_backend : string;
+  mutable c_count : int;
+  mutable c_blocks : int;
+  mutable c_bytes : int;
+  c_latency : hist;
+}
+
 type t = {
   on : bool;
-  mu : Mutex.t;
-      (* Guards every mutation of the enabled sink, so a report from
-         another domain could never corrupt it. Today every report comes
-         from the coordinator: the stripe runs on the caller's domain
-         and the seal pool's chunks touch only the run buffer. The
-         disabled sink never locks — its entry points remain the single
-         [on] branch. Readers (op_stats, phases, counters, the printers)
-         are called after the run and stay lock-free. *)
-  mutable ops : (op_kind * string * op_stat) list;
-      (* (kind, backend) -> stat; a handful of combinations, assoc is fine. *)
+  mutable ops : op_cell list;  (* one per (kind, backend): a handful, a list is fine *)
   mutable rev_phases : phase list;
   mutable stack : frame list;
   mutable counts : (string * int ref) list;
 }
 
-let make on = { on; mu = Mutex.create (); ops = []; rev_phases = []; stack = []; counts = [] }
+let make on = { on; ops = []; rev_phases = []; stack = []; counts = [] }
 let disabled = make false
 let create () = make true
 let enabled t = t.on
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let rec find_op op backend = function
+  | [] -> None
+  | c :: rest ->
+      if c.c_op = op && String.equal c.c_backend backend then Some c
+      else find_op op backend rest
 
 let record_op t ~backend ~op ~blocks ~bytes ~ns =
-  if t.on then
-    locked t @@ fun () ->
-    let stat =
-      match List.find_opt (fun (k, b, _) -> k = op && String.equal b backend) t.ops with
-      | Some (_, _, s) -> s
+  if t.on then begin
+    let c =
+      match find_op op backend t.ops with
+      | Some c -> c
       | None ->
-          let s =
-            { op; op_backend = backend; count = 0; op_blocks = 0; op_bytes = 0;
-              latency = hist_create () }
+          let c =
+            { c_op = op; c_backend = backend; c_count = 0; c_blocks = 0; c_bytes = 0;
+              c_latency = hist_create () }
           in
-          t.ops <- (op, backend, s) :: t.ops;
-          s
+          t.ops <- c :: t.ops;
+          c
     in
-    let stat =
-      { stat with count = stat.count + 1; op_blocks = stat.op_blocks + blocks;
-        op_bytes = stat.op_bytes + bytes }
-    in
-    hist_add stat.latency ns;
-    t.ops <-
-      List.map
-        (fun (k, b, s) -> if k = op && String.equal b backend then (k, b, stat) else (k, b, s))
-        t.ops
+    c.c_count <- c.c_count + 1;
+    c.c_blocks <- c.c_blocks + blocks;
+    c.c_bytes <- c.c_bytes + bytes;
+    hist_add c.c_latency ns
+  end
 
 let top t = match t.stack with [] -> None | f :: _ -> Some f
 
-let add_ios t n =
-  if t.on then locked t (fun () -> Option.iter (fun f -> f.f_ios <- f.f_ios + n) (top t))
-
-let add_retries t n =
-  if t.on then locked t (fun () -> Option.iter (fun f -> f.f_retries <- f.f_retries + n) (top t))
-
-let add_faults t n =
-  if t.on then locked t (fun () -> Option.iter (fun f -> f.f_faults <- f.f_faults + n) (top t))
-
-let add_bytes t n =
-  if t.on then locked t (fun () -> Option.iter (fun f -> f.f_bytes <- f.f_bytes + n) (top t))
+let add_ios t n = if t.on then Option.iter (fun f -> f.f_ios <- f.f_ios + n) (top t)
+let add_retries t n = if t.on then Option.iter (fun f -> f.f_retries <- f.f_retries + n) (top t)
+let add_faults t n = if t.on then Option.iter (fun f -> f.f_faults <- f.f_faults + n) (top t)
+let add_bytes t n = if t.on then Option.iter (fun f -> f.f_bytes <- f.f_bytes + n) (top t)
 
 let add_counter t name n =
   if t.on then
-    locked t @@ fun () ->
     match List.assoc_opt name t.counts with
     | Some r -> r := !r + n
     | None -> t.counts <- (name, ref n) :: t.counts
@@ -185,10 +176,9 @@ let with_phase t label f =
       { f_label = label; f_depth = List.length t.stack; f_start = now_ns ();
         f_ios = 0; f_retries = 0; f_faults = 0; f_bytes = 0 }
     in
-    locked t (fun () -> t.stack <- frame :: t.stack);
+    t.stack <- frame :: t.stack;
     Fun.protect
       ~finally:(fun () ->
-        locked t @@ fun () ->
         (match t.stack with x :: rest when x == frame -> t.stack <- rest | _ -> ());
         t.rev_phases <-
           {
@@ -210,7 +200,11 @@ let phases t = List.rev t.rev_phases
 let op_stats t =
   List.sort
     (fun a b -> compare (a.op, a.op_backend) (b.op, b.op_backend))
-    (List.map (fun (_, _, s) -> s) t.ops)
+    (List.map
+       (fun c ->
+         { op = c.c_op; op_backend = c.c_backend; count = c.c_count; op_blocks = c.c_blocks;
+           op_bytes = c.c_bytes; latency = c.c_latency })
+       t.ops)
 
 let phase_stats t =
   let tbl = Hashtbl.create 16 in

@@ -58,6 +58,35 @@ let test_histogram_percentiles () =
       Alcotest.(check bool) "percentiles monotone" true (p50 <= p90 && p90 <= p99)
   | l -> Alcotest.failf "expected one op stat, got %d" (List.length l)
 
+(* Recording an op updates its (kind, backend) stat in place, so the
+   per-call allocation must not grow with the number of distinct pairs
+   the sink already holds. *)
+let test_record_op_alloc_flat () =
+  let words_per_call pairs =
+    let t = Telemetry.create () in
+    List.iter
+      (fun (op, backend) -> Telemetry.record_op t ~backend ~op ~blocks:1 ~bytes:8 ~ns:100L)
+      pairs;
+    let iters = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to iters do
+      Telemetry.record_op t ~backend:"mem" ~op:Telemetry.Read ~blocks:1 ~bytes:8 ~ns:100L
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int iters
+  in
+  let twelve =
+    List.concat_map
+      (fun backend ->
+        List.map (fun op -> (op, backend)) Telemetry.[ Read; Write; Read_run; Write_run; Sync; Seal ])
+      [ "mem"; "file" ]
+  in
+  Alcotest.(check int) "twelve distinct pairs" 12 (List.length (List.sort_uniq compare twelve));
+  let one = words_per_call [ (Telemetry.Read, "mem") ] in
+  let many = words_per_call twelve in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words/call at 1 pair, %.2f at 12 pairs" one many)
+    true (many <= one +. 0.5)
+
 (* ---------------- storage instrumentation ---------------- *)
 
 let test_storage_ops_timed () =
@@ -236,6 +265,7 @@ let suite =
     ("disabled sink is a no-op", `Quick, test_disabled_sink_is_noop);
     ("storage default sink is disabled", `Quick, test_storage_default_sink_is_disabled);
     ("histogram percentiles", `Quick, test_histogram_percentiles);
+    ("record_op allocation flat in pair count", `Quick, test_record_op_alloc_flat);
     ("backend ops are timed", `Quick, test_storage_ops_timed);
     ("phase counter attribution", `Quick, test_phase_attribution);
     ("retries and faults attributed", `Quick, test_retry_and_fault_attribution);
