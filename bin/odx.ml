@@ -15,17 +15,33 @@
 open Cmdliner
 open Odex_extmem
 
+(* One integer per line; blank lines are skipped. A malformed line is a
+   usage error reported as [path:line], and a named file is closed on
+   every path out. *)
 let read_keys path =
   let ic = if path = "-" then stdin else open_in path in
-  let keys = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" then keys := int_of_string line :: !keys
-     done
-   with End_of_file -> ());
-  if path <> "-" then close_in ic;
-  Array.of_list (List.rev !keys)
+  let parse () =
+    let rec go lineno acc =
+      match input_line ic with
+      | exception End_of_file -> Ok (Array.of_list (List.rev acc))
+      | raw -> (
+          let line = String.trim raw in
+          if line = "" then go (lineno + 1) acc
+          else
+            match int_of_string_opt line with
+            | Some k -> go (lineno + 1) (k :: acc)
+            | None -> Error (Printf.sprintf "odx: %s:%d: not an integer: %S" path lineno line))
+    in
+    go 1 []
+  in
+  let result =
+    Fun.protect ~finally:(fun () -> if path <> "-" then close_in_noerr ic) parse
+  in
+  match result with
+  | Ok keys -> keys
+  | Error msg ->
+      prerr_endline msg;
+      exit 1
 
 (* The fault plan of `--backend faulty` is fixed (seed and all), so a
    faulty run is exactly as reproducible as a mem run. `--shards K`

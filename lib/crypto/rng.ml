@@ -1,28 +1,37 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: stepping the
+   generator stores the word in place instead of allocating a boxed
+   [int64], so a coin costs no allocation once [next_int64] is inlined
+   into its caller. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 finalizer: a bijective mixing of the 64-bit state. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (mix64 (Int64.of_int seed))
+let copy = Bytes.copy
+let state t = get64 t 0
 
-let state t = t.state
-
-let of_state s = { state = s }
-
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix64 s
 
 let split t =
   let s = next_int64 t in
-  { state = mix64 s }
+  of_state (mix64 s)
 
 (* Non-negative 62-bit integer, safe to use as an OCaml [int]. *)
 let next_nonneg t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)

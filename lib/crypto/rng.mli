@@ -43,7 +43,7 @@ val int_in_range : t -> lo:int -> hi:int -> int
     Requires [lo <= hi]. *)
 
 val bool : t -> bool
-(** Fair coin. *)
+(** Fair coin. Allocation-free: the state is stepped in place. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)

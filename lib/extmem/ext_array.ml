@@ -28,21 +28,28 @@ let sub t ~off ~len =
 let read_block t i = Storage.read t.storage (addr t i)
 let write_block t i blk = Storage.write t.storage (addr t i) blk
 
-let read_blocks t i ~count =
-  if count < 0 then invalid_arg "Ext_array.read_blocks: negative count";
+let check_run t ~who i count =
+  if count < 0 then invalid_arg (Printf.sprintf "Ext_array.%s: negative count" who);
   if i < 0 || i + count > t.blocks then
     invalid_arg
-      (Printf.sprintf "Ext_array.read_blocks: run [%d, %d) out of bounds (%d blocks)" i
-         (i + count) t.blocks);
+      (Printf.sprintf "Ext_array.%s: run [%d, %d) out of bounds (%d blocks)" who i (i + count)
+         t.blocks)
+
+let read_blocks t i ~count =
+  check_run t ~who:"read_blocks" i count;
   Storage.read_many t.storage (t.base + i) count
 
 let write_blocks t i blks =
-  let count = Array.length blks in
-  if i < 0 || i + count > t.blocks then
-    invalid_arg
-      (Printf.sprintf "Ext_array.write_blocks: run [%d, %d) out of bounds (%d blocks)" i
-         (i + count) t.blocks);
+  check_run t ~who:"write_blocks" i (Array.length blks);
   Storage.write_many t.storage (t.base + i) blks
+
+let read_flat t i ~count buf =
+  check_run t ~who:"read_flat" i count;
+  Storage.read_flat t.storage (t.base + i) count buf
+
+let write_flat t i ~count buf =
+  check_run t ~who:"write_flat" i count;
+  Storage.write_flat t.storage (t.base + i) count buf
 
 let iter_runs t ~chunk f =
   if chunk < 1 then invalid_arg "Ext_array.iter_runs: chunk must be >= 1";

@@ -42,6 +42,18 @@ val read_blocks : t -> int -> count:int -> Block.t array
 val write_blocks : t -> int -> Block.t array -> unit
 (** Batched mirror of {!read_blocks}, via {!Storage.write_many}. *)
 
+val read_flat : t -> int -> count:int -> Flat.t -> unit
+(** [read_flat a i ~count buf] reads relative blocks [i, i + count) into
+    slots [0, count) of [buf] as one batched run of opened cell images
+    (see {!Storage.read_flat}): the same counted I/Os and trace as
+    {!read_blocks}, with no decode. The buffer is the caller's; the
+    header words are left unspecified. *)
+
+val write_flat : t -> int -> count:int -> Flat.t -> unit
+(** Mirror of {!read_flat}, via {!Storage.write_flat}: slots
+    [0, count) of [buf] go to relative blocks [i, i + count). The
+    caller's cell images are not mutated. *)
+
 val iter_runs : t -> chunk:int -> (int -> Block.t array -> unit) -> unit
 (** [iter_runs a ~chunk f] scans the whole array left to right in
     batched runs of at most [chunk] blocks, calling [f base blks] for

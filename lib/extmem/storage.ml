@@ -59,8 +59,8 @@ type t = {
       (** The write-ahead journal handle, when the spec has a [Journaled]
           layer — owns the crash-atomicity and checkpoint machinery. *)
   shard : shard_state option;
-  seal_buf : Bigbuf.t;  (** One payload: the single-block sealing scratch. *)
-  mutable run_buf : Bigbuf.t;  (** Grows to the largest run requested; reused across calls. *)
+  seal_buf : Flat.t;  (** One slot: the single-block codec scratch. *)
+  mutable run_buf : Flat.t;  (** Grows to the largest run requested; reused across calls. *)
 }
 
 (* The member spec of shard [i] under a [Sharded] spec: file paths get a
@@ -195,7 +195,7 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
   let backoff_base, backoff_cap = backoff in
   if backoff_base < 0. || backoff_cap < backoff_base then
     invalid_arg "Storage.create: backoff must satisfy 0 <= base <= cap";
-  let payload_size = 8 + Block.encoded_size block_size in
+  let payload_size = Flat.stride_of ~block_size in
   let stripe = stripe_of_spec backend in
   let raw, journal =
     instantiate ~payload_size ~engine:cipher_engine ~resume
@@ -250,8 +250,8 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
               straces = Array.init shards (fun _ -> Trace.create trace_mode);
             })
           stripe;
-      seal_buf = Bigbuf.create payload_size;
-      run_buf = Bigbuf.create 0;
+      seal_buf = Flat.create ~block_size ~blocks:1;
+      run_buf = Flat.create ~block_size ~blocks:0;
     }
   in
   write_header t;
@@ -266,7 +266,8 @@ let backend_kind t = t.kind
 let batching t = t.batching
 let cipher_engine t = t.engine
 let faults_injected t = Backend.faults_injected t.backend
-let scratch_bytes t = Bigbuf.length t.run_buf
+let next_nonce t = Option.map (fun cs -> cs.next_nonce) t.cipher
+let scratch_bytes t = Bigbuf.length (Flat.buffer t.run_buf)
 let shard_ios t = Backend.shard_io_counts t.backend
 let shard_count t = Backend.shard_count t.backend
 let shard_traces t = match t.shard with None -> [||] | Some sh -> sh.straces
@@ -279,15 +280,6 @@ let shard_addr t ~shard ~index =
         invalid_arg "Storage.shard_addr: shard out of range";
       if index < 0 then invalid_arg "Storage.shard_addr: negative index";
       Backend.logical sh.router ~shard ~index
-
-(* Record a counted op into the serving shard's trace, at the inner
-   address that shard's device actually sees. *)
-let shard_record t a op_of =
-  match t.shard with
-  | None -> ()
-  | Some sh ->
-      let s, inner = Backend.route sh.router a in
-      Trace.record sh.straces.(s) (op_of inner)
 
 (* Bracket a public phase across the logical trace {e and} every
    per-shard trace, so shard-level divergence reports name the same
@@ -373,84 +365,63 @@ let journal_appends t = match t.journal with None -> [] | Some j -> Journal.appe
 let journal_commits t = match t.journal with None -> 0 | Some j -> Journal.commits j
 
 let ensure_run_buf t n =
-  let need = n * t.payload_size in
-  if Bigbuf.length t.run_buf < need then
-    t.run_buf <- Bigbuf.create (max need (2 * Bigbuf.length t.run_buf))
+  let have = Flat.blocks t.run_buf in
+  if have < n then
+    t.run_buf <- Flat.create ~block_size:t.block_size ~blocks:(max n (2 * have))
 
 (* ---- sealed payload: an 8-byte nonce header (-1 = plaintext) followed
-   by the encoded (and possibly encrypted) block image. A fixed layout
-   keeps every backend address-computable and lets a file store reopen a
-   previous run's blocks given the same key.
+   by the encoded (and possibly encrypted) block image — exactly one slot
+   of a {!Flat} run. A fixed layout keeps every backend
+   address-computable and lets a file store reopen a previous run's
+   blocks given the same key.
 
-   Sealing and unsealing run entirely inside caller-owned off-heap
-   scratch buffers ([seal_buf] for single blocks, [run_buf] for runs):
-   the block image is encoded in place, the cipher XORs the keystream in
-   place — through the engine's C core for ChaCha20 — and decoding reads
-   straight from the scratch at an offset. No staging copy, no
-   per-operation allocation, and the same buffer the backend transfers
-   from/to. ---- *)
+   The flat run is the one transfer path: every read lands a run of
+   slots in a flat buffer and opens it in place; every write seals a run
+   of slots in place and transfers it. The cipher XORs the keystream in
+   place — through the engine's C core for ChaCha20 — and the same
+   buffer is what the backend transfers from/to. {!read_many}/{!write_many}
+   (and the single-block {!read}/{!write}) are codec views over it: they
+   decode from / encode into the store's own scratch run ([seal_buf] for
+   single blocks, [run_buf] for runs) around the same transfer and seal
+   code. ---- *)
 
 let plain_nonce = -1L
 
+(* Header-slot words in native byte order: the plain marker is all ones
+   in either order, so stamping and testing it need no byte swap — and,
+   being primitives, no boxed [int64] on any build. Nonce values go
+   through the little-endian accessors. *)
+external raw_get64 : Bigbuf.t -> int -> int64 = "%caml_bigstring_get64u"
+external raw_set64 : Bigbuf.t -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
 (* Cipher work is reported to the sink under the pseudo-backend
    "cipher", so a profile attributes keystream time separately from
-   device time. Only sealed payloads are timed (plaintext encode/decode
-   is codec work, not cipher work), and only when the sink collects. *)
-let with_seal_tel t ~op ~blocks f =
-  if Telemetry.enabled t.tel && t.cipher <> None then begin
-    let t0 = Telemetry.now_ns () in
-    let r = f () in
+   device time. Only sealed payloads are timed, and only when the sink
+   collects; on the codec views the timer brackets the encode/decode
+   too, as it always has. A start/stop pair rather than a wrapper, so
+   the untimed path builds no closure. *)
+let seal_timed t = Telemetry.enabled t.tel && t.cipher <> None
+let seal_start t = if seal_timed t then Telemetry.now_ns () else 0L
+
+let seal_stop t ~op ~blocks t0 =
+  if seal_timed t then
     Telemetry.record_op t.tel ~backend:"cipher" ~op ~blocks
       ~bytes:(blocks * (t.payload_size - 8))
-      ~ns:(Int64.sub (Telemetry.now_ns ()) t0);
-    r
-  end
-  else f ()
+      ~ns:(Int64.sub (Telemetry.now_ns ()) t0)
 
-let seal_into t blk buf off =
-  match t.cipher with
-  | None ->
-      Bigbuf.set64_le buf off plain_nonce;
-      Block.encode_into_big blk buf (off + 8)
-  | Some cs ->
-      let nonce = cs.next_nonce in
-      (* Reserve (and persist) ahead of use: the header write lands on
-         the device before any payload sealed under [nonce] can. *)
-      if nonce >= t.nonce_reserved then begin
-        t.nonce_reserved <- nonce + nonce_chunk;
-        write_header t
-      end;
-      cs.next_nonce <- nonce + 1;
-      Bigbuf.set64_le buf off (Int64.of_int nonce);
-      Block.encode_into_big blk buf (off + 8);
-      Cipher.xor_big cs.st ~nonce buf ~off:(off + 8) ~len:(t.payload_size - 8)
-
-let unseal_from t buf off =
-  let header = Bigbuf.get64_le buf off in
-  if header = plain_nonce then Block.decode_from_big ~block_size:t.block_size buf (off + 8)
-  else
-    match t.cipher with
-    | None -> invalid_arg "Storage: encrypted block but no cipher key"
-    | Some cs ->
-        Cipher.xor_big cs.st ~nonce:(Int64.to_int header) buf ~off:(off + 8)
-          ~len:(t.payload_size - 8);
-        Block.decode_from_big ~block_size:t.block_size buf (off + 8)
-
-(* ---- run sealing: the batched counterpart of [seal_into].
-
-   The [n] nonces are reserved up front — block [i] seals under
-   [base + i], exactly the sequence the per-block loop would draw — so
-   the whole run can be encoded and XORed as equally-spaced regions of
-   [run_buf] by one [Cipher.xor_run] (the ChaCha20 engine dispatches 8
-   regions per SIMD batch). *)
-
-let seal_run t blks n =
+(* Seal the first [n] slots of [buf] in place: stamp each header slot
+   and, on a ciphered store, XOR the keystream over the image. The [n]
+   nonces are reserved up front — slot [i] seals under [base + i],
+   exactly the sequence a per-block loop draws — so a run is keyed by
+   one [Cipher.xor_run] (the ChaCha20 engine dispatches 8 regions per
+   SIMD batch). The reservation lands on the device before any payload
+   sealed under it can. *)
+let seal_run t buf n =
+  let b = Flat.buffer buf and stride = t.payload_size in
   match t.cipher with
   | None ->
       for i = 0 to n - 1 do
-        let off = i * t.payload_size in
-        Bigbuf.set64_le t.run_buf off plain_nonce;
-        Block.encode_into_big blks.(i) t.run_buf (off + 8)
+        raw_set64 b (i * stride) plain_nonce
       done
   | Some cs ->
       let base = cs.next_nonce in
@@ -459,50 +430,39 @@ let seal_run t blks n =
         write_header t
       end;
       cs.next_nonce <- base + n;
-      with_seal_tel t ~op:Telemetry.Seal ~blocks:n (fun () ->
-          for i = 0 to n - 1 do
-            let off = i * t.payload_size in
-            Bigbuf.set64_le t.run_buf off (Int64.of_int (base + i));
-            Block.encode_into_big blks.(i) t.run_buf (off + 8)
-          done;
-          Cipher.xor_run cs.st
-            ~nonces:(Array.init n (fun i -> base + i))
-            t.run_buf ~off:8 ~stride:t.payload_size ~len:(t.payload_size - 8))
+      for i = 0 to n - 1 do
+        Bigbuf.unsafe_set64_le b (i * stride) (Int64.of_int (base + i))
+      done;
+      let len = stride - 8 in
+      if n = 1 then Cipher.xor_big cs.st ~nonce:base b ~off:8 ~len
+      else Cipher.xor_run cs.st ~nonces:(Array.init n (fun i -> base + i)) b ~off:8 ~stride ~len
 
-(* Unseal a whole run from [buf] into [out]. When every payload is
+(* Open the first [n] slots of [buf] in place. When every payload is
    sealed (the steady state of a ciphered store) the nonces come from
-   the payload headers and the run opens through the same
-   [Cipher.xor_run] fast path as [seal_run]; a mix of plaintext and
-   sealed blocks (or a cipherless store) falls back to the per-block
-   open. *)
-let unseal_run t buf n out =
-  let all_sealed =
+   the header slots and the run opens through one [Cipher.xor_run]; a
+   run mixing plaintext and sealed payloads — fresh blocks carry the
+   plain marker — opens slot by slot. *)
+let open_run t buf n =
+  let b = Flat.buffer buf and stride = t.payload_size in
+  let sealed = ref 0 in
+  for i = 0 to n - 1 do
+    if raw_get64 b (i * stride) <> plain_nonce then incr sealed
+  done;
+  if !sealed > 0 then
     match t.cipher with
-    | None -> false
-    | Some _ ->
-        let ok = ref true in
-        (let i = ref 0 in
-         while !ok && !i < n do
-           if Bigbuf.get64_le buf (!i * t.payload_size) = plain_nonce then ok := false;
-           incr i
-         done);
-        !ok
-  in
-  if all_sealed then
-    let cs = Option.get t.cipher in
-    with_seal_tel t ~op:Telemetry.Unseal ~blocks:n (fun () ->
-        let nonces =
-          Array.init n (fun i -> Int64.to_int (Bigbuf.unsafe_get64_le buf (i * t.payload_size)))
-        in
-        Cipher.xor_run cs.st ~nonces buf ~off:8 ~stride:t.payload_size
-          ~len:(t.payload_size - 8);
-        for i = 0 to n - 1 do
-          out.(i) <- Block.decode_from_big ~block_size:t.block_size buf ((i * t.payload_size) + 8)
-        done)
-  else
-    for i = 0 to n - 1 do
-      out.(i) <- unseal_from t buf (i * t.payload_size)
-    done
+    | None -> invalid_arg "Storage: encrypted block but no cipher key"
+    | Some cs ->
+        let len = stride - 8 in
+        if !sealed = n && n > 1 then
+          Cipher.xor_run cs.st
+            ~nonces:(Array.init n (fun i -> Int64.to_int (Bigbuf.unsafe_get64_le b (i * stride))))
+            b ~off:8 ~stride ~len
+        else
+          for i = 0 to n - 1 do
+            let header = Bigbuf.unsafe_get64_le b (i * stride) in
+            if header <> plain_nonce then
+              Cipher.xor_big cs.st ~nonce:(Int64.to_int header) b ~off:((i * stride) + 8) ~len
+          done
 
 (* ---- the run engine: every transfer, single-block or batched, goes
    through [run_transfer], which drives the backend's run API and
@@ -516,7 +476,7 @@ let unseal_run t buf n out =
    operations retry silently: they model the experimenter's view, not
    Alice's protocol.
 
-   [record] fires once per block in address order, exactly where the
+   A counted block is recorded once, in address order, exactly where the
    per-block API would have recorded it: blocks transferred before a
    mid-run fault are recorded before the fault's retry op. A batched run
    therefore emits a trace bit-identical to the per-block run it
@@ -531,62 +491,94 @@ let backoff t attempt =
      signal clock; the backoff is advisory, the retry is not). *)
   if delay > 0. then try Unix.sleepf delay with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let run_transfer t ~counted ~record_retry ~record ~addr ~n ~do_run =
-  let fin = addr + n in
-  let rec go a attempt =
-    if a < fin then
-      match do_run ~addr:a ~count:(fin - a) ~off:((a - addr) * t.payload_size) with
-      | () -> for i = a to fin - 1 do record i done
-      | exception Backend.Transient { addr = fa; _ } ->
-          for i = a to fa - 1 do record i done;
-          let attempt = if fa > a then 1 else attempt in
-          if attempt >= t.max_retries then raise (Io_failure { addr = fa; attempts = attempt });
-          Telemetry.add_faults t.tel 1;
-          if counted then begin
-            Stats.record_retry t.stats;
-            Telemetry.add_retries t.tel 1;
-            record_retry t fa
-          end;
-          backoff t attempt;
-          go fa (attempt + 1)
-  in
-  go addr 1
-
 let record_read t a =
   Stats.record_read t.stats;
   Stats.record_moved t.stats t.payload_size;
   Telemetry.add_ios t.tel 1;
   Telemetry.add_bytes t.tel t.payload_size;
-  Trace.record t.trace (Trace.Read a);
-  shard_record t a (fun inner -> Trace.Read inner)
+  Trace.record_read t.trace a;
+  match t.shard with
+  | None -> ()
+  | Some sh ->
+      let s, inner = Backend.route sh.router a in
+      Trace.record_read sh.straces.(s) inner
 
 let record_write t a =
   Stats.record_write t.stats;
   Stats.record_moved t.stats t.payload_size;
   Telemetry.add_ios t.tel 1;
   Telemetry.add_bytes t.tel t.payload_size;
-  Trace.record t.trace (Trace.Write a);
-  shard_record t a (fun inner -> Trace.Write inner)
+  Trace.record_write t.trace a;
+  match t.shard with
+  | None -> ()
+  | Some sh ->
+      let s, inner = Backend.route sh.router a in
+      Trace.record_write sh.straces.(s) inner
 
 (* A counted retry is a disk access the faulting shard's server observed
    too: it lands in that shard's trace as well as the logical one. *)
-let record_retry_read t a =
-  Trace.record t.trace (Trace.Retry_read a);
-  shard_record t a (fun inner -> Trace.Retry_read inner)
+let record_retry t ~write a =
+  let op_of a = if write then Trace.Retry_write a else Trace.Retry_read a in
+  Trace.record t.trace (op_of a);
+  match t.shard with
+  | None -> ()
+  | Some sh ->
+      let s, inner = Backend.route sh.router a in
+      Trace.record sh.straces.(s) (op_of inner)
 
-let record_retry_write t a =
-  Trace.record t.trace (Trace.Retry_write a);
-  shard_record t a (fun inner -> Trace.Retry_write inner)
+let record_range t ~counted ~write lo hi =
+  if counted then
+    for i = lo to hi - 1 do
+      if write then record_write t i else record_read t i
+    done
 
-let transfer_read t ~counted ~record ~addr ~n ~buf =
-  run_transfer t ~counted ~record_retry:record_retry_read ~record ~addr ~n
-    ~do_run:(fun ~addr ~count ~off ->
-      Backend.read_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
+(* Move blocks [a, fin) to or from [buf] — block [addr] sits at byte
+   [off] — as one backend run, resuming at the faulting block. *)
+let rec run_from t ~counted ~write ~addr ~fin ~buf ~off a attempt =
+  if a < fin then begin
+    let count = fin - a and boff = off + ((a - addr) * t.payload_size) in
+    match
+      if write then
+        Backend.write_run t.backend ~addr:a ~count ~payload:t.payload_size ~buf ~off:boff
+      else Backend.read_run t.backend ~addr:a ~count ~payload:t.payload_size ~buf ~off:boff
+    with
+    | () -> record_range t ~counted ~write a fin
+    | exception Backend.Transient { addr = fa; _ } ->
+        record_range t ~counted ~write a fa;
+        let attempt = if fa > a then 1 else attempt in
+        if attempt >= t.max_retries then raise (Io_failure { addr = fa; attempts = attempt });
+        Telemetry.add_faults t.tel 1;
+        if counted then begin
+          Stats.record_retry t.stats;
+          Telemetry.add_retries t.tel 1;
+          record_retry t ~write fa
+        end;
+        backoff t attempt;
+        run_from t ~counted ~write ~addr ~fin ~buf ~off fa (attempt + 1)
+  end
 
-let transfer_write t ~counted ~record ~addr ~n ~buf =
-  run_transfer t ~counted ~record_retry:record_retry_write ~record ~addr ~n
-    ~do_run:(fun ~addr ~count ~off ->
-      Backend.write_run t.backend ~addr ~count ~payload:t.payload_size ~buf ~off)
+let run_transfer t ~counted ~write ~addr ~n ~buf ~off =
+  run_from t ~counted ~write ~addr ~fin:(addr + n) ~buf ~off addr 1
+
+(* The counted transfer of slots [0, n) of [buf]: one backend run when
+   batching (the [n > 1] blocks tallied in {!Stats.batched_ios}), else
+   the per-block loop — the same trace ops and Stats ticks either way. *)
+let transfer t ~write addr n buf =
+  let b = Flat.buffer buf in
+  if t.batching && n > 1 then begin
+    run_transfer t ~counted:true ~write ~addr ~n ~buf:b ~off:0;
+    Stats.record_batched t.stats n
+  end
+  else
+    for i = 0 to n - 1 do
+      run_transfer t ~counted:true ~write ~addr:(addr + i) ~n:1 ~buf:b ~off:(i * t.payload_size)
+    done
+
+(* A run write is one journal group: it commits whole or not at all. *)
+let transfer_group t addr n buf =
+  match t.journal with
+  | None -> transfer t ~write:true addr n buf
+  | Some _ -> atomically t (fun () -> transfer t ~write:true addr n buf)
 
 let alloc t n =
   if n < 0 then invalid_arg "Storage.alloc: negative size";
@@ -598,7 +590,6 @@ let alloc t n =
        retries here stay out of the trace for the same reason. Batched
        runs change neither property: a faulty backend gates once per
        block per attempt whether or not the blocks travel together. *)
-    let zero = Block.make t.block_size in
     let chunk = 256 in
     let c0 = min chunk n in
     ensure_run_buf t c0;
@@ -606,20 +597,21 @@ let alloc t n =
        own uncounted work — so fresh blocks carry the plaintext marker
        even on a ciphered store: sealing a constant the adversary
        already computes himself would spend keystream and nonces for
-       nothing. [unseal_from] opens the plain marker on any store, so a
+       nothing. [open_run] passes the plain marker on any store, so a
        read of a never-written block still decodes to empties. One
-       encode + blits fill the run, which stays valid across chunks. *)
-    Bigbuf.set64_le t.run_buf 0 plain_nonce;
-    Block.encode_into_big zero t.run_buf 8;
+       zeroed slot + blits fill the run, which stays valid across
+       chunks. *)
+    let buf = Flat.buffer t.run_buf in
+    Flat.clear_blocks t.run_buf 0 1;
+    Bigbuf.set64_le buf 0 plain_nonce;
     for i = 1 to c0 - 1 do
-      Bigbuf.blit t.run_buf 0 t.run_buf (i * t.payload_size) t.payload_size
+      Bigbuf.blit buf 0 buf (i * t.payload_size) t.payload_size
     done;
     let a = ref base in
     atomically t (fun () ->
         while !a < base + n do
           let c = min chunk (base + n - !a) in
-          transfer_write t ~counted:false ~record:(fun _ -> ()) ~addr:!a ~n:c
-            ~buf:t.run_buf;
+          run_transfer t ~counted:false ~write:true ~addr:!a ~n:c ~buf ~off:0;
           a := !a + c
         done)
   end;
@@ -629,74 +621,113 @@ let check_addr t addr =
   if addr < 0 || addr >= t.used then
     invalid_arg (Printf.sprintf "Storage: address %d out of bounds (capacity %d)" addr t.used)
 
+let check_run t ~who addr n =
+  if n < 0 then invalid_arg (who ^ ": negative count");
+  if n > 0 then begin
+    check_addr t addr;
+    check_addr t (addr + n - 1)
+  end
+
+let check_flat t ~who n buf =
+  if Flat.block_size buf <> t.block_size then
+    invalid_arg (who ^ ": buffer block size differs from the store's");
+  if n > Flat.blocks buf then invalid_arg (who ^ ": buffer holds fewer than n blocks")
+
 let check_block t ~who blk =
   if Array.length blk <> t.block_size then invalid_arg (who ^ ": block has wrong size")
 
+(* ---- flat runs: the transfer path itself. ---- *)
+
+let read_flat t addr n buf =
+  check_run t ~who:"Storage.read_flat" addr n;
+  check_flat t ~who:"Storage.read_flat" n buf;
+  if n > 0 then begin
+    transfer t ~write:false addr n buf;
+    let t0 = seal_start t in
+    open_run t buf n;
+    seal_stop t ~op:Telemetry.Unseal ~blocks:n t0
+  end
+
+let write_flat t addr n src =
+  check_run t ~who:"Storage.write_flat" addr n;
+  check_flat t ~who:"Storage.write_flat" n src;
+  if n > 0 then begin
+    (* Sealing runs in place, so a ciphered store first stages the
+       images in its own run scratch: the caller's images are never
+       mutated. A plaintext store only stamps the header slots, which
+       belong to the store, and transfers straight from [src]. *)
+    let buf =
+      match t.cipher with
+      | None -> src
+      | Some _ ->
+          ensure_run_buf t n;
+          Bigbuf.blit (Flat.buffer src) 0 (Flat.buffer t.run_buf) 0 (n * t.payload_size);
+          t.run_buf
+    in
+    let t0 = seal_start t in
+    seal_run t buf n;
+    seal_stop t ~op:Telemetry.Seal ~blocks:n t0;
+    transfer_group t addr n buf
+  end
+
+(* ---- codec views: the same transfer and seal code, decoding from /
+   encoding into the store's own scratch run. ---- *)
+
 let read t addr =
   check_addr t addr;
-  transfer_read t ~counted:true ~record:(record_read t) ~addr ~n:1 ~buf:t.seal_buf;
-  with_seal_tel t ~op:Telemetry.Unseal ~blocks:1 (fun () -> unseal_from t t.seal_buf 0)
+  transfer t ~write:false addr 1 t.seal_buf;
+  let t0 = seal_start t in
+  open_run t t.seal_buf 1;
+  let blk = Flat.get_block t.seal_buf 0 in
+  seal_stop t ~op:Telemetry.Unseal ~blocks:1 t0;
+  blk
 
 let write t addr blk =
   check_addr t addr;
   check_block t ~who:"Storage.write" blk;
-  with_seal_tel t ~op:Telemetry.Seal ~blocks:1 (fun () -> seal_into t blk t.seal_buf 0);
-  transfer_write t ~counted:true ~record:(record_write t) ~addr ~n:1 ~buf:t.seal_buf
-
-(* ---- batched logical I/O. One [Trace.Read]/[Write] op and one Stats
-   tick per logical block in address order — the same view Bob gets from
-   a per-block loop — while the backend sees one contiguous run. With
-   [~batching:false] the calls degrade to the per-block loop itself, so
-   the two modes are trace-equal by construction (asserted by the
-   batch-parity test suite). ---- *)
+  let t0 = seal_start t in
+  Flat.set_block t.seal_buf 0 blk;
+  seal_run t t.seal_buf 1;
+  seal_stop t ~op:Telemetry.Seal ~blocks:1 t0;
+  transfer t ~write:true addr 1 t.seal_buf
 
 let read_many t addr n =
-  if n < 0 then invalid_arg "Storage.read_many: negative count";
-  let out = Array.make n [||] in
-  if n > 0 then begin
-    check_addr t addr;
-    check_addr t (addr + n - 1);
-    if t.batching && n > 1 then begin
-      ensure_run_buf t n;
-      transfer_read t ~counted:true ~record:(record_read t) ~addr ~n ~buf:t.run_buf;
-      Stats.record_batched t.stats n;
-      unseal_run t t.run_buf n out
-    end
-    else
-      for i = 0 to n - 1 do
-        out.(i) <- read t (addr + i)
-      done
-  end;
-  out
+  check_run t ~who:"Storage.read_many" addr n;
+  if n = 0 then [||]
+  else begin
+    ensure_run_buf t n;
+    let buf = t.run_buf in
+    transfer t ~write:false addr n buf;
+    let t0 = seal_start t in
+    open_run t buf n;
+    let blks = Array.init n (Flat.get_block buf) in
+    seal_stop t ~op:Telemetry.Unseal ~blocks:n t0;
+    blks
+  end
 
 let write_many t addr blks =
   let n = Array.length blks in
+  check_run t ~who:"Storage.write_many" addr n;
+  Array.iter (check_block t ~who:"Storage.write_many") blks;
   if n > 0 then begin
-    check_addr t addr;
-    check_addr t (addr + n - 1);
-    Array.iter (check_block t ~who:"Storage.write_many") blks;
-    atomically t (fun () ->
-        if t.batching && n > 1 then begin
-          ensure_run_buf t n;
-          (* The run sealer draws nonces in index order — the same
-             sequence as the per-block loop. *)
-          seal_run t blks n;
-          transfer_write t ~counted:true ~record:(record_write t) ~addr ~n ~buf:t.run_buf;
-          Stats.record_batched t.stats n
-        end
-        else
-          for i = 0 to n - 1 do
-            write t (addr + i) blks.(i)
-          done)
+    ensure_run_buf t n;
+    let buf = t.run_buf in
+    let t0 = seal_start t in
+    Array.iteri (Flat.set_block buf) blks;
+    seal_run t buf n;
+    seal_stop t ~op:Telemetry.Seal ~blocks:n t0;
+    transfer_group t addr n buf
   end
 
 let unchecked_peek t addr =
   check_addr t addr;
-  transfer_read t ~counted:false ~record:(fun _ -> ()) ~addr ~n:1 ~buf:t.seal_buf;
-  unseal_from t t.seal_buf 0
+  run_transfer t ~counted:false ~write:false ~addr ~n:1 ~buf:(Flat.buffer t.seal_buf) ~off:0;
+  open_run t t.seal_buf 1;
+  Flat.get_block t.seal_buf 0
 
 let unchecked_poke t addr blk =
   check_addr t addr;
   check_block t ~who:"Storage.unchecked_poke" blk;
-  seal_into t blk t.seal_buf 0;
-  transfer_write t ~counted:false ~record:(fun _ -> ()) ~addr ~n:1 ~buf:t.seal_buf
+  Flat.set_block t.seal_buf 0 blk;
+  seal_run t t.seal_buf 1;
+  run_transfer t ~counted:false ~write:true ~addr ~n:1 ~buf:(Flat.buffer t.seal_buf) ~off:0

@@ -151,8 +151,8 @@ val create :
     frequent commits — see EXPERIMENTS.md E17 for the measured
     trade-off. Ignored without a [Journaled] layer.
 
-    [batching] (default [true]) controls whether {!read_many} and
-    {!write_many} are served by a single contiguous backend run or
+    [batching] (default [true]) controls whether {!read_flat},
+    {!write_flat}, {!read_many} and {!write_many} are served by a single contiguous backend run or
     degrade to per-block loops. It changes only how bytes travel, never
     what Bob sees: traces, stats totals and retry sequences are
     identical either way (the batch-parity tests assert this on every
@@ -167,7 +167,8 @@ val backend_kind : t -> string
 (** "mem", "file" or "faulty" — for reports. *)
 
 val batching : t -> bool
-(** Whether {!read_many}/{!write_many} use multi-block backend runs. *)
+(** Whether run transfers ({!read_flat}, {!read_many}, …) use
+    multi-block backend runs. *)
 
 val cipher_engine : t -> Odex_crypto.Cipher.engine
 (** The keystream engine this store seals under (meaningful only when a
@@ -216,6 +217,10 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 val nonce_chunk : int
 (** Granularity (2^16) of the nonce high-water reservations described
     above: a crash skips at most this many never-used nonces. *)
+
+val next_nonce : t -> int option
+(** The nonce the next sealed payload will use ([None] without a cipher
+    key) — for tests asserting that two paths drew the same nonces. *)
 
 val faults_injected : t -> int
 (** Transient failures the backend has raised so far (0 unless the
@@ -315,6 +320,36 @@ val alloc : t -> int -> int
     zero-initializes); any oblivious initialization an algorithm needs is
     paid by explicit writes. The allocator is a deterministic bump
     allocator, so allocation addresses never depend on data. *)
+
+(** {2 Block I/O}
+
+    The flat run is the one transfer path. {!read_flat} and {!write_flat}
+    move a run of {!Flat} slots — the 8-byte header word, then the
+    encoded cell image, at the payload stride — between the device and a
+    caller-owned buffer, opening or sealing the images in place with no
+    cell codec in between. {!read}/{!write} and {!read_many}/{!write_many}
+    are decode/encode views over the same transfer and seal code: they
+    run it on the store's own scratch and convert to {!Block.t}. Every
+    path records the same per-block trace ops, Stats ticks and nonces. *)
+
+val read_flat : t -> int -> int -> Flat.t -> unit
+(** [read_flat t addr n buf] reads the contiguous run [addr, addr + n)
+    into slots [0, n) of [buf], opened in place: afterwards slot [i]
+    holds block [addr + i]'s plaintext cell images. The header words are
+    the store's and are left unspecified. Logically identical to
+    {!read_many} — one [Trace.Read] op and one Stats tick per block in
+    address order, one backend run when batching ([n > 1] tallied in
+    {!Stats.batched_ios}), the per-block loop with [~batching:false].
+    [buf] must have the store's block size and at least [n] slots.
+    Allocates nothing per block on a plaintext store. *)
+
+val write_flat : t -> int -> int -> Flat.t -> unit
+(** [write_flat t addr n buf] writes slots [0, n) of [buf] to the run
+    [addr, addr + n) — the mirror image of {!read_flat}, with fresh
+    nonces drawn in slot order exactly as {!write_many} draws them. It
+    never mutates the caller's cell images: a ciphered store seals a
+    copy in its own scratch. It may overwrite the header words, which
+    belong to the store. *)
 
 val read : t -> int -> Block.t
 (** [read t addr] performs one I/O and returns a private copy of the

@@ -15,7 +15,9 @@ type t = {
   mode : mode;
   tel : Odex_telemetry.Telemetry.t;
   mutable length : int;
-  mutable hash : int64;
+  hash : Bytes.t;
+      (* The running digest, one unboxed 64-bit word: folding an op
+         stores it in place instead of allocating a boxed [int64]. *)
   (* [Full] mode keeps the ops in a growable array (amortized O(1) push,
      no per-op cons cell): [ops_buf[0 .. ops_len)] is the sequence in
      recording order, so [ops] is a single pass instead of the O(n)
@@ -37,7 +39,7 @@ let create ?(telemetry = Odex_telemetry.Telemetry.disabled) mode =
     mode;
     tel = telemetry;
     length = 0;
-    hash = 0L;
+    hash = Bytes.make 8 '\000';
     ops_buf = [||];
     ops_len = 0;
     depth = 0;
@@ -57,30 +59,44 @@ let push_op t op =
 
 let mode t = t.mode
 
-let mix64 z =
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let op_code = function
-  | Read addr -> Int64.of_int ((addr lsl 2) lor 0)
-  | Write addr -> Int64.of_int ((addr lsl 2) lor 1)
-  | Retry_read addr -> Int64.of_int ((addr lsl 2) lor 2)
-  | Retry_write addr -> Int64.of_int ((addr lsl 2) lor 3)
+let[@inline] code addr kind = Int64.of_int ((addr lsl 2) lor kind)
+
+let[@inline] op_code = function
+  | Read addr -> code addr 0
+  | Write addr -> code addr 1
+  | Retry_read addr -> code addr 2
+  | Retry_write addr -> code addr 3
+
+let[@inline] fold t c =
+  t.length <- t.length + 1;
+  set64 t.hash 0 (mix64 (Int64.add (Int64.mul (get64 t.hash 0) 0x100000001B3L) c))
 
 let record t op =
   match t.mode with
   | Off -> ()
-  | Digest ->
-      t.length <- t.length + 1;
-      t.hash <- mix64 (Int64.add (Int64.mul t.hash 0x100000001B3L) (op_code op))
+  | Digest -> fold t (op_code op)
   | Full ->
-      t.length <- t.length + 1;
-      t.hash <- mix64 (Int64.add (Int64.mul t.hash 0x100000001B3L) (op_code op));
+      fold t (op_code op);
       push_op t op
 
+(* [record t (Read addr)] without building the op outside [Full] mode:
+   the storage layer's per-I/O hook. *)
+let record_read t addr =
+  match t.mode with Off -> () | Digest -> fold t (code addr 0) | Full -> record t (Read addr)
+
+let record_write t addr =
+  match t.mode with Off -> () | Digest -> fold t (code addr 1) | Full -> record t (Write addr)
+
 let length t = t.length
-let digest t = t.hash
+let digest t = get64 t.hash 0
 let ops t = Array.to_list (Array.sub t.ops_buf 0 t.ops_len)
 
 (* Span labels are part of the algorithm's public phase structure, never
@@ -90,7 +106,7 @@ let span_enter t label =
   match t.mode with
   | Off -> ()
   | Digest | Full ->
-      t.open_spans <- (label, t.depth, t.length, t.hash) :: t.open_spans;
+      t.open_spans <- (label, t.depth, t.length, digest t) :: t.open_spans;
       t.depth <- t.depth + 1
 
 let span_exit t =
@@ -109,7 +125,7 @@ let span_exit t =
               start_length;
               start_hash;
               end_length = t.length;
-              end_hash = t.hash;
+              end_hash = digest t;
             }
             :: t.rev_spans)
 
@@ -139,7 +155,7 @@ let same_ops a b =
   eq 0
 
 let equal a b =
-  a.length = b.length && a.hash = b.hash
+  a.length = b.length && digest a = digest b
   &&
   match (a.mode, b.mode) with
   | Full, Full -> same_ops a b
@@ -181,7 +197,7 @@ let diverging_label a b =
 
 let reset t =
   t.length <- 0;
-  t.hash <- 0L;
+  set64 t.hash 0 0L;
   (* Keep the op buffer's capacity: a reset trace is about to record a
      comparable run. *)
   t.ops_len <- 0;
@@ -209,7 +225,7 @@ let pp_keep = 32
 let pp ppf t =
   match t.mode with
   | Off -> Format.fprintf ppf "<trace off>"
-  | Digest -> Format.fprintf ppf "<%d ops, digest %Lx>" t.length t.hash
+  | Digest -> Format.fprintf ppf "<%d ops, digest %Lx>" t.length (digest t)
   | Full ->
       let pp_ops ppf l =
         Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "@ ") pp_op ppf l

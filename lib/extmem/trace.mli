@@ -48,6 +48,15 @@ val create : ?telemetry:Odex_telemetry.Telemetry.t -> mode -> t
 
 val mode : t -> mode
 val record : t -> op -> unit
+(** Fold one op into the trace. Allocation-free outside [Full] mode:
+    the running digest is kept unboxed. *)
+
+val record_read : t -> int -> unit
+(** [record_read t addr] is [record t (Read addr)], without building the
+    op unless the mode is [Full] — the storage layer's per-I/O hook. *)
+
+val record_write : t -> int -> unit
+(** [record t (Write addr)], likewise. *)
 
 val length : t -> int
 (** Number of operations recorded (maintained in all modes but [Off]). *)

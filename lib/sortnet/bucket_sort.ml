@@ -70,12 +70,14 @@ let simulate plan ~master ~b ~n_blocks =
     for g = 0 to plan.beta - 1 do
       if g land stride = 0 then begin
         let h = g lor stride in
-        let nlo = ref 0 and nhi = ref 0 in
-        for _ = 1 to prev.(g) + prev.(h) do
-          if Odex_crypto.Rng.bool rng then incr nhi else incr nlo
+        let total = prev.(g) + prev.(h) in
+        let nhi = ref 0 in
+        for _ = 1 to total do
+          nhi := !nhi + Bool.to_int (Odex_crypto.Rng.bool rng)
         done;
-        if !nlo > plan.z || !nhi > plan.z then overflow := true;
-        next.(g) <- min plan.z !nlo;
+        let nlo = total - !nhi in
+        if nlo > plan.z || !nhi > plan.z then overflow := true;
+        next.(g) <- min plan.z nlo;
         next.(h) <- min plan.z !nhi
       end
     done;
@@ -112,105 +114,181 @@ let attach_scratch storage ~owner ~blocks =
   let finish () = if ck then Storage.checkpoint_clear storage ~owner in
   (scratch, run_phase, finish)
 
+(* The kernels below never look at a cell: they move encoded cell
+   images between flat buffers ({!Flat}) read and written as whole runs,
+   with no decode. Cells are walked by byte offset — the next cell of a
+   block is [Flat.cell_bytes] on, the first cell of the next block a
+   further [Flat.header_bytes] — so no cell costs a division. *)
+
+(* A cell position in a flat run: byte offset and slot within its
+   block. *)
+type cursor = { mutable off : int; mutable slot : int }
+
+let cursor () = { off = Flat.header_bytes; slot = 0 }
+
+let rewind c =
+  c.off <- Flat.header_bytes;
+  c.slot <- 0
+
+(* Step to the next cell, branch-free: [wrap] is 1 when leaving a
+   block's last cell, which also skips the next block's header. *)
+let[@inline] advance c ~b =
+  let k = c.slot + 1 in
+  let wrap = Bool.to_int (k = b) in
+  c.slot <- k * (1 - wrap);
+  c.off <- c.off + Flat.cell_bytes + (Flat.header_bytes * wrap)
+
 (* Move the initial half-fills into area [dst]: whole-block copies,
    shape-determined. *)
 let scatter_phase a dst plan =
   let n = Ext_array.blocks a in
   let hb = plan.zb / 2 in
+  let buf = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:hb in
   let g = ref 0 in
   let off = ref 0 in
   while !off < n do
     let len = min hb (n - !off) in
-    Ext_array.write_blocks dst (!g * plan.zb) (Ext_array.read_blocks a !off ~count:len);
+    Ext_array.read_flat a !off ~count:len buf;
+    Ext_array.write_flat dst (!g * plan.zb) ~count:len buf;
     off := !off + len;
     incr g
   done
 
 (* One butterfly level: for each bucket pair (g, g|2^l), MergeSplit by a
    fresh coin bit per cell. Reads the occupied prefix of [src] (count
-   [before], from the replayed table) and deals each cell straight into
-   fresh blocks sized by [after], the next level's replayed counts, which
-   are then written as packed prefixes into [dst]; cells beyond a
-   bucket's count are stale and never read. Excess cells on an
-   overflowing side are dropped ([after] is capped at Z) — the trace is
-   already fixed by the counts, so the drop is Alice-private. *)
+   [before], from the replayed table) and deals each cell image into one
+   of two side buffers — the coin is the side's index, so the deal has
+   no data-dependent branch — then writes each side's packed prefix,
+   sized by [after] (the next level's replayed counts), into [dst].
+   Cells beyond a bucket's count are stale and never read; the tail of
+   a side's last block is zeroed, an all-zero image being [Empty].
+   Excess cells on an overflowing side are dropped ([after] is capped
+   at Z) — the trace is already fixed by the counts, so the drop is
+   Alice-private. The four buffers (two sources, two sides) are the
+   4·zb blocks {!feasible} charges, allocated once per level. *)
 let route_level ~src ~dst plan ~before ~after ~master l =
   let b = Ext_array.block_size src in
   let rng = level_rng ~master l in
   let stride = 1 lsl l in
-  let read bucket =
+  let flat () = Flat.create ~block_size:b ~blocks:plan.zb in
+  let from_g = flat () and from_h = flat () in
+  let sides = [| flat (); flat () |] in
+  (* Per side (0 = lo, 1 = hi): cells dealt and the next free cell. *)
+  let dealt = [| 0; 0 |] and at = [| cursor (); cursor () |] in
+  let read bucket buf =
     let cnt = before.(bucket) in
-    if cnt = 0 then [||]
-    else Ext_array.read_blocks src (bucket * plan.zb) ~count:(Emodel.ceil_div cnt b)
+    if cnt > 0 then Ext_array.read_flat src (bucket * plan.zb) ~count:(Emodel.ceil_div cnt b) buf
   in
-  let fresh bucket = Array.init (Emodel.ceil_div after.(bucket) b) (fun _ -> Block.make b) in
-  let write bucket blks =
-    if Array.length blks > 0 then Ext_array.write_blocks dst (bucket * plan.zb) blks
+  let from = cursor () in
+  let deal buf cnt =
+    rewind from;
+    for _ = 1 to cnt do
+      let s = Bool.to_int (Odex_crypto.Rng.bool rng) in
+      if dealt.(s) < plan.z then begin
+        Flat.copy_cell buf from.off sides.(s) at.(s).off;
+        advance at.(s) ~b
+      end;
+      dealt.(s) <- dealt.(s) + 1;
+      advance from ~b
+    done
+  in
+  let write bucket s =
+    let cnt = after.(bucket) in
+    let nb = Emodel.ceil_div cnt b in
+    if nb > 0 then begin
+      let side = sides.(s) and c = at.(s) in
+      for _ = cnt to (nb * b) - 1 do
+        Flat.clear_cell side c.off;
+        advance c ~b
+      done;
+      Ext_array.write_flat dst (bucket * plan.zb) ~count:nb side
+    end
   in
   for g = 0 to plan.beta - 1 do
     if g land stride = 0 then begin
       let h = g lor stride in
-      let blks_g = read g and blks_h = read h in
-      let lo = fresh g and hi = fresh h in
-      let nlo = ref 0 and nhi = ref 0 in
-      let deal blks cnt =
-        for j = 0 to cnt - 1 do
-          let c = blks.(j / b).(j mod b) in
-          if Odex_crypto.Rng.bool rng then begin
-            if !nhi < plan.z then hi.(!nhi / b).(!nhi mod b) <- c;
-            incr nhi
-          end
-          else begin
-            if !nlo < plan.z then lo.(!nlo / b).(!nlo mod b) <- c;
-            incr nlo
-          end
-        done
-      in
-      deal blks_g before.(g);
-      deal blks_h before.(h);
-      write g lo;
-      write h hi
+      read g from_g;
+      read h from_h;
+      for s = 0 to 1 do
+        dealt.(s) <- 0;
+        rewind at.(s)
+      done;
+      deal from_g before.(g);
+      deal from_h before.(h);
+      write g 0;
+      write h 1
     end
   done
 
 (* Finalize order: a fresh random priority per element, ties broken by
-   the element's position in its bucket, so the order is total. *)
-let by_priority (p, i, _) (q, j, _) = if p <> q then Int.compare p q else Int.compare i j
+   the element's position in its bucket, so the order is total. The
+   pair is packed into one int — priority above, position (a byte
+   offset, increasing with the position) below — so the sort compares
+   ints. *)
+let priority_keys rng ~count ~pos =
+  let span = max 1 (pos (count - 1) + 1) in
+  let shift = Emodel.ilog2_ceil span in
+  if shift > 32 then invalid_arg "Bucket_sort: bucket too large for packed priorities";
+  let keys = Array.init count (fun j -> (Odex_crypto.Rng.int rng 0x3FFFFFFF lsl shift) lor pos j) in
+  Array.sort Int.compare keys;
+  (keys, (1 lsl shift) - 1)
 
 (* Emit every counted cell of [src]'s buckets in a fresh uniform
-   within-bucket order, streamed through one staging block; pad the
-   tail with empties so exactly [blocks a] blocks are written. *)
+   within-bucket order, then pad with empties so exactly [blocks a]
+   blocks are written. Output cells collect in a staging run of zb + 1
+   blocks; the blocks a bucket completes are written as one run right
+   after that bucket is read — the same point in the schedule a
+   block-at-a-time emitter writes them — and the partial block carries
+   over. *)
 let finalize_cells ~src plan ~counts ~master a =
   let b = Ext_array.block_size a in
   let n = Ext_array.blocks a in
   let rng = finalize_rng ~master in
-  let staging = Block.make b in
-  let fill = ref 0 and out = ref 0 in
-  let emit c =
-    staging.(!fill) <- c;
-    incr fill;
-    if !fill = b then begin
-      Ext_array.write_block a !out staging;
-      incr out;
-      fill := 0
-    end
-  in
-  let emitted = ref 0 in
+  let bucket = Flat.create ~block_size:b ~blocks:plan.zb in
+  let out = Flat.create ~block_size:b ~blocks:(plan.zb + 1) in
+  let written = ref 0 and fill = ref 0 in
+  let next = cursor () and from = cursor () in
   for g = 0 to plan.beta - 1 do
     let cnt = counts.(g) in
     if cnt > 0 then begin
-      let blks = Ext_array.read_blocks src (g * plan.zb) ~count:(Emodel.ceil_div cnt b) in
-      let keyed =
-        Array.init cnt (fun j -> (Odex_crypto.Rng.int rng 0x3FFFFFFF, j, blks.(j / b).(j mod b)))
-      in
-      Array.sort by_priority keyed;
-      Array.iter (fun (_, _, c) -> emit c) keyed;
-      emitted := !emitted + cnt
+      Ext_array.read_flat src (g * plan.zb) ~count:(Emodel.ceil_div cnt b) bucket;
+      let offs = Array.make cnt 0 in
+      rewind from;
+      for j = 0 to cnt - 1 do
+        offs.(j) <- from.off;
+        advance from ~b
+      done;
+      let keys, mask = priority_keys rng ~count:cnt ~pos:(Array.get offs) in
+      Array.iter
+        (fun key ->
+          Flat.copy_cell bucket (key land mask) out next.off;
+          advance next ~b)
+        keys;
+      fill := !fill + cnt;
+      let full = !fill / b in
+      if full > 0 then begin
+        Ext_array.write_flat a !written ~count:full out;
+        written := !written + full;
+        fill := !fill - (full * b);
+        if !fill > 0 then Flat.copy_block out full out 0;
+        next.off <- Flat.cell_offset out ~block:0 ~slot:!fill;
+        next.slot <- !fill
+      end
     end
   done;
-  for _ = !emitted + 1 to n * b do
-    emit Cell.empty
-  done
+  if !written < n then begin
+    for _ = !fill to b - 1 do
+      Flat.clear_cell out next.off;
+      advance next ~b
+    done;
+    Flat.clear_blocks out 1 plan.zb;
+    while !written < n do
+      let c = min (plan.zb + 1) (n - !written) in
+      Ext_array.write_flat a !written ~count:c out;
+      written := !written + c;
+      Flat.clear_blocks out 0 1
+    done
+  end
 
 type outcome = { ok : bool }
 
@@ -305,57 +383,60 @@ let cache_permute_blocks ~master ~m a =
 let route_level_blocks ~src ~dst plan ~before ~master l =
   let rng = level_rng ~master l in
   let stride = 1 lsl l in
+  let flat () = Flat.create ~block_size:(Ext_array.block_size src) ~blocks:plan.zb in
+  let from_g = flat () and from_h = flat () in
+  let sides = [| flat (); flat () |] in
+  let dealt = [| 0; 0 |] in
+  let gather bucket buf =
+    let cnt = before.(bucket) in
+    if cnt > 0 then Ext_array.read_flat src (bucket * plan.zb) ~count:cnt buf
+  in
+  let route buf cnt =
+    for j = 0 to cnt - 1 do
+      let s = Bool.to_int (Odex_crypto.Rng.bool rng) in
+      if dealt.(s) < plan.z then Flat.copy_block buf j sides.(s) dealt.(s);
+      dealt.(s) <- dealt.(s) + 1
+    done
+  in
+  let scatter bucket s =
+    let cnt = min plan.z dealt.(s) in
+    if cnt > 0 then Ext_array.write_flat dst (bucket * plan.zb) ~count:cnt sides.(s)
+  in
   for g = 0 to plan.beta - 1 do
     if g land stride = 0 then begin
       let h = g lor stride in
-      let gather bucket =
-        let cnt = before.(bucket) in
-        if cnt = 0 then [||] else Ext_array.read_blocks src (bucket * plan.zb) ~count:cnt
-      in
-      let blks_g = gather g and blks_h = gather h in
-      let lo = ref [] and hi = ref [] in
-      let nlo = ref 0 and nhi = ref 0 in
-      let route blk =
-        if Odex_crypto.Rng.bool rng then begin
-          if !nhi < plan.z then hi := blk :: !hi;
-          incr nhi
-        end
-        else begin
-          if !nlo < plan.z then lo := blk :: !lo;
-          incr nlo
-        end
-      in
-      Array.iter route blks_g;
-      Array.iter route blks_h;
-      let scatter bucket side =
-        let blks = Array.of_list (List.rev side) in
-        if Array.length blks > 0 then Ext_array.write_blocks dst (bucket * plan.zb) blks
-      in
-      scatter g !lo;
-      scatter h !hi
+      gather g from_g;
+      gather h from_h;
+      dealt.(0) <- 0;
+      dealt.(1) <- 0;
+      route from_g before.(g);
+      route from_h before.(h);
+      scatter g 0;
+      scatter h 1
     end
   done
 
 let finalize_blocks ~src plan ~counts ~master a =
-  let b = Ext_array.block_size a in
   let n = Ext_array.blocks a in
   let rng = finalize_rng ~master in
-  let out = ref 0 in
+  let flat () = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:plan.zb in
+  let bucket = flat () and out = flat () in
+  let written = ref 0 in
   for g = 0 to plan.beta - 1 do
     let cnt = counts.(g) in
     if cnt > 0 then begin
-      let blks = Ext_array.read_blocks src (g * plan.zb) ~count:cnt in
-      let keyed = Array.mapi (fun j blk -> (Odex_crypto.Rng.int rng 0x3FFFFFFF, j, blk)) blks in
-      Array.sort by_priority keyed;
-      Array.iter
-        (fun (_, _, blk) ->
-          Ext_array.write_block a !out blk;
-          incr out)
-        keyed
+      Ext_array.read_flat src (g * plan.zb) ~count:cnt bucket;
+      let keys, mask = priority_keys rng ~count:cnt ~pos:Fun.id in
+      Array.iteri (fun k key -> Flat.copy_block bucket (key land mask) out k) keys;
+      Ext_array.write_flat a !written ~count:cnt out;
+      written := !written + cnt
     end
   done;
-  for i = !out to n - 1 do
-    Ext_array.write_block a i (Block.make b)
+  Flat.clear_blocks out 0 plan.zb;
+  while !written < n do
+    let c = min plan.zb (n - !written) in
+    Ext_array.write_flat a !written ~count:c out;
+    written := !written + c
   done
 
 let permute_blocks ?z_blocks ~rng ~m a =
@@ -600,12 +681,14 @@ let sort ~plan ~master ~real ~cmp ~m a =
        keep their fixed trace without touching the data. *)
     run_phase (fun () ->
         let chunk = max 1 (min 32 ((m - 1) / 2)) in
+        let merged = Flat.create ~block_size:b ~blocks:chunk in
+        let current = Flat.create ~block_size:b ~blocks:chunk in
         let off = ref 0 in
         while !off < n do
           let len = min chunk (n - !off) in
-          let merged = Ext_array.read_blocks final_area !off ~count:len in
-          let current = Ext_array.read_blocks a !off ~count:len in
-          Ext_array.write_blocks a !off (if real then merged else current);
+          Ext_array.read_flat final_area !off ~count:len merged;
+          Ext_array.read_flat a !off ~count:len current;
+          Ext_array.write_flat a !off ~count:len (if real then merged else current);
           off := !off + len
         done);
     finish ()

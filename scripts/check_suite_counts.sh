@@ -1,0 +1,61 @@
+#!/bin/sh
+# check_suite_counts.sh [ODEX_BENCH_EXE]
+#
+# Exact gate on the benchmark suite's counted metrics. Runs the suite's
+# own selftest, then one quick seed-1 run of each workload whose counts
+# are a function of its shape alone, and requires the run to be correct
+# with no failed op and ios_per_op / bytes_per_op / space_amp exactly
+# equal to the pinned values below. Counted I/Os are deterministic, so a
+# physical-only change (codec, transfer path, allocation) must leave
+# them untouched; a change that moves them must update this table on
+# purpose.
+#
+# select-mem is left out: its count follows the input (ROADMAP item 1).
+#
+# Without an argument the executable is built with dune from this
+# checkout. File-backed stores go to a fresh temporary directory.
+set -eu
+
+exe=${1:-}
+if [ -z "$exe" ]; then
+  dune build ./bench/suite/odex_bench.exe
+  exe=_build/default/bench/suite/odex_bench.exe
+fi
+[ -x "$exe" ] || { echo "check_suite_counts: $exe is not executable" >&2; exit 1; }
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT INT TERM
+TMPDIR=$tmp
+export TMPDIR
+
+"$exe" selftest
+
+# workload ios_per_op bytes_per_op space_amp
+pins='sort-mem 121720 39924160 21.78125
+sort-sealed-stripe 24178 7930384 20.5
+oram-mixed 609.328125 102367.125 151.265625'
+
+echo "$pins" | while read -r w ios bytes amp; do
+  "$exe" run --workload "$w" --seed 1 --quick > "$tmp/$w.out"
+  tail -n 1 "$tmp/$w.out" | python3 -c '
+import json, sys
+w, ios, by, amp = sys.argv[1], float(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4])
+r = json.loads(sys.stdin.read())
+m = r["metrics"]
+got = {k: m[k]["value"] for k in ("ios_per_op", "bytes_per_op", "space_amp")}
+want = {"ios_per_op": ios, "bytes_per_op": by, "space_amp": amp}
+bad = []
+if r.get("correct") is not True:
+    bad.append("correct is %r" % r.get("correct"))
+if r.get("failed") != 0:
+    bad.append("failed is %r" % r.get("failed"))
+for k in want:
+    if got[k] != want[k]:
+        bad.append("%s %r, pinned %r" % (k, got[k], want[k]))
+if bad:
+    print("check_suite_counts: %s: %s" % (w, "; ".join(bad)), file=sys.stderr)
+    sys.exit(1)
+print("check_suite_counts: %s: correct, 0 failed, ios %r bytes %r space_amp %r (exact)"
+      % (w, got["ios_per_op"], got["bytes_per_op"], got["space_amp"]))
+' "$w" "$ios" "$bytes" "$amp"
+done

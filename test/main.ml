@@ -6,6 +6,7 @@ let () =
       ("backend", Test_backend.suite);
       ("journal", Test_journal.suite);
       ("batch", Test_batch.suite);
+      ("flat", Test_flat.suite);
       ("seal", Test_seal.suite);
       ("sortnet", Test_sortnet.suite);
       ("iblt", Test_iblt.suite);

@@ -390,10 +390,47 @@ let prop_rng_int_bounds =
       let v = Rng.int rng bound in
       v >= 0 && v < bound)
 
+(* The splitmix64 stream itself, pinned by value: a changed state
+   representation that altered the stream fails here by name, before any
+   downstream digest moves. *)
+let test_rng_stream_pinned () =
+  let first4 seed =
+    let r = Rng.create ~seed in
+    List.init 4 (fun _ -> Rng.next_int64 r)
+  in
+  Alcotest.(check (list int64)) "seed 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L; -537132696929009172L ]
+    (first4 0);
+  Alcotest.(check (list int64)) "seed 42"
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L; 885919558081284366L ]
+    (first4 42)
+
+(* A coin allocates nothing: the generator state is stepped in place.
+   Minor words are counted across a long loop, so fixed setup noise
+   cannot mask per-draw garbage. *)
+let test_rng_bool_does_not_allocate () =
+  let r = Rng.create ~seed:7 in
+  let heads = ref 0 in
+  let draws = 100_000 in
+  for _ = 1 to 1000 do
+    heads := !heads + Bool.to_int (Rng.bool r)
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    heads := !heads + Bool.to_int (Rng.bool r)
+  done;
+  let per_draw = (Gc.minor_words () -. w0) /. float_of_int draws in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per Rng.bool (want < 0.5)" per_draw)
+    true (per_draw < 0.5);
+  Alcotest.(check bool) "the coins are not constant" true (!heads > 0 && !heads < draws + 1000)
+
 let suite =
   [
     ("rng determinism", `Quick, test_rng_determinism);
     ("rng copy/split", `Quick, test_rng_copy_and_split);
+    ("rng stream pinned", `Quick, test_rng_stream_pinned);
+    ("rng bool allocation-free", `Quick, test_rng_bool_does_not_allocate);
     ("rng int bounds", `Quick, test_rng_int_bounds);
     ("rng uniformity", `Quick, test_rng_uniformity);
     ("rng int_in_range", `Quick, test_rng_int_in_range);

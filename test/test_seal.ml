@@ -252,6 +252,85 @@ let test_mem_read_does_not_allocate () =
   Backend.read_into bk 5 ~buf ~off:0;
   Alcotest.(check int64) "blit read serves the payload" 5L (Bigbuf.get64_le buf 0)
 
+(* The trace digest of a fixed 1 000-op sequence mixing all four op
+   kinds, pinned by value: a changed hash or op coding fails here by
+   name. *)
+let fixed_ops () =
+  Array.init 1000 (fun i ->
+      let a = i * 7919 mod 1009 in
+      match i land 3 with
+      | 0 -> Trace.Read a
+      | 1 -> Trace.Write a
+      | 2 -> Trace.Retry_read a
+      | _ -> Trace.Retry_write a)
+
+let test_trace_digest_pinned () =
+  let ops = fixed_ops () in
+  let digest mode =
+    let tr = Trace.create mode in
+    Array.iter (Trace.record tr) ops;
+    (Trace.digest tr, Trace.length tr)
+  in
+  Alcotest.(check (pair int64 int)) "digest mode" (-8321853571788511085L, 1000) (digest Digest);
+  Alcotest.(check (pair int64 int)) "full mode" (-8321853571788511085L, 1000) (digest Full);
+  (* The per-I/O hooks fold exactly what [record] folds. *)
+  let tr = Trace.create Digest in
+  Array.iter
+    (function
+      | Trace.Read a -> Trace.record_read tr a
+      | Trace.Write a -> Trace.record_write tr a
+      | op -> Trace.record tr op)
+    ops;
+  Alcotest.(check (pair int64 int)) "record_read/record_write" (-8321853571788511085L, 1000)
+    (Trace.digest tr, Trace.length tr)
+
+(* Folding an op into a digest-mode trace allocates nothing: the running
+   digest is an unboxed word. The op itself is built once, outside the
+   loop. *)
+let test_trace_record_does_not_allocate () =
+  let tr = Trace.create Digest in
+  let op = Trace.Write 12345 in
+  let n = 100_000 in
+  for _ = 1 to 1000 do
+    Trace.record tr op
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Trace.record tr op
+  done;
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per Trace.record (want < 0.5)" per_op)
+    true (per_op < 0.5);
+  Alcotest.(check int) "every op counted" (n + 1000) (Trace.length tr)
+
+(* A flat run on a warmed plaintext Mem store moves encoded images with
+   no codec: reading and writing it back allocates less than one minor
+   word per block (the per-run closures and bookkeeping amortize over
+   the run). *)
+let test_flat_run_does_not_allocate () =
+  let b = 8 and run = 16 in
+  let s = Storage.create ~block_size:b () in
+  let base = Storage.alloc s (2 * run) in
+  let buf = Flat.create ~block_size:b ~blocks:run in
+  Flat.set_cell buf (Flat.cell_offset buf ~block:3 ~slot:5) (Cell.item ~key:35 ~value:1 ());
+  Storage.write_flat s base run buf;
+  Storage.read_flat s base run buf;
+  let iters = 200 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    Storage.read_flat s base run buf;
+    Storage.write_flat s (base + run) run buf
+  done;
+  let per_block = (Gc.minor_words () -. w0) /. float_of_int (2 * iters * run) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per flat block (want < 1)" per_block)
+    true (per_block < 1.0);
+  Alcotest.(check int) "every block counted" ((2 * iters + 2) * run)
+    (Stats.total (Storage.stats s));
+  Alcotest.(check int) "the image round-trips" 35
+    (Cell.key_exn (Storage.unchecked_peek s (base + run + 3)).(5))
+
 let suite =
   [
     ("cross-engine reopen rejected", `Quick, test_cross_engine_reopen_rejected);
@@ -260,5 +339,8 @@ let suite =
     ("engine choice invisible in the trace", `Quick, test_engine_trace_parity);
     ("sealed run reads back on file", `Quick, test_sealed_run_reads_back_on_file);
     ("mem single-block read allocation-free", `Quick, test_mem_read_does_not_allocate);
+    ("trace digest pinned", `Quick, test_trace_digest_pinned);
+    ("trace record allocation-free", `Quick, test_trace_record_does_not_allocate);
+    ("flat run allocation-free", `Quick, test_flat_run_does_not_allocate);
   ]
   @ sealed_parity_cases

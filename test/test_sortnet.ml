@@ -571,18 +571,45 @@ let test_bucket_sort_mem_shape_pinned () =
 
 let test_permute_pinned_order () =
   (* The permutation's output order on one fixed seed, cell and block
-     granularity. *)
+     granularity — and its schedule: trace digest, trace length and
+     counted I/Os, then each server's view on a ChaCha20-sealed
+     two-way stripe (the same logical run, so the same order). *)
   let keys = Array.init 512 (fun i -> i) in
-  let (), a =
-    Util.with_array ~b:4 (Util.cells_of_keys keys) (fun _s a ->
-        ignore (Oblivious_permutation.run ~rng:(Odex_crypto.Rng.create ~seed:42) ~m:66 a))
+  let cell_run _s a =
+    ignore (Oblivious_permutation.run ~rng:(Odex_crypto.Rng.create ~seed:42) ~m:66 a)
   in
+  let block_run _s a =
+    ignore (Oblivious_permutation.run_blocks ~rng:(Odex_crypto.Rng.create ~seed:44) ~m:66 a)
+  in
+  let ((a, _, _, _) as run) = Util.traced_run ~b:4 (Util.cells_of_keys keys) cell_run in
   Alcotest.(check int) "cell permutation order" 5973043412041 (cells_fingerprint a);
-  let (), a =
-    Util.with_array ~b:4 (Util.cells_of_keys keys) (fun _s a ->
-        ignore (Oblivious_permutation.run_blocks ~rng:(Odex_crypto.Rng.create ~seed:44) ~m:66 a))
+  check_pins "cell permutation" run (-3544769562572975318L, 1584, 1584);
+  let ((a, _, _, _) as run) = Util.traced_run ~b:4 (Util.cells_of_keys keys) block_run in
+  Alcotest.(check int) "block permutation order" 58671120780305 (cells_fingerprint a);
+  check_pins "block permutation" run (-5718788556132618115L, 1536, 1536);
+  let sealed_stripe name f order shard_pins =
+    let s =
+      Storage.create ~cipher:(Odex_crypto.Cipher.key_of_int 0xC4A7)
+        ~cipher_engine:Odex_crypto.Cipher.Chacha20
+        ~backend:(Storage.Sharded { inner = Storage.Mem; shards = 2; seed = 0x5A4D })
+        ~block_size:4 ()
+    in
+    let a = Ext_array.of_cells s ~block_size:4 (Util.cells_of_keys keys) in
+    f s a;
+    Alcotest.(check int) (name ^ ": order") order (cells_fingerprint a);
+    List.iteri
+      (fun i (digest, length) ->
+        let tr = (Storage.shard_traces s).(i) in
+        Alcotest.(check int64) (Printf.sprintf "%s: shard %d digest" name i) digest
+          (Trace.digest tr);
+        Alcotest.(check int) (Printf.sprintf "%s: shard %d length" name i) length
+          (Trace.length tr))
+      shard_pins
   in
-  Alcotest.(check int) "block permutation order" 58671120780305 (cells_fingerprint a)
+  sealed_stripe "sealed stripe cell permutation" cell_run 5973043412041
+    [ (1544366203036147320L, 790); (7218438756269332093L, 794) ];
+  sealed_stripe "sealed stripe block permutation" block_run 58671120780305
+    [ (-2476665712003767653L, 772); (-1072625813182661474L, 764) ]
 
 let test_sorter_edge_sizes () =
   (* Every registered sorter through the Ext_sort.run dispatch at the
