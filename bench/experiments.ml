@@ -797,9 +797,6 @@ let e17 () =
     let r = f () in
     (r, (Unix.gettimeofday () -. t0) *. 1e3)
   in
-  let payload i =
-    Bytes.init payload_size (fun j -> Char.chr ((i + j) land 0xFF))
-  in
   let with_temp_pair f =
     let sp = Filename.temp_file "odex_e17" ".store" in
     let jp = Filename.temp_file "odex_e17" ".journal" in
@@ -814,9 +811,13 @@ let e17 () =
   let group_of acb = acb / record_bytes in
   let fill j n =
     let b = Journal.backend j in
+    let buf = Odex_crypto.Bigbuf.create payload_size in
     Backend.ensure b n;
     for i = 0 to n - 1 do
-      Backend.write b i (payload i)
+      for k = 0 to payload_size - 1 do
+        Odex_crypto.Bigbuf.set buf k (Char.chr ((i + k) land 0xFF))
+      done;
+      Backend.write_from b i ~buf ~off:0
     done;
     Journal.pending_bytes j + Journal.header_bytes
   in

@@ -16,10 +16,10 @@
                                                the WAL overhead lands in
                                                the same file
           main.exe --json E2 --cipher chacha20 — seal every workload
-                                               store under a real cipher
-                                               engine (none | prf_xor |
-                                               chacha20); records carry
-                                               the engine in "cipher"
+                                               store under ChaCha20
+                                               (none | chacha20);
+                                               records carry the engine
+                                               in "cipher"
           main.exe --json E16                 — the seal/unseal
                                                throughput microbench
                                                (records fill
@@ -101,9 +101,8 @@ let current_sorter : string option ref = ref None
    schedule across); the single-server baseline leg ignores it. *)
 let current_servers = ref 2
 
-(* `--cipher NAME` (none | prf_xor | chacha20) seals every workload
-   store under that engine with a fixed benchmark key; every record
-   names it. *)
+(* `--cipher NAME` (none | chacha20) seals every workload store under
+   ChaCha20 with a fixed benchmark key; every record names it. *)
 let current_cipher = ref "none"
 
 let fresh_spec () =
@@ -363,91 +362,87 @@ let e15 () =
     | Some name -> [ name ]
     | None -> [ "batcher"; "columnsort"; "bucket" ])
 
-(* E16: seal/unseal throughput microbench. One record per cipher engine:
+(* E16: seal/unseal throughput microbench. One record, for ChaCha20:
    a mem-backed store (so the device is not the bottleneck) streams runs
    through write_many/read_many while a private live telemetry sink
    times the Seal/Unseal ops Storage reports under the "cipher" pseudo
    backend. [seal_mb_per_s] is keystream throughput — plaintext bytes
-   per second of in-cipher wall time — the number the engine choice
+   per second of in-cipher wall time — the number a keystream change
    actually moves; [mb_per_s] stays the end-to-end transfer rate. This
-   entry builds its records directly (its sink is always live, which
+   entry builds its record directly (its sink is always live, which
    [collect]'s zero-cost-when-disabled guard would reject). *)
 let e16 () =
   let b = 8 and run_blocks = 256 and rounds = 24 in
-  List.map
-    (fun engine ->
-      let tel = Telemetry.create () in
-      let s =
-        Storage.create
-          ~cipher:(Odex_crypto.Cipher.key_of_int 0x5ea1)
-          ~cipher_engine:engine ~telemetry:tel
-          ~trace_mode:Trace.Digest ~backend:Storage.Mem ~block_size:b ()
-      in
-      let base = Storage.alloc s run_blocks in
-      let blks =
-        Array.init run_blocks (fun i ->
-            let blk = Block.make b in
-            for j = 0 to b - 1 do
-              blk.(j) <- Cell.item ~tag:j ~key:((i * b) + j) ~value:i ()
-            done;
-            blk)
-      in
-      let ok, wall_ms =
-        timed (fun () ->
-            for _ = 1 to rounds do
-              Storage.write_many s base blks;
-              ignore (Storage.read_many s base run_blocks)
-            done;
-            true)
-      in
-      (* Keystream throughput from the cipher pseudo-backend's op rows:
-         plaintext bytes over in-cipher nanoseconds, both seal and
-         unseal legs pooled. *)
-      let cipher_bytes, cipher_ns =
-        List.fold_left
-          (fun (bts, ns) (st : Telemetry.op_stat) ->
-            match st.op with
-            | Telemetry.Seal | Telemetry.Unseal when st.op_backend = "cipher" ->
-                (bts + st.op_bytes, Int64.add ns (Telemetry.hist_total_ns st.latency))
-            | _ -> (bts, ns))
-          (0, 0L) (Telemetry.op_stats tel)
-      in
-      let seal_mb_per_s =
-        if cipher_bytes = 0 || cipher_ns = 0L then 0.
-        else Float.of_int cipher_bytes /. 1e6 /. (Int64.to_float cipher_ns /. 1e9)
-      in
-      let bytes_moved = Stats.bytes_moved (Storage.stats s) in
-      let r =
-        {
-          experiment = "E16";
-          name = "seal-roundtrip-" ^ Odex_crypto.Cipher.engine_name engine;
-          sorter = "";
-          backend = Storage.backend_kind s;
-          shards = 1;
-          servers = 1;
-          journal = false;
-          cipher = Odex_crypto.Cipher.engine_name engine;
-          n_cells = run_blocks * b;
-          b;
-          m = 2;
-          reads = Stats.reads (Storage.stats s);
-          writes = Stats.writes (Storage.stats s);
-          total_ios = Stats.total (Storage.stats s);
-          retries = Stats.retries (Storage.stats s);
-          trace_length = Trace.length (Storage.trace s);
-          spans = List.length (Trace.spans (Storage.trace s));
-          wall_ms;
-          bytes_moved;
-          batched_ios = Stats.batched_ios (Storage.stats s);
-          mb_per_s = throughput ~bytes_moved ~wall_ms;
-          seal_mb_per_s;
-          ok;
-          phases = [];
-        }
-      in
-      Storage.close s;
-      r)
-    [ Odex_crypto.Cipher.Prf_xor; Odex_crypto.Cipher.Chacha20 ]
+  let engine = Odex_crypto.Cipher.(engine_name Chacha20) in
+  let tel = Telemetry.create () in
+  let s =
+    Storage.create ~cipher:(Odex_crypto.Cipher.key_of_int 0x5ea1) ~telemetry:tel
+      ~trace_mode:Trace.Digest ~backend:Storage.Mem ~block_size:b ()
+  in
+  let base = Storage.alloc s run_blocks in
+  let blks =
+    Array.init run_blocks (fun i ->
+        let blk = Block.make b in
+        for j = 0 to b - 1 do
+          blk.(j) <- Cell.item ~tag:j ~key:((i * b) + j) ~value:i ()
+        done;
+        blk)
+  in
+  let ok, wall_ms =
+    timed (fun () ->
+        for _ = 1 to rounds do
+          Storage.write_many s base blks;
+          ignore (Storage.read_many s base run_blocks)
+        done;
+        true)
+  in
+  (* Keystream throughput from the cipher pseudo-backend's op rows:
+     plaintext bytes over in-cipher nanoseconds, both seal and
+     unseal legs pooled. *)
+  let cipher_bytes, cipher_ns =
+    List.fold_left
+      (fun (bts, ns) (st : Telemetry.op_stat) ->
+        match st.op with
+        | Telemetry.Seal | Telemetry.Unseal when st.op_backend = "cipher" ->
+            (bts + st.op_bytes, Int64.add ns (Telemetry.hist_total_ns st.latency))
+        | _ -> (bts, ns))
+      (0, 0L) (Telemetry.op_stats tel)
+  in
+  let seal_mb_per_s =
+    if cipher_bytes = 0 || cipher_ns = 0L then 0.
+    else Float.of_int cipher_bytes /. 1e6 /. (Int64.to_float cipher_ns /. 1e9)
+  in
+  let bytes_moved = Stats.bytes_moved (Storage.stats s) in
+  let r =
+    {
+      experiment = "E16";
+      name = "seal-roundtrip-" ^ engine;
+      sorter = "";
+      backend = Storage.backend_kind s;
+      shards = 1;
+      servers = 1;
+      journal = false;
+      cipher = engine;
+      n_cells = run_blocks * b;
+      b;
+      m = 2;
+      reads = Stats.reads (Storage.stats s);
+      writes = Stats.writes (Storage.stats s);
+      total_ios = Stats.total (Storage.stats s);
+      retries = Stats.retries (Storage.stats s);
+      trace_length = Trace.length (Storage.trace s);
+      spans = List.length (Trace.spans (Storage.trace s));
+      wall_ms;
+      bytes_moved;
+      batched_ios = Stats.batched_ios (Storage.stats s);
+      mb_per_s = throughput ~bytes_moved ~wall_ms;
+      seal_mb_per_s;
+      ok;
+      phases = [];
+    }
+  in
+  Storage.close s;
+  [ r ]
 
 (* E18: the multi-server model exploit, head to head. The same
    compaction workload at equal (N, B, M), measured twice: the classical
@@ -554,15 +549,12 @@ let run ?(backend = "mem") ?(shards = 1) ?(servers = 2) ?(journal = false)
   current_servers := servers;
   (match cipher with
   | "none" -> ()
-  | "prf_xor" | "chacha20" ->
+  | "chacha20" ->
       (* A fixed benchmark key: sealing overhead is what's measured, not
          key management. *)
-      Workloads.cipher := Some (Odex_crypto.Cipher.key_of_int 0x0dec);
-      Workloads.cipher_engine :=
-        (if cipher = "chacha20" then Odex_crypto.Cipher.Chacha20
-         else Odex_crypto.Cipher.Prf_xor)
+      Workloads.cipher := Some (Odex_crypto.Cipher.key_of_int 0x0dec)
   | other ->
-      Printf.eprintf "unknown cipher %S (available: none prf_xor chacha20)\n" other;
+      Printf.eprintf "unknown cipher %S (available: none chacha20)\n" other;
       exit 2);
   current_cipher := cipher;
   current_backend := backend;

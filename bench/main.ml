@@ -34,8 +34,8 @@
    sorting engine (batcher | columnsort | bucket | ...), so a CI matrix
    can run one leg per engine.
 
-   `--cipher none|prf_xor|chacha20` seals every workload store under the
-   named keystream engine (fixed benchmark key) — a physical-only knob
+   `--cipher none|chacha20` seals every workload store under ChaCha20
+   (fixed benchmark key) — a physical-only knob
    whose traces stay bit-identical to the plaintext run. E16 (JSON mode)
    is the seal/unseal throughput microbench. *)
 
@@ -195,13 +195,13 @@ let rec extract_sorter = function
       let sorter, cleaned = extract_sorter rest in
       (sorter, arg :: cleaned)
 
-(* Pull `--cipher NAME` out likewise (none | prf_xor | chacha20). *)
+(* Pull `--cipher NAME` out likewise (none | chacha20). *)
 let rec extract_cipher = function
   | [] -> (None, [])
   | "--cipher" :: name :: rest ->
       let _, cleaned = extract_cipher rest in
       (Some name, cleaned)
-  | [ "--cipher" ] -> failwith "--cipher needs an engine name (none | prf_xor | chacha20)"
+  | [ "--cipher" ] -> failwith "--cipher needs an engine name (none | chacha20)"
   | arg :: rest ->
       let cipher, cleaned = extract_cipher rest in
       (cipher, arg :: cleaned)
@@ -230,11 +230,7 @@ let () =
           (fun () -> Odex_obcheck.Registry.backend_spec ~shards:shard_count backend_name);
       (match cipher with
       | None | Some "none" -> ()
-      | Some ("prf_xor" | "chacha20") ->
-          Workloads.cipher := Some (Odex_crypto.Cipher.key_of_int 0x0dec);
-          Workloads.cipher_engine :=
-            (if cipher = Some "chacha20" then Odex_crypto.Cipher.Chacha20
-             else Odex_crypto.Cipher.Prf_xor)
+      | Some "chacha20" -> Workloads.cipher := Some (Odex_crypto.Cipher.key_of_int 0x0dec)
       | Some other -> failwith (Printf.sprintf "unknown cipher %S" other));
       Fun.protect ~finally:Workloads.cleanup (fun () ->
           let want id = args = [] || List.mem id args in

@@ -88,22 +88,20 @@ let setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_comm
     | Some _ -> Odex_telemetry.Telemetry.create ()
     | None -> Odex_telemetry.Telemetry.disabled
   in
-  (* `--cipher` seals every payload before it reaches the backend; the
-     engine is recorded in the store header, so a --resume must name
-     the same engine (and the same --seal-key) it was created under. *)
-  let cipher_engine, cipher_key =
+  (* `--cipher chacha20` seals every payload before it reaches the
+     backend, so a --resume must name it again, with the same
+     --seal-key. *)
+  let cipher_key =
     match cipher with
-    | "none" -> (Odex_crypto.Cipher.Prf_xor, None)
-    | name -> (
-        match Odex_crypto.Cipher.engine_of_name name with
-        | Some e -> (e, Some (Odex_crypto.Cipher.key_of_int seal_key))
-        | None ->
-            prerr_endline ("unknown cipher engine " ^ name ^ " (available: none prf_xor chacha20)");
-            exit 2)
+    | "none" -> None
+    | "chacha20" -> Some (Odex_crypto.Cipher.key_of_int seal_key)
+    | name ->
+        prerr_endline ("unknown cipher engine " ^ name ^ " (available: none chacha20)");
+        exit 2
   in
   let server =
     Storage.create ~telemetry ~trace_mode:Trace.Digest ~resume ?cipher:cipher_key
-      ~cipher_engine ?journal_auto_commit_bytes:auto_commit
+      ?journal_auto_commit_bytes:auto_commit
       ~backend:(backend_of ~store ~shards ~journal backend) ~block_size ()
   in
   let n = Array.length keys in
@@ -121,6 +119,17 @@ let setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_comm
   in
   let rng = Odex_crypto.Rng.create ~seed in
   (server, a, rng)
+
+(* A store that refuses to open — a wrong block size, a retired format —
+   or to unseal — a sealed store resumed without its --cipher or under
+   another --seal-key — is a usage error reported against the store,
+   not a crash. *)
+let with_store ~backend ~store f =
+  match f () with
+  | () -> ()
+  | exception Invalid_argument msg ->
+      prerr_endline (Printf.sprintf "odx: %s: %s" (Option.value store ~default:backend) msg);
+      exit 1
 
 let report_trace server =
   let retries = Stats.retries (Storage.stats server) in
@@ -211,10 +220,10 @@ let resume_arg =
 
 let cipher_arg =
   let doc =
-    "Seal every block under a cipher before it reaches the backend: $(b,none) \
-     (plaintext), $(b,prf_xor) (the PRF keystream engine), or $(b,chacha20) (the RFC \
-     8439 core). The engine is recorded in the store header, so a $(b,--resume) must \
-     name the engine the store was created under."
+    "Seal every block before it reaches the backend: $(b,none) (plaintext) or \
+     $(b,chacha20) (the RFC 8439 keystream). A $(b,--resume) of a sealed store must \
+     name $(b,chacha20) again with the same $(b,--seal-key); otherwise unsealing fails \
+     and odx exits with status 1."
   in
   Arg.(value & opt string "none" & info [ "cipher" ] ~docv:"ENGINE" ~doc)
 
@@ -249,7 +258,8 @@ let sort_cmd =
   let run block_size m seed backend store shards profile journal auto_commit resume cipher seal_key sorter file =
     let keys = read_keys file in
     if Array.length keys = 0 then prerr_endline "no input"
-    else begin
+    else
+      with_store ~backend ~store @@ fun () ->
       let server, a, rng =
         setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
           ~cipher ~seal_key keys
@@ -282,7 +292,6 @@ let sort_cmd =
       (* Commit the journal tail and flush: without this, a journaled
          store would roll the whole run back on the next --resume. *)
       Storage.close server
-    end
   in
   let doc = "Data-oblivious external-memory sort (Theorem 21)." in
   Cmd.v (Cmd.info "sort" ~doc)
@@ -300,6 +309,7 @@ let select_cmd =
   in
   let run block_size m seed backend store shards profile journal auto_commit resume cipher seal_key k file =
     let keys = read_keys file in
+    with_store ~backend ~store @@ fun () ->
     let server, a, rng =
       setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
           ~cipher ~seal_key keys
@@ -328,6 +338,7 @@ let quantiles_cmd =
   in
   let run block_size m seed backend store shards profile journal auto_commit resume cipher seal_key q file =
     let keys = read_keys file in
+    with_store ~backend ~store @@ fun () ->
     let server, a, rng =
       setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
           ~cipher ~seal_key keys
@@ -368,6 +379,7 @@ let compact_cmd =
   let run block_size m seed backend store shards servers profile journal auto_commit resume cipher seal_key keep_even file =
     let keys = read_keys file in
     let shards = if servers >= 2 then max shards servers else shards in
+    with_store ~backend ~store @@ fun () ->
     let server, a, _rng =
       setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
           ~cipher ~seal_key keys

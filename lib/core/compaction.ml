@@ -70,7 +70,3 @@ let loose ?sorter ~m ~rng ~capacity_blocks a =
     let dest = if len = Ext_array.blocks a then a else Ext_array.sub a ~off:0 ~len in
     { dest; occupied; ok = true }
   end
-
-let loose_cost ~n = 40 * n
-
-let consolidate_items ?distinguished a = Consolidation.run ?distinguished ~into:None a

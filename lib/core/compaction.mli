@@ -60,11 +60,3 @@ val butterfly_cost : n:int -> m:int -> int
 
 val sparse_cost : n:int -> block_size:int -> int
 (** Estimated I/O count of the Theorem 4 insertion phase. *)
-
-val loose_cost : n:int -> int
-(** Estimated I/O count of Theorem 8 loose compaction (measured constant
-    ~40 per block; see EXPERIMENTS.md E5). *)
-
-val consolidate_items :
-  ?distinguished:(Cell.item -> bool) -> Ext_array.t -> Ext_array.t
-(** Lemma 3 over a fresh destination (convenience re-export). *)

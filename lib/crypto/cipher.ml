@@ -3,53 +3,14 @@ type key = Prf.key
 let key_of_int = Prf.key_of_int
 let fresh_key = Prf.fresh_key
 
-(* ---------------- legacy bytes interface (Prf_xor keystream) -------- *)
+type engine = Chacha20
 
-(* Keystream word [j] for a given nonce is PRF(key, nonce, j): 8 bytes
-   covering message bytes [8j, 8j+8). The XOR runs a whole word at a
-   time — [Bytes.get_int64_le]/[set_int64_le] are byte-addressed, so no
-   alignment constraint — with a byte tail for lengths that are not a
-   multiple of 8. Keystream indices are relative to the start of the
-   region, so an in-place XOR at offset [off] of a larger buffer matches
-   an allocating XOR of the extracted slice. *)
-let xor_into k ~nonce buf ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length buf then
-    invalid_arg "Cipher.xor_into: region out of bounds";
-  let words = len lsr 3 in
-  for j = 0 to words - 1 do
-    let p = off + (j lsl 3) in
-    Bytes.set_int64_le buf p (Int64.logxor (Bytes.get_int64_le buf p) (Prf.value_pair k nonce j))
-  done;
-  let tail = len land 7 in
-  if tail > 0 then begin
-    let word = Prf.value_pair k nonce words in
-    for i = len - tail to len - 1 do
-      let ks = Int64.to_int (Int64.shift_right_logical word ((i land 7) * 8)) land 0xff in
-      Bytes.unsafe_set buf (off + i)
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get buf (off + i)) lxor ks))
-    done
-  end
+let engine_id Chacha20 = 2L
+let engine_name Chacha20 = "chacha20"
 
-let xor_stream k ~nonce src =
-  let dst = Bytes.copy src in
-  xor_into k ~nonce dst ~off:0 ~len:(Bytes.length dst);
-  dst
-
-let encrypt k ~nonce plain = xor_stream k ~nonce plain
-let decrypt k ~nonce cipher = xor_stream k ~nonce cipher
-
-(* ---------------- engines ---------------- *)
-
-type engine = Prf_xor | Chacha20
-
-let engine_id = function Prf_xor -> 1L | Chacha20 -> 2L
-let engine_of_id = function 1L -> Some Prf_xor | 2L -> Some Chacha20 | _ -> None
-let engine_name = function Prf_xor -> "prf_xor" | Chacha20 -> "chacha20"
-
-let engine_of_name = function
-  | "prf_xor" | "prf" -> Some Prf_xor
-  | "chacha20" | "chacha" -> Some Chacha20
-  | _ -> None
+let check_engine_id ~who id =
+  if id <> engine_id Chacha20 then
+    invalid_arg (Printf.sprintf "%s: retired cipher engine id %Ld" who id)
 
 external chacha20_xor_stub :
   string -> string -> int -> Bigbuf.t -> int -> int -> unit
@@ -71,53 +32,28 @@ let chacha20_xor_raw ~key ~nonce ~counter buf ~off ~len =
     invalid_arg "Cipher.chacha20_xor_raw: region out of bounds";
   chacha20_xor_stub key nonce counter buf off len
 
-type state = Prf_state of key | Chacha_state of string
-
-let state_engine = function Prf_state _ -> Prf_xor | Chacha_state _ -> Chacha20
+(* The expanded 256-bit ChaCha key. *)
+type state = string
 
 (* The 256-bit ChaCha key is expanded from the 64-bit store key through
    the PRF at a domain-separated input ([x = -2] collides with no block
    nonce: sealing nonces are non-negative and the plaintext marker is
    -1). The expansion is fixed forever — it is part of the on-disk
-   format of every Chacha20 store. *)
-let chacha_key_of k =
+   format of every store. *)
+let init Chacha20 k =
   String.init 32 (fun i ->
       let word = Prf.value_pair k (-2) (i lsr 3) in
       Char.chr (Int64.to_int (Int64.shift_right_logical word ((i land 7) * 8)) land 0xff))
-
-let init engine k =
-  match engine with Prf_xor -> Prf_state k | Chacha20 -> Chacha_state (chacha_key_of k)
 
 let chacha_nonce_of nonce =
   let b = Bytes.make 12 '\000' in
   Bytes.set_int64_le b 4 (Int64.of_int nonce);
   Bytes.unsafe_to_string b
 
-(* Prf_xor over a Bigbuf: same keystream words at the same offsets as
-   [xor_into] on an equal bytes buffer (parity-tested in test_crypto). *)
-let prf_xor_big k ~nonce buf ~off ~len =
-  let words = len lsr 3 in
-  for j = 0 to words - 1 do
-    let p = off + (j lsl 3) in
-    Bigbuf.unsafe_set64_le buf p
-      (Int64.logxor (Bigbuf.unsafe_get64_le buf p) (Prf.value_pair k nonce j))
-  done;
-  let tail = len land 7 in
-  if tail > 0 then begin
-    let word = Prf.value_pair k nonce words in
-    for i = len - tail to len - 1 do
-      let ks = Int64.to_int (Int64.shift_right_logical word ((i land 7) * 8)) land 0xff in
-      Bigbuf.unsafe_set buf (off + i)
-        (Char.unsafe_chr (Char.code (Bigbuf.unsafe_get buf (off + i)) lxor ks))
-    done
-  end
-
 let xor_big st ~nonce buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bigbuf.length buf then
     invalid_arg "Cipher.xor_big: region out of bounds";
-  match st with
-  | Prf_state k -> prf_xor_big k ~nonce buf ~off ~len
-  | Chacha_state raw -> chacha20_xor_stub raw (chacha_nonce_of nonce) 0 buf off len
+  chacha20_xor_stub st (chacha_nonce_of nonce) 0 buf off len
 
 let xor_run st ~nonces buf ~off ~stride ~len =
   let count = Array.length nonces in
@@ -125,10 +61,4 @@ let xor_run st ~nonces buf ~off ~stride ~len =
   if count > 0
      && (off < 0 || stride < 0 || off + ((count - 1) * stride) + len > Bigbuf.length buf)
   then invalid_arg "Cipher.xor_run: region out of bounds";
-  if count > 0 && len > 0 then
-    match st with
-    | Prf_state k ->
-        for i = 0 to count - 1 do
-          prf_xor_big k ~nonce:nonces.(i) buf ~off:(off + (i * stride)) ~len
-        done
-    | Chacha_state raw -> chacha20_xor_many_stub raw nonces buf off stride len count
+  if count > 0 && len > 0 then chacha20_xor_many_stub st nonces buf off stride len count

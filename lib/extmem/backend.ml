@@ -61,19 +61,6 @@ let size (Packed ((module B), b)) = B.size b
 let read_into (Packed ((module B), b)) addr ~buf ~off = B.read b addr ~buf ~off
 let write_from (Packed ((module B), b)) addr ~buf ~off = B.write b addr ~buf ~off
 
-(* bytes convenience for cold paths and tests: one staging buffer per
-   call. The sealing fast path goes through [read_into]/[write_from]
-   against a long-lived buffer instead. *)
-let read (Packed ((module B), b)) addr =
-  let buf = Bigbuf.create (B.payload_bytes b) in
-  B.read b addr ~buf ~off:0;
-  Bigbuf.to_bytes buf
-
-let write (Packed ((module B), b)) addr payload =
-  if Bytes.length payload <> B.payload_bytes b then
-    invalid_arg "Backend.write: payload has wrong size";
-  B.write b addr ~buf:(Bigbuf.of_bytes payload) ~off:0
-
 let read_run (Packed ((module B), b)) ~addr ~count ~payload ~buf ~off =
   B.read_run b ~addr ~count ~payload ~buf ~off
 

@@ -17,7 +17,7 @@
       obliviousness harness.
 
     All block transfers go through caller-owned {!Odex_crypto.Bigbuf}
-    regions — the same off-heap buffers the cipher engines XOR in place
+    regions — the same off-heap buffers the cipher XORs in place
     — so a sealed payload travels device <-> cipher <-> codec without a
     staging copy. Backends never see plaintext (when a cipher key is set
     the payload is ciphertext), never count I/Os and never touch the
@@ -128,14 +128,8 @@ val read_into : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
     caller's buffer in place. *)
 
 val write_from : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-
-val read : t -> int -> bytes
-(** Convenience for cold paths and tests: allocates a staging buffer,
-    {!read_into}s it and copies out. The sealing path never calls this. *)
-
-val write : t -> int -> bytes -> unit
-(** Convenience mirror of {!read}: the payload must be exactly
-    [payload_bytes] long. *)
+(** The zero-copy single-block write: stores the [payload_bytes] bytes at
+    [buf[off ..]] at the address. *)
 
 val read_run :
   t -> addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit

@@ -27,24 +27,6 @@ let sort_in_place cmp blk = Array.sort cmp blk
 
 let encoded_size b = b * Cell.encoded_size
 
-let encode_into blk buf off =
-  Array.iteri (fun i c -> Cell.encode buf (off + (i * Cell.encoded_size)) c) blk
-
-let encode blk =
-  let buf = Bytes.create (encoded_size (Array.length blk)) in
-  encode_into blk buf 0;
-  buf
-
-let decode_from ~block_size buf off =
-  if off < 0 || off + encoded_size block_size > Bytes.length buf then
-    invalid_arg "Block.decode_from: region out of bounds";
-  Array.init block_size (fun i -> Cell.decode buf (off + (i * Cell.encoded_size)))
-
-let decode ~block_size buf =
-  if Bytes.length buf <> encoded_size block_size then
-    invalid_arg "Block.decode: wrong buffer size";
-  decode_from ~block_size buf 0
-
 module Bigbuf = Odex_crypto.Bigbuf
 
 let encode_into_big blk buf off =

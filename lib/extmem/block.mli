@@ -24,22 +24,17 @@ val of_items : int -> Cell.item list -> t
 val sort_in_place : (Cell.t -> Cell.t -> int) -> t -> unit
 
 val encoded_size : int -> int
-val encode : t -> bytes
-val decode : block_size:int -> bytes -> t
-
-val encode_into : t -> bytes -> int -> unit
-(** [encode_into blk buf off] serializes into a caller-owned buffer —
-    the allocation-free path {!Storage}'s sealing scratch uses. *)
-
-val decode_from : block_size:int -> bytes -> int -> t
-(** [decode_from ~block_size buf off] decodes an image laid down by
-    {!encode_into} at [off], without extracting a sub-buffer. *)
+(** Bytes of a block image: [b] cell images back to back. *)
 
 val encode_into_big : t -> Odex_crypto.Bigbuf.t -> int -> unit
-(** {!encode_into} against the off-heap I/O buffer the cipher and the
-    file backend operate on directly: one bounds check for the whole
-    block, then unsafe word stores per cell. *)
+(** [encode_into_big blk buf off] writes the image of [blk] at byte
+    offset [off] of the off-heap I/O buffer the cipher and the file
+    backend operate on directly: one bounds check for the whole block,
+    then unsafe word stores per cell. *)
 
 val decode_from_big : block_size:int -> Odex_crypto.Bigbuf.t -> int -> t
+(** [decode_from_big ~block_size buf off] decodes the image laid down by
+    {!encode_into_big} at [off], with one bounds check for the whole
+    block. *)
 
 val pp : Format.formatter -> t -> unit

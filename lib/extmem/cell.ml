@@ -15,7 +15,6 @@ let get = function
 let key_exn c = (get c).key
 let value_exn c = (get c).value
 let tag_exn c = (get c).tag
-let aux_exn c = (get c).aux
 
 let with_tag c tag =
   match c with Empty -> Empty | Item it -> Item { it with tag }
@@ -72,20 +71,6 @@ let encoded_size = 40
    straight int64 stores/loads, which is what keeps the sealing fast
    path free of per-byte work. *)
 
-let encode buf off = function
-  | Empty ->
-      Bytes.set_int64_le buf off 0L;
-      Bytes.set_int64_le buf (off + 8) 0L;
-      Bytes.set_int64_le buf (off + 16) 0L;
-      Bytes.set_int64_le buf (off + 24) 0L;
-      Bytes.set_int64_le buf (off + 32) 0L
-  | Item { key; value; tag; aux } ->
-      Bytes.set_int64_le buf off 1L;
-      Bytes.set_int64_le buf (off + 8) (Int64.of_int key);
-      Bytes.set_int64_le buf (off + 16) (Int64.of_int value);
-      Bytes.set_int64_le buf (off + 24) (Int64.of_int tag);
-      Bytes.set_int64_le buf (off + 32) (Int64.of_int aux)
-
 module Bigbuf = Odex_crypto.Bigbuf
 
 let encode_big buf off = function
@@ -114,16 +99,3 @@ let decode_big buf off =
           aux = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + 32));
         }
   | c -> invalid_arg (Printf.sprintf "Cell.decode_big: bad constructor word %Ld" c)
-
-let decode buf off =
-  match Bytes.get_int64_le buf off with
-  | 0L -> Empty
-  | 1L ->
-      Item
-        {
-          key = Int64.to_int (Bytes.get_int64_le buf (off + 8));
-          value = Int64.to_int (Bytes.get_int64_le buf (off + 16));
-          tag = Int64.to_int (Bytes.get_int64_le buf (off + 24));
-          aux = Int64.to_int (Bytes.get_int64_le buf (off + 32));
-        }
-  | c -> invalid_arg (Printf.sprintf "Cell.decode: bad constructor word %Ld" c)

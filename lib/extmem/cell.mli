@@ -27,7 +27,6 @@ val get : t -> item
 val key_exn : t -> int
 val value_exn : t -> int
 val tag_exn : t -> int
-val aux_exn : t -> int
 
 val with_tag : t -> int -> t
 (** [with_tag c tag] replaces the tag; identity on [Empty]. *)
@@ -52,19 +51,19 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val encoded_size : int
-(** Bytes needed by [encode] — a word-aligned stride (5 × 8 bytes), so
-    encode/decode are straight 64-bit loads and stores. *)
-
-val encode : bytes -> int -> t -> unit
-(** [encode buf off c] serializes [c] at offset [off]. *)
-
-val decode : bytes -> int -> t
+(** Bytes of one cell image — a word-aligned stride (5 × 8 bytes: a
+    constructor word, then key, value, tag and aux), so encode/decode
+    are straight 64-bit loads and stores. The constructor word is [0]
+    for [Empty] and [1] for an item, and an [Empty] image is all zeros:
+    a zero-filled buffer decodes to empties. *)
 
 val encode_big : Odex_crypto.Bigbuf.t -> int -> t -> unit
-(** [encode] against an off-heap I/O buffer, using unsafe word stores —
-    the caller (in practice {!Block.encode_into_big}) has already
+(** [encode_big buf off c] writes the image of [c] at byte offset [off]
+    of an off-heap I/O buffer, using unsafe word stores — the caller (in
+    practice {!Block.encode_into_big} or {!Flat}) has already
     bounds-checked the whole region. *)
 
 val decode_big : Odex_crypto.Bigbuf.t -> int -> t
-(** @raise Invalid_argument on a corrupt constructor word. Region bounds
-    are the caller's responsibility, as in {!encode_big}. *)
+(** The cell whose image starts at [off].
+    @raise Invalid_argument on a constructor word other than [0] or [1].
+    Region bounds are the caller's responsibility, as in {!encode_big}. *)

@@ -33,42 +33,30 @@
    test_journal.ml.
 
    The header additionally carries the cipher engine id the payloads are
-   sealed under — replaying ChaCha20 ciphertext into a store that will
-   be unsealed as PRF-XOR garbles silently, so a mismatched reopen fails
-   loudly instead — and a bounded checkpoint TABLE of [max_slots]
-   entries, each a full (owner string, phase, cursor) triple for
-   algorithm-level restart points; see {!Storage.checkpoint}. Owners are
-   stored verbatim (not hashed), so two distinct owners can never alias,
-   and occupancy is an explicit per-slot kind tag, never inferred from
-   the phase value. Concurrent algorithms on one store — an ORAM rebuild
+   sealed under — ChaCha20 (id 2) is the only engine, and a journal
+   naming any other id is refused rather than replayed — and a bounded
+   checkpoint TABLE of [max_slots] entries, each a full (owner string,
+   phase, cursor) triple for algorithm-level restart points; see
+   {!Storage.checkpoint}. Owners are stored verbatim (not hashed), so
+   two distinct owners can never alias, and occupancy is an explicit
+   per-slot kind tag, never inferred from the phase value. Concurrent algorithms on one store — an ORAM rebuild
    plus the ext-sort it runs internally plus an unrelated columnsort —
    each own their slot and never clobber each other. The whole header is
    covered by a checksum: a header torn mid-rewrite degrades to "no
    checkpoints, nothing committed" (a full restart from the previous
    boundary), never to a wrong checkpoint or a half-committed group.
 
-   Format history: v3 ("ODEXJRN3", 616-byte header) is the table format;
-   v2 ("ODEXJRN2", 64 bytes) held a single FNV-hashed slot, last writer
-   wins. A v2 journal reopens cleanly: its slot parses as a one-entry
-   legacy-hash table (matched by hash until the owner checkpoints again,
-   which upgrades the slot to a full string), its records replay from
-   the old 64-byte offset, and the file is rewritten as v3. *)
+   The format is v3 ("ODEXJRN3", 616-byte header). Any other magic —
+   the retired v2 single-slot format included — is refused untouched. *)
 
 module Bigbuf = Odex_crypto.Bigbuf
 module Cipher = Odex_crypto.Cipher
 
-type slot_owner =
-  | Named of string  (** Full owner string: the only identity new checkpoints write. *)
-  | Legacy_hash of int64
-      (** FNV-1a owner hash read back from a v2 single-slot header:
-          matched by hash until the owner checkpoints again. *)
-
-type slot = { owner : slot_owner; phase : int; cursor : int }
+type slot = { owner : string; phase : int; cursor : int }
 
 type t = {
   path : string;
   payload_size : int;
-  engine_id : int64;
   inner : Backend.t;
   durable : bool;
   auto_commit_bytes : int;
@@ -99,7 +87,7 @@ type t = {
     16  committed_tail
     24  cipher engine id
     32  max_slots (8) slot entries of slot_bytes (72) each:
-          +0 kind (0 = empty, 1 = named, 2 = legacy hash)
+          +0 kind (0 = empty, 1 = occupied)
           +8 phase, +16 cursor, +24 owner_len, +32 owner bytes (40)
    608  FNV-1a checksum over bytes [0, 608) *)
 let max_slots = 8
@@ -108,8 +96,7 @@ let slot_bytes = 72
 let header_bytes = 32 + (max_slots * slot_bytes) + 8
 let record_header_bytes = 32
 let magic = "ODEXJRN3"
-let legacy_magic = "ODEXJRN2"
-let legacy_header_bytes = 64
+let engine_id = Cipher.engine_id Cipher.Chacha20
 
 (* ---- FNV-1a, 64-bit: the record and header checksums. Not a MAC —
    the journal holds only ciphertexts the server already has — just a
@@ -141,14 +128,12 @@ let fnv_int64 h v =
   done;
   !h
 
-let hash_owner s = fnv_bytes fnv_offset (Bytes.unsafe_of_string s) 0 (String.length s)
-
-(* The engine id seeds every record checksum: a record written under one
-   engine can never validate — and thus never replay — under another,
-   even if the header were somehow bypassed. *)
-let record_checksum t ~addr ~count buf off len =
+(* The engine id seeds every record checksum: a record written under a
+   retired engine can never validate — and thus never replay — even if
+   the header were somehow bypassed. *)
+let record_checksum ~addr ~count buf off len =
   fnv_big
-    (fnv_int64 (fnv_int64 (fnv_int64 fnv_offset t.engine_id) (Int64.of_int addr))
+    (fnv_int64 (fnv_int64 (fnv_int64 fnv_offset engine_id) (Int64.of_int addr))
        (Int64.of_int count))
     buf off len
 
@@ -186,95 +171,53 @@ let build_header t =
   Bytes.blit_string magic 0 h 0 8;
   Bytes.set_int64_le h 8 (Int64.of_int t.payload_size);
   Bytes.set_int64_le h 16 (Int64.of_int t.committed_tail);
-  Bytes.set_int64_le h 24 t.engine_id;
+  Bytes.set_int64_le h 24 engine_id;
   Array.iteri
     (fun i s ->
       let off = 32 + (i * slot_bytes) in
       match s with
       | None -> ()
-      | Some { owner = Named o; phase; cursor } ->
+      | Some { owner; phase; cursor } ->
           Bytes.set_int64_le h off 1L;
           Bytes.set_int64_le h (off + 8) (Int64.of_int phase);
           Bytes.set_int64_le h (off + 16) (Int64.of_int cursor);
-          Bytes.set_int64_le h (off + 24) (Int64.of_int (String.length o));
-          Bytes.blit_string o 0 h (off + 32) (String.length o)
-      | Some { owner = Legacy_hash x; phase; cursor } ->
-          Bytes.set_int64_le h off 2L;
-          Bytes.set_int64_le h (off + 8) (Int64.of_int phase);
-          Bytes.set_int64_le h (off + 16) (Int64.of_int cursor);
-          Bytes.set_int64_le h (off + 32) x)
+          Bytes.set_int64_le h (off + 24) (Int64.of_int (String.length owner));
+          Bytes.blit_string owner 0 h (off + 32) (String.length owner))
     t.slots;
   Bytes.set_int64_le h (header_bytes - 8) (fnv_bytes fnv_offset h 0 (header_bytes - 8));
   h
 
 let write_header t = pwrite_all t.fd ~pos:0 (build_header t) ~off:0 ~len:header_bytes
 
-let engine_id_name id =
-  match Cipher.engine_of_id id with
-  | Some e -> Cipher.engine_name e
-  | None -> Printf.sprintf "unknown (id %Ld)" id
-
 let empty_slots () = Array.make max_slots None
 
-let check_payload_size ~payload_size ps =
+let parse_slot h off =
+  let len = Int64.to_int (Bytes.get_int64_le h (off + 24)) in
+  if Bytes.get_int64_le h off <> 1L || len < 1 || len > max_owner_bytes then None
+  else
+    Some
+      {
+        owner = Bytes.sub_string h (off + 32) len;
+        phase = Int64.to_int (Bytes.get_int64_le h (off + 8));
+        cursor = Int64.to_int (Bytes.get_int64_le h (off + 16));
+      }
+
+(* Parse a header buffer into (slots, committed_tail). A failed header
+   checksum degrades to "no checkpoints, nothing committed" — a safe
+   full restart — while the magic, payload size and cipher engine still
+   validate, so a foreign file or a journal sealed under a retired
+   engine fails loudly. *)
+let parse_header ~payload_size h =
+  let ps = Int64.to_int (Bytes.get_int64_le h 8) in
   if ps <> payload_size then
     invalid_arg
-      (Printf.sprintf "Journal: journal has payload size %d, expected %d" ps payload_size)
-
-let check_engine ~engine_id eid =
-  if eid <> engine_id then
-    invalid_arg
-      (Printf.sprintf "Journal: journal is sealed under cipher engine %s, expected %s"
-         (engine_id_name eid) (engine_id_name engine_id))
-
-let parse_slot h off =
-  let kind = Bytes.get_int64_le h off in
-  if kind = 0L then None
-  else begin
-    let phase = Int64.to_int (Bytes.get_int64_le h (off + 8)) in
-    let cursor = Int64.to_int (Bytes.get_int64_le h (off + 16)) in
-    if kind = 2L then Some { owner = Legacy_hash (Bytes.get_int64_le h (off + 32)); phase; cursor }
-    else
-      let len = Int64.to_int (Bytes.get_int64_le h (off + 24)) in
-      if len < 1 || len > max_owner_bytes then None
-      else Some { owner = Named (Bytes.sub_string h (off + 32) len); phase; cursor }
-  end
-
-(* Parse a v3 header buffer into (slots, committed_tail, record start).
-   A failed header checksum degrades to "no checkpoints, nothing
-   committed" — a safe full restart — while the magic, payload size and
-   cipher engine still validate, so a foreign file or a journal sealed
-   under a different engine fails loudly. *)
-let parse_header ~payload_size ~engine_id h =
-  check_payload_size ~payload_size (Int64.to_int (Bytes.get_int64_le h 8));
+      (Printf.sprintf "Journal: journal has payload size %d, expected %d" ps payload_size);
   if Bytes.get_int64_le h (header_bytes - 8) <> fnv_bytes fnv_offset h 0 (header_bytes - 8)
-  then (empty_slots (), header_bytes, header_bytes)
+  then (empty_slots (), header_bytes)
   else begin
-    check_engine ~engine_id (Bytes.get_int64_le h 24);
+    Cipher.check_engine_id ~who:"Journal: journal header" (Bytes.get_int64_le h 24);
     let slots = Array.init max_slots (fun i -> parse_slot h (32 + (i * slot_bytes))) in
-    (slots, max header_bytes (Int64.to_int (Bytes.get_int64_le h 16)), header_bytes)
-  end
-
-(* Parse a v2 ("ODEXJRN2", 64-byte) single-slot header: the hashed slot
-   becomes a one-entry [Legacy_hash] table (only when its phase was
-   positive — v2 occupancy), and records start at the old offset. *)
-let parse_legacy_header ~payload_size ~engine_id h =
-  check_payload_size ~payload_size (Int64.to_int (Bytes.get_int64_le h 8));
-  if Bytes.get_int64_le h 56 <> fnv_bytes fnv_offset h 0 56 then
-    (empty_slots (), legacy_header_bytes, legacy_header_bytes)
-  else begin
-    check_engine ~engine_id (Bytes.get_int64_le h 48);
-    let slots = empty_slots () in
-    let phase = Int64.to_int (Bytes.get_int64_le h 24) in
-    if phase > 0 then
-      slots.(0) <-
-        Some
-          {
-            owner = Legacy_hash (Bytes.get_int64_le h 16);
-            phase;
-            cursor = Int64.to_int (Bytes.get_int64_le h 32);
-          };
-    (slots, max legacy_header_bytes (Int64.to_int (Bytes.get_int64_le h 40)), legacy_header_bytes)
+    (slots, max header_bytes (Int64.to_int (Bytes.get_int64_le h 16)))
   end
 
 (* ---- applying records to the inner store ----
@@ -302,8 +245,7 @@ let apply_record t ~addr ~count buf =
 
 (* ---- replay ----
 
-   Scan records from [start] (the opened format's record offset — 616
-   for v3 headers, 64 for legacy v2 files) up to the committed tail,
+   Scan records from the end of the header up to the committed tail,
    stopping early at the first torn or checksum-failing one (records are
    appended strictly in order, so nothing intact can follow a torn
    record), and redo each onto the inner store. Records beyond the
@@ -311,10 +253,10 @@ let apply_record t ~addr ~count buf =
    discarding them is what returns the store to the last commit
    boundary. *)
 
-let replay_records t ~start ~size =
+let replay_records t ~size =
   let hdr = Bytes.create record_header_bytes in
   let body = ref (Bigbuf.create 0) in
-  let pos = ref start in
+  let pos = ref header_bytes in
   let fin = min t.committed_tail size in
   let stop = ref false in
   while not !stop do
@@ -335,7 +277,7 @@ let replay_records t ~start ~size =
         if Bigbuf.length !body < len then body := Bigbuf.create len;
         if Bigio.read_upto t.fd ~pos:(!pos + record_header_bytes) !body ~off:0 ~len < len
         then stop := true
-        else if record_checksum t ~addr ~count !body 0 len <> cks then stop := true
+        else if record_checksum ~addr ~count !body 0 len <> cks then stop := true
         else begin
           apply_record t ~addr ~count !body;
           t.replay_log <- (addr, count) :: t.replay_log;
@@ -374,25 +316,15 @@ let commit t =
   else Backend.sync t.inner;
   t.commit_count <- t.commit_count + 1
 
-(* The slot owned by [owner]: an exact [Named] match first, then a v2
-   [Legacy_hash] slot whose hash matches (the migration path — the next
-   checkpoint upgrades it to the full string). -1 when absent. *)
+(* The slot owned by [owner]; -1 when absent. *)
 let find_slot t ~owner =
-  let hash = lazy (hash_owner owner) in
   let found = ref (-1) in
   Array.iteri
     (fun i s ->
       match s with
-      | Some { owner = Named o; _ } when !found < 0 && String.equal o owner -> found := i
+      | Some { owner = o; _ } when !found < 0 && String.equal o owner -> found := i
       | _ -> ())
     t.slots;
-  if !found < 0 then
-    Array.iteri
-      (fun i s ->
-        match s with
-        | Some { owner = Legacy_hash x; _ } when !found < 0 && x = Lazy.force hash -> found := i
-        | _ -> ())
-      t.slots;
   !found
 
 let validate_owner owner =
@@ -401,12 +333,7 @@ let validate_owner owner =
     invalid_arg
       (Printf.sprintf "Journal.checkpoint: owner %S exceeds %d bytes" owner max_owner_bytes)
 
-let occupied_owners t =
-  Array.to_list t.slots
-  |> List.filter_map (function
-       | Some { owner = Named o; _ } -> Some o
-       | Some { owner = Legacy_hash x; _ } -> Some (Printf.sprintf "<legacy %Lx>" x)
-       | None -> None)
+let occupied_owners t = Array.to_list t.slots |> List.filter_map (Option.map (fun s -> s.owner))
 
 let clear t ~owner =
   validate_owner owner;
@@ -447,7 +374,7 @@ let checkpoint t ~owner ~phase ~cursor =
                    (String.concat ", " (occupied_owners t)))
           | i -> i)
     in
-    t.slots.(i) <- Some { owner = Named owner; phase; cursor };
+    t.slots.(i) <- Some { owner; phase; cursor };
     write_header t;
     if t.durable then fsync_fd t.fd
   end
@@ -462,9 +389,7 @@ let state t ~owner =
 
 let slots t =
   Array.to_list t.slots
-  |> List.filter_map
-       (Option.map (fun { owner; phase; cursor } ->
-            ((match owner with Named o -> Some o | Legacy_hash _ -> None), phase, cursor)))
+  |> List.filter_map (Option.map (fun { owner; phase; cursor } -> (owner, phase, cursor)))
 
 let hold t = t.hold_depth <- t.hold_depth + 1
 
@@ -478,7 +403,7 @@ let append t ~addr ~count ~buf ~off =
   Bytes.set_int64_le hdr 0 (Int64.of_int len);
   Bytes.set_int64_le hdr 8 (Int64.of_int addr);
   Bytes.set_int64_le hdr 16 (Int64.of_int count);
-  Bytes.set_int64_le hdr 24 (record_checksum t ~addr ~count buf off len);
+  Bytes.set_int64_le hdr 24 (record_checksum ~addr ~count buf off len);
   (* Header before body: a crash between the two leaves a header whose
      checksum cannot match the missing body — the scan discards it. *)
   pwrite_all t.fd ~pos:t.tail hdr ~off:0 ~len:record_header_bytes;
@@ -611,11 +536,9 @@ let abandon t =
 
 (* ---- open ---- *)
 
-let create ?(auto_commit_bytes = 1 lsl 22) ?(engine = Cipher.Prf_xor) ~path ~payload_size
-    ~durable ~replay inner =
+let create ?(auto_commit_bytes = 1 lsl 22) ~path ~payload_size ~durable ~replay inner =
   if payload_size < 1 then invalid_arg "Journal.create: payload_size must be >= 1";
   if auto_commit_bytes < 1 then invalid_arg "Journal.create: auto_commit_bytes must be >= 1";
-  let engine_id = Cipher.engine_id engine in
   let fd =
     Backend.retry_eintr (fun () ->
         Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o600)
@@ -625,7 +548,6 @@ let create ?(auto_commit_bytes = 1 lsl 22) ?(engine = Cipher.Prf_xor) ~path ~pay
     {
       path;
       payload_size;
-      engine_id;
       inner;
       durable;
       auto_commit_bytes;
@@ -649,17 +571,16 @@ let create ?(auto_commit_bytes = 1 lsl 22) ?(engine = Cipher.Prf_xor) ~path ~pay
     write_header t;
     if durable then fsync_fd t.fd
   in
-  let open_existing (slots, committed_tail, records_start) =
+  let open_existing (slots, committed_tail) =
     if replay then begin
       t.slots <- slots;
       t.committed_tail <- committed_tail;
-      replay_records t ~start:records_start ~size;
+      replay_records t ~size;
       Backend.sync t.inner
     end;
     (* Committed records replayed, uncommitted tail (or, with
        [replay:false], everything) deliberately discarded: truncate and
-       persist the surviving checkpoint table — always in the v3 format,
-       so a legacy file is migrated in place. *)
+       persist the surviving checkpoint table. *)
     t.committed_tail <- header_bytes;
     Backend.retry_eintr (fun () -> Unix.ftruncate fd header_bytes);
     write_header t;
@@ -668,9 +589,10 @@ let create ?(auto_commit_bytes = 1 lsl 22) ?(engine = Cipher.Prf_xor) ~path ~pay
   (match
      (* The header is written front-to-first on every rewrite, so any
         file of >= 8 bytes carries an intact magic; shorter files (and
-        files shorter than their format's full header — a tear during
-        the very first header write) are fresh. Unknown magics fail
-        loudly: truncating a foreign file would destroy data. *)
+        files shorter than the full header — a tear during the very
+        first header write) are fresh. Unknown magics — a retired
+        format's included — fail loudly: truncating a foreign file would
+        destroy data. *)
      if size < 8 then start_fresh ()
      else begin
        let mg = Bytes.create 8 in
@@ -681,14 +603,7 @@ let create ?(auto_commit_bytes = 1 lsl 22) ?(engine = Cipher.Prf_xor) ~path ~pay
          else begin
            let h = Bytes.create header_bytes in
            ignore (pread_upto fd ~pos:0 h ~len:header_bytes);
-           open_existing (parse_header ~payload_size ~engine_id h)
-         end
-       else if mg = legacy_magic then
-         if size < legacy_header_bytes then start_fresh ()
-         else begin
-           let h = Bytes.create legacy_header_bytes in
-           ignore (pread_upto fd ~pos:0 h ~len:legacy_header_bytes);
-           open_existing (parse_legacy_header ~payload_size ~engine_id h)
+           open_existing (parse_header ~payload_size h)
          end
        else invalid_arg "Journal: unrecognized journal format (bad magic)"
      end

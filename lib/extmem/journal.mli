@@ -36,12 +36,10 @@
     nothing committed" — a full restart from the previous boundary —
     never as a wrong checkpoint or a half-committed group.
 
-    {b Format compatibility.} The current format is v3 ("ODEXJRN3"). A
-    v2 journal ("ODEXJRN2", one FNV-hashed slot, last writer wins)
-    reopens cleanly: its slot parses as a one-entry legacy-hash table —
-    matched by hash until its owner checkpoints again, which upgrades
-    the slot to the full string — its committed records replay from the
-    old record offset, and the file is rewritten in the v3 format. *)
+    {b Format.} The one accepted format is v3 ("ODEXJRN3"), whose header
+    records the cipher engine id (ChaCha20, id 2). A file with any other
+    magic — the retired v2 single-slot format included — or naming any
+    other engine is refused and left untouched. *)
 
 type t
 
@@ -53,12 +51,11 @@ val max_owner_bytes : int
 (** Longest owner string a slot can store (40 bytes). *)
 
 val header_bytes : int
-(** Size of the v3 header — the file offset at which records begin.
+(** Size of the header — the file offset at which records begin.
     Exposed for the tests and tooling that do journal-file surgery. *)
 
 val create :
   ?auto_commit_bytes:int ->
-  ?engine:Odex_crypto.Cipher.engine ->
   path:string ->
   payload_size:int ->
   durable:bool ->
@@ -67,25 +64,24 @@ val create :
   t
 (** Open (creating if missing) the journal at [path] over the given
     inner backend. With [replay:true] the committed records are
-    re-applied to the inner store and the checkpoint table is restored
-    (a v2 single-slot header restores as a one-entry table); uncommitted
+    re-applied to the inner store and the checkpoint table is restored; uncommitted
     leftovers are discarded either way, and [replay:false] additionally
     drops committed records and the whole checkpoint table (the store
     starts logically fresh). Either way the journal file ends empty but
-    for its (v3) header. [durable] controls the fsync-before-marker
+    for its header. [durable] controls the fsync-before-marker
     discipline (and header fsyncs); disable it only where crashes are
     simulated in-process, e.g. the test sweeps, where the page cache
     survives the "crash" anyway. [auto_commit_bytes] (default 4 MiB)
     bounds the pending tail: a write that pushes past it triggers an
     automatic {!commit}, except while a {!hold} is outstanding.
 
-    [engine] (default [Prf_xor]) names the cipher engine the sealed
-    payloads in this journal are ciphertext under. The id is recorded in
-    the journal header and seeds every record checksum: reopening an
-    existing journal under a different engine raises (replaying
-    ciphertext that will be unsealed under the wrong keystream would
-    garble the store silently). Raises [Invalid_argument] on a foreign
-    file, a payload-size mismatch or an engine mismatch. *)
+    The header records the engine id of the sealed payloads (ChaCha20,
+    id 2), and the id seeds every record checksum. Raises
+    [Invalid_argument], leaving the file untouched, on a foreign or
+    retired-format file (bad magic), a payload-size mismatch, or a
+    header naming a retired engine (replaying ciphertext that would be
+    unsealed under the wrong keystream would garble the store
+    silently). *)
 
 val backend : t -> Backend.t
 (** The journaled decorator (kind ["journaled"]). [sync] on it is
@@ -114,8 +110,7 @@ val checkpoint : t -> owner:string -> phase:int -> cursor:int -> unit
 (** {!commit}, then durably record in [owner]'s table slot that its
     computation has completed [phase] (with an opaque non-negative
     [cursor], e.g. a scratch-array base address). Upserts: an existing
-    slot for [owner] (including a legacy-hash slot from a v2 header) is
-    overwritten, otherwise a free slot is taken. [(0, 0)] is the
+    slot for [owner] is overwritten, otherwise a free slot is taken. [(0, 0)] is the
     reserved "no checkpoint" value: [checkpoint ~phase:0 ~cursor:0] is
     {!clear}. Raises [Invalid_argument] on a negative [phase] {e or}
     [cursor] (a negative cursor would aim a resume at a bogus base), on
@@ -134,10 +129,9 @@ val state : t -> owner:string -> int * int
     cannot write [(0, 0)] into a live slot, so the two cases read back
     identically by construction, not by sentinel collision. *)
 
-val slots : t -> (string option * int * int) list
+val slots : t -> (string * int * int) list
 (** The occupied checkpoint slots as [(owner, phase, cursor)] triples,
-    in table order; [None] owners are unmigrated v2 legacy-hash slots.
-    Introspection for tests and tooling. *)
+    in table order. Introspection for tests and tooling. *)
 
 val path : t -> string
 

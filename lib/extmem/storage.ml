@@ -41,7 +41,6 @@ type t = {
   payload_size : int;
   backend : Backend.t;
   kind : string;  (** The device kind underneath any instrumentation shim. *)
-  engine : Cipher.engine;
   mutable used : int;
   stats : Stats.t;
   trace : Trace.t;
@@ -80,31 +79,92 @@ let rec shard_member_spec i = function
       invalid_arg "Storage: Journaled inside Sharded is not supported (journal the stripe)"
   | Crashing _ -> invalid_arg "Storage: Crashing inside Sharded is not supported"
 
+(* ---- store header: the sealing state that must survive the process.
+
+   A reopened File store MUST NOT restart the nonce counter: Bob may
+   have retained every ciphertext ever written, and re-sealing under an
+   already-used nonce is a two-time pad against them. The header
+   (persisted through {!Backend.write_meta}, which the file backend
+   keeps in its fixed 64-byte file header) records a conservative
+   high-water mark: before a nonce at or above the persisted mark is
+   used, the mark is pushed [nonce_chunk] ahead and written out — so at
+   most one out-of-band metadata write per 2^16 seals, and after a crash
+   the store resumes from the persisted mark, skipping at most
+   [nonce_chunk] never-used nonces (nonces are a resource of size 2^62;
+   burning a few is free, reusing one is fatal). [sync]/[close] persist
+   the exact counter, so a cleanly closed store resumes with no gap.
+
+   The header (version 2, 32 bytes) also records the cipher engine id:
+   ChaCha20 (id 2) is the only engine, and any other id — id 1 was the
+   retired PRF keystream — is refused rather than unsealed with the
+   wrong keystream. Version 1 (24 bytes, pre-engines) is likewise
+   refused. *)
+
+let header_version = 2L
+let header_bytes = 32
+let nonce_chunk = 1 lsl 16
+
+let build_header t =
+  let m = Bytes.create header_bytes in
+  Bytes.set_int64_le m 0 header_version;
+  Bytes.set_int64_le m 8 (Int64.of_int t.block_size);
+  Bytes.set_int64_le m 16 (Int64.of_int t.nonce_reserved);
+  Bytes.set_int64_le m 24 (Cipher.engine_id Cipher.Chacha20);
+  m
+
+let write_header t = Backend.write_meta t.backend (build_header t)
+
+(* Returns the nonce high-water mark. *)
+let parse_header ~block_size m =
+  if Bytes.length m < 8 then invalid_arg "Storage: corrupt store header";
+  let v = Bytes.get_int64_le m 0 in
+  if v <> header_version then
+    invalid_arg (Printf.sprintf "Storage: unsupported store header version %Ld" v);
+  if Bytes.length m < header_bytes then invalid_arg "Storage: corrupt store header";
+  let bs = Int64.to_int (Bytes.get_int64_le m 8) in
+  if bs <> block_size then
+    invalid_arg
+      (Printf.sprintf "Storage: store was created with block_size %d, reopened with %d" bs
+         block_size);
+  let hw = Int64.to_int (Bytes.get_int64_le m 16) in
+  if hw < 0 then invalid_arg "Storage: corrupt store header (nonce high-water)";
+  Cipher.check_engine_id ~who:"Storage: store header" (Bytes.get_int64_le m 24);
+  hw
+
 (* Instantiation returns the backend plus the journal handle when the
    spec tree contains a [Journaled] layer ([resume] decides whether that
-   journal replays its redo log or starts fresh). *)
-let rec instantiate ~payload_size ~engine ~resume ~auto_commit_bytes = function
+   journal replays its redo log or starts fresh). The store header is
+   checked before a journal opens, so a refused store is never replayed
+   into. *)
+let rec instantiate ~block_size ~payload_size ~resume ~auto_commit_bytes = function
   | Mem -> (Backend.mem ~payload_size (), None)
   | File { path } -> (Backend.file ~path ~payload_size, None)
   | Faulty { inner; seed; failure_rate; max_burst } ->
-      let b, j = instantiate ~payload_size ~engine ~resume ~auto_commit_bytes inner in
+      let b, j = instantiate ~block_size ~payload_size ~resume ~auto_commit_bytes inner in
       (Backend.faulty { Backend.seed; failure_rate; max_burst } b, j)
   | Crashing { inner; ops } ->
-      let b, j = instantiate ~payload_size ~engine ~resume ~auto_commit_bytes inner in
+      let b, j = instantiate ~block_size ~payload_size ~resume ~auto_commit_bytes inner in
       (Backend.crash_after ~ops b, j)
   | Sharded { inner; shards; seed } ->
       if shards < 1 then invalid_arg "Storage: shards must be >= 1";
       ( Backend.sharded ~seed
           (Array.init shards (fun i ->
                fst
-                 (instantiate ~payload_size ~engine ~resume ~auto_commit_bytes
+                 (instantiate ~block_size ~payload_size ~resume ~auto_commit_bytes
                     (shard_member_spec i inner)))),
         None )
   | Journaled { inner; path; durable } ->
-      let b, j = instantiate ~payload_size ~engine ~resume ~auto_commit_bytes inner in
+      let b, j = instantiate ~block_size ~payload_size ~resume ~auto_commit_bytes inner in
       if Option.is_some j then invalid_arg "Storage: nested Journaled specs are not supported";
       let journal =
-        Journal.create ?auto_commit_bytes ~engine ~path ~payload_size ~durable ~replay:resume b
+        match
+          Option.iter (fun m -> ignore (parse_header ~block_size m)) (Backend.read_meta b);
+          Journal.create ?auto_commit_bytes ~path ~payload_size ~durable ~replay:resume b
+        with
+        | j -> j
+        | exception e ->
+            Backend.close b;
+            raise e
       in
       (Journal.backend journal, Some journal)
 
@@ -129,65 +189,7 @@ let rec remove_spec_files = function
         remove_spec_files (shard_member_spec i inner)
       done
 
-(* ---- store header: the sealing state that must survive the process.
-
-   A reopened File store MUST NOT restart the nonce counter: Bob may
-   have retained every ciphertext ever written, and re-sealing under an
-   already-used nonce is a two-time pad against them. The header
-   (persisted through {!Backend.write_meta}, which the file backend
-   keeps in its fixed 64-byte file header) records a conservative
-   high-water mark: before a nonce at or above the persisted mark is
-   used, the mark is pushed [nonce_chunk] ahead and written out — so at
-   most one out-of-band metadata write per 2^16 seals, and after a crash
-   the store resumes from the persisted mark, skipping at most
-   [nonce_chunk] never-used nonces (nonces are a resource of size 2^62;
-   burning a few is free, reusing one is fatal). [sync]/[close] persist
-   the exact counter, so a cleanly closed store resumes with no gap.
-
-   Version 2 appends the cipher engine id: unsealing ChaCha20 ciphertext
-   with the PRF keystream (or vice versa) garbles every block silently,
-   so reopening under a different engine than the store was sealed with
-   must fail loudly instead. Version 1 headers (24 bytes, pre-engines)
-   parse as [Prf_xor] — exactly what sealed them. *)
-
-let header_version = 2L
-let nonce_chunk = 1 lsl 16
-
-let build_header t =
-  let m = Bytes.create 32 in
-  Bytes.set_int64_le m 0 header_version;
-  Bytes.set_int64_le m 8 (Int64.of_int t.block_size);
-  Bytes.set_int64_le m 16 (Int64.of_int t.nonce_reserved);
-  Bytes.set_int64_le m 24 (Cipher.engine_id t.engine);
-  m
-
-let write_header t = Backend.write_meta t.backend (build_header t)
-
-let engine_id_name id =
-  match Cipher.engine_of_id id with
-  | Some e -> Cipher.engine_name e
-  | None -> Printf.sprintf "unknown (id %Ld)" id
-
-(* Returns (nonce high-water, sealed-under engine id). *)
-let parse_header ~block_size m =
-  if Bytes.length m < 24 then invalid_arg "Storage: corrupt store header";
-  let v = Bytes.get_int64_le m 0 in
-  if v <> 1L && v <> header_version then
-    invalid_arg (Printf.sprintf "Storage: unsupported store header version %Ld" v);
-  let bs = Int64.to_int (Bytes.get_int64_le m 8) in
-  if bs <> block_size then
-    invalid_arg
-      (Printf.sprintf "Storage: store was created with block_size %d, reopened with %d" bs
-         block_size);
-  let hw = Int64.to_int (Bytes.get_int64_le m 16) in
-  if hw < 0 then invalid_arg "Storage: corrupt store header (nonce high-water)";
-  if v = 1L then (hw, Cipher.engine_id Cipher.Prf_xor)
-  else begin
-    if Bytes.length m < 32 then invalid_arg "Storage: corrupt store header";
-    (hw, Bytes.get_int64_le m 24)
-  end
-
-let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = Trace.Digest)
+let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = Trace.Digest)
     ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(batching = true)
     ?(resume = false) ?journal_auto_commit_bytes ~block_size () =
   if block_size < 1 then invalid_arg "Storage.create: block_size must be >= 1";
@@ -198,8 +200,8 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
   let payload_size = Flat.stride_of ~block_size in
   let stripe = stripe_of_spec backend in
   let raw, journal =
-    instantiate ~payload_size ~engine:cipher_engine ~resume
-      ~auto_commit_bytes:journal_auto_commit_bytes backend
+    instantiate ~block_size ~payload_size ~resume ~auto_commit_bytes:journal_auto_commit_bytes
+      backend
   in
   let kind = Backend.kind raw in
   let tel = Option.value telemetry ~default:Telemetry.disabled in
@@ -208,17 +210,14 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
      untouched. *)
   let backend = if Telemetry.enabled tel then Backend.instrument tel raw else raw in
   let nonce_hw =
-    match Backend.read_meta backend with
-    | Some m ->
-        let hw, engine_id = parse_header ~block_size m in
-        if engine_id <> Cipher.engine_id cipher_engine then
-          invalid_arg
-            (Printf.sprintf
-               "Storage: store is sealed under cipher engine %s, reopened with %s"
-               (engine_id_name engine_id)
-               (Cipher.engine_name cipher_engine));
-        hw
+    match Option.map (parse_header ~block_size) (Backend.read_meta backend) with
+    | Some hw -> hw
     | None -> 0
+    | exception e ->
+        (* A refused store is released untouched: the header is only
+           rewritten once it has been accepted. *)
+        Backend.close backend;
+        raise e
   in
   let t =
     {
@@ -226,7 +225,6 @@ let create ?cipher ?(cipher_engine = Cipher.Prf_xor) ?telemetry ?(trace_mode = T
       payload_size;
       backend;
       kind;
-      engine = cipher_engine;
       used = (if resume then Backend.size backend else 0);
       stats = Stats.create ();
       trace = Trace.create ~telemetry:tel trace_mode;
@@ -264,7 +262,6 @@ let trace t = t.trace
 let telemetry t = t.tel
 let backend_kind t = t.kind
 let batching t = t.batching
-let cipher_engine t = t.engine
 let faults_injected t = Backend.faults_injected t.backend
 let next_nonce t = Option.map (fun cs -> cs.next_nonce) t.cipher
 let scratch_bytes t = Bigbuf.length (Flat.buffer t.run_buf)

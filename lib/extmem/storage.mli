@@ -98,15 +98,13 @@ val create :
     seconds between attempts where [backoff = (base, cap)] (default
     [1e-6, 1e-4] — real but negligible delays).
 
-    [cipher_engine] (default [Prf_xor]) selects the keystream generator
-    blocks are sealed under when a [cipher] key is supplied — see
-    {!Odex_crypto.Cipher.engine}. The engine id is recorded in the store
-    header (and the journal header, on a [Journaled] spec): reopening a
-    persistent store under a different engine than it was sealed with
-    raises [Invalid_argument] instead of silently unsealing ciphertext
-    with the wrong keystream. Engine choice is invisible to Bob — traces,
-    stats and the nonce schedule are engine-independent (pair-tested);
-    only the ciphertext bytes (and the keystream cost) differ.
+    [cipher_engine] takes one value, [Chacha20] (the default): blocks
+    are sealed under ChaCha20 when a [cipher] key is supplied — see
+    {!Odex_crypto.Cipher}. The engine id is recorded in the store header
+    (and the journal header, on a [Journaled] spec): reopening a
+    persistent store whose header names any other engine — id 1 was the
+    retired PRF keystream — raises [Invalid_argument] instead of
+    silently unsealing ciphertext with the wrong keystream.
 
     [telemetry] (default: the disabled sink) wires this store into a
     profiling sink: every backend call is timed (through
@@ -128,10 +126,9 @@ val create :
     nonce (the two-time-pad reopen bug). The mark is persisted ahead of
     use in 2^16-nonce reservations and exactly on {!sync}/{!close}; a
     crash therefore costs at most one reservation of skipped (never
-    used) nonces. Reopening with a different [block_size] or a different
-    [cipher_engine] than the store was created with raises
-    [Invalid_argument]. (Pre-engine version-1 headers read back as
-    [Prf_xor] — exactly what sealed them.)
+    used) nonces. Reopening with a different [block_size], a header of
+    another version than 2, or a header naming a retired engine raises
+    [Invalid_argument] and leaves the store's files untouched.
 
     [resume] (default [false]) controls whether the blocks already
     present on a persistent backend become addressable: with
@@ -169,10 +166,6 @@ val backend_kind : t -> string
 val batching : t -> bool
 (** Whether run transfers ({!read_flat}, {!read_many}, …) use
     multi-block backend runs. *)
-
-val cipher_engine : t -> Odex_crypto.Cipher.engine
-(** The keystream engine this store seals under (meaningful only when a
-    cipher key was supplied; reported regardless). *)
 
 val shard_ios : t -> int array
 (** Per-shard counts of block ops served by a [Sharded] backend ([[||]]
@@ -293,10 +286,9 @@ val checkpoint_state : t -> owner:string -> int * int
     and a header torn mid-write degrades to an empty table, never to a
     wrong slot). *)
 
-val checkpoint_slots : t -> (string option * int * int) list
-(** The occupied checkpoint slots as [(owner, phase, cursor)] — [None]
-    owners are unmigrated v2 legacy-hash slots; [[]] on unjournaled
-    stores. Introspection for tests and tooling. *)
+val checkpoint_slots : t -> (string * int * int) list
+(** The occupied checkpoint slots as [(owner, phase, cursor)]; [[]] on
+    unjournaled stores. Introspection for tests and tooling. *)
 
 val journal_replay : t -> (int * int) list
 (** The (addr, count) runs journal replay re-applied when this store was

@@ -211,11 +211,6 @@ let pp_op ppf = function
   | Retry_read addr -> Format.fprintf ppf "rR%d" addr
   | Retry_write addr -> Format.fprintf ppf "rW%d" addr
 
-let pp_span ppf (s : span) =
-  Format.fprintf ppf "%s%s [%d..%d] %Lx"
-    (String.make (2 * s.depth) ' ')
-    s.label s.start_length s.end_length s.end_hash
-
 (* A [Full] dump keeps at most [pp_keep] ops from each end: a failing
    pair-test over a multi-million-op trace must not flood the terminal
    (the digest and the span reports carry the diagnostic weight; the raw

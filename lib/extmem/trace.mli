@@ -111,5 +111,4 @@ val diverging_label : t -> t -> string option
 val reset : t -> unit
 
 val pp_op : Format.formatter -> op -> unit
-val pp_span : Format.formatter -> span -> unit
 val pp : Format.formatter -> t -> unit

@@ -91,12 +91,12 @@ let pair_inputs_isomorphic ~seed ~n =
    live trace (for span divergence) alongside the summary numbers. The
    storage is closed before returning so a file-backed pair can reuse one
    path for both runs. *)
-let execute ?telemetry ?cipher ?cipher_engine subject ~backend ~b ~m ~seed cells =
+let execute ?telemetry ?cipher subject ~backend ~b ~m ~seed cells =
   (* Zero backoff: the harness compares traces, not wall-clock, and a
      fuzzed faulty backend injects thousands of retries per run —
      sleeping through real (if tiny) delays would dominate the suite. *)
   let s =
-    Storage.create ?telemetry ?cipher ?cipher_engine ~trace_mode:Trace.Digest ~backend
+    Storage.create ?telemetry ?cipher ~trace_mode:Trace.Digest ~backend
       ~backoff:(0., 0.) ~block_size:b ()
   in
   let kind = Storage.backend_kind s in
@@ -142,7 +142,7 @@ let shard_divergence strs_a strs_b =
     find 0
 
 let check ?(seed = 0x0b5e55) ?(backend = Storage.Mem) ?backend_b ?telemetry ?cipher
-    ?cipher_engine ?(pair = `Disjoint) ?(multi_server = false) subject ~n_cells ~b ~m =
+    ?(pair = `Disjoint) ?(multi_server = false) subject ~n_cells ~b ~m =
   let backend_b = Option.value backend_b ~default:backend in
   let cells_a, cells_b =
     match pair with
@@ -153,10 +153,10 @@ let check ?(seed = 0x0b5e55) ?(backend = Storage.Mem) ?backend_b ?telemetry ?cip
      uninstrumented: [oblivious = true] then also certifies that enabling
      telemetry changed not a single trace op. *)
   let tr_a, strs_a, run_a, kind =
-    execute ?telemetry ?cipher ?cipher_engine subject ~backend ~b ~m ~seed cells_a
+    execute ?telemetry ?cipher subject ~backend ~b ~m ~seed cells_a
   in
   let tr_b, strs_b, run_b, _ =
-    execute ?cipher ?cipher_engine subject ~backend:backend_b ~b ~m ~seed cells_b
+    execute ?cipher subject ~backend:backend_b ~b ~m ~seed cells_b
   in
   let combined_ok = Trace.equal tr_a tr_b in
   (* The per-server tier: each shard is its own adversary, so each

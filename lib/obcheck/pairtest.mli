@@ -96,7 +96,6 @@ val check :
   ?backend_b:Storage.backend_spec ->
   ?telemetry:Odex_telemetry.Telemetry.t ->
   ?cipher:Odex_crypto.Cipher.key ->
-  ?cipher_engine:Odex_crypto.Cipher.engine ->
   ?pair:[ `Disjoint | `Isomorphic ] ->
   ?multi_server:bool ->
   subject ->
@@ -137,9 +136,8 @@ val check :
     the assertion that profiling is invisible to Bob: the instrumented
     trace is bit-identical to the uninstrumented one.
 
-    [cipher] and [cipher_engine] are forwarded to both runs'
-    {!Odex_extmem.Storage.create}: sealing under a real keystream engine
-    must not move a single trace op.
+    [cipher] is forwarded to both runs' {!Odex_extmem.Storage.create}:
+    sealing under ChaCha20 must not move a single trace op.
 
     [pair] selects the input pair: [`Disjoint] (default,
     {!pair_inputs}) for fixed-trace subjects, [`Isomorphic]

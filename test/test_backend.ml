@@ -26,13 +26,13 @@ let test_backend_bounds () =
   let b = Backend.mem ~payload_size:16 () in
   Backend.ensure b 4;
   Alcotest.check_raises "mem read past end" (Invalid_argument "Backend.Mem: address 4 out of bounds (4)")
-    (fun () -> ignore (Backend.read b 4));
+    (fun () -> ignore (Util.read_block b 4));
   with_temp_store (fun path ->
       let f = Backend.file ~path ~payload_size:8 in
       Backend.ensure f 2;
       Alcotest.check_raises "file payload size enforced"
-        (Invalid_argument "Backend.write: payload has wrong size") (fun () ->
-          Backend.write f 0 (Bytes.create 7));
+        (Invalid_argument "Backend.File.write: buffer region out of bounds") (fun () ->
+          Backend.write_from f 0 ~buf:(Odex_crypto.Bigbuf.create 7) ~off:0);
       Backend.close f)
 
 let test_faulty_plan_validation () =
@@ -54,13 +54,13 @@ let test_file_persistence () =
       let b = Backend.file ~path ~payload_size:16 in
       Backend.ensure b 8;
       for i = 0 to 7 do
-        Backend.write b i (payload i)
+        Util.write_block b i (payload i)
       done;
       Backend.sync b;
       Backend.close b;
       let b' = Backend.file ~path ~payload_size:16 in
       for i = 7 downto 0 do
-        Alcotest.(check bytes) (Printf.sprintf "block %d" i) (payload i) (Backend.read b' i)
+        Alcotest.(check bytes) (Printf.sprintf "block %d" i) (payload i) (Util.read_block b' i)
       done;
       Backend.close b')
 
@@ -449,21 +449,16 @@ let test_torn_store_rejected () =
   with_temp_store (fun path ->
       let b = Backend.file ~path ~payload_size:16 in
       Backend.ensure b 4;
-      Backend.write b 0 (Bytes.make 16 'a');
+      Util.write_block b 0 (Bytes.make 16 'a');
       Backend.sync b;
       Backend.close b;
       (* Tear the tail: 5 bytes of a sixth... fifth block. *)
       let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
       ignore (Unix.write fd (Bytes.make 5 'x') 0 5);
       Unix.close fd;
-      let contains s sub =
-        let n = String.length s and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) "torn store refused with a clear error" true
         (match Backend.file ~path ~payload_size:16 with
-        | exception Invalid_argument msg -> contains msg "torn store" && contains msg "5"
+        | exception Invalid_argument msg -> Util.contains msg "torn store" && Util.contains msg "5"
         | b ->
             Backend.close b;
             false);
@@ -473,7 +468,7 @@ let test_torn_store_rejected () =
       Unix.close fd;
       let b = Backend.file ~path ~payload_size:16 in
       Alcotest.(check bytes) "intact blocks still readable" (Bytes.make 16 'a')
-        (Backend.read b 0);
+        (Util.read_block b 0);
       Backend.close b)
 
 (* EINTR hammer: a high-frequency interval timer delivers SIGALRM
@@ -499,13 +494,13 @@ let test_eintr_retried () =
           Backend.ensure b n;
           for round = 0 to 3 do
             for i = 0 to n - 1 do
-              Backend.write b i (payload (i + round))
+              Util.write_block b i (payload (i + round))
             done;
             Backend.sync b;
             for i = 0 to n - 1 do
               Alcotest.(check bytes)
                 (Printf.sprintf "round %d block %d" round i)
-                (payload (i + round)) (Backend.read b i)
+                (payload (i + round)) (Util.read_block b i)
             done
           done;
           Backend.close b);

@@ -168,9 +168,10 @@ let test_backend_run_edges () =
     Alcotest.(check bytes) (name ^ ": full-run roundtrip") (Bigbuf.to_bytes buf)
       (Bigbuf.to_bytes out);
     (* count = 1 equals the single-block API. *)
-    let one = Bigbuf.create payload in
+    let one = Bigbuf.create payload and single = Bigbuf.create payload in
     Backend.read_run bk ~addr:3 ~count:1 ~payload ~buf:one ~off:0;
-    Alcotest.(check bytes) (name ^ ": run of one") (Backend.read bk 3) (Bigbuf.to_bytes one);
+    Backend.read_into bk 3 ~buf:single ~off:0;
+    Alcotest.(check bytes) (name ^ ": run of one") (Bigbuf.to_bytes single) (Bigbuf.to_bytes one);
     (* Out-of-bounds address windows and undersized buffers raise before
        any byte moves. *)
     let is_oob = function Invalid_argument _ -> true | _ -> false in

@@ -1,17 +1,62 @@
 open Odex_extmem
+module Bigbuf = Odex_crypto.Bigbuf
 
 let cell_t = Alcotest.testable Cell.pp Cell.equal
 
+(* The one cell codec, [Cell.encode_big]/[decode_big], round-trips at
+   the start of a buffer and at an interior offset. *)
 let test_cell_roundtrip () =
-  let buf = Bytes.create Cell.encoded_size in
+  let buf = Bigbuf.create (3 * Cell.encoded_size) in
   let samples =
-    [ Cell.empty; Cell.item ~key:7 ~value:(-3) (); Cell.item ~tag:99 ~key:min_int ~value:max_int () ]
+    [
+      Cell.empty;
+      Cell.item ~key:7 ~value:(-3) ();
+      Cell.item ~tag:99 ~aux:(-1) ~key:min_int ~value:max_int ();
+    ]
   in
   List.iter
-    (fun c ->
-      Cell.encode buf 0 c;
-      Alcotest.check cell_t "roundtrip" c (Cell.decode buf 0))
-    samples
+    (fun off ->
+      List.iter
+        (fun c ->
+          Cell.encode_big buf off c;
+          Alcotest.check cell_t (Printf.sprintf "roundtrip at %d" off) c (Cell.decode_big buf off))
+        samples)
+    [ 0; 13; 2 * Cell.encoded_size ]
+
+(* The bucket kernels zero tail cells rather than encoding [Empty]: an
+   all-zero image must decode to [Empty], and [Empty] must encode to
+   all zeros. *)
+let test_zero_image_is_empty () =
+  let b = 5 in
+  let zeros = Bigbuf.create (Block.encoded_size b) in
+  Array.iteri
+    (fun i c -> Alcotest.check cell_t (Printf.sprintf "zero image cell %d" i) Cell.empty c)
+    (Block.decode_from_big ~block_size:b zeros 0);
+  let buf = Bigbuf.create Cell.encoded_size in
+  Bigbuf.fill buf '\xff';
+  Cell.encode_big buf 0 Cell.empty;
+  Alcotest.(check string) "empty encodes to zeros" (String.make Cell.encoded_size '\000')
+    (Bigbuf.sub_string buf 0 Cell.encoded_size);
+  let flat = Flat.create ~block_size:b ~blocks:2 in
+  let off = Flat.cell_offset flat ~block:1 ~slot:3 in
+  Flat.set_cell flat off (Cell.item ~key:1 ~value:2 ());
+  Flat.clear_cell flat off;
+  Alcotest.check cell_t "cleared image decodes to empty" Cell.empty
+    (Cell.decode_big (Flat.buffer flat) off)
+
+(* A constructor word other than 0 (empty) or 1 (item) is corrupt — a
+   wrong key or a torn block — and must raise, never decode. *)
+let test_bad_constructor_word () =
+  let b = 2 in
+  let buf = Bigbuf.create (Block.encoded_size b) in
+  Block.encode_into_big [| Cell.item ~key:1 ~value:1 (); Cell.empty |] buf 0;
+  Bigbuf.set64_le buf Cell.encoded_size 2L;
+  Alcotest.check_raises "cell decode"
+    (Invalid_argument "Cell.decode_big: bad constructor word 2") (fun () ->
+      ignore (Cell.decode_big buf Cell.encoded_size));
+  Alcotest.check_raises "block decode"
+    (Invalid_argument "Cell.decode_big: bad constructor word 2") (fun () ->
+      ignore (Block.decode_from_big ~block_size:b buf 0))
 
 let test_cell_ordering () =
   let a = Cell.item ~key:1 ~value:0 () in
@@ -45,8 +90,17 @@ let test_block_basics () =
   Alcotest.(check bool) "not full" false (Block.is_full blk);
   Alcotest.(check (list int)) "items order" [ 1; 2 ]
     (List.map (fun (it : Cell.item) -> it.key) (Block.items blk));
-  let decoded = Block.decode ~block_size:4 (Block.encode blk) in
-  Array.iteri (fun i c -> Alcotest.check cell_t "encode roundtrip" blk.(i) c) decoded
+  let off = 8 in
+  let buf = Bigbuf.create (off + Block.encoded_size 4) in
+  Block.encode_into_big blk buf off;
+  let decoded = Block.decode_from_big ~block_size:4 buf off in
+  Array.iteri (fun i c -> Alcotest.check cell_t "encode roundtrip" blk.(i) c) decoded;
+  Alcotest.check_raises "encode past the end"
+    (Invalid_argument "Block.encode_into_big: region out of bounds") (fun () ->
+      Block.encode_into_big blk buf (off + 1));
+  Alcotest.check_raises "decode past the end"
+    (Invalid_argument "Block.decode_from_big: region out of bounds") (fun () ->
+      ignore (Block.decode_from_big ~block_size:4 buf (off + 1)))
 
 let test_block_sort () =
   let blk =
@@ -244,27 +298,22 @@ let test_cache_flush_all_order () =
 (* A [Full] trace dump keeps only the first and last [pp_keep] ops; a
    multi-million-op trace must never flood a failing test's output. *)
 let test_trace_pp_truncation () =
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let tr = Trace.create Trace.Full in
   for i = 0 to 199 do
     Trace.record tr (Trace.Read i)
   done;
   let out = Format.asprintf "%a" Trace.pp tr in
-  Alcotest.(check bool) "head kept" true (contains out "R0");
-  Alcotest.(check bool) "tail kept" true (contains out "R199");
-  Alcotest.(check bool) "middle elided" false (contains out "R100");
-  Alcotest.(check bool) "elision marker" true (contains out "(136 ops elided)");
+  Alcotest.(check bool) "head kept" true (Util.contains out "R0");
+  Alcotest.(check bool) "tail kept" true (Util.contains out "R199");
+  Alcotest.(check bool) "middle elided" false (Util.contains out "R100");
+  Alcotest.(check bool) "elision marker" true (Util.contains out "(136 ops elided)");
   let short = Trace.create Trace.Full in
   for i = 0 to 9 do
     Trace.record short (Trace.Write i)
   done;
   let out = Format.asprintf "%a" Trace.pp short in
-  Alcotest.(check bool) "short trace printed whole" false (contains out "elided");
-  Alcotest.(check bool) "short trace has every op" true (contains out "W9")
+  Alcotest.(check bool) "short trace printed whole" false (Util.contains out "elided");
+  Alcotest.(check bool) "short trace has every op" true (Util.contains out "W9")
 
 let test_emodel () =
   Alcotest.(check int) "ceil_div" 3 (Emodel.ceil_div 7 3);
@@ -285,14 +334,44 @@ let test_emodel () =
   Alcotest.(check bool) "tall cache holds" true (Emodel.tall_cache_ok ~block_size:8 64);
   Alcotest.(check bool) "tall cache fails" false (Emodel.tall_cache_ok ~block_size:64 100)
 
+let gen_cell =
+  QCheck2.Gen.(
+    oneof
+      [
+        pure Cell.empty;
+        map
+          (fun (key, value, tag, aux) -> Cell.item ~tag ~aux ~key ~value ())
+          (quad int int int int);
+      ])
+
 let prop_cell_roundtrip =
   Util.qcheck_case ~name:"cell encode/decode roundtrip"
-    QCheck2.Gen.(triple int int int)
-    (fun (key, value, tag) ->
-      let c = Cell.item ~tag ~key ~value () in
-      let buf = Bytes.create Cell.encoded_size in
-      Cell.encode buf 0 c;
-      Cell.equal c (Cell.decode buf 0))
+    QCheck2.Gen.(pair gen_cell (int_range 0 64))
+    (fun (c, off) ->
+      let buf = Bigbuf.create (off + Cell.encoded_size) in
+      Cell.encode_big buf off c;
+      Cell.equal c (Cell.decode_big buf off))
+
+(* decode ∘ encode = id at any slot of a [Flat] run, and the encode
+   touches no other cell image of the run. *)
+let prop_cell_roundtrip_flat_slot =
+  Util.qcheck_case ~name:"cell codec at random flat slots"
+    QCheck2.Gen.(quad (int_range 1 8) (int_range 1 6) nat gen_cell)
+    (fun (b, blocks, pick, c) ->
+      let flat = Flat.create ~block_size:b ~blocks in
+      let buf = Flat.buffer flat in
+      let offs =
+        List.init (b * blocks) (fun i -> Flat.cell_offset flat ~block:(i / b) ~slot:(i mod b))
+      in
+      List.iteri (fun i off -> Cell.encode_big buf off (Cell.item ~key:i ~value:(-i) ())) offs;
+      let target = pick mod (b * blocks) in
+      Cell.encode_big buf (List.nth offs target) c;
+      List.for_all Fun.id
+        (List.mapi
+           (fun i off ->
+             let want = if i = target then c else Cell.item ~key:i ~value:(-i) () in
+             Cell.equal want (Cell.decode_big buf off))
+           offs))
 
 let prop_storage_roundtrip_encrypted =
   Util.qcheck_case ~name:"encrypted storage write/read roundtrip" ~count:50
@@ -310,6 +389,8 @@ let prop_storage_roundtrip_encrypted =
 let suite =
   [
     ("cell encode roundtrip", `Quick, test_cell_roundtrip);
+    ("cell zero image is empty", `Quick, test_zero_image_is_empty);
+    ("cell bad constructor word", `Quick, test_bad_constructor_word);
     ("cell ordering", `Quick, test_cell_ordering);
     ("cell accessors", `Quick, test_cell_accessors);
     ("block basics", `Quick, test_block_basics);
@@ -328,5 +409,6 @@ let suite =
     ("cache flush_all", `Quick, test_cache_flush_all_order);
     ("emodel arithmetic", `Quick, test_emodel);
     prop_cell_roundtrip;
+    prop_cell_roundtrip_flat_slot;
     prop_storage_roundtrip_encrypted;
   ]

@@ -2,12 +2,13 @@
    one transfer path, and {!Storage.read_many}/{!Storage.write_many} are
    decode/encode views over it. Driving the same schedule through both
    must leave everything observable identical — logical and per-shard
-   traces, Stats, the nonce counter, the file images and the decoded
-   contents — on every backend, under every sealing mode, with batching
-   on and off. *)
+   traces, Stats, the nonce counter, the file images, the decoded
+   contents and, under a telemetry sink, the per-kind backend op counts —
+   on every backend, under every sealing mode, with batching on and off. *)
 
 open Odex_extmem
 module Cipher = Odex_crypto.Cipher
+module Telemetry = Odex_telemetry.Telemetry
 
 let b = 4
 let capacity = 48
@@ -24,11 +25,11 @@ let block_for ~step ~addr i =
         let k = (step * 1000) + ((addr + i) * 10) + j in
         Cell.item ~tag:j ~aux:step ~key:k ~value:(k * 3) ())
 
-type sealing = Plain | Sealed of Cipher.engine
+type sealing = Plain | Sealed
 
 let sealing_name = function
   | Plain -> "plaintext"
-  | Sealed e -> Cipher.engine_name e
+  | Sealed -> "chacha20"
 
 type observed = {
   reads : Block.t array list;  (** Decoded contents of every read step. *)
@@ -39,6 +40,8 @@ type observed = {
   stats : int * int * int * int * int;
   nonce : int option;
   files : string list;
+  ops : (string * string * int * int * int) list;
+      (** Telemetry op stats (kind, backend, count, blocks, bytes). *)
 }
 
 let rec spec_files = function
@@ -51,16 +54,11 @@ let rec spec_files = function
         (List.init shards (fun i ->
              List.map (fun p -> Printf.sprintf "%s.shard%d" p i) (spec_files inner)))
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let run ~flat ~spec ~sealing ~batching =
-  let cipher, cipher_engine =
-    match sealing with
-    | Plain -> (None, Cipher.Prf_xor)
-    | Sealed e -> (Some (Cipher.key_of_int 0xF1A7), e)
-  in
+let run ?(telemetry = false) ~flat ~spec ~sealing ~batching () =
+  let cipher = match sealing with Plain -> None | Sealed -> Some (Cipher.key_of_int 0xF1A7) in
+  let sink = if telemetry then Telemetry.create () else Telemetry.disabled in
   let s =
-    Storage.create ?cipher ~cipher_engine ~trace_mode:Trace.Digest ~backend:spec
+    Storage.create ?cipher ~telemetry:sink ~trace_mode:Trace.Digest ~backend:spec
       ~backoff:(0., 0.) ~batching ~block_size:b ()
   in
   let base = Storage.alloc s capacity in
@@ -108,21 +106,28 @@ let run ~flat ~spec ~sealing ~batching =
           Stats.batched_ios st );
       nonce = Storage.next_nonce s;
       files = [];
+      ops = [];
     }
   in
   Storage.close s;
-  { observed with files = List.map read_file (spec_files spec) }
+  let ops =
+    List.map
+      (fun (o : Telemetry.op_stat) ->
+        (Telemetry.op_kind_name o.op, o.op_backend, o.count, o.op_blocks, o.op_bytes))
+      (Telemetry.op_stats sink)
+  in
+  { observed with files = List.map Util.read_file (spec_files spec); ops }
 
 let blocks_equal a c =
   Array.length a = Array.length c && Array.for_all2 (Array.for_all2 Cell.equal) a c
 
-let check_parity ~make_spec ~sealing ~batching () =
+let check_parity ~make_spec ~sealing ~telemetry ~batching () =
   let with_spec f =
     let spec = make_spec () in
     Fun.protect ~finally:(fun () -> Storage.remove_spec_files spec) (fun () -> f spec)
   in
-  let flat = with_spec (fun spec -> run ~flat:true ~spec ~sealing ~batching) in
-  let many = with_spec (fun spec -> run ~flat:false ~spec ~sealing ~batching) in
+  let flat = with_spec (fun spec -> run ~telemetry ~flat:true ~spec ~sealing ~batching ()) in
+  let many = with_spec (fun spec -> run ~telemetry ~flat:false ~spec ~sealing ~batching ()) in
   Alcotest.(check int64) "logical trace digest" many.digest flat.digest;
   Alcotest.(check int) "logical trace length" many.length flat.length;
   Alcotest.(check (list (pair int64 int))) "per-shard traces" many.shards flat.shards;
@@ -136,6 +141,12 @@ let check_parity ~make_spec ~sealing ~batching () =
     (List.combine many.files flat.files);
   Alcotest.(check bool) "decoded reads" true (List.for_all2 blocks_equal many.reads flat.reads);
   Alcotest.(check bool) "decoded final contents" true (blocks_equal many.final flat.final);
+  (* The instrumented backend sees the same calls either way. *)
+  Alcotest.(check bool) "telemetry saw the backend ops" telemetry (flat.ops <> []);
+  Alcotest.(check (list (pair (pair string string) (list int))))
+    "telemetry op stats (kind, backend) -> (count, blocks, bytes)"
+    (List.map (fun (k, be, c, bl, by) -> ((k, be), [ c; bl; by ])) many.ops)
+    (List.map (fun (k, be, c, bl, by) -> ((k, be), [ c; bl; by ])) flat.ops);
   (* The schedule's writes landed: the last full rewrite is what is
      stored. *)
   let last = List.length schedule - 1 in
@@ -167,12 +178,14 @@ let backends =
     ("faulty", fun () -> faulty);
   ]
 
-let sealings = [ Plain; Sealed Cipher.Prf_xor; Sealed Cipher.Chacha20 ]
+(* Sealing modes, the sealed one also through a telemetry sink, whose
+   {!Backend.instrument} wrapper forwards runs on its own path. *)
+let legs = [ (Plain, false); (Sealed, false); (Sealed, true) ]
 
 (* The faulty leg must actually resume mid-run, or its parity is
    vacuous. *)
 let test_faulty_leg_resumes () =
-  let o = run ~flat:true ~spec:faulty ~sealing:Plain ~batching:true in
+  let o = run ~flat:true ~spec:faulty ~sealing:Plain ~batching:true () in
   let _, _, retries, _, _ = o.stats in
   Alcotest.(check bool) (Printf.sprintf "%d retries" retries) true (retries > 0)
 
@@ -219,15 +232,16 @@ let suite =
   List.concat_map
     (fun (bname, make_spec) ->
       List.concat_map
-        (fun sealing ->
+        (fun (sealing, telemetry) ->
           List.map
             (fun batching ->
-              ( Printf.sprintf "flat = many [%s, %s, batching %s]" bname (sealing_name sealing)
+              ( Printf.sprintf "flat = many [%s, %s%s, batching %s]" bname (sealing_name sealing)
+                  (if telemetry then ", telemetry on" else "")
                   (if batching then "on" else "off"),
                 `Quick,
-                check_parity ~make_spec ~sealing ~batching ))
+                check_parity ~make_spec ~sealing ~telemetry ~batching ))
             [ true; false ])
-        sealings)
+        legs)
     backends
   @ [
       ("faulty leg resumes mid-run", `Quick, test_faulty_leg_resumes);

@@ -30,7 +30,7 @@ let test_append_commit_bookkeeping () =
       let b = Journal.backend j in
       Backend.ensure b 8;
       for i = 0 to 2 do
-        Backend.write b i (payload i)
+        Util.write_block b i (payload i)
       done;
       let buf =
         Odex_crypto.Bigbuf.of_bytes
@@ -44,16 +44,16 @@ let test_append_commit_bookkeeping () =
       Alcotest.(check int) "pending bytes" ((3 * (32 + 16)) + (32 + 64)) (Journal.pending_bytes j);
       (* Deferred apply: the inner store is untouched, but the overlay
          serves read-your-writes through the decorator. *)
-      Alcotest.(check bytes) "pending write readable" (payload 1) (Backend.read b 1);
-      Alcotest.(check bytes) "pending run readable" (payload 12) (Backend.read b 5);
+      Alcotest.(check bytes) "pending write readable" (payload 1) (Util.read_block b 1);
+      Alcotest.(check bytes) "pending run readable" (payload 12) (Util.read_block b 5);
       Journal.commit j;
       Alcotest.(check int) "commit empties the tail" 0 (Journal.pending_bytes j);
       Alcotest.(check bool) "commits counted" true (Journal.commits j >= 1);
       (* Now applied in place. *)
       for i = 0 to 2 do
-        Alcotest.(check bytes) (Printf.sprintf "block %d" i) (payload i) (Backend.read b i)
+        Alcotest.(check bytes) (Printf.sprintf "block %d" i) (payload i) (Util.read_block b i)
       done;
-      Alcotest.(check bytes) "run block" (payload 12) (Backend.read b 5);
+      Alcotest.(check bytes) "run block" (payload 12) (Util.read_block b 5);
       Backend.close b)
 
 let test_auto_commit_bounds_tail () =
@@ -66,7 +66,7 @@ let test_auto_commit_bounds_tail () =
       let b = Journal.backend j in
       Backend.ensure b 16;
       for i = 0 to 15 do
-        Backend.write b i (payload i)
+        Util.write_block b i (payload i)
       done;
       Alcotest.(check bool) "auto-commits fired" true (Journal.commits j >= 4);
       Alcotest.(check bool) "tail stays bounded" true
@@ -84,9 +84,9 @@ let test_replay_heals_crashed_apply () =
       let j = Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:false inner in
       let b = Journal.backend j in
       Backend.ensure b 4;
-      Backend.write b 0 (payload 0);
-      Backend.write b 1 (payload 1);
-      Backend.write b 2 (payload 2);
+      Util.write_block b 0 (payload 0);
+      Util.write_block b 1 (payload 1);
+      Util.write_block b 2 (payload 2);
       (* The commit marker lands, then the third in-place apply dies. *)
       (match Journal.commit j with
       | () -> Alcotest.fail "expected the crash"
@@ -103,7 +103,7 @@ let test_replay_heals_crashed_apply () =
       for i = 0 to 2 do
         Alcotest.(check bytes)
           (Printf.sprintf "block %d healed" i)
-          (payload i) (Backend.read b i)
+          (payload i) (Util.read_block b i)
       done;
       Backend.close b)
 
@@ -122,7 +122,7 @@ let test_torn_tail_discarded () =
     let b = Journal.backend j in
     Backend.ensure b 4;
     for i = 0 to 3 do
-      Backend.write b i (payload i)
+      Util.write_block b i (payload i)
     done;
     (match Journal.commit j with
     | () -> Alcotest.fail "expected the crash"
@@ -169,7 +169,7 @@ let test_torn_tail_discarded () =
       let b = Journal.backend j in
       Backend.ensure b 4;
       for i = 0 to 3 do
-        Backend.write b i (payload i)
+        Util.write_block b i (payload i)
       done;
       Journal.abandon j;
       let inner = Backend.file ~path:sp ~payload_size:16 in
@@ -179,7 +179,7 @@ let test_torn_tail_discarded () =
         (Journal.replay_log j);
       let b = Journal.backend j in
       Alcotest.(check bool) "rolled back to zero-init, not the pending write" true
-        (Backend.read b 0 = Bytes.make 16 '\000');
+        (Util.read_block b 0 = Bytes.make 16 '\000');
       Backend.close b)
 
 let test_checkpoint_slot_persistence () =
@@ -341,7 +341,7 @@ let checkpoint_no_alias_prop =
               in
               own && foreign)))
 
-(* ---------------- v2 format migration ---------------- *)
+(* ---------------- retired formats are refused ---------------- *)
 
 (* FNV-1a-64, re-derived here so the fixture bytes are produced
    independently of the implementation under test. *)
@@ -355,81 +355,81 @@ let fnv64 =
     !h
 
 let fnv64_offset = 0xCBF29CE484222325L
-let fnv64_int64 h v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  fnv64 h b
 
-(* A byte-exact v2 journal: 64-byte "ODEXJRN2" header whose single
-   checkpoint slot stores the FNV hash of the owner, plus one committed
-   record awaiting replay. The current code must open it, restore the
-   slot as a one-entry legacy table, replay the record, and rewrite the
-   file in the v3 format. *)
-let test_v2_journal_migrates () =
-  let owner = "sorter/0/6" in
-  let payload_size = 16 in
-  let body = Bytes.init payload_size (fun i -> Char.chr ((3 * i) land 0xFF)) in
-  let engine_id = Odex_crypto.Cipher.engine_id Odex_crypto.Cipher.Prf_xor in
-  let v2_header_bytes = 64 and record_header_bytes = 32 in
-  let committed_tail = v2_header_bytes + record_header_bytes + payload_size in
-  let mk_v2_file jp =
-    let h = Bytes.make v2_header_bytes '\000' in
-    Bytes.blit_string "ODEXJRN2" 0 h 0 8;
-    Bytes.set_int64_le h 8 (Int64.of_int payload_size);
-    Bytes.set_int64_le h 16 (fnv64 fnv64_offset (Bytes.of_string owner));
-    Bytes.set_int64_le h 24 3L (* phase *);
-    Bytes.set_int64_le h 32 7L (* cursor *);
-    Bytes.set_int64_le h 40 (Int64.of_int committed_tail);
-    Bytes.set_int64_le h 48 engine_id;
-    Bytes.set_int64_le h 56 (fnv64 fnv64_offset (Bytes.sub h 0 56));
-    let r = Bytes.make record_header_bytes '\000' in
-    Bytes.set_int64_le r 0 (Int64.of_int payload_size) (* len *);
-    Bytes.set_int64_le r 8 2L (* addr *);
-    Bytes.set_int64_le r 16 1L (* count *);
-    let cks =
-      fnv64 (fnv64_int64 (fnv64_int64 (fnv64_int64 fnv64_offset engine_id) 2L) 1L) body
-    in
-    Bytes.set_int64_le r 24 cks;
-    let oc = open_out_bin jp in
-    output_bytes oc h;
-    output_bytes oc r;
-    output_bytes oc body;
-    close_out oc
-  in
+(* A sealed journaled store written by the current code, holding one
+   checkpoint and one committed-but-unapplied record (the commit marker
+   landed, the in-place apply did not), so a reopen that got past the
+   header would replay into the store. *)
+let with_sealed_journal f =
   with_temp_pair (fun sp jp ->
-      mk_v2_file jp;
-      let inner = Backend.file ~path:sp ~payload_size in
-      let j = Journal.create ~path:jp ~payload_size ~durable:false ~replay:true inner in
-      Alcotest.(check (list (pair int int)))
-        "v2 committed record replays from the old offset"
-        [ (2, 1) ]
-        (Journal.replay_log j);
-      Alcotest.(check bytes) "replayed into the store" body
-        (Backend.read (Journal.backend j) 2);
-      Alcotest.(check (pair int int))
-        "v2 slot restores as a one-entry table, matched by hash" (3, 7)
-        (Journal.state j ~owner);
-      Alcotest.(check bool) "legacy slot carries no owner string" true
-        (Journal.slots j = [ (None, 3, 7) ]);
-      Alcotest.(check (pair int int))
-        "foreign owner sees nothing" (0, 0)
-        (Journal.state j ~owner:"other");
-      (* The owner's next checkpoint upgrades the slot in place to the
-         full string. *)
-      Journal.checkpoint j ~owner ~phase:4 ~cursor:7;
-      Alcotest.(check bool) "slot upgraded to a named slot" true
-        (Journal.slots j = [ (Some owner, 4, 7) ]);
-      Backend.close (Journal.backend j);
-      (* The file on disk is now v3. *)
-      let ic = open_in_bin jp in
-      let mg = really_input_string ic 8 in
-      close_in ic;
-      Alcotest.(check string) "file rewritten as v3" "ODEXJRN3" mg;
-      (* And reopens as such, slot intact. *)
-      let inner = Backend.file ~path:sp ~payload_size in
-      let j = Journal.create ~path:jp ~payload_size ~durable:false ~replay:true inner in
-      Alcotest.(check (pair int int)) "named slot survives" (4, 7) (Journal.state j ~owner);
-      Backend.close (Journal.backend j))
+      let b = 2 in
+      let spec ~crash =
+        let file = Storage.File { path = sp } in
+        let inner =
+          match crash with None -> file | Some ops -> Storage.Crashing { inner = file; ops }
+        in
+        Storage.Journaled { inner; path = jp; durable = false }
+      in
+      let cipher = Odex_crypto.Cipher.key_of_int 5 in
+      let s = Storage.create ~cipher ~backend:(spec ~crash:None) ~block_size:b () in
+      let base = Storage.alloc s 4 in
+      Storage.checkpoint s ~owner:"retired" ~phase:2 ~cursor:base;
+      Storage.close s;
+      (* One op for the reopen's flush, then the crash takes out the
+         commit's in-place apply. *)
+      let s =
+        Storage.create ~cipher ~resume:true ~backend:(spec ~crash:(Some 1)) ~block_size:b ()
+      in
+      Storage.write s base (Block.make b);
+      (match Storage.sync s with
+      | () -> Alcotest.fail "expected the simulated crash"
+      | exception Backend.Crashed -> ());
+      Storage.abandon s;
+      f ~sp ~jp ~reopen:(fun ~resume () ->
+          Storage.close
+            (Storage.create ~cipher ~resume ~backend:(spec ~crash:None) ~block_size:b ())))
+
+(* An ODEXJRN3 header naming engine id 1 (the retired PRF keystream)
+   under a valid checksum is refused before anything replays. *)
+let test_retired_journal_engine_refused () =
+  with_sealed_journal (fun ~sp ~jp ~reopen ->
+      let h = Bytes.of_string (Util.read_file jp) in
+      Alcotest.(check string) "fixture is a v3 journal" "ODEXJRN3" (Bytes.sub_string h 0 8);
+      Alcotest.(check bool) "fixture has a record to replay" true
+        (Bytes.length h > Journal.header_bytes);
+      Bytes.set_int64_le h 24 1L;
+      let cks = Journal.header_bytes - 8 in
+      Bytes.set_int64_le h cks (fnv64 fnv64_offset (Bytes.sub h 0 cks));
+      Out_channel.with_open_bin jp (fun oc -> Out_channel.output_bytes oc h);
+      List.iter
+        (fun resume ->
+          Util.check_refused
+            ~what:(Printf.sprintf "journal engine id 1 (resume %b)" resume)
+            ~cause:"retired cipher engine id 1" ~paths:[ sp; jp ] (reopen ~resume))
+        [ true; false ])
+
+(* A v2 journal ("ODEXJRN2", 64-byte single-slot header) is a retired
+   format: it reaches the bad-magic refusal and is never truncated or
+   rewritten. *)
+let test_v2_journal_refused () =
+  with_sealed_journal (fun ~sp ~jp ~reopen ->
+      let payload_size = Flat.stride_of ~block_size:2 in
+      let h = Bytes.make 64 '\000' in
+      Bytes.blit_string "ODEXJRN2" 0 h 0 8;
+      Bytes.set_int64_le h 8 (Int64.of_int payload_size);
+      Bytes.set_int64_le h 16 (fnv64 fnv64_offset (Bytes.of_string "sorter/0/6"));
+      Bytes.set_int64_le h 24 3L (* phase *);
+      Bytes.set_int64_le h 32 7L (* cursor *);
+      Bytes.set_int64_le h 40 64L (* committed tail *);
+      Bytes.set_int64_le h 48 1L (* engine id *);
+      Bytes.set_int64_le h 56 (fnv64 fnv64_offset (Bytes.sub h 0 56));
+      Out_channel.with_open_bin jp (fun oc -> Out_channel.output_bytes oc h);
+      List.iter
+        (fun resume ->
+          Util.check_refused
+            ~what:(Printf.sprintf "v2 journal (resume %b)" resume)
+            ~cause:"unrecognized journal format (bad magic)" ~paths:[ sp; jp ] (reopen ~resume))
+        [ true; false ])
 
 let test_foreign_journal_rejected () =
   with_temp_pair (fun sp jp ->
@@ -1390,7 +1390,8 @@ let suite =
     ("checkpoint validation", `Quick, test_checkpoint_validation);
     ("multi-owner checkpoints never clobber", `Quick, test_multi_owner_no_clobber);
     checkpoint_no_alias_prop;
-    ("v2 journal migrates", `Quick, test_v2_journal_migrates);
+    ("retired journal engine refused", `Quick, test_retired_journal_engine_refused);
+    ("v2 journal refused", `Quick, test_v2_journal_refused);
     ("foreign journal rejected", `Quick, test_foreign_journal_rejected);
     ("trace parity with journaling on and off", `Quick, test_trace_parity_journal_on_off);
     ("kill-at-every-op sweep", `Slow, test_kill_at_every_op_sweep);

@@ -1,7 +1,6 @@
-(* The zero-copy sealing substrate: cipher engine selection and
-   persistence, sealed run round-trips, registry-wide sealed pair
-   certification, and the allocation discipline of the hot transfer
-   path. *)
+(* The zero-copy sealing substrate: refusal of retired store formats,
+   sealed run round-trips, registry-wide sealed pair certification, and
+   the allocation discipline of the hot transfer path. *)
 
 open Odex_extmem
 open Odex_obcheck
@@ -17,137 +16,104 @@ let data b i =
   blk.(0) <- Cell.item ~key:(1000 + i) ~value:i ();
   blk
 
-(* ---------------- engine selection and persistence ---------------- *)
+(* ---------------- retired store formats ---------------- *)
 
-(* Reopening a sealed store under a different engine must fail loudly:
-   unsealing ChaCha20 ciphertext with the PRF keystream garbles every
-   block silently, so the header check is the only line of defense. *)
-let test_cross_engine_reopen_rejected () =
-  with_temp_store (fun path ->
-      let b = 4 in
-      let key = Cipher.key_of_int 7 in
-      let s =
-        Storage.create ~cipher:key ~cipher_engine:Cipher.Chacha20
-          ~backend:(Storage.File { path }) ~block_size:b ()
-      in
-      let base = Storage.alloc s 4 in
-      for i = 0 to 3 do
-        Storage.write s (base + i) (data b i)
-      done;
-      Storage.close s;
-      (* Default engine (Prf_xor) against a ChaCha20 store: refused. *)
-      Alcotest.(check bool) "wrong-engine reopen refused" true
-        (match
-           Storage.create ~cipher:key ~resume:true ~backend:(Storage.File { path })
-             ~block_size:b ()
-         with
-        | exception Invalid_argument msg ->
-            Alcotest.(check bool)
-              (Printf.sprintf "error names both engines: %s" msg)
-              true
-              (let has sub =
-                 let n = String.length msg and m = String.length sub in
-                 let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-                 go 0
-               in
-               has "chacha20" && has "prf_xor");
-            true
-        | s ->
-            Storage.close s;
-            false);
-      (* The right engine still opens and decrypts. *)
-      let s =
-        Storage.create ~cipher:key ~cipher_engine:Cipher.Chacha20 ~resume:true
-          ~backend:(Storage.File { path }) ~block_size:b ()
-      in
-      for i = 0 to 3 do
-        Alcotest.(check int)
-          (Printf.sprintf "block %d decrypts under the right engine" i)
-          (1000 + i)
-          (Cell.key_exn (Storage.read s (base + i)).(0))
-      done;
-      Storage.close s)
-
-(* A version-1 header (24 bytes, pre-engines) must read back as Prf_xor:
-   that is the engine that sealed every v1 store. *)
-let test_v1_header_reads_as_prf_xor () =
-  with_temp_store (fun path ->
-      let b = 2 in
-      let payload_size = 8 + Block.encoded_size b in
-      (* Forge a v1 store: a bare file backend carrying a 24-byte header. *)
-      let bk = Backend.file ~path ~payload_size in
-      let m = Bytes.create 24 in
-      Bytes.set_int64_le m 0 1L;
-      Bytes.set_int64_le m 8 (Int64.of_int b);
-      Bytes.set_int64_le m 16 0L;
-      Backend.write_meta bk m;
-      Backend.close bk;
-      let key = Cipher.key_of_int 3 in
-      (* Prf_xor (the default) opens it... *)
-      let s =
-        Storage.create ~cipher:key ~resume:true ~backend:(Storage.File { path })
-          ~block_size:b ()
-      in
-      Alcotest.(check string) "v1 store opens under prf_xor" "prf_xor"
-        (Cipher.engine_name (Storage.cipher_engine s));
-      Storage.close s;
-      (* ... and ChaCha20 is refused. *)
-      Alcotest.(check bool) "v1 store refused under chacha20" true
-        (match
-           Storage.create ~cipher:key ~cipher_engine:Cipher.Chacha20 ~resume:true
-             ~backend:(Storage.File { path }) ~block_size:b ()
-         with
-        | exception Invalid_argument _ -> true
-        | s ->
-            Storage.close s;
-            false))
-
-(* The journal records the engine too: replaying ciphertext under the
-   wrong keystream would garble the store, so reopen must refuse. *)
-let test_journal_cross_engine_rejected () =
+(* A sealed, journaled ChaCha20 store written by the current code, then
+   its store header rewritten to [header] — the way a retired format
+   would have left it. *)
+let with_forged_store ~header f =
   with_temp_store (fun sp ->
       let jp = sp ^ ".journal" in
       Fun.protect
         ~finally:(fun () -> if Sys.file_exists jp then Sys.remove jp)
         (fun () ->
-          let inner = Backend.file ~path:sp ~payload_size:16 in
-          let j =
-            Journal.create ~engine:Cipher.Chacha20 ~path:jp ~payload_size:16 ~durable:false
-              ~replay:false inner
+          let b = 2 in
+          let key = Cipher.key_of_int 7 in
+          let spec =
+            Storage.Journaled { inner = Storage.File { path = sp }; path = jp; durable = false }
           in
-          let bk = Journal.backend j in
-          Backend.ensure bk 2;
-          Backend.write bk 0 (Bytes.make 16 'a');
+          let open_store ~resume =
+            Storage.create ~cipher:key ~resume ~backend:spec ~block_size:b ()
+          in
+          let s = open_store ~resume:false in
+          let base = Storage.alloc s 4 in
+          for i = 0 to 3 do
+            Storage.write s (base + i) (data b i)
+          done;
+          Storage.checkpoint s ~owner:"forged" ~phase:1 ~cursor:base;
+          Storage.close s;
+          let bk = Backend.file ~path:sp ~payload_size:(Flat.stride_of ~block_size:b) in
+          let m = Option.get (Backend.read_meta bk) in
+          Backend.write_meta bk (header m);
           Backend.close bk;
-          let inner = Backend.file ~path:sp ~payload_size:16 in
-          Alcotest.(check bool) "journal reopen under another engine refused" true
-            (match
-               Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:true inner
-             with
-            | exception Invalid_argument _ ->
-                Backend.close inner;
-                true
-            | j ->
-                Backend.close (Journal.backend j);
-                false)))
+          f ~paths:[ sp; jp ] ~reopen:(fun ~resume () -> Storage.close (open_store ~resume))))
 
-(* Engine choice must be invisible to Bob: same key, same coins, same
-   shape — the PRF store and the ChaCha20 store produce identical
-   traces. *)
-let test_engine_trace_parity () =
-  let e = List.hd Registry.all in
-  let run cipher_engine =
-    let o =
-      Pairtest.check ~cipher:(Cipher.key_of_int 11) ~cipher_engine
-        ~pair:(Registry.pair_mode e) e.subject ~n_cells:e.n_cells ~b:e.b ~m:e.m
-    in
-    Alcotest.(check bool)
-      (Format.asprintf "%a" Pairtest.pp_outcome o)
-      true o.oblivious;
-    (o.run_a.trace_length, o.run_a.digest)
-  in
-  Alcotest.(check (pair int int64))
-    "prf-xor and chacha20 traces identical" (run Cipher.Prf_xor) (run Cipher.Chacha20)
+(* A version-1 store header (24 bytes, pre-engines) is refused on every
+   open, resumed or not. *)
+let test_v1_store_header_refused () =
+  with_forged_store
+    ~header:(fun m ->
+      let v1 = Bytes.sub m 0 24 in
+      Bytes.set_int64_le v1 0 1L;
+      v1)
+    (fun ~paths ~reopen ->
+      List.iter
+        (fun resume ->
+          Util.check_refused
+            ~what:(Printf.sprintf "v1 header (resume %b)" resume)
+            ~cause:"unsupported store header version 1" ~paths (reopen ~resume))
+        [ true; false ])
+
+(* A version-2 header naming engine id 1 (the retired PRF keystream) is
+   refused: unsealing its ciphertext under ChaCha20 would garble every
+   block silently. *)
+let test_retired_store_engine_refused () =
+  with_forged_store
+    ~header:(fun m ->
+      let m = Bytes.copy m in
+      Bytes.set_int64_le m 24 1L;
+      m)
+    (fun ~paths ~reopen ->
+      List.iter
+        (fun resume ->
+          Util.check_refused
+            ~what:(Printf.sprintf "engine id 1 (resume %b)" resume)
+            ~cause:"retired cipher engine id 1" ~paths (reopen ~resume))
+        [ true; false ])
+
+(* A sealed store reopened without a key must refuse to read rather
+   than hand back ciphertext decoded as cells, on the single-block and
+   the run path alike; the keyed reopen afterwards still reads every
+   block back. *)
+let test_sealed_store_without_key_refused () =
+  with_temp_store (fun path ->
+      let b = 4 and n = 8 in
+      let open_store ?cipher ~resume () =
+        Storage.create ?cipher ~resume ~backend:(Storage.File { path }) ~block_size:b ()
+      in
+      let key = Cipher.key_of_int 23 in
+      let s = open_store ~cipher:key ~resume:false () in
+      let base = Storage.alloc s n in
+      Storage.write_many s base (Array.init n (data b));
+      Storage.close s;
+      let s = open_store ~resume:true () in
+      let refused what f =
+        match f () with
+        | exception Invalid_argument msg ->
+            Alcotest.(check bool) (Printf.sprintf "%s: %S names the cause" what msg) true
+              (Util.contains msg "encrypted block but no cipher key")
+        | _ -> Alcotest.failf "%s: read sealed blocks without a key" what
+      in
+      refused "single block" (fun () -> ignore (Storage.read s base));
+      refused "run" (fun () -> ignore (Storage.read_many s base n));
+      Storage.close s;
+      let s = open_store ~cipher:key ~resume:true () in
+      Array.iteri
+        (fun i blk ->
+          Alcotest.(check int) (Printf.sprintf "block %d reads back under the key" i) (1000 + i)
+            (Cell.key_exn blk.(0)))
+        (Storage.read_many s base n);
+      Storage.close s)
 
 (* ---------------- sealed runs ---------------- *)
 
@@ -158,7 +124,7 @@ let test_sealed_run_reads_back_on_file () =
   with_temp_store (fun path ->
       let b = 4 and n = 64 in
       let open_store ~resume =
-        Storage.create ~cipher:(Cipher.key_of_int 21) ~cipher_engine:Cipher.Chacha20 ~resume
+        Storage.create ~cipher:(Cipher.key_of_int 21) ~resume
           ~backend:(Storage.File { path }) ~block_size:b ()
       in
       let check_back label s base =
@@ -192,13 +158,13 @@ let sealed_parity_cases =
             (Printf.sprintf "parallel seal %s [%s]" e.subject.Pairtest.name backend_name)
             `Slow
             (fun () ->
-              let run ?cipher ?cipher_engine () =
+              let run ?cipher () =
                 let spec = Registry.backend_spec backend_name in
                 Fun.protect
                   ~finally:(fun () -> Storage.remove_spec_files spec)
                   (fun () ->
                     let o =
-                      Pairtest.check ~backend:spec ?cipher ?cipher_engine
+                      Pairtest.check ~backend:spec ?cipher
                         ~pair:(Registry.pair_mode e) e.subject ~n_cells:e.n_cells ~b:e.b
                         ~m:e.m
                     in
@@ -211,9 +177,7 @@ let sealed_parity_cases =
                       o.run_a.shard_ios ))
               in
               let l0, d0, r0, sh0 = run () in
-              let l, d, r, sh =
-                run ~cipher:(Cipher.key_of_int 31) ~cipher_engine:Cipher.Chacha20 ()
-              in
+              let l, d, r, sh = run ~cipher:(Cipher.key_of_int 31) () in
               Alcotest.(check int) "same trace length" l0 l;
               Alcotest.(check int64) "same digest" d0 d;
               Alcotest.(check int) "same retries" r0 r;
@@ -333,10 +297,9 @@ let test_flat_run_does_not_allocate () =
 
 let suite =
   [
-    ("cross-engine reopen rejected", `Quick, test_cross_engine_reopen_rejected);
-    ("v1 header reads as prf-xor", `Quick, test_v1_header_reads_as_prf_xor);
-    ("journal cross-engine reopen rejected", `Quick, test_journal_cross_engine_rejected);
-    ("engine choice invisible in the trace", `Quick, test_engine_trace_parity);
+    ("v1 store header refused", `Quick, test_v1_store_header_refused);
+    ("retired store engine refused", `Quick, test_retired_store_engine_refused);
+    ("sealed store without a key refused", `Quick, test_sealed_store_without_key_refused);
     ("sealed run reads back on file", `Quick, test_sealed_run_reads_back_on_file);
     ("mem single-block read allocation-free", `Quick, test_mem_read_does_not_allocate);
     ("trace digest pinned", `Quick, test_trace_digest_pinned);

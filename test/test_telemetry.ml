@@ -6,11 +6,6 @@
 open Odex_extmem
 module Telemetry = Odex_telemetry.Telemetry
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* ---------------- the disabled sink ---------------- *)
 
 let test_disabled_sink_is_noop () =
@@ -241,13 +236,13 @@ let test_exports () =
   Trace.with_span (Storage.trace s) "export \"phase\"" (fun () ->
       ignore (Storage.read_many s base 4));
   let summary = Format.asprintf "%a" Telemetry.pp_summary tel in
-  Alcotest.(check bool) "summary names the op" true (contains summary "read_run[mem]");
-  Alcotest.(check bool) "summary names the phase" true (contains summary "export");
+  Alcotest.(check bool) "summary names the op" true (Util.contains summary "read_run[mem]");
+  Alcotest.(check bool) "summary names the phase" true (Util.contains summary "export");
   let json = Telemetry.chrome_json [ ("run", tel) ] in
-  Alcotest.(check bool) "traceEvents present" true (contains json "\"traceEvents\"");
-  Alcotest.(check bool) "phase event present" true (contains json "\"ph\":\"X\"");
-  Alcotest.(check bool) "thread named" true (contains json "thread_name");
-  Alcotest.(check bool) "quotes escaped" true (contains json "export \\\"phase\\\"");
+  Alcotest.(check bool) "traceEvents present" true (Util.contains json "\"traceEvents\"");
+  Alcotest.(check bool) "phase event present" true (Util.contains json "\"ph\":\"X\"");
+  Alcotest.(check bool) "thread named" true (Util.contains json "thread_name");
+  Alcotest.(check bool) "quotes escaped" true (Util.contains json "export \\\"phase\\\"");
   let path = Filename.temp_file "odex_tel" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)

@@ -2,6 +2,15 @@
 
 open Odex_extmem
 
+(* Whole-block [bytes] transfers over the zero-copy backend API. *)
+let read_block b addr =
+  let buf = Odex_crypto.Bigbuf.create (Backend.payload_bytes b) in
+  Backend.read_into b addr ~buf ~off:0;
+  Odex_crypto.Bigbuf.to_bytes buf
+
+let write_block b addr payload =
+  Backend.write_from b addr ~buf:(Odex_crypto.Bigbuf.of_bytes payload) ~off:0
+
 let storage ?cipher ?(trace = Trace.Digest) ~b () =
   Storage.create ?cipher ~trace_mode:trace ~block_size:b ()
 
@@ -80,3 +89,26 @@ let rng_of name i = Odex_crypto.Rng.create ~seed:(seed_stream name i)
 let qcheck_case ?(count = 100) ~name gen prop =
   let rand = Random.State.make [| base_seed; seed_stream name 0 |] in
   QCheck_alcotest.to_alcotest ~rand (QCheck2.Test.make ~count ~name gen prop)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* [open_] (which closes whatever it opens) must raise [Invalid_argument]
+   naming [cause], and leave every file in [paths] byte-identical: a
+   refused store or journal is never migrated, replayed or truncated. *)
+let check_refused ~what ~cause ~paths open_ =
+  let before = List.map read_file paths in
+  (match open_ () with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %S names %S" what msg cause) true
+        (contains msg cause)
+  | () -> Alcotest.failf "%s: opened instead of being refused" what);
+  List.iter2
+    (fun path b ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %s byte-identical" what path) true
+        (String.equal b (read_file path)))
+    paths before
