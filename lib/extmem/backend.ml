@@ -736,56 +736,60 @@ let sharded ~seed inners =
 (* ---------------- telemetry instrumentation ---------------- *)
 
 (* A timing shim around any backend: each device call is bracketed with
-   the monotonic clock and reported to the sink under the {e inner}
-   backend's kind, so a profile of a faulty-over-file stack attributes
-   latencies to "faulty" as one composite device. The shim carries no
-   state of its own and never looks at payload contents — it observes
-   operation kinds, block counts, byte counts and durations, all of
-   which the server already sees. A raised [Transient] propagates
-   untimed (the eventual successful attempt is what lands in the
-   histogram; failed attempts are visible as fault/retry counters at the
-   Storage layer). {!Storage} installs this wrapper only when its sink
-   is enabled, so a disabled sink costs literally nothing on the I/O
-   path. *)
+   the monotonic clock and recorded in the sink's cell for (op, inner
+   kind), so a profile of a faulty-over-file stack attributes latencies
+   to "faulty" as one composite device. The five cells are resolved once,
+   at install; a call reads the clock twice and updates its cell in
+   place, with no closure and no boxed clock value. The shim never looks
+   at payload contents — it observes operation kinds, block counts, byte
+   counts and durations, all of which the server already sees. A raised
+   [Transient] propagates untimed (the eventual successful attempt is
+   what lands in the histogram; failed attempts are counted as faults
+   and retries in the store's {!Stats}). {!Storage} installs this
+   wrapper only when its sink is enabled, so a disabled sink costs
+   literally nothing on the I/O path. *)
 
 module Instrumented = struct
   module Tel = Odex_telemetry.Telemetry
 
-  type nonrec t = { inner : t; tel : Tel.t; inner_kind : string }
+  (* One cell per timed op: read, write, read_run, write_run, sync. *)
+  type nonrec t =
+    { inner : t; rd : Tel.cell; wr : Tel.cell; rd_run : Tel.cell; wr_run : Tel.cell; sy : Tel.cell }
 
   let kind = "instrumented"
 
   let payload_bytes t = payload_bytes t.inner
-
-  let time t op ~blocks ~bytes f =
-    let t0 = Tel.now_ns () in
-    let r = f () in
-    Tel.record_op t.tel ~backend:t.inner_kind ~op ~blocks ~bytes
-      ~ns:(Int64.sub (Tel.now_ns ()) t0);
-    r
-
+  let stop c ~blocks ~bytes t0 = Tel.record c ~blocks ~bytes ~ns:(Tel.clock () - t0)
   let ensure t n = ensure t.inner n
   let size t = size t.inner
   let read_meta t = read_meta t.inner
   let write_meta t m = write_meta t.inner m
 
   let read t addr ~buf ~off =
-    time t Tel.Read ~blocks:1 ~bytes:(payload_bytes t) (fun () ->
-        read_into t.inner addr ~buf ~off)
+    let t0 = Tel.clock () in
+    read_into t.inner addr ~buf ~off;
+    stop t.rd ~blocks:1 ~bytes:(payload_bytes t) t0
 
   let write t addr ~buf ~off =
-    time t Tel.Write ~blocks:1 ~bytes:(payload_bytes t) (fun () ->
-        write_from t.inner addr ~buf ~off)
+    let t0 = Tel.clock () in
+    write_from t.inner addr ~buf ~off;
+    stop t.wr ~blocks:1 ~bytes:(payload_bytes t) t0
 
   let read_run t ~addr ~count ~payload ~buf ~off =
-    time t Tel.Read_run ~blocks:count ~bytes:(count * payload) (fun () ->
-        read_run t.inner ~addr ~count ~payload ~buf ~off)
+    let t0 = Tel.clock () in
+    read_run t.inner ~addr ~count ~payload ~buf ~off;
+    stop t.rd_run ~blocks:count ~bytes:(count * payload) t0
 
   let write_run t ~addr ~count ~payload ~buf ~off =
-    time t Tel.Write_run ~blocks:count ~bytes:(count * payload) (fun () ->
-        write_run t.inner ~addr ~count ~payload ~buf ~off)
+    let t0 = Tel.clock () in
+    write_run t.inner ~addr ~count ~payload ~buf ~off;
+    stop t.wr_run ~blocks:count ~bytes:(count * payload) t0
 
-  let sync t = time t Tel.Sync ~blocks:0 ~bytes:0 (fun () -> sync t.inner)
+  let sync t =
+    let t0 = Tel.clock () in
+    sync t.inner;
+    stop t.sy ~blocks:0 ~bytes:0 t0
+
   let close t = close t.inner
   let faults t = faults_injected t.inner
   let shard_ops t = shard_io_counts t.inner
@@ -793,7 +797,10 @@ module Instrumented = struct
 end
 
 let instrument tel inner =
-  Packed ((module Instrumented), { Instrumented.inner; tel; inner_kind = kind inner })
+  let c = Odex_telemetry.Telemetry.cell tel ~backend:(kind inner) in
+  Packed
+    ( (module Instrumented),
+      { inner; rd = c Read; wr = c Write; rd_run = c Read_run; wr_run = c Write_run; sy = c Sync } )
 
 (* ---------------- deterministic crash injection ---------------- *)
 

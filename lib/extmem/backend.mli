@@ -276,9 +276,9 @@ val crash_after : ops:int -> t -> t
 
 val instrument : Odex_telemetry.Telemetry.t -> t -> t
 (** [instrument sink inner] times every [read]/[write]/[read_run]/
-    [write_run]/[sync] with the monotonic clock and reports each to
-    [sink] (as {!Odex_telemetry.Telemetry.record_op}) under [inner]'s
-    kind, forwarding everything else untouched. The shim observes only
+    [write_run]/[sync] with the monotonic clock and records each in
+    [sink]'s cell for that op under [inner]'s kind (resolved once, here),
+    forwarding everything else untouched. The shim observes only
     operation kinds, block/byte counts and durations — never payload
     contents — and {!Storage} installs it only when the sink is enabled,
     so a disabled sink leaves the I/O path byte-for-byte as before. *)

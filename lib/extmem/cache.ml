@@ -1,24 +1,16 @@
 exception Overflow of { capacity : int; requested : int }
 
-module Telemetry = Odex_telemetry.Telemetry
-
 type t = {
   storage : Storage.t;
+  stats : Stats.t;  (* The storage's ledger: hit/miss/flush counts. *)
   capacity : int;
   table : (int, Block.t) Hashtbl.t;
   mutable peak : int;
-  tel : Telemetry.t;  (* The storage's sink: hit/miss/flush counters. *)
 }
 
 let create storage ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
-  {
-    storage;
-    capacity;
-    table = Hashtbl.create 64;
-    peak = 0;
-    tel = Storage.telemetry storage;
-  }
+  { storage; stats = Storage.stats storage; capacity; table = Hashtbl.create 64; peak = 0 }
 
 let capacity t = t.capacity
 let resident t = Hashtbl.length t.table
@@ -48,11 +40,11 @@ let find_resident t addr =
 let load t addr =
   match Hashtbl.find_opt t.table addr with
   | Some blk ->
-      Telemetry.add_counter t.tel "cache.hit" 1;
+      Stats.record_hits t.stats 1;
       Block.copy blk
   | None ->
       reserve t addr;
-      Telemetry.add_counter t.tel "cache.miss" 1;
+      Stats.record_misses t.stats 1;
       let blk = Storage.read t.storage addr in
       Hashtbl.replace t.table addr blk;
       Block.copy blk
@@ -72,8 +64,8 @@ let load_run t addr ~count =
   let r = resident t + !missing in
   if r > t.capacity then raise (Overflow { capacity = t.capacity; requested = r });
   if r > t.peak then t.peak <- r;
-  if count > !missing then Telemetry.add_counter t.tel "cache.hit" (count - !missing);
-  if !missing > 0 then Telemetry.add_counter t.tel "cache.miss" !missing;
+  Stats.record_hits t.stats (count - !missing);
+  Stats.record_misses t.stats !missing;
   let a = ref addr in
   let fin = addr + count in
   while !a < fin do
@@ -97,13 +89,13 @@ let put t addr blk =
 
 let flush t addr =
   let blk = find_resident t addr in
-  Telemetry.add_counter t.tel "cache.flush" 1;
+  Stats.record_flushes t.stats 1;
   Storage.write t.storage addr blk;
   Hashtbl.remove t.table addr
 
 let write_through t addr =
   let blk = find_resident t addr in
-  Telemetry.add_counter t.tel "cache.flush" 1;
+  Stats.record_flushes t.stats 1;
   Storage.write t.storage addr blk
 
 let drop t addr = Hashtbl.remove t.table addr
@@ -128,7 +120,7 @@ let flush_all t =
         in
         let len, rest = split 0 addrs in
         let blks = Array.init len (fun i -> find_resident t (a + i)) in
-        Telemetry.add_counter t.tel "cache.flush" len;
+        Stats.record_flushes t.stats len;
         Storage.write_many t.storage a blks;
         for i = 0 to len - 1 do Hashtbl.remove t.table (a + i) done;
         runs rest

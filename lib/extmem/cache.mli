@@ -7,10 +7,9 @@
     …) mechanically rather than by inspection. The cache contents are
     invisible to Bob: resident-block access performs no counted I/O.
 
-    When the underlying {!Storage.t} carries an enabled telemetry sink,
-    the cache bumps the ["cache.hit"], ["cache.miss"] and ["cache.flush"]
-    counters on it ({!Odex_telemetry.Telemetry.add_counter}) — purely
-    observational, never changing which I/Os happen. *)
+    Every load counts a hit or a miss, and every block written back a
+    flush, in the storage's {!Stats} — purely observational, never
+    changing which I/Os happen. *)
 
 exception Overflow of { capacity : int; requested : int }
 

@@ -2,25 +2,37 @@ type snapshot = {
   reads : int;
   writes : int;
   retries : int;
+  faults : int;
   bytes_moved : int;
   batched_ios : int;
+  hits : int;
+  misses : int;
+  flushes : int;
 }
 
 type t = {
+  payload_size : int;
   mutable r : int;
   mutable w : int;
   mutable retry : int;
-  mutable bytes : int;
+  mutable fault : int;
   mutable batched : int;
-  mutable last_span : snapshot option;
+  mutable hit : int;
+  mutable miss : int;
+  mutable flush : int;
 }
 
-let create () = { r = 0; w = 0; retry = 0; bytes = 0; batched = 0; last_span = None }
+let create ~payload_size () =
+  { payload_size; r = 0; w = 0; retry = 0; fault = 0; batched = 0; hit = 0; miss = 0; flush = 0 }
+
 let record_read t = t.r <- t.r + 1
 let record_write t = t.w <- t.w + 1
 let record_retry t = t.retry <- t.retry + 1
-let record_moved t n = t.bytes <- t.bytes + n
+let record_fault t = t.fault <- t.fault + 1
 let record_batched t n = t.batched <- t.batched + n
+let record_hits t n = t.hit <- t.hit + n
+let record_misses t n = t.miss <- t.miss + n
+let record_flushes t n = t.flush <- t.flush + n
 
 let reads t = t.r
 let writes t = t.w
@@ -31,47 +43,21 @@ let retries t = t.retry
    of [total] so I/O-bound assertions hold on every backend, but Bob
    still sees them (the trace records each one). *)
 
-let bytes_moved t = t.bytes
+let bytes_moved t = t.payload_size * total t
 let batched_ios t = t.batched
-
-let reset t =
-  t.r <- 0;
-  t.w <- 0;
-  t.retry <- 0;
-  t.bytes <- 0;
-  t.batched <- 0;
-  t.last_span <- None
 
 let snapshot (t : t) : snapshot =
   {
-    reads = reads t;
-    writes = writes t;
-    retries = retries t;
+    reads = t.r;
+    writes = t.w;
+    retries = t.retry;
+    faults = t.fault;
     bytes_moved = bytes_moved t;
-    batched_ios = batched_ios t;
+    batched_ios = t.batched;
+    hits = t.hit;
+    misses = t.miss;
+    flushes = t.flush;
   }
-
-(* Exception-safe: the delta is recorded in [last_span] even when [f]
-   raises (e.g. a Cache.Overflow mid-measurement), so an enclosing
-   harness can still attribute the I/Os of the aborted phase. The delta
-   covers {e every} counter — a span over a faulty backend reports its
-   retries, and a batched span its bytes and batched share, not just
-   reads and writes. *)
-let span t f =
-  let before = snapshot t in
-  let delta () =
-    {
-      reads = reads t - before.reads;
-      writes = writes t - before.writes;
-      retries = retries t - before.retries;
-      bytes_moved = bytes_moved t - before.bytes_moved;
-      batched_ios = batched_ios t - before.batched_ios;
-    }
-  in
-  let result = Fun.protect ~finally:(fun () -> t.last_span <- Some (delta ())) f in
-  (result, delta ())
-
-let last_span t = t.last_span
 
 let pp ppf (t : t) =
   Format.fprintf ppf "reads=%d writes=%d total=%d" (reads t) (writes t) (total t);

@@ -1,23 +1,29 @@
-(** I/O accounting for the external-memory model.
+(** I/O accounting for the external-memory model: the one ledger.
 
     Every theorem in the paper is an I/O bound, so the simulator counts
-    block reads and writes exactly. [span] lets the experiment harness
-    attribute I/Os to algorithm phases. *)
+    block reads and writes exactly. Each {!Storage.t} owns one [Stats.t],
+    which also counts the store's retries, faults and {!Cache} probes.
+    Nothing else counts them: a telemetry sink reads its phase and
+    counter numbers off this ledger by snapshot. *)
 
 type t
 
-val create : unit -> t
+val create : payload_size:int -> unit -> t
+(** A zeroed ledger for a store whose sealed payloads are
+    [payload_size] bytes. *)
 
 val record_read : t -> unit
 val record_write : t -> unit
 val record_retry : t -> unit
-
-val record_moved : t -> int -> unit
-(** Add [n] payload bytes to the transfer tally. *)
+val record_fault : t -> unit
 
 val record_batched : t -> int -> unit
 (** Add [n] logical I/Os that were served through a multi-block backend
     run. *)
+
+val record_hits : t -> int -> unit
+val record_misses : t -> int -> unit
+val record_flushes : t -> int -> unit
 
 val reads : t -> int
 val writes : t -> int
@@ -31,9 +37,9 @@ val retries : t -> int
     while the retries remain visible to the adversary in the trace. *)
 
 val bytes_moved : t -> int
-(** Sealed-payload bytes transferred by successful counted I/Os —
-    [payload_size * total] by construction (failed attempts excluded,
-    like {!retries}). The numerator of the bench's [mb_per_s]. *)
+(** Sealed-payload bytes transferred by successful counted I/Os:
+    [payload_size * total] (failed attempts excluded, like {!retries}).
+    The numerator of the bench's [mb_per_s]. *)
 
 val batched_ios : t -> int
 (** Counted I/Os that travelled through a multi-block
@@ -42,29 +48,23 @@ val batched_ios : t -> int
     the batching win is visible as this ratio approaching 1 on
     scan-heavy algorithms. *)
 
-val reset : t -> unit
-
 type snapshot = {
   reads : int;
   writes : int;
   retries : int;
+  faults : int;
+      (** Transient faults the store's retry loop caught, on counted and
+          uncounted operations alike ([>= retries]); a journal's own
+          internal retries are only in {!Storage.faults_injected}. *)
   bytes_moved : int;
   batched_ios : int;
+  hits : int;  (** {!Cache} loads served from residency. *)
+  misses : int;  (** {!Cache} loads that read the block. *)
+  flushes : int;  (** Blocks {!Cache} wrote back. *)
 }
-(** A full counter capture — not just reads/writes. Span deltas would
-    otherwise silently drop retries, bytes and batched I/Os, which is
-    exactly what a profiler needs per phase. *)
+(** Every counter at one instant; the difference of two snapshots is
+    what happened between them. *)
 
 val snapshot : t -> snapshot
-
-val span : t -> (unit -> 'a) -> 'a * snapshot
-(** [span t f] runs [f] and returns its result together with the delta
-    of {e every} counter over [f] — I/Os, retries, bytes moved, batched
-    share. Exception-safe: if [f] raises (e.g. {!Cache.Overflow}
-    mid-span), the measured delta is still recorded and retrievable via
-    {!last_span} before the exception propagates. *)
-
-val last_span : t -> snapshot option
-(** The I/O delta of the most recently completed (or aborted) [span]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -46,6 +46,8 @@ type t = {
   trace : Trace.t;
   tel : Telemetry.t;
   cipher : cipher_state option;
+  cipher_timer : (Telemetry.cell * Telemetry.cell) option;
+      (** The sink's "cipher" (seal, unseal) cells, when it collects and the store seals. *)
   mutable nonce_reserved : int;
       (** Nonces below this are persisted as potentially spent (the store
           header's high-water mark); a crash can never roll the counter
@@ -205,10 +207,11 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
   in
   let kind = Backend.kind raw in
   let tel = Option.value telemetry ~default:Telemetry.disabled in
-  (* The timing shim is installed only when the sink collects: a
-     disabled sink leaves the backend — and thus the whole I/O path —
-     untouched. *)
-  let backend = if Telemetry.enabled tel then Backend.instrument tel raw else raw in
+  let timed = Telemetry.enabled tel in
+  (* The timing shim and the cipher timer exist only when the sink
+     collects: a disabled sink leaves the backend — and thus the whole
+     I/O path — untouched. *)
+  let backend = if timed then Backend.instrument tel raw else raw in
   let nonce_hw =
     match Option.map (parse_header ~block_size) (Backend.read_meta backend) with
     | Some hw -> hw
@@ -219,6 +222,11 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
         Backend.close backend;
         raise e
   in
+  let stats = Stats.create ~payload_size () in
+  Telemetry.register tel (fun () ->
+      let s = Stats.snapshot stats in
+      { Telemetry.ios = s.reads + s.writes; retries = s.retries; faults = s.faults;
+        bytes = s.bytes_moved; hits = s.hits; misses = s.misses; flushes = s.flushes });
   let t =
     {
       block_size;
@@ -226,12 +234,15 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
       backend;
       kind;
       used = (if resume then Backend.size backend else 0);
-      stats = Stats.create ();
-      trace = Trace.create ~telemetry:tel trace_mode;
+      stats;
+      trace = Trace.create trace_mode;
       tel;
       cipher =
         Option.map (fun key -> { st = Cipher.init cipher_engine key; next_nonce = nonce_hw })
           cipher;
+      cipher_timer =
+        (let c = Telemetry.cell tel ~backend:"cipher" in
+         if timed && cipher <> None then Some (c Telemetry.Seal, c Telemetry.Unseal) else None);
       nonce_reserved = nonce_hw;
       max_retries;
       backoff_base;
@@ -239,8 +250,6 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
       batching;
       journal;
       shard =
-        (* Shard traces carry no telemetry sink of their own: phases are
-           already timed once, through the logical trace's spans. *)
         Option.map
           (fun (shards, seed) ->
             {
@@ -280,16 +289,18 @@ let shard_addr t ~shard ~index =
 
 (* Bracket a public phase across the logical trace {e and} every
    per-shard trace, so shard-level divergence reports name the same
-   phases the logical reports do. [Trace.with_span] on the logical trace
-   keeps the telemetry mirroring. *)
+   phases the logical reports do, and time it as a sink phase of the
+   same label and nesting. This is the one place a phase opens; timing
+   never feeds back into what the traces record. *)
 let with_span t label f =
-  match t.shard with
-  | None -> Trace.with_span t.trace label f
-  | Some sh ->
-      Array.iter (fun tr -> Trace.span_enter tr label) sh.straces;
-      Fun.protect
-        ~finally:(fun () -> Array.iter Trace.span_exit sh.straces)
-        (fun () -> Trace.with_span t.trace label f)
+  Telemetry.with_phase t.tel label (fun () ->
+      match t.shard with
+      | None -> Trace.with_span t.trace label f
+      | Some sh ->
+          Array.iter (fun tr -> Trace.span_enter tr label) sh.straces;
+          Fun.protect
+            ~finally:(fun () -> Array.iter Trace.span_exit sh.straces)
+            (fun () -> Trace.with_span t.trace label f))
 
 (* Persist the exact counter (not the rounded-up reservation) before the
    device flushes or the descriptor goes away: a cleanly closed store
@@ -391,20 +402,21 @@ let plain_nonce = -1L
 external raw_get64 : Bigbuf.t -> int -> int64 = "%caml_bigstring_get64u"
 external raw_set64 : Bigbuf.t -> int -> int64 -> unit = "%caml_bigstring_set64u"
 
-(* Cipher work is reported to the sink under the pseudo-backend
-   "cipher", so a profile attributes keystream time separately from
-   device time. Only sealed payloads are timed, and only when the sink
-   collects; on the codec views the timer brackets the encode/decode
-   too, as it always has. A start/stop pair rather than a wrapper, so
-   the untimed path builds no closure. *)
-let seal_timed t = Telemetry.enabled t.tel && t.cipher <> None
-let seal_start t = if seal_timed t then Telemetry.now_ns () else 0L
+(* Cipher work is recorded in the sink's "cipher" cells, so a profile
+   attributes keystream time separately from device time. Only sealed
+   payloads are timed, and only when the sink collects; on the codec
+   views the timer brackets the encode/decode too, as it always has. A
+   start/stop pair rather than a wrapper, so the untimed path builds no
+   closure. *)
+let seal_start t = match t.cipher_timer with None -> 0 | Some _ -> Telemetry.clock ()
 
-let seal_stop t ~op ~blocks t0 =
-  if seal_timed t then
-    Telemetry.record_op t.tel ~backend:"cipher" ~op ~blocks
-      ~bytes:(blocks * (t.payload_size - 8))
-      ~ns:(Int64.sub (Telemetry.now_ns ()) t0)
+let seal_stop t ~seal ~blocks t0 =
+  match t.cipher_timer with
+  | None -> ()
+  | Some (s, u) ->
+      Telemetry.record (if seal then s else u) ~blocks
+        ~bytes:(blocks * (t.payload_size - 8))
+        ~ns:(Telemetry.clock () - t0)
 
 (* Seal the first [n] slots of [buf] in place: stamp each header slot
    and, on a ciphered store, XOR the keystream over the image. The [n]
@@ -490,9 +502,6 @@ let backoff t attempt =
 
 let record_read t a =
   Stats.record_read t.stats;
-  Stats.record_moved t.stats t.payload_size;
-  Telemetry.add_ios t.tel 1;
-  Telemetry.add_bytes t.tel t.payload_size;
   Trace.record_read t.trace a;
   match t.shard with
   | None -> ()
@@ -502,9 +511,6 @@ let record_read t a =
 
 let record_write t a =
   Stats.record_write t.stats;
-  Stats.record_moved t.stats t.payload_size;
-  Telemetry.add_ios t.tel 1;
-  Telemetry.add_bytes t.tel t.payload_size;
   Trace.record_write t.trace a;
   match t.shard with
   | None -> ()
@@ -544,10 +550,9 @@ let rec run_from t ~counted ~write ~addr ~fin ~buf ~off a attempt =
         record_range t ~counted ~write a fa;
         let attempt = if fa > a then 1 else attempt in
         if attempt >= t.max_retries then raise (Io_failure { addr = fa; attempts = attempt });
-        Telemetry.add_faults t.tel 1;
+        Stats.record_fault t.stats;
         if counted then begin
           Stats.record_retry t.stats;
-          Telemetry.add_retries t.tel 1;
           record_retry t ~write fa
         end;
         backoff t attempt;
@@ -642,7 +647,7 @@ let read_flat t addr n buf =
     transfer t ~write:false addr n buf;
     let t0 = seal_start t in
     open_run t buf n;
-    seal_stop t ~op:Telemetry.Unseal ~blocks:n t0
+    seal_stop t ~seal:false ~blocks:n t0
   end
 
 let write_flat t addr n src =
@@ -663,7 +668,7 @@ let write_flat t addr n src =
     in
     let t0 = seal_start t in
     seal_run t buf n;
-    seal_stop t ~op:Telemetry.Seal ~blocks:n t0;
+    seal_stop t ~seal:true ~blocks:n t0;
     transfer_group t addr n buf
   end
 
@@ -676,7 +681,7 @@ let read t addr =
   let t0 = seal_start t in
   open_run t t.seal_buf 1;
   let blk = Flat.get_block t.seal_buf 0 in
-  seal_stop t ~op:Telemetry.Unseal ~blocks:1 t0;
+  seal_stop t ~seal:false ~blocks:1 t0;
   blk
 
 let write t addr blk =
@@ -685,7 +690,7 @@ let write t addr blk =
   let t0 = seal_start t in
   Flat.set_block t.seal_buf 0 blk;
   seal_run t t.seal_buf 1;
-  seal_stop t ~op:Telemetry.Seal ~blocks:1 t0;
+  seal_stop t ~seal:true ~blocks:1 t0;
   transfer t ~write:true addr 1 t.seal_buf
 
 let read_many t addr n =
@@ -698,7 +703,7 @@ let read_many t addr n =
     let t0 = seal_start t in
     open_run t buf n;
     let blks = Array.init n (Flat.get_block buf) in
-    seal_stop t ~op:Telemetry.Unseal ~blocks:n t0;
+    seal_stop t ~seal:false ~blocks:n t0;
     blks
   end
 
@@ -712,7 +717,7 @@ let write_many t addr blks =
     let t0 = seal_start t in
     Array.iteri (Flat.set_block buf) blks;
     seal_run t buf n;
-    seal_stop t ~op:Telemetry.Seal ~blocks:n t0;
+    seal_stop t ~seal:true ~blocks:n t0;
     transfer_group t addr n buf
   end
 

@@ -107,14 +107,13 @@ val create :
     silently unsealing ciphertext with the wrong keystream.
 
     [telemetry] (default: the disabled sink) wires this store into a
-    profiling sink: every backend call is timed (through
-    {!Backend.instrument}), every trace span becomes a timed phase, and
-    counted I/Os / retries / faults / bytes are attributed to the
-    innermost open phase. Purely observational — the sink sees only what
-    Bob sees (op kinds, addresses, sizes, timings, never plaintext), and
-    enabling it changes no trace (pair-tested). With the disabled sink
-    the backend is not even wrapped, so the I/O path is exactly the
-    uninstrumented one.
+    profiling sink: the store registers its {!stats} ledger there, every
+    backend call is timed (through {!Backend.instrument}) and every
+    {!with_span} becomes a timed phase whose counts the sink reads off
+    the ledger. Purely observational — the sink sees only what Bob sees
+    (op kinds, sizes, timings, never plaintext), and enabling it changes
+    no trace (pair-tested). With the disabled sink the backend is not
+    even wrapped, so the I/O path is exactly the uninstrumented one.
 
     {b Sealing state persistence.} A store whose backend persists (the
     file backend) carries a small header — block size, the cipher nonce
@@ -204,8 +203,9 @@ val shard_addr : t -> shard:int -> index:int -> int
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** Bracket a public phase on the logical trace {e and} every per-shard
     trace at once, so shard-level divergence reports name the same
-    phases as logical ones. Equivalent to {!Trace.with_span} on
-    {!trace} for unsharded stores. *)
+    phases as logical ones, and time it as a {!telemetry} phase of the
+    same label (in every trace mode). The only place the library opens
+    a phase. *)
 
 val nonce_chunk : int
 (** Granularity (2^16) of the nonce high-water reservations described

@@ -13,7 +13,6 @@ type span = {
 
 type t = {
   mode : mode;
-  tel : Odex_telemetry.Telemetry.t;
   mutable length : int;
   hash : Bytes.t;
       (* The running digest, one unboxed 64-bit word: folding an op
@@ -34,10 +33,9 @@ type t = {
   mutable open_spans : (string * int * int * int64) list;
 }
 
-let create ?(telemetry = Odex_telemetry.Telemetry.disabled) mode =
+let create mode =
   {
     mode;
-    tel = telemetry;
     length = 0;
     hash = Bytes.make 8 '\000';
     ops_buf = [||];
@@ -132,14 +130,6 @@ let span_exit t =
 (* Closing is exception-safe so that a mid-phase Cache.Overflow still
    leaves a usable span record. *)
 let with_span t label f =
-  (* Telemetry phases mirror the span structure exactly (same label, same
-     nesting), so a profile names the same phases the divergence reports
-     do. Wall-clock timing never feeds back into what is recorded. *)
-  let f =
-    if Odex_telemetry.Telemetry.enabled t.tel then fun () ->
-      Odex_telemetry.Telemetry.with_phase t.tel label f
-    else f
-  in
   match t.mode with
   | Off -> f ()
   | Digest | Full ->

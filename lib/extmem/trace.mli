@@ -40,11 +40,9 @@ type span = {
 
 type t
 
-val create : ?telemetry:Odex_telemetry.Telemetry.t -> mode -> t
-(** [telemetry] (default: the disabled sink) receives one timed
-    {!Odex_telemetry.Telemetry.with_phase} per {!with_span}, mirroring
-    the span structure. Purely observational: enabling it changes
-    nothing the trace records. *)
+val create : mode -> t
+(** An empty trace. A trace records only the adversary's view; timed
+    phases are {!Storage.with_span}'s business. *)
 
 val mode : t -> mode
 val record : t -> op -> unit

@@ -1,40 +1,44 @@
-(* An event sink for the storage stack. The design constraint is the
+(* A timing sink for the storage stack. The design constraint is the
    disabled path: [disabled] must cost one branch per entry point and
    read no clock, because it is threaded through every Storage instance
-   by default. The enabled path favours fixed-size state — histograms
-   are 63 int buckets, counters a small assoc table — so a profiled run
-   allocates O(phases), never O(ops). *)
+   by default. The sink counts nothing itself: I/Os, retries, faults,
+   bytes and cache probes live in each registered store's ledger, and
+   phases and counters are read off it by snapshot. What the sink keeps
+   is wall-clock — one histogram of 63 int buckets per (op, backend)
+   cell and one record per phase — so a profiled run allocates
+   O(phases), never O(ops). *)
 
 let now_ns = Monotonic_clock.now
+let clock () = Int64.to_int (Monotonic_clock.now ())
 
 (* ---- log2-bucketed histograms ---- *)
 
 (* Bucket [i] holds samples with [2^i <= ns < 2^(i+1)] (bucket 0 also
-   takes 0 ns). 63 buckets cover every positive int64 the clock can
-   produce. *)
+   takes 0 ns). 63 buckets cover every positive int the clock can
+   produce. The total is an [int]: a mutable [int64] field would box on
+   every sample. *)
 type hist = {
   buckets : int array;
   mutable count : int;
-  mutable total_ns : int64;
+  mutable total_ns : int;
 }
 
-let hist_create () = { buckets = Array.make 63 0; count = 0; total_ns = 0L }
+let hist_create () = { buckets = Array.make 63 0; count = 0; total_ns = 0 }
 
 let bucket_of_ns ns =
-  let ns = Int64.to_int ns in
   if ns <= 1 then 0
   else
     let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n lsr 1) in
     min 62 (log2 0 ns)
 
 let hist_add h ns =
-  let ns = if Int64.compare ns 0L < 0 then 0L else ns in
+  let ns = max 0 ns in
   h.buckets.(bucket_of_ns ns) <- h.buckets.(bucket_of_ns ns) + 1;
   h.count <- h.count + 1;
-  h.total_ns <- Int64.add h.total_ns ns
+  h.total_ns <- h.total_ns + ns
 
 let hist_count h = h.count
-let hist_total_ns h = h.total_ns
+let hist_total_ns h = Int64.of_int h.total_ns
 
 (* Geometric midpoint of the bucket holding the requested rank: crude
    (a factor-sqrt(2) resolution) but monotone, allocation-free and
@@ -81,6 +85,22 @@ type op_stat = {
   latency : hist;
 }
 
+type counts =
+  { ios : int; retries : int; faults : int; bytes : int; hits : int; misses : int; flushes : int }
+
+let zero = { ios = 0; retries = 0; faults = 0; bytes = 0; hits = 0; misses = 0; flushes = 0 }
+
+let lift f (a : counts) (b : counts) : counts =
+  {
+    ios = f a.ios b.ios;
+    retries = f a.retries b.retries;
+    faults = f a.faults b.faults;
+    bytes = f a.bytes b.bytes;
+    hits = f a.hits b.hits;
+    misses = f a.misses b.misses;
+    flushes = f a.flushes b.flushes;
+  }
+
 type phase = {
   label : string;
   depth : int;
@@ -94,22 +114,10 @@ type phase = {
 
 type phase_stat = { phase_label : string; phase_count : int; phase_latency : hist }
 
-(* An open phase accumulates counters while it is innermost; entering a
-   child phase pushes a fresh frame, so a parent's numbers cover only
-   its own direct I/O (the chrome view nests children visually). *)
-type frame = {
-  f_label : string;
-  f_depth : int;
-  f_start : int64;
-  mutable f_ios : int;
-  mutable f_retries : int;
-  mutable f_faults : int;
-  mutable f_bytes : int;
-}
-
-(* The live counterpart of [op_stat]: updated in place on every call,
-   copied into the public record only when read. *)
-type op_cell = {
+(* The live counterpart of [op_stat]: resolved once by its recorder and
+   updated in place on every call, copied into the public record only
+   when read. *)
+type cell = {
   c_op : op_kind;
   c_backend : string;
   mutable c_count : int;
@@ -118,78 +126,70 @@ type op_cell = {
   c_latency : hist;
 }
 
+(* An open phase remembers the ledgers at entry and the inclusive totals
+   of the children it has closed, so its own numbers are what happened
+   while it was innermost. *)
+type frame =
+  { f_label : string; f_depth : int; f_start : int; f_entry : counts; mutable f_kids : counts }
+
 type t = {
   on : bool;
-  mutable ops : op_cell list;  (* one per (kind, backend): a handful, a list is fine *)
+  mutable cells : cell list;  (* one per (kind, backend): a handful, a list is fine *)
+  mutable ledgers : (unit -> counts) list;
   mutable rev_phases : phase list;
   mutable stack : frame list;
-  mutable counts : (string * int ref) list;
 }
 
-let make on = { on; ops = []; rev_phases = []; stack = []; counts = [] }
+let make on = { on; cells = []; ledgers = []; rev_phases = []; stack = [] }
 let disabled = make false
 let create () = make true
 let enabled t = t.on
+let register t ledger = if t.on then t.ledgers <- ledger :: t.ledgers
+let total t = List.fold_left (fun acc l -> lift ( + ) acc (l ())) zero t.ledgers
 
-let rec find_op op backend = function
-  | [] -> None
-  | c :: rest ->
-      if c.c_op = op && String.equal c.c_backend backend then Some c
-      else find_op op backend rest
+(* A disabled sink hands out a detached cell: recording into it is
+   harmless and nothing ever reads it. *)
+let cell t ~backend op =
+  match List.find_opt (fun c -> c.c_op = op && String.equal c.c_backend backend) t.cells with
+  | Some c -> c
+  | None ->
+      let c =
+        { c_op = op; c_backend = backend; c_count = 0; c_blocks = 0; c_bytes = 0;
+          c_latency = hist_create () }
+      in
+      if t.on then t.cells <- c :: t.cells;
+      c
 
-let record_op t ~backend ~op ~blocks ~bytes ~ns =
-  if t.on then begin
-    let c =
-      match find_op op backend t.ops with
-      | Some c -> c
-      | None ->
-          let c =
-            { c_op = op; c_backend = backend; c_count = 0; c_blocks = 0; c_bytes = 0;
-              c_latency = hist_create () }
-          in
-          t.ops <- c :: t.ops;
-          c
-    in
-    c.c_count <- c.c_count + 1;
-    c.c_blocks <- c.c_blocks + blocks;
-    c.c_bytes <- c.c_bytes + bytes;
-    hist_add c.c_latency ns
-  end
-
-let top t = match t.stack with [] -> None | f :: _ -> Some f
-
-let add_ios t n = if t.on then Option.iter (fun f -> f.f_ios <- f.f_ios + n) (top t)
-let add_retries t n = if t.on then Option.iter (fun f -> f.f_retries <- f.f_retries + n) (top t)
-let add_faults t n = if t.on then Option.iter (fun f -> f.f_faults <- f.f_faults + n) (top t)
-let add_bytes t n = if t.on then Option.iter (fun f -> f.f_bytes <- f.f_bytes + n) (top t)
-
-let add_counter t name n =
-  if t.on then
-    match List.assoc_opt name t.counts with
-    | Some r -> r := !r + n
-    | None -> t.counts <- (name, ref n) :: t.counts
+let record c ~blocks ~bytes ~ns =
+  c.c_count <- c.c_count + 1;
+  c.c_blocks <- c.c_blocks + blocks;
+  c.c_bytes <- c.c_bytes + bytes;
+  hist_add c.c_latency ns
 
 let with_phase t label f =
   if not t.on then f ()
   else begin
     let frame =
-      { f_label = label; f_depth = List.length t.stack; f_start = now_ns ();
-        f_ios = 0; f_retries = 0; f_faults = 0; f_bytes = 0 }
+      { f_label = label; f_depth = List.length t.stack; f_start = clock (); f_entry = total t;
+        f_kids = zero }
     in
     t.stack <- frame :: t.stack;
     Fun.protect
       ~finally:(fun () ->
+        let incl = lift ( - ) (total t) frame.f_entry in
+        let own = lift ( - ) incl frame.f_kids in
         (match t.stack with x :: rest when x == frame -> t.stack <- rest | _ -> ());
+        (match t.stack with p :: _ -> p.f_kids <- lift ( + ) p.f_kids incl | [] -> ());
         t.rev_phases <-
           {
             label = frame.f_label;
             depth = frame.f_depth;
-            start_ns = frame.f_start;
-            dur_ns = Int64.sub (now_ns ()) frame.f_start;
-            ios = frame.f_ios;
-            retries = frame.f_retries;
-            faults = frame.f_faults;
-            bytes = frame.f_bytes;
+            start_ns = Int64.of_int frame.f_start;
+            dur_ns = Int64.of_int (clock () - frame.f_start);
+            ios = own.ios;
+            retries = own.retries;
+            faults = own.faults;
+            bytes = own.bytes;
           }
           :: t.rev_phases)
       f
@@ -200,11 +200,14 @@ let phases t = List.rev t.rev_phases
 let op_stats t =
   List.sort
     (fun a b -> compare (a.op, a.op_backend) (b.op, b.op_backend))
-    (List.map
+    (List.filter_map
        (fun c ->
-         { op = c.c_op; op_backend = c.c_backend; count = c.c_count; op_blocks = c.c_blocks;
-           op_bytes = c.c_bytes; latency = c.c_latency })
-       t.ops)
+         if c.c_count = 0 then None
+         else
+           Some
+             { op = c.c_op; op_backend = c.c_backend; count = c.c_count; op_blocks = c.c_blocks;
+               op_bytes = c.c_bytes; latency = c.c_latency })
+       t.cells)
 
 let phase_stats t =
   let tbl = Hashtbl.create 16 in
@@ -218,7 +221,7 @@ let phase_stats t =
             Hashtbl.add tbl p.label s;
             s
       in
-      hist_add s.phase_latency p.dur_ns;
+      hist_add s.phase_latency (Int64.to_int p.dur_ns);
       Hashtbl.replace tbl p.label { s with phase_count = s.phase_count + 1 })
     t.rev_phases;
   List.sort
@@ -226,7 +229,10 @@ let phase_stats t =
     (Hashtbl.fold (fun _ s acc -> s :: acc) tbl [])
 
 let counters t =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) (List.map (fun (n, r) -> (n, !r)) t.counts)
+  let c = total t in
+  List.filter
+    (fun (_, v) -> v <> 0)
+    [ ("cache.flush", c.flushes); ("cache.hit", c.hits); ("cache.miss", c.misses) ]
 
 (* ---- human-readable profile ---- *)
 
@@ -235,10 +241,10 @@ let us f = f /. 1e3
 
 let pp_summary ppf t =
   if not t.on then Format.fprintf ppf "telemetry: disabled@."
-  else if t.ops = [] && t.rev_phases = [] && t.counts = [] then
+  else if op_stats t = [] && t.rev_phases = [] && counters t = [] then
     Format.fprintf ppf "telemetry: enabled, nothing recorded@."
   else begin
-    if t.ops <> [] then begin
+    if op_stats t <> [] then begin
       Format.fprintf ppf "backend op latency (us): %-18s %8s %10s %8s %8s %8s@." "op[backend]"
         "count" "total_ms" "p50" "p90" "p99";
       List.iter

@@ -1,41 +1,37 @@
 (** Latency telemetry for the storage stack: who spent the wall-clock.
 
-    The I/O model counts block transfers; this module measures what each
-    one {e costs} on the machine, so "fast as the hardware allows" is a
-    number instead of a feeling. A [Telemetry.t] is an event sink wired
-    through {!Odex_extmem.Storage} (and from there into every backend
-    call, trace span and cache probe). It collects
+    Each store's {!Odex_extmem.Stats} is the one ledger of counted I/Os,
+    retries, faults, payload bytes and cache probes. A [Telemetry.t]
+    sink adds what that ledger cannot know — what each transfer
+    {e costs} on the machine. {!Odex_extmem.Storage} registers its
+    ledger on the sink and times every backend call into it. It collects
 
     - a log₂-bucketed latency histogram per (operation kind × backend
-      kind) — every backend [read]/[write]/[read_run]/[write_run]/[sync]
-      is timed with the monotonic clock;
-    - one timed record per completed {!Odex_extmem.Trace.with_span}
-      phase, with the counted I/Os, retries, faults and payload bytes
-      that occurred while the phase was innermost; and
-    - free-form named counters (cache hits/misses/flushes, …).
+      kind), timed with the monotonic clock;
+    - one timed record per completed phase ({!with_phase}, opened by
+      {!Odex_extmem.Storage.with_span}), its counts taken from the
+      registered ledgers; and
+    - the cache counters, read off the same ledgers.
 
-    Two export views: {!pp_summary} prints a human-readable profile
-    (per-op percentiles, per-phase totals, counters) and {!chrome_json}
-    emits Chrome trace-event JSON loadable in [chrome://tracing] or
-    Perfetto.
+    {!pp_summary} prints a human-readable profile and {!chrome_json}
+    emits Chrome trace-event JSON for [chrome://tracing] or Perfetto.
 
     {b Obliviousness.} Telemetry observes only what Bob already sees —
     operation kinds, block counts, sealed-payload sizes, wall-clock —
     never plaintext, keys or nonces. Enabling it must not change a
     single trace op (the pair-tester asserts telemetry-on vs -off traces
-    are bit-identical), because it sits strictly {e around} the I/O
-    path, not in it.
+    are bit-identical).
 
-    {b Zero cost when disabled.} {!disabled} is a no-op sink: every
-    record entry point returns after one flag test, no clock is read,
-    and {!Odex_extmem.Storage} does not even wrap its backend with the
-    timing decorator. *)
+    {b Cost.} {!disabled} is a no-op sink: every entry point returns
+    after one flag test, no clock is read, and Storage does not even
+    wrap its backend with the timing decorator. An enabled sink
+    allocates nothing per I/O. *)
 
 type t
 
 val disabled : t
-(** The shared no-op sink. [enabled disabled = false]; all recording
-    functions return immediately and all exports are empty. *)
+(** The shared no-op sink. [enabled disabled = false]; nothing registers
+    on it and all exports are empty. *)
 
 val create : unit -> t
 (** A fresh collecting sink. *)
@@ -45,6 +41,9 @@ val enabled : t -> bool
 val now_ns : unit -> int64
 (** Monotonic clock, nanoseconds (arbitrary epoch). *)
 
+val clock : unit -> int
+(** {!now_ns} as an [int], for timers that must not box. *)
+
 (** Backend operation kinds, as timed by the instrumented backend, plus
     the cipher ops ([Seal]/[Unseal]) Storage reports under the pseudo
     backend "cipher" so profiles attribute keystream time separately
@@ -53,26 +52,34 @@ type op_kind = Read | Write | Read_run | Write_run | Sync | Seal | Unseal
 
 val op_kind_name : op_kind -> string
 
-val record_op :
-  t -> backend:string -> op:op_kind -> blocks:int -> bytes:int -> ns:int64 -> unit
-(** One timed backend operation: [blocks] block payloads ([bytes] bytes
-    total) moved in [ns] nanoseconds. No-op on a disabled sink. *)
+type cell
+(** The live aggregate of one (op kind × backend kind). *)
+
+val cell : t -> backend:string -> op_kind -> cell
+(** The sink's cell for [(op, backend)], created on first request.
+    Recorders resolve their cells once, at install, and then record
+    with no lookup. A disabled sink returns a detached cell nothing
+    reads. *)
+
+val record : cell -> blocks:int -> bytes:int -> ns:int -> unit
+(** One timed operation: [blocks] block payloads ([bytes] bytes total)
+    moved in [ns] nanoseconds. Allocation-free. *)
+
+(** A ledger's totals since it was created. *)
+type counts =
+  { ios : int; retries : int; faults : int; bytes : int; hits : int; misses : int; flushes : int }
+
+val register : t -> (unit -> counts) -> unit
+(** Add a ledger; phases and {!counters} sum every ledger registered on
+    the sink. A ledger counts from zero at registration and never
+    decreases. No-op on a disabled sink. *)
 
 val with_phase : t -> string -> (unit -> 'a) -> 'a
-(** Time a labelled phase. Phases nest; counter attribution
-    ({!add_ios} …) goes to the innermost open phase. Exception-safe: the
-    phase record is emitted even if the thunk raises. On a disabled sink
-    this is exactly [f ()]. *)
-
-val add_ios : t -> int -> unit
-(** Counted logical I/Os, attributed to the innermost open phase. *)
-
-val add_retries : t -> int -> unit
-val add_faults : t -> int -> unit
-val add_bytes : t -> int -> unit
-
-val add_counter : t -> string -> int -> unit
-(** Bump a free-form named counter (e.g. ["cache.hit"]). *)
+(** Time a labelled phase. Phases nest; a phase's counts are the
+    ledgers' growth while it was open minus its children's, i.e. what
+    happened while it was innermost. Exception-safe: the phase record
+    is emitted even if the thunk raises. On a disabled sink this is
+    exactly [f ()]. *)
 
 (** {1 Collected data} *)
 
@@ -111,7 +118,7 @@ type op_stat = {
 }
 
 val op_stats : t -> op_stat list
-(** One entry per (op kind × backend kind) seen, sorted by kind. *)
+(** One entry per (op kind × backend kind) recorded, sorted by kind. *)
 
 type phase_stat = { phase_label : string; phase_count : int; phase_latency : hist }
 
@@ -119,7 +126,9 @@ val phase_stats : t -> phase_stat list
 (** Phase durations aggregated by label, sorted by label. *)
 
 val counters : t -> (string * int) list
-(** Named counters, sorted by name. *)
+(** The registered ledgers' cache probes as ["cache.flush"],
+    ["cache.hit"] and ["cache.miss"], sorted by name; a counter still at
+    zero is left out. *)
 
 (** {1 Export} *)
 

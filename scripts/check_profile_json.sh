@@ -5,7 +5,10 @@
 # `--profile` flag (or `odx --profile`): the file must parse as JSON and
 # carry the trace-event envelope Perfetto / chrome://tracing expect —
 # a traceEvents array holding at least one complete ("ph":"X") phase
-# event with microsecond timestamps.
+# event with microsecond timestamps — and the phases must carry their
+# counts: integer ios/retries/faults/bytes/depth >= 0 on every phase
+# event, and ios > 0 on at least one, so a sink that records nothing
+# fails here.
 set -eu
 
 profile=${1:-profile_trace.json}
@@ -31,6 +34,12 @@ for e in phases:
         assert field in e, f"phase event missing {field!r}: {e}"
     assert isinstance(e["ts"], (int, float)) and e["ts"] >= 0, f"bad ts: {e}"
     assert isinstance(e["dur"], (int, float)) and e["dur"] >= 0, f"bad dur: {e}"
+    args = e.get("args", {})
+    for field in ("ios", "retries", "faults", "bytes", "depth"):
+        v = args.get(field)
+        assert isinstance(v, int) and not isinstance(v, bool) and v >= 0, \
+            f"phase event needs an integer {field!r} >= 0: {e}"
+assert any(e["args"]["ios"] > 0 for e in phases), "no phase event counts any I/O"
 
 names = [e for e in events if e.get("ph") == "M" and e.get("name") == "thread_name"]
 assert names, "no thread_name metadata events"
@@ -47,5 +56,7 @@ else
     echo "check_profile_json: no phase events in $profile" >&2; exit 1; }
   grep -q '"name":"thread_name"' "$profile" || {
     echo "check_profile_json: no thread_name metadata in $profile" >&2; exit 1; }
+  grep -q '"ios":[1-9]' "$profile" || {
+    echo "check_profile_json: no phase event counts any I/O in $profile" >&2; exit 1; }
   echo "check_profile_json: $profile OK (structural check; python3 unavailable)"
 fi

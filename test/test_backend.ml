@@ -509,28 +509,6 @@ let test_eintr_retried () =
         (Printf.sprintf "timer delivered signals (%d)" !ticks)
         true (!ticks > 0))
 
-(* ---------------- stats spans carry every counter ---------------- *)
-
-(* Regression for the narrow snapshot: a span over a faulty backend must
-   report the retries (and bytes, and batched share) of the spanned
-   window, not just reads/writes. *)
-let test_span_reports_all_counters () =
-  let s =
-    Storage.create ~backend:always_faulty ~backoff:(0., 0.) ~trace_mode:Trace.Digest
-      ~block_size:2 ()
-  in
-  let base = Storage.alloc s 4 in
-  let payload = 8 + Block.encoded_size 2 in
-  (* Warm-up I/O before the span: deltas must subtract it away. *)
-  ignore (Storage.read s base);
-  let (), d = Stats.span (Storage.stats s) (fun () -> ignore (Storage.read_many s base 4)) in
-  Alcotest.(check int) "span reads" 4 d.Stats.reads;
-  Alcotest.(check int) "span writes" 0 d.Stats.writes;
-  Alcotest.(check int) "span retries (one per access)" 4 d.Stats.retries;
-  Alcotest.(check int) "span bytes" (4 * payload) d.Stats.bytes_moved;
-  Alcotest.(check int) "span batched share" 4 d.Stats.batched_ios;
-  Alcotest.(check bool) "last_span matches" true (Stats.last_span (Storage.stats s) = Some d)
-
 (* ---------------- spec plumbing ---------------- *)
 
 let test_remove_spec_files () =
@@ -567,6 +545,5 @@ let suite =
     ("meta access on a closed store raises", `Quick, test_meta_on_closed_store_raises);
     ("torn trailing block rejected on reopen", `Quick, test_torn_store_rejected);
     ("EINTR retried across the whole I/O surface", `Quick, test_eintr_retried);
-    ("stats span carries every counter", `Quick, test_span_reports_all_counters);
     ("remove_spec_files", `Quick, test_remove_spec_files);
   ]

@@ -297,17 +297,14 @@ let test_full_trace_growth () =
   Alcotest.(check bool) "recording works after reset" true (Trace.ops t = [ Trace.Read 42 ])
 
 let test_stats_transfer_fields () =
-  let st = Stats.create () in
+  let st = Stats.create ~payload_size:88 () in
   Alcotest.(check int) "fresh bytes_moved" 0 (Stats.bytes_moved st);
   Alcotest.(check int) "fresh batched_ios" 0 (Stats.batched_ios st);
-  Stats.record_moved st 88;
-  Stats.record_moved st 88;
+  Stats.record_read st;
+  Stats.record_write st;
   Stats.record_batched st 2;
-  Alcotest.(check int) "bytes accumulate" 176 (Stats.bytes_moved st);
-  Alcotest.(check int) "batched accumulate" 2 (Stats.batched_ios st);
-  Stats.reset st;
-  Alcotest.(check int) "reset clears bytes" 0 (Stats.bytes_moved st);
-  Alcotest.(check int) "reset clears batched" 0 (Stats.batched_ios st)
+  Alcotest.(check int) "bytes are payload_size * total" 176 (Stats.bytes_moved st);
+  Alcotest.(check int) "batched accumulate" 2 (Stats.batched_ios st)
 
 let suite =
   [

@@ -159,22 +159,6 @@ let test_span_exception_safe () =
       Alcotest.(check int) "ops recorded" 1 s.Trace.end_length
   | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
 
-let test_stats_span_exception_safe () =
-  let st = Stats.create () in
-  (try
-     ignore
-       (Stats.span st (fun () ->
-            Stats.record_read st;
-            Stats.record_read st;
-            Stats.record_write st;
-            raise Exit))
-   with Exit -> ());
-  match Stats.last_span st with
-  | Some snap ->
-      Alcotest.(check int) "reads survive the raise" 2 snap.Stats.reads;
-      Alcotest.(check int) "writes survive the raise" 1 snap.Stats.writes
-  | None -> Alcotest.fail "no span recorded after exception"
-
 (* --- I/O bounds ---------------------------------------------------- *)
 
 let measure ~n_cells ~b ~seed f =
@@ -240,7 +224,6 @@ let suite =
       Alcotest.test_case "checker detects planted leak" `Quick test_detects_leak;
       Alcotest.test_case "span nesting" `Quick test_span_nesting;
       Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;
-      Alcotest.test_case "stats span exception safety" `Quick test_stats_span_exception_safe;
       Alcotest.test_case "bound: consolidation exact" `Quick test_bound_consolidation;
       Alcotest.test_case "bound: butterfly" `Quick test_bound_butterfly;
       Alcotest.test_case "bound: selection" `Quick test_bound_selection;
