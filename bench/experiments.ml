@@ -817,7 +817,7 @@ let e17 () =
       for k = 0 to payload_size - 1 do
         Odex_crypto.Bigbuf.set buf k (Char.chr ((i + k) land 0xFF))
       done;
-      Backend.write_from b i ~buf ~off:0
+      Backend.write_run b ~addr:i ~count:1 ~payload:payload_size ~buf ~off:0
     done;
     Journal.pending_bytes j + Journal.header_bytes
   in

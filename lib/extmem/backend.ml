@@ -10,9 +10,6 @@ module type S = sig
   val ensure : t -> int -> unit
   val size : t -> int
 
-  val read : t -> int -> buf:Bigbuf.t -> off:int -> unit
-  val write : t -> int -> buf:Bigbuf.t -> off:int -> unit
-
   val read_run : t -> addr:int -> count:int -> payload:int -> buf:Bigbuf.t -> off:int -> unit
   val write_run : t -> addr:int -> count:int -> payload:int -> buf:Bigbuf.t -> off:int -> unit
 
@@ -58,8 +55,6 @@ let kind (Packed ((module B), _)) = B.kind
 let payload_bytes (Packed ((module B), b)) = B.payload_bytes b
 let ensure (Packed ((module B), b)) n = B.ensure b n
 let size (Packed ((module B), b)) = B.size b
-let read_into (Packed ((module B), b)) addr ~buf ~off = B.read b addr ~buf ~off
-let write_from (Packed ((module B), b)) addr ~buf ~off = B.write b addr ~buf ~off
 
 let read_run (Packed ((module B), b)) ~addr ~count ~payload ~buf ~off =
   B.read_run b ~addr ~count ~payload ~buf ~off
@@ -80,18 +75,13 @@ let check_meta ~who m =
   if Bytes.length m > meta_capacity then
     invalid_arg (Printf.sprintf "%s: metadata exceeds %d bytes" who meta_capacity)
 
-(* Single-block region validation: [buf[off .. off+payload)] must exist
-   before any byte moves. *)
-let check_block ~who ~payload ~buf ~off =
-  if off < 0 || off + payload > Bigbuf.length buf then
-    invalid_arg (who ^ ": buffer region out of bounds")
-
 (* Shared run-argument validation: the whole window must be legal before
    any byte moves, so an out-of-bounds run raises without a partial
    transfer on every backend. *)
-let check_run ~who ~blocks ~addr ~count ~payload ~buf ~off =
+let check_run ~who ~payload_bytes ~blocks ~addr ~count ~payload ~buf ~off =
   if count < 0 then invalid_arg (who ^ ": negative run length");
-  if payload < 1 then invalid_arg (who ^ ": payload must be >= 1");
+  if payload <> payload_bytes then
+    invalid_arg (who ^ ": run payload size differs from the store's");
   if addr < 0 || addr + count > blocks then
     invalid_arg
       (Printf.sprintf "%s: run [%d, %d) out of bounds (%d blocks)" who addr (addr + count)
@@ -136,32 +126,15 @@ module Mem = struct
 
   let size t = t.len
 
-  let check t addr =
-    if addr < 0 || addr >= t.len then
-      invalid_arg (Printf.sprintf "Backend.Mem: address %d out of bounds (%d)" addr t.len)
-
-  let read t addr ~buf ~off =
-    check t addr;
-    check_block ~who:"Backend.Mem.read" ~payload:t.payload ~buf ~off;
-    Bigbuf.blit t.arena (addr * t.payload) buf off t.payload
-
-  let write t addr ~buf ~off =
-    check t addr;
-    check_block ~who:"Backend.Mem.write" ~payload:t.payload ~buf ~off;
-    Bigbuf.blit buf off t.arena (addr * t.payload) t.payload
-
-  let check_payload t payload who =
-    if payload <> t.payload then
-      invalid_arg (who ^ ": run payload size differs from the store's")
+  let check t ~who ~addr ~count ~payload ~buf ~off =
+    check_run ~who ~payload_bytes:t.payload ~blocks:t.len ~addr ~count ~payload ~buf ~off
 
   let read_run t ~addr ~count ~payload ~buf ~off =
-    check_payload t payload "Backend.Mem.read_run";
-    check_run ~who:"Backend.Mem.read_run" ~blocks:t.len ~addr ~count ~payload ~buf ~off;
+    check t ~who:"Backend.Mem.read_run" ~addr ~count ~payload ~buf ~off;
     if count > 0 then Bigbuf.blit t.arena (addr * payload) buf off (count * payload)
 
   let write_run t ~addr ~count ~payload ~buf ~off =
-    check_payload t payload "Backend.Mem.write_run";
-    check_run ~who:"Backend.Mem.write_run" ~blocks:t.len ~addr ~count ~payload ~buf ~off;
+    check t ~who:"Backend.Mem.write_run" ~addr ~count ~payload ~buf ~off;
     if count > 0 then Bigbuf.blit buf off t.arena (addr * payload) (count * payload)
 
   let sync _ = ()
@@ -304,38 +277,20 @@ module File = struct
 
   let size t = t.blocks
 
-  let check t addr =
-    if t.closed then invalid_arg "Backend.File: store is closed";
-    if addr < 0 || addr >= t.blocks then
-      invalid_arg (Printf.sprintf "Backend.File: address %d out of bounds (%d)" addr t.blocks)
-
   let pos_of t addr = file_header_bytes + (addr * t.payload_size)
 
-  let read t addr ~buf ~off =
-    check t addr;
-    check_block ~who:"Backend.File.read" ~payload:t.payload_size ~buf ~off;
-    Bigio.read_all ~who:"Backend.File" t.fd ~pos:(pos_of t addr) buf ~off ~len:t.payload_size
-
-  let write t addr ~buf ~off =
-    check t addr;
-    check_block ~who:"Backend.File.write" ~payload:t.payload_size ~buf ~off;
-    Bigio.write_all t.fd ~pos:(pos_of t addr) buf ~off ~len:t.payload_size
-
-  let check_run_payload t payload =
+  let check t ~who ~addr ~count ~payload ~buf ~off =
     if t.closed then invalid_arg "Backend.File: store is closed";
-    if payload <> t.payload_size then
-      invalid_arg "Backend.File: run payload size differs from the store's"
+    check_run ~who ~payload_bytes:t.payload_size ~blocks:t.blocks ~addr ~count ~payload ~buf ~off
 
   let read_run t ~addr ~count ~payload ~buf ~off =
-    check_run_payload t payload;
-    check_run ~who:"Backend.File.read_run" ~blocks:t.blocks ~addr ~count ~payload ~buf ~off;
+    check t ~who:"Backend.File.read_run" ~addr ~count ~payload ~buf ~off;
     if count > 0 then
       Bigio.read_all ~who:"Backend.File" t.fd ~pos:(pos_of t addr) buf ~off
         ~len:(count * payload)
 
   let write_run t ~addr ~count ~payload ~buf ~off =
-    check_run_payload t payload;
-    check_run ~who:"Backend.File.write_run" ~blocks:t.blocks ~addr ~count ~payload ~buf ~off;
+    check t ~who:"Backend.File.write_run" ~addr ~count ~payload ~buf ~off;
     if count > 0 then
       Bigio.write_all t.fd ~pos:(pos_of t addr) buf ~off ~len:(count * payload)
 
@@ -425,35 +380,29 @@ module Faulty = struct
   let read_meta t = read_meta t.inner
   let write_meta t m = write_meta t.inner m
 
-  let read t addr ~buf ~off =
-    gate t addr;
-    read_into t.inner addr ~buf ~off
+  (* Runs iterate block by block, gating each address: the access
+     counter — the schedule's only input — advances once per block per
+     attempt, so a run of [n] blocks and [n] runs of one replay
+     byte-identical fault sequences. A Transient at block [addr + i]
+     leaves blocks [addr, addr + i) fully transferred, which is the
+     resume contract {!Storage}'s retry loop relies on. The window and
+     the payload size are validated against the inner store before the
+     first gate, so a refused run neither transfers nor consumes
+     accesses. *)
 
-  let write t addr ~buf ~off =
-    gate t addr;
-    write_from t.inner addr ~buf ~off
-
-  (* Runs iterate block by block, gating each address exactly as the
-     per-block API would: the access counter — the schedule's only input
-     — advances once per block per attempt, so a batched run and a
-     per-block run replay byte-identical fault sequences. A Transient at
-     block [addr + i] leaves blocks [addr, addr + i) fully transferred,
-     which is the resume contract {!Storage}'s retry loop relies on.
-     Bounds are validated against the inner store before the first gate,
-     so an out-of-bounds run neither transfers nor consumes accesses. *)
-
-  let check_run_bounds who t ~addr ~count ~payload ~buf ~off =
-    check_run ~who ~blocks:(size t) ~addr ~count ~payload ~buf ~off
+  let check t ~who ~addr ~count ~payload ~buf ~off =
+    check_run ~who ~payload_bytes:(payload_bytes t) ~blocks:(size t) ~addr ~count ~payload ~buf
+      ~off
 
   let read_run t ~addr ~count ~payload ~buf ~off =
-    check_run_bounds "Backend.Faulty.read_run" t ~addr ~count ~payload ~buf ~off;
+    check t ~who:"Backend.Faulty.read_run" ~addr ~count ~payload ~buf ~off;
     for i = 0 to count - 1 do
       gate t (addr + i);
       read_run t.inner ~addr:(addr + i) ~count:1 ~payload ~buf ~off:(off + (i * payload))
     done
 
   let write_run t ~addr ~count ~payload ~buf ~off =
-    check_run_bounds "Backend.Faulty.write_run" t ~addr ~count ~payload ~buf ~off;
+    check t ~who:"Backend.Faulty.write_run" ~addr ~count ~payload ~buf ~off;
     for i = 0 to count - 1 do
       gate t (addr + i);
       write_run t.inner ~addr:(addr + i) ~count:1 ~payload ~buf ~off:(off + (i * payload))
@@ -588,7 +537,7 @@ module Sharded = struct
   let run_ops ~write t ~addr ~count ~payload ~buf ~off =
     let who = if write then "Backend.Sharded.write_run" else "Backend.Sharded.read_run" in
     check_open t;
-    check_run ~who ~blocks:t.len ~addr ~count ~payload ~buf ~off;
+    check_run ~who ~payload_bytes:(payload_bytes t) ~blocks:t.len ~addr ~count ~payload ~buf ~off;
     if count > 0 then begin
       let lo = addr in
       dispatch t ~lo ~hi:(addr + count) (fun s gs ge ->
@@ -632,23 +581,6 @@ module Sharded = struct
 
   let write_run t ~addr ~count ~payload ~buf ~off =
     run_ops ~write:true t ~addr ~count ~payload ~buf ~off
-
-  let check_addr t a =
-    check_open t;
-    if a < 0 || a >= t.len then
-      invalid_arg (Printf.sprintf "Backend.Sharded: address %d out of bounds (%d)" a t.len)
-
-  let read t a ~buf ~off =
-    check_addr t a;
-    let s, g = route t.r a in
-    t.ops.(s) <- t.ops.(s) + 1;
-    read_into t.inners.(s) g ~buf ~off
-
-  let write t a ~buf ~off =
-    check_addr t a;
-    let s, g = route t.r a in
-    t.ops.(s) <- t.ops.(s) + 1;
-    write_from t.inners.(s) g ~buf ~off
 
   let ensure t n =
     check_open t;
@@ -738,7 +670,7 @@ let sharded ~seed inners =
 (* A timing shim around any backend: each device call is bracketed with
    the monotonic clock and recorded in the sink's cell for (op, inner
    kind), so a profile of a faulty-over-file stack attributes latencies
-   to "faulty" as one composite device. The five cells are resolved once,
+   to "faulty" as one composite device. The three cells are resolved once,
    at install; a call reads the clock twice and updates its cell in
    place, with no closure and no boxed clock value. The shim never looks
    at payload contents — it observes operation kinds, block counts, byte
@@ -752,9 +684,8 @@ let sharded ~seed inners =
 module Instrumented = struct
   module Tel = Odex_telemetry.Telemetry
 
-  (* One cell per timed op: read, write, read_run, write_run, sync. *)
-  type nonrec t =
-    { inner : t; rd : Tel.cell; wr : Tel.cell; rd_run : Tel.cell; wr_run : Tel.cell; sy : Tel.cell }
+  (* One cell per timed op: read_run, write_run, sync. *)
+  type nonrec t = { inner : t; rd_run : Tel.cell; wr_run : Tel.cell; sy : Tel.cell }
 
   let kind = "instrumented"
 
@@ -764,16 +695,6 @@ module Instrumented = struct
   let size t = size t.inner
   let read_meta t = read_meta t.inner
   let write_meta t m = write_meta t.inner m
-
-  let read t addr ~buf ~off =
-    let t0 = Tel.clock () in
-    read_into t.inner addr ~buf ~off;
-    stop t.rd ~blocks:1 ~bytes:(payload_bytes t) t0
-
-  let write t addr ~buf ~off =
-    let t0 = Tel.clock () in
-    write_from t.inner addr ~buf ~off;
-    stop t.wr ~blocks:1 ~bytes:(payload_bytes t) t0
 
   let read_run t ~addr ~count ~payload ~buf ~off =
     let t0 = Tel.clock () in
@@ -800,7 +721,7 @@ let instrument tel inner =
   let c = Odex_telemetry.Telemetry.cell tel ~backend:(kind inner) in
   Packed
     ( (module Instrumented),
-      { inner; rd = c Read; wr = c Write; rd_run = c Read_run; wr_run = c Write_run; sy = c Sync } )
+      { inner; rd_run = c Read_run; wr_run = c Write_run; sy = c Sync } )
 
 (* ---------------- deterministic crash injection ---------------- *)
 
@@ -830,14 +751,6 @@ module Crashing = struct
   let size t = size t.inner
   let read_meta t = read_meta t.inner
   let write_meta t m = write_meta t.inner m
-
-  let read t addr ~buf ~off =
-    gate t;
-    read_into t.inner addr ~buf ~off
-
-  let write t addr ~buf ~off =
-    gate t;
-    write_from t.inner addr ~buf ~off
 
   let read_run t ~addr ~count ~payload ~buf ~off =
     gate t;

@@ -3,7 +3,7 @@
     {!Storage} is the paper-facing layer: it owns the I/O accounting,
     the adversary trace, encryption and the bump allocator. A backend is
     only the dumb device those sealed payloads land on — a fixed-size
-    byte region per block address. Three implementations ship:
+    byte region per block address. Two devices ship:
 
     - {!mem}: a growable in-process off-heap arena (one flat
       {!Odex_crypto.Bigbuf}, blocks served by blit — no per-block
@@ -11,14 +11,19 @@
     - {!file}: a plain file addressed at [addr * payload_size], so
       datasets can exceed RAM and the block image persists across runs;
       block payloads move positionally ({!Bigio}) straight between the
-      file and the caller's buffer;
-    - {!faulty}: a decorator injecting deterministic transient failures,
-      for exercising the retry path of {!Storage} under the
-      obliviousness harness.
+      file and the caller's buffer.
 
-    All block transfers go through caller-owned {!Odex_crypto.Bigbuf}
-    regions — the same off-heap buffers the cipher XORs in place
-    — so a sealed payload travels device <-> cipher <-> codec without a
+    Decorators stack on top of them: {!faulty} injects deterministic
+    transient failures (the retry path under the obliviousness harness),
+    {!sharded} stripes one address space across several devices,
+    {!crash_after} is the crash sweeps' kill switch, {!instrument} times
+    device calls for a telemetry sink, and {!Journal.backend} adds
+    write-ahead crash atomicity.
+
+    A block moves only as part of a contiguous run ({!read_run} /
+    {!write_run}); a single block is a run of one. All transfers go
+    through caller-owned {!Odex_crypto.Bigbuf} regions — the same
+    off-heap buffers the cipher XORs in place — so a sealed payload travels device <-> cipher <-> codec without a
     staging copy. Backends never see plaintext (when a cipher key is set
     the payload is ciphertext), never count I/Os and never touch the
     trace — that is Storage's job, which is what keeps the accounting
@@ -56,23 +61,15 @@ module type S = sig
   val size : t -> int
   (** Number of backed addresses (the [ensure] high-water mark). *)
 
-  val read : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-  (** [read t addr ~buf ~off] fills [buf[off .. off + payload_bytes)]
-      with the payload at [addr]. A never-written address reads as
-      zeros. *)
-
-  val write : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-  (** Store the [payload_bytes] bytes at [buf[off ..]] at [addr]. *)
-
   val read_run :
     t -> addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
   (** [read_run t ~addr ~count ~payload ~buf ~off] fills
       [buf[off .. off + count*payload)] with the payloads of the
       contiguous block run [addr, addr + count) — a single positioned
       transfer on {!file}, one blit on {!mem}, and a per-block
-      fault-gated iteration on {!faulty}. [payload] must equal
-      [payload_bytes]. The whole window (addresses and buffer region) is
-      validated before any byte moves, so out-of-bounds runs raise
+      fault-gated iteration on {!faulty}. A never-written address reads
+      as zeros. [payload] must equal [payload_bytes]. The whole window
+      (addresses and buffer region) is validated before any byte moves, so out-of-bounds runs raise
       without a partial transfer. On [Transient { addr = a }], blocks
       before [a] have been transferred and blocks from [a] on have not —
       the caller may resume the run at [a]. [count = 0] is a validated
@@ -123,14 +120,6 @@ val payload_bytes : t -> int
 val ensure : t -> int -> unit
 val size : t -> int
 
-val read_into : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-(** The zero-copy single-block read: fills [payload_bytes] bytes of the
-    caller's buffer in place. *)
-
-val write_from : t -> int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-(** The zero-copy single-block write: stores the [payload_bytes] bytes at
-    [buf[off ..]] at the address. *)
-
 val read_run :
   t -> addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
 
@@ -141,6 +130,22 @@ val read_meta : t -> bytes option
 val write_meta : t -> bytes -> unit
 val sync : t -> unit
 val close : t -> unit
+
+val check_run :
+  who:string ->
+  payload_bytes:int ->
+  blocks:int ->
+  addr:int ->
+  count:int ->
+  payload:int ->
+  buf:Odex_crypto.Bigbuf.t ->
+  off:int ->
+  unit
+(** The run-argument validation every backend applies before any byte
+    moves: [count >= 0], [payload] equal to the store's [payload_bytes],
+    the address window [[addr, addr + count)] inside a [blocks]-block
+    store and the buffer region [buf[off .. off + count*payload)] in
+    bounds. Raises [Invalid_argument] prefixed with [who] otherwise. *)
 
 val meta_capacity : int
 (** Maximum {!write_meta} blob size (bytes) every backend supports. *)
@@ -239,8 +244,8 @@ val sharded : seed:int -> t array -> t
 
     A contiguous logical run decomposes into exactly one contiguous
     inner run per shard (the logical addresses a shard serves are
-    strictly increasing in its inner address). The per-shard runs and
-    single-block ops execute on the caller's domain, one shard at a
+    strictly increasing in its inner address). The per-shard runs
+    execute on the caller's domain, one shard at a
     time. On a mid-run {!Transient} the smallest faulted {e logical}
     address is re-raised after every shard has run to completion or its
     own fault: all blocks below it have been transferred (blocks at or
@@ -275,9 +280,8 @@ val crash_after : ops:int -> t -> t
     every backend op of a run. *)
 
 val instrument : Odex_telemetry.Telemetry.t -> t -> t
-(** [instrument sink inner] times every [read]/[write]/[read_run]/
-    [write_run]/[sync] with the monotonic clock and records each in
-    [sink]'s cell for that op under [inner]'s kind (resolved once, here),
+(** [instrument sink inner] times every [read_run]/[write_run]/[sync]
+    with the monotonic clock and records each in [sink]'s cell for that op under [inner]'s kind (resolved once, here),
     forwarding everything else untouched. The shim observes only
     operation kinds, block/byte counts and durations — never payload
     contents — and {!Storage} installs it only when the sink is enabled,

@@ -419,17 +419,12 @@ let append t ~addr ~count ~buf ~off =
     Hashtbl.replace t.overlay (addr + i) (copy, i * t.payload_size)
   done
 
-let check_write t ~addr ~count ~payload ~buf ~off =
+(* Both run verbs validate the whole window before any byte moves —
+   before an overlay hit is blitted into the caller's buffer, too. *)
+let check_run ~who t ~addr ~count ~payload ~buf ~off =
   check_open t;
-  if payload <> t.payload_size then
-    invalid_arg "Backend.Journaled: run payload size differs from the store's";
-  if count < 0 then invalid_arg "Backend.Journaled: negative run length";
-  if addr < 0 || addr + count > Backend.size t.inner then
-    invalid_arg
-      (Printf.sprintf "Backend.Journaled: run [%d, %d) out of bounds (%d blocks)" addr
-         (addr + count) (Backend.size t.inner));
-  if off < 0 || off + (count * payload) > Bigbuf.length buf then
-    invalid_arg "Backend.Journaled: buffer region out of bounds"
+  Backend.check_run ~who ~payload_bytes:t.payload_size ~blocks:(Backend.size t.inner) ~addr ~count
+    ~payload ~buf ~off
 
 let maybe_auto_commit t =
   if t.hold_depth = 0 && t.tail - header_bytes > t.auto_commit_bytes then commit t
@@ -453,14 +448,8 @@ module Journaled = struct
      overlay — the inner store has not seen them yet. Which blocks those
      are is a function of the address schedule alone, so the inner
      access pattern stays data-independent. *)
-  let read t addr ~buf ~off =
-    check_open t;
-    match Hashtbl.find_opt t.overlay addr with
-    | Some (src, soff) -> Bigbuf.blit src soff buf off t.payload_size
-    | None -> Backend.read_into t.inner addr ~buf ~off
-
   let read_run t ~addr ~count ~payload ~buf ~off =
-    check_open t;
+    check_run ~who:"Backend.Journaled.read_run" t ~addr ~count ~payload ~buf ~off;
     if Hashtbl.length t.overlay = 0 then
       Backend.read_run t.inner ~addr ~count ~payload ~buf ~off
     else begin
@@ -484,16 +473,11 @@ module Journaled = struct
       flush_inner !lo (addr + count)
     end
 
-  let write t addr ~buf ~off =
-    check_write t ~addr ~count:1 ~payload:t.payload_size ~buf ~off;
-    append t ~addr ~count:1 ~buf ~off;
-    maybe_auto_commit t
-
   (* Append-only: one record per backend run, applied in place at the
      next commit. A [write_many] group therefore commits — or rolls back
      — as a unit. *)
   let write_run t ~addr ~count ~payload ~buf ~off =
-    check_write t ~addr ~count ~payload ~buf ~off;
+    check_run ~who:"Backend.Journaled.write_run" t ~addr ~count ~payload ~buf ~off;
     if count > 0 then begin
       append t ~addr ~count ~buf ~off;
       maybe_auto_commit t

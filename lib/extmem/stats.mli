@@ -42,11 +42,11 @@ val bytes_moved : t -> int
     The numerator of the bench's [mb_per_s]. *)
 
 val batched_ios : t -> int
-(** Counted I/Os that travelled through a multi-block
-    {!Storage.read_many}/{!Storage.write_many} backend run rather than a
-    per-block call — 0 when batching is disabled. Always [<= total];
-    the batching win is visible as this ratio approaching 1 on
-    scan-heavy algorithms. *)
+(** Counted I/Os that travelled in a backend run of more than one block
+    (a {!Storage.read_flat}/{!Storage.write_flat} or
+    {!Storage.read_many}/{!Storage.write_many} of [n > 1]); single-block
+    {!Storage.read}/{!Storage.write} runs are not tallied. Always
+    [<= total]; the ratio approaches 1 on scan-heavy algorithms. *)
 
 type snapshot = {
   reads : int;

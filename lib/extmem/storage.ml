@@ -55,7 +55,6 @@ type t = {
   max_retries : int;
   backoff_base : float;
   backoff_cap : float;
-  batching : bool;
   journal : Journal.t option;
       (** The write-ahead journal handle, when the spec has a [Journaled]
           layer — owns the crash-atomicity and checkpoint machinery. *)
@@ -192,8 +191,8 @@ let rec remove_spec_files = function
       done
 
 let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = Trace.Digest)
-    ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(batching = true)
-    ?(resume = false) ?journal_auto_commit_bytes ~block_size () =
+    ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(resume = false)
+    ?journal_auto_commit_bytes ~block_size () =
   if block_size < 1 then invalid_arg "Storage.create: block_size must be >= 1";
   if max_retries < 1 then invalid_arg "Storage.create: max_retries must be >= 1";
   let backoff_base, backoff_cap = backoff in
@@ -247,7 +246,6 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
       max_retries;
       backoff_base;
       backoff_cap;
-      batching;
       journal;
       shard =
         Option.map
@@ -270,7 +268,6 @@ let stats t = t.stats
 let trace t = t.trace
 let telemetry t = t.tel
 let backend_kind t = t.kind
-let batching t = t.batching
 let faults_injected t = Backend.faults_injected t.backend
 let next_nonce t = Option.map (fun cs -> cs.next_nonce) t.cipher
 let scratch_bytes t = Bigbuf.length (Flat.buffer t.run_buf)
@@ -485,13 +482,13 @@ let open_run t buf n =
    operations retry silently: they model the experimenter's view, not
    Alice's protocol.
 
-   A counted block is recorded once, in address order, exactly where the
-   per-block API would have recorded it: blocks transferred before a
-   mid-run fault are recorded before the fault's retry op. A batched run
-   therefore emits a trace bit-identical to the per-block run it
-   replaces, which is what keeps obliviousness checkable by the
-   pair-tester with batching on. Per-block attempt counting matches the
-   per-block API too: a fresh faulting block restarts at attempt 1. ---- *)
+   A counted block is recorded once, in address order, exactly where a
+   loop of single-block runs would have recorded it: blocks transferred
+   before a mid-run fault are recorded before the fault's retry op. A
+   run of [n] blocks therefore emits a trace bit-identical to [n] runs
+   of one, which is what keeps the pair-tester's traces independent of
+   how an algorithm groups its I/Os. Attempt counting is per block too:
+   a fresh faulting block restarts at attempt 1. ---- *)
 
 let backoff t attempt =
   let delay = Float.min t.backoff_cap (t.backoff_base *. Float.pow 2. (Float.of_int (attempt - 1))) in
@@ -562,19 +559,11 @@ let rec run_from t ~counted ~write ~addr ~fin ~buf ~off a attempt =
 let run_transfer t ~counted ~write ~addr ~n ~buf ~off =
   run_from t ~counted ~write ~addr ~fin:(addr + n) ~buf ~off addr 1
 
-(* The counted transfer of slots [0, n) of [buf]: one backend run when
-   batching (the [n > 1] blocks tallied in {!Stats.batched_ios}), else
-   the per-block loop — the same trace ops and Stats ticks either way. *)
+(* The counted transfer of slots [0, n) of [buf]: one backend run, its
+   blocks tallied in {!Stats.batched_ios} when [n > 1]. *)
 let transfer t ~write addr n buf =
-  let b = Flat.buffer buf in
-  if t.batching && n > 1 then begin
-    run_transfer t ~counted:true ~write ~addr ~n ~buf:b ~off:0;
-    Stats.record_batched t.stats n
-  end
-  else
-    for i = 0 to n - 1 do
-      run_transfer t ~counted:true ~write ~addr:(addr + i) ~n:1 ~buf:b ~off:(i * t.payload_size)
-    done
+  run_transfer t ~counted:true ~write ~addr ~n ~buf:(Flat.buffer buf) ~off:0;
+  if n > 1 then Stats.record_batched t.stats n
 
 (* A run write is one journal group: it commits whole or not at all. *)
 let transfer_group t addr n buf =

@@ -38,7 +38,7 @@ type backend_spec =
       (** Stripe the address space across [shards] instances of [inner]
           (each a fresh device: file paths get a [.shardN] suffix, fault
           seeds are mixed per shard), one contiguous inner run per shard
-          for each batched run, all served on the caller's domain — see
+          for each run, all served on the caller's domain — see
           {!Backend.sharded}. The fan-out is the keyed-PRP
           {!Backend.router} of the block index, so the {e logical} trace —
           and therefore every obliviousness guarantee — is bit-identical
@@ -86,7 +86,6 @@ val create :
   ?backend:backend_spec ->
   ?max_retries:int ->
   ?backoff:float * float ->
-  ?batching:bool ->
   ?resume:bool ->
   ?journal_auto_commit_bytes:int ->
   block_size:int ->
@@ -145,26 +144,16 @@ val create :
     an automatic commit (outside {!atomically} groups). Smaller values
     bound crash-recovery scan/replay work tighter at the cost of more
     frequent commits — see EXPERIMENTS.md E17 for the measured
-    trade-off. Ignored without a [Journaled] layer.
-
-    [batching] (default [true]) controls whether {!read_flat},
-    {!write_flat}, {!read_many} and {!write_many} are served by a single contiguous backend run or
-    degrade to per-block loops. It changes only how bytes travel, never
-    what Bob sees: traces, stats totals and retry sequences are
-    identical either way (the batch-parity tests assert this on every
-    backend). Disable it to measure the batching win or to bisect a
-    suspected batching bug. *)
+    trade-off. Ignored without a [Journaled] layer. *)
 
 val block_size : t -> int
 val capacity : t -> int
 (** Number of allocated blocks. *)
 
 val backend_kind : t -> string
-(** "mem", "file" or "faulty" — for reports. *)
-
-val batching : t -> bool
-(** Whether run transfers ({!read_flat}, {!read_many}, …) use
-    multi-block backend runs. *)
+(** The kind of the outermost backend layer the spec builds — "mem",
+    "file", "faulty", "sharded", "journaled" or "crashing" — never the
+    timing shim a telemetry sink installs. For reports. *)
 
 val shard_ios : t -> int array
 (** Per-shard counts of block ops served by a [Sharded] backend ([[||]]
@@ -330,8 +319,8 @@ val read_flat : t -> int -> int -> Flat.t -> unit
     holds block [addr + i]'s plaintext cell images. The header words are
     the store's and are left unspecified. Logically identical to
     {!read_many} — one [Trace.Read] op and one Stats tick per block in
-    address order, one backend run when batching ([n > 1] tallied in
-    {!Stats.batched_ios}), the per-block loop with [~batching:false].
+    address order, one backend run ([n > 1] tallied in
+    {!Stats.batched_ios}).
     [buf] must have the store's block size and at least [n] slots.
     Allocates nothing per block on a plaintext store. *)
 
@@ -358,18 +347,17 @@ val read_many : t -> int -> int -> Block.t array
     Logically identical to [n] calls to {!read}: it records one
     [Trace.Read] op and one Stats tick per block, in address order, and
     a faulty backend gates each block on the same access index — so the
-    adversary's view is bit-identical whether or not batching is on.
-    Physically (with batching on and [n > 1]) the payloads travel as a
-    single backend run — one [pread] on a file store — and the [n]
-    blocks are tallied in {!Stats.batched_ios}. [n = 0] returns [[||]]
-    without touching anything. *)
+    adversary's view is bit-identical to the per-block loop's.
+    Physically the payloads travel as a single backend run — one
+    [pread] on a file store — and the [n] blocks are tallied in
+    {!Stats.batched_ios} when [n > 1]. [n = 0] returns [[||]] without
+    touching anything. *)
 
 val write_many : t -> int -> Block.t array -> unit
 (** [write_many t addr blks] writes [blks] to the contiguous run
     starting at [addr]. The mirror image of {!read_many}: per-block
     trace ops, stats and fresh nonces exactly as [Array.length blks]
-    calls to {!write} (nonces drawn in index order), one backend run
-    when batching. *)
+    calls to {!write} (nonces drawn in index order), one backend run. *)
 
 val stats : t -> Stats.t
 val trace : t -> Trace.t

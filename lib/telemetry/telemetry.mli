@@ -47,7 +47,9 @@ val clock : unit -> int
 (** Backend operation kinds, as timed by the instrumented backend, plus
     the cipher ops ([Seal]/[Unseal]) Storage reports under the pseudo
     backend "cipher" so profiles attribute keystream time separately
-    from device time. *)
+    from device time. Every backend transfer is a run, so nothing
+    records [Read] or [Write]; they stay while [bench/suite/suite.ml]
+    matches on them (ROADMAP item 3). *)
 type op_kind = Read | Write | Read_run | Write_run | Sync | Seal | Unseal
 
 val op_kind_name : op_kind -> string

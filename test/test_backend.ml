@@ -25,14 +25,16 @@ let test_backend_kinds () =
 let test_backend_bounds () =
   let b = Backend.mem ~payload_size:16 () in
   Backend.ensure b 4;
-  Alcotest.check_raises "mem read past end" (Invalid_argument "Backend.Mem: address 4 out of bounds (4)")
-    (fun () -> ignore (Util.read_block b 4));
+  Alcotest.check_raises "mem read past end"
+    (Invalid_argument "Backend.Mem.read_run: run [4, 5) out of bounds (4 blocks)") (fun () ->
+      ignore (Util.read_block b 4));
   with_temp_store (fun path ->
       let f = Backend.file ~path ~payload_size:8 in
       Backend.ensure f 2;
       Alcotest.check_raises "file payload size enforced"
-        (Invalid_argument "Backend.File.write: buffer region out of bounds") (fun () ->
-          Backend.write_from f 0 ~buf:(Odex_crypto.Bigbuf.create 7) ~off:0);
+        (Invalid_argument "Backend.File.write_run: buffer region out of bounds") (fun () ->
+          Backend.write_run f ~addr:0 ~count:1 ~payload:8 ~buf:(Odex_crypto.Bigbuf.create 7)
+            ~off:0);
       Backend.close f)
 
 let test_faulty_plan_validation () =

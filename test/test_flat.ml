@@ -4,7 +4,7 @@
    must leave everything observable identical — logical and per-shard
    traces, Stats, the nonce counter, the file images, the decoded
    contents and, under a telemetry sink, the per-kind backend op counts —
-   on every backend, under every sealing mode, with batching on and off. *)
+   on every backend, under every sealing mode. *)
 
 open Odex_extmem
 module Cipher = Odex_crypto.Cipher
@@ -54,12 +54,12 @@ let rec spec_files = function
         (List.init shards (fun i ->
              List.map (fun p -> Printf.sprintf "%s.shard%d" p i) (spec_files inner)))
 
-let run ?(telemetry = false) ~flat ~spec ~sealing ~batching () =
+let run ?(telemetry = false) ~flat ~spec ~sealing () =
   let cipher = match sealing with Plain -> None | Sealed -> Some (Cipher.key_of_int 0xF1A7) in
   let sink = if telemetry then Telemetry.create () else Telemetry.disabled in
   let s =
     Storage.create ?cipher ~telemetry:sink ~trace_mode:Trace.Digest ~backend:spec
-      ~backoff:(0., 0.) ~batching ~block_size:b ()
+      ~backoff:(0., 0.) ~block_size:b ()
   in
   let base = Storage.alloc s capacity in
   let buf = Flat.create ~block_size:b ~blocks:capacity in
@@ -121,13 +121,13 @@ let run ?(telemetry = false) ~flat ~spec ~sealing ~batching () =
 let blocks_equal a c =
   Array.length a = Array.length c && Array.for_all2 (Array.for_all2 Cell.equal) a c
 
-let check_parity ~make_spec ~sealing ~telemetry ~batching () =
+let check_parity ~make_spec ~sealing ~telemetry () =
   let with_spec f =
     let spec = make_spec () in
     Fun.protect ~finally:(fun () -> Storage.remove_spec_files spec) (fun () -> f spec)
   in
-  let flat = with_spec (fun spec -> run ~telemetry ~flat:true ~spec ~sealing ~batching ()) in
-  let many = with_spec (fun spec -> run ~telemetry ~flat:false ~spec ~sealing ~batching ()) in
+  let flat = with_spec (fun spec -> run ~telemetry ~flat:true ~spec ~sealing ()) in
+  let many = with_spec (fun spec -> run ~telemetry ~flat:false ~spec ~sealing ()) in
   Alcotest.(check int64) "logical trace digest" many.digest flat.digest;
   Alcotest.(check int) "logical trace length" many.length flat.length;
   Alcotest.(check (list (pair int64 int))) "per-shard traces" many.shards flat.shards;
@@ -185,7 +185,7 @@ let legs = [ (Plain, false); (Sealed, false); (Sealed, true) ]
 (* The faulty leg must actually resume mid-run, or its parity is
    vacuous. *)
 let test_faulty_leg_resumes () =
-  let o = run ~flat:true ~spec:faulty ~sealing:Plain ~batching:true () in
+  let o = run ~flat:true ~spec:faulty ~sealing:Plain () in
   let _, _, retries, _, _ = o.stats in
   Alcotest.(check bool) (Printf.sprintf "%d retries" retries) true (retries > 0)
 
@@ -231,16 +231,12 @@ let test_flat_accessors () =
 let suite =
   List.concat_map
     (fun (bname, make_spec) ->
-      List.concat_map
+      List.map
         (fun (sealing, telemetry) ->
-          List.map
-            (fun batching ->
-              ( Printf.sprintf "flat = many [%s, %s%s, batching %s]" bname (sealing_name sealing)
-                  (if telemetry then ", telemetry on" else "")
-                  (if batching then "on" else "off"),
-                `Quick,
-                check_parity ~make_spec ~sealing ~telemetry ~batching ))
-            [ true; false ])
+          ( Printf.sprintf "flat = many [%s, %s%s]" bname (sealing_name sealing)
+              (if telemetry then ", telemetry on" else ""),
+            `Quick,
+            check_parity ~make_spec ~sealing ~telemetry ))
         legs)
     backends
   @ [

@@ -1,65 +1,26 @@
 open Odex_extmem
 open Odex_sortnet
 
-let test_network_validation () =
-  Alcotest.(check bool) "descending comparator rejected" true
-    (try
-       ignore (Network.create ~width:4 [ [ (2, 1) ] ]);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "overlap rejected" true
-    (try
-       ignore (Network.create ~width:4 [ [ (0, 1); (1, 2) ] ]);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "out of range rejected" true
-    (try
-       ignore (Network.create ~width:4 [ [ (0, 4) ] ]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_network_apply () =
-  let net = Network.create ~width:2 [ [ (0, 1) ] ] in
-  let a = [| 9; 3 |] in
-  Network.apply net compare a;
-  Alcotest.(check (list int)) "swapped" [ 3; 9 ] (Array.to_list a)
-
-let test_odd_even_sorts_zero_one () =
-  for n = 0 to 13 do
-    let net = Batcher.odd_even_merge_sort n in
-    Alcotest.(check int) "width" n (Network.width net);
-    if not (Network.sorts_all_zero_one net) then
-      Alcotest.failf "odd-even merge sort fails 0-1 check at n=%d" n
+(* The 0-1 principle on the engines that run: a comparator network
+   sorts every input iff it sorts every 0-1 input. At B = 1 the
+   block-level network is the item-level one, so exhausting all 2^n 0-1
+   inputs of each width n <= 12 (other widths than powers of two pad
+   with empty blocks, which sort last) certifies the circuit the engine
+   executes, not a model of it. m = 4 makes the windowed engine fuse two levels per
+   pass. *)
+let check_zero_one sorter () =
+  for n = 1 to 12 do
+    for bits = 0 to (1 lsl n) - 1 do
+      let keys = Array.init n (fun i -> (bits lsr i) land 1) in
+      let (), a =
+        Util.with_array ~b:1 (Util.cells_of_keys keys) (fun _s a -> Ext_sort.run sorter ~m:4 a)
+      in
+      let got = Util.keys_of_items (Ext_array.items a) in
+      let ones = List.fold_left ( + ) 0 got in
+      let want = Array.fold_left ( + ) 0 keys in
+      if List.length got <> n || ones <> want || not (Util.is_sorted_list got) then Alcotest.failf "%s fails the 0-1 input %#x of width %d" (Ext_sort.name sorter) bits n
+    done
   done
-
-let test_bitonic_sorts_zero_one () =
-  List.iter
-    (fun n ->
-      let net = Batcher.bitonic n in
-      if not (Network.sorts_all_zero_one net) then
-        Alcotest.failf "bitonic fails 0-1 check at n=%d" n)
-    [ 1; 2; 4; 8; 16 ]
-
-let test_oems_known_size () =
-  (* Batcher's odd-even merge sort on 8 inputs has exactly 19 comparators
-     and depth 6 (Knuth, Fig. 5.3.4-49). *)
-  let net = Batcher.odd_even_merge_sort 8 in
-  Alcotest.(check int) "size" 19 (Network.size net);
-  Alcotest.(check int) "depth" 6 (Network.depth net)
-
-let test_network_sorts_random_ints () =
-  let rng = Odex_crypto.Rng.create ~seed:1 in
-  List.iter
-    (fun n ->
-      let net = Batcher.odd_even_merge_sort n in
-      for _ = 1 to 20 do
-        let a = Array.init n (fun _ -> Odex_crypto.Rng.int rng 50) in
-        let expected = Array.copy a in
-        Array.sort compare expected;
-        Network.apply net compare a;
-        Alcotest.(check (list int)) "sorted" (Array.to_list expected) (Array.to_list a)
-      done)
-    [ 5; 9; 17; 33 ]
 
 let test_merge_split () =
   let mk keys = Array.map (fun k -> if k < 0 then Cell.empty else Cell.item ~key:k ~value:k ()) keys in
@@ -656,12 +617,8 @@ let prop_bucket_pipeline_sorts =
 
 let suite =
   [
-    ("network validation", `Quick, test_network_validation);
-    ("network apply", `Quick, test_network_apply);
-    ("odd-even merge 0-1 principle", `Slow, test_odd_even_sorts_zero_one);
-    ("bitonic 0-1 principle", `Slow, test_bitonic_sorts_zero_one);
-    ("odd-even merge known size", `Quick, test_oems_known_size);
-    ("network sorts random ints", `Quick, test_network_sorts_random_ints);
+    ("bitonic 0-1 principle", `Slow, check_zero_one Ext_sort.bitonic);
+    ("bitonic-windowed 0-1 principle", `Slow, check_zero_one Ext_sort.bitonic_windowed);
     ("merge-split halves", `Quick, test_merge_split);
     ("external sorters correct", `Quick, test_sorters_correct);
     ("cache sort correct", `Quick, test_cache_sort_correct);

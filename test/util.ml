@@ -2,14 +2,16 @@
 
 open Odex_extmem
 
-(* Whole-block [bytes] transfers over the zero-copy backend API. *)
+(* Whole-block [bytes] transfers: runs of one over the backend API. *)
 let read_block b addr =
-  let buf = Odex_crypto.Bigbuf.create (Backend.payload_bytes b) in
-  Backend.read_into b addr ~buf ~off:0;
+  let payload = Backend.payload_bytes b in
+  let buf = Odex_crypto.Bigbuf.create payload in
+  Backend.read_run b ~addr ~count:1 ~payload ~buf ~off:0;
   Odex_crypto.Bigbuf.to_bytes buf
 
-let write_block b addr payload =
-  Backend.write_from b addr ~buf:(Odex_crypto.Bigbuf.of_bytes payload) ~off:0
+let write_block b addr bytes =
+  Backend.write_run b ~addr ~count:1 ~payload:(Backend.payload_bytes b)
+    ~buf:(Odex_crypto.Bigbuf.of_bytes bytes) ~off:0
 
 let storage ?cipher ?(trace = Trace.Digest) ~b () =
   Storage.create ?cipher ~trace_mode:trace ~block_size:b ()
