@@ -4,7 +4,8 @@
    must leave everything observable identical — logical and per-shard
    traces, Stats, the nonce counter, the file images, the decoded
    contents and, under a telemetry sink, the per-kind backend op counts —
-   on every backend, under every sealing mode. *)
+   on every backend, under every sealing mode, with digest and full
+   traces (the full one also compares the op sequences themselves). *)
 
 open Odex_extmem
 module Cipher = Odex_crypto.Cipher
@@ -36,6 +37,7 @@ type observed = {
   final : Block.t array;
   digest : int64;
   length : int;
+  trace_ops : Trace.op list;  (** The recorded ops; [] unless the trace is [Full]. *)
   shards : (int64 * int) list;
   stats : int * int * int * int * int;
   nonce : int option;
@@ -54,11 +56,11 @@ let rec spec_files = function
         (List.init shards (fun i ->
              List.map (fun p -> Printf.sprintf "%s.shard%d" p i) (spec_files inner)))
 
-let run ?(telemetry = false) ~flat ~spec ~sealing () =
+let run ?(telemetry = false) ?(trace_mode = Trace.Digest) ~flat ~spec ~sealing () =
   let cipher = match sealing with Plain -> None | Sealed -> Some (Cipher.key_of_int 0xF1A7) in
   let sink = if telemetry then Telemetry.create () else Telemetry.disabled in
   let s =
-    Storage.create ?cipher ~telemetry:sink ~trace_mode:Trace.Digest ~backend:spec
+    Storage.create ?cipher ~telemetry:sink ~trace_mode ~backend:spec
       ~backoff:(0., 0.) ~block_size:b ()
   in
   let base = Storage.alloc s capacity in
@@ -95,6 +97,7 @@ let run ?(telemetry = false) ~flat ~spec ~sealing () =
       final;
       digest = Trace.digest tr;
       length = Trace.length tr;
+      trace_ops = Trace.ops tr;
       shards =
         Array.to_list
           (Array.map (fun t -> (Trace.digest t, Trace.length t)) (Storage.shard_traces s));
@@ -121,15 +124,19 @@ let run ?(telemetry = false) ~flat ~spec ~sealing () =
 let blocks_equal a c =
   Array.length a = Array.length c && Array.for_all2 (Array.for_all2 Cell.equal) a c
 
-let check_parity ~make_spec ~sealing ~telemetry () =
+let check_parity ~make_spec ~sealing ~telemetry ~trace_mode () =
   let with_spec f =
     let spec = make_spec () in
     Fun.protect ~finally:(fun () -> Storage.remove_spec_files spec) (fun () -> f spec)
   in
-  let flat = with_spec (fun spec -> run ~telemetry ~flat:true ~spec ~sealing ()) in
-  let many = with_spec (fun spec -> run ~telemetry ~flat:false ~spec ~sealing ()) in
+  let flat = with_spec (fun spec -> run ~telemetry ~trace_mode ~flat:true ~spec ~sealing ()) in
+  let many = with_spec (fun spec -> run ~telemetry ~trace_mode ~flat:false ~spec ~sealing ()) in
   Alcotest.(check int64) "logical trace digest" many.digest flat.digest;
   Alcotest.(check int) "logical trace length" many.length flat.length;
+  Alcotest.(check int) "full trace keeps every op"
+    (if trace_mode = Trace.Full then flat.length else 0)
+    (List.length flat.trace_ops);
+  Alcotest.(check bool) "logical trace ops" true (many.trace_ops = flat.trace_ops);
   Alcotest.(check (list (pair int64 int))) "per-shard traces" many.shards flat.shards;
   let r, w, rt, by, bt = flat.stats and r', w', rt', by', bt' = many.stats in
   Alcotest.(check (list int)) "stats (reads, writes, retries, bytes, batched)"
@@ -231,12 +238,16 @@ let test_flat_accessors () =
 let suite =
   List.concat_map
     (fun (bname, make_spec) ->
-      List.map
+      List.concat_map
         (fun (sealing, telemetry) ->
-          ( Printf.sprintf "flat = many [%s, %s%s]" bname (sealing_name sealing)
-              (if telemetry then ", telemetry on" else ""),
-            `Quick,
-            check_parity ~make_spec ~sealing ~telemetry ))
+          List.map
+            (fun trace_mode ->
+              ( Printf.sprintf "flat = many [%s, %s%s%s]" bname (sealing_name sealing)
+                  (if telemetry then ", telemetry on" else "")
+                  (if trace_mode = Trace.Full then ", full trace" else ""),
+                `Quick,
+                check_parity ~make_spec ~sealing ~telemetry ~trace_mode ))
+            [ Trace.Digest; Trace.Full ])
         legs)
     backends
   @ [

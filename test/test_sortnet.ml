@@ -6,19 +6,21 @@ open Odex_sortnet
    block-level network is the item-level one, so exhausting all 2^n 0-1
    inputs of each width n <= 12 (other widths than powers of two pad
    with empty blocks, which sort last) certifies the circuit the engine
-   executes, not a model of it. m = 4 makes the windowed engine fuse two levels per
-   pass. *)
-let check_zero_one sorter () =
+   executes, not a model of it. m = 4 makes the windowed engine fuse two
+   levels per pass, m = 8 three, and m = 16 a whole stage. At B = 2 every
+   comparator is a merge-split of two blocks, after the per-block
+   pre-sort, and odd widths leave a partly empty last block. *)
+let check_zero_one ?(b = 1) ?(m = 4) sorter () =
   for n = 1 to 12 do
     for bits = 0 to (1 lsl n) - 1 do
       let keys = Array.init n (fun i -> (bits lsr i) land 1) in
-      let (), a =
-        Util.with_array ~b:1 (Util.cells_of_keys keys) (fun _s a -> Ext_sort.run sorter ~m:4 a)
-      in
+      let (), a = Util.with_array ~b (Util.cells_of_keys keys) (fun _s a -> Ext_sort.run sorter ~m a) in
       let got = Util.keys_of_items (Ext_array.items a) in
       let ones = List.fold_left ( + ) 0 got in
       let want = Array.fold_left ( + ) 0 keys in
-      if List.length got <> n || ones <> want || not (Util.is_sorted_list got) then Alcotest.failf "%s fails the 0-1 input %#x of width %d" (Ext_sort.name sorter) bits n
+      if List.length got <> n || ones <> want || not (Util.is_sorted_list got) then
+        Alcotest.failf "%s (B = %d, m = %d) fails the 0-1 input %#x of width %d"
+          (Ext_sort.name sorter) b m bits n
     done
   done
 
@@ -619,6 +621,11 @@ let suite =
   [
     ("bitonic 0-1 principle", `Slow, check_zero_one Ext_sort.bitonic);
     ("bitonic-windowed 0-1 principle", `Slow, check_zero_one Ext_sort.bitonic_windowed);
+    ("bitonic-windowed 0-1 principle, m = 8", `Slow, check_zero_one ~m:8 Ext_sort.bitonic_windowed);
+    ("bitonic-windowed 0-1 principle, m = 16", `Slow, check_zero_one ~m:16 Ext_sort.bitonic_windowed);
+    ("bitonic 0-1 principle, B = 2", `Slow, check_zero_one ~b:2 Ext_sort.bitonic);
+    ("bitonic-windowed 0-1 principle, B = 2", `Slow, check_zero_one ~b:2 Ext_sort.bitonic_windowed);
+    ("auto 0-1 principle", `Slow, check_zero_one Ext_sort.auto);
     ("merge-split halves", `Quick, test_merge_split);
     ("external sorters correct", `Quick, test_sorters_correct);
     ("cache sort correct", `Quick, test_cache_sort_correct);
