@@ -2,27 +2,21 @@
 # check_bench_floor.sh BENCH_core.json bench/mb_per_s.floor [mode]
 #
 # Guards the batching win: fails if the E2 file-backend throughput
-# (mb_per_s of the largest consolidation workload) regresses more than
-# 30% below the checked-in floor. The floor file holds one number,
-# refreshed by hand from a local `--json E2 --backend file` run when the
-# I/O path legitimately changes.
+# (mb_per_s of the consolidation record at n_cells = 16384, every item
+# distinguished) regresses more than 30% below the checked-in floor. The
+# floor file holds one number, refreshed by hand from a local
+# `--json E2 --backend file` run when the I/O path legitimately changes.
 #
 # mode `e15` (third argument) checks a sorter-matrix leg instead: the
 # file must carry journal-off E15 sorting-engine records, every one of
 # them verified sorted (`"ok":true`). When the default (e2) mode finds
 # E15 records alongside the E2 ones, the same sorter guard runs too.
-#
-# Bucket-sort E15 records are also gated exactly on counted I/Os: every
-# journal-off bucket record's total_ios must equal the value pinned for
-# its n_cells in bench/e15_bucket_ios.pin, and every pinned size must be
-# present.
-# Counted I/Os are deterministic, so any drift is a schedule change.
+# Their counted I/Os are gated exactly by scripts/check_records_pin.sh.
 set -eu
 
 json=${1:-BENCH_core.json}
 floor_file=${2:-bench/mb_per_s.floor}
 mode=${3:-e2}
-pin_file=bench/e15_bucket_ios.pin
 
 [ -s "$json" ] || { echo "check_bench_floor: $json missing or empty" >&2; exit 1; }
 
@@ -39,37 +33,7 @@ check_e15() {
   if grep '"experiment":"E15"' "$json" | grep '"sorter":"bucket"' | grep -q '"journal":false'; then
     n=$(grep -c '"experiment":"E15"' "$json" || true)
     echo "E15 sorter records: $n, all ok, journal-off bucket leg present"
-    check_e15_ios
   fi
-}
-
-# Exact I/O gate: "n_cells total_ios" per journal-off bucket record,
-# matched against the pin file's "n_cells total_ios" lines (# comments).
-check_e15_ios() {
-  [ -s "$pin_file" ] || { echo "check_bench_floor: $pin_file missing or empty" >&2; exit 1; }
-  grep '"experiment":"E15"' "$json" | grep '"sorter":"bucket"' | grep '"journal":false' \
-    | sed 's/"phases".*//; s/.*"n_cells":\([0-9]*\),.*"total_ios":\([0-9]*\),.*/\1 \2/' \
-    | awk -v pin="$pin_file" '
-      function fail(msg) { print "check_bench_floor: E15 bucket " msg > "/dev/stderr"; bad = 1 }
-      BEGIN {
-        while ((getline line < pin) > 0) {
-          if (line ~ /^[ \t]*(#|$)/) continue
-          split(line, f, " ")
-          want[f[1]] = f[2]
-          npin++
-        }
-      }
-      {
-        got[$1] = 1
-        if (!($1 in want)) fail("n_cells=" $1 " has no pinned I/O count")
-        else if ($2 != want[$1]) fail("n_cells=" $1 " total_ios " $2 ", pinned " want[$1])
-      }
-      END {
-        for (n in want) if (!(n in got)) fail("n_cells=" n ": no journal-off record")
-        if (bad) exit 1
-        printf "E15 bucket counted I/Os: all %d pinned sizes exact\n", npin
-      }' \
-    || { echo "check_bench_floor: E15 bucket I/O counts drifted from $pin_file" >&2; exit 1; }
 }
 
 if [ "$mode" = "e15" ]; then
@@ -87,15 +51,16 @@ fi
 
 floor=$(tr -d ' \n' < "$floor_file")
 
-# Pull mb_per_s from the E2 record with the largest n_cells on the file
-# backend. The bench writes one record per line, so line-oriented tools
-# are enough — no JSON parser dependency.
-measured=$(grep '"experiment":"E2"' "$json" \
+# Pull mb_per_s from the E2 consolidation record at 16384 cells on the
+# file backend. The bench writes one record per line, so line-oriented
+# tools are enough — no JSON parser dependency.
+measured=$(grep '"experiment":"E2","name":"consolidation",' "$json" \
   | grep '"backend":"file"' \
-  | sed 's/.*"n_cells":\([0-9]*\).*"mb_per_s":\([0-9.]*\).*/\1 \2/' \
-  | sort -n | tail -1 | cut -d' ' -f2)
+  | grep '"n_cells":16384,' \
+  | sed 's/.*"mb_per_s":\([0-9.]*\).*/\1/' \
+  | head -1)
 
-[ -n "$measured" ] || { echo "check_bench_floor: no E2 file record in $json" >&2; exit 1; }
+[ -n "$measured" ] || { echo "check_bench_floor: no E2 file consolidation record at 16384 cells in $json" >&2; exit 1; }
 
 awk -v m="$measured" -v f="$floor" 'BEGIN {
   min = 0.7 * f;
