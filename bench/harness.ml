@@ -145,9 +145,10 @@ let add a b =
     batched_ios = a.batched_ios + b.batched_ios;
   }
 
-(* [Storage.remove_spec_files] deletes a file stripe's [.shardN] members
-   but not the base path [Registry.backend_spec] reserved with
-   [Filename.temp_file]; delete that too. *)
+(* Stopgap: [Storage.remove_spec_files] deletes a file stripe's [.shardN]
+   members but not the base path [Registry.backend_spec] reserved with
+   [Filename.temp_file]. Once the library deletes that itself, this copy
+   of its spec layout goes and [release] calls [remove_spec_files]. *)
 let remove_files sp =
   Storage.remove_spec_files sp;
   let rec stripe_base : Storage.backend_spec -> string option = function
@@ -201,6 +202,10 @@ let record ?(sorter = "") ?(servers = 1) ?(extra = []) env ~name ~n_cells ~b ~m 
     extra;
   }
 
+(* A record whose stores did not come from the factory, or that built
+   none: the run's store flags do not apply to it. *)
+let unflagged ?(journal = false) r = { r with shards = 1; journal; cipher = "none" }
+
 (* Time [f] (its success flag and table-only measurements), then take
    the record of every store built since the last record. *)
 let measure ?sorter ?servers env ~name ~n_cells ~b ~m f =
@@ -214,6 +219,7 @@ let measure ?sorter ?servers env ~name ~n_cells ~b ~m f =
       ~backend:(Option.value env.released_kind ~default:"none")
       ~wall_ms ~ok env.released
   in
+  let r = if env.released_kind = None then unflagged r else r in
   env.released <- no_io;
   env.released_kind <- None;
   env.sinks <- [];

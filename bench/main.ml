@@ -6,7 +6,9 @@
                                 go with their record; `faulty` injects
                                 seeded transient faults)
      --shards K                 stripe every store across K devices
-     --journal                  run everything journal off, then on
+     --journal                  run everything journal off, then again
+                                journal on (experiments whose stores
+                                ignore the flag run once)
      --cipher none|chacha20     seal every store under a fixed key
      --servers K                stripe width (>= 2) of E18's multi-server leg
      --sorter NAME              narrow E15 to one sorting engine
@@ -94,7 +96,8 @@ let () =
         let records = p.run env in
         if not set.json then p.table records;
         records)
-      selected
+      (List.filter (fun p -> not (journal && List.mem p.Experiments.id Experiments.journal_blind))
+         selected)
   in
   (* With --journal the journal-off pass runs first, so the bare-backend
      records come first and the journal-on ones (backend "journaled")

@@ -10,7 +10,8 @@
 # 2. The same flags, valid, mean the same in both modes: E1 on a sharded,
 #    journaled, sealed file store prints its tables twice (journal off,
 #    then on) as text and writes the same four records as JSON, and no
-#    store or journal file is left in TMPDIR afterwards.
+#    store or journal file is left in TMPDIR afterwards. An experiment
+#    whose store ignores --journal (E16) runs once.
 set -euo pipefail
 
 bench=$(realpath "${1:-_build/default/bench/main.exe}")
@@ -56,4 +57,7 @@ TMPDIR=$dir/tmp "$bench" --json "${flags[@]}" > json.out
 grep -q '"backend":"journaled","shards":2,"servers":1,"journal":true,"cipher":"chacha20"' BENCH_core.json ||
   fail "--json records do not carry the flags"
 [ -z "$(ls -A tmp)" ] || fail "temp files left behind: $(ls tmp)"
-echo "check_bench_flags: refusals exit 2 in both modes; flags agree across modes; no temp files left"
+# E16's store ignores --journal, so the journal-on pass does not repeat it.
+"$bench" --json E16 --journal > json.out
+[ "$(grep -c '"experiment":"E16"' BENCH_core.json)" -eq 1 ] || fail "--journal repeated E16's record"
+echo "check_bench_flags: refusals exit 2 in both modes; flags agree across modes; no temp files left; --journal repeats only journaled stores"
