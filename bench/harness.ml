@@ -115,7 +115,12 @@ let store ?spec:sp ?telemetry ?cipher env ~b =
     | Some _ -> cipher
     | None -> if env.set.cipher = "chacha20" then Some bench_key else None
   in
-  let s = Storage.create ?cipher ~telemetry ~trace_mode:Trace.Digest ~backend:sp ~block_size:b () in
+  (* Zero backoff: a faulty leg's retries are counted, not slept
+     through, so its wall times stay the algorithm's. *)
+  let s =
+    Storage.create ?cipher ~telemetry ~trace_mode:Trace.Digest ~backoff:(0., 0.) ~backend:sp
+      ~block_size:b ()
+  in
   (* Zero cost when disabled: a store handed the disabled sink must not
      carry a live one, or instrumentation leaked into the timed path. *)
   assert (Telemetry.enabled (Storage.telemetry s) = Telemetry.enabled telemetry);
@@ -145,19 +150,6 @@ let add a b =
     batched_ios = a.batched_ios + b.batched_ios;
   }
 
-(* Stopgap: [Storage.remove_spec_files] deletes a file stripe's [.shardN]
-   members but not the base path [Registry.backend_spec] reserved with
-   [Filename.temp_file]. Once the library deletes that itself, this copy
-   of its spec layout goes and [release] calls [remove_spec_files]. *)
-let remove_files sp =
-  Storage.remove_spec_files sp;
-  let rec stripe_base : Storage.backend_spec -> string option = function
-    | Sharded { inner = File { path }; _ } -> Some path
-    | Journaled { inner; _ } | Faulty { inner; _ } -> stripe_base inner
-    | _ -> None
-  in
-  Option.iter (fun path -> if Sys.file_exists path then Sys.remove path) (stripe_base sp)
-
 (* Tally the pending stores, close them and delete their files. A
    workload that builds many stores (one per trial) calls this between
    trials to keep descriptors and temp files bounded. *)
@@ -170,7 +162,7 @@ let release env =
       if Telemetry.enabled tel && env.set.profile <> None then env.sinks <- tel :: env.sinks;
       Storage.close s)
     (List.rev env.stores);
-  List.iter remove_files env.specs;
+  List.iter Storage.remove_spec_files env.specs;
   env.stores <- [];
   env.specs <- []
 

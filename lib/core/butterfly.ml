@@ -14,50 +14,68 @@ exception Collision of { level : int; position : int }
    configurations are exactly those of the corresponding compaction and
    inherit its collision-freedom. *)
 
-let label_of blk =
+(* Blocks travel as {!Flat} images: the label is the aux word of a
+   block's first occupied image, rewritten in place in every occupied
+   image, so routing never decodes a cell. [first_item] is the byte
+   offset of slot [k]'s first occupied image, or -1 for an empty block. *)
+let first_item buf k =
   let rec find i =
-    if i >= Array.length blk then None
-    else match blk.(i) with Cell.Empty -> find (i + 1) | Cell.Item it -> Some it.aux
+    if i >= Flat.block_size buf then -1
+    else
+      let off = Flat.cell_offset buf ~block:k ~slot:i in
+      if Flat.is_item buf off then off else find (i + 1)
   in
   find 0
 
-let set_label blk d = Array.iteri (fun i c -> blk.(i) <- Cell.with_aux c d) blk
+let set_label buf k d =
+  for i = 0 to Flat.block_size buf - 1 do
+    let off = Flat.cell_offset buf ~block:k ~slot:i in
+    if Flat.is_item buf off then Flat.set_aux buf off d
+  done
 
 (* Route one residue class of a phase.
 
-   [pos u] maps the class's u-th sub-position to a block index of [a];
-   [step d] returns the sub-space move (0 .. modulus-1) and the new
-   label. Sub-positions are consumed in increasing [u] with a sliding
-   window of 2w-1 cached blocks, finalizing w destinations at a time;
-   every block is read once and written once in an order depending only
-   on (n, m, s, c) — the circuit-simulation obliviousness of Theorem 6. *)
-let route_class a cache ~level ~pos ~len ~w ~step =
-  let storage = Ext_array.storage a in
-  let b = Ext_array.block_size a in
+   [pos u] maps the class's u-th sub-position to a block index of [a].
+   A phase covering strides s .. s·2^(g-1) moves a block with label d by
+   [move d] sub-positions and leaves it the label [rest d]. Sub-positions
+   are consumed in increasing [u] with a sliding window of 2w-1 blocks,
+   finalizing w destinations at a time; every block is read once and
+   written once in an order depending only on (n, m, s, c) — the
+   circuit-simulation obliviousness of Theorem 6.
+
+   The window is [win]'s slots 1 .. 2w-1, a ring indexed by
+   u mod (2w-1); slot 0 stages every transfer. A block read at u lands
+   at a destination in [t, t + 2w - 1) (t the first unfinalized
+   sub-position: moves are below w), so live destinations never share a
+   ring slot, and [live] marks the occupied ones. *)
+let route_class a win live ~level ~pos ~len ~w ~move ~rest =
+  let r = (2 * w) - 1 in
   let route uq =
-    let addr = Ext_array.addr a (pos uq) in
-    let blk = Cache.load cache addr in
-    Cache.drop cache addr;
-    match label_of blk with
-    | None -> ()
-    | Some d ->
-        let u_move, d' = step d in
-        let u_dst = uq - u_move in
-        set_label blk d';
-        let dst_addr = Ext_array.addr a (pos u_dst) in
-        if Cache.is_resident cache dst_addr then
-          raise (Collision { level; position = pos u_dst });
-        Cache.put cache dst_addr blk
+    Ext_array.read_flat a (pos uq) ~count:1 win;
+    let off = first_item win 0 in
+    if off >= 0 then begin
+      let d = Flat.aux win off in
+      let u_dst = uq - move d in
+      let k = u_dst mod r in
+      if live.(k) then raise (Collision { level; position = pos u_dst });
+      Flat.copy_block win 0 win (k + 1);
+      set_label win (k + 1) (rest d);
+      live.(k) <- true
+    end
   in
   let finalize u =
-    let addr = Ext_array.addr a (pos u) in
-    if Cache.is_resident cache addr then Cache.flush cache addr
-    else Storage.write storage addr (Block.make b)
+    let k = u mod r in
+    if live.(k) then begin
+      Flat.copy_block win (k + 1) win 0;
+      live.(k) <- false
+    end
+    else Flat.clear_blocks win 0 1;
+    Ext_array.write_flat a (pos u) ~count:1 win
   in
   let read_cursor = ref 0 in
   let t = ref 0 in
   while !t < len do
-    let hi = min len (!t + (2 * w) - 1) in
+    let hi = min len (!t + r) in
     while !read_cursor < hi do
       route !read_cursor;
       incr read_cursor
@@ -74,11 +92,13 @@ let route_all a ~m ~direction =
   if m < 3 then invalid_arg "Butterfly: need m >= 3 (the paper's M >= 3B)";
   if n > 1 then Ext_array.with_span a "butterfly.route" @@ fun () ->
   begin
-    (* 2w - 1 cached blocks per window; g = log2 w levels per phase. *)
+    (* 2w - 1 resident blocks per window; g = log2 w levels per phase. *)
     let w = 1 lsl Emodel.ilog2_floor ((m + 1) / 2) in
+    if (2 * w) - 1 > m then raise (Cache.Overflow { capacity = m; requested = (2 * w) - 1 });
     let g = Emodel.ilog2_floor w in
     let modulus = 1 lsl g in
-    let cache = Cache.create (Ext_array.storage a) ~capacity:m in
+    let win = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:(2 * w) in
+    let live = Array.make ((2 * w) - 1) false in
     let bits = Emodel.ilog2_ceil n in
     let phase_los =
       let rec build lo acc = if lo >= bits then acc else build (lo + g) (lo :: acc) in
@@ -91,16 +111,15 @@ let route_all a ~m ~direction =
     List.iter
       (fun lo ->
         let s = 1 lsl lo in
-        let step d =
+        (* Both directions move by label bits [lo, lo+g). Compaction's
+           labels are multiples of s by now and keep their higher bits;
+           expansion's higher bits are already applied (d < s·modulus)
+           and it keeps the lower ones for later phases. *)
+        let move d = d mod (s * modulus) / s in
+        let rest =
           match direction with
-          | `Compact ->
-              (* d is a multiple of s; consume bits [lo, lo+g). *)
-              let move_raw = d mod (s * modulus) in
-              (move_raw / s, d - move_raw)
-          | `Expand ->
-              (* Higher bits already applied: d < s * modulus; apply
-                 bits [lo, lo+g), keep the rest for later phases. *)
-              ((d mod (s * modulus)) / s, d mod s)
+          | `Compact -> fun d -> d - (d mod (s * modulus))
+          | `Expand -> fun d -> d mod s
         in
         for c = 0 to min s n - 1 do
           let len = (n - c + s - 1) / s in
@@ -111,24 +130,30 @@ let route_all a ~m ~direction =
                the class in mirror order. *)
             | `Expand -> c + ((len - 1 - u) * s)
           in
-          route_class a cache ~level:lo ~len ~w ~step ~pos
+          route_class a win live ~level:lo ~len ~w ~move ~rest ~pos
         done)
       phase_los
   end
 
+(* The label pass: each block in turn, read and written back as one
+   image, its occupied images relabelled with [label j] when it holds
+   any item. *)
+let label_pass a label =
+  let buf = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:1 in
+  Ext_array.with_span a "butterfly.label" (fun () ->
+      for j = 0 to Ext_array.blocks a - 1 do
+        Ext_array.read_flat a j ~count:1 buf;
+        if first_item buf 0 >= 0 then set_label buf 0 (label j);
+        Ext_array.write_flat a j ~count:1 buf
+      done)
+
 let compact ~m a =
-  let n = Ext_array.blocks a in
   (* Pass 1: label occupied blocks with their leftward distance. *)
   let rank = ref 0 in
-  Ext_array.with_span a "butterfly.label" (fun () ->
-      for j = 0 to n - 1 do
-        let blk = Ext_array.read_block a j in
-        if not (Block.is_empty blk) then begin
-          set_label blk (j - !rank);
-          incr rank
-        end;
-        Ext_array.write_block a j blk
-      done);
+  label_pass a (fun j ->
+      let d = j - !rank in
+      incr rank;
+      d);
   route_all a ~m ~direction:`Compact;
   !rank
 
@@ -138,20 +163,14 @@ let expand ~m a factor =
      [rank + factor rank] must be strictly increasing and in bounds. *)
   let rank = ref 0 in
   let last_dest = ref (-1) in
-  Ext_array.with_span a "butterfly.label" (fun () ->
-      for j = 0 to n - 1 do
-        let blk = Ext_array.read_block a j in
-        if not (Block.is_empty blk) then begin
-          let f = factor !rank in
-          if f < 0 || j + f >= n then invalid_arg "Butterfly.expand: factor out of range";
-          if j + f <= !last_dest then
-            invalid_arg "Butterfly.expand: destinations must be strictly increasing";
-          last_dest := j + f;
-          set_label blk f;
-          incr rank
-        end;
-        Ext_array.write_block a j blk
-      done);
+  label_pass a (fun j ->
+      let f = factor !rank in
+      if f < 0 || j + f >= n then invalid_arg "Butterfly.expand: factor out of range";
+      if j + f <= !last_dest then
+        invalid_arg "Butterfly.expand: destinations must be strictly increasing";
+      last_dest := j + f;
+      incr rank;
+      f);
   route_all a ~m ~direction:`Expand
 
 let naive_levels a =

@@ -34,9 +34,14 @@ val expand : m:int -> Ext_array.t -> (int -> int) -> unit
     this method in reverse"): the occupied block whose current position
     has rank i (0-based) moves [factor i] positions to the right.
     Destinations [position + factor rank] must be strictly increasing
-    and within bounds. Implemented as the compaction network run
-    backwards in time, so it inherits Lemma 5's collision-freedom. Used
-    by the failure-sweeping step of Theorem 21. *)
+    and within bounds ([Invalid_argument] otherwise). Implemented as the
+    compaction network run backwards in time, so it inherits Lemma 5's
+    collision-freedom when the factors are also non-decreasing in rank —
+    the distances a compaction from the destinations would undo, as when
+    a compacted prefix is sent back to its slots. With a decreasing
+    factor two blocks can meet, and [Collision] is raised (positions
+    {0, 4} with factors {4, 1} at [m = 3] do). Used by the
+    failure-sweeping step of Theorem 21. *)
 
 val naive_levels : Ext_array.t -> int list list
 (** Diagnostic used by the Figure 1 experiment: simulate the network

@@ -16,24 +16,18 @@ let capacity t = t.capacity
 let resident t = Hashtbl.length t.table
 let peak t = t.peak
 
-let is_resident t addr = Hashtbl.mem t.table addr
-
 (* Capacity is checked before inserting, so a refused load leaves the
    resident set untouched. *)
-let reserve t addr =
-  if not (Hashtbl.mem t.table addr) then begin
-    let r = resident t + 1 in
-    if r > t.capacity then raise (Overflow { capacity = t.capacity; requested = r });
-    if r > t.peak then t.peak <- r
-  end
+let admit t r =
+  if r > t.capacity then raise (Overflow { capacity = t.capacity; requested = r });
+  if r > t.peak then t.peak <- r
 
 let find_resident t addr =
   match Hashtbl.find_opt t.table addr with
   | Some blk -> blk
   | None -> invalid_arg (Printf.sprintf "Cache: block %d not resident" addr)
 
-(* Blocks cross the API boundary by value: [load]/[get] return copies
-   and [put] stores a copy, so a caller mutating its buffer can never
+(* [load] returns a copy, so a caller mutating its buffer can never
    silently corrupt the resident copy. In-place mutation of the
    resident block goes through [borrow] explicitly. *)
 
@@ -43,7 +37,7 @@ let load t addr =
       Stats.record_hits t.stats 1;
       Block.copy blk
   | None ->
-      reserve t addr;
+      admit t (resident t + 1);
       Stats.record_misses t.stats 1;
       let blk = Storage.read t.storage addr in
       Hashtbl.replace t.table addr blk;
@@ -61,9 +55,7 @@ let load_run t addr ~count =
   for a = addr to addr + count - 1 do
     if not (Hashtbl.mem t.table a) then incr missing
   done;
-  let r = resident t + !missing in
-  if r > t.capacity then raise (Overflow { capacity = t.capacity; requested = r });
-  if r > t.peak then t.peak <- r;
+  admit t (resident t + !missing);
   Stats.record_hits t.stats (count - !missing);
   Stats.record_misses t.stats !missing;
   let a = ref addr in
@@ -79,24 +71,7 @@ let load_run t addr ~count =
     end
   done
 
-let get t addr = Block.copy (find_resident t addr)
-
 let borrow t addr = find_resident t addr
-
-let put t addr blk =
-  reserve t addr;
-  Hashtbl.replace t.table addr (Block.copy blk)
-
-let flush t addr =
-  let blk = find_resident t addr in
-  Stats.record_flushes t.stats 1;
-  Storage.write t.storage addr blk;
-  Hashtbl.remove t.table addr
-
-let write_through t addr =
-  let blk = find_resident t addr in
-  Stats.record_flushes t.stats 1;
-  Storage.write t.storage addr blk
 
 let drop t addr = Hashtbl.remove t.table addr
 

@@ -2,7 +2,9 @@
 
     The model gives Alice M private words — m = M/B blocks. Algorithms
     route the blocks they hold through a [Cache.t] created with that
-    capacity; exceeding it raises {!Overflow}. Tests therefore verify the
+    capacity; exceeding it raises {!Overflow}. Kernels that stage their
+    blocks themselves (the bitonic window groups, the butterfly ring)
+    check the same bound before any I/O and raise the same exception. Tests therefore verify the
     cache-size side of every theorem ("assuming M >= 3B", "m >= log² n",
     …) mechanically rather than by inspection. The cache contents are
     invisible to Bob: resident-block access performs no counted I/O.
@@ -23,8 +25,6 @@ val resident : t -> int
 val peak : t -> int
 (** High-water mark of resident blocks over the cache's lifetime. *)
 
-val is_resident : t -> int -> bool
-
 val load : t -> int -> Block.t
 (** [load c addr] brings the block in (one read I/O) unless already
     resident, and returns a {e copy}. Mutating the returned array never
@@ -37,28 +37,13 @@ val load_run : t -> int -> count:int -> unit
     missing block, same trace as a per-block loop). The capacity check
     covers the whole run {e before} any I/O, so a raised {!Overflow}
     means nothing was read and the resident set is unchanged. Access the
-    blocks afterwards with {!get}/{!borrow}. *)
-
-val get : t -> int -> Block.t
-(** A copy of an already-resident block; no I/O.
-    @raise Invalid_argument if not resident. *)
+    blocks afterwards with {!borrow}. *)
 
 val borrow : t -> int -> Block.t
 (** The resident block itself (shared, no copy); no I/O. Mutations are
-    seen by subsequent [flush]/[write_through]. The reference is only
+    seen by a subsequent {!flush_all}. The reference is only
     valid until the block is evicted.
     @raise Invalid_argument if not resident. *)
-
-val put : t -> int -> Block.t -> unit
-(** Install a copy of a block under an address without any I/O (e.g., a
-    block Alice constructed privately). Counts against capacity; the
-    caller keeps ownership of its buffer. *)
-
-val flush : t -> int -> unit
-(** Write the resident copy back (one write I/O) and evict it. *)
-
-val write_through : t -> int -> unit
-(** Write the resident copy back (one write I/O) but keep it resident. *)
 
 val drop : t -> int -> unit
 (** Evict without writing. *)

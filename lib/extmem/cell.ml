@@ -73,6 +73,25 @@ let encoded_size = 40
 
 module Bigbuf = Odex_crypto.Bigbuf
 
+let aux_offset = 32
+
+(* In-place views of an image's constructor and aux words. The raw
+   primitives keep the int64 unboxed, so these allocate nothing; the
+   image words are little-endian. *)
+external get64_ne : Bigbuf.t -> int -> int64 = "%caml_bigstring_get64u"
+external set64_ne : Bigbuf.t -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let is_item_big buf off = get64_ne buf off <> 0L
+
+let aux_big buf off =
+  let w = get64_ne buf (off + aux_offset) in
+  Int64.to_int (if Sys.big_endian then bswap64 w else w)
+
+let set_aux_big buf off v =
+  let w = Int64.of_int v in
+  set64_ne buf (off + aux_offset) (if Sys.big_endian then bswap64 w else w)
+
 let encode_big buf off = function
   | Empty ->
       Bigbuf.unsafe_set64_le buf off 0L;
@@ -85,7 +104,7 @@ let encode_big buf off = function
       Bigbuf.unsafe_set64_le buf (off + 8) (Int64.of_int key);
       Bigbuf.unsafe_set64_le buf (off + 16) (Int64.of_int value);
       Bigbuf.unsafe_set64_le buf (off + 24) (Int64.of_int tag);
-      Bigbuf.unsafe_set64_le buf (off + 32) (Int64.of_int aux)
+      Bigbuf.unsafe_set64_le buf (off + aux_offset) (Int64.of_int aux)
 
 let decode_big buf off =
   match Bigbuf.unsafe_get64_le buf off with
@@ -96,6 +115,6 @@ let decode_big buf off =
           key = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + 8));
           value = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + 16));
           tag = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + 24));
-          aux = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + 32));
+          aux = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + aux_offset));
         }
   | c -> invalid_arg (Printf.sprintf "Cell.decode_big: bad constructor word %Ld" c)

@@ -67,3 +67,15 @@ val decode_big : Odex_crypto.Bigbuf.t -> int -> t
 (** The cell whose image starts at [off].
     @raise Invalid_argument on a constructor word other than [0] or [1].
     Region bounds are the caller's responsibility, as in {!encode_big}. *)
+
+val is_item_big : Odex_crypto.Bigbuf.t -> int -> bool
+(** Whether the image at [off] holds an item (its constructor word is
+    not [0]), read without a decode. Bounds as in {!encode_big}. *)
+
+val aux_big : Odex_crypto.Bigbuf.t -> int -> int
+(** The [aux] word of the image at [off], read in place. Meaningful on
+    item images. Bounds as in {!encode_big}. *)
+
+val set_aux_big : Odex_crypto.Bigbuf.t -> int -> int -> unit
+(** Rewrite the [aux] word of the image at [off] in place; the other
+    words are untouched. Bounds as in {!encode_big}. *)

@@ -55,6 +55,18 @@ let set_cell t off c =
   check t off cell_bytes "set_cell";
   Cell.encode_big t.buf off c
 
+let is_item t off =
+  check t off cell_bytes "is_item";
+  Cell.is_item_big t.buf off
+
+let aux t off =
+  check t off cell_bytes "aux";
+  Cell.aux_big t.buf off
+
+let set_aux t off v =
+  check t off cell_bytes "set_aux";
+  Cell.set_aux_big t.buf off v
+
 let image t i = (i * t.stride) + header_bytes
 
 let check_block t i who =

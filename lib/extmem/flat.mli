@@ -54,6 +54,18 @@ val get_cell : t -> int -> Cell.t
 val set_cell : t -> int -> Cell.t -> unit
 (** Encode a cell at a byte offset. *)
 
+val is_item : t -> int -> bool
+(** Whether the image at a byte offset holds an item (not [Empty]). *)
+
+val aux : t -> int -> int
+(** The [aux] word of the image at a byte offset, read in place — the
+    scratch word kernels such as the butterfly router keep their labels
+    in. Meaningful on item images. *)
+
+val set_aux : t -> int -> int -> unit
+(** Rewrite the [aux] word of the item image at a byte offset in place;
+    the other words are untouched. *)
+
 val copy_block : t -> int -> t -> int -> unit
 (** [copy_block src i dst j] copies the cell images of slot [i] to slot
     [j] (not the header word). *)

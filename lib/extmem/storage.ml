@@ -188,7 +188,10 @@ let rec remove_spec_files = function
   | Sharded { inner; shards; _ } ->
       for i = 0 to shards - 1 do
         remove_spec_files (shard_member_spec i inner)
-      done
+      done;
+      (* The members live at derived paths; a file stripe's base path is
+         the caller's reservation (a [Filename.temp_file]) and goes too. *)
+      remove_spec_files inner
 
 let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = Trace.Digest)
     ?(backend = Mem) ?(max_retries = 10) ?(backoff = (1e-6, 1e-4)) ?(resume = false)

@@ -384,5 +384,6 @@ val unchecked_poke : t -> int -> Block.t -> unit
 
 val remove_spec_files : backend_spec -> unit
 (** Delete the files behind a spec — [File] stores, shard members and
-    [Journaled] journals (recursing through every decorator) — if any.
-    Harness cleanup helper. *)
+    the stripe's base path (the one a caller reserved, e.g. with
+    [Filename.temp_file]), and [Journaled] journals, recursing through
+    every decorator — if any. Harness cleanup helper. *)

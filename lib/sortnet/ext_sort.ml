@@ -11,14 +11,29 @@ let run t ?(cmp = Cell.compare_keys) ~m a = t.exec ~real:true ~cmp ~m a
 
 let run_selective t ?(cmp = Cell.compare_keys) ~real ~m a = t.exec ~real ~cmp ~m a
 
-let merge_split ~cmp ~ascending u v =
+(* The block comparator as one stable linear merge: both blocks are
+   sorted under [cmp], so their 2B cells merge into [scratch] (a tie
+   takes u's cell first) and split back low half / high half. *)
+let merge_into scratch ~cmp ~ascending u v =
   let b = Array.length u in
   if Array.length v <> b then invalid_arg "Ext_sort.merge_split: block size mismatch";
-  let combined = Array.append u v in
-  Array.sort cmp combined;
+  let i = ref 0 and j = ref 0 in
+  for k = 0 to (2 * b) - 1 do
+    if !j >= b || (!i < b && cmp u.(!i) v.(!j) <= 0) then begin
+      scratch.(k) <- u.(!i);
+      incr i
+    end
+    else begin
+      scratch.(k) <- v.(!j);
+      incr j
+    end
+  done;
   let lo_dst, hi_dst = if ascending then (u, v) else (v, u) in
-  Array.blit combined 0 lo_dst 0 b;
-  Array.blit combined b hi_dst 0 b
+  Array.blit scratch 0 lo_dst 0 b;
+  Array.blit scratch b hi_dst 0 b
+
+let merge_split ~cmp ~ascending u v =
+  merge_into (Array.make (2 * Array.length u) Cell.empty) ~cmp ~ascending u v
 
 (* ------------------------------------------------------------------ *)
 (* Cache sort: the base case used whenever a (sub)problem fits in
@@ -55,44 +70,50 @@ let cache_sort = { name = "cache"; exec = cache_sort_exec }
    j = k/2 … 1 compare positions (i, i xor j) ascending iff (i land k) =
    0. A chunk of [lpp] consecutive levels (strides 2^hi … 2^lo) only
    couples index bits lo..hi, so fixing the other bits splits the array
-   into independent 2^(hi-lo+1)-block groups; each group is gathered
-   into the cache, run through all chunk levels privately, and written
-   back — one scan of the array per chunk instead of per level. *)
+   into independent 2^(hi-lo+1)-block groups; each group is staged in
+   Alice's memory as one block array, run through all chunk levels
+   privately, and written back — one scan of the array per chunk
+   instead of per level. *)
 
 let next_power_of_two n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let process_chunk work cache ~real ~cmp ~stage ~hi ~lo =
+let process_chunk work ~m ~scratch ~real ~cmp ~stage ~hi ~lo =
   let g_bits = hi - lo + 1 in
   let g = 1 lsl g_bits in
+  (* The whole group is resident at once: check Alice's bound before
+     any I/O. *)
+  if g > m then raise (Cache.Overflow { capacity = m; requested = g });
   let n2 = Ext_array.blocks work in
   let groups = n2 / g in
   for v = 0 to groups - 1 do
     let base = ((v lsr lo) lsl (hi + 1)) lor (v land ((1 lsl lo) - 1)) in
     let pos t = base lor (t lsl lo) in
     (* [lo = 0] makes the group the contiguous run [base, base + g) (the
-       windowed sort's common case), which batches both the fill and the
-       [flush_all]. Strided groups load per block. *)
-    if lo = 0 then Cache.load_run cache (Ext_array.addr work base) ~count:g
-    else
-      for t = 0 to g - 1 do
-        ignore (Cache.load cache (Ext_array.addr work (pos t)))
+       windowed sort's common case): one batched read, one batched
+       write. Strided groups move block by block in [pos t] order, which
+       is address order. *)
+    let blks =
+      if lo = 0 then Ext_array.read_blocks work base ~count:g
+      else Array.init g (fun t -> Ext_array.read_block work (pos t))
+    in
+    (* Level [bit] pairs group indices t and t xor 2^(bit - lo). *)
+    if real then
+      for bit = hi downto lo do
+        let j = 1 lsl (bit - lo) in
+        for t = 0 to g - 1 do
+          let t' = t lxor j in
+          if t' > t then
+            merge_into scratch ~cmp ~ascending:(pos t land stage = 0) blks.(t) blks.(t')
+        done
       done;
-    for bit = hi downto lo do
-      let j = 1 lsl bit in
-      for t = 0 to g - 1 do
-        let p = pos t in
-        let q = p lxor j in
-        if q > p && real then begin
-          let ascending = p land stage = 0 in
-          let u = Cache.borrow cache (Ext_array.addr work p) in
-          let v' = Cache.borrow cache (Ext_array.addr work q) in
-          merge_split ~cmp ~ascending u v'
-        end
-      done
-    done;
-    Cache.flush_all cache
+    (* One atomic journal group per write-back: a crash between the
+       runs of a strided group must roll back all of them — re-running a
+       half-exchanged pair would lose values. *)
+    Storage.atomically (Ext_array.storage work) (fun () ->
+        if lo = 0 then Ext_array.write_blocks work base blks
+        else Array.iteri (fun t blk -> Ext_array.write_blocks work (pos t) [| blk |]) blks)
   done
 
 (* Phase-checkpointed execution on a journaled store: the network is cut
@@ -154,7 +175,7 @@ let bitonic_exec ~levels_per_pass ~real ~cmp ~m a =
             if real then Array.iter (Block.sort_in_place cmp) blks;
             Ext_array.write_blocks work base blks));
     let lpp = max 1 (min (levels_per_pass m) (Emodel.ilog2_floor m)) in
-    let cache = Cache.create storage ~capacity:m in
+    let scratch = Array.make (2 * Ext_array.block_size a) Cell.empty in
     let stage = ref 2 in
     while !stage <= n2 do
       let top = Emodel.ilog2_floor !stage - 1 in
@@ -163,7 +184,7 @@ let bitonic_exec ~levels_per_pass ~real ~cmp ~m a =
         let lo = max 0 (!hi - lpp + 1) in
         let stage_now = !stage and hi_now = !hi in
         run_phase (fun () ->
-            process_chunk work cache ~real ~cmp ~stage:stage_now ~hi:hi_now ~lo);
+            process_chunk work ~m ~scratch ~real ~cmp ~stage:stage_now ~hi:hi_now ~lo);
         hi := lo - 1
       done;
       stage := !stage * 2

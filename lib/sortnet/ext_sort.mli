@@ -15,7 +15,7 @@
       pass: Θ((N/B)·log²(N/B)) I/Os.
     - [bitonic_windowed] — the same network, but ⌊log₂ m⌋ consecutive
       butterfly levels are applied per pass by gathering each
-      2^⌊log₂ m⌋-block butterfly group into the cache — the same trick
+      2^⌊log₂ m⌋-block butterfly group into Alice's memory — the same trick
       Theorem 6 uses to divide the I/O count by log m.
 
     Every algorithm's address trace depends only on (N/B, m, B): the
@@ -96,6 +96,9 @@ val find : ?seed:int -> string -> t option
 
 val merge_split :
   cmp:(Cell.t -> Cell.t -> int) -> ascending:bool -> Block.t -> Block.t -> unit
-(** The block comparator: jointly sort the 2B cells of two blocks and
-    split them low-half/high-half (or the reverse when [ascending] is
-    false). Exposed for tests and for the butterfly network. *)
+(** The block comparator: merge the 2B cells of two blocks and split
+    them low half / high half (or the reverse when [ascending] is
+    false). Requires both blocks sorted under [cmp] — the networks
+    pre-sort every block and each merge-split keeps both sorted — and
+    then equals a stable sort of [u @ v] split at B: a tie takes [u]'s
+    cell first. One linear merge, no sort. *)

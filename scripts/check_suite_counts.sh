@@ -12,6 +12,12 @@
 #
 # select-mem is left out: its count follows the input (ROADMAP item 1).
 #
+# Then a seed sweep: one quick run of every workload, select-mem
+# included, on each of seeds 1..20, each of which must be correct with
+# no failed op. A single-seed run cannot see a fault that only some
+# inputs trigger (an ORAM rebuild that loses a word on one draw); twenty
+# draws per workload can.
+#
 # Without an argument the executable is built with dune from this
 # checkout. File-backed stores go to a fresh temporary directory.
 set -eu
@@ -30,20 +36,22 @@ export TMPDIR
 
 "$exe" selftest
 
-# workload ios_per_op bytes_per_op space_amp
-pins='sort-mem 121720 39924160 21.78125
-sort-sealed-stripe 24178 7930384 20.5
-oram-mixed 609.328125 102367.125 151.265625'
-
-echo "$pins" | while read -r w ios bytes amp; do
-  "$exe" run --workload "$w" --seed 1 --quick > "$tmp/$w.out"
-  tail -n 1 "$tmp/$w.out" | python3 -c '
+# check W SEED [IOS BYTES AMP]: one quick run must be correct with no
+# failed op, and, when pins are given, its counts must equal them.
+check() {
+  "$exe" run --workload "$1" --seed "$2" --quick > "$tmp/out" || {
+    status=$?
+    echo "check_suite_counts: $1 seed $2: exit $status" >&2
+    tail -n 1 "$tmp/out" >&2
+    exit 1
+  }
+  tail -n 1 "$tmp/out" | python3 -c '
 import json, sys
-w, ios, by, amp = sys.argv[1], float(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4])
+w, seed, pins = sys.argv[1], sys.argv[2], [float(x) for x in sys.argv[3:]]
 r = json.loads(sys.stdin.read())
 m = r["metrics"]
 got = {k: m[k]["value"] for k in ("ios_per_op", "bytes_per_op", "space_amp")}
-want = {"ios_per_op": ios, "bytes_per_op": by, "space_amp": amp}
+want = dict(zip(("ios_per_op", "bytes_per_op", "space_amp"), pins))
 bad = []
 if r.get("correct") is not True:
     bad.append("correct is %r" % r.get("correct"))
@@ -53,9 +61,26 @@ for k in want:
     if got[k] != want[k]:
         bad.append("%s %r, pinned %r" % (k, got[k], want[k]))
 if bad:
-    print("check_suite_counts: %s: %s" % (w, "; ".join(bad)), file=sys.stderr)
+    print("check_suite_counts: %s seed %s: %s" % (w, seed, "; ".join(bad)), file=sys.stderr)
     sys.exit(1)
-print("check_suite_counts: %s: correct, 0 failed, ios %r bytes %r space_amp %r (exact)"
-      % (w, got["ios_per_op"], got["bytes_per_op"], got["space_amp"]))
-' "$w" "$ios" "$bytes" "$amp"
+if want:
+    print("check_suite_counts: %s: correct, 0 failed, ios %r bytes %r space_amp %r (exact)"
+          % (w, got["ios_per_op"], got["bytes_per_op"], got["space_amp"]))
+' "$@"
+}
+
+# workload ios_per_op bytes_per_op space_amp
+pins='sort-mem 121720 39924160 21.78125
+sort-sealed-stripe 24178 7930384 20.5
+oram-mixed 609.328125 102367.125 151.265625'
+
+echo "$pins" | while read -r w ios bytes amp; do
+  check "$w" 1 "$ios" "$bytes" "$amp"
 done
+
+for w in sort-mem sort-sealed-stripe select-mem oram-mixed; do
+  for seed in $(seq 1 20); do
+    check "$w" "$seed"
+  done
+done
+echo "check_suite_counts: seeds 1..20 of all four workloads correct with 0 failed"

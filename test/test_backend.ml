@@ -523,7 +523,21 @@ let test_remove_spec_files () =
   Storage.close s;
   Alcotest.(check bool) "file exists before" true (Sys.file_exists path);
   Storage.remove_spec_files spec;
-  Alcotest.(check bool) "file removed through the decorator" false (Sys.file_exists path)
+  Alcotest.(check bool) "file removed through the decorator" false (Sys.file_exists path);
+  (* A file stripe: the members live at derived paths, and the base path
+     the caller reserved goes with them. *)
+  let base = Filename.temp_file "odex_test" ".store" in
+  let spec = Storage.Sharded { inner = Storage.File { path = base }; shards = 2; seed = 3 } in
+  let s = Storage.create ~backend:spec ~block_size:2 () in
+  ignore (Storage.alloc s 4);
+  Storage.sync s;
+  Storage.close s;
+  let files = [ base; base ^ ".shard0"; base ^ ".shard1" ] in
+  Alcotest.(check (list bool)) "stripe files exist before" [ true; true; true ]
+    (List.map Sys.file_exists files);
+  Storage.remove_spec_files spec;
+  Alcotest.(check (list bool)) "stripe base and members removed" [ false; false; false ]
+    (List.map Sys.file_exists files)
 
 let suite =
   [

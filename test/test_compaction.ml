@@ -183,6 +183,50 @@ let test_butterfly_expand_invalid_factor () =
        false
      with Invalid_argument _ -> true)
 
+(* A planted collision: destinations 4 and 5 increase, but the factors
+   {4, 1} decrease, which butterfly.mli says may collide. Expansion's
+   high-bit phase moves the block at 0 onto position 4 while the block
+   there still waits for its low bit; the router must refuse it with the
+   level and position of the clash. *)
+let test_butterfly_planted_collision () =
+  let _, a = consolidated_array ~n:8 [ (0, 1); (4, 2) ] in
+  match Butterfly.expand ~m:3 a (fun i -> if i = 0 then 4 else 1) with
+  | () -> Alcotest.fail "routed two blocks onto one position"
+  | exception Butterfly.Collision { level; position } ->
+      Alcotest.(check (pair int int)) "level and position" (2, 4) (level, position)
+
+(* The documented guarantee: every placement of k blocks among n ≤ 7
+   positions and every destination set whose factors are non-decreasing
+   in rank expands without a collision, onto exactly the destinations. *)
+let test_butterfly_expand_monotone_exhaustive () =
+  let rec subsets i n k =
+    if k = 0 then [ [] ]
+    else if i >= n then []
+    else List.map (List.cons i) (subsets (i + 1) n (k - 1)) @ subsets (i + 1) n k
+  in
+  let rec non_decreasing = function
+    | x :: (y :: _ as t) -> x <= y && non_decreasing t
+    | _ -> true
+  in
+  for n = 1 to 7 do
+    for k = 1 to n do
+      let sets = subsets 0 n k in
+      List.iter
+        (fun src ->
+          List.iter
+            (fun dst ->
+              let factors = List.map2 ( - ) dst src in
+              if List.for_all (fun f -> f >= 0) factors && non_decreasing factors then begin
+                let _, a = consolidated_array ~b:2 ~n (List.map (fun p -> (p, p + 1)) src) in
+                let f = Array.of_list factors in
+                Butterfly.expand ~m:3 a (fun i -> f.(i));
+                Alcotest.(check (list int)) "destinations" dst (occupied_positions a)
+              end)
+            sets)
+        sets
+    done
+  done
+
 (* ---------------- sparse compaction (Theorem 4) ---------------- *)
 
 let test_sparse_compaction () =
@@ -348,6 +392,8 @@ let suite =
     ("butterfly expand roundtrip", `Quick, test_butterfly_expand_roundtrip);
     ("butterfly m=3 minimum", `Quick, test_butterfly_m3_minimum);
     ("butterfly invalid expansion", `Quick, test_butterfly_expand_invalid_factor);
+    ("butterfly planted collision", `Quick, test_butterfly_planted_collision);
+    ("butterfly expand monotone factors", `Quick, test_butterfly_expand_monotone_exhaustive);
     ("sparse compaction", `Quick, test_sparse_compaction);
     ("sparse compaction oblivious", `Quick, test_sparse_compaction_oblivious);
     ("sparse compaction table too big", `Quick, test_sparse_compaction_table_too_big);

@@ -37,6 +37,52 @@ let test_merge_split () =
   Alcotest.(check (list int)) "descending: high half first" [ 5; 9 ]
     (List.map (fun (it : Cell.item) -> it.key) (Block.items u))
 
+(* The orders lib sorts under, including the ORAM dedup sort's
+   key-then-newest-tag order. *)
+let merge_orders =
+  let key_then_tag_desc c1 c2 =
+    match (c1, c2) with
+    | Cell.Empty, Cell.Empty -> 0
+    | Cell.Empty, Cell.Item _ -> 1
+    | Cell.Item _, Cell.Empty -> -1
+    | Cell.Item x, Cell.Item y ->
+        let c = compare x.key y.key in
+        if c <> 0 then c else compare y.tag x.tag
+  in
+  [| Cell.compare_keys; Cell.compare_by_tag; Cell.compare_by_aux; key_then_tag_desc |]
+
+(* Internally sorted block pairs with ties (few distinct keys, tags and
+   aux words; the value tells tied cells apart) and empties: the merge
+   must equal a stable sort of u @ v split at B. *)
+let prop_merge_split_stable =
+  let open QCheck2.Gen in
+  let cell =
+    frequency
+      [
+        (1, pure Cell.empty);
+        ( 4,
+          map
+            (fun (k, t, x, v) -> Cell.item ~tag:t ~aux:x ~key:k ~value:v ())
+            (quad (int_range 0 3) (int_range 0 3) (int_range 0 3) (int_range 0 999)) );
+      ]
+  in
+  let gen =
+    oneofl [ 1; 2; 3; 8 ] >>= fun b ->
+    quad (int_range 0 (Array.length merge_orders - 1)) bool (array_repeat b cell)
+      (array_repeat b cell)
+  in
+  Util.qcheck_case ~name:"merge-split is a stable sort of u @ v split at B" ~count:500 gen
+    (fun (o, ascending, u, v) ->
+      let cmp = merge_orders.(o) in
+      let b = Array.length u in
+      let sorted blk = Array.of_list (List.stable_sort cmp (Array.to_list blk)) in
+      let u = sorted u and v = sorted v in
+      let want = Array.of_list (List.stable_sort cmp (Array.to_list u @ Array.to_list v)) in
+      Ext_sort.merge_split ~cmp ~ascending u v;
+      let lo, hi = if ascending then (u, v) else (v, u) in
+      let same got off = Array.for_all2 Cell.equal got (Array.sub want off b) in
+      same lo 0 && same hi b)
+
 let run_sort_case sorter ~b ~m keys =
   let cells = Util.cells_of_keys keys in
   let (), a =
@@ -661,4 +707,5 @@ let suite =
     ("sorter edge sizes", `Quick, test_sorter_edge_sizes);
     prop_sorters_agree;
     prop_bucket_pipeline_sorts;
+    prop_merge_split_stable;
   ]
