@@ -166,8 +166,11 @@ let e3_table rs =
     [ col "multiplier"; col "decodes" ] (named "iblt" rs)
 
 (* ------------------------------------------------------------------ *)
-(* E4 — Theorem 6: butterfly compaction, the log m speedup. The last
-   record (B = 8, 300 of 1024 blocks occupied) is the CI-tracked point. *)
+(* E4 — Theorem 6: butterfly compaction, the log m speedup, and the same
+   network run in reverse: each expand record sends a compacted prefix
+   back to the slots of the matching compact record's input and is ok
+   only when every block lands where it started. The last shape (B = 8,
+   300 of 1024 blocks occupied) is the CI-tracked point. *)
 
 let e4 env =
   let butterfly ~b ~n ~occupied ~m =
@@ -176,18 +179,36 @@ let e4 env =
         ignore (Butterfly.compact ~m a);
         (true, [ ("r", fint occupied) ]))
   in
+  let expand ~b ~n ~occupied ~m =
+    let a = Workloads.consolidated_blocks env ~b ~n ~occupied in
+    let s = Ext_array.storage a in
+    let peek a j = Storage.unchecked_peek s (Ext_array.addr a j) in
+    let all = List.init n Fun.id in
+    let slots = Array.of_list (List.filter (fun j -> not (Block.is_empty (peek a j))) all) in
+    let c = Ext_array.create s ~blocks:n in
+    Array.iteri (fun i j -> Storage.unchecked_poke s (Ext_array.addr c i) (peek a j)) slots;
+    H.measure env ~name:"butterfly-expand" ~n_cells:(n * b) ~b ~m (fun () ->
+        Butterfly.expand ~m c (fun i -> slots.(i) - i);
+        (List.for_all (fun j -> peek c j = peek a j) all, [ ("r", fint occupied) ]))
+  in
   List.concat_map
-    (fun n -> List.map (fun m -> butterfly ~b:4 ~n ~occupied:(n / 3) ~m) [ 3; 16; 64; 256 ])
-    [ 1024; 4096; 16384 ]
-  @ [ butterfly ~b:8 ~n:1024 ~occupied:300 ~m:64 ]
+    (fun (b, n, occupied, m) -> [ butterfly ~b ~n ~occupied ~m; expand ~b ~n ~occupied ~m ])
+    (List.concat_map
+       (fun n -> List.map (fun m -> (4, n, n / 3, m)) [ 3; 16; 64; 256 ])
+       [ 1024; 4096; 16384 ]
+    @ [ (8, 1024, 300, 64) ])
 
-let e4_table =
+let e4_table rs =
   let speedup r =
     let n = blocks r in
     Table.fratio (Float.of_int (n * Emodel.ilog2_ceil n) /. Float.of_int (H.total_ios r))
   in
   rows ~title:"E4 Theorem 6: butterfly compaction I/Os; speedup vs n*log2(n) grows with log m"
     [ n_blocks; b_col; col "r"; m_col; ios; ("n*lg n / I/Os", speedup) ]
+    (named "butterfly-compact" rs);
+  rows ~title:"E4b Theorem 6 in reverse: butterfly expansion of the compacted prefix back to its slots"
+    [ n_blocks; b_col; col "r"; m_col; ios; ok ]
+    (named "butterfly-expand" rs)
 
 (* ------------------------------------------------------------------ *)
 (* E5 — Theorem 8: loose compaction is linear. *)

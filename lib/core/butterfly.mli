@@ -40,8 +40,9 @@ val expand : m:int -> Ext_array.t -> (int -> int) -> unit
     the distances a compaction from the destinations would undo, as when
     a compacted prefix is sent back to its slots. With a decreasing
     factor two blocks can meet, and [Collision] is raised (positions
-    {0, 4} with factors {4, 1} at [m = 3] do). Used by the
-    failure-sweeping step of Theorem 21. *)
+    {0, 4} with factors {4, 1} at [m = 3] do). The bench's E4
+    [butterfly-expand] records send compacted prefixes back to their
+    slots this way. *)
 
 val naive_levels : Ext_array.t -> int list list
 (** Diagnostic used by the Figure 1 experiment: simulate the network

@@ -53,10 +53,3 @@ val sparse_table_fits : m:int -> capacity_blocks:int -> block_size:int -> bool
     multiplier, including the k+1-cell floor) fits Alice's cache — the
     precondition for dispatching to {!Odex.Sparse_compaction}. Public
     parameters only. *)
-
-val butterfly_cost : n:int -> m:int -> int
-(** Estimated I/O count of Theorem 6 compaction on an n-block array
-    (public parameters only). *)
-
-val sparse_cost : n:int -> block_size:int -> int
-(** Estimated I/O count of the Theorem 4 insertion phase. *)

@@ -78,20 +78,3 @@ let run ?(distinguished = fun (_ : Cell.item) -> true) ~into a =
     push_out (emit_block ());
     flush_out ());
   dst
-
-let occupied_prefix_property a =
-  let n = Ext_array.blocks a in
-  let b = Ext_array.block_size a in
-  let last_nonempty = ref (-1) in
-  for i = 0 to n - 1 do
-    if not (Block.is_empty (Storage.unchecked_peek (Ext_array.storage a) (Ext_array.addr a i)))
-    then last_nonempty := i
-  done;
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let blk = Storage.unchecked_peek (Ext_array.storage a) (Ext_array.addr a i) in
-    let c = Block.count_items blk in
-    if i = !last_nonempty then (if c < 1 then ok := false)
-    else if c <> 0 && c <> b then ok := false
-  done;
-  !ok

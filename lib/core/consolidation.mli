@@ -17,6 +17,3 @@ val run :
     every item) are discarded, as are empties. Exactly
     [blocks a] reads and [blocks a] writes, independent of the data. *)
 
-val occupied_prefix_property : Ext_array.t -> bool
-(** Test helper: checks the Lemma 3 postcondition — every block is full
-    or empty, except that the {e last non-empty} block may be partial. *)

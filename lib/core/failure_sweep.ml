@@ -14,9 +14,6 @@ let monte_carlo ~trials ~seed f =
   done;
   !failures
 
-let failure_rate ~trials ~seed f =
-  Float.of_int (monte_carlo ~trials ~seed f) /. Float.of_int trials
-
 let sweep ~m subarrays ok_flags =
   let k = Array.length subarrays in
   if Array.length ok_flags <> k then invalid_arg "Failure_sweep.sweep: flag count mismatch";

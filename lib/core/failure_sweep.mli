@@ -29,10 +29,6 @@ val monte_carlo :
     (Theorem 8 region overflow, Lemma 1 decode completeness) in tests
     that never flake. *)
 
-val failure_rate :
-  trials:int -> seed:int -> (rng:Odex_crypto.Rng.t -> trial:int -> bool) -> float
-(** {!monte_carlo} normalized to a rate in [0, 1]. *)
-
 val sweep : m:int -> Ext_array.t array -> bool array -> bool
 (** [sweep ~m subarrays ok_flags] re-sorts (by (key, tag)) every
     subarray whose flag is false, running trace-identical dummy passes

@@ -65,15 +65,3 @@ let consolidate ~colors ~color_of a =
   done;
   assert (Array.for_all Queue.is_empty groups);
   dst
-
-let monochromatic ~color_of a =
-  let s = Ext_array.storage a in
-  let ok = ref true in
-  for i = 0 to Ext_array.blocks a - 1 do
-    let colors_in_block =
-      List.sort_uniq compare
-        (List.map color_of (Block.items (Storage.unchecked_peek s (Ext_array.addr a i))))
-    in
-    if List.length colors_in_block > 1 then ok := false
-  done;
-  !ok

@@ -23,5 +23,3 @@ val consolidate :
     values in [0, colors). Relative order within each color is
     preserved. *)
 
-val monochromatic : color_of:(Cell.item -> int) -> Ext_array.t -> bool
-(** Test helper (uncounted): every block's items share one color. *)

@@ -42,6 +42,3 @@ val run :
     s is the sample size), as in {!Selection.select_with_delta}. The
     input array is preserved. *)
 
-val rank_of_quantile : total:int -> q:int -> int -> int
-(** [rank_of_quantile ~total ~q i] is the 1-indexed global rank targeted
-    by quantile [i] (1-indexed): ⌈i·total/(q+1)⌉. *)

@@ -53,8 +53,10 @@ val select :
     after every item, defaults to {!Cell.compare_keys}, and is used
     consistently by every private sort, oblivious sort and bracketing
     scan.
-    [k] ranges over the items. Arrays that fit in cache are handled by a
-    direct private sort (trace: one scan). The input array is preserved.
+    [k] ranges over the items. Items that compare equal under [cmp] come
+    out of every sort in unspecified order, so when several of them tie
+    at rank k, which one is returned is unspecified. Arrays that fit in
+    cache are handled by a direct private sort (trace: one scan). The input array is preserved.
     Instead of sorting the bracketed residue outright, the algorithm
     recurses on it until it fits the cache — the same answer with the
     same obliviousness, but linear I/O at feasible N (the one-shot sort

@@ -24,7 +24,7 @@ let shuffle_with ~engine ~m ~rng a =
         shuffle ~rng a;
         true
       end
-      else (Odex_sortnet.Oblivious_permutation.run_blocks ~rng ~m a).ok
+      else (Odex_sortnet.Bucket_sort.permute_blocks ~rng ~m a).ok
 
 type deal = { outputs : Ext_array.t array; ok : bool }
 

@@ -26,7 +26,7 @@ type engine = [ `Knuth | `Bucket ]
 val shuffle_with : engine:engine -> m:int -> rng:Odex_crypto.Rng.t -> Ext_array.t -> bool
 (** [`Knuth] is {!shuffle} (always complete). [`Bucket] routes whole
     blocks through the bucket-oblivious butterfly
-    ({!Odex_sortnet.Oblivious_permutation.run_blocks}) — 2 I/Os per
+    ({!Odex_sortnet.Bucket_sort.permute_blocks}) — 2 I/Os per
     block-level instead of 4 per step — falling back to the Knuth
     shuffle when the cache is too small for the bucket geometry
     (m < 18, a public condition). Returns false iff a bucket overflowed

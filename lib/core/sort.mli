@@ -48,21 +48,10 @@ val run :
   outcome
 (** [run ~m ~rng a] sorts the items of [a] in place by (key, tag):
     items in non-decreasing order at the front, empties after.
-    Requires [m >= 3]. [shuffle] selects the per-level block shuffle
+    Requires [m >= 3]. The sort is not stable: items equal in both key
+    and tag come out in unspecified order. [shuffle] selects the per-level block shuffle
     engine (default [`Knuth]; [`Bucket] is the bucket-oblivious
     butterfly, see {!Shuffle_deal.shuffle_with}). *)
-
-val sort_padded :
-  ?sweep:bool ->
-  ?bucket_engine:[ `Auto | `Skip | `Loose | `Butterfly ] ->
-  ?shuffle:Shuffle_deal.engine ->
-  m:int ->
-  rng:Odex_crypto.Rng.t ->
-  Ext_array.t ->
-  Ext_array.t * bool
-(** The recursive core: consumes [a] and returns a fresh (possibly
-    larger) array whose items, read in position order, are sorted —
-    the paper's padded sorting. Exposed for tests and benches. *)
 
 val sort_padded_with_injection :
   ?sweep:bool ->
@@ -73,13 +62,9 @@ val sort_padded_with_injection :
   inject_failure:(int -> bool) ->
   Ext_array.t ->
   Ext_array.t * bool
-(** Test hook: [inject_failure path] marks the sub-sort identified by
-    [path] as failed even though it ran, exercising the failure-sweeping
-    machinery deterministically. Paths: 0 is the root, child i of node p
-    is [p*64 + i + 1]. *)
-
-val bucket_count : m:int -> b:int -> int
-(** q + 1: how many pivot buckets a recursion level uses for a cache of
-    [m] blocks of [b] cells — at least the paper's ⌊m^{1/4}⌋ + 1, grown
-    with the cache but capped by Alice's buffer budget (m/3, and 32)
-    and by the sampled pivots' precision (√(m·b)/4). *)
+(** The recursive core {!run} wraps, the paper's padded sorting: consumes
+    [a] and returns a fresh (possibly larger) array whose items, read in
+    position order, are sorted. Test hook: [inject_failure path] marks
+    the sub-sort identified by [path] as failed even though it ran,
+    exercising the failure-sweeping machinery deterministically. Paths:
+    0 is the root, child i of node p is [p*64 + i + 1]. *)

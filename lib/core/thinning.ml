@@ -18,12 +18,3 @@ let pass ~rng ~src ~dst =
       Ext_array.write_block src i blk
     end
   done
-
-let occupied_blocks a =
-  let n = Ext_array.blocks a in
-  let s = Ext_array.storage a in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if not (Block.is_empty (Storage.unchecked_peek s (Ext_array.addr a i))) then incr count
-  done;
-  !count

@@ -15,5 +15,3 @@ val pass : rng:Odex_crypto.Rng.t -> src:Ext_array.t -> dst:Ext_array.t -> unit
 (** One thinning pass; destructive on [src] (moved blocks become empty).
     4 · blocks(src) I/Os. *)
 
-val occupied_blocks : Ext_array.t -> int
-(** Uncounted diagnostic: number of non-empty blocks. *)

@@ -2,8 +2,6 @@ open Odex_extmem
 
 type outcome = { dest : Ext_array.t; occupied : int; ok : bool }
 
-let cost ~n ~capacity = (3 * n) + (3 * capacity)
-
 (* Server roles. Any store with at least two shards supports the
    protocol: shard 0 plays server A (the staging server), shard 1 plays
    server B (the output server); further shards only serve the striped

@@ -17,7 +17,7 @@
     output back to a striped destination. Server A sees a fixed read
     sequence, server B a fixed write sequence, at every occupancy.
 
-    Cost: exactly [3*(N/B) + 3*capacity] block I/Os ({!cost}) —
+    Cost: exactly [3*(N/B) + 3*capacity] block I/Os —
     strictly below the single-server butterfly's
     [2*(N/B)*(1 + phases) >= 4*(N/B)] at equal (N, B, M), because the
     log-depth oblivious routing network is replaced by one
@@ -34,10 +34,6 @@ type outcome = {
   occupied : int;  (** Occupied blocks moved (Alice-private). *)
   ok : bool;  (** Always [true]; present for parity with {!Compaction.outcome}. *)
 }
-
-val cost : n:int -> capacity:int -> int
-(** Exact block-I/O count of the two-server protocol on an [n]-block
-    input with [capacity] output blocks (public parameters only). *)
 
 val run : m:int -> capacity_blocks:int -> Ext_array.t -> outcome
 (** Order-preserving tight compaction of the array's occupied blocks

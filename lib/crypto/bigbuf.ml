@@ -6,7 +6,6 @@ let create n =
   b
 
 let length (b : t) = Bigarray.Array1.dim b
-let get (b : t) i = Bigarray.Array1.get b i
 let set (b : t) i c = Bigarray.Array1.set b i c
 let unsafe_get (b : t) i = Bigarray.Array1.unsafe_get b i
 let unsafe_set (b : t) i c = Bigarray.Array1.unsafe_set b i c
@@ -39,15 +38,9 @@ let check_range b i len op =
   if i < 0 || len < 0 || i > length b - len then
     invalid_arg (Printf.sprintf "Bigbuf.%s: region [%d, %d) out of bounds (length %d)" op i (i + len) (length b))
 
-let get64_le b i =
-  check_range b i 8 "get64_le";
-  unsafe_get64_le b i
-
 let set64_le b i v =
   check_range b i 8 "set64_le";
   unsafe_set64_le b i v
-
-let fill (b : t) c = Bigarray.Array1.fill b c
 
 (* Word-at-a-time copies: a [Bigarray.Array1.sub]+[blit] pair allocates
    two bigarray headers per call, which the Mem backend's
@@ -63,41 +56,3 @@ let blit src soff dst doff len =
   for i = len land lnot 7 to len - 1 do
     unsafe_set dst (doff + i) (unsafe_get src (soff + i))
   done
-
-let blit_from_bytes src soff dst doff len =
-  if soff < 0 || len < 0 || soff > Bytes.length src - len then
-    invalid_arg "Bigbuf.blit_from_bytes: source region out of bounds";
-  check_range dst doff len "blit_from_bytes";
-  let words = len lsr 3 in
-  for j = 0 to words - 1 do
-    unsafe_set_64_ne dst (doff + (j lsl 3)) (Bytes.get_int64_ne src (soff + (j lsl 3)))
-  done;
-  for i = len land lnot 7 to len - 1 do
-    unsafe_set dst (doff + i) (Bytes.unsafe_get src (soff + i))
-  done
-
-let blit_to_bytes src soff dst doff len =
-  check_range src soff len "blit_to_bytes";
-  if doff < 0 || len < 0 || doff > Bytes.length dst - len then
-    invalid_arg "Bigbuf.blit_to_bytes: destination region out of bounds";
-  let words = len lsr 3 in
-  for j = 0 to words - 1 do
-    Bytes.set_int64_ne dst (doff + (j lsl 3)) (unsafe_get_64_ne src (soff + (j lsl 3)))
-  done;
-  for i = len land lnot 7 to len - 1 do
-    Bytes.unsafe_set dst (doff + i) (unsafe_get src (soff + i))
-  done
-
-let of_bytes b =
-  let buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (Bytes.length b) in
-  blit_from_bytes b 0 buf 0 (Bytes.length b);
-  buf
-
-let to_bytes buf =
-  let b = Bytes.create (length buf) in
-  blit_to_bytes buf 0 b 0 (length buf);
-  b
-
-let sub_string buf off len =
-  check_range buf off len "sub_string";
-  String.init len (fun i -> unsafe_get buf (off + i))

@@ -15,35 +15,22 @@ val create : int -> t
 
 val length : t -> int
 
-val get : t -> int -> char
 val set : t -> int -> char -> unit
 
 val unsafe_get : t -> int -> char
-val unsafe_set : t -> int -> char -> unit
-
-val get64_le : t -> int -> int64
-(** Bounds-checked little-endian 64-bit load at byte offset [i]
-    (unaligned offsets allowed). *)
 
 val set64_le : t -> int -> int64 -> unit
+(** Bounds-checked little-endian 64-bit store at byte offset [i]
+    (unaligned offsets allowed). *)
 
 val unsafe_get64_le : t -> int -> int64
-(** Unchecked variant for inner loops whose caller has validated the
-    whole region once ({!Cell.decode_big} and the cipher cores). *)
+(** Unchecked little-endian 64-bit load, for inner loops whose caller
+    has validated the whole region once ({!Cell.decode_big} and the
+    cipher cores). *)
 
 val unsafe_set64_le : t -> int -> int64 -> unit
-
-val fill : t -> char -> unit
 
 val blit : t -> int -> t -> int -> int -> unit
 (** [blit src soff dst doff len] copies [len] bytes. The regions must
     not overlap (all callers move between distinct buffers or disjoint
     slices; the word-at-a-time copy does not handle aliasing). *)
-
-val blit_from_bytes : bytes -> int -> t -> int -> int -> unit
-val blit_to_bytes : t -> int -> bytes -> int -> int -> unit
-
-val of_bytes : bytes -> t
-val to_bytes : t -> bytes
-
-val sub_string : t -> int -> int -> string

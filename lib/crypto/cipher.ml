@@ -1,8 +1,6 @@
 type key = Prf.key
 
 let key_of_int = Prf.key_of_int
-let fresh_key = Prf.fresh_key
-
 type engine = Chacha20
 
 let engine_id Chacha20 = 2L

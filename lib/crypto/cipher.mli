@@ -16,7 +16,6 @@
 type key
 
 val key_of_int : int -> key
-val fresh_key : Rng.t -> key
 
 (** {1 Engine} *)
 

@@ -6,7 +6,6 @@ let create ~k ~size key =
   { k; size; key }
 
 let k t = t.k
-let size t = t.size
 
 let subrange t i =
   if i < 0 || i >= t.k then invalid_arg "Hash_family.subrange: bad index";

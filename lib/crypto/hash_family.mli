@@ -17,12 +17,6 @@ val create : k:int -> size:int -> Prf.key -> t
 val k : t -> int
 (** Number of hash functions. *)
 
-val size : t -> int
-(** Total table size the family maps into. *)
-
-val hash : t -> int -> int -> int
-(** [hash t i x] is h_i(x), for [0 <= i < k t]. *)
-
 val hashes : t -> int -> int array
 (** [hashes t x] is [| h_0(x); …; h_{k-1}(x) |] — always [k] pairwise
     distinct cells. *)

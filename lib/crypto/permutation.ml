@@ -1,57 +1,2 @@
-type t = int array
-(* [t.(i)] is the destination of source position [i]. *)
-
-let identity n = Array.init n (fun i -> i)
-
-let size t = Array.length t
-
 let swap_sequence rng n =
   Array.init n (fun i -> (i, if i = n - 1 then i else Rng.int_in_range rng ~lo:i ~hi:(n - 1)))
-
-let of_swaps n swaps =
-  (* Apply the swaps to the array [0; …; n-1] read as "contents", then
-     invert: contents.(j) = i means source i ends at destination j. *)
-  let contents = Array.init n (fun i -> i) in
-  Array.iter
-    (fun (a, b) ->
-      let tmp = contents.(a) in
-      contents.(a) <- contents.(b);
-      contents.(b) <- tmp)
-    swaps;
-  let dest = Array.make n 0 in
-  Array.iteri (fun j i -> dest.(i) <- j) contents;
-  dest
-
-let random rng n = of_swaps n (swap_sequence rng n)
-
-let apply t i = t.(i)
-
-let inverse t =
-  let n = Array.length t in
-  let inv = Array.make n 0 in
-  Array.iteri (fun i j -> inv.(j) <- i) t;
-  inv
-
-let preimage t j = (inverse t).(j)
-
-let permute_array t a =
-  let n = Array.length a in
-  if n <> Array.length t then invalid_arg "Permutation.permute_array: size mismatch";
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n a.(0) in
-    Array.iteri (fun i x -> out.(t.(i)) <- x) a;
-    out
-  end
-
-let is_valid t =
-  let n = Array.length t in
-  let seen = Array.make n false in
-  Array.for_all
-    (fun j ->
-      if j < 0 || j >= n || seen.(j) then false
-      else begin
-        seen.(j) <- true;
-        true
-      end)
-    t

@@ -7,36 +7,8 @@
     indices chosen never depend on data values, so the shuffle itself is
     data-oblivious. *)
 
-type t
-(** An immutable permutation of {0, …, n−1}. *)
-
-val identity : int -> t
-val random : Rng.t -> int -> t
-
-val size : t -> int
-
-val apply : t -> int -> int
-(** [apply p i] is the image of [i]: the element at source position [i]
-    moves to destination [apply p i]. *)
-
-val preimage : t -> int -> int
-(** [preimage p j] is the source position mapped to [j]; inverse of
-    [apply]. *)
-
-val inverse : t -> t
-
 val swap_sequence : Rng.t -> int -> (int * int) array
 (** [swap_sequence rng n] is the raw Fisher–Yates transcript: the sequence
     of [(i, j)] swaps with [i <= j] that the shuffle performs. Algorithms
     that shuffle data held in external memory replay exactly these swaps so
     the adversary-visible I/O pattern is the canonical shuffle pattern. *)
-
-val of_swaps : int -> (int * int) array -> t
-(** Permutation obtained by applying the given swaps to the identity. *)
-
-val permute_array : t -> 'a array -> 'a array
-(** [permute_array p a] is the array with [a.(i)] placed at position
-    [apply p i]. *)
-
-val is_valid : t -> bool
-(** Checks bijectivity (used by tests). *)

@@ -24,20 +24,3 @@ let to_range k x ~bound =
   if bound <= 0 then invalid_arg "Prf.to_range: bound must be positive";
   let v = Int64.to_int (Int64.shift_right_logical (value k x) 2) in
   v mod bound
-
-(* Rejection sampling over 62-bit draws: accept a draw below the largest
-   multiple of [bound] that fits, else redraw from [value_pair k x i]
-   with an incremented salt. Each draw accepts with probability > 1/2,
-   so the expected number of PRF evaluations is < 2; the [max_int]
-   fallback (never reached in practice) keeps the function total. *)
-let to_range_unbiased k x ~bound =
-  if bound <= 0 then invalid_arg "Prf.to_range_unbiased: bound must be positive";
-  let top = 1 lsl 62 in
-  let limit = bound * (top / bound) in
-  let rec draw i =
-    if i >= 128 then to_range k x ~bound
-    else
-      let v = Int64.to_int (Int64.shift_right_logical (value_pair k x i) 2) in
-      if v < limit then v mod bound else draw (i + 1)
-  in
-  draw 0

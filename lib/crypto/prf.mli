@@ -34,11 +34,4 @@ val to_range : key -> int -> bound:int -> int
     modulo bias — at most [bound / 2^62] per residue, immeasurable for
     the small bounds the algorithms use — and every pinned seed, pair
     certificate, and trace digest in the repo depends on its exact
-    output, so existing call sites keep it. New code wanting exactness
-    should use {!to_range_unbiased}. *)
-
-val to_range_unbiased : key -> int -> bound:int -> int
-(** [to_range_unbiased k x ~bound] maps [x] into [\[0, bound)] with no
-    modulo bias, by rejection sampling over salted redraws
-    ([value_pair k x 0], [value_pair k x 1], ...). Deterministic for a
-    given [(k, x, bound)]; expected < 2 PRF evaluations per call. *)
+    output. *)

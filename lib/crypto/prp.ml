@@ -13,8 +13,6 @@ let create ~domain key =
   in
   { domain; bits; half = bits / 2; keys }
 
-let domain t = t.domain
-
 let round_fn t r x = Int64.to_int (Prf.value t.keys.(r) x) land ((1 lsl t.half) - 1)
 
 let feistel t x =

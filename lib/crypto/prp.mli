@@ -11,8 +11,6 @@ type t
 val create : domain:int -> Prf.key -> t
 (** Permutation of {0, …, domain−1}. Requires [domain >= 1]. *)
 
-val domain : t -> int
-
 val apply : t -> int -> int
 (** [apply t x] = π(x); a bijection on the domain. *)
 

@@ -21,7 +21,6 @@ let of_state s =
   t
 
 let create ~seed = of_state (mix64 (Int64.of_int seed))
-let copy = Bytes.copy
 let state t = get64 t 0
 
 let[@inline] next_int64 t =

@@ -13,10 +13,6 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator. Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator that will replay exactly the
-    stream [t] would have produced from this point on. *)
-
 val state : t -> int64
 (** The full generator state as one serializable word. *)
 
@@ -47,9 +43,6 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val float : t -> float
-(** Uniform in [\[0, 1)]. *)
 
 val geometric : t -> float -> int
 (** [geometric t p] samples the number of Bernoulli(p) trials up to and

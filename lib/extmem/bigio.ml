@@ -13,14 +13,6 @@ let check buf ~pos ~off ~len op =
   if off < 0 || len < 0 || off + len > Bigbuf.length buf then
     invalid_arg ("Bigio." ^ op ^ ": buffer region out of bounds")
 
-let pread fd ~pos buf ~off ~len =
-  check buf ~pos ~off ~len "pread";
-  retry_eintr (fun () -> pread_stub fd pos buf off len)
-
-let pwrite fd ~pos buf ~off ~len =
-  check buf ~pos ~off ~len "pwrite";
-  retry_eintr (fun () -> pwrite_stub fd pos buf off len)
-
 let read_all ~who fd ~pos buf ~off ~len =
   check buf ~pos ~off ~len "read_all";
   let done_ = ref 0 in

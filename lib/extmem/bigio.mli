@@ -5,17 +5,11 @@
     The file backend and the journal move block payloads through these;
     headers and other small cold-path records stay on [bytes]. *)
 
-val pread : Unix.file_descr -> pos:int -> Odex_crypto.Bigbuf.t -> off:int -> len:int -> int
-(** One positioned read syscall (EINTR retried); returns the count
-    transferred, 0 at end of file. Bounds on [off]/[len] are validated
-    against the buffer. *)
-
-val pwrite : Unix.file_descr -> pos:int -> Odex_crypto.Bigbuf.t -> off:int -> len:int -> int
-
 val read_all :
   who:string -> Unix.file_descr -> pos:int -> Odex_crypto.Bigbuf.t -> off:int -> len:int -> unit
-(** Loop {!pread} until [len] bytes landed; [Failure who^": short read"]
-    if the file ends first. *)
+(** Loop one positioned read syscall (EINTR retried) until [len] bytes
+    landed; [Failure who^": short read"] if the file ends first. Bounds
+    on [off]/[len] are validated against the buffer. *)
 
 val write_all :
   Unix.file_descr -> pos:int -> Odex_crypto.Bigbuf.t -> off:int -> len:int -> unit

@@ -12,7 +12,6 @@ let create storage ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
   { storage; stats = Storage.stats storage; capacity; table = Hashtbl.create 64; peak = 0 }
 
-let capacity t = t.capacity
 let resident t = Hashtbl.length t.table
 let peak t = t.peak
 

@@ -20,7 +20,6 @@ type t
 val create : Storage.t -> capacity:int -> t
 (** [capacity] is in blocks (m = M/B). *)
 
-val capacity : t -> int
 val resident : t -> int
 val peak : t -> int
 (** High-water mark of resident blocks over the cache's lifetime. *)

@@ -5,7 +5,6 @@ type t = Empty | Item of item
 let empty = Empty
 let item ?(tag = 0) ?(aux = 0) ~key ~value () = Item { key; value; tag; aux }
 
-let is_empty = function Empty -> true | Item _ -> false
 let is_item = function Empty -> false | Item _ -> true
 
 let get = function
@@ -13,14 +12,9 @@ let get = function
   | Item it -> it
 
 let key_exn c = (get c).key
-let value_exn c = (get c).value
-let tag_exn c = (get c).tag
 
 let with_tag c tag =
   match c with Empty -> Empty | Item it -> Item { it with tag }
-
-let with_aux c aux =
-  match c with Empty -> Empty | Item it -> Item { it with aux }
 
 let compare_keys a b =
   match (a, b) with
@@ -30,15 +24,6 @@ let compare_keys a b =
   | Item x, Item y ->
       let c = compare x.key y.key in
       if c <> 0 then c else compare x.tag y.tag
-
-let compare_by_tag a b =
-  match (a, b) with
-  | Empty, Empty -> 0
-  | Empty, Item _ -> 1
-  | Item _, Empty -> -1
-  | Item x, Item y ->
-      let c = compare x.tag y.tag in
-      if c <> 0 then c else compare x.key y.key
 
 let compare_by_aux a b =
   match (a, b) with
@@ -51,18 +36,6 @@ let compare_by_aux a b =
       else
         let c = compare x.key y.key in
         if c <> 0 then c else compare x.tag y.tag
-
-let equal a b =
-  match (a, b) with
-  | Empty, Empty -> true
-  | Item x, Item y -> x.key = y.key && x.value = y.value && x.tag = y.tag && x.aux = y.aux
-  | Empty, Item _ | Item _, Empty -> false
-
-let pp ppf = function
-  | Empty -> Format.fprintf ppf "_"
-  | Item { key; value; tag; aux } ->
-      if tag = 0 && aux = 0 then Format.fprintf ppf "%d:%d" key value
-      else Format.fprintf ppf "%d:%d@@%d.%d" key value tag aux
 
 let encoded_size = 40
 (* 5 × 8-byte words: a full constructor word followed by key, value,

@@ -18,20 +18,15 @@ type t = Empty | Item of item
 val empty : t
 val item : ?tag:int -> ?aux:int -> key:int -> value:int -> unit -> t
 
-val is_empty : t -> bool
 val is_item : t -> bool
 
 val get : t -> item
 (** @raise Invalid_argument on [Empty]. *)
 
 val key_exn : t -> int
-val value_exn : t -> int
-val tag_exn : t -> int
 
 val with_tag : t -> int -> t
 (** [with_tag c tag] replaces the tag; identity on [Empty]. *)
-
-val with_aux : t -> int -> t
 
 val compare_keys : t -> t -> int
 (** Total order: items by [(key, tag)] (tag breaks ties, giving the
@@ -39,16 +34,9 @@ val compare_keys : t -> t -> int
     positions), and [Empty] sorts after every item (the paper treats empty
     cells as +∞ when sorting, §4). [aux] does not participate. *)
 
-val compare_by_tag : t -> t -> int
-(** Items ordered by [(tag, key)]; [Empty] last. Used to restore original
-    order after compaction. *)
-
 val compare_by_aux : t -> t -> int
 (** Items ordered by [(aux, key, tag)]; [Empty] last. Used when algorithms
     sort on scratch labels (e.g. colors). *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val encoded_size : int
 (** Bytes of one cell image — a word-aligned stride (5 × 8 bytes: a

@@ -27,12 +27,6 @@ let tower_of_twos i =
   in
   go 4 1
 
-let wide_block_ok ~n_blocks ~block_size =
-  Float.of_int block_size >= log_base ~base:2. (Float.of_int (max 2 n_blocks))
-
-let tall_cache_ok ?(epsilon = 0.5) ~block_size cache_words =
-  Float.of_int cache_words >= Float.pow (Float.of_int block_size) (1. +. epsilon)
-
 let sort_io_bound ~n_blocks ~m_blocks =
   if m_blocks < 2 then invalid_arg "Emodel.sort_io_bound: m_blocks must be >= 2";
   let n = Float.of_int n_blocks and m = Float.of_int (max 2 m_blocks) in

@@ -19,14 +19,6 @@ val tower_of_twos : int -> int
 (** [tower_of_twos i] is t_i of Appendix B: t₁ = 4 and t_{i+1} = 2^{t_i}.
     Saturates at [max_int] once it would overflow. *)
 
-val wide_block_ok : n_blocks:int -> block_size:int -> bool
-(** The paper's wide-block assumption: B >= log(N/B). *)
-
-val tall_cache_ok : ?epsilon:float -> block_size:int -> int -> bool
-(** [tall_cache_ok ~block_size cache_words] is the weak tall-cache
-    assumption M >= B^{1+ε} (default ε = 0.5, the paper's zettabyte
-    example). *)
-
 val sort_io_bound : n_blocks:int -> m_blocks:int -> float
 (** The optimal external sorting bound (N/B)·log_{M/B}(N/B) (Aggarwal–
     Vitter), the target of Theorem 21. Requires m_blocks >= 2. *)

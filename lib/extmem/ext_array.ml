@@ -62,11 +62,6 @@ let iter_runs t ~chunk f =
 
 let with_span t label f = Storage.with_span t.storage label f
 
-let concat_views a b =
-  if a.storage == b.storage && a.base + a.blocks = b.base then
-    Some { a with blocks = a.blocks + b.blocks }
-  else None
-
 let of_cells storage ~block_size:b cells =
   let n_blocks = max 1 ((Array.length cells + b - 1) / b) in
   let t = create storage ~blocks:n_blocks in

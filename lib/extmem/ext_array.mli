@@ -67,10 +67,6 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
     traces diverge, the span boundaries pinpoint the phase. Labels must
     depend only on public parameters, never on data. *)
 
-val concat_views : t -> t -> t option
-(** [concat_views a b] is the single window covering both iff they are
-    adjacent in storage ([a] directly before [b]). *)
-
 val of_cells : Storage.t -> block_size:int -> Cell.t array -> t
 (** Set-up helper: lay the cells out in fresh blocks {e without} counting
     I/Os (the input is assumed to already reside on the server, as in the

@@ -598,8 +598,6 @@ let create ?(auto_commit_bytes = 1 lsl 22) ~path ~payload_size ~durable ~replay 
       raise e);
   t
 
-let path t = t.path
-let durable t = t.durable
 let replay_log t = t.replay_log
 let append_log t = List.rev t.append_log
 let commits t = t.commit_count

@@ -133,10 +133,6 @@ val slots : t -> (string * int * int) list
 (** The occupied checkpoint slots as [(owner, phase, cursor)] triples,
     in table order. Introspection for tests and tooling. *)
 
-val path : t -> string
-
-val durable : t -> bool
-
 val replay_log : t -> (int * int) list
 (** The (addr, count) runs re-applied by this open's replay, in replay
     order; [[]] when nothing was replayed. Non-empty only when a crash

@@ -58,7 +58,3 @@ let snapshot (t : t) : snapshot =
     misses = t.miss;
     flushes = t.flush;
   }
-
-let pp ppf (t : t) =
-  Format.fprintf ppf "reads=%d writes=%d total=%d" (reads t) (writes t) (total t);
-  if retries t > 0 then Format.fprintf ppf " retries=%d" (retries t)

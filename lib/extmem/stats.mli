@@ -66,5 +66,3 @@ type snapshot = {
     what happened between them. *)
 
 val snapshot : t -> snapshot
-
-val pp : Format.formatter -> t -> unit

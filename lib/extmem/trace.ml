@@ -55,8 +55,6 @@ let push_op t op =
   t.ops_buf.(t.ops_len) <- op;
   t.ops_len <- t.ops_len + 1
 
-let mode t = t.mode
-
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -184,42 +182,3 @@ let diverging_label a b =
   | In_span (s, _) -> Some s.label
   | Structural msg -> Some msg
   | Outside_spans -> Some "<outside spans>"
-
-let reset t =
-  t.length <- 0;
-  set64 t.hash 0 0L;
-  (* Keep the op buffer's capacity: a reset trace is about to record a
-     comparable run. *)
-  t.ops_len <- 0;
-  t.depth <- 0;
-  t.rev_spans <- [];
-  t.open_spans <- []
-
-let pp_op ppf = function
-  | Read addr -> Format.fprintf ppf "R%d" addr
-  | Write addr -> Format.fprintf ppf "W%d" addr
-  | Retry_read addr -> Format.fprintf ppf "rR%d" addr
-  | Retry_write addr -> Format.fprintf ppf "rW%d" addr
-
-(* A [Full] dump keeps at most [pp_keep] ops from each end: a failing
-   pair-test over a multi-million-op trace must not flood the terminal
-   (the digest and the span reports carry the diagnostic weight; the raw
-   op dump is only orientation). *)
-let pp_keep = 32
-
-let pp ppf t =
-  match t.mode with
-  | Off -> Format.fprintf ppf "<trace off>"
-  | Digest -> Format.fprintf ppf "<%d ops, digest %Lx>" t.length (digest t)
-  | Full ->
-      let pp_ops ppf l =
-        Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "@ ") pp_op ppf l
-      in
-      let n = t.ops_len in
-      if n <= 2 * pp_keep then Format.fprintf ppf "@[<hov>%a@]" pp_ops (ops t)
-      else
-        let head = Array.to_list (Array.sub t.ops_buf 0 pp_keep) in
-        let tail = Array.to_list (Array.sub t.ops_buf (n - pp_keep) pp_keep) in
-        Format.fprintf ppf "@[<hov>%a@ ... (%d ops elided) ...@ %a@]" pp_ops head
-          (n - (2 * pp_keep))
-          pp_ops tail

@@ -44,7 +44,6 @@ val create : mode -> t
 (** An empty trace. A trace records only the adversary's view; timed
     phases are {!Storage.with_span}'s business. *)
 
-val mode : t -> mode
 val record : t -> op -> unit
 (** Fold one op into the trace. Allocation-free outside [Full] mode:
     the running digest is kept unboxed. *)
@@ -88,25 +87,7 @@ val span_exit : t -> unit
 val spans : t -> span list
 (** Completed spans in completion order. *)
 
-type divergence =
-  | Identical
-  | In_span of span * span
-      (** First span (ours, theirs) whose entry states agree but whose
-          exit digests differ: the offending phase. *)
-  | Structural of string
-      (** The span structures themselves differ — already a leak, since
-          phase structure is public. *)
-  | Outside_spans
-      (** Digests differ but every span pair agrees (the divergence lies
-          in unlabelled I/O). *)
-
-val first_divergence : t -> t -> divergence
-
 val diverging_label : t -> t -> string option
 (** [None] when traces are equal; otherwise a human-readable label of
     the first point of divergence. *)
 
-val reset : t -> unit
-
-val pp_op : Format.formatter -> op -> unit
-val pp : Format.formatter -> t -> unit

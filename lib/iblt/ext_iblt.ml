@@ -31,7 +31,6 @@ let create storage ?(k = 3) ~cells key =
     vec_len = vec_len_of b;
   }
 
-let cells t = t.cells
 let k t = Odex_crypto.Hash_family.k t.fam
 let blocks_per_cell t = t.blocks_per_cell
 let table_blocks t = t.cells * t.blocks_per_cell

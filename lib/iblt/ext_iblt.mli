@@ -23,7 +23,6 @@ val create : Storage.t -> ?k:int -> cells:int -> Odex_crypto.Prf.key -> t
 (** Allocate a table of [cells] IBLT cells (default k = 3). Each cell
     occupies [blocks_per_cell] consecutive blocks on the server. *)
 
-val cells : t -> int
 val k : t -> int
 val blocks_per_cell : t -> int
 val table_blocks : t -> int

@@ -3,7 +3,6 @@ type t = {
   count : int array;
   key_sum : int array;
   value_sum : int array;
-  mutable entries : int;
 }
 
 let create ?(k = 3) ~size key =
@@ -13,12 +12,9 @@ let create ?(k = 3) ~size key =
     count = Array.make size 0;
     key_sum = Array.make size 0;
     value_sum = Array.make size 0;
-    entries = 0;
   }
 
 let size t = Array.length t.count
-let k t = Odex_crypto.Hash_family.k t.fam
-let entries t = t.entries
 
 let copy t =
   {
@@ -26,7 +22,6 @@ let copy t =
     count = Array.copy t.count;
     key_sum = Array.copy t.key_sum;
     value_sum = Array.copy t.value_sum;
-    entries = t.entries;
   }
 
 let update t ~key ~value ~sign =
@@ -35,26 +30,10 @@ let update t ~key ~value ~sign =
       t.count.(cell) <- t.count.(cell) + sign;
       t.key_sum.(cell) <- t.key_sum.(cell) + (sign * key);
       t.value_sum.(cell) <- t.value_sum.(cell) + (sign * value))
-    (Odex_crypto.Hash_family.hashes t.fam key);
-  t.entries <- t.entries + sign
+    (Odex_crypto.Hash_family.hashes t.fam key)
 
 let insert t ~key ~value = update t ~key ~value ~sign:1
 let delete t ~key ~value = update t ~key ~value ~sign:(-1)
-
-type lookup = Found of int | Absent | Unknown
-
-let get t key =
-  let cells = Odex_crypto.Hash_family.hashes t.fam key in
-  let rec scan i =
-    if i >= Array.length cells then Unknown
-    else
-      let c = cells.(i) in
-      if t.count.(c) = 0 then Absent
-      else if t.count.(c) = 1 then
-        if t.key_sum.(c) = key then Found t.value_sum.(c) else Absent
-      else scan (i + 1)
-  in
-  scan 0
 
 (* Peeling decode with a worklist of pure cells (count = 1 and the cell
    really is one of its key's hash locations — the consistency check
@@ -81,5 +60,3 @@ let list_entries t0 =
   done;
   let complete = Array.for_all (fun c -> c = 0) t.count in
   (List.rev !out, complete)
-
-let cell_counts t = Array.copy t.count

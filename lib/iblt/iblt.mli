@@ -3,8 +3,8 @@
     The randomized key–value store of paper §2: a table of m cells, each
     holding a [count], a [keySum] and a [valueSum]; k hash functions with
     pairwise-distinct outputs place every pair in k cells. Insertions and
-    deletions always succeed (even past capacity); [get] and
-    [list_entries] succeed with the probability of Lemma 1 — for m ≥ δkn
+    deletions always succeed (even past capacity); [list_entries]
+    succeeds with the probability of Lemma 1 — for m ≥ δkn
     with δ ≥ 2, k ≥ 2 the decode succeeds with probability 1 − 1/n^c.
 
     This is the RAM-model structure; {!Ext_iblt} stores the same cells in
@@ -17,32 +17,14 @@ val create : ?k:int -> size:int -> Odex_crypto.Prf.key -> t
 (** [create ~k ~size key] makes an empty table of [size] cells using [k]
     partitioned hash functions (default 3). *)
 
-val size : t -> int
-val k : t -> int
-
-val entries : t -> int
-(** Number of key–value pairs currently stored (inserts − deletes). *)
-
-val copy : t -> t
-
 val insert : t -> key:int -> value:int -> unit
 (** Keys must be distinct across live insertions (paper §2). *)
 
 val delete : t -> key:int -> value:int -> unit
 (** Assumes [(key, value)] was inserted. *)
 
-type lookup = Found of int | Absent | Unknown
-
-val get : t -> int -> lookup
-(** [Unknown] is the paper's "this operation may fail" case: every cell
-    for the key is shared, so the value cannot be recovered without a
-    full decode. *)
-
 val list_entries : t -> (int * int) list * bool
 (** Non-destructive peeling decode (the paper's footnote 3 backup-copy
     variant): returns the recovered pairs and whether the decode was
     complete ([false] = the paper's "list-incomplete" condition). Runs in
     O(m) time using a worklist of count-1 cells. *)
-
-val cell_counts : t -> int array
-(** Per-cell [count] fields (diagnostics and tests). *)

@@ -17,9 +17,6 @@ type verdict = {
   within : bool;  (** The check passed. *)
 }
 
-val exact : name:string -> formula:string -> actual:int -> int -> verdict
-val upper : name:string -> formula:string -> actual:int -> float -> verdict
-
 val consolidation : n_blocks:int -> actual:int -> verdict
 (** Lemma 3, exact: [2*(N/B)] — one read and one write per block. *)
 

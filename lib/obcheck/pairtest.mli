@@ -80,16 +80,6 @@ val pair_inputs : seed:int -> n:int -> Cell.t array * Cell.t array
 (** Two inputs of [n] cells with the same occupancy pattern but disjoint
     key and value ranges, drawn from independent streams. *)
 
-val pair_inputs_isomorphic : seed:int -> n:int -> Cell.t array * Cell.t array
-(** Two inputs of [n] cells with the same occupancy pattern and the same
-    {e relative order} (rank-isomorphic: every pairwise comparison
-    agrees across the pair) but disjoint keys and values — the shared
-    rank r maps to 2r in run A and 2r+1 in run B. The right pair for
-    comparison-driven subjects whose I/O schedule is a function of the
-    rank sequence: trace equality then certifies the trace reveals
-    nothing beyond shape and ranks, while the rank distribution itself
-    is covered by {!Statcheck.trace_distribution}. *)
-
 val check :
   ?seed:int ->
   ?backend:Storage.backend_spec ->

@@ -73,7 +73,7 @@ let bucket_sort =
 
 let oblivious_permutation =
   sub "oblivious-permutation" (fun ~rng ~m _s a ->
-      ignore (Odex_sortnet.Oblivious_permutation.run ~rng ~m a))
+      ignore (Odex_sortnet.Bucket_sort.permute ~rng ~m a))
 
 (* ORAM subjects: the input array only supplies the value payloads (its
    item count is shape, hence equal across a pair); the access sequence
@@ -132,8 +132,6 @@ let all =
     { subject = sqrt_oram; n_cells = 96; b = 4; m = 16; cert = `Exact };
     { subject = hierarchical_oram; n_cells = 96; b = 4; m = 16; cert = `Exact };
   ]
-
-let find name = List.find_opt (fun e -> e.subject.Pairtest.name = name) all
 
 let pair_mode e =
   match e.cert with `Exact | `Multi_server -> `Disjoint | `Isomorphic -> `Isomorphic

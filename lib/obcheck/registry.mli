@@ -25,23 +25,7 @@ type entry = {
   cert : cert;  (** Pair mode every harness must use for this subject. *)
 }
 
-val consolidation : Pairtest.subject
-val butterfly : Pairtest.subject
-val tight_compaction : Pairtest.subject
-val loose_compaction : Pairtest.subject
-val twoserver_compaction : Pairtest.subject
-val logstar_compaction : Pairtest.subject
-val selection : Pairtest.subject
-val quantiles : Pairtest.subject
-val sort : Pairtest.subject
-val bucket_sort : Pairtest.subject
-val oblivious_permutation : Pairtest.subject
-val linear_oram : Pairtest.subject
-val sqrt_oram : Pairtest.subject
-val hierarchical_oram : Pairtest.subject
-
 val all : entry list
-val find : string -> entry option
 
 val pair_mode : entry -> [ `Disjoint | `Isomorphic ]
 (** The {!Pairtest.check} [pair] argument mandated by the entry's

@@ -39,10 +39,6 @@ val two_sample : int array -> int array -> float * int
     totals are scale-corrected; bins empty in both samples are
     skipped). *)
 
-val uniformity : int array -> float * int
-(** Goodness-of-fit statistic of a histogram against the uniform
-    distribution over all its bins. *)
-
 val histogram_of_ops : bins:int -> Odex_extmem.Trace.op list -> int array -> unit
 (** Fold a [Full]-mode op sequence into [acc] (length [2 * bins]): reads
     into bins [addr mod bins], writes into [bins + addr mod bins],

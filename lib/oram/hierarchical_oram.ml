@@ -216,7 +216,6 @@ let init ?(sorter = Odex_sortnet.Ext_sort.auto) ?bucket_size ~m ~rng storage ~va
   end;
   t
 
-let size t = t.n
 let levels t = t.l
 let bucket_size t = t.z
 let accesses t = t.t_counter

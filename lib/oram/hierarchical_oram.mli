@@ -70,7 +70,6 @@ val resume : ?sorter:Odex_sortnet.Ext_sort.t -> Storage.t -> t option
     phase checkpoints are only sound against the same schedule. Raises
     [Invalid_argument] if the session metadata fails validation. *)
 
-val size : t -> int
 val levels : t -> int
 val bucket_size : t -> int
 

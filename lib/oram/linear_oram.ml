@@ -1,6 +1,6 @@
 open Odex_extmem
 
-type t = { main : Ext_array.t; n : int; mutable accesses : int }
+type t = { main : Ext_array.t; n : int }
 
 let init storage ~values =
   let n = Array.length values in
@@ -15,14 +15,11 @@ let init storage ~values =
       blk.(0) <- c;
       Storage.unchecked_poke storage (Ext_array.addr main i) blk)
     cells;
-  { main; n; accesses = 0 }
-
-let size t = t.n
+  { main; n }
 
 (* Read and rewrite every block; mutate only the target. *)
 let access t addr ~update =
   if addr < 0 || addr >= t.n then invalid_arg "Linear_oram: address out of range";
-  t.accesses <- t.accesses + 1;
   let result = ref 0 in
   Ext_array.with_span t.main "linear-oram.scan" (fun () ->
       for i = 0 to t.n - 1 do
@@ -39,5 +36,3 @@ let access t addr ~update =
 
 let read t addr = access t addr ~update:None
 let write t addr v = ignore (access t addr ~update:(Some v))
-
-let accesses t = t.accesses

@@ -11,10 +11,5 @@ type t
 val init : Storage.t -> values:int array -> t
 (** One virtual word per server block. *)
 
-val size : t -> int
-
 val read : t -> int -> int
 val write : t -> int -> int -> unit
-
-val accesses : t -> int
-(** Number of [read]/[write] operations performed. *)

@@ -13,7 +13,6 @@ type t = {
   mutable prp : Odex_crypto.Prp.t;
   mutable step : int; (* accesses in the current epoch *)
   mutable dummy_cursor : int;
-  mutable accesses : int;
   mutable epochs : int;
 }
 
@@ -52,7 +51,6 @@ let init ?(sorter = Odex_sortnet.Ext_sort.auto) ~m ~rng storage ~values =
       prp;
       step = 0;
       dummy_cursor = 0;
-      accesses = 0;
       epochs = 0;
     }
   in
@@ -66,8 +64,6 @@ let init ?(sorter = Odex_sortnet.Ext_sort.auto) ~m ~rng storage ~values =
     Storage.unchecked_poke storage (Ext_array.addr main p) (Array.make b (word ~addr ~value))
   done;
   t
-
-let size t = t.n
 
 (* End of epoch: merge main and shelter into scratch with version tags,
    sort (address, newest-first), deduplicate with one rewriting scan,
@@ -127,7 +123,6 @@ let reshuffle t =
 
 let access t addr ~update =
   if addr < 0 || addr >= t.n then invalid_arg "Sqrt_oram: address out of range";
-  t.accesses <- t.accesses + 1;
   (* 1. Scan the shelter (newest wins). *)
   let sheltered = ref None in
   Ext_array.with_span t.shelter "sqrt-oram.shelter-scan" (fun () ->
@@ -172,5 +167,4 @@ let access t addr ~update =
 let read t addr = access t addr ~update:None
 let write t addr v = ignore (access t addr ~update:(Some v))
 
-let accesses t = t.accesses
 let epochs t = t.epochs

@@ -34,11 +34,8 @@ val init :
 (** Default sorter: {!Odex_sortnet.Ext_sort.auto}. The [rng] is retained
     for epoch keys. *)
 
-val size : t -> int
-
 val read : t -> int -> int
 val write : t -> int -> int -> unit
 
-val accesses : t -> int
 val epochs : t -> int
 (** Number of reshuffles performed. *)

@@ -315,49 +315,6 @@ let cache_permute ~master ~m a =
   done;
   Cache.flush_all cache
 
-let permute ?z_cells ~rng ~m a =
-  let n = Ext_array.blocks a in
-  let b = Ext_array.block_size a in
-  if n = 0 then { ok = true }
-  else begin
-    let master = Odex_crypto.Rng.int rng 0x3FFFFFFF in
-    if n <= m then begin
-      cache_permute ~master ~m a;
-      { ok = true }
-    end
-    else begin
-      let plan =
-        match z_cells with
-        | Some z ->
-            let p = make_plan ~b ~z_cells:z ~n_cells:(n * b) in
-            if not (feasible ~m p) then
-              invalid_arg "Bucket_sort.permute: bucket size does not fit the cache";
-            p
-        | None -> (
-            match auto_plan ~b ~m ~n_cells:(n * b) with
-            | Some p -> p
-            | None -> invalid_arg "Bucket_sort.permute: need m >= 18 blocks")
-      in
-      let storage = Ext_array.storage a in
-      let owner = Printf.sprintf "bucket-perm/%d/%d" (Ext_array.base a) n in
-      let area = plan.beta * plan.zb in
-      let scratch, run_phase, finish = attach_scratch storage ~owner ~blocks:(2 * area) in
-      let area_a = Ext_array.sub scratch ~off:0 ~len:area in
-      let area_b = Ext_array.sub scratch ~off:area ~len:area in
-      let counts, overflow = simulate plan ~master ~b ~n_blocks:n in
-      run_phase (fun () -> scatter_phase a area_a plan);
-      for l = 0 to plan.levels - 1 do
-        let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
-        run_phase (fun () ->
-            route_level ~src ~dst plan ~before:counts.(l) ~after:counts.(l + 1) ~master l)
-      done;
-      let final = if plan.levels land 1 = 1 then area_b else area_a in
-      run_phase (fun () -> finalize_cells ~src:final plan ~counts:counts.(plan.levels) ~master a);
-      finish ();
-      { ok = not overflow }
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Block-granularity routing: blocks travel through the butterfly
    unopened, for shuffle passes whose blocks must stay intact.        *)
@@ -439,29 +396,35 @@ let finalize_blocks ~src plan ~counts ~master a =
     written := !written + c
   done
 
-let permute_blocks ?z_blocks ~rng ~m a =
+(* ------------------------------------------------------------------ *)
+(* The permutation driver, one for both granularities. [b] is the
+   routing unit's size in cells — the array's block size when cells
+   travel, 1 when a b:1 plan over the block count moves whole blocks —
+   and the kernels do that granularity's in-cache shuffle, level
+   routing and final emission.                                        *)
+(* ------------------------------------------------------------------ *)
+
+let permute_with ~cache ~route ~finalize ~b ?z_cells ~rng ~m a =
   let n = Ext_array.blocks a in
   if n = 0 then { ok = true }
   else begin
     let master = Odex_crypto.Rng.int rng 0x3FFFFFFF in
     if n <= m then begin
-      cache_permute_blocks ~master ~m a;
+      cache ~master ~m a;
       { ok = true }
     end
     else begin
-      (* A b=1 plan over the block count gives the block-level geometry:
-         zb and z coincide and counts are in blocks. *)
       let plan =
-        match z_blocks with
+        match z_cells with
         | Some z ->
-            let p = make_plan ~b:1 ~z_cells:z ~n_cells:n in
+            let p = make_plan ~b ~z_cells:z ~n_cells:(n * b) in
             if not (feasible ~m p) then
-              invalid_arg "Bucket_sort.permute_blocks: bucket size does not fit the cache";
+              invalid_arg "Bucket_sort.permute: bucket size does not fit the cache";
             p
         | None -> (
-            match auto_plan ~b:1 ~m ~n_cells:n with
+            match auto_plan ~b ~m ~n_cells:(n * b) with
             | Some p -> p
-            | None -> invalid_arg "Bucket_sort.permute_blocks: need m >= 18 blocks")
+            | None -> invalid_arg "Bucket_sort.permute: need m >= 18 blocks")
       in
       let storage = Ext_array.storage a in
       let owner = Printf.sprintf "bucket-perm/%d/%d" (Ext_array.base a) n in
@@ -469,19 +432,29 @@ let permute_blocks ?z_blocks ~rng ~m a =
       let scratch, run_phase, finish = attach_scratch storage ~owner ~blocks:(2 * area) in
       let area_a = Ext_array.sub scratch ~off:0 ~len:area in
       let area_b = Ext_array.sub scratch ~off:area ~len:area in
-      let counts, overflow = simulate plan ~master ~b:1 ~n_blocks:n in
+      let counts, overflow = simulate plan ~master ~b ~n_blocks:n in
       run_phase (fun () -> scatter_phase a area_a plan);
       for l = 0 to plan.levels - 1 do
         let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
-        run_phase (fun () -> route_level_blocks ~src ~dst plan ~before:counts.(l) ~master l)
+        run_phase (fun () ->
+            route ~src ~dst plan ~before:counts.(l) ~after:counts.(l + 1) ~master l)
       done;
       let final = if plan.levels land 1 = 1 then area_b else area_a in
-      run_phase (fun () ->
-          finalize_blocks ~src:final plan ~counts:counts.(plan.levels) ~master a);
+      run_phase (fun () -> finalize ~src:final plan ~counts:counts.(plan.levels) ~master a);
       finish ();
       { ok = not overflow }
     end
   end
+
+let permute ?z_cells ~rng ~m a =
+  permute_with ~cache:cache_permute ~route:route_level ~finalize:finalize_cells
+    ~b:(Ext_array.block_size a) ?z_cells ~rng ~m a
+
+let permute_blocks ~rng ~m a =
+  permute_with ~cache:cache_permute_blocks
+    ~route:(fun ~src ~dst plan ~before ~after:_ ~master l ->
+      route_level_blocks ~src ~dst plan ~before ~master l)
+    ~finalize:finalize_blocks ~b:1 ~rng ~m a
 
 (* ------------------------------------------------------------------ *)
 (* The sorter: route, locally sort bucket groups into runs, merge.    *)

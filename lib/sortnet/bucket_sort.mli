@@ -41,29 +41,17 @@ type plan = private {
   levels : int;  (** butterfly depth: log₂ β *)
 }
 
-val default_z_cells : n_cells:int -> int
-(** [144 + 6·⌈log₂ n⌉]: drives the union-bound failure probability
-    β·L·e^{-Z/6} below ~2^{-48} at any feasible n. *)
-
 val make_plan : b:int -> z_cells:int -> n_cells:int -> plan
 (** Derive the butterfly geometry for [n_cells] cells in blocks of [b]
     with bucket capacity ~[z_cells] (rounded up so buckets are an even
     number of blocks, at least 4). *)
 
-val feasible : m:int -> plan -> bool
-(** A routing node holds two source buckets plus the two split sides in
-    Alice's memory: [4·zb + 2 <= m]. *)
-
 val plan_for : b:int -> m:int -> n_cells:int -> plan option
-(** The sorter's plan: {!default_z_cells} capacity, [None] when the
-    cache cannot honour {!feasible} (callers fall back to a
-    deterministic network). *)
-
-val auto_plan : b:int -> m:int -> n_cells:int -> plan option
-(** The permutation's plan: {!default_z_cells} capped to what [m]
-    admits ([zb <= (m-2)/4]); [None] below [m = 18]. Smaller caps trade
-    failure probability ({!overflow_bound}) for cache, never trace
-    shape. *)
+(** The sorter's plan: bucket capacity [144 + 6·⌈log₂ n⌉] cells, which
+    drives the union-bound failure probability β·L·e^{-Z/6} below
+    ~2^{-48} at any feasible n; [None] when a routing node — two source
+    buckets plus the two split sides, [4·zb + 2] blocks — does not fit
+    Alice's [m] (callers fall back to a deterministic network). *)
 
 val overflow_bound : plan -> float
 (** Analytic union bound on the probability that any bucket overflows:
@@ -95,10 +83,12 @@ val sort :
     [levels] butterfly levels (each reading only the occupied prefix of
     a bucket pair and writing packed prefixes, sized by the replayed
     counts), per-group local sort into runs, k-way merge passes of
-    fan-in up to [m - 1], copy-back. Requires [feasible ~m plan] and
+    fan-in up to [m - 1], copy-back. Requires [4·zb + 2 <= m] and
     [blocks a > m] (smaller inputs belong to the cache sorter).
     [cmp] must be a total preorder (total and transitive; ties allowed)
-    that orders [Cell.Empty] last. Each merge picks its next cell from
+    that orders [Cell.Empty] last; cells that compare equal come out in
+    unspecified order (the routing scatters them, so input order is not
+    kept). Each merge picks its next cell from
     a heap keyed by ([cmp] on the run heads, then run index) in
     O(log k) comparisons; among tied heads the lowest-numbered run
     wins, so the refill order — the trace's only data-driven part — is
@@ -113,14 +103,21 @@ type outcome = { ok : bool }
     (Alice-private, trace unchanged). *)
 
 val permute : ?z_cells:int -> rng:Odex_crypto.Rng.t -> m:int -> Ext_array.t -> outcome
-(** Oblivious random permutation of the {e cells} of the array: route
-    through the butterfly, then emit each final bucket in a fresh
-    uniform order. Inputs that fit in cache ([blocks a <= m]) are
-    permuted privately behind the same fixed load/flush trace. The
-    trace is a function of (shape, coins) only. *)
+(** Oblivious random permutation of the {e cells} of the array — the
+    routing phase alone (arXiv:2008.01765 §3): route through the
+    butterfly under fresh uniform labels, then emit each final bucket in
+    a fresh uniform order; no tags ever reach storage. Conditioned on no
+    bucket overflowing (probability {!overflow_bound}), the output is a
+    uniformly random arrangement of the input cells. [z_cells] overrides
+    the bucket capacity (tests); by default it is {!plan_for}'s capacity
+    capped to what [m] admits ([zb <= (m-2)/4]: smaller caps trade
+    failure probability for cache, never trace shape). Requires [m >= 18] for
+    out-of-cache inputs; inputs that fit in cache ([blocks a <= m]) are
+    permuted privately behind a fixed load/flush trace. The trace is a
+    function of (shape, coins) only, so it passes the {e exact} pair
+    test. *)
 
-val permute_blocks :
-  ?z_blocks:int -> rng:Odex_crypto.Rng.t -> m:int -> Ext_array.t -> outcome
+val permute_blocks : rng:Odex_crypto.Rng.t -> m:int -> Ext_array.t -> outcome
 (** Same routing at {e block} granularity: blocks travel through the
     butterfly unopened. This is the drop-in replacement for the Knuth
     shuffle in shuffle-and-deal passes ({!Odex.Shuffle_deal}), where

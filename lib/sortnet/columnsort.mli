@@ -10,9 +10,6 @@ val plan : n_cells:int -> b:int -> m:int -> (int * int) option
     with r a multiple of b·s, r >= 2(s-1)², columns fitting the cache —
     or [None] if no single-level geometry exists. *)
 
-val capacity : b:int -> m:int -> int
-(** Approximate largest N (cells) a single columnsort level accepts. *)
-
 val exec :
   real:bool -> cmp:(Cell.t -> Cell.t -> int) -> m:int -> Ext_array.t -> unit
 (** Used through {!Ext_sort.columnsort}. *)

@@ -8,7 +8,7 @@
     work the paper cites), so any sorting network on N/B block positions
     sorts the whole array.
 
-    Three algorithms, one interface:
+    One interface, five algorithms and a dispatcher:
     - [cache_sort] — the base case: the whole array fits in Alice's m
       blocks; one read pass, private sort, one write pass.
     - [bitonic] — block-level bitonic network, one network level per
@@ -17,10 +17,18 @@
       butterfly levels are applied per pass by gathering each
       2^⌊log₂ m⌋-block butterfly group into Alice's memory — the same trick
       Theorem 6 uses to divide the I/O count by log m.
+    - [columnsort] — Leighton's seven linear passes, for inputs up to one
+      columnsort level's capacity.
+    - [bucket] / [bucket_rng] — the randomized bucket oblivious sort.
+    - [auto] — [cache_sort] or [bitonic_windowed], by size.
 
-    Every algorithm's address trace depends only on (N/B, m, B): the
-    networks are fixed circuits, so the sorts are data-oblivious by
-    construction. *)
+    The fixed-circuit sorters' address traces depend only on (N/B, m, B),
+    so they are data-oblivious by construction; [bucket]'s merge order is
+    rank-driven and certified separately (see {!bucket}).
+
+    No sorter is stable: cells that compare equal under [cmp] come out in
+    unspecified order. [cache_sort] uses the unstable [Array.sort], and
+    neither the networks nor the bucket routing preserve input order. *)
 
 open Odex_extmem
 
@@ -87,7 +95,8 @@ val bucket_rng : Odex_crypto.Rng.t -> t
 (** Same, drawing each invocation's coins from the caller's stream. *)
 
 val all : t list
-(** The concrete algorithms (not [auto]), for benches and audits. *)
+(** The concrete algorithms (not [auto]), for the tests that cover every
+    sorter. *)
 
 val find : ?seed:int -> string -> t option
 (** Look up a sorter by name for CLI/bench selection: ["cache"],

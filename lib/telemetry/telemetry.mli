@@ -138,13 +138,10 @@ val pp_summary : Format.formatter -> t -> unit
 (** Human-readable profile: op latency percentiles, phase totals,
     counters. Prints a one-line note on a disabled or empty sink. *)
 
-val chrome_json : (string * t) list -> string
-(** Chrome trace-event (catapult) JSON for a set of named sinks: one
-    thread per sink (named by its label), one complete ("ph":"X") event
-    per phase with its counters as [args], plus per-thread instant
-    events summarizing op latencies. Load the result in
+val write_chrome : path:string -> (string * t) list -> unit
+(** Write Chrome trace-event (catapult) JSON for a set of named sinks:
+    one thread per sink (named by its label), one complete ("ph":"X")
+    event per phase with its counters as [args], plus per-thread instant
+    events summarizing op latencies. Load the file in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}.
     Timestamps are rebased so the earliest phase starts at 0. *)
-
-val write_chrome : path:string -> (string * t) list -> unit
-(** {!chrome_json} straight to a file. *)

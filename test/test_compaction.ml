@@ -35,7 +35,7 @@ let test_consolidation_basic () =
   let a = Ext_array.of_cells s ~block_size:3 cells in
   let even (it : Cell.item) = it.key mod 2 = 0 in
   let d = Consolidation.run ~distinguished:even ~into:None a in
-  Alcotest.(check bool) "postcondition" true (Consolidation.occupied_prefix_property d);
+  Alcotest.(check bool) "postcondition" true (Util.occupied_prefix_property d);
   Alcotest.(check (list int)) "even keys in order" [ 4; 2; 6 ]
     (Util.keys_of_items (Ext_array.items d));
   (* exactly n reads + n writes *)
@@ -47,7 +47,7 @@ let test_consolidation_all_distinguished () =
   let s = Util.storage ~b:4 () in
   let a = Ext_array.of_cells s ~block_size:4 cells in
   let d = Consolidation.run ~into:None a in
-  Alcotest.(check bool) "postcondition" true (Consolidation.occupied_prefix_property d);
+  Alcotest.(check bool) "postcondition" true (Util.occupied_prefix_property d);
   Util.check_multiset "consolidation" keys d
 
 let test_consolidation_sparse_input () =
@@ -58,7 +58,7 @@ let test_consolidation_sparse_input () =
   let s = Util.storage ~b:4 () in
   let a = Ext_array.of_cells s ~block_size:4 cells in
   let d = Consolidation.run ~into:None a in
-  Alcotest.(check bool) "postcondition" true (Consolidation.occupied_prefix_property d);
+  Alcotest.(check bool) "postcondition" true (Util.occupied_prefix_property d);
   Alcotest.(check (list int)) "order kept" [ 0; 7; 14; 21; 28; 35 ]
     (Util.keys_of_items (Ext_array.items d))
 
@@ -283,15 +283,15 @@ let test_thinning_pass () =
   let before = Stats.total (Storage.stats s) in
   Thinning.pass ~rng ~src:a ~dst:c;
   Alcotest.(check int) "4n I/Os" (4 * 24) (Stats.total (Storage.stats s) - before);
-  let moved = Thinning.occupied_blocks c in
-  let left = Thinning.occupied_blocks a in
+  let moved = Util.occupied_blocks c in
+  let left = Util.occupied_blocks a in
   Alcotest.(check int) "nothing lost" 8 (moved + left);
   (* More passes empty the source (32 slots for 8 blocks: quick). *)
   for _ = 1 to 20 do
     Thinning.pass ~rng ~src:a ~dst:c
   done;
-  Alcotest.(check int) "source drained" 0 (Thinning.occupied_blocks a);
-  Alcotest.(check int) "all in C" 8 (Thinning.occupied_blocks c)
+  Alcotest.(check int) "source drained" 0 (Util.occupied_blocks a);
+  Alcotest.(check int) "all in C" 8 (Util.occupied_blocks c)
 
 let test_loose_compaction () =
   let n = 256 in

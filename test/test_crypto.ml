@@ -12,7 +12,7 @@ let test_rng_determinism () =
 let test_rng_copy_and_split () =
   let a = Rng.create ~seed:7 in
   ignore (Rng.next_int64 a);
-  let b = Rng.copy a in
+  let b = Rng.of_state (Rng.state a) in
   Alcotest.(check int64) "copy replays" (Rng.next_int64 a) (Rng.next_int64 b);
   let parent = Rng.create ~seed:9 in
   let child = Rng.split parent in
@@ -118,47 +118,79 @@ let test_hash_family_subranges_cover () =
     [ (0, 3); (3, 6); (6, 10) ]
     [ (lo0, hi0); (lo1, hi1); (lo2, hi2) ]
 
-let test_permutation_roundtrip () =
-  let rng = Rng.create ~seed:31 in
-  let p = Permutation.random rng 50 in
-  Alcotest.(check bool) "valid" true (Permutation.is_valid p);
-  let inv = Permutation.inverse p in
-  for i = 0 to 49 do
-    Alcotest.(check int) "inverse" i (Permutation.apply inv (Permutation.apply p i));
-    Alcotest.(check int) "preimage" i (Permutation.preimage p (Permutation.apply p i))
-  done
+(* Replay a swap transcript on [0; ...; n-1]. *)
+let replay_swaps n swaps =
+  let a = Array.init n (fun i -> i) in
+  Array.iter
+    (fun (i, j) ->
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t)
+    swaps;
+  a
 
 let test_permutation_swaps_consistent () =
-  let rng = Rng.create ~seed:32 in
-  let swaps = Permutation.swap_sequence (Rng.copy rng) 20 in
-  let p1 = Permutation.of_swaps 20 swaps in
-  let p2 = Permutation.random rng 20 in
-  for i = 0 to 19 do
-    Alcotest.(check int) "same permutation" (Permutation.apply p1 i) (Permutation.apply p2 i)
-  done;
-  Array.iter
-    (fun (i, j) -> if j < i then Alcotest.fail "swap goes backwards")
+  let swaps = Permutation.swap_sequence (Rng.create ~seed:32) 20 in
+  Alcotest.(check bool) "same seed, same transcript" true
+    (swaps = Permutation.swap_sequence (Rng.create ~seed:32) 20);
+  Array.iteri
+    (fun k (i, j) ->
+      if i <> k || j < i || j >= 20 then Alcotest.failf "swap %d is (%d, %d)" k i j)
     swaps
 
-let test_permutation_permute_array () =
-  let rng = Rng.create ~seed:33 in
-  let p = Permutation.random rng 10 in
-  let a = Array.init 10 (fun i -> i * 100) in
-  let out = Permutation.permute_array p a in
-  Array.iteri (fun i x -> Alcotest.(check int) "moved" x out.(Permutation.apply p i)) a;
-  Alcotest.(check bool) "multiset" true
-    (List.sort compare (Array.to_list out) = List.sort compare (Array.to_list a))
+(* Undoing the transcript in reverse order restores the identity, and
+   the inverse built from the forward image undoes it pointwise. *)
+let test_permutation_roundtrip () =
+  let n = 50 in
+  let swaps = Permutation.swap_sequence (Rng.create ~seed:31) n in
+  let p = replay_swaps n swaps in
+  let inv = Array.make n (-1) in
+  Array.iteri (fun i x -> inv.(x) <- i) p;
+  for i = 0 to n - 1 do
+    Alcotest.(check int) "inverse" i inv.(p.(i))
+  done;
+  for k = n - 1 downto 0 do
+    let i, j = swaps.(k) in
+    let t = p.(i) in
+    p.(i) <- p.(j);
+    p.(j) <- t
+  done;
+  Alcotest.(check (array int)) "reversed transcript undoes it" (Array.init n Fun.id) p
 
+(* Fisher-Yates must reach all 3! orders of three elements equally
+   often; a Sattolo-style off-by-one (j > i) would reach only the two
+   3-cycles. 6,000 draws put 1,000 in each order; +/-15% is ~5 sigma. *)
+let test_permutation_uniform_s3 () =
+  let rng = Rng.create ~seed:33 in
+  let counts = Hashtbl.create 6 in
+  let draws = 6_000 in
+  for _ = 1 to draws do
+    let p = Array.to_list (replay_swaps 3 (Permutation.swap_sequence rng 3)) in
+    Hashtbl.replace counts p (1 + Option.value ~default:0 (Hashtbl.find_opt counts p))
+  done;
+  Alcotest.(check int) "all six orders reached" 6 (Hashtbl.length counts);
+  let expected = draws / 6 in
+  Hashtbl.iter
+    (fun p c ->
+      if abs (c - expected) > expected * 15 / 100 then
+        Alcotest.failf "order %s drawn %d times, expected ~%d"
+          (String.concat "," (List.map string_of_int p)) c expected)
+    counts
+
+(* The degenerate sizes: no swaps for n = 0, and the one fixed swap
+   (0, 0) for n = 1, so both replay to the identity. *)
 let test_permutation_identity () =
-  let p = Permutation.identity 5 in
-  for i = 0 to 4 do
-    Alcotest.(check int) "id" i (Permutation.apply p i)
-  done
+  let rng = Rng.create ~seed:34 in
+  Alcotest.(check int) "n = 0 has no swaps" 0 (Array.length (Permutation.swap_sequence rng 0));
+  Alcotest.(check (array (pair int int))) "n = 1 swaps in place" [| (0, 0) |]
+    (Permutation.swap_sequence rng 1);
+  Alcotest.(check (array int)) "n = 1 replays to identity" [| 0 |]
+    (replay_swaps 1 (Permutation.swap_sequence rng 1))
 
 (* ---------------- cipher engines ---------------- *)
 
 let hex_of_big buf off len =
-  String.concat "" (List.init len (fun i -> Printf.sprintf "%02x" (Char.code (Bigbuf.get buf (off + i)))))
+  String.concat "" (List.init len (fun i -> Printf.sprintf "%02x" (Char.code buf.{off + i})))
 
 let key_00_1f = String.init 32 Char.chr
 
@@ -183,7 +215,7 @@ let test_chacha20_kat_sunscreen () =
     "Ladies and Gentlemen of the class of '99: If I could offer you only one tip \
      for the future, sunscreen would be it."
   in
-  let buf = Bigbuf.of_bytes (Bytes.of_string plain) in
+  let buf = Util.big_of_bytes (Bytes.of_string plain) in
   Cipher.chacha20_xor_raw ~key:key_00_1f ~nonce ~counter:1 buf ~off:0
     ~len:(String.length plain);
   Alcotest.(check string) "ciphertext"
@@ -195,7 +227,8 @@ let test_chacha20_kat_sunscreen () =
   (* XOR is an involution: the same call decrypts. *)
   Cipher.chacha20_xor_raw ~key:key_00_1f ~nonce ~counter:1 buf ~off:0
     ~len:(String.length plain);
-  Alcotest.(check string) "roundtrip" plain (Bigbuf.sub_string buf 0 (String.length plain))
+  Alcotest.(check string) "roundtrip" plain
+    (Bytes.sub_string (Util.bytes_of_big buf) 0 (String.length plain))
 
 let test_engine_ids () =
   Alcotest.(check int64) "chacha20 id" 2L (Cipher.engine_id Cipher.Chacha20);
@@ -205,11 +238,11 @@ let test_cipher_roundtrip () =
   let st = Cipher.init Cipher.Chacha20 (Cipher.key_of_int 77) in
   let plain = Bytes.of_string "the quick brown fox jumps over the lazy dog" in
   let len = Bytes.length plain in
-  let buf = Bigbuf.of_bytes plain in
+  let buf = Util.big_of_bytes plain in
   Cipher.xor_big st ~nonce:5 buf ~off:0 ~len;
-  Alcotest.(check bool) "ciphertext differs" true (not (Bytes.equal (Bigbuf.to_bytes buf) plain));
+  Alcotest.(check bool) "ciphertext differs" true (not (Bytes.equal (Util.bytes_of_big buf) plain));
   Cipher.xor_big st ~nonce:5 buf ~off:0 ~len;
-  Alcotest.(check bytes) "roundtrip" plain (Bigbuf.to_bytes buf)
+  Alcotest.(check bytes) "roundtrip" plain (Util.bytes_of_big buf)
 
 (* [xor_big] at an interior offset must keystream the region exactly as
    it does a standalone buffer of the same bytes (the keystream is
@@ -220,14 +253,14 @@ let test_xor_big_region () =
     (fun len ->
       let off = 8 in
       let bytes = Bytes.init (off + len + 5) (fun i -> Char.chr ((i * 11) land 0xFF)) in
-      let buf = Bigbuf.of_bytes bytes in
-      let region = Bigbuf.of_bytes (Bytes.sub bytes off len) in
+      let buf = Util.big_of_bytes bytes in
+      let region = Util.big_of_bytes (Bytes.sub bytes off len) in
       Cipher.xor_big st ~nonce:7 buf ~off ~len;
       Cipher.xor_big st ~nonce:7 region ~off:0 ~len;
-      let out = Bigbuf.to_bytes buf in
+      let out = Util.bytes_of_big buf in
       Alcotest.(check bytes)
         (Printf.sprintf "region len %d" len)
-        (Bigbuf.to_bytes region) (Bytes.sub out off len);
+        (Util.bytes_of_big region) (Bytes.sub out off len);
       Alcotest.(check bytes) "prefix untouched" (Bytes.sub bytes 0 off) (Bytes.sub out 0 off);
       Alcotest.(check bytes) "suffix untouched"
         (Bytes.sub bytes (off + len) 5)
@@ -246,9 +279,9 @@ let test_cipher_nonce_freshness () =
   let plain = "same plaintext either way" in
   let len = String.length plain in
   let seal nonce =
-    let buf = Bigbuf.of_bytes (Bytes.of_string plain) in
+    let buf = Util.big_of_bytes (Bytes.of_string plain) in
     Cipher.xor_big st ~nonce buf ~off:0 ~len;
-    Bigbuf.to_bytes buf
+    Util.bytes_of_big buf
   in
   let nonces = [ 0; 1; 2; 63; 64; 1 lsl 32; (1 lsl 32) + 1; 1 lsl 61; max_int ] in
   let sealed = List.map seal nonces in
@@ -273,10 +306,10 @@ let test_cipher_nonce_freshness () =
 let test_cipher_key_separation () =
   let plain = Bytes.make 64 '\000' in
   let seal seed =
-    let buf = Bigbuf.of_bytes plain in
+    let buf = Util.big_of_bytes plain in
     Cipher.xor_big (Cipher.init Cipher.Chacha20 (Cipher.key_of_int seed)) ~nonce:0 buf ~off:0
       ~len:64;
-    Bigbuf.to_bytes buf
+    Util.bytes_of_big buf
   in
   let seeds = [ 0; 1; 2; 3; -1; 1 lsl 40; max_int ] in
   let sealed = List.map seal seeds in
@@ -362,11 +395,11 @@ let test_xor_big_matches_bytewise_reference () =
     (fun len ->
       let nonce = (len * 7919) + 3 in
       let src = Bytes.init len (fun i -> Char.chr ((i * 37) land 0xFF)) in
-      let buf = Bigbuf.of_bytes src in
+      let buf = Util.big_of_bytes src in
       Cipher.xor_big st ~nonce buf ~off:0 ~len;
       Alcotest.(check bytes)
         (Printf.sprintf "len %d" len)
-        (xor_reference seed ~nonce src) (Bigbuf.to_bytes buf))
+        (xor_reference seed ~nonce src) (Util.bytes_of_big buf))
     (List.init 18 Fun.id @ [ 63; 64; 65; 127; 128; 129; 200; 328 ])
 
 (* xor_run must equal per-region xor_big — the 8-lane SIMD core against
@@ -377,7 +410,7 @@ let test_xor_run_matches_xor_big () =
   List.iter
     (fun (count, len, stride) ->
       let total = (count * stride) + 16 in
-      let mk () = Bigbuf.of_bytes (Bytes.init total (fun i -> Char.chr ((i * 31) land 0xFF))) in
+      let mk () = Util.big_of_bytes (Bytes.init total (fun i -> Char.chr ((i * 31) land 0xFF))) in
       let by_run = mk () and by_block = mk () in
       let nonces = Array.init count (fun i -> 1000 + (i * 3)) in
       Cipher.xor_run st ~nonces by_run ~off:8 ~stride ~len;
@@ -386,7 +419,7 @@ let test_xor_run_matches_xor_big () =
         nonces;
       Alcotest.(check bytes)
         (Printf.sprintf "count=%d len=%d" count len)
-        (Bigbuf.to_bytes by_block) (Bigbuf.to_bytes by_run))
+        (Util.bytes_of_big by_block) (Util.bytes_of_big by_run))
     [ (1, 40, 48); (3, 160, 168); (8, 160, 160); (9, 64, 72); (20, 328, 328); (5, 0, 8) ]
 
 let test_chacha20_engine_properties () =
@@ -394,37 +427,37 @@ let test_chacha20_engine_properties () =
   let st = Cipher.init Cipher.Chacha20 k in
   let len = 200 in
   let plain = Bytes.init len (fun i -> Char.chr (i land 0xFF)) in
-  let b1 = Bigbuf.of_bytes plain and b2 = Bigbuf.of_bytes plain in
+  let b1 = Util.big_of_bytes plain and b2 = Util.big_of_bytes plain in
   Cipher.xor_big st ~nonce:1 b1 ~off:0 ~len;
   Cipher.xor_big st ~nonce:2 b2 ~off:0 ~len;
   Alcotest.(check bool) "nonces separate streams" true
-    (not (Bytes.equal (Bigbuf.to_bytes b1) (Bigbuf.to_bytes b2)));
+    (not (Bytes.equal (Util.bytes_of_big b1) (Util.bytes_of_big b2)));
   Alcotest.(check bool) "ciphertext differs from plaintext" true
-    (not (Bytes.equal (Bigbuf.to_bytes b1) plain));
-  let c1 = Bigbuf.to_bytes b1 in
+    (not (Bytes.equal (Util.bytes_of_big b1) plain));
+  let c1 = Util.bytes_of_big b1 in
   Cipher.xor_big st ~nonce:1 b1 ~off:0 ~len;
-  Alcotest.(check bytes) "involution" plain (Bigbuf.to_bytes b1);
+  Alcotest.(check bytes) "involution" plain (Util.bytes_of_big b1);
   (* Same nonce and plaintext under another key: a different
      ciphertext, not merely one that differs from the plaintext. *)
   let st' = Cipher.init Cipher.Chacha20 (Cipher.key_of_int 809) in
-  let b3 = Bigbuf.of_bytes plain in
+  let b3 = Util.big_of_bytes plain in
   Cipher.xor_big st' ~nonce:1 b3 ~off:0 ~len;
   Alcotest.(check bool) "keys separate streams" true
-    (not (Bytes.equal c1 (Bigbuf.to_bytes b3)))
+    (not (Bytes.equal c1 (Util.bytes_of_big b3)))
 
-(* ---------------- unbiased range mapping ---------------- *)
+(* ---------------- range mapping ---------------- *)
 
-(* bound = 7 does not divide 2^62, so the plain modulo reduction is
-   (infinitesimally) biased; the rejection sampler must stay uniform.
-   With 70,000 draws each residue expects 10,000; +/-10% is ~13 sigma. *)
-let test_to_range_unbiased_uniform () =
+(* bound = 7 does not divide 2^62, so the modulo reduction is biased by
+   about 2^-59 per residue: invisible here. With 70,000 draws each
+   residue expects 10,000; +/-10% is ~13 sigma. *)
+let test_to_range_uniform () =
   let k = Prf.key_of_int 314 in
   let bound = 7 in
   let draws = 70_000 in
   let buckets = Array.make bound 0 in
   for x = 0 to draws - 1 do
-    let v = Prf.to_range_unbiased k x ~bound in
-    if v < 0 || v >= bound then Alcotest.fail "to_range_unbiased out of bounds";
+    let v = Prf.to_range k x ~bound in
+    if v < 0 || v >= bound then Alcotest.fail "to_range out of bounds";
     buckets.(v) <- buckets.(v) + 1
   done;
   let expected = draws / bound in
@@ -434,23 +467,23 @@ let test_to_range_unbiased_uniform () =
         Alcotest.failf "residue %d count %d too far from %d" i c expected)
     buckets;
   Alcotest.check_raises "bound 0 rejected"
-    (Invalid_argument "Prf.to_range_unbiased: bound must be positive") (fun () ->
-      ignore (Prf.to_range_unbiased k 0 ~bound:0))
+    (Invalid_argument "Prf.to_range: bound must be positive") (fun () ->
+      ignore (Prf.to_range k 0 ~bound:0))
 
-let prop_to_range_unbiased_bounds =
-  Util.qcheck_case ~name:"to_range_unbiased stays in bounds and is deterministic"
+let prop_to_range_bounds =
+  Util.qcheck_case ~name:"to_range stays in bounds and is deterministic"
     QCheck2.Gen.(triple int (int_range 1 1_000_000) int)
     (fun (x, bound, seed) ->
       let k = Prf.key_of_int seed in
-      let v = Prf.to_range_unbiased k x ~bound in
-      v >= 0 && v < bound && v = Prf.to_range_unbiased k x ~bound)
+      let v = Prf.to_range k x ~bound in
+      v >= 0 && v < bound && v = Prf.to_range k x ~bound)
 
 let prop_permutation_valid =
   Util.qcheck_case ~name:"random permutation is a bijection"
     QCheck2.Gen.(pair (int_range 0 200) int)
     (fun (n, seed) ->
-      let rng = Rng.create ~seed in
-      Permutation.is_valid (Permutation.random rng n))
+      let p = replay_swaps n (Permutation.swap_sequence (Rng.create ~seed) n) in
+      List.sort compare (Array.to_list p) = List.init n Fun.id)
 
 (* Sealing is an involution at any length and offset: the same call
    opens what it sealed, and nothing outside the region moves. Nonces are
@@ -461,12 +494,12 @@ let prop_cipher_roundtrip =
     (fun (s, off, keyseed, nonce) ->
       let st = Cipher.init Cipher.Chacha20 (Cipher.key_of_int keyseed) in
       let plain = Bytes.cat (Bytes.make off '\x5a') (Bytes.of_string s) in
-      let buf = Bigbuf.of_bytes plain in
+      let buf = Util.big_of_bytes plain in
       let len = String.length s in
       Cipher.xor_big st ~nonce buf ~off ~len;
-      let sealed = Bigbuf.to_bytes buf in
+      let sealed = Util.bytes_of_big buf in
       Cipher.xor_big st ~nonce buf ~off ~len;
-      Bytes.equal plain (Bigbuf.to_bytes buf)
+      Bytes.equal plain (Util.bytes_of_big buf)
       && Bytes.equal (Bytes.sub plain 0 off) (Bytes.sub sealed 0 off))
 
 let prop_rng_int_bounds =
@@ -528,7 +561,7 @@ let suite =
     ("hash family partition", `Quick, test_hash_family_subranges_cover);
     ("permutation roundtrip", `Quick, test_permutation_roundtrip);
     ("permutation swap transcript", `Quick, test_permutation_swaps_consistent);
-    ("permutation permute_array", `Quick, test_permutation_permute_array);
+    ("permutation uniform on S3", `Quick, test_permutation_uniform_s3);
     ("permutation identity", `Quick, test_permutation_identity);
     ("cipher roundtrip", `Quick, test_cipher_roundtrip);
     ("cipher xor_big region", `Quick, test_xor_big_region);
@@ -540,8 +573,8 @@ let suite =
     ("cipher engine ids", `Quick, test_engine_ids);
     ("cipher xor_run matches xor_big", `Quick, test_xor_run_matches_xor_big);
     ("chacha20 engine properties", `Quick, test_chacha20_engine_properties);
-    ("prf to_range_unbiased uniformity", `Quick, test_to_range_unbiased_uniform);
-    prop_to_range_unbiased_bounds;
+    ("prf to_range uniformity", `Quick, test_to_range_uniform);
+    prop_to_range_bounds;
     prop_permutation_valid;
     prop_cipher_roundtrip;
     prop_rng_int_bounds;

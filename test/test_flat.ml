@@ -77,7 +77,7 @@ let run ?(telemetry = false) ?(trace_mode = Trace.Digest) ~flat ~spec ~sealing (
            let before = List.init n image in
            Storage.write_flat s (base + addr) n buf;
            Alcotest.(check bool) "write_flat leaves the caller's images alone" true
-             (List.for_all2 (List.for_all2 Cell.equal) before (List.init n image))
+             (List.for_all2 (List.for_all2 ( = )) before (List.init n image))
          end
          else Storage.write_many s (base + addr) blks);
         let raddr = (addr + 3) mod capacity in
@@ -122,7 +122,7 @@ let run ?(telemetry = false) ?(trace_mode = Trace.Digest) ~flat ~spec ~sealing (
   { observed with files = List.map Util.read_file (spec_files spec); ops }
 
 let blocks_equal a c =
-  Array.length a = Array.length c && Array.for_all2 (Array.for_all2 Cell.equal) a c
+  Array.length a = Array.length c && Array.for_all2 (Array.for_all2 ( = )) a c
 
 let check_parity ~make_spec ~sealing ~telemetry ~trace_mode () =
   let with_spec f =
@@ -213,7 +213,7 @@ let test_flat_accessors () =
   let stride = Flat.stride_of ~block_size:3 in
   Alcotest.(check int) "stride is the payload size" (8 + Block.encoded_size 3) stride;
   Alcotest.(check bool) "fresh buffer is empty" true
-    (Array.for_all Cell.is_empty (Flat.get_block f 1));
+    (Array.for_all (( = ) Cell.empty) (Flat.get_block f 1));
   let c = Cell.item ~tag:2 ~aux:9 ~key:5 ~value:7 () in
   let o = Flat.cell_offset f ~block:0 ~slot:2 in
   Flat.set_cell f o c;
@@ -221,13 +221,13 @@ let test_flat_accessors () =
   Alcotest.(check int) "next block's first cell follows the header"
     (o + Flat.cell_bytes + Flat.header_bytes) o';
   Flat.copy_cell f o f o';
-  Alcotest.(check bool) "copied image decodes" true (Cell.equal c (Flat.get_cell f o'));
+  Alcotest.(check bool) "copied image decodes" true (( = ) c (Flat.get_cell f o'));
   Flat.clear_cell f o;
-  Alcotest.(check bool) "cleared image is Empty" true (Cell.is_empty (Flat.get_cell f o));
+  Alcotest.(check bool) "cleared image is Empty" true (Flat.get_cell f o = Cell.empty);
   Flat.copy_block f 1 f 0;
-  Alcotest.(check bool) "block copy" true (Cell.equal c (Flat.get_block f 0).(0));
+  Alcotest.(check bool) "block copy" true (( = ) c (Flat.get_block f 0).(0));
   Flat.clear_blocks f 0 2;
-  let empty i = Array.for_all Cell.is_empty (Flat.get_block f i) in
+  let empty i = Array.for_all (( = ) Cell.empty) (Flat.get_block f i) in
   Alcotest.(check bool) "cleared blocks" true (empty 0 && empty 1);
   Alcotest.(check bool) "out-of-range cell rejected" true
     (try

@@ -3,22 +3,6 @@ open Odex_iblt
 
 let prf_key = Odex_crypto.Prf.key_of_int
 
-let test_insert_get () =
-  let t = Iblt.create ~size:60 (prf_key 1) in
-  for x = 0 to 9 do
-    Iblt.insert t ~key:x ~value:(x * x)
-  done;
-  Alcotest.(check int) "entries" 10 (Iblt.entries t);
-  for x = 0 to 9 do
-    match Iblt.get t x with
-    | Iblt.Found v -> Alcotest.(check int) "value" (x * x) v
-    | Iblt.Absent -> Alcotest.failf "key %d reported absent" x
-    | Iblt.Unknown -> () (* allowed failure mode *)
-  done;
-  (match Iblt.get t 999 with
-  | Iblt.Absent | Iblt.Unknown -> ()
-  | Iblt.Found _ -> Alcotest.fail "phantom key found")
-
 let test_delete_roundtrip () =
   let t = Iblt.create ~size:50 (prf_key 2) in
   List.iter (fun x -> Iblt.insert t ~key:x ~value:(2 * x)) [ 1; 2; 3; 4; 5 ];
@@ -29,6 +13,31 @@ let test_delete_roundtrip () =
     "survivors"
     [ (1, 2); (3, 6); (5, 10) ]
     (List.sort compare pairs)
+
+(* Inserting and deleting the same pairs cancels exactly: the table
+   decodes to nothing, and is complete, like a fresh one. *)
+let test_cancelled_pairs_leave_empty () =
+  let t = Iblt.create ~size:60 (prf_key 1) in
+  Alcotest.(check (pair (list (pair int int)) bool)) "fresh" ([], true) (Iblt.list_entries t);
+  for x = 0 to 9 do
+    Iblt.insert t ~key:x ~value:(x * x)
+  done;
+  for x = 9 downto 0 do
+    Iblt.delete t ~key:x ~value:(x * x)
+  done;
+  Alcotest.(check (pair (list (pair int int)) bool)) "all cancelled" ([], true)
+    (Iblt.list_entries t)
+
+(* Deleting a pair that was never inserted leaves count -1 cells: the
+   decode must report itself incomplete and never list the ghost. *)
+let test_ghost_deletion_not_listed () =
+  let t = Iblt.create ~size:60 (prf_key 7) in
+  Iblt.insert t ~key:5 ~value:50;
+  Iblt.delete t ~key:123456 ~value:7;
+  let pairs, complete = Iblt.list_entries t in
+  Alcotest.(check bool) "incomplete" false complete;
+  Alcotest.(check bool) "ghost not listed" false (List.mem_assoc 123456 pairs);
+  List.iter (fun (k, v) -> if (k, v) <> (5, 50) then Alcotest.failf "phantom (%d, %d)" k v) pairs
 
 let test_list_entries_complete () =
   let rng = Odex_crypto.Rng.create ~seed:3 in
@@ -84,16 +93,6 @@ let test_success_rate_at_recommended_load () =
   if !failures > trials / 20 then
     Alcotest.failf "decode failed %d/%d times at the Lemma 1 load" !failures trials
 
-let test_get_absent_on_empty_cell () =
-  let t = Iblt.create ~size:60 (prf_key 7) in
-  Iblt.insert t ~key:5 ~value:50;
-  (match Iblt.get t 123456 with
-  | Iblt.Absent -> ()
-  | Iblt.Found _ -> Alcotest.fail "found absent key"
-  | Iblt.Unknown -> () (* possible but very unlikely with one entry *));
-  Alcotest.(check int) "counts sum to k*entries" (Iblt.k t)
-    (Array.fold_left ( + ) 0 (Iblt.cell_counts t))
-
 (* ---------------- external-memory IBLT ---------------- *)
 
 let mk_block b seed =
@@ -113,7 +112,7 @@ let test_ext_iblt_roundtrip () =
   List.iter
     (fun (index, blk) ->
       let blk' = List.assoc index got in
-      if not (Array.for_all2 Cell.equal blk blk') then
+      if not (Array.for_all2 ( = ) blk blk') then
         Alcotest.failf "payload mismatch at index %d" index)
     payloads
 
@@ -165,13 +164,13 @@ let prop_ram_iblt_decodes =
 
 let suite =
   [
-    ("insert/get", `Quick, test_insert_get);
     ("delete roundtrip", `Quick, test_delete_roundtrip);
+    ("cancelled pairs leave it empty", `Quick, test_cancelled_pairs_leave_empty);
+    ("ghost deletion never listed", `Quick, test_ghost_deletion_not_listed);
     ("list_entries complete", `Quick, test_list_entries_complete);
     ("overload reports incomplete", `Quick, test_overload_incomplete);
     ("overfill then delete", `Quick, test_insert_beyond_capacity_then_delete);
     ("Lemma 1 load success rate", `Slow, test_success_rate_at_recommended_load);
-    ("get absent", `Quick, test_get_absent_on_empty_cell);
     ("ext-IBLT roundtrip", `Quick, test_ext_iblt_roundtrip);
     ("ext-IBLT oblivious insert/touch", `Quick, test_ext_iblt_oblivious_trace);
     ("ext-IBLT empty payload", `Quick, test_ext_iblt_empty_payloads);

@@ -33,7 +33,7 @@ let test_append_commit_bookkeeping () =
         Util.write_block b i (payload i)
       done;
       let buf =
-        Odex_crypto.Bigbuf.of_bytes
+        Util.big_of_bytes
           (Bytes.concat Bytes.empty (List.init 4 (fun i -> payload (10 + i))))
       in
       Backend.write_run b ~addr:3 ~count:4 ~payload:16 ~buf ~off:0;

@@ -59,7 +59,7 @@ let test_shard_digests_stable () =
     (fun k ->
       List.iter
         (fun name ->
-          let e = Option.get (Registry.find name) in
+          let e = Util.registry name in
           let go () =
             let o =
               Pairtest.check
@@ -120,7 +120,7 @@ let test_prp_seed_leak_caught () =
    explicit run_info and must match. *)
 let test_unsharded_vs_one_stripe_distinguished () =
   let o =
-    Pairtest.check ~backend:Storage.Mem ~backend_b:(stripe 1) Registry.consolidation
+    Pairtest.check ~backend:Storage.Mem ~backend_b:(stripe 1) (Util.subject "consolidation")
       ~n_cells:128 ~b:4 ~m:8
   in
   Alcotest.(check (option int)) "leg A reports no stripe" None o.run_a.Pairtest.shards;
@@ -275,7 +275,7 @@ let shard_leak_subject ~n_cells =
 
 let test_shard_distribution_clean () =
   let vs =
-    Statcheck.shard_distribution ~samples:40 Registry.consolidation ~n_cells:256 ~b:4 ~m:8
+    Statcheck.shard_distribution ~samples:40 (Util.subject "consolidation") ~n_cells:256 ~b:4 ~m:8
   in
   Alcotest.(check int) "one verdict per server" 2 (Array.length vs);
   Array.iter

@@ -23,7 +23,7 @@ let prop_consolidation =
             | Cell.Item it -> if pred it then Some it.key else None)
           (Array.to_list cells)
       in
-      Consolidation.occupied_prefix_property d
+      Util.occupied_prefix_property d
       && Util.keys_of_items (Ext_array.items d) = expected)
 
 let prop_butterfly_roundtrip =
@@ -70,7 +70,7 @@ let prop_quantiles_match_reference =
         let arr = Array.of_list sorted in
         let total = Array.length arr in
         let reference =
-          Array.init q (fun i -> arr.(Quantiles.rank_of_quantile ~total ~q (i + 1) - 1))
+          Array.init q (fun i -> arr.(Util.quantile_rank ~total ~q (i + 1) - 1))
         in
         Array.for_all2
           (fun (it : Cell.item) want -> it.key = want)
@@ -87,7 +87,7 @@ let prop_multiway_monochromatic =
       let a = Ext_array.of_cells s ~block_size:b cells in
       let color_of (it : Cell.item) = (it.key mod colors + colors) mod colors in
       let d = Multiway.consolidate ~colors ~color_of a in
-      Multiway.monochromatic ~color_of d
+      Util.monochromatic ~color_of d
       && Util.sorted_multiset_equal
            (Util.keys_of_items (Ext_array.items d))
            (Array.to_list keys))
@@ -221,13 +221,13 @@ let prop_run_buf_never_stale =
               let got = Storage.read_many s (base + off) len in
               Array.iteri
                 (fun i blk ->
-                  if not (Array.for_all2 Cell.equal blk model.(off + i)) then ok := false)
+                  if not (Array.for_all2 ( = ) blk model.(off + i)) then ok := false)
                 got
             end)
         ops;
       let final = Storage.read_many s base total in
       Array.iteri
-        (fun i blk -> if not (Array.for_all2 Cell.equal blk model.(i)) then ok := false)
+        (fun i blk -> if not (Array.for_all2 ( = ) blk model.(i)) then ok := false)
         final;
       (* The documented retention bound: the scratch doubles up to the
          largest run's byte need, so it never exceeds twice that. The
@@ -493,7 +493,7 @@ let test_bucket_undersized_z_overflows () =
         in
         let (o : Odex_sortnet.Bucket_sort.outcome), _ =
           Util.with_array ~b cells (fun _s a ->
-              Odex_sortnet.Oblivious_permutation.run ~z_cells:4 ~rng ~m:18 a)
+              Odex_sortnet.Bucket_sort.permute ~z_cells:4 ~rng ~m:18 a)
         in
         o.ok)
   in
@@ -514,7 +514,7 @@ let test_bucket_real_overflow_rate () =
         let keys = Array.init n_blocks (fun i -> i * 17 mod 1009) in
         let (o : Odex_sortnet.Bucket_sort.outcome), a =
           Util.with_array ~b (Util.cells_of_keys keys) (fun _s a ->
-              Odex_sortnet.Oblivious_permutation.run ~z_cells:32 ~rng ~m:130 a)
+              Odex_sortnet.Bucket_sort.permute ~z_cells:32 ~rng ~m:130 a)
         in
         if o.ok then Util.check_multiset "surviving permutation" keys a;
         o.ok)

@@ -214,7 +214,8 @@ let test_mem_read_does_not_allocate () =
     true (per_iter < 1.0);
   (* And the data actually moved. *)
   Backend.read_run bk ~addr:5 ~count:1 ~payload ~buf ~off:0;
-  Alcotest.(check int64) "blit read serves the payload" 5L (Bigbuf.get64_le buf 0)
+  Alcotest.(check int64) "blit read serves the payload" 5L
+    (Bytes.get_int64_le (Util.bytes_of_big buf) 0)
 
 (* The trace digest of a fixed 1 000-op sequence mixing all four op
    kinds, pinned by value: a changed hash or op coding fails here by

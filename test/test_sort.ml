@@ -7,7 +7,7 @@ let reference_quantiles keys q =
   let sorted = List.sort compare (Array.to_list keys) in
   let arr = Array.of_list sorted in
   let total = Array.length arr in
-  Array.init q (fun i -> arr.(Quantiles.rank_of_quantile ~total ~q (i + 1) - 1))
+  Array.init q (fun i -> arr.(Util.quantile_rank ~total ~q (i + 1) - 1))
 
 let run_quantiles ~b ~m ~seed ~q keys =
   let cells = Util.cells_of_keys keys in
@@ -75,7 +75,7 @@ let test_multiway () =
   let d = Multiway.consolidate ~colors:3 ~color_of:color_mod3 a in
   Alcotest.(check int) "output size" (Ext_array.blocks a + Multiway.tail_blocks 3)
     (Ext_array.blocks d);
-  Alcotest.(check bool) "monochromatic" true (Multiway.monochromatic ~color_of:color_mod3 d);
+  Alcotest.(check bool) "monochromatic" true (Util.monochromatic ~color_of:color_mod3 d);
   Util.check_multiset "multiway" keys d;
   (* Per-color relative order is preserved. *)
   let per_color c arr =
@@ -99,7 +99,7 @@ let test_multiway_skewed () =
   let a = Ext_array.of_cells s ~block_size:4 cells in
   let d = Multiway.consolidate ~colors:5 ~color_of:(fun _ -> 4) a in
   Util.check_multiset "skewed multiway" keys d;
-  Alcotest.(check bool) "monochromatic" true (Multiway.monochromatic ~color_of:(fun _ -> 4) d)
+  Alcotest.(check bool) "monochromatic" true (Util.monochromatic ~color_of:(fun _ -> 4) d)
 
 let test_multiway_oblivious () =
   let trace keys =
@@ -215,7 +215,7 @@ let test_sort_padded () =
   let s = Util.storage ~b:4 () in
   let a = Ext_array.of_cells s ~block_size:4 cells in
   let rng = Odex_crypto.Rng.create ~seed:18 in
-  let padded, ok = Sort.sort_padded ~m:16 ~rng a in
+  let padded, ok = Sort.sort_padded_with_injection ~m:16 ~rng ~inject_failure:(fun _ -> false) a in
   Alcotest.(check bool) "ok" true ok;
   Util.check_sorted_by_key "padded" padded;
   Util.check_multiset "padded" keys padded
@@ -243,7 +243,7 @@ let test_sort_with_empties () =
   let item_count = List.length keys in
   Array.iteri
     (fun i c ->
-      if i < item_count && Cell.is_empty c then Alcotest.fail "hole in dense output";
+      if i < item_count && c = Cell.empty then Alcotest.fail "hole in dense output";
       if i >= item_count && Cell.is_item c then Alcotest.fail "item past the dense prefix")
     out
 

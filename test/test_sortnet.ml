@@ -49,7 +49,7 @@ let merge_orders =
         let c = compare x.key y.key in
         if c <> 0 then c else compare y.tag x.tag
   in
-  [| Cell.compare_keys; Cell.compare_by_tag; Cell.compare_by_aux; key_then_tag_desc |]
+  [| Cell.compare_keys; Util.compare_by_tag; Cell.compare_by_aux; key_then_tag_desc |]
 
 (* Internally sorted block pairs with ties (few distinct keys, tags and
    aux words; the value tells tied cells apart) and empties: the merge
@@ -80,7 +80,7 @@ let prop_merge_split_stable =
       let want = Array.of_list (List.stable_sort cmp (Array.to_list u @ Array.to_list v)) in
       Ext_sort.merge_split ~cmp ~ascending u v;
       let lo, hi = if ascending then (u, v) else (v, u) in
-      let same got off = Array.for_all2 Cell.equal got (Array.sub want off b) in
+      let same got off = Array.for_all2 ( = ) got (Array.sub want off b) in
       same lo 0 && same hi b)
 
 let run_sort_case sorter ~b ~m keys =
@@ -134,7 +134,7 @@ let test_sort_custom_cmp () =
   in
   let (), a =
     Util.with_array ~b:2 cells (fun _s a ->
-        Ext_sort.run Ext_sort.bitonic_windowed ~cmp:Cell.compare_by_tag ~m:4 a)
+        Ext_sort.run Ext_sort.bitonic_windowed ~cmp:Util.compare_by_tag ~m:4 a)
   in
   let tags = List.map (fun (it : Cell.item) -> it.tag) (Ext_array.items a) in
   Alcotest.(check (list int)) "tags ascending" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] tags
@@ -152,7 +152,7 @@ let test_sort_empties_interleaved () =
   Alcotest.(check (list int)) "items first, sorted" [ 1; 2; 3 ]
     (Util.keys_of_items (Ext_array.items a));
   Alcotest.(check bool) "tail all empty" true
-    (Array.for_all Cell.is_empty (Array.sub out 3 3))
+    (Array.for_all (( = ) Cell.empty) (Array.sub out 3 3))
 
 let sorter_trace sorter ~b ~m keys =
   Util.trace_digest ~b ~seed:0 (Util.cells_of_keys keys) (fun _rng _s a ->
@@ -298,19 +298,25 @@ let test_bucket_plan () =
     (1 lsl plan.Bucket_sort.levels);
   Alcotest.(check bool) "half-fill covers n" true
     (plan.Bucket_sort.beta * plan.Bucket_sort.half >= 2048);
-  Alcotest.(check bool) "registry shape feasible" true (Bucket_sort.feasible ~m:256 plan);
+  (* 210 = 144 + 6·⌈log₂ 2048⌉ is the default Z at this size, which the
+     registry's shape (m = 256) admits. *)
+  Alcotest.(check bool) "registry shape takes the default plan" true
+    (Bucket_sort.plan_for ~b:4 ~m:256 ~n_cells:2048 = Some plan);
+  Alcotest.(check bool) "overflow bound tiny at default Z" true
+    (Bucket_sort.overflow_bound plan < 1e-9);
   (* The sorter's plan_for refuses rather than shrinking Z (a shrunk Z
-     turns the 2^-Omega(Z) failure bound into a DoS); the permutation's
-     auto_plan shrinks, down to its m >= 18 floor. *)
+     turns the 2^-Omega(Z) failure bound into a DoS); the permutation
+     shrinks Z, down to its m >= 18 floor. *)
   Alcotest.(check bool) "plan_for refuses tiny m" true
     (Bucket_sort.plan_for ~b:4 ~m:32 ~n_cells:2048 = None);
-  Alcotest.(check bool) "auto_plan shrinks for tiny m" true
-    (Bucket_sort.auto_plan ~b:4 ~m:32 ~n_cells:2048 <> None);
-  Alcotest.(check bool) "auto_plan refuses m < 18" true
-    (Bucket_sort.auto_plan ~b:4 ~m:17 ~n_cells:2048 = None);
-  Alcotest.(check bool) "overflow bound tiny at default Z" true
-    (Bucket_sort.overflow_bound (Bucket_sort.make_plan ~b:4
-       ~z_cells:(Bucket_sort.default_z_cells ~n_cells:2048) ~n_cells:2048) < 1e-9)
+  let permute ~m =
+    let cells = Util.cells_of_keys (Array.init 2048 Fun.id) in
+    let a = Ext_array.of_cells (Util.storage ~b:4 ()) ~block_size:4 cells in
+    Bucket_sort.permute ~rng:(Odex_crypto.Rng.create ~seed:3) ~m a
+  in
+  ignore (permute ~m:32);
+  Alcotest.check_raises "permute refuses m < 18"
+    (Invalid_argument "Bucket_sort.permute: need m >= 18 blocks") (fun () -> ignore (permute ~m:17))
 
 let test_bucket_sort_correct () =
   let rng = Odex_crypto.Rng.create ~seed:31 in
@@ -328,7 +334,7 @@ let test_bucket_custom_cmp () =
   let cells = Array.init 2048 (fun i -> Cell.item ~tag:(2047 - i) ~key:i ~value:0 ()) in
   let (), a =
     Util.with_array ~b:4 cells (fun _s a ->
-        Ext_sort.run (Ext_sort.bucket ()) ~cmp:Cell.compare_by_tag ~m:256 a)
+        Ext_sort.run (Ext_sort.bucket ()) ~cmp:Util.compare_by_tag ~m:256 a)
   in
   let tags = List.map (fun (it : Cell.item) -> it.tag) (Ext_array.items a) in
   Alcotest.(check bool) "tags ascending" true (Util.is_sorted_list tags)
@@ -422,7 +428,7 @@ let test_permute_correct () =
   let (), a =
     Util.with_array ~b:4 (Util.cells_of_keys keys) (fun _s a ->
         let rng = Odex_crypto.Rng.create ~seed:42 in
-        outcome := Oblivious_permutation.run ~rng ~m:66 a)
+        outcome := Bucket_sort.permute ~rng ~m:66 a)
   in
   Alcotest.(check bool) "no overflow at Z=64" true !outcome.Bucket_sort.ok;
   Util.check_multiset "permute" keys a;
@@ -436,7 +442,7 @@ let test_permute_fixed_trace () =
      function of (shape, coins) alone, whatever the data. *)
   let t keys =
     Util.trace_digest ~b:4 ~seed:7 (Util.cells_of_keys keys) (fun rng _s a ->
-        ignore (Oblivious_permutation.run ~rng ~m:66 a))
+        ignore (Bucket_sort.permute ~rng ~m:66 a))
   in
   let n = 512 in
   let t1 = t (Array.init n (fun i -> i)) in
@@ -451,7 +457,7 @@ let test_permute_blocks_correct () =
     Util.with_array ~b:4 (Util.cells_of_keys keys) (fun _s a ->
         let rng = Odex_crypto.Rng.create ~seed:44 in
         Alcotest.(check bool) "block permute ok" true
-          (Oblivious_permutation.run_blocks ~rng ~m:66 a).Bucket_sort.ok)
+          (Bucket_sort.permute_blocks ~rng ~m:66 a).Bucket_sort.ok)
   in
   Util.check_multiset "permute blocks" keys a;
   (* Block granularity: each original block's cells must still be
@@ -517,7 +523,7 @@ let multipass_plan = Bucket_sort.make_plan ~b:multipass_b ~z_cells:16 ~n_cells:1
 
 let test_bucket_multipass_shape () =
   let plan = multipass_plan and m = multipass_m in
-  Alcotest.(check bool) "plan feasible" true (Bucket_sort.feasible ~m plan);
+  Alcotest.(check bool) "plan feasible" true ((4 * plan.Bucket_sort.zb) + 2 <= m);
   let gpr = max 1 (m / (2 * plan.Bucket_sort.zb)) in
   let nruns = Emodel.ceil_div plan.Bucket_sort.beta gpr in
   let fan = max 2 (min nruns (m - 1)) in
@@ -585,10 +591,10 @@ let test_permute_pinned_order () =
      two-way stripe (the same logical run, so the same order). *)
   let keys = Array.init 512 (fun i -> i) in
   let cell_run _s a =
-    ignore (Oblivious_permutation.run ~rng:(Odex_crypto.Rng.create ~seed:42) ~m:66 a)
+    ignore (Bucket_sort.permute ~rng:(Odex_crypto.Rng.create ~seed:42) ~m:66 a)
   in
   let block_run _s a =
-    ignore (Oblivious_permutation.run_blocks ~rng:(Odex_crypto.Rng.create ~seed:44) ~m:66 a)
+    ignore (Bucket_sort.permute_blocks ~rng:(Odex_crypto.Rng.create ~seed:44) ~m:66 a)
   in
   let ((a, _, _, _) as run) = Util.traced_run ~b:4 (Util.cells_of_keys keys) cell_run in
   Alcotest.(check int) "cell permutation order" 5973043412041 (cells_fingerprint a);

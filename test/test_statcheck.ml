@@ -115,12 +115,12 @@ let distribution_cases =
     [
       (shuffle_subject, 128, 4, 8);
       (sparse_subject, 128, 4, 32);
-      (Registry.hierarchical_oram, 48, 4, 16);
+      (Util.subject "hier-oram", 48, 4, 16);
       (* The two new randomized sorters at their registry shape: the
          coins must whiten whatever rank-dependence the merge phase has
          (bucket-sort) and the routing has none at all (permutation). *)
-      (Registry.bucket_sort, 2048, 4, 256);
-      (Registry.oblivious_permutation, 2048, 4, 256);
+      (Util.subject "bucket-sort", 2048, 4, 256);
+      (Util.subject "oblivious-permutation", 2048, 4, 256);
     ]
 
 (* --- the checker catches a planted distributional leak ------------- *)
@@ -211,7 +211,7 @@ let permute_positions ~samples ~seed_of =
       (fun () ->
         let a = Ext_array.of_cells s ~block_size:b cells in
         let rng = Odex_crypto.Rng.create ~seed:(seed_of ~sentinel i) in
-        let o = Odex_sortnet.Oblivious_permutation.run ~rng ~m a in
+        let o = Odex_sortnet.Bucket_sort.permute ~rng ~m a in
         if not o.Odex_sortnet.Bucket_sort.ok then incr overflows
         else begin
           let pos = ref (-1) in

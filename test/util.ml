@@ -2,22 +2,73 @@
 
 open Odex_extmem
 
+(* A [Bigbuf.t] is a char Bigarray, so tests copy bytes in and out of it
+   directly. *)
+let big_of_bytes b =
+  let buf = Odex_crypto.Bigbuf.create (Bytes.length b) in
+  Bytes.iteri (fun i c -> buf.{i} <- c) b;
+  buf
+
+let bytes_of_big buf = Bytes.init (Odex_crypto.Bigbuf.length buf) (fun i -> buf.{i})
+
 (* Whole-block [bytes] transfers: runs of one over the backend API. *)
 let read_block b addr =
   let payload = Backend.payload_bytes b in
   let buf = Odex_crypto.Bigbuf.create payload in
   Backend.read_run b ~addr ~count:1 ~payload ~buf ~off:0;
-  Odex_crypto.Bigbuf.to_bytes buf
+  bytes_of_big buf
 
 let write_block b addr bytes =
   Backend.write_run b ~addr ~count:1 ~payload:(Backend.payload_bytes b)
-    ~buf:(Odex_crypto.Bigbuf.of_bytes bytes) ~off:0
+    ~buf:(big_of_bytes bytes) ~off:0
+
+(* The registry entry, and its pair-test subject, labelled [name]. *)
+let registry name =
+  List.find
+    (fun (e : Odex_obcheck.Registry.entry) -> e.subject.name = name)
+    Odex_obcheck.Registry.all
+
+let subject name = (registry name).subject
 
 let storage ?cipher ?(trace = Trace.Digest) ~b () =
   Storage.create ?cipher ~trace_mode:trace ~block_size:b ()
 
 let cells_of_keys keys =
   Array.mapi (fun i k -> Cell.item ~tag:i ~key:k ~value:(k * 10) ()) keys
+
+(* Items by (tag, key), empties last: a comparator that is not the
+   default one. *)
+let compare_by_tag a b =
+  match (a, b) with
+  | Cell.Empty, Cell.Empty -> 0
+  | Cell.Empty, Cell.Item _ -> 1
+  | Cell.Item _, Cell.Empty -> -1
+  | Cell.Item x, Cell.Item y -> compare (x.tag, x.key) (y.tag, y.key)
+
+(* The array's blocks, read out of band (uncounted, untraced). *)
+let peek_blocks a =
+  List.init (Ext_array.blocks a) (fun i ->
+      Storage.unchecked_peek (Ext_array.storage a) (Ext_array.addr a i))
+
+let occupied_blocks a =
+  List.length (List.filter (fun blk -> not (Block.is_empty blk)) (peek_blocks a))
+
+(* Lemma 3's postcondition: every block is full or empty, except that the
+   last non-empty block may be partial. *)
+let occupied_prefix_property a =
+  match List.rev (List.filter (( <> ) 0) (List.map Block.count_items (peek_blocks a))) with
+  | [] -> true
+  | _ :: rest -> List.for_all (( = ) (Ext_array.block_size a)) rest
+
+(* Every block's items share one color. *)
+let monochromatic ~color_of a =
+  List.for_all
+    (fun blk -> List.length (List.sort_uniq compare (List.map color_of (Block.items blk))) <= 1)
+    (peek_blocks a)
+
+(* The 1-indexed rank quantile [i] of [q] targets among [total] items:
+   ⌈i·total/(q+1)⌉. *)
+let quantile_rank ~total ~q i = max 1 (((i * total) + q) / (q + 1))
 
 let random_keys rng n ~bound = Array.init n (fun _ -> Odex_crypto.Rng.int rng bound)
 
