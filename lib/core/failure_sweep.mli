@@ -30,7 +30,7 @@ val monte_carlo :
     that never flake. *)
 
 val sweep : m:int -> Ext_array.t array -> bool array -> bool
-(** [sweep ~m subarrays ok_flags] re-sorts (by (key, tag)) every
+(** [sweep ~m subarrays ok_flags] re-sorts (by (key, tag), {!Odex_extmem.Order.Keys}) every
     subarray whose flag is false, running trace-identical dummy passes
     over the healthy ones. Subarrays may have any sizes. Always returns
     true (kept for interface symmetry with the capacity-limited

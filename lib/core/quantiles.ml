@@ -2,10 +2,8 @@ open Odex_extmem
 
 type result = { quantiles : Cell.item array; ok : bool }
 
-(* As in Selection: one caller-supplied cell ordering drives every
+(* As in Selection: one caller-supplied [order] drives every
    comparison — private sorts, oblivious sorts and interval tests. *)
-let cmp_items cmp (x : Cell.item) (y : Cell.item) = cmp (Cell.Item x) (Cell.Item y)
-
 let rank_of_quantile ~total ~q i =
   if i < 1 || i > q then invalid_arg "Quantiles.rank_of_quantile: bad index";
   max 1 (Emodel.ceil_div (i * total) (q + 1))
@@ -30,8 +28,8 @@ let grab_many a ranks out =
                  Array.iteri (fun j r -> if r = !seen then out.(j) <- Some it) ranks))
         blks)
 
-let private_quantiles ~cmp ~q items =
-  let sorted = List.sort (cmp_items cmp) items in
+let private_quantiles ~order ~q items =
+  let sorted = List.sort (Order.compare_items order) items in
   let arr = Array.of_list sorted in
   let total = Array.length arr in
   if total = 0 then { quantiles = Array.make q dummy_item; ok = false }
@@ -43,7 +41,7 @@ let private_quantiles ~cmp ~q items =
 
 (* Base case: array fits in cache (n <= m, re-verified by [load_run]'s
    capacity check); one batched scan. *)
-let in_cache ~cmp ~m ~q a =
+let in_cache ~order ~m ~q a =
   let n = Ext_array.blocks a in
   let cache = Cache.create (Ext_array.storage a) ~capacity:m in
   Cache.load_run cache (Ext_array.base a) ~count:n;
@@ -53,10 +51,10 @@ let in_cache ~cmp ~m ~q a =
     Array.iter (fun c -> match c with Cell.Empty -> () | Cell.Item it -> items := it :: !items) blk;
     Cache.drop cache (Ext_array.addr a i)
   done;
-  private_quantiles ~cmp ~q !items
+  private_quantiles ~order ~q !items
 
 (* Easy case (M/B)^4 >= N/B: sort a copy deterministically, scan. *)
-let by_sorting ~cmp ~m ~q a =
+let by_sorting ~order ~m ~q a =
   let n = Ext_array.blocks a in
   let storage = Ext_array.storage a in
   let copy = Ext_array.create storage ~blocks:n in
@@ -64,7 +62,7 @@ let by_sorting ~cmp ~m ~q a =
   Ext_array.iter_runs a ~chunk:scan_chunk (fun base blks ->
       Array.iter (fun blk -> total := !total + Block.count_items blk) blks;
       Ext_array.write_blocks copy base blks);
-  Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~cmp ~m copy;
+  Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~order ~m copy;
   if !total = 0 then { quantiles = Array.make q dummy_item; ok = false }
   else begin
     let ranks = Array.init q (fun i -> rank_of_quantile ~total:!total ~q (i + 1)) in
@@ -77,16 +75,16 @@ let by_sorting ~cmp ~m ~q a =
     }
   end
 
-let run ?key ?(cmp = Cell.compare_keys) ?delta ~m ~rng ~q a =
+let run ?key ?(order = Order.Keys) ?delta ~m ~rng ~q a =
   if q < 1 then invalid_arg "Quantiles.run: q must be >= 1";
   if q > m then invalid_arg "Quantiles.run: q must be <= m (Alice's counters)";
   let n_blocks = Ext_array.blocks a in
   let b = Ext_array.block_size a in
-  if n_blocks <= m then in_cache ~cmp ~m ~q a
+  if n_blocks <= m then in_cache ~order ~m ~q a
   else if
     (* (M/B)^4 >= N/B, guarding against overflow for big m. *)
     m >= 256 || m * m * m * m >= n_blocks
-  then by_sorting ~cmp ~m ~q a
+  then by_sorting ~order ~m ~q a
   else begin
     let ok = ref true in
     (* Count items; one batched scan. *)
@@ -117,7 +115,7 @@ let run ?key ?(cmp = Cell.compare_keys) ?delta ~m ~rng ~q a =
       if not c_out.ok then ok := false;
       let c_arr = c_out.dest in
       Ext_array.with_span a "quantiles.sort-sample" (fun () ->
-          Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~cmp ~m c_arr);
+          Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~order ~m c_arr);
       let s = sampled in
       let sf = Float.of_int (max 1 s) in
       let d = match delta with Some f -> f sf | None -> 3. *. Float.sqrt sf in
@@ -144,13 +142,13 @@ let run ?key ?(cmp = Cell.compare_keys) ?delta ~m ~rng ~q a =
                      match c with
                      | Cell.Empty -> ()
                      | Cell.Item it ->
-                         gmin := Some (match !gmin with None -> it | Some v -> if cmp_items cmp it v < 0 then it else v);
-                         gmax := Some (match !gmax with None -> it | Some v -> if cmp_items cmp it v > 0 then it else v)))
+                         gmin := Some (match !gmin with None -> it | Some v -> if Order.compare_items order it v < 0 then it else v);
+                         gmax := Some (match !gmax with None -> it | Some v -> if Order.compare_items order it v > 0 then it else v)))
                 blks));
       let gmin = Option.get !gmin and gmax = Option.get !gmax in
       let x = Array.init q (fun i -> Option.value lo_grab.(i) ~default:gmin) in
       let y = Array.init q (fun i -> Option.value hi_grab.(i) ~default:gmax) in
-      let in_interval i it = cmp_items cmp x.(i) it <= 0 && cmp_items cmp it y.(i) <= 0 in
+      let in_interval i it = Order.compare_items order x.(i) it <= 0 && Order.compare_items order it y.(i) <= 0 in
       let in_union it =
         let rec any i = i < q && (in_interval i it || any (i + 1)) in
         any 0
@@ -169,7 +167,7 @@ let run ?key ?(cmp = Cell.compare_keys) ?delta ~m ~rng ~q a =
                          let u = in_union it in
                          if u then incr u_total;
                          for i = 0 to q - 1 do
-                           if cmp_items cmp it x.(i) < 0 then begin
+                           if Order.compare_items order it x.(i) < 0 then begin
                              c_lt.(i) <- c_lt.(i) + 1;
                              if u then u_lt.(i) <- u_lt.(i) + 1
                            end;
@@ -198,7 +196,7 @@ let run ?key ?(cmp = Cell.compare_keys) ?delta ~m ~rng ~q a =
       if not d_out.ok then ok := false;
       let d_arr = d_out.dest in
       Ext_array.with_span a "quantiles.sort-union" (fun () ->
-          Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~cmp ~m d_arr);
+          Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~order ~m d_arr);
       (* 6. One scan of the sorted union: quantile i is the item of rank
          ranks_i - (c_lt_i - u_lt_i) within the union. *)
       let local = Array.init q (fun i -> ranks.(i) - (c_lt.(i) - u_lt.(i))) in

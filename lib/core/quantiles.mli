@@ -26,7 +26,7 @@ type result = {
 
 val run :
   ?key:Odex_crypto.Prf.key ->
-  ?cmp:(Cell.t -> Cell.t -> int) ->
+  ?order:Order.t ->
   ?delta:(float -> float) ->
   m:int ->
   rng:Odex_crypto.Rng.t ->
@@ -35,9 +35,8 @@ val run :
   result
 (** [run ~m ~rng ~q a]. [key] is the PRF key for the Theorem 4 IBLT
     compaction (sparse-compaction hashing only — it does not affect the
-    ordering). [cmp] is the cell ordering that defines the quantile
-    ranks (default {!Cell.compare_keys}; must order [Cell.Empty] after
-    every item) and is used consistently across all sorts and interval
+    ordering). [order] is the {!Order.t} that defines the quantile
+    ranks (default {!Order.Keys}) and is used consistently across all sorts and interval
     tests. [delta] overrides the sample-rank slack (default 3·√s where
     s is the sample size), as in {!Selection.select_with_delta}. The
     input array is preserved. *)

@@ -2,13 +2,12 @@ open Odex_extmem
 
 type result = { item : Cell.item option; ok : bool }
 
-(* Every comparison below goes through the caller's [cmp] (a cell
-   ordering, as in Ext_sort): mixing orders between the private sorts,
+(* Every comparison below goes through the caller's [order] (as in
+   Ext_sort): mixing orders between the private sorts,
    the oblivious sorts and the bracketing scans would silently select
    the wrong rank. *)
-let cmp_items cmp (x : Cell.item) (y : Cell.item) = cmp (Cell.Item x) (Cell.Item y)
-let min_item cmp a b = if cmp_items cmp a b <= 0 then a else b
-let max_item cmp a b = if cmp_items cmp a b >= 0 then a else b
+let min_item order a b = if Order.compare_items order a b <= 0 then a else b
+let max_item order a b = if Order.compare_items order a b >= 0 then a else b
 
 (* Blocks per batched transfer in the scans below; transport granularity
    only, see Consolidation. *)
@@ -100,7 +99,7 @@ let grab_ranks a r1 r2 =
 (* Base case: the whole array fits in cache (the caller guarantees
    n <= m, which [load_run]'s capacity check re-verifies); trace is one
    batched scan. *)
-let select_in_cache ~cmp ~m ~k a =
+let select_in_cache ~order ~m ~k a =
   let n = Ext_array.blocks a in
   let cache = Cache.create (Ext_array.storage a) ~capacity:m in
   Cache.load_run cache (Ext_array.base a) ~count:n;
@@ -110,21 +109,21 @@ let select_in_cache ~cmp ~m ~k a =
     Array.iter (fun c -> match c with Cell.Empty -> () | Cell.Item it -> items := it :: !items) blk;
     Cache.drop cache (Ext_array.addr a i)
   done;
-  let sorted = List.sort (cmp_items cmp) !items in
+  let sorted = List.sort (Order.compare_items order) !items in
   match List.nth_opt sorted (k - 1) with
   | Some it -> { item = Some it; ok = true }
   | None -> { item = None; ok = false }
 
 (* Degenerate regime (the in-range capacity is not smaller than the
    array): sort everything obliviously and scan for the rank. *)
-let select_by_sorting ~cmp ~m ~k a =
-  Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~cmp ~m a;
+let select_by_sorting ~order ~m ~k a =
+  Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~order ~m a;
   let got, _ = grab_ranks a k (-1) in
   { item = got; ok = got <> None }
 
-let rec go ?key ~cmp ~m ~rng ~exponent ~delta ~k a =
+let rec go ?key ~order ~m ~rng ~exponent ~delta ~k a =
   let n_blocks = Ext_array.blocks a in
-  if n_blocks <= m then select_in_cache ~cmp ~m ~k a
+  if n_blocks <= m then select_in_cache ~order ~m ~k a
   else begin
     let b = Ext_array.block_size a in
     let total = count_items a in
@@ -140,7 +139,7 @@ let rec go ?key ~cmp ~m ~rng ~exponent ~delta ~k a =
     let d = match delta with Some f -> f s0 | None -> Float.pow s0 0.75 in
     let d = Float.max 1. d in
     let cap_in_cells = min total (Float.to_int (4. *. d /. p) + 1) in
-    if cap_in_cells >= total then select_by_sorting ~cmp ~m ~k a
+    if cap_in_cells >= total then select_by_sorting ~order ~m ~k a
     else begin
       let ok = ref true in
       (* 1. Sample w.p. N^{-e} and consolidate. *)
@@ -159,7 +158,7 @@ let rec go ?key ~cmp ~m ~rng ~exponent ~delta ~k a =
       if not c_out.ok then ok := false;
       let c_arr = c_out.dest in
       Ext_array.with_span a "selection.sort-sample" (fun () ->
-          Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~cmp ~m c_arr);
+          Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~order ~m c_arr);
       (* 3. Bracket ranks (Lemma 11). *)
       let s = sampled in
       let ix = Float.to_int (Float.ceil ((Float.of_int k *. p) -. d)) in
@@ -180,22 +179,22 @@ let rec go ?key ~cmp ~m ~rng ~exponent ~delta ~k a =
                      match c with
                      | Cell.Empty -> ()
                      | Cell.Item it ->
-                         lo := Some (match !lo with None -> it | Some v -> min_item cmp v it);
-                         hi := Some (match !hi with None -> it | Some v -> max_item cmp v it)))
+                         lo := Some (match !lo with None -> it | Some v -> min_item order v it);
+                         hi := Some (match !hi with None -> it | Some v -> max_item order v it)))
                 blks));
       let x =
         match (x_opt, !lo) with
-        | Some x', Some x'' -> max_item cmp x' x''
+        | Some x', Some x'' -> max_item order x' x''
         | None, Some x'' -> x''
         | _, None -> assert false
       in
       let y =
         match (y_opt, !hi) with
-        | Some y', Some y'' -> min_item cmp y' y''
+        | Some y', Some y'' -> min_item order y' y''
         | None, Some y'' -> y''
         | _, None -> assert false
       in
-      let in_range it = cmp_items cmp x it <= 0 && cmp_items cmp it y <= 0 in
+      let in_range it = Order.compare_items order x it <= 0 && Order.compare_items order it y <= 0 in
       (* 5. Count below x and in range; one scan. *)
       let c_lt = ref 0 and c_in = ref 0 in
       Ext_array.with_span a "selection.count" (fun () ->
@@ -205,7 +204,7 @@ let rec go ?key ~cmp ~m ~rng ~exponent ~delta ~k a =
                      match c with
                      | Cell.Empty -> ()
                      | Cell.Item it ->
-                         if cmp_items cmp it x < 0 then incr c_lt;
+                         if Order.compare_items order it x < 0 then incr c_lt;
                          if in_range it then incr c_in))
                 blks));
       let cap_in_blocks = Emodel.ceil_div cap_in_cells b + 1 in
@@ -229,7 +228,7 @@ let rec go ?key ~cmp ~m ~rng ~exponent ~delta ~k a =
       if !ok then begin
         let sub =
           Ext_array.with_span a "selection.recurse" (fun () ->
-              go ?key ~cmp ~m ~rng ~exponent ~delta ~k:(k - !c_lt) d_arr)
+              go ?key ~order ~m ~rng ~exponent ~delta ~k:(k - !c_lt) d_arr)
         in
         { item = sub.item; ok = sub.ok }
       end
@@ -242,15 +241,15 @@ let rec go ?key ~cmp ~m ~rng ~exponent ~delta ~k a =
           let k' = max 1 (min residue_items (k - !c_lt)) in
           let sub =
             Ext_array.with_span a "selection.recurse" (fun () ->
-                go ?key ~cmp ~m ~rng ~exponent ~delta ~k:k' d_arr)
+                go ?key ~order ~m ~rng ~exponent ~delta ~k:k' d_arr)
           in
           { item = sub.item; ok = false }
       end
     end
   end
 
-let select ?key ?(cmp = Cell.compare_keys) ?(exponent = 0.5) ~m ~rng ~k a =
-  go ?key ~cmp ~m ~rng ~exponent ~delta:None ~k a
+let select ?key ?(order = Order.Keys) ?(exponent = 0.5) ~m ~rng ~k a =
+  go ?key ~order ~m ~rng ~exponent ~delta:None ~k a
 
-let select_with_delta ?key ?(cmp = Cell.compare_keys) ?(exponent = 0.5) ~m ~rng ~delta ~k a =
-  go ?key ~cmp ~m ~rng ~exponent ~delta:(Some delta) ~k a
+let select_with_delta ?key ?(order = Order.Keys) ?(exponent = 0.5) ~m ~rng ~delta ~k a =
+  go ?key ~order ~m ~rng ~exponent ~delta:(Some delta) ~k a

@@ -39,7 +39,7 @@ val consolidate_sample :
 
 val select :
   ?key:Odex_crypto.Prf.key ->
-  ?cmp:(Cell.t -> Cell.t -> int) ->
+  ?order:Order.t ->
   ?exponent:float ->
   m:int ->
   rng:Odex_crypto.Rng.t ->
@@ -49,11 +49,10 @@ val select :
 (** [select ~m ~rng ~k a]: the input array may interleave empty cells;
     [key] is the PRF key handed to the Theorem 4 IBLT compaction engine
     (it seeds the sparse-compaction hashing, {e not} the ordering);
-    [cmp] is the ordering that defines rank — it must order [Cell.Empty]
-    after every item, defaults to {!Cell.compare_keys}, and is used
-    consistently by every private sort, oblivious sort and bracketing
-    scan.
-    [k] ranges over the items. Items that compare equal under [cmp] come
+    [order] is the {!Order.t} that defines rank — it defaults to
+    {!Order.Keys} and is used consistently by every private sort,
+    oblivious sort and bracketing scan.
+    [k] ranges over the items. Items that compare equal under [order] come
     out of every sort in unspecified order, so when several of them tie
     at rank k, which one is returned is unspecified. Arrays that fit in
     cache are handled by a direct private sort (trace: one scan). The input array is preserved.
@@ -65,7 +64,7 @@ val select :
 
 val select_with_delta :
   ?key:Odex_crypto.Prf.key ->
-  ?cmp:(Cell.t -> Cell.t -> int) ->
+  ?order:Order.t ->
   ?exponent:float ->
   m:int ->
   rng:Odex_crypto.Rng.t ->

@@ -23,14 +23,11 @@ let bucket_count_deep ~m ~b =
   let scaled = min precision (min 32 (m / 8)) in
   max 2 (min ((m / 3) - 1) (max (q + 1) scaled))
 
-let cmp_items (x : Cell.item) (y : Cell.item) =
-  Cell.compare_keys (Cell.Item x) (Cell.Item y)
-
 (* Bucket index of an item given the sorted pivots: the number of pivots
    <= it. Pivots are few (q <= m^{1/4}); a linear pass is fine. *)
 let color_of_pivots pivots (it : Cell.item) =
   let c = ref 0 in
-  Array.iter (fun p -> if cmp_items p it <= 0 then incr c) pivots;
+  Array.iter (fun p -> if Order.compare_items Keys p it <= 0 then incr c) pivots;
   !c
 
 (* Approximate pivots from a memory-bounded private sample: one scan, a
@@ -59,7 +56,7 @@ let sample_pivots ~m ~rng ~q a =
             end)
       (Ext_array.read_block a i)
   done;
-  let sorted = Array.of_list (List.sort cmp_items !sample) in
+  let sorted = Array.of_list (List.sort (Order.compare_items Keys) !sample) in
   let len = Array.length sorted in
   if len = 0 then [||]
   else Array.init q (fun i -> sorted.(min (len - 1) ((i + 1) * len / (q + 1))))

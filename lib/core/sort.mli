@@ -46,7 +46,8 @@ val run :
   rng:Odex_crypto.Rng.t ->
   Ext_array.t ->
   outcome
-(** [run ~m ~rng a] sorts the items of [a] in place by (key, tag):
+(** [run ~m ~rng a] sorts the items of [a] in place by (key, tag), the
+    order {!Odex_extmem.Order.Keys}:
     items in non-decreasing order at the front, empties after.
     Requires [m >= 3]. The sort is not stable: items equal in both key
     and tag come out in unspecified order. [shuffle] selects the per-level block shuffle

@@ -8,7 +8,6 @@ let create n =
 let length (b : t) = Bigarray.Array1.dim b
 let set (b : t) i c = Bigarray.Array1.set b i c
 let unsafe_get (b : t) i = Bigarray.Array1.unsafe_get b i
-let unsafe_set (b : t) i c = Bigarray.Array1.unsafe_set b i c
 
 (* Compiler primitives: unaligned native-endian 64-bit access on a char
    bigarray. The [_le] wrappers byteswap on big-endian hosts — the
@@ -42,17 +41,16 @@ let set64_le b i v =
   check_range b i 8 "set64_le";
   unsafe_set64_le b i v
 
-(* Word-at-a-time copies: a [Bigarray.Array1.sub]+[blit] pair allocates
-   two bigarray headers per call, which the Mem backend's
-   allocation-regression test forbids on the single-block path. Regions
-   must not overlap. *)
+(* memmove and memset behind a range check: the stubs neither allocate
+   nor raise, so every region is validated here first. *)
+external blit_stub : t -> int -> t -> int -> int -> unit = "odex_bigbuf_blit" [@@noalloc]
+external fill_stub : t -> int -> int -> int -> unit = "odex_bigbuf_fill" [@@noalloc]
+
 let blit src soff dst doff len =
   check_range src soff len "blit (src)";
   check_range dst doff len "blit (dst)";
-  let words = len lsr 3 in
-  for j = 0 to words - 1 do
-    unsafe_set_64_ne dst (doff + (j lsl 3)) (unsafe_get_64_ne src (soff + (j lsl 3)))
-  done;
-  for i = len land lnot 7 to len - 1 do
-    unsafe_set dst (doff + i) (unsafe_get src (soff + i))
-  done
+  blit_stub src soff dst doff len
+
+let zero b off len =
+  check_range b off len "zero";
+  fill_stub b off len 0

@@ -31,6 +31,12 @@ val unsafe_get64_le : t -> int -> int64
 val unsafe_set64_le : t -> int -> int64 -> unit
 
 val blit : t -> int -> t -> int -> int -> unit
-(** [blit src soff dst doff len] copies [len] bytes. The regions must
-    not overlap (all callers move between distinct buffers or disjoint
-    slices; the word-at-a-time copy does not handle aliasing). *)
+(** [blit src soff dst doff len] copies [len] bytes with [memmove], so
+    the regions may overlap (as {!Bytes.blit} allows). Allocates nothing.
+    @raise Invalid_argument if either region is out of range or [len] is
+    negative, before any byte moves. *)
+
+val zero : t -> int -> int -> unit
+(** [zero b off len] sets [len] bytes from [off] to zero with [memset].
+    Allocates nothing. @raise Invalid_argument as {!blit}, before any
+    byte changes. *)

@@ -25,18 +25,6 @@ let compare_keys a b =
       let c = compare x.key y.key in
       if c <> 0 then c else compare x.tag y.tag
 
-let compare_by_aux a b =
-  match (a, b) with
-  | Empty, Empty -> 0
-  | Empty, Item _ -> 1
-  | Item _, Empty -> -1
-  | Item x, Item y ->
-      let c = compare x.aux y.aux in
-      if c <> 0 then c
-      else
-        let c = compare x.key y.key in
-        if c <> 0 then c else compare x.tag y.tag
-
 let encoded_size = 40
 (* 5 × 8-byte words: a full constructor word followed by key, value,
    tag, aux. The constructor is padded from one byte to a word so that
@@ -48,46 +36,55 @@ module Bigbuf = Odex_crypto.Bigbuf
 
 let aux_offset = 32
 
-(* In-place views of an image's constructor and aux words. The raw
-   primitives keep the int64 unboxed, so these allocate nothing; the
-   image words are little-endian. *)
+(* The codec and the in-place word views all go through the compiler's
+   raw 64-bit primitives, which keep the int64 unboxed: encoding,
+   decoding's word loads and the views allocate nothing (a decode
+   allocates only the cell it returns). Image words are little-endian. *)
 external get64_ne : Bigbuf.t -> int -> int64 = "%caml_bigstring_get64u"
 external set64_ne : Bigbuf.t -> int -> int64 -> unit = "%caml_bigstring_set64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let is_item_big buf off = get64_ne buf off <> 0L
+let[@inline] set_word buf off v =
+  let w = Int64.of_int v in
+  set64_ne buf off (if Sys.big_endian then bswap64 w else w)
 
-let aux_big buf off =
-  let w = get64_ne buf (off + aux_offset) in
+let[@inline] get_word buf off =
+  let w = get64_ne buf off in
   Int64.to_int (if Sys.big_endian then bswap64 w else w)
 
-let set_aux_big buf off v =
-  let w = Int64.of_int v in
-  set64_ne buf (off + aux_offset) (if Sys.big_endian then bswap64 w else w)
+let is_item_big buf off = get64_ne buf off <> 0L
+let key_big buf off = get_word buf (off + 8)
+let tag_big buf off = get_word buf (off + 24)
+let aux_big buf off = get_word buf (off + aux_offset)
+let set_aux_big buf off v = set_word buf (off + aux_offset) v
 
 let encode_big buf off = function
   | Empty ->
-      Bigbuf.unsafe_set64_le buf off 0L;
-      Bigbuf.unsafe_set64_le buf (off + 8) 0L;
-      Bigbuf.unsafe_set64_le buf (off + 16) 0L;
-      Bigbuf.unsafe_set64_le buf (off + 24) 0L;
-      Bigbuf.unsafe_set64_le buf (off + 32) 0L
+      set64_ne buf off 0L;
+      set64_ne buf (off + 8) 0L;
+      set64_ne buf (off + 16) 0L;
+      set64_ne buf (off + 24) 0L;
+      set64_ne buf (off + 32) 0L
   | Item { key; value; tag; aux } ->
-      Bigbuf.unsafe_set64_le buf off 1L;
-      Bigbuf.unsafe_set64_le buf (off + 8) (Int64.of_int key);
-      Bigbuf.unsafe_set64_le buf (off + 16) (Int64.of_int value);
-      Bigbuf.unsafe_set64_le buf (off + 24) (Int64.of_int tag);
-      Bigbuf.unsafe_set64_le buf (off + aux_offset) (Int64.of_int aux)
+      set_word buf off 1;
+      set_word buf (off + 8) key;
+      set_word buf (off + 16) value;
+      set_word buf (off + 24) tag;
+      set_word buf (off + aux_offset) aux
 
 let decode_big buf off =
-  match Bigbuf.unsafe_get64_le buf off with
-  | 0L -> Empty
-  | 1L ->
+  match get_word buf off with
+  | 0 -> Empty
+  | 1 ->
       Item
         {
-          key = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + 8));
-          value = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + 16));
-          tag = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + 24));
-          aux = Int64.to_int (Bigbuf.unsafe_get64_le buf (off + aux_offset));
+          key = get_word buf (off + 8);
+          value = get_word buf (off + 16);
+          tag = get_word buf (off + 24);
+          aux = get_word buf (off + aux_offset);
         }
-  | c -> invalid_arg (Printf.sprintf "Cell.decode_big: bad constructor word %Ld" c)
+  | _ ->
+      let w = get64_ne buf off in
+      invalid_arg
+        (Printf.sprintf "Cell.decode_big: bad constructor word %Ld"
+           (if Sys.big_endian then bswap64 w else w))

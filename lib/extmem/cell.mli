@@ -32,11 +32,8 @@ val compare_keys : t -> t -> int
 (** Total order: items by [(key, tag)] (tag breaks ties, giving the
     distinctness the paper's §1 caveat requires when tags are original
     positions), and [Empty] sorts after every item (the paper treats empty
-    cells as +∞ when sorting, §4). [aux] does not participate. *)
-
-val compare_by_aux : t -> t -> int
-(** Items ordered by [(aux, key, tag)]; [Empty] last. Used when algorithms
-    sort on scratch labels (e.g. colors). *)
+    cells as +∞ when sorting, §4). [aux] does not participate. The
+    sorters take this order as data, {!Order.Keys}. *)
 
 val encoded_size : int
 (** Bytes of one cell image — a word-aligned stride (5 × 8 bytes: a
@@ -47,7 +44,8 @@ val encoded_size : int
 
 val encode_big : Odex_crypto.Bigbuf.t -> int -> t -> unit
 (** [encode_big buf off c] writes the image of [c] at byte offset [off]
-    of an off-heap I/O buffer, using unsafe word stores — the caller (in
+    of an off-heap I/O buffer, using unsafe word stores that allocate
+    nothing — the caller (in
     practice {!Block.encode_into_big} or {!Flat}) has already
     bounds-checked the whole region. *)
 
@@ -59,6 +57,14 @@ val decode_big : Odex_crypto.Bigbuf.t -> int -> t
 val is_item_big : Odex_crypto.Bigbuf.t -> int -> bool
 (** Whether the image at [off] holds an item (its constructor word is
     not [0]), read without a decode. Bounds as in {!encode_big}. *)
+
+val key_big : Odex_crypto.Bigbuf.t -> int -> int
+(** The [key] word of the image at [off], read in place. Meaningful on
+    item images. Bounds as in {!encode_big}. *)
+
+val tag_big : Odex_crypto.Bigbuf.t -> int -> int
+(** The [tag] word of the image at [off], read in place. Meaningful on
+    item images. Bounds as in {!encode_big}. *)
 
 val aux_big : Odex_crypto.Bigbuf.t -> int -> int
 (** The [aux] word of the image at [off], read in place. Meaningful on

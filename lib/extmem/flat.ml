@@ -11,6 +11,10 @@ let create ~block_size ~blocks =
   let stride = stride_of ~block_size in
   { buf = Bigbuf.create (blocks * stride); block_size; blocks; stride }
 
+let sub t ~off ~len =
+  if off < 0 || len < 0 || off + len > t.blocks then invalid_arg "Flat.sub: out of bounds";
+  { t with buf = Bigarray.Array1.sub t.buf (off * t.stride) (len * t.stride); blocks = len }
+
 let block_size t = t.block_size
 let blocks t = t.blocks
 let buffer t = t.buf
@@ -77,18 +81,12 @@ let copy_block src i dst j =
   check_block src i "copy_block";
   check_block dst j "copy_block";
   if src.block_size <> dst.block_size then invalid_arg "Flat.copy_block: block sizes differ";
-  let s = src.buf and d = dst.buf and soff = image src i and doff = image dst j in
-  for w = 0 to (src.stride - header_bytes) / 8 - 1 do
-    set64 d (doff + (w * 8)) (get64 s (soff + (w * 8)))
-  done
+  Bigbuf.blit src.buf (image src i) dst.buf (image dst j) (src.stride - header_bytes)
 
 let clear_blocks t i n =
   if n < 0 || i < 0 || i + n > t.blocks then invalid_arg "Flat.clear_blocks: out of bounds";
   for k = i to i + n - 1 do
-    let off = image t k in
-    for w = 0 to (t.stride - header_bytes) / 8 - 1 do
-      set64 t.buf (off + (w * 8)) 0L
-    done
+    Bigbuf.zero t.buf (image t k) (t.stride - header_bytes)
   done
 
 let get_block t i =

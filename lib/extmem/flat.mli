@@ -32,6 +32,11 @@ val header_bytes : int
 val cell_bytes : int
 (** One cell image ({!Cell.encoded_size}). *)
 
+val sub : t -> off:int -> len:int -> t
+(** [sub t ~off ~len] is slots [off, off + len) of [t] as a buffer of
+    its own that shares [t]'s bytes: a run read into the view lands in
+    [t] at slot [off]. *)
+
 val block_size : t -> int
 val blocks : t -> int
 

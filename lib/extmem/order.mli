@@ -1,0 +1,43 @@
+(** The orders lib sorts and selects under, as data.
+
+    Every order sorts [Cell.Empty] after every item (the paper treats
+    empty cells as +∞ when sorting, §4) and ties two empties. Between
+    items:
+    - [Keys]: [(key, tag)] ascending — tags are original positions,
+      giving the distinctness the paper's §1 caveat asks for. This is
+      {!Cell.compare_keys}, and the default everywhere.
+    - [By_tag]: [(tag, key)] ascending — restores an original order.
+    - [By_aux]: [(aux, key, tag)] ascending — sorts on a scratch label
+      (a bucket, a color).
+    - [Dedup]: [key] ascending, then [tag] descending — the hierarchical
+      ORAM's rebuild order, newest timestamp first within an address.
+    - [By_prp p]: [Prp.apply p key] ascending — the square-root ORAM's
+      shuffle order. Keys must lie in [p]'s domain; equal keys tie.
+
+    Each order has two faces that agree in sign on every pair: {!compare}
+    on decoded cells, for the paths that hold {!Cell.t} values, and
+    {!compare_images} on encoded images in place, for the kernels that
+    never decode. *)
+
+type t = Keys | By_tag | By_aux | Dedup | By_prp of Odex_crypto.Prp.t
+
+val compare : t -> Cell.t -> Cell.t -> int
+(** The order on decoded cells: negative, zero or positive. A total
+    preorder (ties allowed). *)
+
+val compare_items : t -> Cell.item -> Cell.item -> int
+(** [compare] restricted to items, with no cell to build. *)
+
+val compare_images : t -> Odex_crypto.Bigbuf.t -> int -> Odex_crypto.Bigbuf.t -> int -> int
+(** [compare_images o b1 off1 b2 off2] compares the cell images at byte
+    offsets [off1] of [b1] and [off2] of [b2] without decoding them; its
+    sign is that of [compare o] on the decoded cells. Allocates nothing.
+    Bounds are the caller's, as in {!Cell.encode_big}. *)
+
+val sort_images : t -> Odex_crypto.Bigbuf.t -> int array -> unit
+(** [sort_images o buf offs] sorts [offs], byte offsets of cell images
+    in [buf], into non-decreasing [o] order of the images. It is stdlib
+    [Array.sort]'s heap sort with {!compare_images} as the comparison:
+    it makes the same comparisons, so it yields exactly the permutation
+    [Array.sort (compare o)] yields on the decoded cells, ties
+    included. Not stable. *)

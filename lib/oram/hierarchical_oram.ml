@@ -320,16 +320,7 @@ let do_rebuild t upto =
   (* Phase 4 — deduplicate: sort by (address, newest first); timestamps
      ride in [tag]. Fillers (key = max_int) sort to the end and survive.
      The inner sort checkpoints its own phases under its own owner. *)
-  let cmp_dedup c1 c2 =
-    match (c1, c2) with
-    | Cell.Empty, Cell.Empty -> 0
-    | Cell.Empty, Cell.Item _ -> 1
-    | Cell.Item _, Cell.Empty -> -1
-    | Cell.Item x, Cell.Item y ->
-        let c = compare x.key y.key in
-        if c <> 0 then c else compare y.tag x.tag
-  in
-  run_phase (fun () -> Odex_sortnet.Ext_sort.run t.sorter ~cmp:cmp_dedup ~m:t.m scratch);
+  run_phase (fun () -> Odex_sortnet.Ext_sort.run t.sorter ~order:Order.Dedup ~m:t.m scratch);
   (* Phase 5 — dedup scan, assigning the epoch bucket while we hold each
      block. *)
   run_phase (fun () ->
@@ -353,7 +344,7 @@ let do_rebuild t upto =
   (* Phase 6 — group by bucket (reals before fillers via the key
      tiebreak). *)
   run_phase (fun () ->
-      Odex_sortnet.Ext_sort.run t.sorter ~cmp:Cell.compare_by_aux ~m:t.m scratch);
+      Odex_sortnet.Ext_sort.run t.sorter ~order:Order.By_aux ~m:t.m scratch);
   (* Phase 7 — keep the first z entries of every bucket. *)
   run_phase (fun () ->
       let cur_bucket = ref (-1) in

@@ -11,10 +11,11 @@
     1..ℓ−1 are merged into level ℓ (ℓ chosen by the usual
     binary-counter schedule), with the whole merge done obliviously:
 
-    + one oblivious sort by (address, newest-timestamp-first) and a
-      streaming deduplication scan;
+    + one oblivious sort by (address, newest-timestamp-first), the order
+      {!Odex_extmem.Order.Dedup}, and a streaming deduplication scan;
     + bucket assignment under a fresh per-epoch PRF key, one oblivious
-      sort by (bucket, reals-before-fillers) over the candidates plus
+      sort by (bucket, reals-before-fillers) — {!Odex_extmem.Order.By_aux},
+      the bucket riding in [aux] — over the candidates plus
       Z fillers per bucket, a streaming keep-first-Z scan, and one
       butterfly tight compaction (Theorem 6) that leaves every bucket
       exactly Z blocks, aligned.

@@ -100,15 +100,7 @@ let reshuffle t =
   done;
   (* Fresh permutation; sort by π'(address), empties last. *)
   let prp' = Odex_crypto.Prp.create ~domain:(t.n + t.sqrt_n) (Odex_crypto.Prf.fresh_key t.rng) in
-  let cmp c1 c2 =
-    match (c1, c2) with
-    | Cell.Empty, Cell.Empty -> 0
-    | Cell.Empty, Cell.Item _ -> 1
-    | Cell.Item _, Cell.Empty -> -1
-    | Cell.Item x, Cell.Item y ->
-        compare (Odex_crypto.Prp.apply prp' x.key) (Odex_crypto.Prp.apply prp' y.key)
-  in
-  Odex_sortnet.Ext_sort.run t.sorter ~cmp ~m:t.m t.scratch;
+  Odex_sortnet.Ext_sort.run t.sorter ~order:(Order.By_prp prp') ~m:t.m t.scratch;
   for p = 0 to t.n + t.sqrt_n - 1 do
     let blk = Ext_array.read_block t.scratch p in
     Ext_array.write_block t.main p blk

@@ -8,7 +8,9 @@
     already held the word — and appends the result to the shelter.
     After √n accesses the epoch ends: main and shelter are merged,
     deduplicated (newest version wins) and re-permuted under a fresh π,
-    all with the injected oblivious sorter. That reshuffle is exactly
+    all with the injected oblivious sorter: a {!Odex_extmem.Order.Keys}
+    sort to deduplicate, then a {!Odex_extmem.Order.By_prp} sort under
+    the new π. That reshuffle is exactly
     the "data-oblivious sorting is the bottleneck in the inner loop of
     oblivious RAM simulations" the paper's introduction optimizes:
     experiment E10 swaps the sorter and measures the amortized I/O

@@ -463,30 +463,36 @@ let permute_blocks ~rng ~m a =
 exception Overflow of string
 
 (* Stream-merge [runs] (offset, cell-count pairs inside [src]) into a
-   packed run at [dst_off] of [dst]: one lazily-refilled block per input
-   run plus one staging output block. The read schedule visits every
-   occupied block of every input run exactly once; only the visit
+   packed run at [dst_off] of [dst]: one lazily-refilled one-block slot
+   per input run plus one staging output slot, all cell images that are
+   compared and copied in place, never decoded. The read schedule visits
+   every occupied block of every input run exactly once; only the visit
    *order* is data-driven (by ranks), which the rank-isomorphic pair
    mode certifies.
 
    The next output cell comes from a binary min-heap over the live run
-   indices, keyed by (head cell under [cmp], run index): O(log k)
+   indices, keyed by (head image under [order], run index): O(log k)
    comparisons per cell. The index tie-break makes every pick the
-   lowest-numbered run whose head is minimal — for a total preorder
-   [cmp], a function of the comparison outcomes alone and not of the
-   heap's layout — so the refill order, the schedule's only
-   data-driven part, is fixed by the rank order. *)
-let merge_group ~cmp ~src ~dst ~dst_off runs =
+   lowest-numbered run whose head is minimal — for a total preorder, a
+   function of the comparison outcomes alone and not of the heap's
+   layout — so the refill order, the schedule's only data-driven part,
+   is fixed by the rank order. *)
+let merge_group ~order ~src ~dst ~dst_off runs =
   let b = Ext_array.block_size src in
   let k = Array.length runs in
-  let buf = Array.make k [||] in
-  let bpos = Array.make k 0 in
+  let slot () = Flat.create ~block_size:b ~blocks:1 in
+  let heads = Array.init k (fun _ -> slot ()) in
+  let bufs = Array.map Flat.buffer heads in
+  let first = Flat.header_bytes and past = Flat.header_bytes + (b * Flat.cell_bytes) in
+  (* Per run: byte offset of its head image, next block to load, cells
+     left. *)
+  let head = Array.make k first in
   let bidx = Array.make k 0 in
   let left = Array.map snd runs in
   let load r =
-    buf.(r) <- Ext_array.read_block src (fst runs.(r) + bidx.(r));
+    Ext_array.read_flat src (fst runs.(r) + bidx.(r)) ~count:1 heads.(r);
     bidx.(r) <- bidx.(r) + 1;
-    bpos.(r) <- 0
+    head.(r) <- first
   in
   let heap = Array.make k 0 and size = ref 0 in
   for r = 0 to k - 1 do
@@ -497,41 +503,48 @@ let merge_group ~cmp ~src ~dst ~dst_off runs =
     end
   done;
   let before r s =
-    let c = cmp buf.(r).(bpos.(r)) buf.(s).(bpos.(s)) in
+    let c = Order.compare_images order bufs.(r) head.(r) bufs.(s) head.(s) in
     c < 0 || (c = 0 && r < s)
   in
-  (* Restore the heap order below slot [i]. *)
-  let rec sift i =
-    let l = (2 * i) + 1 in
-    if l < !size then begin
-      let rt = l + 1 in
-      let c = if rt < !size && before heap.(rt) heap.(l) then rt else l in
-      if before heap.(c) heap.(i) then begin
-        let t = heap.(i) in
-        heap.(i) <- heap.(c);
-        heap.(c) <- t;
-        sift c
-      end
-    end
+  (* Restore the heap order below slot [i], bottom-up: lift the smaller
+     child along one path down to a leaf (one comparison per level), then
+     drop the displaced entry back up that path to its place. The picks
+     are the minima of a strict order, so they do not depend on how the
+     heap settles. *)
+  let sift i =
+    let x = heap.(i) in
+    let j = ref i and l = ref ((2 * i) + 1) in
+    while !l < !size do
+      let rt = !l + 1 in
+      let c = if rt < !size && before heap.(rt) heap.(!l) then rt else !l in
+      heap.(!j) <- heap.(c);
+      j := c;
+      l := (2 * c) + 1
+    done;
+    while !j > i && before x heap.((!j - 1) / 2) do
+      heap.(!j) <- heap.((!j - 1) / 2);
+      j := (!j - 1) / 2
+    done;
+    heap.(!j) <- x
   in
   for i = (!size / 2) - 1 downto 0 do
     sift i
   done;
-  let staging = Block.make b in
-  let fill = ref 0 and out = ref dst_off in
+  let staging = slot () in
+  let fill = ref first and out = ref dst_off in
   while !size > 0 do
     let r = heap.(0) in
-    staging.(!fill) <- buf.(r).(bpos.(r));
-    incr fill;
-    if !fill = b then begin
-      Ext_array.write_block dst !out staging;
+    Flat.copy_cell heads.(r) head.(r) staging !fill;
+    fill := !fill + Flat.cell_bytes;
+    if !fill = past then begin
+      Ext_array.write_flat dst !out ~count:1 staging;
       incr out;
-      fill := 0
+      fill := first
     end;
-    bpos.(r) <- bpos.(r) + 1;
+    head.(r) <- head.(r) + Flat.cell_bytes;
     left.(r) <- left.(r) - 1;
     if left.(r) > 0 then begin
-      if bpos.(r) = b then load r
+      if head.(r) = past then load r
     end
     else begin
       decr size;
@@ -539,14 +552,60 @@ let merge_group ~cmp ~src ~dst ~dst_off runs =
     end;
     sift 0
   done;
-  if !fill > 0 then begin
-    for j = !fill to b - 1 do
-      staging.(j) <- Cell.empty
+  if !fill > first then begin
+    while !fill < past do
+      Flat.clear_cell staging !fill;
+      fill := !fill + Flat.cell_bytes
     done;
-    Ext_array.write_block dst !out staging
+    Ext_array.write_flat dst !out ~count:1 staging
   end
 
-let sort ~plan ~master ~real ~cmp ~m a =
+(* Local sort: each group of [gpr] routed buckets is read, bucket by
+   bucket, into its own [zb]-slot window of one group buffer; the
+   offsets of the group's counted images are sorted in place under
+   [order] and the images copied out, in that order, into a packed run
+   written at [run_offs.(j)] of [dst]. *)
+let local_sort ~order ~src ~dst plan ~final_counts ~gpr ~run_cells ~run_offs =
+  let b = Ext_array.block_size src in
+  let group = Flat.create ~block_size:b ~blocks:(gpr * plan.zb) in
+  let windows = Array.init gpr (fun i -> Flat.sub group ~off:(i * plan.zb) ~len:plan.zb) in
+  let out = Flat.create ~block_size:b ~blocks:(gpr * plan.zb) in
+  let from = cursor () and next = cursor () in
+  for j = 0 to Array.length run_cells - 1 do
+    let offs = Array.make run_cells.(j) 0 in
+    let pos = ref 0 in
+    for g = j * gpr to min plan.beta ((j + 1) * gpr) - 1 do
+      let cnt = final_counts.(g) in
+      if cnt > 0 then begin
+        let w = g - (j * gpr) in
+        Ext_array.read_flat src (g * plan.zb) ~count:(Emodel.ceil_div cnt b) windows.(w);
+        from.off <- Flat.cell_offset group ~block:(w * plan.zb) ~slot:0;
+        from.slot <- 0;
+        for _ = 1 to cnt do
+          offs.(!pos) <- from.off;
+          incr pos;
+          advance from ~b
+        done
+      end
+    done;
+    Order.sort_images order (Flat.buffer group) offs;
+    let nb = Emodel.ceil_div run_cells.(j) b in
+    if nb > 0 then begin
+      rewind next;
+      Array.iter
+        (fun off ->
+          Flat.copy_cell group off out next.off;
+          advance next ~b)
+        offs;
+      for _ = run_cells.(j) to (nb * b) - 1 do
+        Flat.clear_cell out next.off;
+        advance next ~b
+      done;
+      Ext_array.write_flat dst run_offs.(j) ~count:nb out
+    end
+  done
+
+let sort ~plan ~master ~real ~order ~m a =
   let n = Ext_array.blocks a in
   let b = Ext_array.block_size a in
   if not (feasible ~m plan) then invalid_arg "Bucket_sort.sort: plan does not fit the cache";
@@ -587,29 +646,7 @@ let sort ~plan ~master ~real ~cmp ~m a =
       run_offs.(j) <- run_offs.(j - 1) + Emodel.ceil_div run_cells.(j - 1) b
     done;
     run_phase (fun () ->
-        for j = 0 to nruns - 1 do
-          let cells = Array.make run_cells.(j) Cell.empty in
-          let pos = ref 0 in
-          for g = j * gpr to min plan.beta ((j + 1) * gpr) - 1 do
-            let cnt = final_counts.(g) in
-            if cnt > 0 then begin
-              let blks =
-                Ext_array.read_blocks routed (g * plan.zb) ~count:(Emodel.ceil_div cnt b)
-              in
-              for i = 0 to cnt - 1 do
-                cells.(!pos) <- blks.(i / b).(i mod b);
-                incr pos
-              done
-            end
-          done;
-          Array.sort cmp cells;
-          let nb = Emodel.ceil_div run_cells.(j) b in
-          if nb > 0 then begin
-            let blks = Array.init nb (fun _ -> Block.make b) in
-            Array.iteri (fun i c -> blks.(i / b).(i mod b) <- c) cells;
-            Ext_array.write_blocks spare run_offs.(j) blks
-          end
-        done);
+        local_sort ~order ~src:routed ~dst:spare plan ~final_counts ~gpr ~run_cells ~run_offs);
     (* Merge passes ping-pong between the two areas until one run
        remains. *)
     let fan = max 2 (min nruns (m - 1)) in
@@ -632,7 +669,7 @@ let sort ~plan ~master ~real ~cmp ~m a =
         run_phase (fun () ->
             for gj = 0 to ngroups - 1 do
               let lo = gj * fan and hi = min k ((gj + 1) * fan) in
-              merge_group ~cmp ~src ~dst ~dst_off:(fst out_runs.(gj))
+              merge_group ~order ~src ~dst ~dst_off:(fst out_runs.(gj))
                 (Array.sub runs lo (hi - lo))
             done);
         passes dst src out_runs

@@ -75,7 +75,7 @@ val sort :
   plan:plan ->
   master:int ->
   real:bool ->
-  cmp:(Cell.t -> Cell.t -> int) ->
+  order:Order.t ->
   m:int ->
   Ext_array.t ->
   unit
@@ -84,18 +84,23 @@ val sort :
     a bucket pair and writing packed prefixes, sized by the replayed
     counts), per-group local sort into runs, k-way merge passes of
     fan-in up to [m - 1], copy-back. Requires [4·zb + 2 <= m] and
-    [blocks a > m] (smaller inputs belong to the cache sorter).
-    [cmp] must be a total preorder (total and transitive; ties allowed)
-    that orders [Cell.Empty] last; cells that compare equal come out in
-    unspecified order (the routing scatters them, so input order is not
-    kept). Each merge picks its next cell from
-    a heap keyed by ([cmp] on the run heads, then run index) in
-    O(log k) comparisons; among tied heads the lowest-numbered run
-    wins, so the refill order — the trace's only data-driven part — is
-    a function of the rank order alone. When [real] is false the
-    entire pipeline still runs on the scratch areas (identical trace)
-    but the copy-back rewrites the array's own content, leaving it
-    untouched. Usually reached through {!Ext_sort.bucket}. *)
+    [blocks a > m] (smaller inputs belong to the cache sorter). Cells
+    come out in non-decreasing [order], empties last.
+
+    No phase decodes a cell: the local sort and the merge compare cell
+    images in place ({!Order.compare_images}) and move them as bytes.
+    The tie contract: cells that compare equal come out in an order
+    fixed by two rules, and not by input order (the routing scatters
+    them). The local sort of each group yields exactly the permutation
+    stdlib [Array.sort (Order.compare order)] would
+    ({!Order.sort_images}). Each merge picks its next cell from a heap
+    keyed by ([order] on the run heads, then run index) in O(log k)
+    comparisons; among tied heads the lowest-numbered run wins, so the
+    refill order — the trace's only data-driven part — is a function of
+    the rank order alone. When [real] is false the entire pipeline
+    still runs on the scratch areas (identical trace) but the copy-back
+    rewrites the array's own content, leaving it untouched. Usually
+    reached through {!Ext_sort.bucket}. *)
 
 type outcome = { ok : bool }
 (** [ok = false]: a bucket overflowed; the output is a uniformly random

@@ -49,7 +49,7 @@ let capacity ~b ~m =
   probe (m * b) (m * b)
 
 (* Sort the cell range [lo, lo+len) of [work] inside the cache. *)
-let sort_range ~real ~cmp ~m work lo len =
+let sort_range ~real ~order ~m work lo len =
   let b = Ext_array.block_size work in
   let blk_lo = lo / b in
   let blk_hi = (lo + len - 1) / b in
@@ -63,7 +63,7 @@ let sort_range ~real ~cmp ~m work lo len =
   if real then begin
     let off = lo - (blk_lo * b) in
     let section = Array.sub cells off len in
-    Array.sort cmp section;
+    Array.sort (Order.compare order) section;
     Array.blit section 0 cells off len;
     for i = blk_lo to blk_hi do
       let blk = Cache.borrow cache (Ext_array.addr work i) in
@@ -150,7 +150,7 @@ let untranspose_gather ~m ~r ~s src dst =
    created back to back), so both re-attach from one address. The owner
    folds in the input's base and shape and lives in the store's
    checkpoint table alongside any other in-flight algorithm's slot. *)
-let exec ~real ~cmp ~m a =
+let exec ~real ~order ~m a =
   let n_cells = Ext_array.cells a in
   let b = Ext_array.block_size a in
   match plan ~n_cells ~b ~m with
@@ -197,7 +197,7 @@ let exec ~real ~cmp ~m a =
           done);
       let sort_columns arr =
         for j = 0 to s - 1 do
-          run_phase (fun () -> sort_range ~real ~cmp ~m arr (j * r) r)
+          run_phase (fun () -> sort_range ~real ~order ~m arr (j * r) r)
         done
       in
       sort_columns work;
@@ -209,7 +209,7 @@ let exec ~real ~cmp ~m a =
         (* Steps 6-8 without copying: sort the r-cell windows that
            straddle adjacent column boundaries. *)
         for j = 0 to s - 2 do
-          run_phase (fun () -> sort_range ~real ~cmp ~m work ((j * r) + (r / 2)) r)
+          run_phase (fun () -> sort_range ~real ~order ~m work ((j * r) + (r / 2)) r)
         done
       end;
       (* Copy out; the extra read of [a] keeps the dummy pass's trace

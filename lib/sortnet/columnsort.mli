@@ -11,5 +11,5 @@ val plan : n_cells:int -> b:int -> m:int -> (int * int) option
     or [None] if no single-level geometry exists. *)
 
 val exec :
-  real:bool -> cmp:(Cell.t -> Cell.t -> int) -> m:int -> Ext_array.t -> unit
-(** Used through {!Ext_sort.columnsort}. *)
+  real:bool -> order:Order.t -> m:int -> Ext_array.t -> unit
+(** Sorts [a] under [order]. Used through {!Ext_sort.columnsort}. *)

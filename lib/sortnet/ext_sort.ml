@@ -2,24 +2,24 @@ open Odex_extmem
 
 type t = {
   name : string;
-  exec : real:bool -> cmp:(Cell.t -> Cell.t -> int) -> m:int -> Ext_array.t -> unit;
+  exec : real:bool -> order:Order.t -> m:int -> Ext_array.t -> unit;
 }
 
 let name t = t.name
 
-let run t ?(cmp = Cell.compare_keys) ~m a = t.exec ~real:true ~cmp ~m a
+let run t ?(order = Order.Keys) ~m a = t.exec ~real:true ~order ~m a
 
-let run_selective t ?(cmp = Cell.compare_keys) ~real ~m a = t.exec ~real ~cmp ~m a
+let run_selective t ?(order = Order.Keys) ~real ~m a = t.exec ~real ~order ~m a
 
 (* The block comparator as one stable linear merge: both blocks are
-   sorted under [cmp], so their 2B cells merge into [scratch] (a tie
+   sorted under [order], so their 2B cells merge into [scratch] (a tie
    takes u's cell first) and split back low half / high half. *)
-let merge_into scratch ~cmp ~ascending u v =
+let merge_into scratch ~order ~ascending u v =
   let b = Array.length u in
   if Array.length v <> b then invalid_arg "Ext_sort.merge_split: block size mismatch";
   let i = ref 0 and j = ref 0 in
   for k = 0 to (2 * b) - 1 do
-    if !j >= b || (!i < b && cmp u.(!i) v.(!j) <= 0) then begin
+    if !j >= b || (!i < b && Order.compare order u.(!i) v.(!j) <= 0) then begin
       scratch.(k) <- u.(!i);
       incr i
     end
@@ -32,14 +32,14 @@ let merge_into scratch ~cmp ~ascending u v =
   Array.blit scratch 0 lo_dst 0 b;
   Array.blit scratch b hi_dst 0 b
 
-let merge_split ~cmp ~ascending u v =
-  merge_into (Array.make (2 * Array.length u) Cell.empty) ~cmp ~ascending u v
+let merge_split ~order ~ascending u v =
+  merge_into (Array.make (2 * Array.length u) Cell.empty) ~order ~ascending u v
 
 (* ------------------------------------------------------------------ *)
 (* Cache sort: the base case used whenever a (sub)problem fits in
    Alice's memory. One read pass, private sort, one write pass. *)
 
-let cache_sort_exec ~real ~cmp ~m a =
+let cache_sort_exec ~real ~order ~m a =
   let n = Ext_array.blocks a in
   let b = Ext_array.block_size a in
   let storage = Ext_array.storage a in
@@ -53,7 +53,7 @@ let cache_sort_exec ~real ~cmp ~m a =
     for i = 0 to n - 1 do
       Array.blit (Cache.borrow cache (Ext_array.addr a i)) 0 cells (i * b) b
     done;
-    Array.sort cmp cells;
+    Array.sort (Order.compare order) cells;
     for i = 0 to n - 1 do
       Array.blit cells (i * b) (Cache.borrow cache (Ext_array.addr a i)) 0 b
     done
@@ -79,7 +79,7 @@ let next_power_of_two n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let process_chunk work ~m ~scratch ~real ~cmp ~stage ~hi ~lo =
+let process_chunk work ~m ~scratch ~real ~order ~stage ~hi ~lo =
   let g_bits = hi - lo + 1 in
   let g = 1 lsl g_bits in
   (* The whole group is resident at once: check Alice's bound before
@@ -105,7 +105,7 @@ let process_chunk work ~m ~scratch ~real ~cmp ~stage ~hi ~lo =
         for t = 0 to g - 1 do
           let t' = t lxor j in
           if t' > t then
-            merge_into scratch ~cmp ~ascending:(pos t land stage = 0) blks.(t) blks.(t')
+            merge_into scratch ~order ~ascending:(pos t land stage = 0) blks.(t) blks.(t')
         done
       done;
     (* One atomic journal group per write-back: a crash between the
@@ -139,7 +139,7 @@ let process_chunk work ~m ~scratch ~real ~cmp ~stage ~hi ~lo =
    wrote the slot (see {!Storage.checkpoint}). On unjournaled stores all
    of this costs two integer reads and no I/O. *)
 
-let bitonic_exec ~levels_per_pass ~real ~cmp ~m a =
+let bitonic_exec ~levels_per_pass ~real ~order ~m a =
   if m < 2 then invalid_arg "Ext_sort.bitonic: need m >= 2";
   let n = Ext_array.blocks a in
   let storage = Ext_array.storage a in
@@ -172,7 +172,7 @@ let bitonic_exec ~levels_per_pass ~real ~cmp ~m a =
        Read and rewritten in batched runs. *)
     run_phase (fun () ->
         Ext_array.iter_runs a ~chunk:32 (fun base blks ->
-            if real then Array.iter (Block.sort_in_place cmp) blks;
+            if real then Array.iter (Block.sort_in_place order) blks;
             Ext_array.write_blocks work base blks));
     let lpp = max 1 (min (levels_per_pass m) (Emodel.ilog2_floor m)) in
     let scratch = Array.make (2 * Ext_array.block_size a) Cell.empty in
@@ -184,7 +184,7 @@ let bitonic_exec ~levels_per_pass ~real ~cmp ~m a =
         let lo = max 0 (!hi - lpp + 1) in
         let stage_now = !stage and hi_now = !hi in
         run_phase (fun () ->
-            process_chunk work ~m ~scratch ~real ~cmp ~stage:stage_now ~hi:hi_now ~lo);
+            process_chunk work ~m ~scratch ~real ~order ~stage:stage_now ~hi:hi_now ~lo);
         hi := lo - 1
       done;
       stage := !stage * 2
@@ -211,9 +211,9 @@ let auto =
   {
     name = "auto";
     exec =
-      (fun ~real ~cmp ~m a ->
-        if Ext_array.blocks a <= m then cache_sort_exec ~real ~cmp ~m a
-        else bitonic_exec ~levels_per_pass:(fun m -> Emodel.ilog2_floor m) ~real ~cmp ~m a);
+      (fun ~real ~order ~m a ->
+        if Ext_array.blocks a <= m then cache_sort_exec ~real ~order ~m a
+        else bitonic_exec ~levels_per_pass:(fun m -> Emodel.ilog2_floor m) ~real ~order ~m a);
   }
 
 let columnsort = { name = "columnsort"; exec = Columnsort.exec }
@@ -225,32 +225,32 @@ let columnsort = { name = "columnsort"; exec = Columnsort.exec }
    windowed bitonic network, everything else runs the O(n log n)
    butterfly pipeline. *)
 
-let bucket_exec ~master ~real ~cmp ~m a =
+let bucket_exec ~master ~real ~order ~m a =
   let n = Ext_array.blocks a in
   if n = 0 then ()
-  else if n <= m then cache_sort_exec ~real ~cmp ~m a
+  else if n <= m then cache_sort_exec ~real ~order ~m a
   else
     match Bucket_sort.plan_for ~b:(Ext_array.block_size a) ~m ~n_cells:(n * Ext_array.block_size a) with
-    | Some plan -> Bucket_sort.sort ~plan ~master ~real ~cmp ~m a
-    | None -> bitonic_exec ~levels_per_pass:(fun m -> Emodel.ilog2_floor m) ~real ~cmp ~m a
+    | Some plan -> Bucket_sort.sort ~plan ~master ~real ~order ~m a
+    | None -> bitonic_exec ~levels_per_pass:(fun m -> Emodel.ilog2_floor m) ~real ~order ~m a
 
 let bucket ?(seed = 0xB0C4E7) () =
   {
     name = "bucket";
     exec =
-      (fun ~real ~cmp ~m a ->
+      (fun ~real ~order ~m a ->
         (* A fresh stream per exec: the same sorter value replays the
            same coins on every invocation (deterministic, resumable). *)
         let rng = Odex_crypto.Rng.create ~seed in
-        bucket_exec ~master:(Odex_crypto.Rng.int rng 0x3FFFFFFF) ~real ~cmp ~m a);
+        bucket_exec ~master:(Odex_crypto.Rng.int rng 0x3FFFFFFF) ~real ~order ~m a);
   }
 
 let bucket_rng rng =
   {
     name = "bucket";
     exec =
-      (fun ~real ~cmp ~m a ->
-        bucket_exec ~master:(Odex_crypto.Rng.int rng 0x3FFFFFFF) ~real ~cmp ~m a);
+      (fun ~real ~order ~m a ->
+        bucket_exec ~master:(Odex_crypto.Rng.int rng 0x3FFFFFFF) ~real ~order ~m a);
   }
 
 let all = [ cache_sort; bitonic; bitonic_windowed; columnsort; bucket () ]

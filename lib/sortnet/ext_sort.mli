@@ -26,9 +26,13 @@
     so they are data-oblivious by construction; [bucket]'s merge order is
     rank-driven and certified separately (see {!bucket}).
 
-    No sorter is stable: cells that compare equal under [cmp] come out in
-    unspecified order. [cache_sort] uses the unstable [Array.sort], and
-    neither the networks nor the bucket routing preserve input order. *)
+    Every sorter takes its order as data, an {!Odex_extmem.Order.t}
+    ([Keys] by default), never a comparison closure.
+
+    No sorter is stable: cells that compare equal under the order come
+    out in unspecified order. [cache_sort] uses the unstable [Array.sort],
+    and neither the networks nor the bucket routing preserve input
+    order. *)
 
 open Odex_extmem
 
@@ -37,16 +41,15 @@ type t
 
 val name : t -> string
 
-val run : t -> ?cmp:(Cell.t -> Cell.t -> int) -> m:int -> Ext_array.t -> unit
-(** [run s ~cmp ~m a] sorts the cells of [a] in place into non-decreasing
-    [cmp] order, empties last. [cmp] defaults to {!Cell.compare_keys} and
-    must order [Cell.Empty] after every item. [m] is Alice's cache
-    capacity in blocks; the residency bound is enforced by
-    {!Odex_extmem.Cache} and violating it raises
-    {!Odex_extmem.Cache.Overflow}. *)
+val run : t -> ?order:Order.t -> m:int -> Ext_array.t -> unit
+(** [run s ~order ~m a] sorts the cells of [a] in place into
+    non-decreasing [order], empties last. [order] defaults to
+    {!Order.Keys}. [m] is Alice's cache capacity in blocks; the
+    residency bound is enforced by {!Odex_extmem.Cache} and violating it
+    raises {!Odex_extmem.Cache.Overflow}. *)
 
 val run_selective :
-  t -> ?cmp:(Cell.t -> Cell.t -> int) -> real:bool -> m:int -> Ext_array.t -> unit
+  t -> ?order:Order.t -> real:bool -> m:int -> Ext_array.t -> unit
 (** [run_selective s ~real ~m a] performs exactly the same I/Os as
     [run s ~m a], but when [real] is false every write puts back the
     content that was read: a {e dummy} pass. Bob sees identical traces
@@ -103,11 +106,10 @@ val find : ?seed:int -> string -> t option
     ["bitonic"] (alias ["batcher"]), ["bitonic-windowed"],
     ["columnsort"], ["bucket"], ["auto"]. *)
 
-val merge_split :
-  cmp:(Cell.t -> Cell.t -> int) -> ascending:bool -> Block.t -> Block.t -> unit
+val merge_split : order:Order.t -> ascending:bool -> Block.t -> Block.t -> unit
 (** The block comparator: merge the 2B cells of two blocks and split
     them low half / high half (or the reverse when [ascending] is
-    false). Requires both blocks sorted under [cmp] — the networks
+    false). Requires both blocks sorted under [order] — the networks
     pre-sort every block and each merge-split keeps both sorted — and
     then equals a stable sort of [u @ v] split at B: a tie takes [u]'s
     cell first. One linear merge, no sort. *)

@@ -545,6 +545,44 @@ let test_rng_bool_does_not_allocate () =
     true (per_draw < 0.5);
   Alcotest.(check bool) "the coins are not constant" true (!heads > 0 && !heads < draws + 1000)
 
+(* Bigbuf.blit is a memmove: on one buffer, a region copied forward or
+   backward over itself must land as Bytes.blit lands it. *)
+let prop_bigbuf_blit_overlap =
+  let open QCheck2.Gen in
+  let gen =
+    int_range 1 96 >>= fun n ->
+    quad (pure n) (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 n)
+  in
+  Util.qcheck_case ~name:"bigbuf blit on overlapping regions = Bytes.blit" ~count:500 gen
+    (fun (n, soff, doff, len) ->
+      let len = min len (n - max soff doff) in
+      let model = Bytes.init n (fun i -> Char.chr ((i * 37) land 0xFF)) in
+      let buf = Util.big_of_bytes model in
+      Bytes.blit model soff model doff len;
+      Bigbuf.blit buf soff buf doff len;
+      Bytes.equal (Util.bytes_of_big buf) model)
+
+(* A refused region moves nothing: the range check precedes the copy. *)
+let test_bigbuf_refusals_leave_dst () =
+  let src = Util.big_of_bytes (Bytes.make 16 'x') in
+  let dst = Util.big_of_bytes (Bytes.init 16 (fun i -> Char.chr (65 + i))) in
+  let before = Util.bytes_of_big dst in
+  let refused what f =
+    (match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check bytes) (what ^ ": destination unchanged") before (Util.bytes_of_big dst)
+  in
+  refused "blit past the destination" (fun () -> Bigbuf.blit src 0 dst 8 9);
+  refused "blit past the source" (fun () -> Bigbuf.blit src 9 dst 0 8);
+  refused "blit negative length" (fun () -> Bigbuf.blit src 0 dst 0 (-1));
+  refused "blit negative offset" (fun () -> Bigbuf.blit src 0 dst (-1) 4);
+  refused "zero past the end" (fun () -> Bigbuf.zero dst 10 7);
+  refused "zero negative length" (fun () -> Bigbuf.zero dst 0 (-3));
+  Bigbuf.zero dst 4 8;
+  Alcotest.(check string) "zero clears exactly its region" "ABCD\000\000\000\000\000\000\000\000MNOP"
+    (Bytes.to_string (Util.bytes_of_big dst))
+
 let suite =
   [
     ("rng determinism", `Quick, test_rng_determinism);
@@ -574,6 +612,8 @@ let suite =
     ("cipher xor_run matches xor_big", `Quick, test_xor_run_matches_xor_big);
     ("chacha20 engine properties", `Quick, test_chacha20_engine_properties);
     ("prf to_range uniformity", `Quick, test_to_range_uniform);
+    ("bigbuf refused regions move nothing", `Quick, test_bigbuf_refusals_leave_dst);
+    prop_bigbuf_blit_overlap;
     prop_to_range_bounds;
     prop_permutation_valid;
     prop_cipher_roundtrip;

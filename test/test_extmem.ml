@@ -107,7 +107,7 @@ let test_block_sort () =
   let blk =
     [| Cell.item ~key:3 ~value:0 (); Cell.empty; Cell.item ~key:1 ~value:0 (); Cell.item ~key:2 ~value:0 () |]
   in
-  Block.sort_in_place Cell.compare_keys blk;
+  Block.sort_in_place Order.Keys blk;
   Alcotest.(check (list int)) "sorted, empties last" [ 1; 2; 3 ]
     (List.map (fun (it : Cell.item) -> it.key) (Block.items blk));
   Alcotest.(check bool) "last is empty" true (blk.(3) = Cell.empty)
@@ -394,12 +394,79 @@ let prop_storage_roundtrip_encrypted =
       let got = Storage.read s base in
       Array.for_all2 ( = ) blk got)
 
+(* ---------------- orders as data ---------------- *)
+
+let prp_domain = 64
+let test_prp = Odex_crypto.Prp.create ~domain:prp_domain (Odex_crypto.Prf.key_of_int 0x0D3E)
+let orders = Order.[| Keys; By_tag; By_aux; Dedup; By_prp test_prp |]
+
+(* Cells with empties, duplicate and negative words and the extreme
+   filler keys; the value tells tied cells apart. A PRP order only takes
+   keys in its domain, so its keys are folded into it. *)
+let gen_cells ~prp =
+  let open QCheck2.Gen in
+  let word = frequency [ (6, int_range (-3) 3); (1, pure max_int); (1, pure min_int); (1, int) ] in
+  let key = if prp then int_range 0 (prp_domain - 1) else word in
+  let cell =
+    frequency
+      [
+        (1, pure Cell.empty);
+        (5, triple key word word >|= fun (key, tag, aux) -> Cell.item ~tag ~aux ~key ~value:0 ());
+      ]
+  in
+  list_size (int_range 0 40) cell
+  >|= List.mapi (fun i -> function
+        | Cell.Empty -> Cell.Empty
+        | Cell.Item it -> Cell.Item { it with value = i })
+
+let gen_order_cells =
+  let open QCheck2.Gen in
+  int_range 0 (Array.length orders - 1) >>= fun o ->
+  map (fun cells -> (o, Array.of_list cells)) (gen_cells ~prp:(o = 4))
+
+(* The cells as images in one flat slot, with their offsets. *)
+let images cells =
+  let n = Array.length cells in
+  let flat = Flat.create ~block_size:(max 1 n) ~blocks:1 in
+  let offs = Array.init n (fun slot -> Flat.cell_offset flat ~block:0 ~slot) in
+  Array.iteri (fun i c -> Flat.set_cell flat offs.(i) c) cells;
+  (flat, offs)
+
+let prop_compare_images_agrees =
+  Util.qcheck_case ~name:"compare_images agrees in sign with compare, every order" ~count:300
+    gen_order_cells (fun (o, cells) ->
+      let order = orders.(o) in
+      let flat, offs = images cells in
+      let buf = Flat.buffer flat in
+      let n = Array.length cells in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let want = Int.compare (Order.compare order cells.(i) cells.(j)) 0 in
+          let got = Int.compare (Order.compare_images order buf offs.(i) buf offs.(j)) 0 in
+          if want <> got then ok := false
+        done
+      done;
+      !ok)
+
+let prop_sort_images_is_array_sort =
+  Util.qcheck_case ~name:"sort_images gives Array.sort's permutation, ties included" ~count:300
+    gen_order_cells (fun (o, cells) ->
+      let order = orders.(o) in
+      let flat, offs = images cells in
+      Order.sort_images order (Flat.buffer flat) offs;
+      let want = Array.copy cells in
+      Array.sort (Order.compare order) want;
+      Array.map (Flat.get_cell flat) offs = want)
+
 let suite =
   [
     ("cell encode roundtrip", `Quick, test_cell_roundtrip);
     ("cell zero image is empty", `Quick, test_zero_image_is_empty);
     ("cell bad constructor word", `Quick, test_bad_constructor_word);
     ("cell ordering", `Quick, test_cell_ordering);
+    prop_compare_images_agrees;
+    prop_sort_images_is_array_sort;
     ("cell accessors", `Quick, test_cell_accessors);
     ("block basics", `Quick, test_block_basics);
     ("block sort", `Quick, test_block_sort);

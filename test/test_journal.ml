@@ -709,7 +709,7 @@ let bk_rank_keys =
 let bucket_sort_once s cells =
   let a = Ext_array.of_cells s ~block_size:bk_b cells in
   Odex_sortnet.Bucket_sort.sort ~plan:bk_plan ~master:(Lazy.force bk_master) ~real:true
-    ~cmp:Cell.compare_keys ~m:bk_m a;
+    ~order:Order.Keys ~m:bk_m a;
   a
 
 let bucket_full_sort_ios keys =
@@ -724,7 +724,7 @@ let bucket_full_sort_ios keys =
       let a = Ext_array.of_cells s ~block_size:bk_b cells in
       let before = Stats.total (Storage.stats s) in
       Odex_sortnet.Bucket_sort.sort ~plan:bk_plan ~master:(Lazy.force bk_master) ~real:true
-        ~cmp:Cell.compare_keys ~m:bk_m a;
+        ~order:Order.Keys ~m:bk_m a;
       Stats.total (Storage.stats s) - before)
 
 let bucket_sweep_point ~keys ~full_ios k =
@@ -786,7 +786,7 @@ let bucket_sweep_point ~keys ~full_ios k =
   in
   let before = Stats.total (Storage.stats s2) in
   Odex_sortnet.Bucket_sort.sort ~plan:bk_plan ~master:(Lazy.force bk_master) ~real:true
-    ~cmp:Cell.compare_keys ~m:bk_m a2;
+    ~order:Order.Keys ~m:bk_m a2;
   let resumed_ios = Stats.total (Storage.stats s2) - before in
   let got = List.map (fun (it : Cell.item) -> it.key) (Ext_array.items a2) in
   let expect = List.sort compare (Array.to_list keys) in

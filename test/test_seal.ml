@@ -344,6 +344,72 @@ let test_butterfly_allocation () =
     (Printf.sprintf "%.2f minor words per counted I/O (want < 5)" per_io)
     true (per_io < 5.0)
 
+(* Minor words [f] allocates per call, over [iters] calls after a
+   warm-up call. *)
+let words_per_call ?(iters = 10_000) f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+(* The byte mover and the cell encoder sit under every transfer and every
+   staged cell: neither may allocate at all. [Bigbuf.blit] is a
+   [@@noalloc] memmove behind its range check; [Flat.set_cell] encodes
+   through the unboxed 64-bit primitives. *)
+let test_blit_and_set_cell_do_not_allocate () =
+  let src = Bigbuf.create 4096 and dst = Bigbuf.create 4096 in
+  let i = ref 0 in
+  let per_blit =
+    words_per_call (fun () ->
+        i := (!i + 40) land 2047;
+        Bigbuf.blit src !i dst (2048 - !i) 2000)
+  in
+  Alcotest.(check (float 0.)) "minor words per Bigbuf.blit" 0. per_blit;
+  let flat = Flat.create ~block_size:8 ~blocks:4 in
+  let cells = [| Cell.item ~tag:3 ~aux:(-1) ~key:max_int ~value:7 (); Cell.empty |] in
+  let per_set =
+    words_per_call (fun () ->
+        i := (!i + 1) land 31;
+        Flat.set_cell flat
+          (Flat.cell_offset flat ~block:(!i lsr 3) ~slot:(!i land 7))
+          cells.(!i land 1))
+  in
+  Alcotest.(check (float 0.)) "minor words per Flat.set_cell" 0. per_set;
+  Alcotest.(check bool) "the last image round-trips" true
+    (Flat.get_cell flat (Flat.cell_offset flat ~block:3 ~slot:7) = cells.(1))
+
+(* The bucket sort stages, sorts and merges encoded images and never
+   decodes a cell: sorting N = 16 384 cells of B = 8 at m = 128 (the
+   sort-mem geometry at half its N) on a warmed Mem store allocates under
+   5 minor words per counted I/O. *)
+let test_bucket_sort_allocation () =
+  let b = 8 and n = 2048 in
+  let s = Storage.create ~block_size:b () in
+  let a = Ext_array.create s ~blocks:n in
+  let fill () =
+    for i = 0 to n - 1 do
+      Storage.unchecked_poke s (Ext_array.addr a i)
+        (Array.init b (fun j -> Cell.item ~key:(((i * b) + j) * 7919 mod 16_384) ~value:i ()))
+    done
+  in
+  let sorter = Odex_sortnet.Ext_sort.bucket () in
+  fill ();
+  Odex_sortnet.Ext_sort.run sorter ~m:128 a;
+  fill ();
+  let ios0 = Stats.total (Storage.stats s) in
+  let w0 = Gc.minor_words () in
+  Odex_sortnet.Ext_sort.run sorter ~m:128 a;
+  let per_io =
+    (Gc.minor_words () -. w0) /. float_of_int (Stats.total (Storage.stats s) - ios0)
+  in
+  Alcotest.(check bool) "sorted" true
+    (Util.is_sorted_list (Util.keys_of_items (Ext_array.items a)));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per counted I/O (want < 5)" per_io)
+    true (per_io < 5.0)
+
 let suite =
   [
     ("v1 store header refused", `Quick, test_v1_store_header_refused);
@@ -355,5 +421,7 @@ let suite =
     ("trace record allocation-free", `Quick, test_trace_record_does_not_allocate);
     ("flat run allocation-free", `Quick, test_flat_run_does_not_allocate);
     ("butterfly compaction allocation", `Quick, test_butterfly_allocation);
+    ("blit and set_cell allocation-free", `Quick, test_blit_and_set_cell_do_not_allocate);
+    ("bucket sort allocation", `Quick, test_bucket_sort_allocation);
   ]
   @ sealed_parity_cases

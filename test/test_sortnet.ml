@@ -27,29 +27,34 @@ let check_zero_one ?(b = 1) ?(m = 4) sorter () =
 let test_merge_split () =
   let mk keys = Array.map (fun k -> if k < 0 then Cell.empty else Cell.item ~key:k ~value:k ()) keys in
   let u = mk [| 1; 5; 9 |] and v = mk [| 2; 3; -1 |] in
-  Ext_sort.merge_split ~cmp:Cell.compare_keys ~ascending:true u v;
+  Ext_sort.merge_split ~order:Order.Keys ~ascending:true u v;
   Alcotest.(check (list int)) "low half" [ 1; 2; 3 ]
     (List.map (fun (it : Cell.item) -> it.key) (Block.items u));
   Alcotest.(check (list int)) "high half" [ 5; 9 ]
     (List.map (fun (it : Cell.item) -> it.key) (Block.items v));
   let u = mk [| 1; 5; 9 |] and v = mk [| 2; 3; -1 |] in
-  Ext_sort.merge_split ~cmp:Cell.compare_keys ~ascending:false u v;
+  Ext_sort.merge_split ~order:Order.Keys ~ascending:false u v;
   Alcotest.(check (list int)) "descending: high half first" [ 5; 9 ]
     (List.map (fun (it : Cell.item) -> it.key) (Block.items u))
 
-(* The orders lib sorts under, including the ORAM dedup sort's
+(* The orders lib sorts under, each beside an independent reference
+   comparator on decoded cells, including the ORAM dedup sort's
    key-then-newest-tag order. *)
 let merge_orders =
-  let key_then_tag_desc c1 c2 =
+  let on_items f c1 c2 =
     match (c1, c2) with
     | Cell.Empty, Cell.Empty -> 0
     | Cell.Empty, Cell.Item _ -> 1
     | Cell.Item _, Cell.Empty -> -1
-    | Cell.Item x, Cell.Item y ->
-        let c = compare x.key y.key in
-        if c <> 0 then c else compare y.tag x.tag
+    | Cell.Item x, Cell.Item y -> f x y
   in
-  [| Cell.compare_keys; Util.compare_by_tag; Cell.compare_by_aux; key_then_tag_desc |]
+  [|
+    (Order.Keys, on_items (fun (x : Cell.item) y -> compare (x.key, x.tag) (y.key, y.tag)));
+    (Order.By_tag, on_items (fun (x : Cell.item) y -> compare (x.tag, x.key) (y.tag, y.key)));
+    ( Order.By_aux,
+      on_items (fun (x : Cell.item) y -> compare (x.aux, x.key, x.tag) (y.aux, y.key, y.tag)) );
+    (Order.Dedup, on_items (fun (x : Cell.item) y -> compare (x.key, y.tag) (y.key, x.tag)));
+  |]
 
 (* Internally sorted block pairs with ties (few distinct keys, tags and
    aux words; the value tells tied cells apart) and empties: the merge
@@ -73,12 +78,12 @@ let prop_merge_split_stable =
   in
   Util.qcheck_case ~name:"merge-split is a stable sort of u @ v split at B" ~count:500 gen
     (fun (o, ascending, u, v) ->
-      let cmp = merge_orders.(o) in
+      let order, cmp = merge_orders.(o) in
       let b = Array.length u in
       let sorted blk = Array.of_list (List.stable_sort cmp (Array.to_list blk)) in
       let u = sorted u and v = sorted v in
       let want = Array.of_list (List.stable_sort cmp (Array.to_list u @ Array.to_list v)) in
-      Ext_sort.merge_split ~cmp ~ascending u v;
+      Ext_sort.merge_split ~order ~ascending u v;
       let lo, hi = if ascending then (u, v) else (v, u) in
       let same got off = Array.for_all2 ( = ) got (Array.sub want off b) in
       same lo 0 && same hi b)
@@ -134,7 +139,7 @@ let test_sort_custom_cmp () =
   in
   let (), a =
     Util.with_array ~b:2 cells (fun _s a ->
-        Ext_sort.run Ext_sort.bitonic_windowed ~cmp:Util.compare_by_tag ~m:4 a)
+        Ext_sort.run Ext_sort.bitonic_windowed ~order:Order.By_tag ~m:4 a)
   in
   let tags = List.map (fun (it : Cell.item) -> it.tag) (Ext_array.items a) in
   Alcotest.(check (list int)) "tags ascending" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] tags
@@ -334,7 +339,7 @@ let test_bucket_custom_cmp () =
   let cells = Array.init 2048 (fun i -> Cell.item ~tag:(2047 - i) ~key:i ~value:0 ()) in
   let (), a =
     Util.with_array ~b:4 cells (fun _s a ->
-        Ext_sort.run (Ext_sort.bucket ()) ~cmp:Util.compare_by_tag ~m:256 a)
+        Ext_sort.run (Ext_sort.bucket ()) ~order:Order.By_tag ~m:256 a)
   in
   let tags = List.map (fun (it : Cell.item) -> it.tag) (Ext_array.items a) in
   Alcotest.(check bool) "tags ascending" true (Util.is_sorted_list tags)
@@ -384,7 +389,7 @@ let test_bucket_overflow_raises () =
     Util.with_array ~b:2 cells (fun _s a ->
         Alcotest.(check bool) "Overflow raised" true
           (try
-             Bucket_sort.sort ~plan ~master ~real:true ~cmp:Cell.compare_keys ~m:64 a;
+             Bucket_sort.sort ~plan ~master ~real:true ~order:Order.Keys ~m:64 a;
              false
            with Bucket_sort.Overflow _ -> true))
   in
@@ -404,7 +409,7 @@ let test_bucket_simulate_matches_run () =
       Util.with_array ~b:2 (Util.cells_of_keys keys) (fun _s a ->
           let raised =
             try
-              Bucket_sort.sort ~plan ~master ~real:true ~cmp:Cell.compare_keys ~m:64 a;
+              Bucket_sort.sort ~plan ~master ~real:true ~order:Order.Keys ~m:64 a;
               false
             with Bucket_sort.Overflow _ -> true
           in
@@ -548,7 +553,7 @@ let multipass_case msg cells pins =
   let master = clean_master multipass_plan ~b ~n_blocks in
   let ((a, _, _, _) as run) =
     Util.traced_run ~b cells (fun _s a ->
-        Bucket_sort.sort ~plan:multipass_plan ~master ~real:true ~cmp:Cell.compare_keys
+        Bucket_sort.sort ~plan:multipass_plan ~master ~real:true ~order:Order.Keys
           ~m:multipass_m a)
   in
   check_cells_sorted msg a;

@@ -36,15 +36,6 @@ let storage ?cipher ?(trace = Trace.Digest) ~b () =
 let cells_of_keys keys =
   Array.mapi (fun i k -> Cell.item ~tag:i ~key:k ~value:(k * 10) ()) keys
 
-(* Items by (tag, key), empties last: a comparator that is not the
-   default one. *)
-let compare_by_tag a b =
-  match (a, b) with
-  | Cell.Empty, Cell.Empty -> 0
-  | Cell.Empty, Cell.Item _ -> 1
-  | Cell.Item _, Cell.Empty -> -1
-  | Cell.Item x, Cell.Item y -> compare (x.tag, x.key) (y.tag, y.key)
-
 (* The array's blocks, read out of band (uncounted, untraced). *)
 let peek_blocks a =
   List.init (Ext_array.blocks a) (fun i ->
