@@ -905,11 +905,12 @@ let e16_table =
 (* ------------------------------------------------------------------ *)
 (* E17 — DESIGN.md §10: crash-recovery cost against the journal's
    auto-commit threshold. The pending tail is bounded by
-   [auto_commit_bytes], so that knob caps both legs of a recovery:
-   the redo-replay of a committed-but-unapplied group and the scan that
-   discards an unmarked tail. We fill the tail right up to the
-   threshold, crash, and time the [replay:true] reopen. Both legs run on
-   their own file store and journal, whatever --backend says. *)
+   [auto_commit_bytes], so that knob caps the redo-replay of a
+   committed-but-unapplied group. An unmarked group is staged in memory
+   only, so the discard leg's reopen scans an empty tail. We fill the
+   tail right up to the threshold, crash, and time the [replay:true]
+   reopen. Both legs run on their own file store and journal, whatever
+   --backend says. *)
 
 let e17 env =
   let payload_size = 256 in
@@ -972,8 +973,8 @@ let e17 env =
         (* Replay: the commit marker lands, then the crash takes out the
            very first in-place apply — reopening must redo every record. *)
         leg ~name:"replay" ~commit:true ~expect:group_of acb;
-        (* Discard: the same tail but no marker — the reopen only scans
-           the tail and truncates it; nothing is re-applied. *)
+        (* Discard: the same tail but no marker — it never left memory,
+           so the reopen finds an empty tail; nothing is re-applied. *)
         leg ~name:"discard" ~commit:false ~expect:(fun _ -> 0) acb;
       ])
     [ 65536; 262144; 1048576; 4194304 ]
@@ -987,8 +988,9 @@ let e17_table rs =
     ]
     (named "replay" rs);
   Table.note
-    "  both recovery legs scale linearly with the tail, which auto_commit_bytes caps;\n\
-    \  the 4 MiB default keeps worst-case replay under ~100 ms on a local\n\
+    "  replay scales linearly with the tail, which auto_commit_bytes caps; the discard\n\
+    \  leg scans an empty tail (an uncommitted group never reaches the disk).\n\
+    \  The 4 MiB default keeps worst-case replay under ~100 ms on a local\n\
     \  file store. Shrink it (odx --auto-commit-bytes) only to tighten the rollback\n\
     \  window on slow media, at the price of more fsync'd commit markers.\n"
 

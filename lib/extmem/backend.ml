@@ -458,9 +458,8 @@ let router ~shards ~seed =
   Array.iteri (fun j s -> perm_inv.(s) <- j) perm;
   { shards; perm; perm_inv }
 
-let route r a =
-  let g = a / r.shards in
-  (r.perm.(((a mod r.shards) + g) mod r.shards), g)
+let route_shard r a = r.perm.(((a mod r.shards) + (a / r.shards)) mod r.shards)
+let route_index r a = a / r.shards
 
 let logical r ~shard ~index =
   let j = (r.perm_inv.(shard) - index) mod r.shards in
@@ -468,7 +467,8 @@ let logical r ~shard ~index =
 
 let shard_route ~shards ~seed a =
   if a < 0 then invalid_arg "Backend.shard_route: negative address";
-  route (router ~shards ~seed) a
+  let r = router ~shards ~seed in
+  (route_shard r a, route_index r a)
 
 (* Every per-shard transfer runs on the caller's domain, one shard at a
    time: the stripe models K servers, not K cores, and on the hosts
@@ -490,90 +490,87 @@ module Sharded = struct
 
   let logical t s g = logical t.r ~shard:s ~index:g
 
-  (* Member inner-address interval of shard [s] within logical [lo, hi):
-     [logical t s g] is strictly increasing in [g], so the members form
-     one contiguous inner run (possibly empty). Interior groups always
-     contribute; only the two boundary groups need the window check. *)
-  let members t s ~lo ~hi =
-    let k = t.r.shards in
-    let g0 = lo / k and g1 = (hi - 1) / k in
-    let gs = if logical t s g0 >= lo then g0 else g0 + 1 in
-    let ge = if logical t s g1 < hi then g1 else g1 - 1 in
-    if gs > ge then None else Some (gs, ge)
+  (* Member inner-address interval [first_member, last_member] of shard
+     [s] within logical [lo, hi): [logical t s g] is strictly increasing
+     in [g], so the members form one contiguous inner run, empty when
+     first > last. Interior groups always contribute; only the two
+     boundary groups need the window check. *)
+  let first_member t s ~lo =
+    let g0 = lo / t.r.shards in
+    if logical t s g0 >= lo then g0 else g0 + 1
+
+  let last_member t s ~hi =
+    let g1 = (hi - 1) / t.r.shards in
+    if logical t s g1 < hi then g1 else g1 - 1
 
   let scratch t need =
     if Bigbuf.length t.scratch < need then
       t.scratch <- Bigbuf.create (max need (2 * Bigbuf.length t.scratch));
     t.scratch
 
-  (* Run [f s gs ge] for every shard [s] holding members [gs, ge] of
-     logical [lo, hi), and aggregate failures. Every shard runs to
+  (* Copy members [gs, upto] of shard [s] from the scratch buffer to
+     their places in the caller's run at logical [lo]. *)
+  let scatter t s ~gs ~upto ~lo ~payload ~buf ~off scr =
+    for g = gs to upto do
+      Bigbuf.blit scr ((g - gs) * payload) buf (off + ((logical t s g - lo) * payload)) payload
+    done
+
+  (* Shard [s]'s part of the run at logical [lo]: its members [gs, ge]
+     gathered into the scratch buffer and written as one inner run, or
+     read as one inner run and scattered. A fault is re-raised at its
+     logical address: inner blocks [gs, gf) moved, and their logical
+     addresses are exactly the members below the faulted one. *)
+  let shard_run ~write t s ~gs ~ge ~lo ~payload ~buf ~off =
+    let n = ge - gs + 1 in
+    let scr = scratch t (n * payload) in
+    if write then begin
+      for g = gs to ge do
+        Bigbuf.blit buf (off + ((logical t s g - lo) * payload)) scr ((g - gs) * payload) payload
+      done;
+      match write_run t.inners.(s) ~addr:gs ~count:n ~payload ~buf:scr ~off:0 with
+      | () -> ()
+      | exception Transient { addr = gf; access } ->
+          raise (Transient { addr = logical t s gf; access })
+    end
+    else
+      match read_run t.inners.(s) ~addr:gs ~count:n ~payload ~buf:scr ~off:0 with
+      | () -> scatter t s ~gs ~upto:ge ~lo ~payload ~buf ~off scr
+      | exception Transient { addr = gf; access } ->
+          scatter t s ~gs ~upto:(gf - 1) ~lo ~payload ~buf ~off scr;
+          raise (Transient { addr = logical t s gf; access })
+
+  let check_open t = if t.closed then invalid_arg "Backend.Sharded: store is closed"
+
+  (* Run every shard holding members of logical [addr, addr + count),
+     one at a time, and aggregate failures. Every shard runs to
      completion (or its own fault) even when another shard faults first:
      the resume contract promises all logical blocks below the faulted
      address transferred, and those blocks live on the other shards. A
      non-transient exception wins over any transient (it is a bug, not
      weather); otherwise the smallest faulted logical address is
-     re-raised. *)
-  let dispatch t ~lo ~hi f =
-    let hard = ref None and fault = ref None in
-    for s = 0 to t.r.shards - 1 do
-      match members t s ~lo ~hi with
-      | None -> ()
-      | Some (gs, ge) -> (
-          t.ops.(s) <- t.ops.(s) + (ge - gs + 1);
-          match f s gs ge with
-          | () -> ()
-          | exception Transient x -> (
-              match !fault with
-              | Some (y, _) when y <= x.addr -> ()
-              | _ -> fault := Some (x.addr, Transient x))
-          | exception e -> if !hard = None then hard := Some e)
-    done;
-    Option.iter raise !hard;
-    Option.iter (fun (_, e) -> raise e) !fault
-
-  let check_open t = if t.closed then invalid_arg "Backend.Sharded: store is closed"
-
+     re-raised. The loop builds no closure and no option: a run
+     allocates nothing unless it faults. *)
   let run_ops ~write t ~addr ~count ~payload ~buf ~off =
     let who = if write then "Backend.Sharded.write_run" else "Backend.Sharded.read_run" in
     check_open t;
     check_run ~who ~payload_bytes:(payload_bytes t) ~blocks:t.len ~addr ~count ~payload ~buf ~off;
     if count > 0 then begin
-      let lo = addr in
-      dispatch t ~lo ~hi:(addr + count) (fun s gs ge ->
-          let n = ge - gs + 1 in
-          let scr = scratch t (n * payload) in
-          if write then begin
-            for g = gs to ge do
-              Bigbuf.blit buf
-                (off + ((logical t s g - lo) * payload))
-                scr
-                ((g - gs) * payload)
-                payload
-            done;
-            match write_run t.inners.(s) ~addr:gs ~count:n ~payload ~buf:scr ~off:0 with
-            | () -> ()
-            | exception Transient { addr = gf; access } ->
-                (* Inner blocks [gs, gf) landed; their logical addresses
-                   are exactly the members below the faulted one. *)
-                raise (Transient { addr = logical t s gf; access })
-          end
-          else begin
-            let scatter upto =
-              for g = gs to upto do
-                Bigbuf.blit scr
-                  ((g - gs) * payload)
-                  buf
-                  (off + ((logical t s g - lo) * payload))
-                  payload
-              done
-            in
-            match read_run t.inners.(s) ~addr:gs ~count:n ~payload ~buf:scr ~off:0 with
-            | () -> scatter ge
-            | exception Transient { addr = gf; access } ->
-                scatter (gf - 1);
-                raise (Transient { addr = logical t s gf; access })
-          end)
+      let hard = ref None and fault = ref None in
+      for s = 0 to t.r.shards - 1 do
+        let gs = first_member t s ~lo:addr and ge = last_member t s ~hi:(addr + count) in
+        if gs <= ge then begin
+          t.ops.(s) <- t.ops.(s) + (ge - gs + 1);
+          match shard_run ~write t s ~gs ~ge ~lo:addr ~payload ~buf ~off with
+          | () -> ()
+          | exception Transient x -> (
+              match !fault with
+              | Some (y, _) when y <= x.addr -> ()
+              | _ -> fault := Some (x.addr, Transient x))
+          | exception e -> if !hard = None then hard := Some e
+        end
+      done;
+      Option.iter raise !hard;
+      Option.iter (fun (_, e) -> raise e) !fault
     end
 
   let read_run t ~addr ~count ~payload ~buf ~off =

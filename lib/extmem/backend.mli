@@ -222,20 +222,25 @@ val router : shards:int -> seed:int -> router
 (** The router of a [shards]-way stripe keyed by [seed]. Raises
     [Invalid_argument] when [shards < 1]. *)
 
-val route : router -> int -> int * int
-(** [route r a] is the (shard, inner address) pair logical block [a >= 0]
-    maps to. *)
+val route_shard : router -> int -> int
+(** [route_shard r a] is the shard logical block [a >= 0] maps to. *)
+
+val route_index : router -> int -> int
+(** [route_index r a] is the inner address logical block [a >= 0] has on
+    its shard. Two int functions rather than one pair, so recording an
+    I/O in a per-shard trace allocates nothing. *)
 
 val logical : router -> shard:int -> index:int -> int
-(** The inverse of {!route}: the logical address of the [index]-th block
-    held by [shard] ([0 <= shard < r.shards], [index >= 0]), so
-    [route r (logical r ~shard ~index) = (shard, index)]. Strictly
+(** The inverse of {!route_shard} and {!route_index}: the logical
+    address of the [index]-th block held by [shard]
+    ([0 <= shard < r.shards], [index >= 0]), so [route_shard] and
+    [route_index] map it back to [shard] and [index]. Strictly
     increasing in [index]. Arguments are not checked. *)
 
 val shard_route : shards:int -> seed:int -> int -> int * int
-(** [shard_route ~shards ~seed a] is [route (router ~shards ~seed) a],
-    with a negative [a] rejected. Exposed for property tests (the map
-    must be a bijection). *)
+(** [shard_route ~shards ~seed a] is the (shard, inner address) pair
+    of [a] under [router ~shards ~seed], with a negative [a] rejected.
+    Exposed for property tests (the map must be a bijection). *)
 
 val sharded : seed:int -> t array -> t
 (** [sharded ~seed inners] stripes one logical address space across the

@@ -1,12 +1,14 @@
 (* Write-ahead redo journal around a backend (the crash-atomicity layer
    of DESIGN.md §10).
 
-   Every mutation is appended to a side file as a length-prefixed,
-   checksummed record and kept in an in-memory overlay that serves
-   read-your-writes; the inner store is NOT touched until [commit]. The
-   commit protocol is marker-then-apply:
+   Every mutation is staged as a length-prefixed, checksummed record in
+   one off-heap arena (the byte image of the journal's record region),
+   indexed by an overlay that serves read-your-writes; neither the file
+   nor the inner store is touched until [commit]. The commit protocol is
+   marker-then-apply:
 
-     1. fsync the records (when [durable]),
+     1. write the arena behind the header in one positioned write and
+        fsync it (when [durable]),
      2. persist the commit marker — the header's committed-tail offset —
         and fsync it,
      3. apply every pending record to the inner store, in append order,
@@ -21,7 +23,8 @@
    compare-exchange group torn in the middle loses data when re-run,
    while a group rolled back to its start is simply re-executed
    ({!Ext_sort} aligns its checkpoints with commits for exactly this
-   reason).
+   reason). Staging a group until its commit changes no recovery
+   outcome: replay would discard every record of it anyway.
 
    Recovery is oblivious by construction: the replay schedule — which
    (addr, count) runs are rewritten, in which order — is a function of
@@ -67,15 +70,21 @@ type t = {
           (their apply may be incomplete — replay finishes it); records
           at or above it are provisional and discarded by replay. *)
   mutable slots : slot option array;  (** The checkpoint table, [max_slots] entries. *)
-  overlay : (int, Bigbuf.t * int) Hashtbl.t;
-      (** addr -> latest pending sealed payload (buffer, offset): the
-          read-your-writes view of the uncommitted tail. *)
-  mutable pending_ops : (int * int * Bigbuf.t) list;
-      (** (addr, count, payload run) per pending record, reversed. *)
+  mutable arena : Bigbuf.t;
+      (** The record region [header_bytes, tail) at offset
+          [- header_bytes]: the pending group, record headers included,
+          until commit writes it out; replay reads the committed region
+          back into it. *)
+  mutable overlay : int array;
+      (** addr -> arena offset of the addr's latest pending payload: the
+          read-your-writes view of the pending group, open-addressed as
+          (addr, offset) pairs, addr -1 = free. *)
+  mutable live : int;  (** Occupied overlay pairs. *)
   mutable hold_depth : int;
       (** > 0 suppresses auto-commit: the writer is inside an atomic
           group ({!hold}/{!release}) that must not be split. *)
-  mutable append_log : (int * int) list;  (** (addr, count) per record, reversed. *)
+  mutable appends : int array;  (** addr, count per record since open, flattened. *)
+  mutable logged : int;  (** Words of [appends] in use. *)
   mutable replay_log : (int * int) list;  (** Records re-applied at open, in order. *)
   mutable commit_count : int;
   mutable closed : bool;
@@ -89,7 +98,9 @@ type t = {
     32  max_slots (8) slot entries of slot_bytes (72) each:
           +0 kind (0 = empty, 1 = occupied)
           +8 phase, +16 cursor, +24 owner_len, +32 owner bytes (40)
-   608  FNV-1a checksum over bytes [0, 608) *)
+   608  FNV-1a checksum over bytes [0, 608)
+   Each record: len, addr, count, checksum (8 bytes each), then the
+   len = count * payload_size payload bytes. *)
 let max_slots = 8
 let max_owner_bytes = 40
 let slot_bytes = 72
@@ -106,13 +117,6 @@ let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
 let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xFF))) fnv_prime
-
-let fnv_bytes h buf off len =
-  let h = ref h in
-  for i = off to off + len - 1 do
-    h := fnv_byte !h (Char.code (Bytes.unsafe_get buf i))
-  done;
-  !h
 
 let fnv_big h buf off len =
   let h = ref h in
@@ -137,69 +141,54 @@ let record_checksum ~addr ~count buf off len =
        (Int64.of_int count))
     buf off len
 
-(* ---- raw file I/O (EINTR-hardened like the file backend's) ----
+(* Little-endian words of the header and the arena, through the unboxed
+   primitives; bounds are the caller's. Both travel through {!Bigio}. *)
+external get64 : Bigbuf.t -> int -> int64 = "%caml_bigstring_get64u"
+external set64 : Bigbuf.t -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-   The header and record headers are small cold-path [bytes]; record
-   bodies are sealed-payload runs and travel positionally through
-   {!Bigio} straight from/to the caller's off-heap buffer. *)
-
-let pwrite_all fd ~pos buf ~off ~len =
-  ignore (Unix.lseek fd pos Unix.SEEK_SET);
-  let done_ = ref 0 in
-  while !done_ < len do
-    done_ := !done_ + Backend.retry_eintr (fun () -> Unix.write fd buf (off + !done_) (len - !done_))
-  done
-
-(* Best-effort positioned read: returns the number of bytes read before
-   EOF — a short read here is a crash boundary, not an error. *)
-let pread_upto fd ~pos buf ~len =
-  ignore (Unix.lseek fd pos Unix.SEEK_SET);
-  let done_ = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !done_ < len do
-    let k = Backend.retry_eintr (fun () -> Unix.read fd buf !done_ (len - !done_)) in
-    if k = 0 then eof := true else done_ := !done_ + k
-  done;
-  !done_
+let[@inline] le w = if Sys.big_endian then bswap64 w else w
+let[@inline] get_word a off = Int64.to_int (le (get64 a off))
 
 let fsync_fd fd = Backend.retry_eintr (fun () -> Unix.fsync fd)
 
 (* ---- header ---- *)
 
 let build_header t =
-  let h = Bytes.make header_bytes '\000' in
-  Bytes.blit_string magic 0 h 0 8;
-  Bytes.set_int64_le h 8 (Int64.of_int t.payload_size);
-  Bytes.set_int64_le h 16 (Int64.of_int t.committed_tail);
-  Bytes.set_int64_le h 24 engine_id;
+  let h = Bigbuf.create header_bytes in
+  let set off v = set64 h off (le (Int64.of_int v)) in
+  String.iteri (Bigbuf.set h) magic;
+  set 8 t.payload_size;
+  set 16 t.committed_tail;
+  set64 h 24 (le engine_id);
   Array.iteri
     (fun i s ->
       let off = 32 + (i * slot_bytes) in
       match s with
       | None -> ()
       | Some { owner; phase; cursor } ->
-          Bytes.set_int64_le h off 1L;
-          Bytes.set_int64_le h (off + 8) (Int64.of_int phase);
-          Bytes.set_int64_le h (off + 16) (Int64.of_int cursor);
-          Bytes.set_int64_le h (off + 24) (Int64.of_int (String.length owner));
-          Bytes.blit_string owner 0 h (off + 32) (String.length owner))
+          set off 1;
+          set (off + 8) phase;
+          set (off + 16) cursor;
+          set (off + 24) (String.length owner);
+          String.iteri (fun j -> Bigbuf.set h (off + 32 + j)) owner)
     t.slots;
-  Bytes.set_int64_le h (header_bytes - 8) (fnv_bytes fnv_offset h 0 (header_bytes - 8));
+  set64 h (header_bytes - 8) (le (fnv_big fnv_offset h 0 (header_bytes - 8)));
   h
 
-let write_header t = pwrite_all t.fd ~pos:0 (build_header t) ~off:0 ~len:header_bytes
+let write_header t = Bigio.write_all t.fd ~pos:0 (build_header t) ~off:0 ~len:header_bytes
 
 let empty_slots () = Array.make max_slots None
 
 let parse_slot h off =
-  let len = Int64.to_int (Bytes.get_int64_le h (off + 24)) in
-  if Bytes.get_int64_le h off <> 1L || len < 1 || len > max_owner_bytes then None
+  let len = get_word h (off + 24) in
+  if le (get64 h off) <> 1L || len < 1 || len > max_owner_bytes then None
   else
     Some
       {
-        owner = Bytes.sub_string h (off + 32) len;
-        phase = Int64.to_int (Bytes.get_int64_le h (off + 8));
-        cursor = Int64.to_int (Bytes.get_int64_le h (off + 16));
+        owner = String.init len (fun j -> Bigbuf.unsafe_get h (off + 32 + j));
+        phase = get_word h (off + 8);
+        cursor = get_word h (off + 16);
       }
 
 (* Parse a header buffer into (slots, committed_tail). A failed header
@@ -208,32 +197,73 @@ let parse_slot h off =
    validate, so a foreign file or a journal sealed under a retired
    engine fails loudly. *)
 let parse_header ~payload_size h =
-  let ps = Int64.to_int (Bytes.get_int64_le h 8) in
+  let ps = get_word h 8 in
   if ps <> payload_size then
     invalid_arg
       (Printf.sprintf "Journal: journal has payload size %d, expected %d" ps payload_size);
-  if Bytes.get_int64_le h (header_bytes - 8) <> fnv_bytes fnv_offset h 0 (header_bytes - 8)
-  then (empty_slots (), header_bytes)
+  if le (get64 h (header_bytes - 8)) <> fnv_big fnv_offset h 0 (header_bytes - 8) then
+    (empty_slots (), header_bytes)
   else begin
-    Cipher.check_engine_id ~who:"Journal: journal header" (Bytes.get_int64_le h 24);
+    Cipher.check_engine_id ~who:"Journal: journal header" (le (get64 h 24));
     let slots = Array.init max_slots (fun i -> parse_slot h (32 + (i * slot_bytes))) in
-    (slots, max header_bytes (Int64.to_int (Bytes.get_int64_le h 16)))
+    (slots, max header_bytes (get_word h 16))
   end
+
+(* ---- the arena and the overlay ---- *)
+
+let reserve t need =
+  if Bigbuf.length t.arena < need then begin
+    let a = Bigbuf.create (max need (2 * Bigbuf.length t.arena)) in
+    Bigbuf.blit t.arena 0 a 0 (t.tail - header_bytes);
+    t.arena <- a
+  end
+
+(* The pair index of [a]'s entry, or of the free pair where it would go:
+   linear probing from a multiplicative hash, so strided runs spread.
+   The table is at most half full, so a free pair always ends the probe. *)
+let find_pair tbl a =
+  let mask = (Array.length tbl / 2) - 1 in
+  let i = ref (((a * 0x2545F4914F6CDD1D) lsr 29) land mask) in
+  while tbl.(2 * !i) >= 0 && tbl.(2 * !i) <> a do
+    i := (!i + 1) land mask
+  done;
+  2 * !i
+
+let rec overlay_set t a off =
+  if 4 * (t.live + 1) > Array.length t.overlay then begin
+    let old = t.overlay in
+    t.overlay <- Array.make (2 * Array.length old) (-1);
+    t.live <- 0;
+    for i = 0 to (Array.length old / 2) - 1 do
+      if old.(2 * i) >= 0 then overlay_set t old.(2 * i) old.((2 * i) + 1)
+    done
+  end;
+  let p = find_pair t.overlay a in
+  if t.overlay.(p) < 0 then begin
+    t.overlay.(p) <- a;
+    t.live <- t.live + 1
+  end;
+  t.overlay.(p + 1) <- off
+
+(* The arena offset of [a]'s pending payload; -1 when none is pending. *)
+let overlay_find t a =
+  let p = find_pair t.overlay a in
+  if t.overlay.(p) < 0 then -1 else t.overlay.(p + 1)
 
 (* ---- applying records to the inner store ----
 
    Inner [Transient]s are retried here — commit application and replay
    are out-of-band recovery, below Storage's counted engine. *)
 
-let apply_record t ~addr ~count buf =
+let apply_record t ~addr ~count ~off =
   Backend.ensure t.inner (addr + count);
   let payload = t.payload_size in
   let fin = addr + count in
   let rec go a attempts =
     if a < fin then
       match
-        Backend.write_run t.inner ~addr:a ~count:(fin - a) ~payload ~buf
-          ~off:((a - addr) * payload)
+        Backend.write_run t.inner ~addr:a ~count:(fin - a) ~payload ~buf:t.arena
+          ~off:(off + ((a - addr) * payload))
       with
       | () -> ()
       | exception Backend.Transient { addr = fa; _ } ->
@@ -243,50 +273,31 @@ let apply_record t ~addr ~count buf =
   in
   go addr 0
 
-(* ---- replay ----
-
-   Scan records from the end of the header up to the committed tail,
-   stopping early at the first torn or checksum-failing one (records are
-   appended strictly in order, so nothing intact can follow a torn
-   record), and redo each onto the inner store. Records beyond the
-   committed tail are a group the crash interrupted before its marker:
-   discarding them is what returns the store to the last commit
-   boundary. *)
-
-let replay_records t ~size =
-  let hdr = Bytes.create record_header_bytes in
-  let body = ref (Bigbuf.create 0) in
-  let pos = ref header_bytes in
-  let fin = min t.committed_tail size in
-  let stop = ref false in
-  while not !stop do
-    if !pos + record_header_bytes > fin then stop := true
-    else if pread_upto t.fd ~pos:!pos hdr ~len:record_header_bytes < record_header_bytes
-    then stop := true
+(* Redo the records of arena bytes [0, len) onto the inner store, in
+   append order: the one apply path of commit and replay. Commit walks
+   the group it staged itself; replay walks the committed region it
+   read back, so [replay] also verifies each checksum and logs the run.
+   The walk stops at the first torn or checksum-failing record (records
+   are appended strictly in order, so nothing intact can follow a torn
+   one). *)
+let apply_records t ~len ~replay =
+  let a = t.arena in
+  let pos = ref 0 in
+  while !pos + record_header_bytes <= len do
+    let rlen = get_word a !pos and addr = get_word a (!pos + 8) in
+    let count = get_word a (!pos + 16) and body = !pos + record_header_bytes in
+    if
+      count < 1 || addr < 0
+      || rlen <> count * t.payload_size
+      || body + rlen > len
+      || (replay && record_checksum ~addr ~count a body rlen <> le (get64 a (!pos + 24)))
+    then pos := len
     else begin
-      let len = Int64.to_int (Bytes.get_int64_le hdr 0) in
-      let addr = Int64.to_int (Bytes.get_int64_le hdr 8) in
-      let count = Int64.to_int (Bytes.get_int64_le hdr 16) in
-      let cks = Bytes.get_int64_le hdr 24 in
-      if
-        count < 1 || addr < 0
-        || len <> count * t.payload_size
-        || !pos + record_header_bytes + len > fin
-      then stop := true
-      else begin
-        if Bigbuf.length !body < len then body := Bigbuf.create len;
-        if Bigio.read_upto t.fd ~pos:(!pos + record_header_bytes) !body ~off:0 ~len < len
-        then stop := true
-        else if record_checksum ~addr ~count !body 0 len <> cks then stop := true
-        else begin
-          apply_record t ~addr ~count !body;
-          t.replay_log <- (addr, count) :: t.replay_log;
-          pos := !pos + record_header_bytes + len
-        end
-      end
+      apply_record t ~addr ~count ~off:body;
+      if replay then t.replay_log <- (addr, count) :: t.replay_log;
+      pos := body + rlen
     end
-  done;
-  t.replay_log <- List.rev t.replay_log
+  done
 
 (* ---- commit / checkpoint ---- *)
 
@@ -297,35 +308,30 @@ let commit t =
   if t.tail > header_bytes then begin
     (* Records durable, then the marker, then the in-place application:
        a crash anywhere in between replays this exact group on reopen. *)
+    Bigio.write_all t.fd ~pos:header_bytes t.arena ~off:0 ~len:(t.tail - header_bytes);
     if t.durable then fsync_fd t.fd;
     t.committed_tail <- t.tail;
     write_header t;
     if t.durable then fsync_fd t.fd;
-    List.iter
-      (fun (addr, count, buf) -> apply_record t ~addr ~count buf)
-      (List.rev t.pending_ops);
+    apply_records t ~len:(t.tail - header_bytes) ~replay:false;
     Backend.sync t.inner;
     Backend.retry_eintr (fun () -> Unix.ftruncate t.fd header_bytes);
     t.tail <- header_bytes;
     t.committed_tail <- header_bytes;
     write_header t;
     if t.durable then fsync_fd t.fd;
-    t.pending_ops <- [];
-    Hashtbl.reset t.overlay
+    Array.fill t.overlay 0 (Array.length t.overlay) (-1);
+    t.live <- 0
   end
   else Backend.sync t.inner;
   t.commit_count <- t.commit_count + 1
 
-(* The slot owned by [owner]; -1 when absent. *)
-let find_slot t ~owner =
-  let found = ref (-1) in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Some { owner = o; _ } when !found < 0 && String.equal o owner -> found := i
-      | _ -> ())
-    t.slots;
-  !found
+(* The first slot satisfying [p]; -1 when none does. *)
+let find_slot t p =
+  let rec go i = if i = max_slots then -1 else if p t.slots.(i) then i else go (i + 1) in
+  go 0
+
+let owned_by owner = function Some s -> String.equal s.owner owner | None -> false
 
 let validate_owner owner =
   if String.length owner = 0 then invalid_arg "Journal.checkpoint: empty owner";
@@ -338,9 +344,7 @@ let occupied_owners t = Array.to_list t.slots |> List.filter_map (Option.map (fu
 let clear t ~owner =
   validate_owner owner;
   commit t;
-  (match find_slot t ~owner with
-  | i when i >= 0 -> t.slots.(i) <- None
-  | _ -> ());
+  (match find_slot t (owned_by owner) with i when i >= 0 -> t.slots.(i) <- None | _ -> ());
   write_header t;
   if t.durable then fsync_fd t.fd
 
@@ -360,19 +364,13 @@ let checkpoint t ~owner ~phase ~cursor =
   else begin
     commit t;
     let i =
-      match find_slot t ~owner with
-      | i when i >= 0 -> i
-      | _ -> (
-          let free = ref (-1) in
-          Array.iteri (fun i s -> if s = None && !free < 0 then free := i) t.slots;
-          match !free with
-          | -1 ->
-              invalid_arg
-                (Printf.sprintf
-                   "Journal.checkpoint: checkpoint table full (%d slots; owners: %s)"
-                   max_slots
-                   (String.concat ", " (occupied_owners t)))
-          | i -> i)
+      match (find_slot t (owned_by owner), find_slot t Option.is_none) with
+      | -1, -1 ->
+          invalid_arg
+            (Printf.sprintf "Journal.checkpoint: checkpoint table full (%d slots; owners: %s)"
+               max_slots
+               (String.concat ", " (occupied_owners t)))
+      | -1, i | i, _ -> i
     in
     t.slots.(i) <- Some { owner; phase; cursor };
     write_header t;
@@ -382,7 +380,7 @@ let checkpoint t ~owner ~phase ~cursor =
 let state t ~owner =
   if t.closed then (0, 0)
   else
-    match find_slot t ~owner with
+    match find_slot t (owned_by owner) with
     | i when i >= 0 -> (
         match t.slots.(i) with Some { phase; cursor; _ } -> (phase, cursor) | None -> (0, 0))
     | _ -> (0, 0)
@@ -395,28 +393,29 @@ let hold t = t.hold_depth <- t.hold_depth + 1
 
 let release t = if t.hold_depth > 0 then t.hold_depth <- t.hold_depth - 1
 
-(* ---- the append path ---- *)
+(* ---- the append path: stage the record in the arena ---- *)
 
 let append t ~addr ~count ~buf ~off =
   let len = count * t.payload_size in
-  let hdr = Bytes.create record_header_bytes in
-  Bytes.set_int64_le hdr 0 (Int64.of_int len);
-  Bytes.set_int64_le hdr 8 (Int64.of_int addr);
-  Bytes.set_int64_le hdr 16 (Int64.of_int count);
-  Bytes.set_int64_le hdr 24 (record_checksum ~addr ~count buf off len);
-  (* Header before body: a crash between the two leaves a header whose
-     checksum cannot match the missing body — the scan discards it. *)
-  pwrite_all t.fd ~pos:t.tail hdr ~off:0 ~len:record_header_bytes;
-  Bigio.write_all t.fd ~pos:(t.tail + record_header_bytes) buf ~off ~len;
-  t.tail <- t.tail + record_header_bytes + len;
-  t.append_log <- (addr, count) :: t.append_log;
-  (* The overlay and pending set own a copy: callers reuse their run
-     buffers. *)
-  let copy = Bigbuf.create len in
-  Bigbuf.blit buf off copy 0 len;
-  t.pending_ops <- (addr, count, copy) :: t.pending_ops;
+  let at = t.tail - header_bytes in
+  let body = at + record_header_bytes in
+  reserve t (body + len);
+  let a = t.arena in
+  (* The arena owns a copy — callers reuse their run buffers — and the
+     checksum is taken over that copy. *)
+  Bigbuf.blit buf off a body len;
+  set64 a at (le (Int64.of_int len));
+  set64 a (at + 8) (le (Int64.of_int addr));
+  set64 a (at + 16) (le (Int64.of_int count));
+  set64 a (at + 24) (le (record_checksum ~addr ~count a body len));
+  t.tail <- header_bytes + body + len;
+  if t.logged = Array.length t.appends then
+    t.appends <- Array.append t.appends (Array.make (max 64 t.logged) 0);
+  t.appends.(t.logged) <- addr;
+  t.appends.(t.logged + 1) <- count;
+  t.logged <- t.logged + 2;
   for i = 0 to count - 1 do
-    Hashtbl.replace t.overlay (addr + i) (copy, i * t.payload_size)
+    overlay_set t (addr + i) (body + (i * t.payload_size))
   done
 
 (* Both run verbs validate the whole window before any byte moves —
@@ -428,6 +427,13 @@ let check_run ~who t ~addr ~count ~payload ~buf ~off =
 
 let maybe_auto_commit t =
   if t.hold_depth = 0 && t.tail - header_bytes > t.auto_commit_bytes then commit t
+
+(* Inner blocks [lo, hi) of a read of the run at [addr] into [buf] at
+   [off]; nothing when the stretch is empty. *)
+let read_inner t ~lo ~hi ~addr ~payload ~buf ~off =
+  if hi > lo then
+    Backend.read_run t.inner ~addr:lo ~count:(hi - lo) ~payload ~buf
+      ~off:(off + ((lo - addr) * payload))
 
 (* ---- the decorator ---- *)
 
@@ -447,30 +453,22 @@ module Journaled = struct
   (* Blocks with a pending (uncommitted) write are served from the
      overlay — the inner store has not seen them yet. Which blocks those
      are is a function of the address schedule alone, so the inner
-     access pattern stays data-independent. *)
+     access pattern stays data-independent. Maximal inner stretches
+     between overlay hits travel as single reads. *)
   let read_run t ~addr ~count ~payload ~buf ~off =
     check_run ~who:"Backend.Journaled.read_run" t ~addr ~count ~payload ~buf ~off;
-    if Hashtbl.length t.overlay = 0 then
-      Backend.read_run t.inner ~addr ~count ~payload ~buf ~off
+    if t.live = 0 then Backend.read_run t.inner ~addr ~count ~payload ~buf ~off
     else begin
-      (* Maximal inner stretches between overlay hits, so a mostly
-         committed run still travels as few contiguous reads. *)
-      let flush_inner lo hi =
-        (* [lo, hi) not in the overlay *)
-        if hi > lo then
-          Backend.read_run t.inner ~addr:lo ~count:(hi - lo) ~payload ~buf
-            ~off:(off + ((lo - addr) * payload))
-      in
       let lo = ref addr in
       for a = addr to addr + count - 1 do
-        match Hashtbl.find_opt t.overlay a with
-        | Some (src, soff) ->
-            flush_inner !lo a;
-            lo := a + 1;
-            Bigbuf.blit src soff buf (off + ((a - addr) * payload)) payload
-        | None -> ()
+        let src = overlay_find t a in
+        if src >= 0 then begin
+          read_inner t ~lo:!lo ~hi:a ~addr ~payload ~buf ~off;
+          lo := a + 1;
+          Bigbuf.blit t.arena src buf (off + ((a - addr) * payload)) payload
+        end
       done;
-      flush_inner !lo (addr + count)
+      read_inner t ~lo:!lo ~hi:(addr + count) ~addr ~payload ~buf ~off
     end
 
   (* Append-only: one record per backend run, applied in place at the
@@ -539,10 +537,12 @@ let create ?(auto_commit_bytes = 1 lsl 22) ~path ~payload_size ~durable ~replay 
       tail = header_bytes;
       committed_tail = header_bytes;
       slots = empty_slots ();
-      overlay = Hashtbl.create 64;
-      pending_ops = [];
+      arena = Bigbuf.create 0;
+      overlay = Array.make 128 (-1);
+      live = 0;
       hold_depth = 0;
-      append_log = [];
+      appends = [||];
+      logged = 0;
       replay_log = [];
       commit_count = 0;
       closed = false;
@@ -557,9 +557,14 @@ let create ?(auto_commit_bytes = 1 lsl 22) ~path ~payload_size ~durable ~replay 
   in
   let open_existing (slots, committed_tail) =
     if replay then begin
+      (* Redo the region below the committed tail. Records beyond it are
+         a group the crash interrupted before its marker: discarding them
+         is what returns the store to the last commit boundary. *)
       t.slots <- slots;
-      t.committed_tail <- committed_tail;
-      replay_records t ~size;
+      let len = max 0 (min committed_tail size - header_bytes) in
+      reserve t len;
+      apply_records t ~len:(Bigio.read_upto fd ~pos:header_bytes t.arena ~off:0 ~len) ~replay:true;
+      t.replay_log <- List.rev t.replay_log;
       Backend.sync t.inner
     end;
     (* Committed records replayed, uncommitted tail (or, with
@@ -579,17 +584,12 @@ let create ?(auto_commit_bytes = 1 lsl 22) ~path ~payload_size ~durable ~replay 
         destroy data. *)
      if size < 8 then start_fresh ()
      else begin
-       let mg = Bytes.create 8 in
-       ignore (pread_upto fd ~pos:0 mg ~len:8);
-       let mg = Bytes.to_string mg in
-       if mg = magic then
-         if size < header_bytes then start_fresh ()
-         else begin
-           let h = Bytes.create header_bytes in
-           ignore (pread_upto fd ~pos:0 h ~len:header_bytes);
-           open_existing (parse_header ~payload_size h)
-         end
-       else invalid_arg "Journal: unrecognized journal format (bad magic)"
+       let h = Bigbuf.create header_bytes in
+       ignore (Bigio.read_upto fd ~pos:0 h ~off:0 ~len:header_bytes);
+       if String.init 8 (Bigbuf.unsafe_get h) <> magic then
+         invalid_arg "Journal: unrecognized journal format (bad magic)"
+       else if size < header_bytes then start_fresh ()
+       else open_existing (parse_header ~payload_size h)
      end
    with
   | () -> ()
@@ -599,6 +599,6 @@ let create ?(auto_commit_bytes = 1 lsl 22) ~path ~payload_size ~durable ~replay 
   t
 
 let replay_log t = t.replay_log
-let append_log t = List.rev t.append_log
+let append_log t = List.init (t.logged / 2) (fun i -> (t.appends.(2 * i), t.appends.((2 * i) + 1)))
 let commits t = t.commit_count
 let pending_bytes t = t.tail - header_bytes

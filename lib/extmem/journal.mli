@@ -1,12 +1,15 @@
 (** A deferred-apply write-ahead journal wrapped around any {!Backend}:
     the crash-atomicity layer (DESIGN.md §10).
 
-    The decorator returned by {!backend} appends every mutation to a
-    side file as a length-prefixed, checksummed record and keeps it in
-    an in-memory overlay that serves read-your-writes; the inner store
-    is untouched until {!commit}. A commit fsyncs the records (when
+    The decorator returned by {!backend} stages every mutation as a
+    length-prefixed, checksummed record in memory, in an off-heap arena
+    indexed by an overlay that serves read-your-writes; neither the
+    journal file nor the inner store is touched until {!commit}, so an
+    uncommitted group never reaches the disk. A commit writes the
+    staged records to the side file in one write and fsyncs them (when
     [durable]), durably sets the header's commit marker, and only then
-    applies the group in place. Reopening with [replay:true] re-applies
+    applies the group in place. Staging changes no recovery outcome:
+    replay discards every record above the marker anyway. Reopening with [replay:true] re-applies
     the records below the marker (finishing a commit the crash
     interrupted — redo is idempotent) and {e discards} everything above
     it, so the inner store always lands exactly on a commit boundary —
@@ -147,7 +150,8 @@ val commits : t -> int
 (** Commits (explicit, checkpoint, sync or automatic) since open. *)
 
 val pending_bytes : t -> int
-(** Record bytes currently pending in the journal tail. *)
+(** Record bytes currently pending in the journal tail (staged in
+    memory until the next commit). *)
 
 val abandon : t -> unit
 (** Release descriptors {e without} committing — the journal tail and

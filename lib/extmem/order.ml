@@ -1,6 +1,4 @@
-module Prp = Odex_crypto.Prp
-
-type t = Keys | By_tag | By_aux | Dedup | By_prp of Prp.t
+type t = Keys | By_tag | By_aux | Dedup
 
 let[@inline] lex a b c d = if a <> b then Int.compare a b else Int.compare c d
 
@@ -10,7 +8,6 @@ let compare_items o (x : Cell.item) (y : Cell.item) =
   | By_tag -> lex x.tag y.tag x.key y.key
   | By_aux -> if x.aux <> y.aux then Int.compare x.aux y.aux else lex x.key y.key x.tag y.tag
   | Dedup -> lex x.key y.key y.tag x.tag
-  | By_prp p -> Int.compare (Prp.apply p x.key) (Prp.apply p y.key)
 
 let compare o a b =
   match (a, b) with
@@ -33,7 +30,6 @@ let compare_images o b1 o1 b2 o2 =
         if a1 <> a2 then Int.compare a1 a2
         else lex (Cell.key_big b1 o1) (Cell.key_big b2 o2) (Cell.tag_big b1 o1) (Cell.tag_big b2 o2)
     | Dedup -> lex (Cell.key_big b1 o1) (Cell.key_big b2 o2) (Cell.tag_big b2 o2) (Cell.tag_big b1 o1)
-    | By_prp p -> Int.compare (Prp.apply p (Cell.key_big b1 o1)) (Prp.apply p (Cell.key_big b2 o2))
 
 (* stdlib's [Array.sort] (a ternary heap sort), copied with its
    comparison fixed to [compare_images o buf] on the offsets. Keep it

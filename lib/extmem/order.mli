@@ -11,15 +11,13 @@
       (a bucket, a color).
     - [Dedup]: [key] ascending, then [tag] descending — the hierarchical
       ORAM's rebuild order, newest timestamp first within an address.
-    - [By_prp p]: [Prp.apply p key] ascending — the square-root ORAM's
-      shuffle order. Keys must lie in [p]'s domain; equal keys tie.
 
     Each order has two faces that agree in sign on every pair: {!compare}
     on decoded cells, for the paths that hold {!Cell.t} values, and
     {!compare_images} on encoded images in place, for the kernels that
     never decode. *)
 
-type t = Keys | By_tag | By_aux | Dedup | By_prp of Odex_crypto.Prp.t
+type t = Keys | By_tag | By_aux | Dedup
 
 val compare : t -> Cell.t -> Cell.t -> int
 (** The order on decoded cells: negative, zero or positive. A total

@@ -58,6 +58,9 @@ type t = {
   journal : Journal.t option;
       (** The write-ahead journal handle, when the spec has a [Journaled]
           layer — owns the crash-atomicity and checkpoint machinery. *)
+  commit_timer : Telemetry.cell option;
+      (** The sink's sync cell for the journaled backend, when it collects
+          and the store is journaled: checkpoint commits land there. *)
   shard : shard_state option;
   seal_buf : Flat.t;  (** One slot: the single-block codec scratch. *)
   mutable run_buf : Flat.t;  (** Grows to the largest run requested; reused across calls. *)
@@ -250,6 +253,9 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
       backoff_base;
       backoff_cap;
       journal;
+      commit_timer =
+        (if timed && journal <> None then Some (Telemetry.cell tel ~backend:kind Telemetry.Sync)
+         else None);
       shard =
         Option.map
           (fun (shards, seed) ->
@@ -335,19 +341,30 @@ let abandon t =
 
 let journaled t = Option.is_some t.journal
 
+(* A checkpoint commits the journal behind the instrumented backend's
+   back, so its time is recorded here, in the same sync cell the shim
+   times [sync] into. A disabled sink reads no clock. *)
+let timed_commit t f =
+  match t.commit_timer with
+  | None -> f ()
+  | Some c ->
+      let t0 = Telemetry.clock () in
+      f ();
+      Telemetry.record c ~blocks:0 ~bytes:0 ~ns:(Telemetry.clock () - t0)
+
 let checkpoint t ~owner ~phase ~cursor =
   match t.journal with
   | None -> ()
   | Some j ->
       checkpoint_header t;
-      Journal.checkpoint j ~owner ~phase ~cursor
+      timed_commit t (fun () -> Journal.checkpoint j ~owner ~phase ~cursor)
 
 let checkpoint_clear t ~owner =
   match t.journal with
   | None -> ()
   | Some j ->
       checkpoint_header t;
-      Journal.clear j ~owner
+      timed_commit t (fun () -> Journal.clear j ~owner)
 
 let checkpoint_state t ~owner =
   match t.journal with None -> (0, 0) | Some j -> Journal.state j ~owner
@@ -506,8 +523,9 @@ let record_read t a =
   match t.shard with
   | None -> ()
   | Some sh ->
-      let s, inner = Backend.route sh.router a in
-      Trace.record_read sh.straces.(s) inner
+      Trace.record_read
+        sh.straces.(Backend.route_shard sh.router a)
+        (Backend.route_index sh.router a)
 
 let record_write t a =
   Stats.record_write t.stats;
@@ -515,8 +533,9 @@ let record_write t a =
   match t.shard with
   | None -> ()
   | Some sh ->
-      let s, inner = Backend.route sh.router a in
-      Trace.record_write sh.straces.(s) inner
+      Trace.record_write
+        sh.straces.(Backend.route_shard sh.router a)
+        (Backend.route_index sh.router a)
 
 (* A counted retry is a disk access the faulting shard's server observed
    too: it lands in that shard's trace as well as the logical one. *)
@@ -526,8 +545,9 @@ let record_retry t ~write a =
   match t.shard with
   | None -> ()
   | Some sh ->
-      let s, inner = Backend.route sh.router a in
-      Trace.record sh.straces.(s) (op_of inner)
+      Trace.record
+        sh.straces.(Backend.route_shard sh.router a)
+        (op_of (Backend.route_index sh.router a))
 
 let record_range t ~counted ~write lo hi =
   if counted then

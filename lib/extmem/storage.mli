@@ -251,7 +251,10 @@ val checkpoint : t -> owner:string -> phase:int -> cursor:int -> unit
     client). [(0, 0)] is the reserved "no checkpoint" value —
     [~phase:0 ~cursor:0] is {!checkpoint_clear} — and a negative [phase]
     or [cursor], a phase-0 nonzero-cursor pair, an over-long owner, or a
-    full table raise [Invalid_argument] (see {!Journal.checkpoint}). *)
+    full table raise [Invalid_argument] (see {!Journal.checkpoint}).
+    With an enabled sink its commit is timed into the journaled
+    backend's [Sync] cell, the one {!Backend.instrument} times [sync]
+    into. *)
 
 val checkpoint_clear : t -> owner:string -> unit
 (** Durably free [owner]'s checkpoint slot — the "computation complete"

@@ -82,7 +82,9 @@ let reshuffle t =
     put_word t t.scratch (t.n + t.sqrt_n + j) (Cell.with_tag blk.(0) (-(j + 1)))
   done;
   Odex_sortnet.Ext_sort.run t.sorter ~m:t.m t.scratch;
-  (* Deduplicating scan: keep the first (newest) copy of each address. *)
+  (* Deduplicating scan: keep the first (newest) copy of each address,
+     labelled with its place π'(address) under a fresh permutation. *)
+  let prp' = Odex_crypto.Prp.create ~domain:(t.n + t.sqrt_n) (Odex_crypto.Prf.fresh_key t.rng) in
   let prev = ref min_int in
   for p = 0 to total - 1 do
     let blk = Ext_array.read_block t.scratch p in
@@ -93,14 +95,14 @@ let reshuffle t =
           if it.key = !prev then full_block t Cell.Empty
           else begin
             prev := it.key;
-            full_block t (Cell.Item { it with tag = 0 })
+            full_block t (Cell.Item { it with tag = 0; aux = Odex_crypto.Prp.apply prp' it.key })
           end
     in
     Ext_array.write_block t.scratch p out
   done;
-  (* Fresh permutation; sort by π'(address), empties last. *)
-  let prp' = Odex_crypto.Prp.create ~domain:(t.n + t.sqrt_n) (Odex_crypto.Prf.fresh_key t.rng) in
-  Odex_sortnet.Ext_sort.run t.sorter ~order:(Order.By_prp prp') ~m:t.m t.scratch;
+  (* Sort by π'(address), empties last: the addresses are distinct now,
+     so the label alone decides every pair. *)
+  Odex_sortnet.Ext_sort.run t.sorter ~order:Order.By_aux ~m:t.m t.scratch;
   for p = 0 to t.n + t.sqrt_n - 1 do
     let blk = Ext_array.read_block t.scratch p in
     Ext_array.write_block t.main p blk

@@ -9,8 +9,9 @@
     After √n accesses the epoch ends: main and shelter are merged,
     deduplicated (newest version wins) and re-permuted under a fresh π,
     all with the injected oblivious sorter: a {!Odex_extmem.Order.Keys}
-    sort to deduplicate, then a {!Odex_extmem.Order.By_prp} sort under
-    the new π. That reshuffle is exactly
+    sort to deduplicate, then a {!Odex_extmem.Order.By_aux} sort on the
+    new π, evaluated once per word into its [aux] label by the
+    deduplicating scan. That reshuffle is exactly
     the "data-oblivious sorting is the bottleneck in the inner loop of
     oblivious RAM simulations" the paper's introduction optimizes:
     experiment E10 swaps the sorter and measures the amortized I/O

@@ -396,22 +396,18 @@ let prop_storage_roundtrip_encrypted =
 
 (* ---------------- orders as data ---------------- *)
 
-let prp_domain = 64
-let test_prp = Odex_crypto.Prp.create ~domain:prp_domain (Odex_crypto.Prf.key_of_int 0x0D3E)
-let orders = Order.[| Keys; By_tag; By_aux; Dedup; By_prp test_prp |]
+let orders = Order.[| Keys; By_tag; By_aux; Dedup |]
 
 (* Cells with empties, duplicate and negative words and the extreme
-   filler keys; the value tells tied cells apart. A PRP order only takes
-   keys in its domain, so its keys are folded into it. *)
-let gen_cells ~prp =
+   filler keys; the value tells tied cells apart. *)
+let gen_cells =
   let open QCheck2.Gen in
   let word = frequency [ (6, int_range (-3) 3); (1, pure max_int); (1, pure min_int); (1, int) ] in
-  let key = if prp then int_range 0 (prp_domain - 1) else word in
   let cell =
     frequency
       [
         (1, pure Cell.empty);
-        (5, triple key word word >|= fun (key, tag, aux) -> Cell.item ~tag ~aux ~key ~value:0 ());
+        (5, triple word word word >|= fun (key, tag, aux) -> Cell.item ~tag ~aux ~key ~value:0 ());
       ]
   in
   list_size (int_range 0 40) cell
@@ -422,7 +418,7 @@ let gen_cells ~prp =
 let gen_order_cells =
   let open QCheck2.Gen in
   int_range 0 (Array.length orders - 1) >>= fun o ->
-  map (fun cells -> (o, Array.of_list cells)) (gen_cells ~prp:(o = 4))
+  map (fun cells -> (o, Array.of_list cells)) gen_cells
 
 (* The cells as images in one flat slot, with their offsets. *)
 let images cells =

@@ -73,6 +73,93 @@ let test_auto_commit_bounds_tail () =
         (Journal.pending_bytes j <= 64 + 32 + 16);
       Backend.close b)
 
+(* The decorator against a map model: random writes, reads, holds,
+   releases and commits on overlapping addresses, under an auto-commit
+   threshold of about two records, so auto-commits fire between ops and
+   a held group grows the arena well past its first size. Every read
+   must see the model's latest write (zeros where none). The sequence
+   ends in a crash — [abandon], or, when the inner store is armed to
+   die after a few dozen operations, at that kill, which inside a
+   commit lands after its marker — and a replayed reopen must land
+   exactly on the model as of the last commit, explicit or automatic. *)
+type model_op = Write of int * int * int | Read of int * int | Hold | Release | Commit
+
+let journal_model_prop =
+  let blocks = 24 and payload = 16 in
+  let open QCheck2.Gen in
+  let run =
+    pair (int_range 0 (blocks - 1)) (int_range 1 6) >|= fun (a, c) -> (a, min c (blocks - a))
+  in
+  let op =
+    frequency
+      [
+        (6, map2 (fun (a, c) v -> Write (a, c, v)) run (int_range 0 255));
+        (4, map (fun (a, c) -> Read (a, c)) run);
+        (1, pure Hold);
+        (1, pure Release);
+        (1, pure Commit);
+      ]
+  in
+  let block v i = Bytes.init payload (fun k -> Char.chr ((v + (31 * i) + k) land 0xFF)) in
+  Util.qcheck_case ~count:150 ~name:"journal matches a map model"
+    (pair (list_size (int_range 1 80) op) (opt (int_range 0 60)))
+    (fun (ops, kill) ->
+      with_temp_pair (fun sp jp ->
+          let inner = Backend.file ~path:sp ~payload_size:payload in
+          let inner = match kill with None -> inner | Some ops -> Backend.crash_after ~ops inner in
+          let j =
+            Journal.create ~auto_commit_bytes:100 ~path:jp ~payload_size:payload ~durable:false
+              ~replay:false inner
+          in
+          let b = Journal.backend j in
+          Backend.ensure b blocks;
+          let live = Array.make blocks (Bytes.make payload '\000') in
+          let committed = ref (Array.copy live) and reads_ok = ref true and dead = ref false in
+          let step = function
+            | Write (a, c, v) ->
+                for i = 0 to c - 1 do
+                  live.(a + i) <- block v i
+                done;
+                let buf = Util.big_of_bytes (Bytes.concat Bytes.empty (List.init c (block v))) in
+                Backend.write_run b ~addr:a ~count:c ~payload ~buf ~off:0
+            | Read (a, c) ->
+                let buf = Odex_crypto.Bigbuf.create (c * payload) in
+                Backend.read_run b ~addr:a ~count:c ~payload ~buf ~off:0;
+                let got = Util.bytes_of_big buf in
+                for i = 0 to c - 1 do
+                  if Bytes.sub got (i * payload) payload <> live.(a + i) then reads_ok := false
+                done
+            | Hold -> Journal.hold j
+            | Release -> Journal.release j
+            | Commit -> Journal.commit j
+          in
+          List.iter
+            (fun op ->
+              if not !dead then begin
+                let commits = Journal.commits j in
+                match step op with
+                | () -> if Journal.commits j > commits then committed := Array.copy live
+                | exception Backend.Crashed -> (
+                    (* A kill in a read precedes any marker; one in a
+                       write's auto-commit or in a commit follows it. *)
+                    dead := true;
+                    match op with Read _ -> () | _ -> committed := Array.copy live)
+              end)
+            ops;
+          Journal.abandon j;
+          let j =
+            Journal.create ~path:jp ~payload_size:payload ~durable:false ~replay:true
+              (Backend.file ~path:sp ~payload_size:payload)
+          in
+          let b = Journal.backend j in
+          Fun.protect
+            ~finally:(fun () -> Backend.close b)
+            (fun () ->
+              Backend.ensure b blocks;
+              !reads_ok
+              && Array.for_all Fun.id
+                   (Array.mapi (fun a want -> Util.read_block b a = want) !committed))))
+
 (* A crash between a commit's marker and its completed in-place apply is
    exactly what the redo log exists for: reopening replays the whole
    committed group and the store is whole. *)
@@ -1384,6 +1471,7 @@ let suite =
   [
     ("append/commit bookkeeping", `Quick, test_append_commit_bookkeeping);
     ("auto-commit bounds the tail", `Quick, test_auto_commit_bounds_tail);
+    journal_model_prop;
     ("replay heals a crashed apply", `Quick, test_replay_heals_crashed_apply);
     ("torn tail and corrupt record discarded", `Quick, test_torn_tail_discarded);
     ("checkpoint slot persistence", `Quick, test_checkpoint_slot_persistence);

@@ -410,6 +410,46 @@ let test_bucket_sort_allocation () =
     (Printf.sprintf "%.2f minor words per counted I/O (want < 5)" per_io)
     true (per_io < 5.0)
 
+(* The journal stages each record in its off-heap arena: on a warmed
+   journal (arena, overlay and append log grown by an identical first
+   round), appending a 64-block run allocates exactly what appending a
+   1-block run does — the per-record constant, nothing per block — and a
+   read served from the overlay allocates nothing at all. *)
+let test_journal_append_allocation () =
+  let payload = 16 and iters = 200 in
+  let jp = Filename.temp_file "odex_seal" ".journal" in
+  Fun.protect ~finally:(fun () -> Sys.remove jp) @@ fun () ->
+  let j =
+    Journal.create ~path:jp ~payload_size:payload ~durable:false ~replay:false
+      (Backend.mem ~payload_size:payload ())
+  in
+  let b = Journal.backend j in
+  Backend.ensure b 64;
+  let buf = Bigbuf.create (64 * payload) in
+  let per_append count =
+    let round () =
+      let w0 = Gc.minor_words () in
+      for _ = 1 to iters do
+        Backend.write_run b ~addr:0 ~count ~payload ~buf ~off:0
+      done;
+      let w = (Gc.minor_words () -. w0) /. float_of_int iters in
+      Journal.commit j;
+      w
+    in
+    ignore (round ());
+    round ()
+  in
+  let one = per_append 1 and sixty_four = per_append 64 in
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "minor words per 64-block append (1-block: %.2f)" one)
+    one sixty_four;
+  Backend.write_run b ~addr:0 ~count:64 ~payload ~buf ~off:0;
+  let per_hit =
+    words_per_call (fun () -> Backend.read_run b ~addr:5 ~count:1 ~payload ~buf ~off:0)
+  in
+  Alcotest.(check (float 0.)) "minor words per overlay read hit" 0. per_hit;
+  Backend.close b
+
 let suite =
   [
     ("v1 store header refused", `Quick, test_v1_store_header_refused);
@@ -423,5 +463,6 @@ let suite =
     ("butterfly compaction allocation", `Quick, test_butterfly_allocation);
     ("blit and set_cell allocation-free", `Quick, test_blit_and_set_cell_do_not_allocate);
     ("bucket sort allocation", `Quick, test_bucket_sort_allocation);
+    ("journal append allocation", `Quick, test_journal_append_allocation);
   ]
   @ sealed_parity_cases

@@ -124,6 +124,30 @@ let test_storage_ops_timed () =
         (Telemetry.hist_count st.Telemetry.latency))
     stats
 
+(* A checkpoint commits the journal behind the instrumented backend, so
+   Storage times it itself, into the journaled backend's sync cell: one
+   [sync] and two checkpoint commits are three timed syncs. *)
+let test_checkpoint_commits_timed () =
+  let sp = Filename.temp_file "odex_tel" ".store" and jp = Filename.temp_file "odex_tel" ".journal" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ sp; jp ]) @@ fun () ->
+  let tel = Telemetry.create () in
+  let backend =
+    Storage.Journaled { inner = Storage.File { path = sp }; path = jp; durable = false }
+  in
+  let s = Storage.create ~telemetry:tel ~backend ~block_size:2 () in
+  Storage.write s (Storage.alloc s 4) (Block.make 2);
+  Storage.sync s;
+  Storage.checkpoint s ~owner:"tel" ~phase:1 ~cursor:0;
+  Storage.checkpoint_clear s ~owner:"tel";
+  let syncs =
+    List.filter_map
+      (fun (st : Telemetry.op_stat) ->
+        if st.op = Telemetry.Sync then Some (st.op_backend, st.count) else None)
+      (Telemetry.op_stats tel)
+  in
+  Alcotest.(check (list (pair string int))) "journaled syncs timed" [ ("journaled", 3) ] syncs;
+  Storage.close s
+
 let test_phase_attribution () =
   let tel = Telemetry.create () in
   let s = Storage.create ~telemetry:tel ~block_size:2 () in
@@ -360,6 +384,7 @@ let suite =
     ("histogram percentiles", `Quick, test_histogram_percentiles);
     ("op cell record allocation-free", `Quick, test_cell_record_alloc_free);
     ("backend ops are timed", `Quick, test_storage_ops_timed);
+    ("checkpoint commits are timed", `Quick, test_checkpoint_commits_timed);
     ("phase counter attribution", `Quick, test_phase_attribution);
     ("retries and faults attributed", `Quick, test_retry_and_fault_attribution);
     ("cache hit/miss/flush counters", `Quick, test_cache_counters);
