@@ -921,12 +921,12 @@ let e17 env =
   let fill j n =
     let b = Journal.backend j in
     let buf = Odex_crypto.Bigbuf.create payload_size in
-    Backend.ensure b n;
+    b.ensure n;
     for i = 0 to n - 1 do
       for k = 0 to payload_size - 1 do
         Odex_crypto.Bigbuf.set buf k (Char.chr ((i + k) land 0xFF))
       done;
-      Backend.write_run b ~addr:i ~count:1 ~payload:payload_size ~buf ~off:0
+      b.write_run ~addr:i ~count:1 ~payload:payload_size ~buf ~off:0
     done;
     Journal.pending_bytes j + Journal.header_bytes
   in
@@ -956,7 +956,7 @@ let e17 env =
         let reopen () = Journal.create ~path:jp ~payload_size ~durable:false ~replay:true inner in
         let j, wall_ms = H.timed reopen in
         let replayed = List.length (Journal.replay_log j) in
-        Backend.close (Journal.backend j);
+        (Journal.backend j).close ();
         H.unflagged ~journal:true
           (H.record env ~name ~n_cells:(group_of acb) ~b:1 ~m:0 ~backend:"journaled" ~wall_ms
              ~ok:(replayed = expect acb)

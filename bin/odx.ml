@@ -43,41 +43,23 @@ let read_keys path =
       prerr_endline msg;
       exit 1
 
-(* The fault plan of `--backend faulty` is fixed (seed and all), so a
-   faulty run is exactly as reproducible as a mem run. `--shards K`
-   stripes the chosen store across K inner devices; the faulty
-   decorator composes outside the stripe so the fault schedule is the
-   same at every K. *)
-let backend_of ~store ~shards ~journal name =
-  let stripe inner =
-    if shards <= 1 then inner else Storage.Sharded { inner; shards; seed = 0x5A4D }
-  in
-  (* `--journal` wraps the finished spec (outside the stripe / fault
-     decorator) in the write-ahead journal; its side file sits next to
-     the store when --store names one. *)
-  let journaled inner =
-    if not journal then inner
-    else
-      let path =
-        match store with
-        | Some p -> p ^ ".journal"
-        | None -> Filename.temp_file "odx" ".journal"
-      in
-      Storage.Journaled { inner; path; durable = true }
-  in
-  journaled
-    (match name with
-    | "mem" -> stripe Storage.Mem
-    | "file" ->
-        stripe
-          (Storage.File
-             { path = (match store with Some p -> p | None -> Filename.temp_file "odx" ".store") })
-    | "faulty" ->
-        Storage.Faulty
-          { inner = stripe Storage.Mem; seed = 0xFA17; failure_rate = 0.05; max_burst = 2 }
-    | other ->
-        prerr_endline ("unknown backend " ^ other ^ " (available: mem file faulty)");
-        exit 2)
+(* The store spec is the obcheck registry's, so `--backend faulty` runs
+   the registry's fixed fault plan (seed and all) and is exactly as
+   reproducible as a mem run; `--shards K` stripes the chosen store
+   across K inner devices, and `--journal` wraps the finished spec. Named
+   files sit at --store (the journal at <store>.journal); without
+   --store they are fresh temp files, removed when odx exits. *)
+let backend_spec ~store ~shards ~journal name =
+  if not (List.mem name Odex_obcheck.Registry.backend_names) then begin
+    prerr_endline
+      ("unknown backend " ^ name ^ " (available: "
+      ^ String.concat " " Odex_obcheck.Registry.backend_names
+      ^ ")");
+    exit 2
+  end;
+  let spec = Odex_obcheck.Registry.backend_spec ?store ~shards:(max 1 shards) ~journal name in
+  if store = None then at_exit (fun () -> Storage.remove_spec_files spec);
+  spec
 
 let setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
     ~cipher ~seal_key keys =
@@ -102,7 +84,7 @@ let setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_comm
   let server =
     Storage.create ~telemetry ~trace_mode:Trace.Digest ~resume ?cipher:cipher_key
       ?journal_auto_commit_bytes:auto_commit
-      ~backend:(backend_of ~store ~shards ~journal backend) ~block_size ()
+      ~backend:(backend_spec ~store ~shards ~journal backend) ~block_size ()
   in
   let n = Array.length keys in
   let blocks = (n + block_size - 1) / block_size in

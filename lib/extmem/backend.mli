@@ -3,7 +3,8 @@
     {!Storage} is the paper-facing layer: it owns the I/O accounting,
     the adversary trace, encryption and the bump allocator. A backend is
     only the dumb device those sealed payloads land on — a fixed-size
-    byte region per block address. Two devices ship:
+    byte region per block address — and it is one record, {!t}, of the
+    verbs a block server answers. Two devices build the record directly:
 
     - {!mem}: a growable in-process off-heap arena (one flat
       {!Odex_crypto.Bigbuf}, blocks served by blit — no per-block
@@ -13,21 +14,24 @@
       block payloads move positionally ({!Bigio}) straight between the
       file and the caller's buffer.
 
-    Decorators stack on top of them: {!faulty} injects deterministic
-    transient failures (the retry path under the obliviousness harness),
-    {!sharded} stripes one address space across several devices,
-    {!crash_after} is the crash sweeps' kill switch, {!instrument} times
-    device calls for a telemetry sink, and {!Journal.backend} adds
-    write-ahead crash atomicity.
+    Decorators stack on top of them, each as [{ inner with ... }] naming
+    only the verbs it changes: {!faulty} injects deterministic transient
+    failures (the retry path under the obliviousness harness),
+    {!sharded} stripes one address space across several devices (and is
+    the only layer that sets {!t.router}), {!crash_after} is the crash
+    sweeps' kill switch, {!instrument} times device calls for a
+    telemetry sink (keeping its inner layer's [kind]), and
+    {!Journal.backend} adds write-ahead crash atomicity.
 
-    A block moves only as part of a contiguous run ({!read_run} /
-    {!write_run}); a single block is a run of one. All transfers go
+    A block moves only as part of a contiguous run ([read_run] /
+    [write_run]); a single block is a run of one. All transfers go
     through caller-owned {!Odex_crypto.Bigbuf} regions — the same
-    off-heap buffers the cipher XORs in place — so a sealed payload travels device <-> cipher <-> codec without a
-    staging copy. Backends never see plaintext (when a cipher key is set
-    the payload is ciphertext), never count I/Os and never touch the
-    trace — that is Storage's job, which is what keeps the accounting
-    identical across backends. *)
+    off-heap buffers the cipher XORs in place — so a sealed payload
+    travels device <-> cipher <-> codec without a staging copy. Backends
+    never see plaintext (when a cipher key is set the payload is
+    ciphertext), never count I/Os and never touch the trace — that is
+    Storage's job, which is what keeps the accounting identical across
+    backends. *)
 
 exception Transient of { addr : int; access : int }
 (** A retryable fault: access [access] (the backend's global access
@@ -38,98 +42,82 @@ exception Crashed
 (** The simulated process death of the {!crash_after} decorator. Never
     retried — it unwinds through {!Storage} to the crash-sweep harness. *)
 
+type router = private { shards : int; perm : int array; perm_inv : int array }
+(** The striping map of {!sharded}, in one value: [shards] devices and a
+    keyed PRP [perm] of the lanes (lane to shard) with its inverse
+    [perm_inv]. Logical block [a] belongs to group [g = a / shards] and
+    lane [a mod shards], and lives on shard
+    [perm.((a mod shards + g) mod shards)] at inner address [g] — a
+    bijection, so every group of [shards] consecutive logical blocks
+    touches all devices, and a pure function of the block index and the
+    seed, so the fan-out is as data-independent as the flat address
+    sequence it refines. The stripe routes through this value and
+    publishes it as its record's [router] field; {!Storage} records its
+    per-server traces through that field. *)
+
+type t = {
+  kind : string;
+      (** Short name of the layer ("mem", "file", "faulty", "sharded",
+          "journaled", "crashing"), for reports. *)
+  payload_bytes : int;
+      (** The fixed byte size of every block payload the store holds,
+          set at construction. *)
+  ensure : int -> unit;  (** [ensure n] guarantees addresses [0 .. n-1] are backed. *)
+  size : unit -> int;  (** Number of backed addresses (the [ensure] high-water mark). *)
+  read_run : addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit;
+      (** [read_run ~addr ~count ~payload ~buf ~off] fills
+          [buf[off .. off + count*payload)] with the payloads of the
+          contiguous block run [addr, addr + count) — a single positioned
+          transfer on {!file}, one blit on {!mem}, and a per-block
+          fault-gated iteration on {!faulty}. A never-written address
+          reads as zeros. [payload] must equal [payload_bytes]. The whole
+          window (addresses and buffer region) is validated before any
+          byte moves, so out-of-bounds runs raise without a partial
+          transfer. On [Transient { addr = a }], blocks before [a] have
+          been transferred and blocks from [a] on have not — the caller
+          may resume the run at [a]. [count = 0] is a validated no-op. *)
+  write_run : addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit;
+      (** Mirror image of [read_run]: stores [count] payloads read from
+          [buf[off ..]] at [addr, addr + count), with the same
+          validation, fault and resume semantics. *)
+  read_meta : unit -> bytes option;
+      (** The metadata blob last stored with [write_meta] ([None] on a
+          fresh store). Out-of-band server state: not an I/O of the
+          model, never traced, never fault-gated. *)
+  write_meta : bytes -> unit;
+      (** Durably associate a metadata blob (at most {!meta_capacity}
+          bytes) with the store; {!Storage} keeps its sealing header —
+          notably the cipher-nonce high-water mark and the cipher engine
+          id — there, so a reopened file store can resume without ever
+          reusing a (key, nonce) pair or misinterpreting ciphertext under
+          the wrong engine. *)
+  sync : unit -> unit;  (** Flush to durable media where that means something (file). *)
+  close : unit -> unit;
+  faults : unit -> int;
+      (** Transient failures injected so far ([0] below any {!faulty}
+          layer). *)
+  shard_ops : unit -> int array;
+      (** Per-shard counts of block ops served ([[||]] below any
+          {!sharded} layer). The obliviousness harness compares these
+          across a pair run: the fan-out must be a function of the
+          logical trace alone. *)
+  router : router option;
+      (** The router of the stack's {!sharded} stripe; [None] for a
+          single-server store. A degenerate [K = 1] stripe is [Some _]:
+          it still routes. *)
+}
+(** A device, or a decorator over one. A caller uses the fields
+    directly ([b.read_run ~addr ~count ~payload ~buf ~off]); a decorator
+    is [{ inner with ... }], so every verb it does not state is its inner
+    layer's. Every run verb is a closure of full arity: a call allocates
+    nothing. *)
+
 val retry_eintr : (unit -> 'a) -> 'a
 (** Run a raw Unix call, restarting it as long as it raises
     [Unix_error (EINTR, _, _)]. Every [read]/[write]/[fsync]/[ftruncate]
     on the file-backend I/O path (and the journal's) goes through this:
     a handled signal — a profiler timer, a test harness's SIGALRM — must
     never abort a counted transfer half-written. *)
-
-module type S = sig
-  type t
-
-  val kind : string
-  (** Short name ("mem", "file", "faulty"), for reports. *)
-
-  val payload_bytes : t -> int
-  (** The fixed byte size of every block payload this store holds, set
-      at construction. Decorators forward to their inner store. *)
-
-  val ensure : t -> int -> unit
-  (** [ensure t n] guarantees addresses [0 .. n-1] are backed. *)
-
-  val size : t -> int
-  (** Number of backed addresses (the [ensure] high-water mark). *)
-
-  val read_run :
-    t -> addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-  (** [read_run t ~addr ~count ~payload ~buf ~off] fills
-      [buf[off .. off + count*payload)] with the payloads of the
-      contiguous block run [addr, addr + count) — a single positioned
-      transfer on {!file}, one blit on {!mem}, and a per-block
-      fault-gated iteration on {!faulty}. A never-written address reads
-      as zeros. [payload] must equal [payload_bytes]. The whole window
-      (addresses and buffer region) is validated before any byte moves, so out-of-bounds runs raise
-      without a partial transfer. On [Transient { addr = a }], blocks
-      before [a] have been transferred and blocks from [a] on have not —
-      the caller may resume the run at [a]. [count = 0] is a validated
-      no-op. *)
-
-  val write_run :
-    t -> addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-  (** Mirror image of [read_run]: stores [count] payloads read from
-      [buf[off ..]] at [addr, addr + count), with the same validation,
-      fault and resume semantics. *)
-
-  val read_meta : t -> bytes option
-  (** The metadata blob last stored with {!write_meta} ([None] on a
-      fresh store). Out-of-band server state: not an I/O of the model,
-      never traced, never fault-gated. *)
-
-  val write_meta : t -> bytes -> unit
-  (** Durably associate a metadata blob (at most {!meta_capacity} bytes)
-      with the store; {!Storage} keeps its sealing header — notably the
-      cipher-nonce high-water mark and the cipher engine id — there, so
-      a reopened file store can resume without ever reusing a
-      (key, nonce) pair or misinterpreting ciphertext under the wrong
-      engine. *)
-
-  val sync : t -> unit
-  (** Flush to durable media where that means something (file). *)
-
-  val close : t -> unit
-
-  val faults : t -> int
-  (** Transient failures injected so far (0 for real devices). *)
-
-  val shard_ops : t -> int array
-  (** Per-shard block-op counts ([[||]] for unsharded devices). *)
-
-  val shard_count : t -> int option
-  (** [Some k] when a striping layer fans this store across [k] separate
-      devices (decorators forward); [None] for a single-server store.
-      [Some 1] and [None] are deliberately distinct: the former is a
-      degenerate stripe, the latter no stripe at all. *)
-end
-
-type t = Packed : (module S with type t = 'a) * 'a -> t
-(** An instantiated backend. *)
-
-val kind : t -> string
-val payload_bytes : t -> int
-val ensure : t -> int -> unit
-val size : t -> int
-
-val read_run :
-  t -> addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-
-val write_run :
-  t -> addr:int -> count:int -> payload:int -> buf:Odex_crypto.Bigbuf.t -> off:int -> unit
-
-val read_meta : t -> bytes option
-val write_meta : t -> bytes -> unit
-val sync : t -> unit
-val close : t -> unit
 
 val check_run :
   who:string ->
@@ -148,7 +136,7 @@ val check_run :
     bounds. Raises [Invalid_argument] prefixed with [who] otherwise. *)
 
 val meta_capacity : int
-(** Maximum {!write_meta} blob size (bytes) every backend supports. *)
+(** Maximum [write_meta] blob size (bytes) every backend supports. *)
 
 val mem : payload_size:int -> unit -> t
 (** In-process store: one flat off-heap arena, block [addr] at byte
@@ -200,27 +188,9 @@ type fault_plan = {
     permanent-failure path. *)
 
 val faulty : fault_plan -> t -> t
-(** [faulty plan inner] fails accesses according to [plan] (raising
-    {!Transient}) and forwards the rest to [inner]. *)
-
-val faults_injected : t -> int
-(** Total {!Transient} raises so far ([0] for non-faulty backends). *)
-
-type router = private { shards : int; perm : int array; perm_inv : int array }
-(** The striping map of {!sharded}, in one value: [shards] devices and a
-    keyed PRP [perm] of the lanes (lane to shard) with its inverse
-    [perm_inv]. Logical block [a] belongs to group [g = a / shards] and
-    lane [a mod shards], and lives on shard
-    [perm.((a mod shards + g) mod shards)] at inner address [g] — a
-    bijection, so every group of [shards] consecutive logical blocks
-    touches all devices, and a pure function of the block index and the
-    seed, so the fan-out is as data-independent as the flat address
-    sequence it refines. The stripe routes through this value and
-    {!Storage} records its per-server traces through it. *)
-
-val router : shards:int -> seed:int -> router
-(** The router of a [shards]-way stripe keyed by [seed]. Raises
-    [Invalid_argument] when [shards < 1]. *)
+(** [faulty plan inner] fails run accesses according to [plan] (raising
+    {!Transient}) and counts them in [faults]; its [kind] is "faulty".
+    Every other verb — metadata included — is [inner]'s. *)
 
 val route_shard : router -> int -> int
 (** [route_shard r a] is the shard logical block [a >= 0] maps to. *)
@@ -239,13 +209,16 @@ val logical : router -> shard:int -> index:int -> int
 
 val shard_route : shards:int -> seed:int -> int -> int * int
 (** [shard_route ~shards ~seed a] is the (shard, inner address) pair
-    of [a] under [router ~shards ~seed], with a negative [a] rejected.
-    Exposed for property tests (the map must be a bijection). *)
+    of [a] under the router of a [shards]-way stripe keyed by [seed],
+    with a negative [a] rejected. Exposed for property tests (the map
+    must be a bijection). *)
 
 val sharded : seed:int -> t array -> t
 (** [sharded ~seed inners] stripes one logical address space across the
     [K = Array.length inners] inner stores (requires [K >= 1], all with
-    the same payload size), routed by [router ~shards:K ~seed].
+    the same payload size), routed by the PRP router keyed by [seed],
+    which it publishes as its [router] field. It states every verb:
+    [faults] sums the inners', [shard_ops] counts block ops per shard.
 
     A contiguous logical run decomposes into exactly one contiguous
     inner run per shard (the logical addresses a shard serves are
@@ -263,18 +236,6 @@ val sharded : seed:int -> t array -> t
     metadata blob on shard 0 (so client metadata is limited to
     [meta_capacity - 8] bytes) and recovered on reopen. *)
 
-val shard_count : t -> int option
-(** [Some k] when this backend stack contains a {!sharded} stripe of [k]
-    devices (decorators forward to their inner store); [None] when no
-    stripe is present. Distinguishes a degenerate [K = 1] stripe
-    ([Some 1]) from an unsharded store ([None]). *)
-
-val shard_io_counts : t -> int array
-(** Per-shard counts of block ops served ([|[]|] for unsharded
-    backends; decorators forward to their inner store). The obliviousness
-    harness compares these across a pair run: the fan-out must be a
-    function of the logical trace alone. *)
-
 val crash_after : ops:int -> t -> t
 (** [crash_after ~ops inner] lets the first [ops] block operations (and
     syncs) through, then raises {!Crashed} on every further one — a
@@ -286,8 +247,10 @@ val crash_after : ops:int -> t -> t
 
 val instrument : Odex_telemetry.Telemetry.t -> t -> t
 (** [instrument sink inner] times every [read_run]/[write_run]/[sync]
-    with the monotonic clock and records each in [sink]'s cell for that op under [inner]'s kind (resolved once, here),
-    forwarding everything else untouched. The shim observes only
-    operation kinds, block/byte counts and durations — never payload
-    contents — and {!Storage} installs it only when the sink is enabled,
-    so a disabled sink leaves the I/O path byte-for-byte as before. *)
+    with the monotonic clock and records each in [sink]'s cell for that
+    op under [inner]'s kind (resolved once, here). Every other field —
+    [kind] included — is [inner]'s, so the shim is invisible to reports.
+    It observes only operation kinds, block/byte counts and durations —
+    never payload contents — and {!Storage} installs it only when the
+    sink is enabled, so a disabled sink leaves the I/O path
+    byte-for-byte as before. *)

@@ -256,13 +256,13 @@ let overlay_find t a =
    are out-of-band recovery, below Storage's counted engine. *)
 
 let apply_record t ~addr ~count ~off =
-  Backend.ensure t.inner (addr + count);
+  t.inner.ensure (addr + count);
   let payload = t.payload_size in
   let fin = addr + count in
   let rec go a attempts =
     if a < fin then
       match
-        Backend.write_run t.inner ~addr:a ~count:(fin - a) ~payload ~buf:t.arena
+        t.inner.write_run ~addr:a ~count:(fin - a) ~payload ~buf:t.arena
           ~off:(off + ((a - addr) * payload))
       with
       | () -> ()
@@ -314,7 +314,7 @@ let commit t =
     write_header t;
     if t.durable then fsync_fd t.fd;
     apply_records t ~len:(t.tail - header_bytes) ~replay:false;
-    Backend.sync t.inner;
+    t.inner.sync ();
     Backend.retry_eintr (fun () -> Unix.ftruncate t.fd header_bytes);
     t.tail <- header_bytes;
     t.committed_tail <- header_bytes;
@@ -323,7 +323,7 @@ let commit t =
     Array.fill t.overlay 0 (Array.length t.overlay) (-1);
     t.live <- 0
   end
-  else Backend.sync t.inner;
+  else t.inner.sync ();
   t.commit_count <- t.commit_count + 1
 
 (* The first slot satisfying [p]; -1 when none does. *)
@@ -422,7 +422,7 @@ let append t ~addr ~count ~buf ~off =
    before an overlay hit is blitted into the caller's buffer, too. *)
 let check_run ~who t ~addr ~count ~payload ~buf ~off =
   check_open t;
-  Backend.check_run ~who ~payload_bytes:t.payload_size ~blocks:(Backend.size t.inner) ~addr ~count
+  Backend.check_run ~who ~payload_bytes:t.payload_size ~blocks:(t.inner.size ()) ~addr ~count
     ~payload ~buf ~off
 
 let maybe_auto_commit t =
@@ -432,88 +432,79 @@ let maybe_auto_commit t =
    [off]; nothing when the stretch is empty. *)
 let read_inner t ~lo ~hi ~addr ~payload ~buf ~off =
   if hi > lo then
-    Backend.read_run t.inner ~addr:lo ~count:(hi - lo) ~payload ~buf
+    t.inner.read_run ~addr:lo ~count:(hi - lo) ~payload ~buf
       ~off:(off + ((lo - addr) * payload))
 
-(* ---- the decorator ---- *)
+(* ---- the decorator ----
 
-module Journaled = struct
-  type nonrec t = t
+   Blocks with a pending (uncommitted) write are served from the overlay
+   — the inner store has not seen them yet. Which blocks those are is a
+   function of the address schedule alone, so the inner access pattern
+   stays data-independent. Maximal inner stretches between overlay hits
+   travel as single reads. Writes are append-only: one record per
+   backend run, applied in place at the next commit, so a [write_many]
+   group commits — or rolls back — as a unit. Metadata is the inner
+   store's own write-ahead protocol (the nonce high-water header lands
+   before any payload sealed under it): it passes straight through,
+   preserving that ordering. *)
 
-  let kind = "journaled"
-
-  let payload_bytes t = t.payload_size
-
-  let ensure t n =
-    check_open t;
-    Backend.ensure t.inner n
-
-  let size t = Backend.size t.inner
-
-  (* Blocks with a pending (uncommitted) write are served from the
-     overlay — the inner store has not seen them yet. Which blocks those
-     are is a function of the address schedule alone, so the inner
-     access pattern stays data-independent. Maximal inner stretches
-     between overlay hits travel as single reads. *)
-  let read_run t ~addr ~count ~payload ~buf ~off =
-    check_run ~who:"Backend.Journaled.read_run" t ~addr ~count ~payload ~buf ~off;
-    if t.live = 0 then Backend.read_run t.inner ~addr ~count ~payload ~buf ~off
-    else begin
-      let lo = ref addr in
-      for a = addr to addr + count - 1 do
-        let src = overlay_find t a in
-        if src >= 0 then begin
-          read_inner t ~lo:!lo ~hi:a ~addr ~payload ~buf ~off;
-          lo := a + 1;
-          Bigbuf.blit t.arena src buf (off + ((a - addr) * payload)) payload
-        end
-      done;
-      read_inner t ~lo:!lo ~hi:(addr + count) ~addr ~payload ~buf ~off
-    end
-
-  (* Append-only: one record per backend run, applied in place at the
-     next commit. A [write_many] group therefore commits — or rolls back
-     — as a unit. *)
-  let write_run t ~addr ~count ~payload ~buf ~off =
-    check_run ~who:"Backend.Journaled.write_run" t ~addr ~count ~payload ~buf ~off;
-    if count > 0 then begin
-      append t ~addr ~count ~buf ~off;
-      maybe_auto_commit t
-    end
-
-  (* Metadata is the inner store's own write-ahead protocol (the nonce
-     high-water header lands before any payload sealed under it): it
-     passes straight through, preserving that ordering. *)
-  let read_meta t =
-    check_open t;
-    Backend.read_meta t.inner
-
-  let write_meta t m =
-    check_open t;
-    Backend.write_meta t.inner m
-
-  let sync t = commit t
-
-  let close t =
-    if not t.closed then begin
-      commit t;
-      t.closed <- true;
-      Unix.close t.fd;
-      Backend.close t.inner
-    end
-
-  let faults t = Backend.faults_injected t.inner
-  let shard_ops t = Backend.shard_io_counts t.inner
-  let shard_count t = Backend.shard_count t.inner
-end
-
-let backend t = Backend.Packed ((module Journaled), t)
+let backend t =
+  let inner = t.inner in
+  {
+    inner with
+    Backend.kind = "journaled";
+    payload_bytes = t.payload_size;
+    ensure =
+      (fun n ->
+        check_open t;
+        inner.ensure n);
+    read_run =
+      (fun ~addr ~count ~payload ~buf ~off ->
+        check_run ~who:"Backend.Journaled.read_run" t ~addr ~count ~payload ~buf ~off;
+        if t.live = 0 then inner.read_run ~addr ~count ~payload ~buf ~off
+        else begin
+          let lo = ref addr in
+          for a = addr to addr + count - 1 do
+            let src = overlay_find t a in
+            if src >= 0 then begin
+              read_inner t ~lo:!lo ~hi:a ~addr ~payload ~buf ~off;
+              lo := a + 1;
+              Bigbuf.blit t.arena src buf (off + ((a - addr) * payload)) payload
+            end
+          done;
+          read_inner t ~lo:!lo ~hi:(addr + count) ~addr ~payload ~buf ~off
+        end);
+    write_run =
+      (fun ~addr ~count ~payload ~buf ~off ->
+        check_run ~who:"Backend.Journaled.write_run" t ~addr ~count ~payload ~buf ~off;
+        if count > 0 then begin
+          append t ~addr ~count ~buf ~off;
+          maybe_auto_commit t
+        end);
+    read_meta =
+      (fun () ->
+        check_open t;
+        inner.read_meta ());
+    write_meta =
+      (fun m ->
+        check_open t;
+        inner.write_meta m);
+    sync = (fun () -> commit t);
+    close =
+      (fun () ->
+        if not t.closed then begin
+          commit t;
+          t.closed <- true;
+          Unix.close t.fd;
+          inner.close ()
+        end);
+  }
 
 let abandon t =
   if not t.closed then begin
     t.closed <- true;
     Unix.close t.fd;
-    Backend.close t.inner
+    t.inner.close ()
   end
 
 (* ---- open ---- *)
@@ -565,7 +556,7 @@ let create ?(auto_commit_bytes = 1 lsl 22) ~path ~payload_size ~durable ~replay 
       reserve t len;
       apply_records t ~len:(Bigio.read_upto fd ~pos:header_bytes t.arena ~off:0 ~len) ~replay:true;
       t.replay_log <- List.rev t.replay_log;
-      Backend.sync t.inner
+      t.inner.sync ()
     end;
     (* Committed records replayed, uncommitted tail (or, with
        [replay:false], everything) deliberately discarded: truncate and

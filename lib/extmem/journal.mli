@@ -87,8 +87,12 @@ val create :
     silently). *)
 
 val backend : t -> Backend.t
-(** The journaled decorator (kind ["journaled"]). [sync] on it is
-    {!commit}; [close] commits, closes the journal and the inner store. *)
+(** The journaled decorator (kind ["journaled"]): [{ inner with ... }]
+    over the journal's inner store, stating the run verbs (staged and
+    served through the overlay), [sync] ({!commit}), [close] (commits,
+    closes the journal and the inner store), and [ensure] and the
+    metadata verbs, which refuse a closed journal. [size], [faults],
+    [shard_ops] and [router] are the inner store's. *)
 
 val commit : t -> unit
 (** Group-commit boundary: make the pending records durable, mark them

@@ -28,19 +28,16 @@ type cipher_state = { st : Cipher.state; mutable next_nonce : int }
    non-colluding server sees only the inner-address op sequence routed to
    its own device, never the logical interleaving. Every counted op (and
    counted retry) is recorded a second time into the trace of the shard
-   that served it, at its inner address, through a {!Backend.router}
-   built from the stripe's shards and seed — the map the stripe itself
-   routes by, not a copy of it. Uncounted ops are excluded exactly as they are from
-   the logical trace, and the logical trace itself is untouched — every
-   pinned digest survives. *)
-
-type shard_state = { router : Backend.router; straces : Trace.t array }
+   that served it, at its inner address, through the backend's [router]
+   field — the very value the stripe routes by, not a copy of it.
+   Uncounted ops are excluded exactly as they are from the logical
+   trace, and the logical trace itself is untouched — every pinned
+   digest survives. *)
 
 type t = {
   block_size : int;
   payload_size : int;
   backend : Backend.t;
-  kind : string;  (** The device kind underneath any instrumentation shim. *)
   mutable used : int;
   stats : Stats.t;
   trace : Trace.t;
@@ -61,7 +58,7 @@ type t = {
   commit_timer : Telemetry.cell option;
       (** The sink's sync cell for the journaled backend, when it collects
           and the store is journaled: checkpoint commits land there. *)
-  shard : shard_state option;
+  straces : Trace.t array;  (** One per shard of [backend.router]; [[||]] without a stripe. *)
   seal_buf : Flat.t;  (** One slot: the single-block codec scratch. *)
   mutable run_buf : Flat.t;  (** Grows to the largest run requested; reused across calls. *)
 }
@@ -88,7 +85,7 @@ let rec shard_member_spec i = function
    A reopened File store MUST NOT restart the nonce counter: Bob may
    have retained every ciphertext ever written, and re-sealing under an
    already-used nonce is a two-time pad against them. The header
-   (persisted through {!Backend.write_meta}, which the file backend
+   (persisted through the backend's [write_meta], which the file backend
    keeps in its fixed 64-byte file header) records a conservative
    high-water mark: before a nonce at or above the persisted mark is
    used, the mark is pushed [nonce_chunk] ahead and written out — so at
@@ -116,7 +113,7 @@ let build_header t =
   Bytes.set_int64_le m 24 (Cipher.engine_id Cipher.Chacha20);
   m
 
-let write_header t = Backend.write_meta t.backend (build_header t)
+let write_header t = t.backend.write_meta (build_header t)
 
 (* Returns the nonce high-water mark. *)
 let parse_header ~block_size m =
@@ -162,23 +159,15 @@ let rec instantiate ~block_size ~payload_size ~resume ~auto_commit_bytes = funct
       if Option.is_some j then invalid_arg "Storage: nested Journaled specs are not supported";
       let journal =
         match
-          Option.iter (fun m -> ignore (parse_header ~block_size m)) (Backend.read_meta b);
+          Option.iter (fun m -> ignore (parse_header ~block_size m)) (b.read_meta ());
           Journal.create ?auto_commit_bytes ~path ~payload_size ~durable ~replay:resume b
         with
         | j -> j
         | exception e ->
-            Backend.close b;
+            b.close ();
             raise e
       in
       (Journal.backend journal, Some journal)
-
-(* The (shards, stripe seed) of the spec tree's [Sharded] layer, if any —
-   the parameters of the router the per-server traces record through. *)
-let rec stripe_of_spec = function
-  | Mem | File _ -> None
-  | Faulty { inner; _ } | Journaled { inner; _ } | Crashing { inner; _ } ->
-      stripe_of_spec inner
-  | Sharded { shards; seed; _ } -> Some (shards, seed)
 
 let rec remove_spec_files = function
   | Mem -> ()
@@ -205,12 +194,10 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
   if backoff_base < 0. || backoff_cap < backoff_base then
     invalid_arg "Storage.create: backoff must satisfy 0 <= base <= cap";
   let payload_size = Flat.stride_of ~block_size in
-  let stripe = stripe_of_spec backend in
   let raw, journal =
     instantiate ~block_size ~payload_size ~resume ~auto_commit_bytes:journal_auto_commit_bytes
       backend
   in
-  let kind = Backend.kind raw in
   let tel = Option.value telemetry ~default:Telemetry.disabled in
   let timed = Telemetry.enabled tel in
   (* The timing shim and the cipher timer exist only when the sink
@@ -218,13 +205,13 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
      I/O path — untouched. *)
   let backend = if timed then Backend.instrument tel raw else raw in
   let nonce_hw =
-    match Option.map (parse_header ~block_size) (Backend.read_meta backend) with
+    match Option.map (parse_header ~block_size) (backend.read_meta ()) with
     | Some hw -> hw
     | None -> 0
     | exception e ->
         (* A refused store is released untouched: the header is only
            rewritten once it has been accepted. *)
-        Backend.close backend;
+        backend.close ();
         raise e
   in
   let stats = Stats.create ~payload_size () in
@@ -237,8 +224,7 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
       block_size;
       payload_size;
       backend;
-      kind;
-      used = (if resume then Backend.size backend else 0);
+      used = (if resume then backend.size () else 0);
       stats;
       trace = Trace.create trace_mode;
       tel;
@@ -254,16 +240,13 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
       backoff_cap;
       journal;
       commit_timer =
-        (if timed && journal <> None then Some (Telemetry.cell tel ~backend:kind Telemetry.Sync)
+        (if timed && journal <> None then
+           Some (Telemetry.cell tel ~backend:backend.kind Telemetry.Sync)
          else None);
-      shard =
-        Option.map
-          (fun (shards, seed) ->
-            {
-              router = Backend.router ~shards ~seed;
-              straces = Array.init shards (fun _ -> Trace.create trace_mode);
-            })
-          stripe;
+      straces =
+        (match backend.router with
+        | None -> [||]
+        | Some r -> Array.init r.shards (fun _ -> Trace.create trace_mode));
       seal_buf = Flat.create ~block_size ~blocks:1;
       run_buf = Flat.create ~block_size ~blocks:0;
     }
@@ -276,22 +259,21 @@ let capacity t = t.used
 let stats t = t.stats
 let trace t = t.trace
 let telemetry t = t.tel
-let backend_kind t = t.kind
-let faults_injected t = Backend.faults_injected t.backend
+let backend_kind t = t.backend.kind
+let faults_injected t = t.backend.faults ()
 let next_nonce t = Option.map (fun cs -> cs.next_nonce) t.cipher
 let scratch_bytes t = Bigbuf.length (Flat.buffer t.run_buf)
-let shard_ios t = Backend.shard_io_counts t.backend
-let shard_count t = Backend.shard_count t.backend
-let shard_traces t = match t.shard with None -> [||] | Some sh -> sh.straces
+let shard_ios t = t.backend.shard_ops ()
+let shard_count t = Option.map (fun (r : Backend.router) -> r.shards) t.backend.router
+let shard_traces t = t.straces
 
 let shard_addr t ~shard ~index =
-  match t.shard with
+  match t.backend.router with
   | None -> invalid_arg "Storage.shard_addr: backend is not sharded"
-  | Some sh ->
-      if shard < 0 || shard >= sh.router.shards then
-        invalid_arg "Storage.shard_addr: shard out of range";
+  | Some r ->
+      if shard < 0 || shard >= r.shards then invalid_arg "Storage.shard_addr: shard out of range";
       if index < 0 then invalid_arg "Storage.shard_addr: negative index";
-      Backend.logical sh.router ~shard ~index
+      Backend.logical r ~shard ~index
 
 (* Bracket a public phase across the logical trace {e and} every
    per-shard trace, so shard-level divergence reports name the same
@@ -300,12 +282,12 @@ let shard_addr t ~shard ~index =
    never feeds back into what the traces record. *)
 let with_span t label f =
   Telemetry.with_phase t.tel label (fun () ->
-      match t.shard with
-      | None -> Trace.with_span t.trace label f
-      | Some sh ->
-          Array.iter (fun tr -> Trace.span_enter tr label) sh.straces;
+      match t.straces with
+      | [||] -> Trace.with_span t.trace label f
+      | straces ->
+          Array.iter (fun tr -> Trace.span_enter tr label) straces;
           Fun.protect
-            ~finally:(fun () -> Array.iter Trace.span_exit sh.straces)
+            ~finally:(fun () -> Array.iter Trace.span_exit straces)
             (fun () -> Trace.with_span t.trace label f))
 
 (* Persist the exact counter (not the rounded-up reservation) before the
@@ -317,11 +299,11 @@ let checkpoint_header t =
 
 let sync t =
   checkpoint_header t;
-  Backend.sync t.backend
+  t.backend.sync ()
 
 let close t =
   checkpoint_header t;
-  Backend.close t.backend
+  t.backend.close ()
 
 (* Simulate a kill: release every descriptor with no header checkpoint,
    no journal commit, no flush — the on-disk state stays exactly as the
@@ -329,7 +311,7 @@ let close t =
 let abandon t =
   match t.journal with
   | Some j -> Journal.abandon j
-  | None -> Backend.close t.backend
+  | None -> t.backend.close ()
 
 (* ---- journal-backed checkpoints (no-ops on unjournaled stores).
 
@@ -520,34 +502,25 @@ let backoff t attempt =
 let record_read t a =
   Stats.record_read t.stats;
   Trace.record_read t.trace a;
-  match t.shard with
+  match t.backend.router with
   | None -> ()
-  | Some sh ->
-      Trace.record_read
-        sh.straces.(Backend.route_shard sh.router a)
-        (Backend.route_index sh.router a)
+  | Some r -> Trace.record_read t.straces.(Backend.route_shard r a) (Backend.route_index r a)
 
 let record_write t a =
   Stats.record_write t.stats;
   Trace.record_write t.trace a;
-  match t.shard with
+  match t.backend.router with
   | None -> ()
-  | Some sh ->
-      Trace.record_write
-        sh.straces.(Backend.route_shard sh.router a)
-        (Backend.route_index sh.router a)
+  | Some r -> Trace.record_write t.straces.(Backend.route_shard r a) (Backend.route_index r a)
 
 (* A counted retry is a disk access the faulting shard's server observed
    too: it lands in that shard's trace as well as the logical one. *)
 let record_retry t ~write a =
   let op_of a = if write then Trace.Retry_write a else Trace.Retry_read a in
   Trace.record t.trace (op_of a);
-  match t.shard with
+  match t.backend.router with
   | None -> ()
-  | Some sh ->
-      Trace.record
-        sh.straces.(Backend.route_shard sh.router a)
-        (op_of (Backend.route_index sh.router a))
+  | Some r -> Trace.record t.straces.(Backend.route_shard r a) (op_of (Backend.route_index r a))
 
 let record_range t ~counted ~write lo hi =
   if counted then
@@ -561,9 +534,8 @@ let rec run_from t ~counted ~write ~addr ~fin ~buf ~off a attempt =
   if a < fin then begin
     let count = fin - a and boff = off + ((a - addr) * t.payload_size) in
     match
-      if write then
-        Backend.write_run t.backend ~addr:a ~count ~payload:t.payload_size ~buf ~off:boff
-      else Backend.read_run t.backend ~addr:a ~count ~payload:t.payload_size ~buf ~off:boff
+      if write then t.backend.write_run ~addr:a ~count ~payload:t.payload_size ~buf ~off:boff
+      else t.backend.read_run ~addr:a ~count ~payload:t.payload_size ~buf ~off:boff
     with
     | () -> record_range t ~counted ~write a fin
     | exception Backend.Transient { addr = fa; _ } ->
@@ -598,7 +570,7 @@ let alloc t n =
   if n < 0 then invalid_arg "Storage.alloc: negative size";
   let base = t.used in
   if n > 0 then begin
-    Backend.ensure t.backend (t.used + n);
+    t.backend.ensure (t.used + n);
     t.used <- t.used + n;
     (* Zero-initialization is the server's job and costs no counted I/O;
        retries here stay out of the trace for the same reason. Batched

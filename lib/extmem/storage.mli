@@ -116,8 +116,8 @@ val create :
 
     {b Sealing state persistence.} A store whose backend persists (the
     file backend) carries a small header — block size, the cipher nonce
-    high-water mark and the cipher engine id — maintained through
-    {!Backend.write_meta}.
+    high-water mark and the cipher engine id — maintained through the
+    backend's [write_meta].
     [create] on an existing file reads it back and resumes the nonce
     counter {e above} every nonce that may ever have been used, so
     reopening a store with the same key never re-seals under a spent
@@ -153,18 +153,20 @@ val capacity : t -> int
 val backend_kind : t -> string
 (** The kind of the outermost backend layer the spec builds — "mem",
     "file", "faulty", "sharded", "journaled" or "crashing" — never the
-    timing shim a telemetry sink installs. For reports. *)
+    timing shim a telemetry sink installs (the shim keeps its inner
+    layer's kind). For reports. *)
 
 val shard_ios : t -> int array
 (** Per-shard counts of block ops served by a [Sharded] backend ([[||]]
-    otherwise) — the adversary's per-device view; see
-    {!Backend.shard_io_counts}. *)
+    otherwise) — the adversary's per-device view: the stripe's
+    [shard_ops], which every layer above it inherits. *)
 
 val shard_count : t -> int option
 (** [Some k] when the backend spec has a [Sharded] layer of [k] members
     (including the degenerate [k = 1] stripe), [None] when it has none —
-    the two are deliberately distinct: a 1-shard stripe still routes
-    through the PRP and records a per-server trace. *)
+    the width of the backend's [router]. The two are deliberately
+    distinct: a 1-shard stripe still routes through the PRP and records
+    a per-server trace. *)
 
 val shard_traces : t -> Trace.t array
 (** The per-server adversary views: trace [s] records exactly the op

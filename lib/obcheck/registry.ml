@@ -147,8 +147,8 @@ let multi_server e = e.cert = `Multi_server
    permanent. *)
 let backend_names = [ "mem"; "file"; "faulty" ]
 
-let backend_spec ?(seed = 0xFA17) ?(failure_rate = 0.05) ?(shards = 1) ?(journal = false) name
-    =
+let backend_spec ?(seed = 0xFA17) ?(failure_rate = 0.05) ?(shards = 1) ?(journal = false) ?store
+    name =
   if shards < 1 then invalid_arg "Registry.backend_spec: shards must be >= 1";
   (* [shards > 1] stripes the spec across K inner devices. The faulty
      decorator composes OUTSIDE the stripe: its access counter then
@@ -161,17 +161,20 @@ let backend_spec ?(seed = 0xFA17) ?(failure_rate = 0.05) ?(shards = 1) ?(journal
   (* [journal] wraps the finished spec in the write-ahead journal — the
      outermost decorator, so the log records exactly what the algorithm
      issued. The journal file rides with the spec ([remove_spec_files]
-     cleans it up alongside any inner store). *)
+     cleans it up alongside any inner store), next to [store] when one
+     is named. *)
+  let path suffix =
+    match store with
+    | Some p -> p ^ suffix
+    | None -> Filename.temp_file "odex_obcheck" (".store" ^ suffix)
+  in
   let journaled inner =
-    if not journal then inner
-    else
-      Storage.Journaled
-        { inner; path = Filename.temp_file "odex_obcheck" ".journal"; durable = true }
+    if not journal then inner else Storage.Journaled { inner; path = path ".journal"; durable = true }
   in
   journaled
     (match name with
     | "mem" -> stripe Storage.Mem
-    | "file" -> stripe (Storage.File { path = Filename.temp_file "odex_obcheck" ".store" })
+    | "file" -> stripe (Storage.File { path = path "" })
     | "faulty" ->
         Storage.Faulty { inner = stripe Storage.Mem; seed; failure_rate; max_burst = 2 }
     | other -> invalid_arg (Printf.sprintf "Registry.backend_spec: unknown backend %S" other))

@@ -45,6 +45,7 @@ val backend_spec :
   ?failure_rate:float ->
   ?shards:int ->
   ?journal:bool ->
+  ?store:string ->
   string ->
   Odex_extmem.Storage.backend_spec
 (** A fresh spec for a named backend: "file" gets its own temp path
@@ -61,4 +62,8 @@ val backend_spec :
     [journal] (default false) wraps the finished spec in the
     write-ahead journal ({!Odex_extmem.Storage.backend_spec.Journaled},
     own temp side file, durable commits) as the outermost decorator;
-    [remove_spec_files] cleans the journal up with the store. *)
+    [remove_spec_files] cleans the journal up with the store.
+
+    [store] names the files instead of fresh temp paths: a "file" store
+    lives at [store] and the journal at [store ^ ".journal"], so a later
+    run can reopen both. *)

@@ -12,11 +12,13 @@
 #    uncaught exception. Each case runs on a fresh copy of the store; the
 #    cases refused at open (retired header, wrong block size) must also
 #    leave the store and its journal byte-identical.
+# 3. Cleanup: a run without --store leaves its TMPDIR empty.
 set -euo pipefail
 
 odx=$(realpath "${1:-_build/default/bin/odx.exe}")
 dir=$(mktemp -d)
-trap 'rm -rf "$dir"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -rf "$dir" "$tmp"' EXIT
 cd "$dir"
 
 fail() {
@@ -78,4 +80,11 @@ refused retired-engine "retired cipher engine id 1" --untouched 48 01 -- \
   "${sort_args[@]}" --cipher chacha20 --resume
 refused v1-header "unsupported store header version 1" --untouched 24 01 -- \
   "${sort_args[@]}" --cipher chacha20 --resume
-echo "check_odx_store: round trip and $(ls -d */ | wc -l) refusals ok"
+
+# 3. Cleanup: without --store, odx's temp store files (every shard and the
+#    journal) are gone when it exits.
+TMPDIR="$tmp" "$odx" sort --backend file --shards 2 --journal -b 4 -m 16 in > tmp.out
+grep -q '^; ok = true$' tmp.out || fail "temp-store run did not sort"
+[ -z "$(ls -A "$tmp")" ] || fail "odx left temp files behind: $(ls -A "$tmp" | tr '\n' ' ')"
+
+echo "check_odx_store: round trip, $(ls -d */ | wc -l) refusals and temp cleanup ok"

@@ -10,32 +10,32 @@ let with_temp_store f =
 (* ---------------- backend layer ---------------- *)
 
 let test_backend_kinds () =
-  Alcotest.(check string) "mem" "mem" (Backend.kind (Backend.mem ~payload_size:16 ()));
+  Alcotest.(check string) "mem" "mem" (Backend.mem ~payload_size:16 ()).kind;
   with_temp_store (fun path ->
       let b = Backend.file ~path ~payload_size:16 in
-      Alcotest.(check string) "file" "file" (Backend.kind b);
-      Backend.close b;
+      Alcotest.(check string) "file" "file" b.kind;
+      b.close ();
       let f =
         Backend.faulty
           { Backend.seed = 1; failure_rate = 0.5; max_burst = 2 }
           (Backend.mem ~payload_size:16 ())
       in
-      Alcotest.(check string) "faulty" "faulty" (Backend.kind f))
+      Alcotest.(check string) "faulty" "faulty" f.kind)
 
 let test_backend_bounds () =
   let b = Backend.mem ~payload_size:16 () in
-  Backend.ensure b 4;
+  b.ensure 4;
   Alcotest.check_raises "mem read past end"
     (Invalid_argument "Backend.Mem.read_run: run [4, 5) out of bounds (4 blocks)") (fun () ->
       ignore (Util.read_block b 4));
   with_temp_store (fun path ->
       let f = Backend.file ~path ~payload_size:8 in
-      Backend.ensure f 2;
+      f.ensure 2;
       Alcotest.check_raises "file payload size enforced"
         (Invalid_argument "Backend.File.write_run: buffer region out of bounds") (fun () ->
-          Backend.write_run f ~addr:0 ~count:1 ~payload:8 ~buf:(Odex_crypto.Bigbuf.create 7)
+          f.write_run ~addr:0 ~count:1 ~payload:8 ~buf:(Odex_crypto.Bigbuf.create 7)
             ~off:0);
-      Backend.close f)
+      f.close ())
 
 let test_faulty_plan_validation () =
   let inner () = Backend.mem ~payload_size:16 () in
@@ -54,17 +54,17 @@ let test_file_persistence () =
   with_temp_store (fun path ->
       let payload i = Bytes.init 16 (fun j -> Char.chr ((i + (3 * j)) land 0xFF)) in
       let b = Backend.file ~path ~payload_size:16 in
-      Backend.ensure b 8;
+      b.ensure 8;
       for i = 0 to 7 do
         Util.write_block b i (payload i)
       done;
-      Backend.sync b;
-      Backend.close b;
+      b.sync ();
+      b.close ();
       let b' = Backend.file ~path ~payload_size:16 in
       for i = 7 downto 0 do
         Alcotest.(check bytes) (Printf.sprintf "block %d" i) (payload i) (Util.read_block b' i)
       done;
-      Backend.close b')
+      b'.close ())
 
 (* ---------------- accounting is backend-independent ---------------- *)
 
@@ -399,32 +399,32 @@ let test_file_rejects_garbage () =
       Alcotest.(check bool) "garbage file refused" true
         (match Backend.file ~path ~payload_size:16 with
         | exception Invalid_argument _ -> true
-        | b -> Backend.close b; false))
+        | b -> b.close (); false))
 
 let test_meta_roundtrip () =
-  let roundtrip name backend =
+  let roundtrip name (backend : Backend.t) =
     let m = Bytes.of_string "hello-header" in
-    Backend.write_meta backend m;
-    (match Backend.read_meta backend with
+    backend.write_meta m;
+    (match backend.read_meta () with
     | Some got -> Alcotest.(check bytes) (name ^ " meta roundtrip") m got
     | None -> Alcotest.fail (name ^ ": metadata lost"));
     Alcotest.check_raises (name ^ " oversized meta refused")
       (Invalid_argument
          (Printf.sprintf "Backend.%s.write_meta: metadata exceeds %d bytes"
             (String.capitalize_ascii name) Backend.meta_capacity))
-      (fun () -> Backend.write_meta backend (Bytes.create (Backend.meta_capacity + 1)))
+      (fun () -> backend.write_meta (Bytes.create (Backend.meta_capacity + 1)))
   in
   roundtrip "mem" (Backend.mem ~payload_size:16 ());
   with_temp_store (fun path ->
       let b = Backend.file ~path ~payload_size:16 in
       roundtrip "file" b;
-      Backend.close b;
+      b.close ();
       (* The file header — hence the metadata — survives a reopen. *)
       let b = Backend.file ~path ~payload_size:16 in
-      (match Backend.read_meta b with
+      (match b.read_meta () with
       | Some got -> Alcotest.(check bytes) "meta survives reopen" (Bytes.of_string "hello-header") got
       | None -> Alcotest.fail "file metadata lost across reopen");
-      Backend.close b)
+      b.close ())
 
 (* ---------------- durability bugfix sweep ---------------- *)
 
@@ -435,14 +435,14 @@ let test_meta_roundtrip () =
 let test_meta_on_closed_store_raises () =
   with_temp_store (fun path ->
       let b = Backend.file ~path ~payload_size:16 in
-      Backend.write_meta b (Bytes.of_string "live");
-      Backend.close b;
+      b.write_meta (Bytes.of_string "live");
+      b.close ();
       Alcotest.check_raises "write_meta on closed store"
         (Invalid_argument "Backend.File: store is closed") (fun () ->
-          Backend.write_meta b (Bytes.of_string "dead"));
+          b.write_meta (Bytes.of_string "dead"));
       Alcotest.check_raises "read_meta on closed store"
         (Invalid_argument "Backend.File: store is closed") (fun () ->
-          ignore (Backend.read_meta b)))
+          ignore (b.read_meta ())))
 
 (* A store file whose data section is not a whole number of blocks was
    torn by a crash mid-append. Reopening used to round the size down,
@@ -450,10 +450,10 @@ let test_meta_on_closed_store_raises () =
 let test_torn_store_rejected () =
   with_temp_store (fun path ->
       let b = Backend.file ~path ~payload_size:16 in
-      Backend.ensure b 4;
+      b.ensure 4;
       Util.write_block b 0 (Bytes.make 16 'a');
-      Backend.sync b;
-      Backend.close b;
+      b.sync ();
+      b.close ();
       (* Tear the tail: 5 bytes of a sixth... fifth block. *)
       let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
       ignore (Unix.write fd (Bytes.make 5 'x') 0 5);
@@ -462,7 +462,7 @@ let test_torn_store_rejected () =
         (match Backend.file ~path ~payload_size:16 with
         | exception Invalid_argument msg -> Util.contains msg "torn store" && Util.contains msg "5"
         | b ->
-            Backend.close b;
+            b.close ();
             false);
       (* A whole-block file still opens. *)
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
@@ -471,7 +471,7 @@ let test_torn_store_rejected () =
       let b = Backend.file ~path ~payload_size:16 in
       Alcotest.(check bytes) "intact blocks still readable" (Bytes.make 16 'a')
         (Util.read_block b 0);
-      Backend.close b)
+      b.close ())
 
 (* EINTR hammer: a high-frequency interval timer delivers SIGALRM
    throughout a file-backend workload. OCaml installs Signal_handle
@@ -493,19 +493,19 @@ let test_eintr_retried () =
           let payload i = Bytes.init 64 (fun j -> Char.chr ((i + j) land 0xFF)) in
           let b = Backend.file ~path ~payload_size:64 in
           let n = 512 in
-          Backend.ensure b n;
+          b.ensure n;
           for round = 0 to 3 do
             for i = 0 to n - 1 do
               Util.write_block b i (payload (i + round))
             done;
-            Backend.sync b;
+            b.sync ();
             for i = 0 to n - 1 do
               Alcotest.(check bytes)
                 (Printf.sprintf "round %d block %d" round i)
                 (payload (i + round)) (Util.read_block b i)
             done
           done;
-          Backend.close b);
+          b.close ());
       (* The harness only proves something if signals actually landed. *)
       Alcotest.(check bool)
         (Printf.sprintf "timer delivered signals (%d)" !ticks)
@@ -539,6 +539,161 @@ let test_remove_spec_files () =
   Alcotest.(check (list bool)) "stripe base and members removed" [ false; false; false ]
     (List.map Sys.file_exists files)
 
+(* ---------------- layers inherit what they do not own ----------------
+
+   A decorator states only the verbs it changes; everything else is its
+   inner layer's. Over each stack, with the telemetry sink on and off:
+   the reported kind is the outermost layer's (the shim keeps its
+   inner's), the stripe's width and op counts reach Storage unchanged —
+   a fault gate fails before the stripe is called, so the stripe serves
+   exactly the blocks the bare stripe serves — the per-server traces are
+   the logical trace routed through the stripe's own map, and the fault
+   count is the fault layer's own, the same as the stack without its
+   journal and shim. The workload commits before it reads, so the
+   journal hands the layers below it the same block transfers in the
+   same order as the unjournaled stack does. *)
+
+let stripe_seed = 0x5A4D
+let stripe inner = Storage.Sharded { inner; shards = 2; seed = stripe_seed }
+
+let faulty inner =
+  Storage.Faulty { inner; seed = 0xFA17; failure_rate = 0.05; max_burst = 2 }
+
+let temp_file () = Storage.File { path = Filename.temp_file "odex_test" ".store" }
+
+let journaled ~journal inner =
+  if not journal then inner
+  else
+    Storage.Journaled
+      { inner; path = Filename.temp_file "odex_test" ".journal"; durable = false }
+
+(* label, outermost kind, stripe width, whether faults fire, the bare
+   stripe (or device), and the stack with or without its journal *)
+let inheritance_stacks =
+  [
+    ( "Journaled (Faulty (Sharded K=2 (File)))", "journaled", Some 2, true,
+      (fun () -> stripe (temp_file ())),
+      fun ~journal -> journaled ~journal (faulty (stripe (temp_file ()))) );
+    ( "Journaled (Crashing (Sharded K=2 (Mem)))", "journaled", Some 2, false,
+      (fun () -> stripe Storage.Mem),
+      fun ~journal ->
+        journaled ~journal (Storage.Crashing { inner = stripe Storage.Mem; ops = max_int }) );
+    ( "Faulty (Mem)", "faulty", None, true,
+      (fun () -> Storage.Mem),
+      fun ~journal:_ -> faulty Storage.Mem );
+  ]
+
+let run_stack ?telemetry backend =
+  let s =
+    Storage.create ?telemetry ~trace_mode:Trace.Full ~backoff:(0., 0.) ~backend ~block_size:4 ()
+  in
+  let n = 24 in
+  let base = Storage.alloc s n in
+  Storage.write_many s base
+    (Array.init n (fun i -> Array.init 4 (fun j -> Cell.item ~key:((4 * i) + j) ~value:i ())));
+  Storage.sync s;
+  ignore (Storage.read_many s base n);
+  List.iter (fun a -> Storage.write s (base + a) (Storage.read s (base + n - 1 - a))) [ 3; 17; 8 ];
+  Storage.sync s;
+  ignore (Storage.read_many s (base + 2) 20);
+  s
+
+let addr_of = function Trace.Read a | Write a | Retry_read a | Retry_write a -> a
+
+let op_name op a =
+  (match op with Trace.Read _ -> "R" | Write _ -> "W" | Retry_read _ -> "r" | Retry_write _ -> "w")
+  ^ string_of_int a
+
+(* Shard [shard]'s view of a logical trace under the stripe's map. *)
+let routed_view ~shards ~shard ops =
+  List.filter_map
+    (fun op ->
+      let s, i = Backend.shard_route ~shards ~seed:stripe_seed (addr_of op) in
+      if s = shard then Some (op_name op i) else None)
+    ops
+
+let check_stack_inherits (label, kind, shards, faults_fire, bare, stack) =
+  let bare_spec = bare () and plain_spec = stack ~journal:false in
+  let bare = run_stack bare_spec and plain = run_stack plain_spec in
+  if faults_fire then
+    Alcotest.(check bool) (label ^ ": faults fire") true (Storage.faults_injected plain > 0);
+  List.iter
+    (fun sink ->
+      let name = Printf.sprintf "%s, sink %s" label (if sink then "on" else "off") in
+      let telemetry =
+        if sink then Odex_telemetry.Telemetry.create () else Odex_telemetry.Telemetry.disabled
+      in
+      let spec = stack ~journal:true in
+      let s = run_stack ~telemetry spec in
+      Fun.protect ~finally:(fun () ->
+          Storage.close s;
+          Storage.remove_spec_files spec)
+      @@ fun () ->
+      Alcotest.(check string) (name ^ ": kind") kind (Storage.backend_kind s);
+      Alcotest.(check (option int)) (name ^ ": bare shard_count") shards (Storage.shard_count bare);
+      Alcotest.(check (option int)) (name ^ ": shard_count") shards (Storage.shard_count s);
+      Alcotest.(check (array int)) (name ^ ": shard_ios") (Storage.shard_ios bare)
+        (Storage.shard_ios s);
+      Alcotest.(check int) (name ^ ": faults_injected") (Storage.faults_injected plain)
+        (Storage.faults_injected s);
+      let logical = Trace.ops (Storage.trace s) in
+      let k = Option.value shards ~default:0 in
+      Alcotest.(check (array (list string)))
+        (name ^ ": per-server traces are the logical trace routed by the stripe")
+        (Array.init k (fun shard -> routed_view ~shards:k ~shard logical))
+        (Array.map
+           (fun tr -> List.map (fun op -> op_name op (addr_of op)) (Trace.ops tr))
+           (Storage.shard_traces s));
+      match shards with
+      | None ->
+          Alcotest.check_raises (name ^ ": shard_addr refused")
+            (Invalid_argument "Storage.shard_addr: backend is not sharded") (fun () ->
+              ignore (Storage.shard_addr s ~shard:0 ~index:0))
+      | Some k ->
+          for shard = 0 to k - 1 do
+            for index = 0 to 15 do
+              Alcotest.(check (pair int int))
+                (Printf.sprintf "%s: shard_addr %d %d round-trips" name shard index)
+                (shard, index)
+                (Backend.shard_route ~shards:k ~seed:stripe_seed
+                   (Storage.shard_addr s ~shard ~index))
+            done
+          done)
+    [ false; true ];
+  List.iter
+    (fun (s, spec) ->
+      Storage.close s;
+      Storage.remove_spec_files spec)
+    [ (bare, bare_spec); (plain, plain_spec) ]
+
+let test_layers_inherit () =
+  List.iter check_stack_inherits inheritance_stacks;
+  (* The fault plan's refusals are test_faulty_plan_validation's. *)
+  let mem () = Backend.mem ~payload_size:8 () in
+  List.iter
+    (fun (msg, refused) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (refused ())))
+    [
+      ("Backend.mem: payload_size must be >= 1", fun () -> Backend.mem ~payload_size:0 ());
+      ( "Backend.file: payload_size must be >= 1",
+        fun () -> Backend.file ~path:"odex_test.never-created" ~payload_size:0 );
+      ("Backend.router: shards must be >= 1", fun () -> Backend.sharded ~seed:1 [||]);
+      ( "Backend.sharded: inner stores disagree on payload size",
+        fun () -> Backend.sharded ~seed:1 [| mem (); Backend.mem ~payload_size:16 () |] );
+      ("Backend.crash_after: negative op budget", fun () -> Backend.crash_after ~ops:(-1) (mem ()));
+      ( "Journal.create: payload_size must be >= 1",
+        fun () ->
+          Journal.backend
+            (Journal.create ~path:"odex_test.never-created" ~payload_size:0 ~durable:false
+               ~replay:false (mem ())) );
+    ];
+  Alcotest.check_raises "Storage refuses an empty stripe"
+    (Invalid_argument "Storage: shards must be >= 1") (fun () ->
+      ignore
+        (Storage.create
+           ~backend:(Storage.Sharded { inner = Storage.Mem; shards = 0; seed = 1 })
+           ~block_size:2 ()))
+
 let suite =
   [
     ("backend kinds", `Quick, test_backend_kinds);
@@ -562,4 +717,5 @@ let suite =
     ("torn trailing block rejected on reopen", `Quick, test_torn_store_rejected);
     ("EINTR retried across the whole I/O surface", `Quick, test_eintr_retried);
     ("remove_spec_files", `Quick, test_remove_spec_files);
+    ("layers inherit what they do not own", `Quick, test_layers_inherit);
   ]

@@ -214,7 +214,7 @@ let test_many_parity_under_faults () =
 
 let test_backend_run_edges () =
   let check_backend name (bk : Backend.t) =
-    Backend.ensure bk 4;
+    bk.ensure 4;
     let payload = 8 in
     let pat i = Bytes.init payload (fun j -> Char.chr ((i * 31 + j) land 0xFF)) in
     let buf = Bigbuf.create (4 * payload) in
@@ -223,15 +223,15 @@ let test_backend_run_edges () =
     done;
     (* count = 0 is a validated no-op; a full-width run ends exactly at
        capacity. *)
-    Backend.write_run bk ~addr:2 ~count:0 ~payload ~buf ~off:0;
-    Backend.write_run bk ~addr:0 ~count:4 ~payload ~buf ~off:0;
+    bk.write_run ~addr:2 ~count:0 ~payload ~buf ~off:0;
+    bk.write_run ~addr:0 ~count:4 ~payload ~buf ~off:0;
     let out = Bigbuf.create (4 * payload) in
-    Backend.read_run bk ~addr:0 ~count:4 ~payload ~buf:out ~off:0;
+    bk.read_run ~addr:0 ~count:4 ~payload ~buf:out ~off:0;
     Alcotest.(check bytes) (name ^ ": full-run roundtrip") (Util.bytes_of_big buf)
       (Util.bytes_of_big out);
     (* A run of one serves exactly its block. *)
     let one = Bigbuf.create payload in
-    Backend.read_run bk ~addr:3 ~count:1 ~payload ~buf:one ~off:0;
+    bk.read_run ~addr:3 ~count:1 ~payload ~buf:one ~off:0;
     Alcotest.(check bytes) (name ^ ": run of one") (pat 3) (Util.bytes_of_big one);
     (* Out-of-bounds address windows, negative lengths, a foreign payload
        size and undersized buffers raise before any byte moves — in
@@ -247,35 +247,35 @@ let test_backend_run_edges () =
         sentinel (Util.bytes_of_big out)
     in
     read_refused "run past end" (fun () ->
-        Backend.read_run bk ~addr:2 ~count:3 ~payload ~buf:out ~off:0);
+        bk.read_run ~addr:2 ~count:3 ~payload ~buf:out ~off:0);
     read_refused "negative addr" (fun () ->
-        Backend.read_run bk ~addr:(-1) ~count:1 ~payload ~buf:out ~off:0);
+        bk.read_run ~addr:(-1) ~count:1 ~payload ~buf:out ~off:0);
     read_refused "negative count" (fun () ->
-        Backend.read_run bk ~addr:0 ~count:(-1) ~payload ~buf:out ~off:0);
+        bk.read_run ~addr:0 ~count:(-1) ~payload ~buf:out ~off:0);
     read_refused "foreign payload size" (fun () ->
-        Backend.read_run bk ~addr:0 ~count:2 ~payload:(payload - 1) ~buf:out ~off:0);
+        bk.read_run ~addr:0 ~count:2 ~payload:(payload - 1) ~buf:out ~off:0);
     read_refused "short read buffer" (fun () ->
-        Backend.read_run bk ~addr:0 ~count:4 ~payload ~buf:out ~off:1);
+        bk.read_run ~addr:0 ~count:4 ~payload ~buf:out ~off:1);
     let refused_write what f =
       Alcotest.(check bool) (name ^ ": " ^ what ^ " refused") true (refused f)
     in
     refused_write "short buffer" (fun () ->
-        Backend.write_run bk ~addr:0 ~count:4 ~payload ~buf:(Bigbuf.create 31) ~off:0);
+        bk.write_run ~addr:0 ~count:4 ~payload ~buf:(Bigbuf.create 31) ~off:0);
     refused_write "write past end" (fun () ->
-        Backend.write_run bk ~addr:3 ~count:2 ~payload ~buf:(Bigbuf.create (2 * payload)) ~off:0);
+        bk.write_run ~addr:3 ~count:2 ~payload ~buf:(Bigbuf.create (2 * payload)) ~off:0);
     refused_write "negative write count" (fun () ->
-        Backend.write_run bk ~addr:0 ~count:(-1) ~payload ~buf ~off:0);
+        bk.write_run ~addr:0 ~count:(-1) ~payload ~buf ~off:0);
     refused_write "foreign write payload" (fun () ->
-        Backend.write_run bk ~addr:0 ~count:2 ~payload:(payload - 1) ~buf ~off:0);
+        bk.write_run ~addr:0 ~count:2 ~payload:(payload - 1) ~buf ~off:0);
     let before = Bigbuf.create (4 * payload) in
-    Backend.read_run bk ~addr:0 ~count:4 ~payload ~buf:before ~off:0;
+    bk.read_run ~addr:0 ~count:4 ~payload ~buf:before ~off:0;
     Alcotest.(check bytes) (name ^ ": refused writes moved nothing") (Util.bytes_of_big buf)
       (Util.bytes_of_big before)
   in
   check_backend "mem" (Backend.mem ~payload_size:8 ());
   with_temp_store (fun path ->
       let bk = Backend.file ~path ~payload_size:8 in
-      Fun.protect ~finally:(fun () -> Backend.close bk) (fun () -> check_backend "file" bk));
+      Fun.protect ~finally:(fun () -> bk.close ()) (fun () -> check_backend "file" bk));
   (* A journal over mem whose writes all stay pending (the auto-commit
      threshold is far above four blocks): reads of pending blocks are
      served from its overlay, so its run verbs must validate before the
@@ -301,7 +301,7 @@ let test_faulty_run_resume_contract () =
      and resuming there must finish the run with one fault per block. *)
   let plan = { Backend.seed = 5; failure_rate = 1.0; max_burst = 1 } in
   let bk = Backend.faulty plan (Backend.mem ~payload_size:8 ()) in
-  Backend.ensure bk 4;
+  bk.ensure 4;
   let payload = 8 in
   let src = Util.big_of_bytes (Bytes.init (4 * payload) (fun i -> Char.chr (i land 0xFF))) in
   let resume_loop f =
@@ -318,30 +318,30 @@ let test_faulty_run_resume_contract () =
   in
   let wf =
     resume_loop (fun a ->
-        Backend.write_run bk ~addr:a ~count:(4 - a) ~payload ~buf:src ~off:(a * payload))
+        bk.write_run ~addr:a ~count:(4 - a) ~payload ~buf:src ~off:(a * payload))
   in
   Alcotest.(check int) "one write fault per block" 4 wf;
   let out = Bigbuf.create (4 * payload) in
   let rf =
     resume_loop (fun a ->
-        Backend.read_run bk ~addr:a ~count:(4 - a) ~payload ~buf:out ~off:(a * payload))
+        bk.read_run ~addr:a ~count:(4 - a) ~payload ~buf:out ~off:(a * payload))
   in
   Alcotest.(check int) "one read fault per block" 4 rf;
   Alcotest.(check bytes) "resumed run transferred every block" (Util.bytes_of_big src)
     (Util.bytes_of_big out);
-  Alcotest.(check int) "every fault was raised through the runs" 8 (Backend.faults_injected bk);
+  Alcotest.(check int) "every fault was raised through the runs" 8 (bk.faults ());
   (* An out-of-bounds run or a foreign payload size is refused before
      the first gate: no fault schedule advance, no transfer. *)
-  let faults_before = Backend.faults_injected bk in
+  let faults_before = bk.faults () in
   let refused f = try f (); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "oob refused" true
     (refused (fun () ->
-         Backend.read_run bk ~addr:2 ~count:5 ~payload ~buf:(Bigbuf.create (5 * payload)) ~off:0));
+         bk.read_run ~addr:2 ~count:5 ~payload ~buf:(Bigbuf.create (5 * payload)) ~off:0));
   Alcotest.(check bool) "foreign payload refused" true
     (refused (fun () ->
-         Backend.write_run bk ~addr:0 ~count:2 ~payload:(payload - 1) ~buf:src ~off:0));
+         bk.write_run ~addr:0 ~count:2 ~payload:(payload - 1) ~buf:src ~off:0));
   Alcotest.(check int) "refused runs consumed no accesses" faults_before
-    (Backend.faults_injected bk)
+    (bk.faults ())
 
 (* ---------------- cache runs ---------------- *)
 

@@ -28,7 +28,7 @@ let test_append_commit_bookkeeping () =
       let inner = Backend.file ~path:sp ~payload_size:16 in
       let j = Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:false inner in
       let b = Journal.backend j in
-      Backend.ensure b 8;
+      b.ensure 8;
       for i = 0 to 2 do
         Util.write_block b i (payload i)
       done;
@@ -36,7 +36,7 @@ let test_append_commit_bookkeeping () =
         Util.big_of_bytes
           (Bytes.concat Bytes.empty (List.init 4 (fun i -> payload (10 + i))))
       in
-      Backend.write_run b ~addr:3 ~count:4 ~payload:16 ~buf ~off:0;
+      b.write_run ~addr:3 ~count:4 ~payload:16 ~buf ~off:0;
       Alcotest.(check (list (pair int int)))
         "append schedule: one record per run"
         [ (0, 1); (1, 1); (2, 1); (3, 4) ]
@@ -54,7 +54,7 @@ let test_append_commit_bookkeeping () =
         Alcotest.(check bytes) (Printf.sprintf "block %d" i) (payload i) (Util.read_block b i)
       done;
       Alcotest.(check bytes) "run block" (payload 12) (Util.read_block b 5);
-      Backend.close b)
+      b.close ())
 
 let test_auto_commit_bounds_tail () =
   with_temp_pair (fun sp jp ->
@@ -64,14 +64,14 @@ let test_auto_commit_bounds_tail () =
           ~replay:false inner
       in
       let b = Journal.backend j in
-      Backend.ensure b 16;
+      b.ensure 16;
       for i = 0 to 15 do
         Util.write_block b i (payload i)
       done;
       Alcotest.(check bool) "auto-commits fired" true (Journal.commits j >= 4);
       Alcotest.(check bool) "tail stays bounded" true
         (Journal.pending_bytes j <= 64 + 32 + 16);
-      Backend.close b)
+      b.close ())
 
 (* The decorator against a map model: random writes, reads, holds,
    releases and commits on overlapping addresses, under an auto-commit
@@ -112,7 +112,7 @@ let journal_model_prop =
               ~replay:false inner
           in
           let b = Journal.backend j in
-          Backend.ensure b blocks;
+          b.ensure blocks;
           let live = Array.make blocks (Bytes.make payload '\000') in
           let committed = ref (Array.copy live) and reads_ok = ref true and dead = ref false in
           let step = function
@@ -121,10 +121,10 @@ let journal_model_prop =
                   live.(a + i) <- block v i
                 done;
                 let buf = Util.big_of_bytes (Bytes.concat Bytes.empty (List.init c (block v))) in
-                Backend.write_run b ~addr:a ~count:c ~payload ~buf ~off:0
+                b.write_run ~addr:a ~count:c ~payload ~buf ~off:0
             | Read (a, c) ->
                 let buf = Odex_crypto.Bigbuf.create (c * payload) in
-                Backend.read_run b ~addr:a ~count:c ~payload ~buf ~off:0;
+                b.read_run ~addr:a ~count:c ~payload ~buf ~off:0;
                 let got = Util.bytes_of_big buf in
                 for i = 0 to c - 1 do
                   if Bytes.sub got (i * payload) payload <> live.(a + i) then reads_ok := false
@@ -153,9 +153,9 @@ let journal_model_prop =
           in
           let b = Journal.backend j in
           Fun.protect
-            ~finally:(fun () -> Backend.close b)
+            ~finally:(fun () -> b.close ())
             (fun () ->
-              Backend.ensure b blocks;
+              b.ensure blocks;
               !reads_ok
               && Array.for_all Fun.id
                    (Array.mapi (fun a want -> Util.read_block b a = want) !committed))))
@@ -170,7 +170,7 @@ let test_replay_heals_crashed_apply () =
       in
       let j = Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:false inner in
       let b = Journal.backend j in
-      Backend.ensure b 4;
+      b.ensure 4;
       Util.write_block b 0 (payload 0);
       Util.write_block b 1 (payload 1);
       Util.write_block b 2 (payload 2);
@@ -192,7 +192,7 @@ let test_replay_heals_crashed_apply () =
           (Printf.sprintf "block %d healed" i)
           (payload i) (Util.read_block b i)
       done;
-      Backend.close b)
+      b.close ())
 
 (* Journal-file surgery on a marked-committed-but-unapplied group: a torn
    tail (short body) and a corrupted body byte must both stop replay at
@@ -207,7 +207,7 @@ let test_torn_tail_discarded () =
     let inner = Backend.crash_after ~ops:0 (Backend.file ~path:sp ~payload_size:16) in
     let j = Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:false inner in
     let b = Journal.backend j in
-    Backend.ensure b 4;
+    b.ensure 4;
     for i = 0 to 3 do
       Util.write_block b i (payload i)
     done;
@@ -228,7 +228,7 @@ let test_torn_tail_discarded () =
         "replay stops at the torn record"
         [ (0, 1); (1, 1); (2, 1) ]
         (Journal.replay_log j);
-      Backend.close (Journal.backend j));
+      (Journal.backend j).close ());
   with_temp_pair (fun sp jp ->
       write_records sp jp;
       (* Flip one byte inside record 2's body. *)
@@ -247,14 +247,14 @@ let test_torn_tail_discarded () =
         "checksum failure stops replay before the corrupt record"
         [ (0, 1); (1, 1) ]
         (Journal.replay_log j);
-      Backend.close (Journal.backend j));
+      (Journal.backend j).close ());
   (* No commit marker: the whole intact tail is provisional, and reopen
      rolls it back instead of replaying it. *)
   with_temp_pair (fun sp jp ->
       let inner = Backend.file ~path:sp ~payload_size:16 in
       let j = Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:false inner in
       let b = Journal.backend j in
-      Backend.ensure b 4;
+      b.ensure 4;
       for i = 0 to 3 do
         Util.write_block b i (payload i)
       done;
@@ -267,7 +267,7 @@ let test_torn_tail_discarded () =
       let b = Journal.backend j in
       Alcotest.(check bool) "rolled back to zero-init, not the pending write" true
         (Util.read_block b 0 = Bytes.make 16 '\000');
-      Backend.close b)
+      b.close ())
 
 let test_checkpoint_slot_persistence () =
   with_temp_pair (fun sp jp ->
@@ -307,7 +307,7 @@ let test_checkpoint_slot_persistence () =
       Alcotest.(check (pair int int))
         "fresh open drops the slot" (0, 0)
         (Journal.state j ~owner:"x");
-      Backend.close (Journal.backend j))
+      (Journal.backend j).close ())
 
 (* Regression: [checkpoint] validated [phase] but not [cursor] — a
    negative cursor was accepted, persisted, and would aim a resumed
@@ -344,7 +344,7 @@ let test_checkpoint_validation () =
       Journal.checkpoint j ~owner:"x" ~phase:0 ~cursor:0;
       Alcotest.(check (pair int int)) "phase 0 clears" (0, 0) (Journal.state j ~owner:"x");
       Alcotest.(check int) "cleared slot is freed" 0 (List.length (Journal.slots j));
-      Backend.close (Journal.backend j))
+      (Journal.backend j).close ())
 
 (* The bug this PR fixes: the header used to hold ONE (owner, phase,
    cursor) slot, so an ORAM rebuild, the ext-sort it runs internally,
@@ -401,7 +401,7 @@ let test_multi_owner_no_clobber () =
       (* A full table still accepts updates to existing owners. *)
       Journal.checkpoint j ~owner:"oram-rebuild" ~phase:5 ~cursor:100;
       check_state "update on a full table" (5, 100) "oram-rebuild";
-      Backend.close (Journal.backend j))
+      (Journal.backend j).close ())
 
 (* Owner identity is the full string now (the v2 header stored a 64-bit
    FNV hash, where distinct owners could in principle alias): property —
@@ -419,7 +419,7 @@ let checkpoint_no_alias_prop =
             Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:false inner
           in
           Fun.protect
-            ~finally:(fun () -> Backend.close (Journal.backend j))
+            ~finally:(fun () -> (Journal.backend j).close ())
             (fun () ->
               Journal.checkpoint j ~owner:o1 ~phase:3 ~cursor:11;
               let own = Journal.state j ~owner:o1 = (3, 11) in
@@ -528,9 +528,9 @@ let test_foreign_journal_rejected () =
         (match Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:true inner with
         | exception Invalid_argument _ -> true
         | j ->
-            Backend.close (Journal.backend j);
+            (Journal.backend j).close ();
             false);
-      Backend.close inner)
+      inner.close ())
 
 (* ---------------- storage layer ---------------- *)
 

@@ -94,10 +94,9 @@ let hotspot =
 
 let test_prp_seed_leak_caught () =
   let k = 4 in
-  let p0 = (Backend.router ~shards:k ~seed:0x5A4D).perm in
-  let rec distinct_seed s =
-    let p = (Backend.router ~shards:k ~seed:s).perm in
-    if p.(0) <> p0.(0) then s else distinct_seed (s + 1)
+  (* Block 0 lands on lane 0's shard, [perm.(0)]: find a seed that moves it. *)
+  let shard0 seed = fst (Backend.shard_route ~shards:k ~seed 0) in
+  let rec distinct_seed s = if shard0 s <> shard0 0x5A4D then s else distinct_seed (s + 1)
   in
   let seed_b = distinct_seed 0x5A4E in
   let o =

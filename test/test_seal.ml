@@ -43,9 +43,9 @@ let with_forged_store ~header f =
           Storage.checkpoint s ~owner:"forged" ~phase:1 ~cursor:base;
           Storage.close s;
           let bk = Backend.file ~path:sp ~payload_size:(Flat.stride_of ~block_size:b) in
-          let m = Option.get (Backend.read_meta bk) in
-          Backend.write_meta bk (header m);
-          Backend.close bk;
+          let m = Option.get (bk.read_meta ()) in
+          bk.write_meta (header m);
+          bk.close ();
           f ~paths:[ sp; jp ] ~reopen:(fun ~resume () -> Storage.close (open_store ~resume))))
 
 (* A version-1 store header (24 bytes, pre-engines) is refused on every
@@ -195,25 +195,25 @@ let sealed_parity_cases =
 let test_mem_read_does_not_allocate () =
   let payload = 168 in
   let bk = Backend.mem ~payload_size:payload () in
-  Backend.ensure bk 8;
+  bk.ensure 8;
   let buf = Bigbuf.create payload in
   for i = 0 to 7 do
     Bigbuf.set64_le buf 0 (Int64.of_int i);
-    Backend.write_run bk ~addr:i ~count:1 ~payload ~buf ~off:0
+    bk.write_run ~addr:i ~count:1 ~payload ~buf ~off:0
   done;
   let iters = 10_000 in
   (* Warm up any lazy structure before measuring. *)
-  Backend.read_run bk ~addr:0 ~count:1 ~payload ~buf ~off:0;
+  bk.read_run ~addr:0 ~count:1 ~payload ~buf ~off:0;
   let w0 = Gc.minor_words () in
   for i = 0 to iters - 1 do
-    Backend.read_run bk ~addr:(i land 7) ~count:1 ~payload ~buf ~off:0
+    bk.read_run ~addr:(i land 7) ~count:1 ~payload ~buf ~off:0
   done;
   let per_iter = (Gc.minor_words () -. w0) /. float_of_int iters in
   Alcotest.(check bool)
     (Printf.sprintf "%.3f minor words per read (want ~0)" per_iter)
     true (per_iter < 1.0);
   (* And the data actually moved. *)
-  Backend.read_run bk ~addr:5 ~count:1 ~payload ~buf ~off:0;
+  bk.read_run ~addr:5 ~count:1 ~payload ~buf ~off:0;
   Alcotest.(check int64) "blit read serves the payload" 5L
     (Bytes.get_int64_le (Util.bytes_of_big buf) 0)
 
@@ -274,10 +274,12 @@ let test_trace_record_does_not_allocate () =
    word per block (the per-run closures and bookkeeping amortize over
    the run). With an enabled sink the same holds inside an open phase,
    even for single-block runs: a counted I/O touches only Stats, the
-   trace and a resolved timing cell. *)
-let flat_words_per_block ?telemetry ~run () =
+   trace and a resolved timing cell. So it does through the decorators —
+   a 2-way stripe, and a fault layer that never fires over it — whose
+   record closures must not allocate per call. *)
+let flat_words_per_block ?telemetry ?backend ~run () =
   let b = 8 in
-  let s = Storage.create ?telemetry ~block_size:b () in
+  let s = Storage.create ?telemetry ?backend ~block_size:b () in
   let base = Storage.alloc s (2 * run) in
   let buf = Flat.create ~block_size:b ~blocks:run in
   Flat.set_cell buf
@@ -314,7 +316,21 @@ let test_flat_run_does_not_allocate () =
       check
         (Printf.sprintf "enabled sink, runs of %d" run)
         (flat_words_per_block ~telemetry ~run ()))
-    [ 1; 16 ]
+    [ 1; 16 ];
+  let stripe = Storage.Sharded { inner = Storage.Mem; shards = 2; seed = 0x5A4D } in
+  List.iter
+    (fun (what, backend) ->
+      List.iter
+        (fun run ->
+          check
+            (Printf.sprintf "%s, runs of %d" what run)
+            (flat_words_per_block ~backend ~run ()))
+        [ 1; 16 ])
+    [
+      ("Sharded {Mem; 2}", stripe);
+      ( "Faulty {Sharded; failure_rate = 0}",
+        Storage.Faulty { inner = stripe; seed = 7; failure_rate = 0.; max_burst = 1 } );
+    ]
 
 (* The butterfly routes encoded images, never decoding a cell: compacting
    N/B = 2048 blocks of B = 8 at m = 64 on a warmed Mem store allocates
@@ -424,13 +440,13 @@ let test_journal_append_allocation () =
       (Backend.mem ~payload_size:payload ())
   in
   let b = Journal.backend j in
-  Backend.ensure b 64;
+  b.ensure 64;
   let buf = Bigbuf.create (64 * payload) in
   let per_append count =
     let round () =
       let w0 = Gc.minor_words () in
       for _ = 1 to iters do
-        Backend.write_run b ~addr:0 ~count ~payload ~buf ~off:0
+        b.write_run ~addr:0 ~count ~payload ~buf ~off:0
       done;
       let w = (Gc.minor_words () -. w0) /. float_of_int iters in
       Journal.commit j;
@@ -443,12 +459,12 @@ let test_journal_append_allocation () =
   Alcotest.(check (float 0.))
     (Printf.sprintf "minor words per 64-block append (1-block: %.2f)" one)
     one sixty_four;
-  Backend.write_run b ~addr:0 ~count:64 ~payload ~buf ~off:0;
+  b.write_run ~addr:0 ~count:64 ~payload ~buf ~off:0;
   let per_hit =
-    words_per_call (fun () -> Backend.read_run b ~addr:5 ~count:1 ~payload ~buf ~off:0)
+    words_per_call (fun () -> b.read_run ~addr:5 ~count:1 ~payload ~buf ~off:0)
   in
   Alcotest.(check (float 0.)) "minor words per overlay read hit" 0. per_hit;
-  Backend.close b
+  b.close ()
 
 let suite =
   [

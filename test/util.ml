@@ -12,14 +12,14 @@ let big_of_bytes b =
 let bytes_of_big buf = Bytes.init (Odex_crypto.Bigbuf.length buf) (fun i -> buf.{i})
 
 (* Whole-block [bytes] transfers: runs of one over the backend API. *)
-let read_block b addr =
-  let payload = Backend.payload_bytes b in
+let read_block (b : Backend.t) addr =
+  let payload = b.payload_bytes in
   let buf = Odex_crypto.Bigbuf.create payload in
-  Backend.read_run b ~addr ~count:1 ~payload ~buf ~off:0;
+  b.read_run ~addr ~count:1 ~payload ~buf ~off:0;
   bytes_of_big buf
 
-let write_block b addr bytes =
-  Backend.write_run b ~addr ~count:1 ~payload:(Backend.payload_bytes b)
+let write_block (b : Backend.t) addr bytes =
+  b.write_run ~addr ~count:1 ~payload:(b.payload_bytes)
     ~buf:(big_of_bytes bytes) ~off:0
 
 (* The registry entry, and its pair-test subject, labelled [name]. *)
