@@ -11,8 +11,6 @@ let is_empty blk = count_items blk = 0
 let items blk =
   Array.fold_right (fun c acc -> if Cell.is_item c then Cell.get c :: acc else acc) blk []
 
-let sort_in_place order blk = Array.sort (Order.compare order) blk
-
 let encoded_size b = b * Cell.encoded_size
 
 module Bigbuf = Odex_crypto.Bigbuf

@@ -15,9 +15,6 @@ val is_empty : t -> bool
 val items : t -> Cell.item list
 (** Non-empty cells in block order. *)
 
-val sort_in_place : Order.t -> t -> unit
-(** Sort the cells under an {!Order.t}, empties last. *)
-
 val encoded_size : int -> int
 (** Bytes of a block image: [b] cell images back to back. *)
 

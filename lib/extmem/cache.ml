@@ -2,7 +2,7 @@ exception Overflow of { capacity : int; requested : int }
 
 type t = {
   storage : Storage.t;
-  stats : Stats.t;  (* The storage's ledger: hit/miss/flush counts. *)
+  stats : Stats.t;  (* The storage's ledger: hit/miss counts. *)
   capacity : int;
   table : (int, Block.t) Hashtbl.t;
   mutable peak : int;
@@ -21,14 +21,8 @@ let admit t r =
   if r > t.capacity then raise (Overflow { capacity = t.capacity; requested = r });
   if r > t.peak then t.peak <- r
 
-let find_resident t addr =
-  match Hashtbl.find_opt t.table addr with
-  | Some blk -> blk
-  | None -> invalid_arg (Printf.sprintf "Cache: block %d not resident" addr)
-
 (* [load] returns a copy, so a caller mutating its buffer can never
-   silently corrupt the resident copy. In-place mutation of the
-   resident block goes through [borrow] explicitly. *)
+   silently corrupt the resident copy. *)
 
 let load t addr =
   match Hashtbl.find_opt t.table addr with
@@ -70,34 +64,11 @@ let load_run t addr ~count =
     end
   done
 
-let borrow t addr = find_resident t addr
+let borrow t addr =
+  match Hashtbl.find_opt t.table addr with
+  | Some blk -> blk
+  | None -> invalid_arg (Printf.sprintf "Cache: block %d not resident" addr)
 
 let drop t addr = Hashtbl.remove t.table addr
 
-let resident_addrs t =
-  let addrs = Hashtbl.fold (fun addr _ acc -> addr :: acc) t.table [] in
-  List.sort compare addrs
-
-(* Resident addresses are flushed in sorted order (deterministic, like
-   the per-block loop) with each maximal contiguous stretch written as
-   one batched run. The whole flush is one atomic journal group: a
-   strided window (e.g. a bitonic compare-exchange group) flushes as
-   several runs, and a crash between them must roll back all of them —
-   re-running a half-exchanged pair would lose values. *)
-let flush_all t =
-  let rec runs = function
-    | [] -> ()
-    | a :: _ as addrs ->
-        let rec split len = function
-          | b :: rest when b = a + len -> split (len + 1) rest
-          | rest -> (len, rest)
-        in
-        let len, rest = split 0 addrs in
-        let blks = Array.init len (fun i -> find_resident t (a + i)) in
-        Stats.record_flushes t.stats len;
-        Storage.write_many t.storage a blks;
-        for i = 0 to len - 1 do Hashtbl.remove t.table (a + i) done;
-        runs rest
-  in
-  Storage.atomically t.storage (fun () -> runs (resident_addrs t))
 let drop_all t = Hashtbl.reset t.table

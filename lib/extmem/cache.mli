@@ -1,17 +1,18 @@
 (** Alice's private cache, with a machine-checked residency bound.
 
-    The model gives Alice M private words — m = M/B blocks. Algorithms
-    route the blocks they hold through a [Cache.t] created with that
-    capacity; exceeding it raises {!Overflow}. Kernels that stage their
-    blocks themselves (the bitonic window groups, the butterfly ring)
-    check the same bound before any I/O and raise the same exception. Tests therefore verify the
-    cache-size side of every theorem ("assuming M >= 3B", "m >= log² n",
-    …) mechanically rather than by inspection. The cache contents are
+    The model gives Alice M private words — m = M/B blocks. The cache is
+    the read side of that memory: scans (compaction, selection,
+    quantiles, the IBLT) load the blocks they inspect through a [Cache.t]
+    created with that capacity, and exceeding it raises {!Overflow}.
+    Kernels that stage their blocks themselves as images — every sorter
+    and the butterfly ring — check the same bound before any I/O and
+    raise the same exception. Tests therefore verify the cache-size side
+    of every theorem ("assuming M >= 3B", "m >= log² n", …)
+    mechanically rather than by inspection. The cache contents are
     invisible to Bob: resident-block access performs no counted I/O.
 
-    Every load counts a hit or a miss, and every block written back a
-    flush, in the storage's {!Stats} — purely observational, never
-    changing which I/Os happen. *)
+    Every load counts a hit or a miss in the storage's {!Stats} — purely
+    observational, never changing which I/Os happen. *)
 
 exception Overflow of { capacity : int; requested : int }
 
@@ -26,8 +27,8 @@ val peak : t -> int
 
 val load : t -> int -> Block.t
 (** [load c addr] brings the block in (one read I/O) unless already
-    resident, and returns a {e copy}. Mutating the returned array never
-    affects the resident copy; use {!borrow} for in-place mutation. *)
+    resident, and returns a {e copy}: mutating the returned array never
+    affects the resident copy. *)
 
 val load_run : t -> int -> count:int -> unit
 (** [load_run c addr ~count] makes the contiguous run
@@ -35,22 +36,15 @@ val load_run : t -> int -> count:int -> unit
     batched {!Storage.read_many} runs in address order (one read I/O per
     missing block, same trace as a per-block loop). The capacity check
     covers the whole run {e before} any I/O, so a raised {!Overflow}
-    means nothing was read and the resident set is unchanged. Access the
+    means nothing was read and the resident set is unchanged. Read the
     blocks afterwards with {!borrow}. *)
 
 val borrow : t -> int -> Block.t
-(** The resident block itself (shared, no copy); no I/O. Mutations are
-    seen by a subsequent {!flush_all}. The reference is only
-    valid until the block is evicted.
+(** The resident block itself (shared, no copy); no I/O. The reference
+    is only valid until the block is evicted.
     @raise Invalid_argument if not resident. *)
 
 val drop : t -> int -> unit
-(** Evict without writing. *)
-
-val flush_all : t -> unit
-(** Flush every resident block, in increasing address order (a
-    deterministic, data-independent order). Contiguous stretches travel
-    as batched {!Storage.write_many} runs; the trace is identical to the
-    per-block loop's. *)
+(** Evict. *)
 
 val drop_all : t -> unit

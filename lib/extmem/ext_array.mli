@@ -34,19 +34,17 @@ val read_block : t -> int -> Block.t
 val write_block : t -> int -> Block.t -> unit
 (** Counted I/O. *)
 
-val read_blocks : t -> int -> count:int -> Block.t array
-(** [read_blocks a i ~count] reads relative blocks [i, i + count) as one
-    batched run (see {!Storage.read_many}): [count] counted I/Os, one
-    trace op per block in address order, a single backend transfer. *)
-
 val write_blocks : t -> int -> Block.t array -> unit
-(** Batched mirror of {!read_blocks}, via {!Storage.write_many}. *)
+(** [write_blocks a i blks] writes [blks] to relative blocks
+    [i, i + length blks) as one batched run (see {!Storage.write_many}):
+    one counted I/O and one trace op per block in address order, a
+    single backend transfer. *)
 
 val read_flat : t -> int -> count:int -> Flat.t -> unit
 (** [read_flat a i ~count buf] reads relative blocks [i, i + count) into
     slots [0, count) of [buf] as one batched run of opened cell images
     (see {!Storage.read_flat}): the same counted I/Os and trace as
-    {!read_blocks}, with no decode. The buffer is the caller's; the
+    {!Storage.read_many}, with no decode. The buffer is the caller's; the
     header words are left unspecified. *)
 
 val write_flat : t -> int -> count:int -> Flat.t -> unit

@@ -15,7 +15,7 @@
     it, so the inner store always lands exactly on a commit boundary —
     group atomicity, not merely run atomicity. That is what makes
     phase-checkpointed resume sound: a multi-run group (e.g. one bitonic
-    compare-exchange window flushed as several strided runs) either
+    compare-exchange window written back as several strided runs) either
     commits whole or rolls back whole, never tears in the middle.
 
     {b Recovery obliviousness.} The replay schedule is a function of the

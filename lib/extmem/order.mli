@@ -12,24 +12,21 @@
     - [Dedup]: [key] ascending, then [tag] descending — the hierarchical
       ORAM's rebuild order, newest timestamp first within an address.
 
-    Each order has two faces that agree in sign on every pair: {!compare}
-    on decoded cells, for the paths that hold {!Cell.t} values, and
-    {!compare_images} on encoded images in place, for the kernels that
-    never decode. *)
+    Each order has two faces that agree in sign on every pair:
+    {!compare_items} on decoded items, for the scans that hold
+    {!Cell.item} values, and {!compare_images} on encoded images in
+    place, for the kernels that never decode (every sorter). *)
 
 type t = Keys | By_tag | By_aux | Dedup
 
-val compare : t -> Cell.t -> Cell.t -> int
-(** The order on decoded cells: negative, zero or positive. A total
-    preorder (ties allowed). *)
-
 val compare_items : t -> Cell.item -> Cell.item -> int
-(** [compare] restricted to items, with no cell to build. *)
+(** The order on decoded items: negative, zero or positive. A total
+    preorder (ties allowed). *)
 
 val compare_images : t -> Odex_crypto.Bigbuf.t -> int -> Odex_crypto.Bigbuf.t -> int -> int
 (** [compare_images o b1 off1 b2 off2] compares the cell images at byte
     offsets [off1] of [b1] and [off2] of [b2] without decoding them; its
-    sign is that of [compare o] on the decoded cells. Allocates nothing.
+    sign is that of [o] on the decoded cells. Allocates nothing.
     Bounds are the caller's, as in {!Cell.encode_big}. *)
 
 val sort_images : t -> Odex_crypto.Bigbuf.t -> int array -> unit
@@ -37,5 +34,5 @@ val sort_images : t -> Odex_crypto.Bigbuf.t -> int array -> unit
     in [buf], into non-decreasing [o] order of the images. It is stdlib
     [Array.sort]'s heap sort with {!compare_images} as the comparison:
     it makes the same comparisons, so it yields exactly the permutation
-    [Array.sort (compare o)] yields on the decoded cells, ties
+    [Array.sort] under [o] yields on the decoded cells, ties
     included. Not stable. *)

@@ -7,7 +7,6 @@ type snapshot = {
   batched_ios : int;
   hits : int;
   misses : int;
-  flushes : int;
 }
 
 type t = {
@@ -19,11 +18,10 @@ type t = {
   mutable batched : int;
   mutable hit : int;
   mutable miss : int;
-  mutable flush : int;
 }
 
 let create ~payload_size () =
-  { payload_size; r = 0; w = 0; retry = 0; fault = 0; batched = 0; hit = 0; miss = 0; flush = 0 }
+  { payload_size; r = 0; w = 0; retry = 0; fault = 0; batched = 0; hit = 0; miss = 0 }
 
 let record_read t = t.r <- t.r + 1
 let record_write t = t.w <- t.w + 1
@@ -32,7 +30,6 @@ let record_fault t = t.fault <- t.fault + 1
 let record_batched t n = t.batched <- t.batched + n
 let record_hits t n = t.hit <- t.hit + n
 let record_misses t n = t.miss <- t.miss + n
-let record_flushes t n = t.flush <- t.flush + n
 
 let reads t = t.r
 let writes t = t.w
@@ -56,5 +53,4 @@ let snapshot (t : t) : snapshot =
     batched_ios = t.batched;
     hits = t.hit;
     misses = t.miss;
-    flushes = t.flush;
   }

@@ -23,7 +23,6 @@ val record_batched : t -> int -> unit
 
 val record_hits : t -> int -> unit
 val record_misses : t -> int -> unit
-val record_flushes : t -> int -> unit
 
 val reads : t -> int
 val writes : t -> int
@@ -60,7 +59,6 @@ type snapshot = {
   batched_ios : int;
   hits : int;  (** {!Cache} loads served from residency. *)
   misses : int;  (** {!Cache} loads that read the block. *)
-  flushes : int;  (** Blocks {!Cache} wrote back. *)
 }
 (** Every counter at one instant; the difference of two snapshots is
     what happened between them. *)

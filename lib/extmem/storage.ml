@@ -218,7 +218,7 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
   Telemetry.register tel (fun () ->
       let s = Stats.snapshot stats in
       { Telemetry.ios = s.reads + s.writes; retries = s.retries; faults = s.faults;
-        bytes = s.bytes_moved; hits = s.hits; misses = s.misses; flushes = s.flushes });
+        bytes = s.bytes_moved; hits = s.hits; misses = s.misses });
   let t =
     {
       block_size;
@@ -354,7 +354,7 @@ let checkpoint_state t ~owner =
 let checkpoint_slots t = match t.journal with None -> [] | Some j -> Journal.slots j
 
 (* Bracket a logical group that spans several backend runs (a strided
-   cache flush, a split batch) so the journal cannot auto-commit in the
+   network group's write-back, a split batch) so the journal cannot auto-commit in the
    middle of it: everything inside either commits whole at the next
    commit boundary or rolls back whole on a crash. No-op without a
    journal. Release never commits, so unwinding through a simulated

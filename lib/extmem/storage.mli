@@ -269,8 +269,8 @@ val atomically : t -> (unit -> 'a) -> 'a
     group, which either applies whole at the next commit boundary
     (checkpoint, sync, close, or a post-group auto-commit) or rolls back
     whole if the process dies first. Use it to bracket a logical write
-    group that spans several backend runs — e.g. a strided cache flush
-    covering one compare-exchange window — so a crash can never tear the
+    group that spans several backend runs — e.g. the strided write-back
+    of one compare-exchange window — so a crash can never tear the
     group in the middle. Reentrant; a no-op on unjournaled stores. [f]
     must not call {!sync} or {!checkpoint} itself. *)
 

@@ -292,50 +292,29 @@ let finalize_cells ~src plan ~counts ~master a =
 
 type outcome = { ok : bool }
 
-(* In-cache fallback: one load of the whole array, a private
-   Fisher–Yates over the cells, one flush — fixed trace. *)
-let cache_permute ~master ~m a =
-  let n = Ext_array.blocks a in
-  let b = Ext_array.block_size a in
-  let cache = Cache.create (Ext_array.storage a) ~capacity:m in
-  Cache.load_run cache (Ext_array.base a) ~count:n;
-  let cells = Array.make (n * b) Cell.empty in
-  for i = 0 to n - 1 do
-    Array.blit (Cache.borrow cache (Ext_array.addr a i)) 0 cells (i * b) b
-  done;
-  let rng = finalize_rng ~master in
-  for i = Array.length cells - 1 downto 1 do
-    let j = Odex_crypto.Rng.int rng (i + 1) in
-    let t = cells.(i) in
-    cells.(i) <- cells.(j);
-    cells.(j) <- t
-  done;
-  for i = 0 to n - 1 do
-    Array.blit cells (i * b) (Cache.borrow cache (Ext_array.addr a i)) 0 b
-  done;
-  Cache.flush_all cache
+(* In-cache fallback: the whole array staged once, a private
+   Fisher–Yates over its cells ([cells]) or its blocks, one write —
+   fixed trace. The shuffle permutes unit indices; the images then move
+   in that order. *)
+let cache_permute ~cells ~master ~m a =
+  Stage.whole ~m a (fun src dst ->
+      let units = if cells then Ext_array.cells a else Ext_array.blocks a in
+      let perm = Array.init units Fun.id in
+      let rng = finalize_rng ~master in
+      for i = units - 1 downto 1 do
+        let j = Odex_crypto.Rng.int rng (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      if cells then Stage.gather src (Array.map (Stage.offset src) perm) ~first:0 ~len:units dst
+      else Array.iteri (fun k p -> Flat.copy_block src p dst k) perm;
+      dst)
 
 (* ------------------------------------------------------------------ *)
 (* Block-granularity routing: blocks travel through the butterfly
    unopened, for shuffle passes whose blocks must stay intact.        *)
 (* ------------------------------------------------------------------ *)
-
-let cache_permute_blocks ~master ~m a =
-  let n = Ext_array.blocks a in
-  let cache = Cache.create (Ext_array.storage a) ~capacity:m in
-  Cache.load_run cache (Ext_array.base a) ~count:n;
-  let blks = Array.init n (fun i -> Block.copy (Cache.borrow cache (Ext_array.addr a i))) in
-  let rng = finalize_rng ~master in
-  for i = n - 1 downto 1 do
-    let j = Odex_crypto.Rng.int rng (i + 1) in
-    let t = blks.(i) in
-    blks.(i) <- blks.(j);
-    blks.(j) <- t
-  done;
-  for i = 0 to n - 1 do
-    Array.blit blks.(i) 0 (Cache.borrow cache (Ext_array.addr a i)) 0 (Array.length blks.(i))
-  done;
-  Cache.flush_all cache
 
 let route_level_blocks ~src ~dst plan ~before ~master l =
   let rng = level_rng ~master l in
@@ -447,11 +426,11 @@ let permute_with ~cache ~route ~finalize ~b ?z_cells ~rng ~m a =
   end
 
 let permute ?z_cells ~rng ~m a =
-  permute_with ~cache:cache_permute ~route:route_level ~finalize:finalize_cells
+  permute_with ~cache:(cache_permute ~cells:true) ~route:route_level ~finalize:finalize_cells
     ~b:(Ext_array.block_size a) ?z_cells ~rng ~m a
 
 let permute_blocks ~rng ~m a =
-  permute_with ~cache:cache_permute_blocks
+  permute_with ~cache:(cache_permute ~cells:false)
     ~route:(fun ~src ~dst plan ~before ~after:_ ~master l ->
       route_level_blocks ~src ~dst plan ~before ~master l)
     ~finalize:finalize_blocks ~b:1 ~rng ~m a

@@ -92,7 +92,7 @@ val sort :
     The tie contract: cells that compare equal come out in an order
     fixed by two rules, and not by input order (the routing scatters
     them). The local sort of each group yields exactly the permutation
-    stdlib [Array.sort (Order.compare order)] would
+    stdlib [Array.sort] under [order] on the decoded cells would
     ({!Order.sort_images}). Each merge picks its next cell from a heap
     keyed by ([order] on the run heads, then run index) in O(log k)
     comparisons; among tied heads the lowest-numbered run wins, so the
@@ -118,7 +118,8 @@ val permute : ?z_cells:int -> rng:Odex_crypto.Rng.t -> m:int -> Ext_array.t -> o
     capped to what [m] admits ([zb <= (m-2)/4]: smaller caps trade
     failure probability for cache, never trace shape). Requires [m >= 18] for
     out-of-cache inputs; inputs that fit in cache ([blocks a <= m]) are
-    permuted privately behind a fixed load/flush trace. The trace is a
+    permuted privately behind a fixed trace: one read run, one write
+    run. The trace is a
     function of (shape, coins) only, so it passes the {e exact} pair
     test. *)
 

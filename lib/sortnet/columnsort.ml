@@ -48,29 +48,22 @@ let capacity ~b ~m =
   in
   probe (m * b) (m * b)
 
-(* Sort the cell range [lo, lo+len) of [work] inside the cache. *)
-let sort_range ~real ~order ~m work lo len =
+(* Sort the r cells from cell [lo] of [work] privately: the blocks they
+   touch (at most r/B + 1) are read into [src] as one run, sorted into
+   [dst] (their other cells copied as they are) and written back as one
+   run. [offs] (r slots) is the sort's scratch. *)
+let sort_range ~src ~dst ~offs ~real ~order work lo =
   let b = Ext_array.block_size work in
   let blk_lo = lo / b in
-  let blk_hi = (lo + len - 1) / b in
-  let cache = Cache.create (Ext_array.storage work) ~capacity:m in
-  let width = ((blk_hi - blk_lo + 1) * b) in
-  let cells = Array.make width Cell.empty in
-  for i = blk_lo to blk_hi do
-    let blk = Cache.load cache (Ext_array.addr work i) in
-    Array.blit blk 0 cells ((i - blk_lo) * b) b
-  done;
+  let w = ((lo + Array.length offs - 1) / b) - blk_lo + 1 in
+  Ext_array.read_flat work blk_lo ~count:w src;
   if real then begin
-    let off = lo - (blk_lo * b) in
-    let section = Array.sub cells off len in
-    Array.sort (Order.compare order) section;
-    Array.blit section 0 cells off len;
-    for i = blk_lo to blk_hi do
-      let blk = Cache.borrow cache (Ext_array.addr work i) in
-      Array.blit cells ((i - blk_lo) * b) blk 0 b
-    done
+    for i = 0 to w - 1 do
+      Flat.copy_block src i dst i
+    done;
+    Stage.sort_cells order src ~first:(lo - (blk_lo * b)) offs dst
   end;
-  Cache.flush_all cache
+  Ext_array.write_flat work blk_lo ~count:w (if real then dst else src)
 
 (* Transpose ("pick up column by column, lay down row by row"): source
    cell k moves to (k mod s)·r + k/s. One streaming pass: sequential
@@ -78,38 +71,36 @@ let sort_range ~real ~order ~m work lo len =
    writes firing on a fixed schedule. *)
 let transpose_scatter ~r ~s src dst =
   let b = Ext_array.block_size src in
-  let buffers = Array.init s (fun _ -> Block.make b) in
+  let one = Flat.create ~block_size:b ~blocks:1 in
+  let cols = Array.init s (fun _ -> Flat.create ~block_size:b ~blocks:1) in
   let fill = Array.make s 0 in
   let out_block = Array.make s 0 in
-  let n = r * s in
-  let flush j =
-    Ext_array.write_block dst (((j * r) / b) + out_block.(j)) buffers.(j);
-    out_block.(j) <- out_block.(j) + 1;
-    buffers.(j) <- Block.make b;
-    fill.(j) <- 0
-  in
-  for blk = 0 to (n / b) - 1 do
-    let cells = Ext_array.read_block src blk in
-    Array.iteri
-      (fun i c ->
-        let k = (blk * b) + i in
-        let j = k mod s in
-        buffers.(j).(fill.(j)) <- c;
-        fill.(j) <- fill.(j) + 1;
-        if fill.(j) = b then flush j)
-      cells
+  for blk = 0 to (r * s / b) - 1 do
+    Ext_array.read_flat src blk ~count:1 one;
+    for i = 0 to b - 1 do
+      let j = ((blk * b) + i) mod s in
+      Flat.copy_cell one (Flat.cell_offset one ~block:0 ~slot:i) cols.(j)
+        (Flat.cell_offset cols.(j) ~block:0 ~slot:fill.(j));
+      fill.(j) <- fill.(j) + 1;
+      if fill.(j) = b then begin
+        Ext_array.write_flat dst (((j * r) / b) + out_block.(j)) ~count:1 cols.(j);
+        out_block.(j) <- out_block.(j) + 1;
+        fill.(j) <- 0
+      end
+    done
   done;
-  Array.iteri (fun j f -> assert (f = 0); ignore j) (Array.copy fill)
+  assert (Array.for_all (( = ) 0) fill)
 
 (* Untranspose (the inverse permutation): destination column j gathers,
    from each source column c, a run of r/s consecutive cells. Gather
-   runs, assemble the column privately, write it out. *)
-let untranspose_gather ~m ~r ~s src dst =
+   runs, assemble the column privately, write it out as one run. *)
+let untranspose_gather ~r ~s src dst =
   let b = Ext_array.block_size src in
-  let cache = Cache.create (Ext_array.storage src) ~capacity:m in
   let run = r / s in
+  let gathered = Flat.create ~block_size:b ~blocks:((r / b) + 1) in
+  let col = Flat.create ~block_size:b ~blocks:(r / b) in
+  let at f p = Flat.cell_offset f ~block:(p / b) ~slot:(p mod b) in
   for j = 0 to s - 1 do
-    let col = Array.make r Cell.empty in
     for c = 0 to s - 1 do
       (* Destination cells x = j·r + i with i ≡ c - j·r (mod s) come
          from source positions f(x) = c·r + x/s: a run of length r/s
@@ -117,24 +108,16 @@ let untranspose_gather ~m ~r ~s src dst =
       let i0 = ((c - (j * r)) mod s + s) mod s in
       let x0 = (j * r) + i0 in
       let src_start = (c * r) + (x0 / s) in
-      let blk_lo = src_start / b and blk_hi = (src_start + run - 1) / b in
-      for blk = blk_lo to blk_hi do
-        let cells = Cache.load cache (Ext_array.addr src blk) in
-        Array.iteri
-          (fun idx cell ->
-            let pos = (blk * b) + idx in
-            if pos >= src_start && pos < src_start + run then begin
-              let t = pos - src_start in
-              col.(i0 + (t * s)) <- cell
-            end)
-          cells;
-        Cache.drop cache (Ext_array.addr src blk)
+      let blk_lo = src_start / b in
+      Ext_array.read_flat src blk_lo ~count:(((src_start + run - 1) / b) - blk_lo + 1) gathered;
+      for t = 0 to run - 1 do
+        Flat.copy_cell gathered
+          (at gathered (src_start + t - (blk_lo * b)))
+          col
+          (at col (i0 + (t * s)))
       done
     done;
-    for blk = 0 to (r / b) - 1 do
-      let out = Array.sub col (blk * b) b in
-      Ext_array.write_block dst (((j * r) / b) + blk) out
-    done
+    Ext_array.write_flat dst ((j * r) / b) ~count:(r / b) col
   done
 
 (* Phase-checkpointed execution on a journaled store, the same scaffold
@@ -171,6 +154,12 @@ let exec ~real ~order ~m a =
       let done_phase, done_cursor =
         if ck then Storage.checkpoint_state storage ~owner else (0, 0)
       in
+      (* Alice's staging, allocated once per sort: no stage below holds
+         more than a window of w = r/B + 1 blocks. *)
+      let w = (r / b) + 1 in
+      if w > m then raise (Cache.Overflow { capacity = m; requested = w });
+      let src = Flat.create ~block_size:b ~blocks:w and dst = Flat.create ~block_size:b ~blocks:w in
+      let offs = Array.make r 0 in
       let work, scratch, done_phase =
         if done_phase > 0 && done_cursor + (2 * nb) <= Storage.capacity storage then
           ( Ext_array.view storage ~base:done_cursor ~blocks:nb,
@@ -193,31 +182,32 @@ let exec ~real ~order ~m a =
       (* Copy in (padding cells are already Empty = +∞). *)
       run_phase (fun () ->
           for i = 0 to Ext_array.blocks a - 1 do
-            Ext_array.write_block work i (Ext_array.read_block a i)
+            Ext_array.read_flat a i ~count:1 src;
+            Ext_array.write_flat work i ~count:1 src
           done);
       let sort_columns arr =
         for j = 0 to s - 1 do
-          run_phase (fun () -> sort_range ~real ~order ~m arr (j * r) r)
+          run_phase (fun () -> sort_range ~src ~dst ~offs ~real ~order arr (j * r))
         done
       in
       sort_columns work;
       if s > 1 then begin
         run_phase (fun () -> transpose_scatter ~r ~s work scratch);
         sort_columns scratch;
-        run_phase (fun () -> untranspose_gather ~m ~r ~s scratch work);
+        run_phase (fun () -> untranspose_gather ~r ~s scratch work);
         sort_columns work;
         (* Steps 6-8 without copying: sort the r-cell windows that
            straddle adjacent column boundaries. *)
         for j = 0 to s - 2 do
-          run_phase (fun () -> sort_range ~real ~order ~m work ((j * r) + (r / 2)) r)
+          run_phase (fun () -> sort_range ~src ~dst ~offs ~real ~order work ((j * r) + (r / 2)))
         done
       end;
       (* Copy out; the extra read of [a] keeps the dummy pass's trace
          identical to the real one. *)
       run_phase (fun () ->
           for i = 0 to Ext_array.blocks a - 1 do
-            let sorted = Ext_array.read_block work i in
-            let original = Ext_array.read_block a i in
-            Ext_array.write_block a i (if real then sorted else original)
+            Ext_array.read_flat work i ~count:1 src;
+            Ext_array.read_flat a i ~count:1 dst;
+            Ext_array.write_flat a i ~count:1 (if real then src else dst)
           done);
       if ck then Storage.checkpoint_clear storage ~owner

@@ -11,54 +11,51 @@ let run t ?(order = Order.Keys) ~m a = t.exec ~real:true ~order ~m a
 
 let run_selective t ?(order = Order.Keys) ~real ~m a = t.exec ~real ~order ~m a
 
-(* The block comparator as one stable linear merge: both blocks are
-   sorted under [order], so their 2B cells merge into [scratch] (a tie
-   takes u's cell first) and split back low half / high half. *)
-let merge_into scratch ~order ~ascending u v =
-  let b = Array.length u in
-  if Array.length v <> b then invalid_arg "Ext_sort.merge_split: block size mismatch";
-  let i = ref 0 and j = ref 0 in
+(* The block comparator as one stable linear merge, on cell offsets:
+   [pos] maps each cell position of a staged run (slot k of block t at
+   [t * b + k]) to the byte offset in [buf] of the image now there.
+   Blocks [u] and [v] are each sorted under [order], so their 2B
+   positions merge into [tmp] (a tie takes u's image first) and split
+   back low half / high half. Only offsets move; the images stay where
+   they were read until the run is written out. *)
+let merge_offsets ~order ~ascending buf pos tmp ~b u v =
+  let i = ref (u * b) and j = ref (v * b) in
+  let ue = !i + b and ve = !j + b in
   for k = 0 to (2 * b) - 1 do
-    if !j >= b || (!i < b && Order.compare order u.(!i) v.(!j) <= 0) then begin
-      scratch.(k) <- u.(!i);
+    if !j >= ve || (!i < ue && Order.compare_images order buf pos.(!i) buf pos.(!j) <= 0)
+    then begin
+      tmp.(k) <- pos.(!i);
       incr i
     end
     else begin
-      scratch.(k) <- v.(!j);
+      tmp.(k) <- pos.(!j);
       incr j
     end
   done;
-  let lo_dst, hi_dst = if ascending then (u, v) else (v, u) in
-  Array.blit scratch 0 lo_dst 0 b;
-  Array.blit scratch b hi_dst 0 b
+  Array.blit tmp 0 pos ((if ascending then u else v) * b) b;
+  Array.blit tmp b pos ((if ascending then v else u) * b) b
 
-let merge_split ~order ~ascending u v =
-  merge_into (Array.make (2 * Array.length u) Cell.empty) ~order ~ascending u v
+let merge_split ~order ~ascending f u v =
+  let b = Flat.block_size f in
+  let pos =
+    Array.init (2 * b) (fun p -> Flat.cell_offset f ~block:(if p < b then u else v) ~slot:(p mod b))
+  in
+  merge_offsets ~order ~ascending (Flat.buffer f) pos (Array.make (2 * b) 0) ~b 0 1;
+  let out = Flat.create ~block_size:b ~blocks:2 in
+  Stage.gather f pos ~first:0 ~len:(2 * b) out;
+  Flat.copy_block out 0 f u;
+  Flat.copy_block out 1 f v
 
 (* ------------------------------------------------------------------ *)
 (* Cache sort: the base case used whenever a (sub)problem fits in
-   Alice's memory. One read pass, private sort, one write pass. *)
+   Alice's memory. One batched read run in, a private sort of the
+   images, one batched write run out; an oversized array overflows
+   before any I/O. *)
 
 let cache_sort_exec ~real ~order ~m a =
-  let n = Ext_array.blocks a in
-  let b = Ext_array.block_size a in
-  let storage = Ext_array.storage a in
-  let cache = Cache.create storage ~capacity:m in
-  (* One batched read run in, one batched write run out ([flush_all]
-     groups the contiguous residents); an oversized array overflows in
-     [load_run]'s capacity pre-check, before any I/O. *)
-  Cache.load_run cache (Ext_array.base a) ~count:n;
-  if real then begin
-    let cells = Array.make (n * b) Cell.empty in
-    for i = 0 to n - 1 do
-      Array.blit (Cache.borrow cache (Ext_array.addr a i)) 0 cells (i * b) b
-    done;
-    Array.sort (Order.compare order) cells;
-    for i = 0 to n - 1 do
-      Array.blit cells (i * b) (Cache.borrow cache (Ext_array.addr a i)) 0 b
-    done
-  end;
-  Cache.flush_all cache
+  Stage.whole ~m a (fun src dst ->
+      if real then Stage.sort_cells order src ~first:0 (Array.make (Ext_array.cells a) 0) dst;
+      if real then dst else src)
 
 let cache_sort = { name = "cache"; exec = cache_sort_exec }
 
@@ -71,50 +68,13 @@ let cache_sort = { name = "cache"; exec = cache_sort_exec }
    0. A chunk of [lpp] consecutive levels (strides 2^hi … 2^lo) only
    couples index bits lo..hi, so fixing the other bits splits the array
    into independent 2^(hi-lo+1)-block groups; each group is staged in
-   Alice's memory as one block array, run through all chunk levels
+   Alice's memory as one flat run, run through all chunk levels
    privately, and written back — one scan of the array per chunk
    instead of per level. *)
 
 let next_power_of_two n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
-
-let process_chunk work ~m ~scratch ~real ~order ~stage ~hi ~lo =
-  let g_bits = hi - lo + 1 in
-  let g = 1 lsl g_bits in
-  (* The whole group is resident at once: check Alice's bound before
-     any I/O. *)
-  if g > m then raise (Cache.Overflow { capacity = m; requested = g });
-  let n2 = Ext_array.blocks work in
-  let groups = n2 / g in
-  for v = 0 to groups - 1 do
-    let base = ((v lsr lo) lsl (hi + 1)) lor (v land ((1 lsl lo) - 1)) in
-    let pos t = base lor (t lsl lo) in
-    (* [lo = 0] makes the group the contiguous run [base, base + g) (the
-       windowed sort's common case): one batched read, one batched
-       write. Strided groups move block by block in [pos t] order, which
-       is address order. *)
-    let blks =
-      if lo = 0 then Ext_array.read_blocks work base ~count:g
-      else Array.init g (fun t -> Ext_array.read_block work (pos t))
-    in
-    (* Level [bit] pairs group indices t and t xor 2^(bit - lo). *)
-    if real then
-      for bit = hi downto lo do
-        let j = 1 lsl (bit - lo) in
-        for t = 0 to g - 1 do
-          let t' = t lxor j in
-          if t' > t then
-            merge_into scratch ~order ~ascending:(pos t land stage = 0) blks.(t) blks.(t')
-        done
-      done;
-    (* One atomic journal group per write-back: a crash between the
-       runs of a strided group must roll back all of them — re-running a
-       half-exchanged pair would lose values. *)
-    Storage.atomically (Ext_array.storage work) (fun () ->
-        if lo = 0 then Ext_array.write_blocks work base blks
-        else Array.iteri (fun t blk -> Ext_array.write_blocks work (pos t) [| blk |]) blks)
-  done
 
 (* Phase-checkpointed execution on a journaled store: the network is cut
    into a deterministic sequence of phases — the pre-sort/copy scan,
@@ -167,15 +127,85 @@ let bitonic_exec ~levels_per_pass ~real ~order ~m a =
           Storage.checkpoint storage ~owner ~phase:!phase ~cursor:(Ext_array.base work)
       end
     in
-    (* Pre-sort each block internally (and copy into the padded work
-       array when needed); padding blocks are already all-empty = +∞.
-       Read and rewritten in batched runs. *)
-    run_phase (fun () ->
-        Ext_array.iter_runs a ~chunk:32 (fun base blks ->
-            if real then Array.iter (Block.sort_in_place order) blks;
-            Ext_array.write_blocks work base blks));
     let lpp = max 1 (min (levels_per_pass m) (Emodel.ilog2_floor m)) in
-    let scratch = Array.make (2 * Ext_array.block_size a) Cell.empty in
+    (* Alice's staging, allocated once per sort: a chunk group (or a
+       32-block scan run) as read, [input], and as written, [output];
+       [one] carries a strided group's blocks; [pos] holds a group's
+       cell offsets, [tmp] the comparator's and [offs] a block sort's. *)
+    let b = Ext_array.block_size a in
+    let gmax = min n2 (1 lsl lpp) in
+    let flat blocks = Flat.create ~block_size:b ~blocks in
+    let input = flat (max gmax (min 32 n)) and output = flat (max gmax (min 32 n)) in
+    let one = flat 1 in
+    let pos = Array.make (gmax * b) 0 and tmp = Array.make (2 * b) 0 and offs = Array.make b 0 in
+    (* One chunk pass over levels hi .. lo of stage [stage]. *)
+    let chunk ~stage ~hi ~lo =
+      let g = 1 lsl (hi - lo + 1) in
+      (* The whole group is resident at once: check Alice's bound before
+         any I/O. *)
+      if g > m then raise (Cache.Overflow { capacity = m; requested = g });
+      for v = 0 to (n2 / g) - 1 do
+        let base = ((v lsr lo) lsl (hi + 1)) lor (v land ((1 lsl lo) - 1)) in
+        (* Group index t is block [base lor (t lsl lo)]. [lo = 0] makes
+           the group the contiguous run [base, base + g) (the windowed
+           sort's common case): one batched read, one batched write.
+           Strided groups move block by block in t order, which is
+           address order. *)
+        if lo = 0 then Ext_array.read_flat work base ~count:g input
+        else
+          for t = 0 to g - 1 do
+            Ext_array.read_flat work (base lor (t lsl lo)) ~count:1 one;
+            Flat.copy_block one 0 input t
+          done;
+        (* Level [bit] pairs group indices t and t xor 2^(bit - lo). *)
+        if real then begin
+          for p = 0 to (g * b) - 1 do
+            pos.(p) <- Stage.offset input p
+          done;
+          for bit = hi downto lo do
+            let j = 1 lsl (bit - lo) in
+            for t = 0 to g - 1 do
+              let t' = t lxor j in
+              if t' > t then
+                merge_offsets ~order
+                  ~ascending:((base lor (t lsl lo)) land stage = 0)
+                  (Flat.buffer input) pos tmp ~b t t'
+            done
+          done;
+          Stage.gather input pos ~first:0 ~len:(g * b) output
+        end;
+        (* One journal group per write-back: a run write is one already;
+           a crash between the runs of a strided group must roll back all
+           of them — re-running a half-exchanged pair would lose
+           values. *)
+        let out = if real then output else input in
+        if lo = 0 then Ext_array.write_flat work base ~count:g out
+        else
+          Storage.atomically storage (fun () ->
+              for t = 0 to g - 1 do
+                Flat.copy_block out t one 0;
+                Ext_array.write_flat work (base lor (t lsl lo)) ~count:1 one
+              done)
+      done
+    in
+    (* Scan [src] into [dst] in batched runs of 32 blocks, in address
+       order, sorting each block's cells on the way when [presort]. *)
+    let scan ~presort src dst =
+      let off = ref 0 in
+      while !off < n do
+        let len = min 32 (n - !off) in
+        Ext_array.read_flat src !off ~count:len input;
+        if presort then
+          for k = 0 to len - 1 do
+            Stage.sort_cells order input ~first:(k * b) offs output
+          done;
+        Ext_array.write_flat dst !off ~count:len (if presort then output else input);
+        off := !off + len
+      done
+    in
+    (* Pre-sort each block internally (and copy into the padded work
+       array when needed); padding blocks are already all-empty = +∞. *)
+    run_phase (fun () -> scan ~presort:real a work);
     let stage = ref 2 in
     while !stage <= n2 do
       let top = Emodel.ilog2_floor !stage - 1 in
@@ -183,17 +213,13 @@ let bitonic_exec ~levels_per_pass ~real ~order ~m a =
       while !hi >= 0 do
         let lo = max 0 (!hi - lpp + 1) in
         let stage_now = !stage and hi_now = !hi in
-        run_phase (fun () ->
-            process_chunk work ~m ~scratch ~real ~order ~stage:stage_now ~hi:hi_now ~lo);
+        run_phase (fun () -> chunk ~stage:stage_now ~hi:hi_now ~lo);
         hi := lo - 1
       done;
       stage := !stage * 2
     done;
-    (* Copy-back in batched runs of 32 blocks, in address order. *)
-    if work != a then
-      run_phase (fun () ->
-          Ext_array.iter_runs (Ext_array.sub work ~off:0 ~len:n) ~chunk:32 (fun base blks ->
-              Ext_array.write_blocks a base blks));
+    (* Copy-back, the same scan without the sort. *)
+    if work != a then run_phase (fun () -> scan ~presort:false work a);
     (* Done: clear the slot so the next sort over this array starts
        fresh instead of "resuming" past its own phases. *)
     if ck then Storage.checkpoint_clear storage ~owner

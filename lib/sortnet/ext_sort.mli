@@ -44,9 +44,10 @@ val name : t -> string
 val run : t -> ?order:Order.t -> m:int -> Ext_array.t -> unit
 (** [run s ~order ~m a] sorts the cells of [a] in place into
     non-decreasing [order], empties last. [order] defaults to
-    {!Order.Keys}. [m] is Alice's cache capacity in blocks; the
-    residency bound is enforced by {!Odex_extmem.Cache} and violating it
-    raises {!Odex_extmem.Cache.Overflow}. *)
+    {!Order.Keys}. [m] is Alice's cache capacity in blocks; every
+    kernel stages its blocks itself as encoded images and checks the
+    residency bound before its I/O, raising
+    {!Odex_extmem.Cache.Overflow} when a stage would exceed [m]. *)
 
 val run_selective :
   t -> ?order:Order.t -> real:bool -> m:int -> Ext_array.t -> unit
@@ -106,10 +107,12 @@ val find : ?seed:int -> string -> t option
     ["bitonic"] (alias ["batcher"]), ["bitonic-windowed"],
     ["columnsort"], ["bucket"], ["auto"]. *)
 
-val merge_split : order:Order.t -> ascending:bool -> Block.t -> Block.t -> unit
-(** The block comparator: merge the 2B cells of two blocks and split
-    them low half / high half (or the reverse when [ascending] is
-    false). Requires both blocks sorted under [order] — the networks
-    pre-sort every block and each merge-split keeps both sorted — and
-    then equals a stable sort of [u @ v] split at B: a tie takes [u]'s
-    cell first. One linear merge, no sort. *)
+val merge_split : order:Order.t -> ascending:bool -> Flat.t -> int -> int -> unit
+(** The block comparator, on images: [merge_split ~order ~ascending f u v]
+    merges the 2B cell images of blocks [u] and [v] of [f] and splits
+    them low half into [u], high half into [v] (the reverse when
+    [ascending] is false), in place. Requires both blocks sorted under
+    [order] — the networks pre-sort every block and each merge-split
+    keeps both sorted — and then equals a stable sort of [u @ v] split
+    at B: a tie takes [u]'s cell first. One linear merge, no sort, no
+    decode. *)

@@ -86,9 +86,9 @@ type op_stat = {
 }
 
 type counts =
-  { ios : int; retries : int; faults : int; bytes : int; hits : int; misses : int; flushes : int }
+  { ios : int; retries : int; faults : int; bytes : int; hits : int; misses : int }
 
-let zero = { ios = 0; retries = 0; faults = 0; bytes = 0; hits = 0; misses = 0; flushes = 0 }
+let zero = { ios = 0; retries = 0; faults = 0; bytes = 0; hits = 0; misses = 0 }
 
 let lift f (a : counts) (b : counts) : counts =
   {
@@ -98,7 +98,6 @@ let lift f (a : counts) (b : counts) : counts =
     bytes = f a.bytes b.bytes;
     hits = f a.hits b.hits;
     misses = f a.misses b.misses;
-    flushes = f a.flushes b.flushes;
   }
 
 type phase = {
@@ -232,7 +231,7 @@ let counters t =
   let c = total t in
   List.filter
     (fun (_, v) -> v <> 0)
-    [ ("cache.flush", c.flushes); ("cache.hit", c.hits); ("cache.miss", c.misses) ]
+    [ ("cache.hit", c.hits); ("cache.miss", c.misses) ]
 
 (* ---- human-readable profile ---- *)
 

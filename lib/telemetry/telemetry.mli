@@ -69,7 +69,7 @@ val record : cell -> blocks:int -> bytes:int -> ns:int -> unit
 
 (** A ledger's totals since it was created. *)
 type counts =
-  { ios : int; retries : int; faults : int; bytes : int; hits : int; misses : int; flushes : int }
+  { ios : int; retries : int; faults : int; bytes : int; hits : int; misses : int }
 
 val register : t -> (unit -> counts) -> unit
 (** Add a ledger; phases and {!counters} sum every ledger registered on
@@ -128,9 +128,9 @@ val phase_stats : t -> phase_stat list
 (** Phase durations aggregated by label, sorted by label. *)
 
 val counters : t -> (string * int) list
-(** The registered ledgers' cache probes as ["cache.flush"],
-    ["cache.hit"] and ["cache.miss"], sorted by name; a counter still at
-    zero is left out. *)
+(** The registered ledgers' cache probes as ["cache.hit"] and
+    ["cache.miss"], sorted by name; a counter still at zero is left
+    out. *)
 
 (** {1 Export} *)
 

@@ -369,9 +369,7 @@ let test_cache_load_run () =
       (Printf.sprintf "resident block %d" i)
       (50 + i)
       (Cell.key_exn (Cache.borrow c (base + i)).(0))
-  done;
-  Cache.flush_all c;
-  Alcotest.(check int) "flushed" 0 (Cache.resident c)
+  done
 
 (* ---------------- trace and stats plumbing ---------------- *)
 

@@ -426,6 +426,50 @@ let test_bucket_sort_allocation () =
     (Printf.sprintf "%.2f minor words per counted I/O (want < 5)" per_io)
     true (per_io < 5.0)
 
+(* The fixed-circuit sorters stage encoded images too: on a warmed Mem
+   store (the first sort grows the store and its run scratch), a second
+   sort of the same input allocates under 5 minor words per counted I/O.
+   The shapes are the windowed network at N/B = 2048, columnsort at
+   N/B = 1024 (nine columns) and the cache sorter at the cache's size. *)
+let sorter_words_per_io sorter ~b ~n ~m =
+  let s = Storage.create ~block_size:b () in
+  let a = Ext_array.create s ~blocks:n in
+  let fill () =
+    for i = 0 to n - 1 do
+      Storage.unchecked_poke s (Ext_array.addr a i)
+        (Array.init b (fun j -> Cell.item ~key:(((i * b) + j) * 7919 mod 4096) ~value:i ()))
+    done
+  in
+  fill ();
+  Odex_sortnet.Ext_sort.run sorter ~m a;
+  fill ();
+  let ios0 = Stats.total (Storage.stats s) in
+  let w0 = Gc.minor_words () in
+  Odex_sortnet.Ext_sort.run sorter ~m a;
+  let per_io =
+    (Gc.minor_words () -. w0) /. float_of_int (Stats.total (Storage.stats s) - ios0)
+  in
+  Alcotest.(check bool) "sorted" true
+    (Util.is_sorted_list (Util.keys_of_items (Ext_array.items a)));
+  per_io
+
+let sorter_allocation_cases =
+  List.map
+    (fun (what, sorter, b, n, m) ->
+      ( what ^ " allocation",
+        `Quick,
+        fun () ->
+          let per_io = sorter_words_per_io sorter ~b ~n ~m in
+          Alcotest.(check bool)
+            (Printf.sprintf "%.2f minor words per counted I/O (want < 5)" per_io)
+            true (per_io < 5.0) ))
+    Odex_sortnet.Ext_sort.
+      [
+        ("windowed network, 2048 blocks", bitonic_windowed, 8, 2048, 128);
+        ("columnsort, 1024 blocks", columnsort, 8, 1024, 128);
+        ("cache sort, 64 blocks", cache_sort, 8, 64, 64);
+      ]
+
 (* The journal stages each record in its off-heap arena: on a warmed
    journal (arena, overlay and append log grown by an identical first
    round), appending a 64-block run allocates exactly what appending a
@@ -481,4 +525,5 @@ let suite =
     ("bucket sort allocation", `Quick, test_bucket_sort_allocation);
     ("journal append allocation", `Quick, test_journal_append_allocation);
   ]
+  @ sorter_allocation_cases
   @ sealed_parity_cases

@@ -24,37 +24,29 @@ let check_zero_one ?(b = 1) ?(m = 4) sorter () =
     done
   done
 
+(* Two blocks as slots 0 and 1 of one flat run, for the comparator. *)
+let flat_pair u v =
+  let f = Flat.create ~block_size:(Array.length u) ~blocks:2 in
+  Flat.set_block f 0 u;
+  Flat.set_block f 1 v;
+  f
+
 let test_merge_split () =
   let mk keys = Array.map (fun k -> if k < 0 then Cell.empty else Cell.item ~key:k ~value:k ()) keys in
-  let u = mk [| 1; 5; 9 |] and v = mk [| 2; 3; -1 |] in
-  Ext_sort.merge_split ~order:Order.Keys ~ascending:true u v;
-  Alcotest.(check (list int)) "low half" [ 1; 2; 3 ]
-    (List.map (fun (it : Cell.item) -> it.key) (Block.items u));
-  Alcotest.(check (list int)) "high half" [ 5; 9 ]
-    (List.map (fun (it : Cell.item) -> it.key) (Block.items v));
-  let u = mk [| 1; 5; 9 |] and v = mk [| 2; 3; -1 |] in
-  Ext_sort.merge_split ~order:Order.Keys ~ascending:false u v;
-  Alcotest.(check (list int)) "descending: high half first" [ 5; 9 ]
-    (List.map (fun (it : Cell.item) -> it.key) (Block.items u))
+  let keys f i = List.map (fun (it : Cell.item) -> it.key) (Block.items (Flat.get_block f i)) in
+  let f = flat_pair (mk [| 1; 5; 9 |]) (mk [| 2; 3; -1 |]) in
+  Ext_sort.merge_split ~order:Order.Keys ~ascending:true f 0 1;
+  Alcotest.(check (list int)) "low half" [ 1; 2; 3 ] (keys f 0);
+  Alcotest.(check (list int)) "high half" [ 5; 9 ] (keys f 1);
+  let f = flat_pair (mk [| 1; 5; 9 |]) (mk [| 2; 3; -1 |]) in
+  Ext_sort.merge_split ~order:Order.Keys ~ascending:false f 0 1;
+  Alcotest.(check (list int)) "descending: high half first" [ 5; 9 ] (keys f 0)
 
-(* The orders lib sorts under, each beside an independent reference
-   comparator on decoded cells, including the ORAM dedup sort's
-   key-then-newest-tag order. *)
+(* The orders lib sorts under, each beside the reference comparator on
+   decoded cells, including the ORAM dedup sort's key-then-newest-tag
+   order. *)
 let merge_orders =
-  let on_items f c1 c2 =
-    match (c1, c2) with
-    | Cell.Empty, Cell.Empty -> 0
-    | Cell.Empty, Cell.Item _ -> 1
-    | Cell.Item _, Cell.Empty -> -1
-    | Cell.Item x, Cell.Item y -> f x y
-  in
-  [|
-    (Order.Keys, on_items (fun (x : Cell.item) y -> compare (x.key, x.tag) (y.key, y.tag)));
-    (Order.By_tag, on_items (fun (x : Cell.item) y -> compare (x.tag, x.key) (y.tag, y.key)));
-    ( Order.By_aux,
-      on_items (fun (x : Cell.item) y -> compare (x.aux, x.key, x.tag) (y.aux, y.key, y.tag)) );
-    (Order.Dedup, on_items (fun (x : Cell.item) y -> compare (x.key, y.tag) (y.key, x.tag)));
-  |]
+  Array.map (fun o -> (o, Util.order_reference o)) Order.[| Keys; By_tag; By_aux; Dedup |]
 
 (* Internally sorted block pairs with ties (few distinct keys, tags and
    aux words; the value tells tied cells apart) and empties: the merge
@@ -83,9 +75,10 @@ let prop_merge_split_stable =
       let sorted blk = Array.of_list (List.stable_sort cmp (Array.to_list blk)) in
       let u = sorted u and v = sorted v in
       let want = Array.of_list (List.stable_sort cmp (Array.to_list u @ Array.to_list v)) in
-      Ext_sort.merge_split ~order ~ascending u v;
-      let lo, hi = if ascending then (u, v) else (v, u) in
-      let same got off = Array.for_all2 ( = ) got (Array.sub want off b) in
+      let f = flat_pair u v in
+      Ext_sort.merge_split ~order ~ascending f 0 1;
+      let lo, hi = if ascending then (0, 1) else (1, 0) in
+      let same got off = Array.for_all2 ( = ) (Flat.get_block f got) (Array.sub want off b) in
       same lo 0 && same hi b)
 
 let run_sort_case sorter ~b ~m keys =
@@ -631,6 +624,69 @@ let test_permute_pinned_order () =
   sealed_stripe "sealed stripe block permutation" block_run 58671120780305
     [ (-2476665712003767653L, 772); (-1072625813182661474L, 764) ]
 
+(* ---------------- output pins ---------------- *)
+
+(* What every engine returns, pinned: an MD5 of each output cell in
+   order (constructor, key, tag, aux, value). The inputs make the tie
+   rules visible — (key, tag) pairs repeated and told apart only by the
+   value, all-equal cells, mostly-empty blocks — and the sorters are not
+   stable, so a kernel that keeps every trace but breaks ties another way
+   moves a pin here. Each engine runs all three inputs at a shape that
+   reaches the path named; one digest covers the three outputs. *)
+let pin_inputs n =
+  [
+    Array.init n (fun i ->
+        if i mod 7 = 3 then Cell.empty
+        else Cell.item ~tag:(i mod 3) ~key:((i * 37) mod 5) ~value:i ());
+    Array.init n (fun i -> Cell.item ~tag:0 ~key:5 ~value:i ());
+    Array.init n (fun i ->
+        if i mod 5 = 0 || (i >= 8 && i < 24) then
+          Cell.item ~tag:1 ~aux:(i mod 4) ~key:(i mod 3) ~value:i ()
+        else Cell.empty);
+  ]
+
+let output_digest ~b ~n run =
+  let out = Buffer.create 4096 in
+  List.iter
+    (fun cells ->
+      let (), a = Util.with_array ~b cells (fun _s a -> run a) in
+      Array.iter
+        (function
+          | Cell.Empty -> Buffer.add_string out "E;"
+          | Cell.Item (it : Cell.item) ->
+              Printf.bprintf out "%d,%d,%d,%d;" it.key it.tag it.aux it.value)
+        (Ext_array.to_cells a);
+      Buffer.add_char out '|')
+    (pin_inputs n);
+  Digest.to_hex (Digest.string (Buffer.contents out))
+
+let test_output_pins () =
+  let sorter name ~m a = Ext_sort.run (Option.get (Ext_sort.find name)) ~m a in
+  let rng () = Odex_crypto.Rng.create ~seed:45 in
+  let cells ~m a = ignore (Bucket_sort.permute ~rng:(rng ()) ~m a) in
+  let blocks ~m a = ignore (Bucket_sort.permute_blocks ~rng:(rng ()) ~m a) in
+  (* name, B, cells, run, digest recorded before the kernels staged images *)
+  let pins =
+    [
+      ("cache", 4, 100, sorter "cache" ~m:32, "cf410416f0cfa5cccd8a7f0229bdc06c");
+      ("bitonic", 4, 100, sorter "bitonic" ~m:4, "bdf903c10d0af192f88dde7f7adfb0ba");
+      ("bitonic-windowed", 4, 100, sorter "bitonic-windowed" ~m:8, "bdf903c10d0af192f88dde7f7adfb0ba");
+      ("columnsort (s = 3)", 4, 100, sorter "columnsort" ~m:16, "de8bddc53e35c1abf21a7b9b0b843cfa");
+      ("bucket, in cache", 4, 100, sorter "bucket" ~m:32, "cf410416f0cfa5cccd8a7f0229bdc06c");
+      ("bucket, routed", 16, 4000, sorter "bucket" ~m:64, "63934b082d0bf861d33ac8e48a0c6307");
+      ("auto, in cache", 4, 100, sorter "auto" ~m:32, "cf410416f0cfa5cccd8a7f0229bdc06c");
+      ("auto, windowed", 4, 100, sorter "auto" ~m:8, "bdf903c10d0af192f88dde7f7adfb0ba");
+      ("permute, in cache", 4, 100, cells ~m:32, "135fc7cede315463d0947d988de760b5");
+      ("permute, routed", 4, 512, cells ~m:66, "ec1fd17e4f8e4e37f2f5ba56c967acaa");
+      ("permute_blocks, in cache", 4, 100, blocks ~m:32, "e3a655bd259b4a67dc27c6219723f647");
+      ("permute_blocks, routed", 4, 512, blocks ~m:66, "c43df6b706d49ee28725e2d96734fdd4");
+    ]
+  in
+  List.iter
+    (fun (name, b, n, run, want) ->
+      Alcotest.(check string) (name ^ ": output digest") want (output_digest ~b ~n run))
+    pins
+
 let test_sorter_edge_sizes () =
   (* Every registered sorter through the Ext_sort.run dispatch at the
      degenerate and non-power-of-two sizes: N in {0,1,2,3} plus awkward
@@ -715,6 +771,7 @@ let suite =
     ("bucket multi-pass merge pinned (ties)", `Quick, test_bucket_multipass_ties);
     ("bucket sort-mem shape pinned", `Quick, test_bucket_sort_mem_shape_pinned);
     ("oblivious permutation pinned order", `Quick, test_permute_pinned_order);
+    ("engine output pins", `Quick, test_output_pins);
     ("sorter edge sizes", `Quick, test_sorter_edge_sizes);
     prop_sorters_agree;
     prop_bucket_pipeline_sorts;

@@ -13,8 +13,7 @@ let test_disabled_sink_is_noop () =
   Alcotest.(check bool) "disabled" false (Telemetry.enabled t);
   Telemetry.record (Telemetry.cell t ~backend:"mem" Telemetry.Read) ~blocks:1 ~bytes:64 ~ns:100;
   Telemetry.register t (fun () ->
-      { Telemetry.ios = 3; retries = 1; faults = 1; bytes = 512; hits = 9; misses = 0;
-        flushes = 0 });
+      { Telemetry.ios = 3; retries = 1; faults = 1; bytes = 512; hits = 9; misses = 0 });
   let r = Telemetry.with_phase t "phase" (fun () -> 42) in
   Alcotest.(check int) "with_phase is exactly f ()" 42 r;
   Alcotest.(check int) "no op stats" 0 (List.length (Telemetry.op_stats t));
@@ -207,19 +206,15 @@ let test_cache_counters () =
   ignore (Cache.load c base);
   ignore (Cache.load c (base + 1));
   Cache.load_run c base ~count:4;
-  Cache.drop c (base + 3);
-  Cache.flush_all c;
   let counter name =
     match List.assoc_opt name (Telemetry.counters tel) with Some v -> v | None -> 0
   in
   (* load: 1 miss + 1 hit + 1 miss; load_run over [0,4): 2 hits, 2 misses. *)
   Alcotest.(check int) "hits" 3 (counter "cache.hit");
   Alcotest.(check int) "misses" 4 (counter "cache.miss");
-  (* flush_all of the 3 still resident; a dropped block is not written. *)
-  Alcotest.(check int) "flushes" 3 (counter "cache.flush");
   let st = Stats.snapshot (Storage.stats s) in
-  Alcotest.(check (list int)) "the counters are the store's ledger" [ 3; 4; 3 ]
-    [ st.hits; st.misses; st.flushes ]
+  Alcotest.(check (list int)) "the counters are the store's ledger" [ 3; 4 ]
+    [ st.hits; st.misses ]
 
 (* ---------------- one ledger ---------------- *)
 
@@ -253,13 +248,13 @@ let ledger_identity ~retried make_spec () =
                  Storage.write s (base + 7) (Storage.read s (base + 6));
                  failwith "boom")
            with Failure _ -> ());
-          Storage.with_span s "flush" (fun () ->
+          Storage.with_span s "drop" (fun () ->
               Cache.drop c base;
-              Cache.flush_all c));
+              Cache.drop_all c));
       let after = Stats.snapshot st in
       let phases = Telemetry.phases tel in
       Alcotest.(check (list string)) "phases in completion order"
-        [ "scan"; "load"; "doomed"; "flush"; "root" ]
+        [ "scan"; "load"; "doomed"; "drop"; "root" ]
         (List.map (fun (p : Telemetry.phase) -> p.label) phases);
       let sum f = List.fold_left (fun a p -> a + f p) 0 phases in
       let delta f = f after - f before in
@@ -278,7 +273,7 @@ let ledger_identity ~retried make_spec () =
         (List.find (fun (p : Telemetry.phase) -> p.label = "doomed") phases).ios;
       Alcotest.(check (list (pair string int)))
         "counters are the Stats cache fields"
-        [ ("cache.flush", after.flushes); ("cache.hit", after.hits); ("cache.miss", after.misses) ]
+        [ ("cache.hit", after.hits); ("cache.miss", after.misses) ]
         (Telemetry.counters tel))
 
 let ledger_specs =
@@ -387,7 +382,7 @@ let suite =
     ("checkpoint commits are timed", `Quick, test_checkpoint_commits_timed);
     ("phase counter attribution", `Quick, test_phase_attribution);
     ("retries and faults attributed", `Quick, test_retry_and_fault_attribution);
-    ("cache hit/miss/flush counters", `Quick, test_cache_counters);
+    ("cache hit/miss counters", `Quick, test_cache_counters);
     ("bare-sink phase attribution", `Quick, test_bare_sink_phase);
     ("telemetry invisible to the adversary (mem)", `Quick, test_telemetry_invisible_mem);
     ("telemetry invisible to the adversary (file)", `Quick, test_telemetry_invisible_file);

@@ -11,6 +11,21 @@ let big_of_bytes b =
 
 let bytes_of_big buf = Bytes.init (Odex_crypto.Bigbuf.length buf) (fun i -> buf.{i})
 
+(* Each order on decoded cells, written out independently of lib: the
+   reference the image comparator and the sorters are checked against.
+   Empties sort last and tie each other. *)
+let order_reference (o : Order.t) c1 c2 =
+  match (c1, c2) with
+  | Cell.Empty, Cell.Empty -> 0
+  | Cell.Empty, Cell.Item _ -> 1
+  | Cell.Item _, Cell.Empty -> -1
+  | Cell.Item x, Cell.Item y -> (
+      match o with
+      | Keys -> compare (x.key, x.tag) (y.key, y.tag)
+      | By_tag -> compare (x.tag, x.key) (y.tag, y.key)
+      | By_aux -> compare (x.aux, x.key, x.tag) (y.aux, y.key, y.tag)
+      | Dedup -> compare (x.key, y.tag) (y.key, x.tag))
+
 (* Whole-block [bytes] transfers: runs of one over the backend API. *)
 let read_block (b : Backend.t) addr =
   let payload = b.payload_bytes in
