@@ -112,7 +112,7 @@ let e2 env =
       List.map
         (fun density ->
           let _, a = Workloads.array env ~rng:(rng_of 2) ~b ~n Workloads.Uniform in
-          let distinguished (it : Cell.item) = it.key mod 100 < density in
+          let distinguished buf off = Flat.key buf off mod 100 < density in
           let name =
             if density = 100 then "consolidation" else Printf.sprintf "consolidation-r%d" density
           in
@@ -184,7 +184,7 @@ let e4 env =
     let s = Ext_array.storage a in
     let peek a j = Storage.unchecked_peek s (Ext_array.addr a j) in
     let all = List.init n Fun.id in
-    let slots = Array.of_list (List.filter (fun j -> not (Block.is_empty (peek a j))) all) in
+    let slots = Array.of_list (List.filter (fun j -> Array.exists Cell.is_item (peek a j)) all) in
     let c = Ext_array.create s ~blocks:n in
     Array.iteri (fun i j -> Storage.unchecked_poke s (Ext_array.addr c i) (peek a j)) slots;
     H.measure env ~name:"butterfly-expand" ~n_cells:(n * b) ~b ~m (fun () ->
@@ -280,11 +280,13 @@ let leaky_quickselect ~rng s a k =
   let b = Ext_array.block_size a in
   let scan arr f =
     for i = 0 to Ext_array.blocks arr - 1 do
-      Array.iter (function Cell.Empty -> () | Cell.Item it -> f it) (Ext_array.read_block arr i)
+      Array.iter
+        (function Cell.Empty -> () | Cell.Item it -> f it)
+        (Storage.read s (Ext_array.addr arr i))
     done
   in
   let flush w =
-    Ext_array.write_block w.out w.cursor w.blk;
+    Storage.write s (Ext_array.addr w.out w.cursor) w.blk;
     w.cursor <- w.cursor + 1;
     w.blk <- Block.make b;
     w.fill <- 0
@@ -326,7 +328,7 @@ let leaky_quickselect ~rng s a k =
   in
   let count = ref 0 in
   for i = 0 to Ext_array.blocks a - 1 do
-    count := !count + Block.count_items (Ext_array.read_block a i)
+    Array.iter (fun c -> if Cell.is_item c then incr count) (Storage.read s (Ext_array.addr a i))
   done;
   go a !count k
 
@@ -349,7 +351,7 @@ let e7 env =
         run "sort-scan" (fun _ _ a ->
             Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.bitonic_windowed ~m a;
             for i = 0 to Ext_array.blocks a - 1 do
-              ignore (Ext_array.read_block a i)
+              ignore (Storage.read (Ext_array.storage a) (Ext_array.addr a i))
             done;
             true);
         run "leaky-quickselect" (fun rng s a ->

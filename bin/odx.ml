@@ -366,7 +366,7 @@ let compact_cmd =
       setup ~block_size ~backend ~store ~shards ~seed ~profile ~journal ~auto_commit ~resume
           ~cipher ~seal_key keys
     in
-    let distinguished (it : Cell.item) = (not keep_even) || it.key mod 2 = 0 in
+    let distinguished buf off = (not keep_even) || Flat.key buf off mod 2 = 0 in
     let d = Odex.Consolidation.run ~distinguished ~into:None a in
     let out, occupied, how =
       if servers >= 2 then begin

@@ -32,13 +32,13 @@ let () =
           let table = Ext_array.create s ~blocks:n in
           let key = Odex_crypto.Prf.key_of_int 1 in
           for i = 0 to n - 1 do
-            let blk = Ext_array.read_block a i in
-            match Block.items blk with
-            | it :: _ ->
-                let j = Odex_crypto.Prf.to_range key it.key ~bound:n in
-                let t = Ext_array.read_block table j in
-                Ext_array.write_block table j t
-            | [] -> ()
+            let blk = Storage.read s (Ext_array.addr a i) in
+            match Array.find_opt Cell.is_item blk with
+            | Some c ->
+                let j = Odex_crypto.Prf.to_range key (Cell.key_exn c) ~bound:n in
+                let t = Storage.read s (Ext_array.addr table j) in
+                Storage.write s (Ext_array.addr table j) t
+            | None -> ()
           done);
     }
   in

@@ -48,11 +48,11 @@ let () =
   let last_file = ref 0 in
   for pos = 0 to volume_blocks - 1 do
     let blk = Storage.unchecked_peek server (Ext_array.addr volume pos) in
-    match Block.items blk with
-    | [] -> if pos < occupied then ok := false
-    | it :: _ ->
+    match Array.find_opt Cell.is_item blk with
+    | None -> if pos < occupied then ok := false
+    | Some c ->
         if pos >= occupied then ok := false;
-        if it.key < !last_file then ok := false;
-        last_file := it.key
+        if Cell.key_exn c < !last_file then ok := false;
+        last_file := Cell.key_exn c
   done;
   Printf.printf "prefix property and file order preserved: %b\n" !ok

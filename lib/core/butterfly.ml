@@ -15,18 +15,8 @@ exception Collision of { level : int; position : int }
    inherit its collision-freedom. *)
 
 (* Blocks travel as {!Flat} images: the label is the aux word of a
-   block's first occupied image, rewritten in place in every occupied
-   image, so routing never decodes a cell. [first_item] is the byte
-   offset of slot [k]'s first occupied image, or -1 for an empty block. *)
-let first_item buf k =
-  let rec find i =
-    if i >= Flat.block_size buf then -1
-    else
-      let off = Flat.cell_offset buf ~block:k ~slot:i in
-      if Flat.is_item buf off then off else find (i + 1)
-  in
-  find 0
-
+   block's first occupied image ({!Flat.first_item}), rewritten in place
+   in every occupied image, so routing never decodes a cell. *)
 let set_label buf k d =
   for i = 0 to Flat.block_size buf - 1 do
     let off = Flat.cell_offset buf ~block:k ~slot:i in
@@ -52,7 +42,7 @@ let route_class a win live ~level ~pos ~len ~w ~move ~rest =
   let r = (2 * w) - 1 in
   let route uq =
     Ext_array.read_flat a (pos uq) ~count:1 win;
-    let off = first_item win 0 in
+    let off = Flat.first_item win 0 in
     if off >= 0 then begin
       let d = Flat.aux win off in
       let u_dst = uq - move d in
@@ -89,12 +79,12 @@ let route_class a win live ~level ~pos ~len ~w ~move ~rest =
 
 let route_all a ~m ~direction =
   let n = Ext_array.blocks a in
-  if m < 3 then invalid_arg "Butterfly: need m >= 3 (the paper's M >= 3B)";
+  (* 2w - 1 resident blocks per window, w >= 2 (the paper's M >= 3B);
+     g = log2 w levels per phase. *)
+  let w = max 2 (1 lsl Emodel.ilog2_floor (max 1 ((m + 1) / 2))) in
+  Residency.check ~m ((2 * w) - 1);
   if n > 1 then Ext_array.with_span a "butterfly.route" @@ fun () ->
   begin
-    (* 2w - 1 resident blocks per window; g = log2 w levels per phase. *)
-    let w = 1 lsl Emodel.ilog2_floor ((m + 1) / 2) in
-    if (2 * w) - 1 > m then raise (Cache.Overflow { capacity = m; requested = (2 * w) - 1 });
     let g = Emodel.ilog2_floor w in
     let modulus = 1 lsl g in
     let win = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:(2 * w) in
@@ -143,7 +133,7 @@ let label_pass a label =
   Ext_array.with_span a "butterfly.label" (fun () ->
       for j = 0 to Ext_array.blocks a - 1 do
         Ext_array.read_flat a j ~count:1 buf;
-        if first_item buf 0 >= 0 then set_label buf 0 (label j);
+        if Flat.first_item buf 0 >= 0 then set_label buf 0 (label j);
         Ext_array.write_flat a j ~count:1 buf
       done)
 
@@ -181,7 +171,7 @@ let naive_levels a =
   let rank = ref 0 in
   for j = 0 to n - 1 do
     let blk = Storage.unchecked_peek storage (Ext_array.addr a j) in
-    if not (Block.is_empty blk) then begin
+    if Array.exists Cell.is_item blk then begin
       labels.(j) <- j - !rank;
       incr rank
     end

@@ -25,7 +25,9 @@ exception Collision of { level : int; position : int }
 val compact : m:int -> Ext_array.t -> int
 (** [compact ~m a] routes every occupied block of [a] to the front,
     preserving their relative order, and empties the rest. Returns the
-    number of occupied blocks. Requires [m >= 3] (the paper's M >= 3B).
+    number of occupied blocks. Requires [m >= 3] (the paper's M >= 3B):
+    its routing ring holds three blocks at least, and a smaller [m]
+    raises {!Odex_extmem.Residency.Overflow} after the labelling pass.
     Input blocks must each be full or empty (consolidate first); the one
     partial block Lemma 3 allows is fine anywhere. *)
 

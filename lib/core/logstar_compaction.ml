@@ -2,61 +2,47 @@ open Odex_extmem
 
 type outcome = { dest : Ext_array.t; phases : int; ok : bool }
 
-(* One thinning step for a single source block (shared by the full-array
-   and region-prefix passes). *)
-let thin_step ~rng src i dst =
-  let b = Ext_array.block_size src in
-  let c_size = Ext_array.blocks dst in
-  let blk = Ext_array.read_block src i in
-  let j = Odex_crypto.Rng.int rng c_size in
-  let target = Ext_array.read_block dst j in
-  if (not (Block.is_empty blk)) && Block.is_empty target then begin
-    Ext_array.write_block dst j blk;
-    Ext_array.write_block src i (Block.make b)
-  end
-  else begin
-    Ext_array.write_block dst j target;
-    Ext_array.write_block src i blk
-  end
-
-(* Compact each region to its first [prefix] blocks using the cache;
-   survivors that do not fit stay in place (the final Theorem 4 pass
-   collects them). Fixed trace: every region block is read and written
-   once. *)
-let compact_regions cache ~rho ~prefix a =
+(* Compact each region to its first [prefix] blocks in Alice's memory:
+   the region is gathered high to low, one block at a time, into
+   [region] (one-slot views in [slots]). Survivors that do not fit stay
+   in place (the final Theorem 4 pass collects them). Fixed trace: every
+   region block is read and written once. *)
+let compact_regions ~m ~rho ~prefix a =
   let n = Ext_array.blocks a in
   let b = Ext_array.block_size a in
+  Residency.check ~m rho;
+  let region = Flat.create ~block_size:b ~blocks:rho in
+  let slots = Array.init rho (fun k -> Flat.sub region ~off:k ~len:1) in
+  let empty = Flat.create ~block_size:b ~blocks:1 in
+  let survivors = Array.make rho 0 in
   let regions = Emodel.ceil_div n rho in
   for g = 0 to regions - 1 do
     let lo = g * rho in
     let len = min rho (n - lo) in
-    let occupied = ref [] in
-    let overflow = ref [] in
-    let count = ref 0 in
     for i = lo + len - 1 downto lo do
-      let blk = Cache.load cache (Ext_array.addr a i) in
-      if not (Block.is_empty blk) then begin
-        incr count;
-        if !count <= prefix then occupied := (blk, i) :: !occupied
-        else overflow := (blk, i) :: !overflow
-      end;
-      Cache.drop cache (Ext_array.addr a i)
+      Ext_array.read_flat a i ~count:1 slots.(i - lo)
     done;
-    (* Fitting survivors go to the prefix; overflow stays at its own
-       position; everything else becomes empty. *)
-    let fits = Array.of_list (List.map fst !occupied) in
-    let overflow_at = Hashtbl.create 4 in
-    List.iter (fun (blk, i) -> Hashtbl.replace overflow_at i blk) !overflow;
-    for i = lo to lo + len - 1 do
-      let slot = i - lo in
+    let count = ref 0 in
+    for k = 0 to len - 1 do
+      if Flat.first_item region k >= 0 then begin
+        survivors.(!count) <- k;
+        incr count
+      end
+    done;
+    (* The top [fits] survivors (the first met scanning down) fill the
+       prefix in region order; the lower ones overflow and stay at their
+       own slot when it lies past the prefix; everything else becomes
+       empty. *)
+    let fits = min prefix !count in
+    let first_fit = if fits > 0 then survivors.(!count - fits) else 0 in
+    for slot = 0 to len - 1 do
       let out =
-        if slot < Array.length fits && slot < prefix then fits.(slot)
-        else
-          match Hashtbl.find_opt overflow_at i with
-          | Some blk when slot >= prefix -> blk
-          | _ -> Block.make b
+        if slot < fits then slots.(survivors.(!count - fits + slot))
+        else if slot >= prefix && slot < first_fit && Flat.first_item region slot >= 0 then
+          slots.(slot)
+        else empty
       in
-      Ext_array.write_block a i out
+      Ext_array.write_flat a (lo + slot) ~count:1 out
     done
   done
 
@@ -71,7 +57,6 @@ let run ?(c0 = 8) ?key ?sparse_threshold ~m ~rng ~capacity a =
   else begin
     let main = Ext_array.sub dest ~off:0 ~len:(4 * r) in
     let n0 = Ext_array.blocks a in
-    let cache = Cache.create storage ~capacity:(max 2 m) in
     (* Initial c0 A-to-main thinning passes. *)
     Ext_array.with_span a "logstar.thin0" (fun () ->
         for _ = 1 to c0 do
@@ -107,11 +92,13 @@ let run ?(c0 = 8) ?key ?sparse_threshold ~m ~rng ~capacity a =
         let grown =
           Ext_array.create storage ~blocks:(Ext_array.blocks !cur + Ext_array.blocks c_arr)
         in
+        let one = Flat.create ~block_size:b ~blocks:1 in
         let cursor = ref 0 in
         List.iter
           (fun src ->
             for j = 0 to Ext_array.blocks src - 1 do
-              Ext_array.write_block grown !cursor (Ext_array.read_block src j);
+              Ext_array.read_flat src j ~count:1 one;
+              Ext_array.write_flat grown !cursor ~count:1 one;
               incr cursor
             done)
           [ !cur; c_arr ];
@@ -124,16 +111,14 @@ let run ?(c0 = 8) ?key ?sparse_threshold ~m ~rng ~capacity a =
           max 2 (min (max 2 m) cap)
         in
         let prefix = max 1 (rho / (t_i * t_i)) in
-        compact_regions cache ~rho ~prefix !cur;
+        compact_regions ~m ~rho ~prefix !cur;
         let n_cur = Ext_array.blocks !cur in
         let regions = Emodel.ceil_div n_cur rho in
         for _ = 1 to t_i * t_i do
           for g = 0 to regions - 1 do
             let lo = g * rho in
             let len = min prefix (n_cur - lo) in
-            for s = 0 to len - 1 do
-              thin_step ~rng !cur (lo + s) main
-            done
+            Thinning.pass ~rng ~src:(Ext_array.sub !cur ~off:lo ~len) ~dst:main
           done
         done;
         incr i
@@ -161,12 +146,11 @@ let run ?(c0 = 8) ?key ?sparse_threshold ~m ~rng ~capacity a =
         Ext_array.sub !cur ~off:0 ~len:(min (Ext_array.blocks !cur) final_capacity)
       end
     in
+    let one = Flat.create ~block_size:b ~blocks:1 in
     for j = 0 to reserve - 1 do
-      let blk =
-        if j < Ext_array.blocks compacted then Ext_array.read_block compacted j
-        else Block.make b
-      in
-      Ext_array.write_block dest ((4 * r) + j) blk
+      if j < Ext_array.blocks compacted then Ext_array.read_flat compacted j ~count:1 one
+      else Flat.clear_blocks one 0 1;
+      Ext_array.write_flat dest ((4 * r) + j) ~count:1 one
     done;
     { dest; phases = !phases; ok = !ok }
   end

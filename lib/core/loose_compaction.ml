@@ -4,11 +4,12 @@ type outcome = { dest : Ext_array.t; ok : bool }
 
 (* Compact each region of [rho] blocks of [src] to its first ceil(rho/2)
    blocks, writing them to [dst] (of half the size). One in-cache pass per
-   region; the trace is a fixed interleaving of region reads and
-   half-region writes. Returns false if any region overflowed. *)
-let halve_regions cache ~rho src dst =
+   region: the region is gathered high to low, one block at a time, into
+   [region] (rho slots, each with a one-slot view in [slots]). The trace
+   is a fixed interleaving of region reads and half-region writes.
+   Returns false if any region overflowed. *)
+let halve_regions ~rho region slots src dst =
   let n = Ext_array.blocks src in
-  let b = Ext_array.block_size src in
   let half = (rho + 1) / 2 in
   let regions = Emodel.ceil_div n rho in
   let ok = ref true in
@@ -17,26 +18,23 @@ let halve_regions cache ~rho src dst =
     let len = min rho (n - lo) in
     let out_lo = g * half in
     let out_len = min half (Ext_array.blocks dst - out_lo) in
-    (* Gather the region. *)
-    let occupied = ref [] in
-    (* [Cache.load] returns a caller-owned copy, so the gathered blocks
-       stay valid after the drop. *)
     for i = lo + len - 1 downto lo do
-      let blk = Cache.load cache (Ext_array.addr src i) in
-      if not (Block.is_empty blk) then occupied := blk :: !occupied;
-      Cache.drop cache (Ext_array.addr src i)
+      Ext_array.read_flat src i ~count:1 slots.(i - lo)
     done;
-    if List.length !occupied > out_len then ok := false;
+    (* Move the survivors to the front, in region order, and clear the
+       rest: slot k is then the k-th output block. *)
+    let occupied = ref 0 in
+    for k = 0 to len - 1 do
+      if Flat.first_item region k >= 0 then begin
+        if k > !occupied then Flat.copy_block region k region !occupied;
+        incr occupied
+      end
+    done;
+    Flat.clear_blocks region !occupied (rho - !occupied);
+    if !occupied > out_len then ok := false;
     (* Scatter the survivors (possibly truncated on overflow). *)
     for slot = 0 to out_len - 1 do
-      let blk =
-        match !occupied with
-        | blk :: rest ->
-            occupied := rest;
-            blk
-        | [] -> Block.make b
-      in
-      Ext_array.write_block dst (out_lo + slot) blk
+      Ext_array.write_flat dst (out_lo + slot) ~count:1 slots.(slot)
     done
   done;
   !ok
@@ -57,7 +55,10 @@ let run ?(c0 = 4) ?(c1 = 3) ?(sorter = Odex_sortnet.Ext_sort.auto) ~m ~rng ~capa
            "Loose_compaction.run: region of %d blocks exceeds cache m = %d (wide-block/tall-cache \
             assumption violated)"
            rho m);
-    let cache = Cache.create storage ~capacity:m in
+    (* Alice holds one region at a time. *)
+    Residency.check ~m rho;
+    let region = Flat.create ~block_size:b ~blocks:rho in
+    let slots = Array.init rho (fun k -> Flat.sub region ~off:k ~len:1) in
     (* Stop the halving once A is below n / log_m^2 n blocks (and always
        once regions stop making sense). *)
     let log_m_n =
@@ -78,18 +79,18 @@ let run ?(c0 = 4) ?(c1 = 3) ?(sorter = Odex_sortnet.Ext_sort.auto) ~m ~rng ~capa
             Ext_array.create storage
               ~blocks:(Emodel.ceil_div (Ext_array.blocks !cur) rho * ((rho + 1) / 2))
           in
-          if not (halve_regions cache ~rho !cur next) then ok := false;
+          if not (halve_regions ~rho region slots !cur next) then ok := false;
           cur := next
         done);
     (* Final deterministic compression of the residue: occupied cells
        first, then copy the first [capacity] blocks to the output tail. *)
     Ext_array.with_span a "loose.final-sort" (fun () ->
         Odex_sortnet.Ext_sort.run sorter ~m !cur;
+        let one = slots.(0) in
         for i = 0 to capacity - 1 do
-          let blk =
-            if i < Ext_array.blocks !cur then Ext_array.read_block !cur i else Block.make b
-          in
-          Ext_array.write_block dest ((4 * capacity) + i) blk
+          if i < Ext_array.blocks !cur then Ext_array.read_flat !cur i ~count:1 one
+          else Flat.clear_blocks one 0 1;
+          Ext_array.write_flat dest ((4 * capacity) + i) ~count:1 one
         done);
     { dest; ok = !ok }
   end

@@ -14,54 +14,57 @@ let consolidate ~colors ~color_of a =
   let b = Ext_array.block_size a in
   let dst = Ext_array.create (Ext_array.storage a) ~blocks:(n + tail_blocks colors) in
   let groups = Array.init colors (fun _ -> Queue.create ()) in
-  let take_in blk =
-    Array.iter
-      (fun c ->
-        match c with
-        | Cell.Empty -> ()
-        | Cell.Item it ->
-            let color = color_of it in
-            if color < 0 || color >= colors then
-              invalid_arg "Multiway.consolidate: color out of range";
-            Queue.add it groups.(color))
-      blk
+  let input = Flat.create ~block_size:b ~blocks:1 and out = Flat.create ~block_size:b ~blocks:1 in
+  let take_in () =
+    for slot = 0 to b - 1 do
+      match Flat.get_cell input (Flat.cell_offset input ~block:0 ~slot) with
+      | Cell.Empty -> ()
+      | Cell.Item it ->
+          let color = color_of it in
+          if color < 0 || color >= colors then
+            invalid_arg "Multiway.consolidate: color out of range";
+          Queue.add it groups.(color)
+    done
+  in
+  (* Fill [out] with [count] items popped from [g], padded with
+     empties. *)
+  let fill g count =
+    Flat.clear_blocks out 0 1;
+    for slot = 0 to count - 1 do
+      let it : Cell.item = Queue.pop g in
+      Flat.set_item out (Flat.cell_offset out ~block:0 ~slot) ~key:it.key ~value:it.value
+        ~tag:it.tag ~aux:it.aux
+    done
   in
   (* Emit a full block of the first color that has one, else an empty
      block; the choice is Alice-private and the write happens either
      way. *)
   let emit_full () =
-    let blk = Block.make b in
     let rec find color =
-      if color >= colors then ()
-      else if Queue.length groups.(color) >= b then
-        for slot = 0 to b - 1 do
-          blk.(slot) <- Cell.Item (Queue.pop groups.(color))
-        done
+      if color >= colors then fill groups.(0) 0
+      else if Queue.length groups.(color) >= b then fill groups.(color) b
       else find (color + 1)
     in
-    find 0;
-    blk
+    find 0
   in
   (* Tail: drain the largest group, at most one block's worth per write. *)
   let emit_tail () =
-    let blk = Block.make b in
     let largest = ref 0 in
     Array.iteri
       (fun c g -> if Queue.length g > Queue.length groups.(!largest) then largest := c)
       groups;
     let g = groups.(!largest) in
-    let count = min b (Queue.length g) in
-    for slot = 0 to count - 1 do
-      blk.(slot) <- Cell.Item (Queue.pop g)
-    done;
-    blk
+    fill g (min b (Queue.length g))
   in
   for i = 0 to n - 1 do
-    take_in (Ext_array.read_block a i);
-    Ext_array.write_block dst i (emit_full ())
+    Ext_array.read_flat a i ~count:1 input;
+    take_in ();
+    emit_full ();
+    Ext_array.write_flat dst i ~count:1 out
   done;
   for t = 0 to tail_blocks colors - 1 do
-    Ext_array.write_block dst (n + t) (emit_tail ())
+    emit_tail ();
+    Ext_array.write_flat dst (n + t) ~count:1 out
   done;
   assert (Array.for_all Queue.is_empty groups);
   dst

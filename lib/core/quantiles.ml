@@ -14,19 +14,18 @@ let dummy_item = { Cell.key = 0; value = 0; tag = 0; aux = 0 }
    only, see Consolidation. *)
 let scan_chunk = 32
 
+let item_at buf off = Cell.get (Flat.get_cell buf off)
+
+let staging a = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:scan_chunk
+
 (* Scan [a]; grab the item of 1-indexed rank [ranks.(i)] (among items, in
    scan order) for every i. Ranks need not be sorted or distinct. *)
 let grab_many a ranks out =
   let seen = ref 0 in
-  Ext_array.iter_runs a ~chunk:scan_chunk (fun _ blks ->
-      Array.iter
-        (Array.iter (fun c ->
-             match c with
-             | Cell.Empty -> ()
-             | Cell.Item it ->
-                 incr seen;
-                 Array.iteri (fun j r -> if r = !seen then out.(j) <- Some it) ranks))
-        blks)
+  let buf = staging a in
+  Ext_array.scan_items a buf (fun off ->
+      incr seen;
+      Array.iteri (fun j r -> if r = !seen then out.(j) <- Some (item_at buf off)) ranks)
 
 let private_quantiles ~order ~q items =
   let sorted = List.sort (Order.compare_items order) items in
@@ -39,19 +38,8 @@ let private_quantiles ~order ~q items =
       ok = true;
     }
 
-(* Base case: array fits in cache (n <= m, re-verified by [load_run]'s
-   capacity check); one batched scan. *)
-let in_cache ~order ~m ~q a =
-  let n = Ext_array.blocks a in
-  let cache = Cache.create (Ext_array.storage a) ~capacity:m in
-  Cache.load_run cache (Ext_array.base a) ~count:n;
-  let items = ref [] in
-  for i = 0 to n - 1 do
-    let blk = Cache.borrow cache (Ext_array.addr a i) in
-    Array.iter (fun c -> match c with Cell.Empty -> () | Cell.Item it -> items := it :: !items) blk;
-    Cache.drop cache (Ext_array.addr a i)
-  done;
-  private_quantiles ~order ~q !items
+(* Base case: array fits in cache; one batched scan. *)
+let in_cache ~order ~m ~q a = private_quantiles ~order ~q (Selection.items_in_cache ~m a)
 
 (* Easy case (M/B)^4 >= N/B: sort a copy deterministically, scan. *)
 let by_sorting ~order ~m ~q a =
@@ -59,9 +47,12 @@ let by_sorting ~order ~m ~q a =
   let storage = Ext_array.storage a in
   let copy = Ext_array.create storage ~blocks:n in
   let total = ref 0 in
-  Ext_array.iter_runs a ~chunk:scan_chunk (fun base blks ->
-      Array.iter (fun blk -> total := !total + Block.count_items blk) blks;
-      Ext_array.write_blocks copy base blks);
+  let buf = staging a in
+  Ext_array.scan_flat a buf (fun base count ->
+      for j = 0 to count - 1 do
+        total := !total + Flat.count_items buf j
+      done;
+      Ext_array.write_flat copy base ~count buf);
   Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~order ~m copy;
   if !total = 0 then { quantiles = Array.make q dummy_item; ok = false }
   else begin
@@ -88,10 +79,7 @@ let run ?key ?(order = Order.Keys) ?delta ~m ~rng ~q a =
   else begin
     let ok = ref true in
     (* Count items; one batched scan. *)
-    let total = ref 0 in
-    Ext_array.iter_runs a ~chunk:scan_chunk (fun _ blks ->
-        Array.iter (fun blk -> total := !total + Block.count_items blk) blks);
-    let total = !total in
+    let total = Selection.count_items a in
     if total = 0 then { quantiles = Array.make q dummy_item; ok = false }
     else begin
       let nf = Float.of_int total in
@@ -99,7 +87,7 @@ let run ?key ?(order = Order.Keys) ?delta ~m ~rng ~q a =
       (* 1. Sample and consolidate (per-cell coins). *)
       let sample, sampled =
         Ext_array.with_span a "quantiles.sample" (fun () ->
-            Selection.consolidate_sample ~rng ~p a)
+            Consolidation.sample ~rng ~p a)
       in
       let expect = Float.pow nf 0.75 in
       let cap_sample_cells = min total (Float.to_int (expect +. Float.sqrt nf) + 1) in
@@ -133,24 +121,35 @@ let run ?key ?(order = Order.Keys) ?delta ~m ~rng ~q a =
       Ext_array.with_span a "quantiles.grab-brackets" (fun () ->
           grab_many c_arr lo_rank lo_grab;
           grab_many c_arr hi_rank hi_grab);
-      (* Global extremes for unbounded interval ends. *)
-      let gmin = ref None and gmax = ref None in
+      (* Global extremes for unbounded interval ends. Alice keeps them
+         and every interval end as images in [marks] — slot 2i is x_i,
+         2i + 1 is y_i, 2q and 2q + 1 the extremes — and compares the
+         scans' images against them in place. *)
+      let marks = Flat.create ~block_size:1 ~blocks:((2 * q) + 2) in
+      let mark k = Flat.cell_offset marks ~block:k ~slot:0 in
+      let cmp buf off mk =
+        Order.compare_images order (Flat.buffer buf) off (Flat.buffer marks) mk
+      in
+      let min_off = mark (2 * q) and max_off = mark ((2 * q) + 1) in
+      let buf = staging a in
       Ext_array.with_span a "quantiles.extremes" (fun () ->
-          Ext_array.iter_runs a ~chunk:scan_chunk (fun _ blks ->
-              Array.iter
-                (Array.iter (fun c ->
-                     match c with
-                     | Cell.Empty -> ()
-                     | Cell.Item it ->
-                         gmin := Some (match !gmin with None -> it | Some v -> if Order.compare_items order it v < 0 then it else v);
-                         gmax := Some (match !gmax with None -> it | Some v -> if Order.compare_items order it v > 0 then it else v)))
-                blks));
-      let gmin = Option.get !gmin and gmax = Option.get !gmax in
+          Selection.extremes ~order a buf marks ~lo:min_off ~hi:max_off);
+      let gmin = item_at marks min_off and gmax = item_at marks max_off in
       let x = Array.init q (fun i -> Option.value lo_grab.(i) ~default:gmin) in
       let y = Array.init q (fun i -> Option.value hi_grab.(i) ~default:gmax) in
+      let set off (it : Cell.item) =
+        Flat.set_item marks off ~key:it.key ~value:it.value ~tag:it.tag ~aux:it.aux
+      in
+      for i = 0 to q - 1 do
+        set (mark (2 * i)) x.(i);
+        set (mark ((2 * i) + 1)) y.(i)
+      done;
       let in_interval i it = Order.compare_items order x.(i) it <= 0 && Order.compare_items order it y.(i) <= 0 in
-      let in_union it =
-        let rec any i = i < q && (in_interval i it || any (i + 1)) in
+      let in_image i buf off =
+        cmp buf off (mark (2 * i)) >= 0 && cmp buf off (mark ((2 * i) + 1)) <= 0
+      in
+      let in_union buf off =
+        let rec any i = i < q && (in_image i buf off || any (i + 1)) in
         any 0
       in
       (* 3. Counting scan: per quantile, items below x_i, items below x_i
@@ -158,22 +157,16 @@ let run ?key ?(order = Order.Keys) ?delta ~m ~rng ~q a =
       let c_lt = Array.make q 0 and u_lt = Array.make q 0 and c_in = Array.make q 0 in
       let u_total = ref 0 in
       Ext_array.with_span a "quantiles.count" (fun () ->
-          Ext_array.iter_runs a ~chunk:scan_chunk (fun _ blks ->
-              Array.iter
-                (Array.iter (fun c ->
-                     match c with
-                     | Cell.Empty -> ()
-                     | Cell.Item it ->
-                         let u = in_union it in
-                         if u then incr u_total;
-                         for i = 0 to q - 1 do
-                           if Order.compare_items order it x.(i) < 0 then begin
-                             c_lt.(i) <- c_lt.(i) + 1;
-                             if u then u_lt.(i) <- u_lt.(i) + 1
-                           end;
-                           if in_interval i it then c_in.(i) <- c_in.(i) + 1
-                         done))
-                blks));
+          Ext_array.scan_items a buf (fun off ->
+              let u = in_union buf off in
+              if u then incr u_total;
+              for i = 0 to q - 1 do
+                if cmp buf off (mark (2 * i)) < 0 then begin
+                  c_lt.(i) <- c_lt.(i) + 1;
+                  if u then u_lt.(i) <- u_lt.(i) + 1
+                end;
+                if in_image i buf off then c_in.(i) <- c_in.(i) + 1
+              done));
       (* Capacity for the union of intervals. *)
       let per_interval = Float.to_int (((4. *. d) +. 4.) *. nf /. sf) + 1 in
       let cap_u_cells = min total (q * per_interval) in

@@ -13,103 +13,52 @@ let max_item order a b = if Order.compare_items order a b >= 0 then a else b
    only, see Consolidation. *)
 let scan_chunk = 32
 
+let staging a = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:scan_chunk
+
 (* Count of items in [a]; one scan. *)
 let count_items a =
   let total = ref 0 in
-  Ext_array.iter_runs a ~chunk:scan_chunk (fun _ blks ->
-      Array.iter (fun blk -> total := !total + Block.count_items blk) blks);
+  Ext_array.scan_items a (staging a) (fun _ -> incr total);
   !total
 
-(* Consolidating sample pass: Lemma 3's scan, with a Bernoulli coin drawn
-   for every cell (occupied or not) so coin consumption is fixed. *)
-let consolidate_sample ~rng ~p a =
-  let n = Ext_array.blocks a in
-  let b = Ext_array.block_size a in
-  let dst = Ext_array.create (Ext_array.storage a) ~blocks:n in
-  let pending = Queue.create () in
-  let sampled = ref 0 in
-  let take_in blk =
-    Array.iter
-      (fun c ->
-        let coin = Odex_crypto.Rng.bernoulli rng p in
-        match c with
-        | Cell.Empty -> ()
-        | Cell.Item it ->
-            if coin then begin
-              Queue.add it pending;
-              incr sampled
-            end)
-      blk
-  in
-  let emit () =
-    let blk = Block.make b in
-    let count = min b (Queue.length pending) in
-    for slot = 0 to count - 1 do
-      blk.(slot) <- Cell.Item (Queue.pop pending)
-    done;
-    blk
-  in
-  if n > 0 then begin
-    (* Batched like Consolidation.run; the coins are drawn per cell in
-       scan order inside [take_in], so the coin stream is exactly the
-       per-block scan's. *)
-    let out_buf = ref [] and out_len = ref 0 and out_base = ref 0 in
-    let flush_out () =
-      if !out_len > 0 then begin
-        Ext_array.write_blocks dst !out_base (Array.of_list (List.rev !out_buf));
-        out_base := !out_base + !out_len;
-        out_buf := [];
-        out_len := 0
-      end
-    in
-    let push_out blk =
-      out_buf := blk :: !out_buf;
-      incr out_len;
-      if !out_len >= scan_chunk then flush_out ()
-    in
-    Ext_array.iter_runs a ~chunk:scan_chunk (fun base blks ->
-        Array.iteri
-          (fun j blk ->
-            take_in blk;
-            if base + j > 0 then
-              push_out (if Queue.length pending >= b then emit () else Block.make b))
-          blks);
-    push_out (emit ());
-    flush_out ()
-  end;
-  (dst, !sampled)
+let item_at buf off = Cell.get (Flat.get_cell buf off)
 
 (* Scan a sorted compacted array and privately grab the items at the two
    given 1-indexed ranks (among items). *)
 let grab_ranks a r1 r2 =
   let seen = ref 0 in
   let g1 = ref None and g2 = ref None in
-  Ext_array.iter_runs a ~chunk:scan_chunk (fun _ blks ->
-      Array.iter
-        (Array.iter (fun c ->
-             match c with
-             | Cell.Empty -> ()
-             | Cell.Item it ->
-                 incr seen;
-                 if !seen = r1 then g1 := Some it;
-                 if !seen = r2 then g2 := Some it))
-        blks);
+  let buf = staging a in
+  Ext_array.scan_items a buf (fun off ->
+      incr seen;
+      if !seen = r1 then g1 := Some (item_at buf off);
+      if !seen = r2 then g2 := Some (item_at buf off));
   (!g1, !g2)
 
-(* Base case: the whole array fits in cache (the caller guarantees
-   n <= m, which [load_run]'s capacity check re-verifies); trace is one
-   batched scan. *)
-let select_in_cache ~order ~m ~k a =
+let extremes ~order a buf marks ~lo ~hi =
+  let cmp off mk = Order.compare_images order (Flat.buffer buf) off (Flat.buffer marks) mk in
+  let seen = ref false in
+  Ext_array.scan_items a buf (fun off ->
+      if (not !seen) || cmp off lo < 0 then Flat.copy_cell buf off marks lo;
+      if (not !seen) || cmp off hi > 0 then Flat.copy_cell buf off marks hi;
+      seen := true);
+  assert !seen
+
+(* The items of an array that fits in Alice's memory, read as one run
+   (refused before any I/O when it does not fit), in reverse scan
+   order. *)
+let items_in_cache ~m a =
   let n = Ext_array.blocks a in
-  let cache = Cache.create (Ext_array.storage a) ~capacity:m in
-  Cache.load_run cache (Ext_array.base a) ~count:n;
+  Residency.check ~m n;
+  let buf = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:(max 1 n) in
   let items = ref [] in
-  for i = 0 to n - 1 do
-    let blk = Cache.borrow cache (Ext_array.addr a i) in
-    Array.iter (fun c -> match c with Cell.Empty -> () | Cell.Item it -> items := it :: !items) blk;
-    Cache.drop cache (Ext_array.addr a i)
-  done;
-  let sorted = List.sort (Order.compare_items order) !items in
+  Ext_array.scan_items a buf (fun off -> items := item_at buf off :: !items);
+  !items
+
+(* Base case: the whole array fits in cache; trace is one batched
+   scan. *)
+let select_in_cache ~order ~m ~k a =
+  let sorted = List.sort (Order.compare_items order) (items_in_cache ~m a) in
   match List.nth_opt sorted (k - 1) with
   | Some it -> { item = Some it; ok = true }
   | None -> { item = None; ok = false }
@@ -144,7 +93,7 @@ let rec go ?key ~order ~m ~rng ~exponent ~delta ~k a =
       let ok = ref true in
       (* 1. Sample w.p. N^{-e} and consolidate. *)
       let sample, sampled =
-        Ext_array.with_span a "selection.sample" (fun () -> consolidate_sample ~rng ~p a)
+        Ext_array.with_span a "selection.sample" (fun () -> Consolidation.sample ~rng ~p a)
       in
       let cap_sample_cells = min total (Float.to_int (s0 +. d) + 1) in
       let cap_sample_blocks = Emodel.ceil_div cap_sample_cells b + 1 in
@@ -170,43 +119,33 @@ let rec go ?key ~order ~m ~rng ~exponent ~delta ~k a =
         Ext_array.with_span a "selection.grab-brackets" (fun () ->
             grab_ranks c_arr (want ix) (want iy))
       in
-      (* 4. Global min and max; combine. *)
-      let lo = ref None and hi = ref None in
+      (* 4. Global min and max, then the bracket [x, y]. Alice keeps the
+         four as images in [marks] and compares the scans' images
+         against them in place. *)
+      let marks = Flat.create ~block_size:1 ~blocks:4 in
+      let mark k = Flat.cell_offset marks ~block:k ~slot:0 in
+      let x_off = mark 0 and y_off = mark 1 and lo_off = mark 2 and hi_off = mark 3 in
+      let cmp buf off mk =
+        Order.compare_images order (Flat.buffer buf) off (Flat.buffer marks) mk
+      in
+      let buf = staging a in
       Ext_array.with_span a "selection.extremes" (fun () ->
-          Ext_array.iter_runs a ~chunk:scan_chunk (fun _ blks ->
-              Array.iter
-                (Array.iter (fun c ->
-                     match c with
-                     | Cell.Empty -> ()
-                     | Cell.Item it ->
-                         lo := Some (match !lo with None -> it | Some v -> min_item order v it);
-                         hi := Some (match !hi with None -> it | Some v -> max_item order v it)))
-                blks));
-      let x =
-        match (x_opt, !lo) with
-        | Some x', Some x'' -> max_item order x' x''
-        | None, Some x'' -> x''
-        | _, None -> assert false
+          extremes ~order a buf marks ~lo:lo_off ~hi:hi_off);
+      let lo = item_at marks lo_off and hi = item_at marks hi_off in
+      let x = match x_opt with Some x' -> max_item order x' lo | None -> lo in
+      let y = match y_opt with Some y' -> min_item order y' hi | None -> hi in
+      let set off (it : Cell.item) =
+        Flat.set_item marks off ~key:it.key ~value:it.value ~tag:it.tag ~aux:it.aux
       in
-      let y =
-        match (y_opt, !hi) with
-        | Some y', Some y'' -> min_item order y' y''
-        | None, Some y'' -> y''
-        | _, None -> assert false
-      in
-      let in_range it = Order.compare_items order x it <= 0 && Order.compare_items order it y <= 0 in
+      set x_off x;
+      set y_off y;
+      let in_range buf off = cmp buf off x_off >= 0 && cmp buf off y_off <= 0 in
       (* 5. Count below x and in range; one scan. *)
       let c_lt = ref 0 and c_in = ref 0 in
       Ext_array.with_span a "selection.count" (fun () ->
-          Ext_array.iter_runs a ~chunk:scan_chunk (fun _ blks ->
-              Array.iter
-                (Array.iter (fun c ->
-                     match c with
-                     | Cell.Empty -> ()
-                     | Cell.Item it ->
-                         if Order.compare_items order it x < 0 then incr c_lt;
-                         if in_range it then incr c_in))
-                blks));
+          Ext_array.scan_items a buf (fun off ->
+              if cmp buf off x_off < 0 then incr c_lt;
+              if in_range buf off then incr c_in));
       let cap_in_blocks = Emodel.ceil_div cap_in_cells b + 1 in
       if !c_in > cap_in_cells || k <= !c_lt || k > !c_lt + !c_in then ok := false;
       (* 6. Consolidate the in-range items and tightly compact them (the

@@ -29,13 +29,23 @@ type result = {
           decode, bracketing); trace shape is unaffected by failure. *)
 }
 
-val consolidate_sample :
-  rng:Odex_crypto.Rng.t -> p:float -> Ext_array.t -> Ext_array.t * int
-(** Building block shared with {!Quantiles}: one Lemma 3 scan that keeps
-    each item independently with probability [p] (a coin is drawn for
-    every cell — occupied or not — so coin consumption is
-    data-independent) and consolidates the survivors. Returns the
-    consolidated array and the (Alice-private) sample size. *)
+val count_items : Ext_array.t -> int
+(** The number of items in an array: one batched scan. Shared with
+    {!Quantiles}. *)
+
+val extremes :
+  order:Order.t -> Ext_array.t -> Flat.t -> Flat.t -> lo:int -> hi:int -> unit
+(** [extremes ~order a buf marks ~lo ~hi]: one scan of [a] through the
+    staging run [buf], copying the images of its least and greatest
+    items under [order] to byte offsets [lo] and [hi] of [marks] (the
+    first of equal items wins). [a] must hold an item. Shared with
+    {!Quantiles}. *)
+
+val items_in_cache : m:int -> Ext_array.t -> Cell.item list
+(** The items of an array that fits in Alice's memory, read as one run,
+    in reverse scan order: the in-memory base case shared with
+    {!Quantiles}. Raises {!Odex_extmem.Residency.Overflow} before any
+    I/O when the array has more than [m] blocks. *)
 
 val select :
   ?key:Odex_crypto.Prf.key ->

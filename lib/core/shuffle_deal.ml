@@ -2,14 +2,16 @@ open Odex_extmem
 
 let shuffle ~rng a =
   let n = Ext_array.blocks a in
+  let b = Ext_array.block_size a in
+  let bi = Flat.create ~block_size:b ~blocks:1 and bj = Flat.create ~block_size:b ~blocks:1 in
   Array.iter
     (fun (i, j) ->
       (* Read both, write both, even when i = j: the swap transcript is
          the canonical Fisher–Yates I/O pattern. *)
-      let bi = Ext_array.read_block a i in
-      let bj = Ext_array.read_block a j in
-      Ext_array.write_block a i bj;
-      Ext_array.write_block a j bi)
+      Ext_array.read_flat a i ~count:1 bi;
+      Ext_array.read_flat a j ~count:1 bj;
+      Ext_array.write_flat a i ~count:1 bj;
+      Ext_array.write_flat a j ~count:1 bi)
     (Odex_crypto.Permutation.swap_sequence rng n)
 
 type engine = [ `Knuth | `Bucket ]
@@ -28,8 +30,10 @@ let shuffle_with ~engine ~m ~rng a =
 
 type deal = { outputs : Ext_array.t array; ok : bool }
 
-let block_color ~color_of blk =
-  match Block.items blk with [] -> None | it :: _ -> Some (color_of it)
+(* The color of a block: that of its first item, [None] when empty. *)
+let flat_color ~color_of buf =
+  let off = Flat.first_item buf 0 in
+  if off < 0 then None else Some (color_of (Cell.get (Flat.get_cell buf off)))
 
 let deal ~colors ~color_of ~window ~quota ~carry_budget a =
   if colors < 1 || window < 1 || quota < 1 then invalid_arg "Shuffle_deal.deal: bad parameters";
@@ -41,19 +45,30 @@ let deal ~colors ~color_of ~window ~quota ~carry_budget a =
   let rounds = scan_windows + 1 in
   let out_blocks = rounds * quota in
   let outputs = Array.init colors (fun _ -> Ext_array.create storage ~blocks:out_blocks) in
+  (* Alice's stash: [window + carry_budget] block slots, a free list and
+     one queue of slots per color. *)
+  let cap = window + carry_budget in
+  let pool = Flat.create ~block_size:b ~blocks:cap in
+  let free = Stack.create () in
+  for k = cap - 1 downto 0 do
+    Stack.push k free
+  done;
   let stash = Array.init colors (fun _ -> Queue.create ()) in
   let stashed = ref 0 in
+  let one = Flat.create ~block_size:b ~blocks:1 in
   let ok = ref true in
   for w = 0 to rounds - 1 do
     let lo = w * window in
     let len = if w < scan_windows then min window (n - lo) else 0 in
     for i = lo to lo + len - 1 do
-      let blk = Ext_array.read_block a i in
-      match block_color ~color_of blk with
+      Ext_array.read_flat a i ~count:1 one;
+      match flat_color ~color_of one with
       | None -> ()
       | Some color ->
-          if !stashed < window + carry_budget then begin
-            Queue.add blk stash.(color);
+          if !stashed < cap then begin
+            let k = Stack.pop free in
+            Flat.copy_block one 0 pool k;
+            Queue.add k stash.(color);
             incr stashed
           end
           else ok := false (* carry budget exhausted: drop, flag *)
@@ -61,14 +76,14 @@ let deal ~colors ~color_of ~window ~quota ~carry_budget a =
     (* Fixed quota of writes per color: full blocks first, then padding. *)
     for color = 0 to colors - 1 do
       for slot = 0 to quota - 1 do
-        let blk =
-          if Queue.is_empty stash.(color) then Block.make b
-          else begin
-            decr stashed;
-            Queue.pop stash.(color)
-          end
-        in
-        Ext_array.write_block outputs.(color) ((w * quota) + slot) blk
+        if Queue.is_empty stash.(color) then Flat.clear_blocks one 0 1
+        else begin
+          decr stashed;
+          let k = Queue.pop stash.(color) in
+          Flat.copy_block pool k one 0;
+          Stack.push k free
+        end;
+        Ext_array.write_flat outputs.(color) ((w * quota) + slot) ~count:1 one
       done
     done
   done;
@@ -83,8 +98,10 @@ let window_color_counts ~colors ~color_of ~window a =
       let counts = Array.make colors 0 in
       let lo = w * window in
       for i = lo to min n (lo + window) - 1 do
-        match block_color ~color_of (Storage.unchecked_peek s (Ext_array.addr a i)) with
+        match Array.find_opt Cell.is_item (Storage.unchecked_peek s (Ext_array.addr a i)) with
         | None -> ()
-        | Some c -> counts.(c) <- counts.(c) + 1
+        | Some cell ->
+            let color = color_of (Cell.get cell) in
+            counts.(color) <- counts.(color) + 1
       done;
       counts)

@@ -43,18 +43,17 @@ let sample_pivots ~m ~rng ~q a =
   let p = Float.min 1. (Float.of_int budget /. Float.of_int (max 1 total_cells)) in
   let sample = ref [] in
   let count = ref 0 in
+  let buf = Flat.create ~block_size:b ~blocks:1 in
   for i = 0 to Ext_array.blocks a - 1 do
-    Array.iter
-      (fun c ->
-        let coin = Odex_crypto.Rng.bernoulli rng p in
-        match c with
-        | Cell.Empty -> ()
-        | Cell.Item it ->
-            if coin && !count < 2 * budget then begin
-              sample := it :: !sample;
-              incr count
-            end)
-      (Ext_array.read_block a i)
+    Ext_array.read_flat a i ~count:1 buf;
+    for slot = 0 to b - 1 do
+      let coin = Odex_crypto.Rng.bernoulli rng p in
+      let off = Flat.cell_offset buf ~block:0 ~slot in
+      if coin && Flat.is_item buf off && !count < 2 * budget then begin
+        sample := Cell.get (Flat.get_cell buf off) :: !sample;
+        incr count
+      end
+    done
   done;
   let sorted = Array.of_list (List.sort (Order.compare_items Keys) !sample) in
   let len = Array.length sorted in
@@ -191,15 +190,16 @@ let rec sort_padded_rec ~m ~rng ~inject_failure ~sweep ~bucket_engine ~shuffle_e
       (* 7. Concatenate the padded sorted buckets. *)
       let total = Array.fold_left (fun acc s -> acc + Ext_array.blocks s) 0 sorted in
       let out = Ext_array.create storage ~blocks:total in
+      let one = Flat.create ~block_size:b ~blocks:1 in
       let cursor = ref 0 in
       Array.iter
         (fun s ->
           for i = 0 to Ext_array.blocks s - 1 do
-            Ext_array.write_block out !cursor (Ext_array.read_block s i);
+            Ext_array.read_flat s i ~count:1 one;
+            Ext_array.write_flat out !cursor ~count:1 one;
             incr cursor
           done)
         sorted;
-      ignore b;
       (out, !ok)
     end
   end
@@ -227,8 +227,10 @@ let run ?sweep ?bucket_engine ?shuffle ~m ~rng a =
   (* Work on a copy so [a]'s final state is exactly the dense sorted
      output regardless of how much padding the pipeline accumulates. *)
   let work = Ext_array.create storage ~blocks:n in
+  let one = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:1 in
   for i = 0 to n - 1 do
-    Ext_array.write_block work i (Ext_array.read_block a i)
+    Ext_array.read_flat a i ~count:1 one;
+    Ext_array.write_flat work i ~count:1 one
   done;
   let padded, ok = sort_padded ?sweep ?bucket_engine ?shuffle ~m ~rng work in
   (* Final pass (paper: "we perform a tight order-preserving compaction
@@ -239,10 +241,8 @@ let run ?sweep ?bucket_engine ?shuffle ~m ~rng a =
   let occupied = Butterfly.compact ~m consolidated in
   let ok = ok && occupied <= n in
   for i = 0 to n - 1 do
-    let blk =
-      if i < Ext_array.blocks consolidated then Ext_array.read_block consolidated i
-      else Block.make (Ext_array.block_size a)
-    in
-    Ext_array.write_block a i blk
+    if i < Ext_array.blocks consolidated then Ext_array.read_flat consolidated i ~count:1 one
+    else Flat.clear_blocks one 0 1;
+    Ext_array.write_flat a i ~count:1 one
   done;
   { ok }

@@ -19,12 +19,13 @@ let run ?(k = 3) ?(multiplier = 3) ~m ~key ~capacity a =
   (* Insertion phase: one read of A'[i] plus k cell read-modify-writes
      per index, occupied or not — the Theorem 4 oblivious trace. *)
   let occupied = ref 0 in
+  let one = Flat.create ~block_size:b ~blocks:1 in
   for i = 0 to n - 1 do
-    let blk = Ext_array.read_block a i in
-    if Block.is_empty blk then Odex_iblt.Ext_iblt.touch table ~index:i
+    Ext_array.read_flat a i ~count:1 one;
+    if Flat.first_item one 0 < 0 then Odex_iblt.Ext_iblt.touch table ~index:i
     else begin
       incr occupied;
-      Odex_iblt.Ext_iblt.insert table ~index:i blk
+      Odex_iblt.Ext_iblt.insert table ~index:i one
     end
   done;
   (* Over-capacity inputs violate the problem statement ("at most R
@@ -33,19 +34,14 @@ let run ?(k = 3) ?(multiplier = 3) ~m ~key ~capacity a =
   (* Decode privately (table fits in cache), restore original order with
      a private sort on the block indices, and write out exactly
      [capacity] blocks. *)
-  let pairs, complete = Odex_iblt.Ext_iblt.decode_in_cache table ~m in
-  let pairs = List.sort (fun (i, _) (j, _) -> compare i j) pairs in
+  let indices, payloads, complete = Odex_iblt.Ext_iblt.decode_in_cache table ~m in
+  let order = Array.init (Array.length indices) Fun.id in
+  Array.stable_sort (fun r r' -> compare indices.(r) indices.(r')) order;
   let dest = Ext_array.create storage ~blocks:capacity in
-  let remaining = ref pairs in
   for slot = 0 to capacity - 1 do
-    let blk =
-      match !remaining with
-      | (_, blk) :: rest ->
-          remaining := rest;
-          blk
-      | [] -> Block.make b
-    in
-    Ext_array.write_block dest slot blk
+    if slot < Array.length order then Flat.copy_block payloads order.(slot) one 0
+    else Flat.clear_blocks one 0 1;
+    Ext_array.write_flat dest slot ~count:1 one
   done;
-  let written = min capacity (List.length pairs) in
+  let written = min capacity (Array.length indices) in
   { dest; recovered = written; complete = complete && written = !occupied }

@@ -22,8 +22,6 @@ let scratch_rows s ~k ~rows =
 
 let slot s ~row0 ~server ~index = Storage.shard_addr s ~shard:server ~index:(row0 + index)
 
-let block_occupied blk = Array.exists Cell.is_item blk
-
 (* The two-server protocol. Every server individually sees a fixed,
    data-independent op sequence:
 
@@ -51,27 +49,31 @@ let two_server ~m ~capacity_blocks:cap ~k s a =
   let arow = scratch_rows s ~k ~rows:n in
   let brow = scratch_rows s ~k ~rows:cap in
   let dest = Ext_array.create s ~blocks:cap in
+  let b = Storage.block_size s in
+  let run = Flat.create ~block_size:b ~blocks:(max 1 m) in
+  let one = Flat.create ~block_size:b ~blocks:1 in
   Storage.with_span s "ts-stage" (fun () ->
-      Ext_array.iter_runs a ~chunk:(max 1 m) (fun i blks ->
-          Array.iteri
-            (fun j blk -> Storage.write s (slot s ~row0:arow ~server:server_a ~index:(i + j)) blk)
-            blks));
+      Ext_array.scan_flat a run (fun i count ->
+          for j = 0 to count - 1 do
+            Flat.copy_block run j one 0;
+            Storage.write_flat s (slot s ~row0:arow ~server:server_a ~index:(i + j)) 1 one
+          done));
   let occupied = ref 0 in
   let forwarded = ref 0 in
   Storage.with_span s "ts-route" (fun () ->
       for g = 0 to n - 1 do
-        let blk = Storage.read s (slot s ~row0:arow ~server:server_a ~index:g) in
-        if block_occupied blk then begin
+        Storage.read_flat s (slot s ~row0:arow ~server:server_a ~index:g) 1 one;
+        if Flat.first_item one 0 >= 0 then begin
           incr occupied;
           if !forwarded < cap then begin
-            Storage.write s (slot s ~row0:brow ~server:server_b ~index:!forwarded) blk;
+            Storage.write_flat s (slot s ~row0:brow ~server:server_b ~index:!forwarded) 1 one;
             incr forwarded
           end
         end
       done;
-      let empty = Block.make (Storage.block_size s) in
+      Flat.clear_blocks one 0 1;
       while !forwarded < cap do
-        Storage.write s (slot s ~row0:brow ~server:server_b ~index:!forwarded) empty;
+        Storage.write_flat s (slot s ~row0:brow ~server:server_b ~index:!forwarded) 1 one;
         incr forwarded
       done);
   if !occupied > cap then
@@ -80,8 +82,8 @@ let two_server ~m ~capacity_blocks:cap ~k s a =
          !occupied cap);
   Storage.with_span s "ts-deliver" (fun () ->
       for j = 0 to cap - 1 do
-        Ext_array.write_block dest j
-          (Storage.read s (slot s ~row0:brow ~server:server_b ~index:j))
+        Storage.read_flat s (slot s ~row0:brow ~server:server_b ~index:j) 1 one;
+        Ext_array.write_flat dest j ~count:1 one
       done);
   { dest; occupied = !occupied; ok = true }
 

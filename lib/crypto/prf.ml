@@ -1,6 +1,8 @@
 type key = int64
 
-let mix64 z =
+(* Inlined, so [to_range] keeps the words unboxed and allocates
+   nothing. *)
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -13,7 +15,7 @@ let key_to_raw k = k
 
 let key_of_raw k = k
 
-let value k x =
+let[@inline] value k x =
   mix64 (Int64.logxor k (mix64 (Int64.of_int x)))
 
 let value_pair k x y =

@@ -37,14 +37,15 @@ let next_nonneg t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling over the largest multiple of [bound] below 2^62. *)
+  (* Rejection sampling over the largest multiple of [bound] below 2^62,
+     as a loop: a draw builds no closure. *)
   let max_nonneg = (1 lsl 62) - 1 in
   let limit = max_nonneg - (max_nonneg mod bound) in
-  let rec draw () =
-    let v = next_nonneg t in
-    if v < limit then v mod bound else draw ()
-  in
-  draw ()
+  let v = ref (next_nonneg t) in
+  while !v >= limit do
+    v := next_nonneg t
+  done;
+  !v mod bound
 
 let int_in_range t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.int_in_range: lo > hi";

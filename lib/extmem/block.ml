@@ -2,15 +2,6 @@ type t = Cell.t array
 
 let make b = Array.make b Cell.empty
 
-let copy = Array.copy
-let count_items blk =
-  Array.fold_left (fun acc c -> if Cell.is_item c then acc + 1 else acc) 0 blk
-
-let is_empty blk = count_items blk = 0
-
-let items blk =
-  Array.fold_right (fun c acc -> if Cell.is_item c then Cell.get c :: acc else acc) blk []
-
 let encoded_size b = b * Cell.encoded_size
 
 module Bigbuf = Odex_crypto.Bigbuf

@@ -1,19 +1,12 @@
-(** A block of [B] cells — the unit of I/O in the external-memory model. *)
+(** A block of [B] cells — the unit of I/O in the external-memory model —
+    decoded. Algorithms move blocks as {!Flat} images; this view serves
+    {!Storage}'s block views and setup/inspection helpers
+    ({!Storage.unchecked_peek}, {!Ext_array.of_cells}). *)
 
 type t = Cell.t array
 
 val make : int -> t
 (** [make b] is a block of [b] empty cells. *)
-
-val copy : t -> t
-
-val count_items : t -> int
-(** Number of non-empty cells. *)
-
-val is_empty : t -> bool
-
-val items : t -> Cell.item list
-(** Non-empty cells in block order. *)
 
 val encoded_size : int -> int
 (** Bytes of a block image: [b] cell images back to back. *)

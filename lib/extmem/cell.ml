@@ -13,9 +13,6 @@ let get = function
 
 let key_exn c = (get c).key
 
-let with_tag c tag =
-  match c with Empty -> Empty | Item it -> Item { it with tag }
-
 let compare_keys a b =
   match (a, b) with
   | Empty, Empty -> 0
@@ -54,9 +51,18 @@ let[@inline] get_word buf off =
 
 let is_item_big buf off = get64_ne buf off <> 0L
 let key_big buf off = get_word buf (off + 8)
+let value_big buf off = get_word buf (off + 16)
 let tag_big buf off = get_word buf (off + 24)
+let set_tag_big buf off v = set_word buf (off + 24) v
 let aux_big buf off = get_word buf (off + aux_offset)
 let set_aux_big buf off v = set_word buf (off + aux_offset) v
+
+let[@inline] encode_item_big buf off ~key ~value ~tag ~aux =
+  set_word buf off 1;
+  set_word buf (off + 8) key;
+  set_word buf (off + 16) value;
+  set_word buf (off + 24) tag;
+  set_word buf (off + aux_offset) aux
 
 let encode_big buf off = function
   | Empty ->
@@ -65,12 +71,7 @@ let encode_big buf off = function
       set64_ne buf (off + 16) 0L;
       set64_ne buf (off + 24) 0L;
       set64_ne buf (off + 32) 0L
-  | Item { key; value; tag; aux } ->
-      set_word buf off 1;
-      set_word buf (off + 8) key;
-      set_word buf (off + 16) value;
-      set_word buf (off + 24) tag;
-      set_word buf (off + aux_offset) aux
+  | Item { key; value; tag; aux } -> encode_item_big buf off ~key ~value ~tag ~aux
 
 let decode_big buf off =
   match get_word buf off with

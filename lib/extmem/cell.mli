@@ -25,9 +25,6 @@ val get : t -> item
 
 val key_exn : t -> int
 
-val with_tag : t -> int -> t
-(** [with_tag c tag] replaces the tag; identity on [Empty]. *)
-
 val compare_keys : t -> t -> int
 (** Total order: items by [(key, tag)] (tag breaks ties, giving the
     distinctness the paper's §1 caveat requires when tags are original
@@ -62,9 +59,23 @@ val key_big : Odex_crypto.Bigbuf.t -> int -> int
 (** The [key] word of the image at [off], read in place. Meaningful on
     item images. Bounds as in {!encode_big}. *)
 
+val value_big : Odex_crypto.Bigbuf.t -> int -> int
+(** The [value] word of the image at [off], read in place. Meaningful on
+    item images. Bounds as in {!encode_big}. *)
+
 val tag_big : Odex_crypto.Bigbuf.t -> int -> int
 (** The [tag] word of the image at [off], read in place. Meaningful on
     item images. Bounds as in {!encode_big}. *)
+
+val set_tag_big : Odex_crypto.Bigbuf.t -> int -> int -> unit
+(** Rewrite the [tag] word of the image at [off] in place; the other
+    words are untouched. Bounds as in {!encode_big}. *)
+
+val encode_item_big :
+  Odex_crypto.Bigbuf.t -> int -> key:int -> value:int -> tag:int -> aux:int -> unit
+(** [encode_item_big buf off ~key ~value ~tag ~aux] writes the image of
+    that item at [off], as {!encode_big} would, without building the
+    cell. Bounds as in {!encode_big}. *)
 
 val aux_big : Odex_crypto.Bigbuf.t -> int -> int
 (** The [aux] word of the image at [off], read in place. Meaningful on

@@ -25,23 +25,12 @@ let sub t ~off ~len =
     invalid_arg "Ext_array.sub: window out of bounds";
   { t with base = t.base + off; blocks = len }
 
-let read_block t i = Storage.read t.storage (addr t i)
-let write_block t i blk = Storage.write t.storage (addr t i) blk
-
 let check_run t ~who i count =
   if count < 0 then invalid_arg (Printf.sprintf "Ext_array.%s: negative count" who);
   if i < 0 || i + count > t.blocks then
     invalid_arg
       (Printf.sprintf "Ext_array.%s: run [%d, %d) out of bounds (%d blocks)" who i (i + count)
          t.blocks)
-
-let read_blocks t i ~count =
-  check_run t ~who:"read_blocks" i count;
-  Storage.read_many t.storage (t.base + i) count
-
-let write_blocks t i blks =
-  check_run t ~who:"write_blocks" i (Array.length blks);
-  Storage.write_many t.storage (t.base + i) blks
 
 let read_flat t i ~count buf =
   check_run t ~who:"read_flat" i count;
@@ -51,14 +40,26 @@ let write_flat t i ~count buf =
   check_run t ~who:"write_flat" i count;
   Storage.write_flat t.storage (t.base + i) count buf
 
-let iter_runs t ~chunk f =
-  if chunk < 1 then invalid_arg "Ext_array.iter_runs: chunk must be >= 1";
+let scan_flat t buf f =
+  let chunk = Flat.blocks buf in
+  if chunk < 1 then invalid_arg "Ext_array.scan_flat: buffer must have a slot";
   let i = ref 0 in
   while !i < t.blocks do
     let c = min chunk (t.blocks - !i) in
-    f !i (read_blocks t !i ~count:c);
+    read_flat t !i ~count:c buf;
+    f !i c;
     i := !i + c
   done
+
+let scan_items t buf f =
+  let b = block_size t in
+  scan_flat t buf (fun _ count ->
+      for j = 0 to count - 1 do
+        for slot = 0 to b - 1 do
+          let off = Flat.cell_offset buf ~block:j ~slot in
+          if Flat.is_item buf off then f off
+        done
+      done)
 
 let with_span t label f = Storage.with_span t.storage label f
 

@@ -28,18 +28,6 @@ val addr : t -> int -> int
 val sub : t -> off:int -> len:int -> t
 (** Block-granularity sub-window. *)
 
-val read_block : t -> int -> Block.t
-(** Counted I/O. *)
-
-val write_block : t -> int -> Block.t -> unit
-(** Counted I/O. *)
-
-val write_blocks : t -> int -> Block.t array -> unit
-(** [write_blocks a i blks] writes [blks] to relative blocks
-    [i, i + length blks) as one batched run (see {!Storage.write_many}):
-    one counted I/O and one trace op per block in address order, a
-    single backend transfer. *)
-
 val read_flat : t -> int -> count:int -> Flat.t -> unit
 (** [read_flat a i ~count buf] reads relative blocks [i, i + count) into
     slots [0, count) of [buf] as one batched run of opened cell images
@@ -52,12 +40,17 @@ val write_flat : t -> int -> count:int -> Flat.t -> unit
     [0, count) of [buf] go to relative blocks [i, i + count). The
     caller's cell images are not mutated. *)
 
-val iter_runs : t -> chunk:int -> (int -> Block.t array -> unit) -> unit
-(** [iter_runs a ~chunk f] scans the whole array left to right in
-    batched runs of at most [chunk] blocks, calling [f base blks] for
-    each run ([base] is the relative index of [blks.(0)]). The workhorse
-    of the scan phases: the trace is identical to a per-block
-    [read_block] loop, the bytes travel [chunk] blocks at a time. *)
+val scan_flat : t -> Flat.t -> (int -> int -> unit) -> unit
+(** [scan_flat a buf f] reads the whole array left to right in runs of
+    at most [Flat.blocks buf] blocks, each into slots [0, count) of
+    [buf], and calls [f base count] after each run ([base] is the
+    relative index of slot 0). The workhorse of the scan phases: the
+    trace is a per-block read loop's, the bytes travel a run at a
+    time. *)
+
+val scan_items : t -> Flat.t -> (int -> unit) -> unit
+(** [scan_items a buf f] is {!scan_flat} calling [f off] on the byte
+    offset in [buf] of every item image, in array order. *)
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [with_span a label f] runs [f ()] inside a labelled span of the

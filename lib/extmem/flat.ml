@@ -63,6 +63,18 @@ let is_item t off =
   check t off cell_bytes "is_item";
   Cell.is_item_big t.buf off
 
+let key t off =
+  check t off cell_bytes "key";
+  Cell.key_big t.buf off
+
+let value t off =
+  check t off cell_bytes "value";
+  Cell.value_big t.buf off
+
+let tag t off =
+  check t off cell_bytes "tag";
+  Cell.tag_big t.buf off
+
 let aux t off =
   check t off cell_bytes "aux";
   Cell.aux_big t.buf off
@@ -71,11 +83,36 @@ let set_aux t off v =
   check t off cell_bytes "set_aux";
   Cell.set_aux_big t.buf off v
 
+let set_tag t off v =
+  check t off cell_bytes "set_tag";
+  Cell.set_tag_big t.buf off v
+
+let set_item t off ~key ~value ~tag ~aux =
+  check t off cell_bytes "set_item";
+  Cell.encode_item_big t.buf off ~key ~value ~tag ~aux
+
 let image t i = (i * t.stride) + header_bytes
 
 let check_block t i who =
   if i < 0 || i >= t.blocks then
     invalid_arg (Printf.sprintf "Flat.%s: block %d out of bounds (%d blocks)" who i t.blocks)
+
+let rec find_item t off k =
+  if k = t.block_size then -1
+  else if Cell.is_item_big t.buf off then off
+  else find_item t (off + cell_bytes) (k + 1)
+
+let first_item t i =
+  check_block t i "first_item";
+  find_item t (image t i) 0
+
+let count_items t i =
+  check_block t i "count_items";
+  let n = ref 0 in
+  for k = 0 to t.block_size - 1 do
+    if Cell.is_item_big t.buf (image t i + (k * cell_bytes)) then incr n
+  done;
+  !n
 
 let copy_block src i dst j =
   check_block src i "copy_block";

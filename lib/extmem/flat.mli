@@ -62,14 +62,33 @@ val set_cell : t -> int -> Cell.t -> unit
 val is_item : t -> int -> bool
 (** Whether the image at a byte offset holds an item (not [Empty]). *)
 
+val key : t -> int -> int
+(** The [key] word of the image at a byte offset, read in place.
+    Meaningful on item images, as are {!value}, {!tag} and {!aux}. *)
+
+val value : t -> int -> int
+val tag : t -> int -> int
+
 val aux : t -> int -> int
-(** The [aux] word of the image at a byte offset, read in place — the
-    scratch word kernels such as the butterfly router keep their labels
-    in. Meaningful on item images. *)
+(** The [aux] word — the scratch word kernels such as the butterfly
+    router keep their labels in. *)
 
 val set_aux : t -> int -> int -> unit
 (** Rewrite the [aux] word of the item image at a byte offset in place;
     the other words are untouched. *)
+
+val set_tag : t -> int -> int -> unit
+(** Rewrite the [tag] word in place, as {!set_aux}. *)
+
+val set_item : t -> int -> key:int -> value:int -> tag:int -> aux:int -> unit
+(** Write an item image at a byte offset, without building the cell. *)
+
+val first_item : t -> int -> int
+(** [first_item t i] is the byte offset of slot [i]'s first item image,
+    or [-1] when the slot holds no item. *)
+
+val count_items : t -> int -> int
+(** The number of item images in slot [i]. *)
 
 val copy_block : t -> int -> t -> int -> unit
 (** [copy_block src i dst j] copies the cell images of slot [i] to slot

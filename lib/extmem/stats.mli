@@ -2,9 +2,9 @@
 
     Every theorem in the paper is an I/O bound, so the simulator counts
     block reads and writes exactly. Each {!Storage.t} owns one [Stats.t],
-    which also counts the store's retries, faults and {!Cache} probes.
-    Nothing else counts them: a telemetry sink reads its phase and
-    counter numbers off this ledger by snapshot. *)
+    which also counts the store's retries and faults. Nothing else
+    counts them: a telemetry sink reads its phase numbers off this
+    ledger by snapshot. *)
 
 type t
 
@@ -20,9 +20,6 @@ val record_fault : t -> unit
 val record_batched : t -> int -> unit
 (** Add [n] logical I/Os that were served through a multi-block backend
     run. *)
-
-val record_hits : t -> int -> unit
-val record_misses : t -> int -> unit
 
 val reads : t -> int
 val writes : t -> int
@@ -57,8 +54,6 @@ type snapshot = {
           internal retries are only in {!Storage.faults_injected}. *)
   bytes_moved : int;
   batched_ios : int;
-  hits : int;  (** {!Cache} loads served from residency. *)
-  misses : int;  (** {!Cache} loads that read the block. *)
 }
 (** Every counter at one instant; the difference of two snapshots is
     what happened between them. *)

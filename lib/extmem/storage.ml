@@ -218,7 +218,7 @@ let create ?cipher ?(cipher_engine = Cipher.Chacha20) ?telemetry ?(trace_mode = 
   Telemetry.register tel (fun () ->
       let s = Stats.snapshot stats in
       { Telemetry.ios = s.reads + s.writes; retries = s.retries; faults = s.faults;
-        bytes = s.bytes_moved; hits = s.hits; misses = s.misses });
+        bytes = s.bytes_moved });
   let t =
     {
       block_size;
@@ -280,15 +280,20 @@ let shard_addr t ~shard ~index =
    phases the logical reports do, and time it as a sink phase of the
    same label and nesting. This is the one place a phase opens; timing
    never feeds back into what the traces record. *)
+let traced_span t label f =
+  match t.straces with
+  | [||] -> Trace.with_span t.trace label f
+  | straces ->
+      Array.iter (fun tr -> Trace.span_enter tr label) straces;
+      Fun.protect
+        ~finally:(fun () -> Array.iter Trace.span_exit straces)
+        (fun () -> Trace.with_span t.trace label f)
+
+(* A disabled sink opens no phase, so the span builds no closure. *)
 let with_span t label f =
-  Telemetry.with_phase t.tel label (fun () ->
-      match t.straces with
-      | [||] -> Trace.with_span t.trace label f
-      | straces ->
-          Array.iter (fun tr -> Trace.span_enter tr label) straces;
-          Fun.protect
-            ~finally:(fun () -> Array.iter Trace.span_exit straces)
-            (fun () -> Trace.with_span t.trace label f))
+  if Telemetry.enabled t.tel then
+    Telemetry.with_phase t.tel label (fun () -> traced_span t label f)
+  else traced_span t label f
 
 (* Persist the exact counter (not the rounded-up reservation) before the
    device flushes or the descriptor goes away: a cleanly closed store

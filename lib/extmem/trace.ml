@@ -125,14 +125,21 @@ let span_exit t =
             }
             :: t.rev_spans)
 
-(* Closing is exception-safe so that a mid-phase Cache.Overflow still
-   leaves a usable span record. *)
+(* Closing is exception-safe so that a mid-phase refusal (such as a
+   Residency.Overflow) still leaves a usable span record. *)
 let with_span t label f =
   match t.mode with
   | Off -> f ()
-  | Digest | Full ->
+  | Digest | Full -> (
       span_enter t label;
-      Fun.protect ~finally:(fun () -> span_exit t) f
+      match f () with
+      | v ->
+          span_exit t;
+          v
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          span_exit t;
+          Printexc.raise_with_backtrace e bt)
 
 let spans t = List.rev t.rev_spans
 

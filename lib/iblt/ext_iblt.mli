@@ -28,18 +28,22 @@ val blocks_per_cell : t -> int
 val table_blocks : t -> int
 (** Total server blocks used: [cells * blocks_per_cell]. *)
 
-val insert : t -> index:int -> Block.t -> unit
-(** [insert t ~index blk] inserts the pair (index, blk): k cell
-    read–modify–writes whose addresses depend only on [index]. *)
+val insert : t -> index:int -> Flat.t -> unit
+(** [insert t ~index payload] inserts the pair (index, slot 0 of
+    [payload]): k cell read–modify–writes whose addresses depend only on
+    [index]. *)
 
 val touch : t -> index:int -> unit
 (** Dummy insertion: the same reads and writes as [insert t ~index _],
     with contents unchanged (but re-encrypted by the storage layer). *)
 
-val decode_in_cache : t -> m:int -> (int * Block.t) list * bool
-(** Read the whole table into Alice's cache (capacity [m] blocks;
-    requires [table_blocks t <= m]) and run the peeling decode privately.
-    Returns the recovered (index, block) pairs and a completeness flag.
-    The trace is a single scan of the table — independent of contents.
+val decode_in_cache : t -> m:int -> int array * Flat.t * bool
+(** Read the whole table into Alice's memory as one run and run the
+    peeling decode privately. Requires [table_blocks t <= m]: a larger
+    table raises {!Odex_extmem.Residency.Overflow} before any I/O.
+    Returns the recovered indices in recovery order, their payloads
+    (slot [r] of the run holds index [r]'s block) and a completeness
+    flag. The trace is a single scan of the table — independent of
+    contents.
     This is the fast path of the Theorem 4 decode; for larger tables
     the compaction facade switches engines instead (DESIGN.md §5). *)

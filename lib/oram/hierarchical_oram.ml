@@ -22,13 +22,39 @@ type t = {
   meta_base : int;
       (* Base of the persisted session-metadata region on a journaled
          store; -1 when the store is unjournaled (no session state). *)
+  word : Flat.t; (* Alice's one-block staging for every word I/O *)
 }
 
 let filler_key = max_int
 
-let full_block t cell = Array.make (Storage.block_size t.storage) cell
+(* One virtual word per block, its B cells identical copies of one item
+   (or all empty): the sorts work at cell granularity, and the copies
+   keep every word block-aligned through them. A word I/O stages the
+   block in [t.word], one reused buffer, and the word is tested and
+   rewritten in place through its first cell. *)
+let w0 t = Flat.cell_offset t.word ~block:0 ~slot:0
 
-let put_word t arr i cell = Ext_array.write_block arr i (full_block t cell)
+let get_word t arr i = Ext_array.read_flat arr i ~count:1 t.word
+let put_word t arr i = Ext_array.write_flat arr i ~count:1 t.word
+
+let spread t =
+  for slot = 1 to Flat.block_size t.word - 1 do
+    Flat.copy_cell t.word (w0 t) t.word (Flat.cell_offset t.word ~block:0 ~slot)
+  done
+
+let set_word t ~key ~value ~tag ~aux =
+  Flat.set_item t.word (w0 t) ~key ~value ~tag ~aux;
+  spread t
+
+(* Give the staged item that tag; an empty word stays empty. *)
+let retag t tag =
+  if Flat.is_item t.word (w0 t) then Flat.set_tag t.word (w0 t) tag;
+  spread t
+
+let clear_word t = Flat.clear_blocks t.word 0 1
+
+(* Whether the staged word is the item at [addr]. *)
+let holds t addr = Flat.is_item t.word (w0 t) && Flat.key t.word (w0 t) = addr
 
 let buckets_of_level l = 1 lsl (l + 1)
 (* levels array is 0-indexed; level index l holds 2^(l+1) buckets. *)
@@ -175,6 +201,7 @@ let init ?(sorter = Odex_sortnet.Ext_sort.auto) ?bucket_size ~m ~rng storage ~va
       rebuild_count = 0;
       healthy = true;
       meta_base;
+      word = Flat.create ~block_size:(Storage.block_size storage) ~blocks:1;
     }
   in
   (* Private initial placement into the bottom level, retrying the epoch
@@ -243,9 +270,9 @@ let healthy t = t.healthy
    rng); re-sorting sorted data is a no-op. *)
 
 let clear_array t arr =
-  let b = Storage.block_size t.storage in
+  clear_word t;
   for i = 0 to Ext_array.blocks arr - 1 do
-    Ext_array.write_block arr i (Block.make b)
+    put_word t arr i
   done
 
 let do_rebuild t upto =
@@ -298,12 +325,10 @@ let do_rebuild t upto =
       List.iteri
         (fun src_pos src ->
           for i = 0 to Ext_array.blocks src - 1 do
-            let blk = Ext_array.read_block src i in
-            let cell =
-              if src_pos = 0 then blk.(0) (* stash: keep its timestamp *)
-              else Cell.with_tag blk.(0) (-src_pos)
-            in
-            put_word t scratch !cursor cell;
+            get_word t src i;
+            (* The stash keeps its timestamp. *)
+            if src_pos > 0 then retag t (-src_pos);
+            put_word t scratch !cursor;
             incr cursor
           done)
         sources);
@@ -311,10 +336,9 @@ let do_rebuild t upto =
      of their bucket (same aux, larger key). *)
   run_phase (fun () ->
       for b = 0 to buckets - 1 do
+        set_word t ~key:filler_key ~value:0 ~tag:0 ~aux:b;
         for j = 0 to t.z - 1 do
-          put_word t scratch
-            (candidate_blocks + (b * t.z) + j)
-            (Cell.item ~aux:b ~key:filler_key ~value:0 ())
+          put_word t scratch (candidate_blocks + (b * t.z) + j)
         done
       done);
   (* Phase 4 — deduplicate: sort by (address, newest first); timestamps
@@ -326,20 +350,17 @@ let do_rebuild t upto =
   run_phase (fun () ->
       let prev = ref min_int in
       for i = 0 to Ext_array.blocks scratch - 1 do
-        let blk = Ext_array.read_block scratch i in
-        let out =
-          match blk.(0) with
-          | Cell.Empty -> blk
-          | Cell.Item it when it.key = filler_key -> blk
-          | Cell.Item it ->
-              if it.key = !prev then full_block t Cell.Empty
-              else begin
-                prev := it.key;
-                let b = Odex_crypto.Prf.to_range fresh_key it.key ~bound:buckets in
-                full_block t (Cell.Item { it with tag = 0; aux = b })
-              end
-        in
-        Ext_array.write_block scratch i out
+        get_word t scratch i;
+        if Flat.is_item t.word (w0 t) && Flat.key t.word (w0 t) <> filler_key then begin
+          let key = Flat.key t.word (w0 t) in
+          if key = !prev then clear_word t
+          else begin
+            prev := key;
+            let b = Odex_crypto.Prf.to_range fresh_key key ~bound:buckets in
+            set_word t ~key ~value:(Flat.value t.word (w0 t)) ~tag:0 ~aux:b
+          end
+        end;
+        put_word t scratch i
       done);
   (* Phase 6 — group by bucket (reals before fillers via the key
      tiebreak). *)
@@ -350,26 +371,22 @@ let do_rebuild t upto =
       let cur_bucket = ref (-1) in
       let in_bucket = ref 0 in
       for i = 0 to Ext_array.blocks scratch - 1 do
-        let blk = Ext_array.read_block scratch i in
-        let out =
-          match blk.(0) with
-          | Cell.Empty -> blk
-          | Cell.Item it ->
-              if it.aux <> !cur_bucket then begin
-                cur_bucket := it.aux;
-                in_bucket := 0
-              end;
-              incr in_bucket;
-              if !in_bucket <= t.z then blk
-              else begin
-                (* Overflowing a bucket can only drop fillers unless the
-                   bucket held more than z real words — the failure
-                   event. *)
-                if it.key <> filler_key then t.healthy <- false;
-                full_block t Cell.Empty
-              end
-        in
-        Ext_array.write_block scratch i out
+        get_word t scratch i;
+        if Flat.is_item t.word (w0 t) then begin
+          if Flat.aux t.word (w0 t) <> !cur_bucket then begin
+            cur_bucket := Flat.aux t.word (w0 t);
+            in_bucket := 0
+          end;
+          incr in_bucket;
+          if !in_bucket > t.z then begin
+            (* Overflowing a bucket can only drop fillers unless the
+               bucket held more than z real words — the failure
+               event. *)
+            if Flat.key t.word (w0 t) <> filler_key then t.healthy <- false;
+            clear_word t
+          end
+        end;
+        put_word t scratch i
       done;
       persist_healthy t);
   (* Phase 8 — compact: each bucket ends up exactly z aligned blocks. *)
@@ -382,14 +399,12 @@ let do_rebuild t upto =
   (* Phase 9 — install: fillers become empty slots. *)
   run_phase (fun () ->
       for i = 0 to (buckets * t.z) - 1 do
-        let blk = Ext_array.read_block scratch i in
-        let out =
-          match blk.(0) with
-          | Cell.Item it when it.key = filler_key -> Block.make (Storage.block_size t.storage)
-          | Cell.Item it -> full_block t (Cell.Item { it with aux = 0 })
-          | Cell.Empty -> Block.make (Storage.block_size t.storage)
-        in
-        Ext_array.write_block target.region i out
+        get_word t scratch i;
+        if Flat.is_item t.word (w0 t) && Flat.key t.word (w0 t) <> filler_key then
+          set_word t ~key:(Flat.key t.word (w0 t)) ~value:(Flat.value t.word (w0 t))
+            ~tag:(Flat.tag t.word (w0 t)) ~aux:0
+        else clear_word t;
+        put_word t target.region i
       done);
   target.key <- fresh_key;
   target.occupied <- true;
@@ -424,13 +439,14 @@ let trailing_zeros v =
 let access t addr ~update =
   if addr < 0 || addr >= t.n then invalid_arg "Hierarchical_oram: address out of range";
   (* 1. Scan the stash (newest wins: later slots are newer). *)
-  let found = ref None in
+  let found = ref false and current = ref 0 in
   Ext_array.with_span t.stash "hier-oram.stash-scan" (fun () ->
       for j = 0 to t.z - 1 do
-        let blk = Ext_array.read_block t.stash j in
-        match blk.(0) with
-        | Cell.Item it when it.key = addr -> found := Some it.value
-        | _ -> ()
+        get_word t t.stash j;
+        if holds t addr then begin
+          found := true;
+          current := Flat.value t.word (w0 t)
+        end
       done);
   (* 2. Probe one bucket per occupied level: the real one until found,
      uniform dummies after. *)
@@ -439,27 +455,24 @@ let access t addr ~update =
         if t.levels.(idx).occupied then begin
           let buckets = buckets_of_level idx in
           let b =
-            match !found with
-            | Some _ -> Odex_crypto.Rng.int t.rng buckets
-            | None -> bucket_of t idx addr
+            if !found then Odex_crypto.Rng.int t.rng buckets else bucket_of t idx addr
           in
           for j = 0 to t.z - 1 do
-            let blk = Ext_array.read_block t.levels.(idx).region ((b * t.z) + j) in
-            match blk.(0) with
-            | Cell.Item it when it.key = addr && !found = None -> found := Some it.value
-            | _ -> ()
+            get_word t t.levels.(idx).region ((b * t.z) + j);
+            if (not !found) && holds t addr then begin
+              found := true;
+              current := Flat.value t.word (w0 t)
+            end
           done
         end
       done);
-  let current =
-    match !found with
-    | Some v -> v
-    | None -> invalid_arg "Hierarchical_oram: word not found (corrupted state)"
-  in
+  if not !found then invalid_arg "Hierarchical_oram: word not found (corrupted state)";
+  let current = !current in
   let stored = match update with None -> current | Some v -> v in
   (* 3. Append to the stash with the access counter as its version. *)
   let slot = t.t_counter mod t.z in
-  put_word t t.stash slot (Cell.item ~tag:(t.t_counter + 1) ~key:addr ~value:stored ());
+  set_word t ~key:addr ~value:stored ~tag:(t.t_counter + 1) ~aux:0;
+  put_word t t.stash slot;
   t.t_counter <- t.t_counter + 1;
   (* 4. Binary-counter rebuild schedule. *)
   if t.t_counter mod t.z = 0 then begin
@@ -519,6 +532,7 @@ let resume ?(sorter = Odex_sortnet.Ext_sort.auto) storage =
           rebuild_count = word 7;
           healthy = word 10 = 1;
           meta_base;
+          word = Flat.create ~block_size:(Storage.block_size storage) ~blocks:1;
         }
       in
       if inflight >= 0 then

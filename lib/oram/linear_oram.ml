@@ -21,16 +21,17 @@ let init storage ~values =
 let access t addr ~update =
   if addr < 0 || addr >= t.n then invalid_arg "Linear_oram: address out of range";
   let result = ref 0 in
+  let buf = Flat.create ~block_size:(Storage.block_size (Ext_array.storage t.main)) ~blocks:1 in
+  let c = Flat.cell_offset buf ~block:0 ~slot:0 in
   Ext_array.with_span t.main "linear-oram.scan" (fun () ->
       for i = 0 to t.n - 1 do
-        let blk = Ext_array.read_block t.main i in
-        (match blk.(0) with
-        | Cell.Item it when it.key = addr ->
-            result := it.value;
-            let v = match update with None -> it.value | Some v -> v in
-            blk.(0) <- Cell.Item { it with value = v }
-        | _ -> ());
-        Ext_array.write_block t.main i blk
+        Ext_array.read_flat t.main i ~count:1 buf;
+        if Flat.is_item buf c && Flat.key buf c = addr then begin
+          result := Flat.value buf c;
+          let value = match update with None -> !result | Some v -> v in
+          Flat.set_item buf c ~key:addr ~value ~tag:(Flat.tag buf c) ~aux:(Flat.aux buf c)
+        end;
+        Ext_array.write_flat t.main i ~count:1 buf
       done);
   !result
 

@@ -157,7 +157,7 @@ let exec ~real ~order ~m a =
       (* Alice's staging, allocated once per sort: no stage below holds
          more than a window of w = r/B + 1 blocks. *)
       let w = (r / b) + 1 in
-      if w > m then raise (Cache.Overflow { capacity = m; requested = w });
+      Residency.check ~m w;
       let src = Flat.create ~block_size:b ~blocks:w and dst = Flat.create ~block_size:b ~blocks:w in
       let offs = Array.make r 0 in
       let work, scratch, done_phase =

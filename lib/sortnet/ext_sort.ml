@@ -100,12 +100,16 @@ let next_power_of_two n =
    of this costs two integer reads and no I/O. *)
 
 let bitonic_exec ~levels_per_pass ~real ~order ~m a =
-  if m < 2 then invalid_arg "Ext_sort.bitonic: need m >= 2";
   let n = Ext_array.blocks a in
   let storage = Ext_array.storage a in
   if n = 0 then ()
   else begin
     let n2 = next_power_of_two n in
+    (* A chunk group of up to 2^lpp blocks is resident at once (a pair
+       of blocks at least): check Alice's bound before any I/O. *)
+    let lpp = if m < 2 then 1 else max 1 (min (levels_per_pass m) (Emodel.ilog2_floor m)) in
+    let gmax = min n2 (1 lsl lpp) in
+    Residency.check ~m gmax;
     let ck = Storage.journaled storage in
     let owner = Printf.sprintf "ext-sort/%d/%d" (Ext_array.base a) n in
     let done_phase, done_cursor =
@@ -127,13 +131,11 @@ let bitonic_exec ~levels_per_pass ~real ~order ~m a =
           Storage.checkpoint storage ~owner ~phase:!phase ~cursor:(Ext_array.base work)
       end
     in
-    let lpp = max 1 (min (levels_per_pass m) (Emodel.ilog2_floor m)) in
     (* Alice's staging, allocated once per sort: a chunk group (or a
        32-block scan run) as read, [input], and as written, [output];
        [one] carries a strided group's blocks; [pos] holds a group's
        cell offsets, [tmp] the comparator's and [offs] a block sort's. *)
     let b = Ext_array.block_size a in
-    let gmax = min n2 (1 lsl lpp) in
     let flat blocks = Flat.create ~block_size:b ~blocks in
     let input = flat (max gmax (min 32 n)) and output = flat (max gmax (min 32 n)) in
     let one = flat 1 in
@@ -141,9 +143,6 @@ let bitonic_exec ~levels_per_pass ~real ~order ~m a =
     (* One chunk pass over levels hi .. lo of stage [stage]. *)
     let chunk ~stage ~hi ~lo =
       let g = 1 lsl (hi - lo + 1) in
-      (* The whole group is resident at once: check Alice's bound before
-         any I/O. *)
-      if g > m then raise (Cache.Overflow { capacity = m; requested = g });
       for v = 0 to (n2 / g) - 1 do
         let base = ((v lsr lo) lsl (hi + 1)) lor (v land ((1 lsl lo) - 1)) in
         (* Group index t is block [base lor (t lsl lo)]. [lo = 0] makes

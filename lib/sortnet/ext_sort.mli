@@ -46,8 +46,9 @@ val run : t -> ?order:Order.t -> m:int -> Ext_array.t -> unit
     non-decreasing [order], empties last. [order] defaults to
     {!Order.Keys}. [m] is Alice's cache capacity in blocks; every
     kernel stages its blocks itself as encoded images and checks the
-    residency bound before its I/O, raising
-    {!Odex_extmem.Cache.Overflow} when a stage would exceed [m]. *)
+    residency bound with {!Odex_extmem.Residency.check} before its I/O,
+    raising {!Odex_extmem.Residency.Overflow} when a stage would exceed
+    [m]. *)
 
 val run_selective :
   t -> ?order:Order.t -> real:bool -> m:int -> Ext_array.t -> unit

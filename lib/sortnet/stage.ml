@@ -2,7 +2,7 @@ open Odex_extmem
 
 let whole ~m a f =
   let n = Ext_array.blocks a in
-  if n > m then raise (Cache.Overflow { capacity = m; requested = n });
+  Residency.check ~m n;
   let b = Ext_array.block_size a in
   let src = Flat.create ~block_size:b ~blocks:n in
   Ext_array.read_flat a 0 ~count:n src;

@@ -1,8 +1,8 @@
 (** Alice's private staging for the sorters: runs of blocks held as
     encoded cell images ({!Odex_extmem.Flat}), compared in place, never
     decoded. A cell position [p] of a run is slot [p mod B] of block
-    [p / B]. A kernel checks its stage against Alice's [m] blocks before
-    any I/O and raises [Cache.Overflow] as the cache would. *)
+    [p / B]. A kernel checks its stage against Alice's [m] blocks with
+    {!Odex_extmem.Residency.check} before any I/O. *)
 
 open Odex_extmem
 

@@ -1,9 +1,9 @@
 (* A timing sink for the storage stack. The design constraint is the
    disabled path: [disabled] must cost one branch per entry point and
    read no clock, because it is threaded through every Storage instance
-   by default. The sink counts nothing itself: I/Os, retries, faults,
-   bytes and cache probes live in each registered store's ledger, and
-   phases and counters are read off it by snapshot. What the sink keeps
+   by default. The sink counts nothing itself: I/Os, retries, faults
+   and bytes live in each registered store's ledger, and phases read
+   them off it by snapshot. What the sink keeps
    is wall-clock — one histogram of 63 int buckets per (op, backend)
    cell and one record per phase — so a profiled run allocates
    O(phases), never O(ops). *)
@@ -85,10 +85,9 @@ type op_stat = {
   latency : hist;
 }
 
-type counts =
-  { ios : int; retries : int; faults : int; bytes : int; hits : int; misses : int }
+type counts = { ios : int; retries : int; faults : int; bytes : int }
 
-let zero = { ios = 0; retries = 0; faults = 0; bytes = 0; hits = 0; misses = 0 }
+let zero = { ios = 0; retries = 0; faults = 0; bytes = 0 }
 
 let lift f (a : counts) (b : counts) : counts =
   {
@@ -96,8 +95,6 @@ let lift f (a : counts) (b : counts) : counts =
     retries = f a.retries b.retries;
     faults = f a.faults b.faults;
     bytes = f a.bytes b.bytes;
-    hits = f a.hits b.hits;
-    misses = f a.misses b.misses;
   }
 
 type phase = {
@@ -227,11 +224,7 @@ let phase_stats t =
     (fun a b -> String.compare a.phase_label b.phase_label)
     (Hashtbl.fold (fun _ s acc -> s :: acc) tbl [])
 
-let counters t =
-  let c = total t in
-  List.filter
-    (fun (_, v) -> v <> 0)
-    [ ("cache.hit", c.hits); ("cache.miss", c.misses) ]
+let counters (_ : t) : (string * int) list = []
 
 (* ---- human-readable profile ---- *)
 
@@ -240,7 +233,7 @@ let us f = f /. 1e3
 
 let pp_summary ppf t =
   if not t.on then Format.fprintf ppf "telemetry: disabled@."
-  else if op_stats t = [] && t.rev_phases = [] && counters t = [] then
+  else if op_stats t = [] && t.rev_phases = [] then
     Format.fprintf ppf "telemetry: enabled, nothing recorded@."
   else begin
     if op_stats t <> [] then begin
@@ -271,12 +264,7 @@ let pp_summary ppf t =
             (hist_percentile s.phase_latency 90. /. 1e6)
             (hist_percentile s.phase_latency 99. /. 1e6))
         ps
-    end;
-    (match counters t with
-    | [] -> ()
-    | cs ->
-        Format.fprintf ppf "counters:@.";
-        List.iter (fun (n, v) -> Format.fprintf ppf "  %-41s %8d@." n v) cs)
+    end
   end
 
 (* ---- Chrome trace-event export ---- *)
@@ -347,14 +335,7 @@ let chrome_json named =
                (ms (hist_total_ns s.latency))
                (us (hist_percentile s.latency 50.))
                (us (hist_percentile s.latency 99.))))
-        (op_stats t);
-      List.iter
-        (fun (n, v) ->
-          event
-            (Printf.sprintf
-               "{\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"name\":\"%s\",\"ts\":0,\"args\":{\"value\":%d}}"
-               tid (json_escape n) v))
-        (counters t))
+        (op_stats t))
     named;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf

@@ -1,7 +1,7 @@
 (** Latency telemetry for the storage stack: who spent the wall-clock.
 
     Each store's {!Odex_extmem.Stats} is the one ledger of counted I/Os,
-    retries, faults, payload bytes and cache probes. A [Telemetry.t]
+    retries, faults and payload bytes. A [Telemetry.t]
     sink adds what that ledger cannot know — what each transfer
     {e costs} on the machine. {!Odex_extmem.Storage} registers its
     ledger on the sink and times every backend call into it. It collects
@@ -10,8 +10,7 @@
       kind), timed with the monotonic clock;
     - one timed record per completed phase ({!with_phase}, opened by
       {!Odex_extmem.Storage.with_span}), its counts taken from the
-      registered ledgers; and
-    - the cache counters, read off the same ledgers.
+      registered ledgers.
 
     {!pp_summary} prints a human-readable profile and {!chrome_json}
     emits Chrome trace-event JSON for [chrome://tracing] or Perfetto.
@@ -68,12 +67,10 @@ val record : cell -> blocks:int -> bytes:int -> ns:int -> unit
     moved in [ns] nanoseconds. Allocation-free. *)
 
 (** A ledger's totals since it was created. *)
-type counts =
-  { ios : int; retries : int; faults : int; bytes : int; hits : int; misses : int }
+type counts = { ios : int; retries : int; faults : int; bytes : int }
 
 val register : t -> (unit -> counts) -> unit
-(** Add a ledger; phases and {!counters} sum every ledger registered on
-    the sink. A ledger counts from zero at registration and never
+(** Add a ledger; phases sum every ledger registered on the sink. A ledger counts from zero at registration and never
     decreases. No-op on a disabled sink. *)
 
 val with_phase : t -> string -> (unit -> 'a) -> 'a
@@ -128,15 +125,16 @@ val phase_stats : t -> phase_stat list
 (** Phase durations aggregated by label, sorted by label. *)
 
 val counters : t -> (string * int) list
-(** The registered ledgers' cache probes as ["cache.hit"] and
-    ["cache.miss"], sorted by name; a counter still at zero is left
-    out. *)
+(** Named event counters beyond the phase counts, sorted by name.
+    Always empty: the cache probes it reported went with the cache.
+    Kept for readers that look counters up by name (the benchmark
+    suite's [cache.*] columns), which read 0. *)
 
 (** {1 Export} *)
 
 val pp_summary : Format.formatter -> t -> unit
-(** Human-readable profile: op latency percentiles, phase totals,
-    counters. Prints a one-line note on a disabled or empty sink. *)
+(** Human-readable profile: op latency percentiles and phase totals.
+    Prints a one-line note on a disabled or empty sink. *)
 
 val write_chrome : path:string -> (string * t) list -> unit
 (** Write Chrome trace-event (catapult) JSON for a set of named sinks:

@@ -343,33 +343,63 @@ let test_faulty_run_resume_contract () =
   Alcotest.(check int) "refused runs consumed no accesses" faults_before
     (bk.faults ())
 
-(* ---------------- cache runs ---------------- *)
+(* ---------------- residency refusals ---------------- *)
 
-let test_cache_load_run () =
-  let s = Storage.create ~trace_mode:Trace.Full ~block_size:2 () in
-  let base = Storage.alloc s 6 in
-  Storage.write_many s base (Array.init 6 (fun i -> block_of_int 2 (50 + i)));
-  let c = Cache.create s ~capacity:4 in
-  (* Overflow is checked for the whole run before any I/O. *)
-  let reads_before = Stats.reads (Storage.stats s) in
-  Alcotest.check_raises "run larger than capacity"
-    (Cache.Overflow { capacity = 4; requested = 5 }) (fun () ->
-      Cache.load_run c base ~count:5);
-  Alcotest.(check int) "refused run read nothing" reads_before (Stats.reads (Storage.stats s));
-  Alcotest.(check int) "nothing resident" 0 (Cache.resident c);
-  (* A resident block in the middle splits the fill into two runs but
-     costs no second read. *)
-  ignore (Cache.load c (base + 2));
-  Cache.load_run c base ~count:4;
-  Alcotest.(check int) "four resident" 4 (Cache.resident c);
-  Alcotest.(check int) "missing blocks read once each" (reads_before + 4)
-    (Stats.reads (Storage.stats s));
-  for i = 0 to 3 do
-    Alcotest.(check int)
-      (Printf.sprintf "resident block %d" i)
-      (50 + i)
-      (Cell.key_exn (Cache.borrow c (base + i)).(0))
-  done
+(* Every site that holds blocks in Alice's memory checks them with
+   Residency.check. At m one below what the site needs, each refuses
+   with the one exception, naming both numbers; a stage that reads a
+   whole run (and the windowed network, which checks its largest chunk
+   group up front) refuses before any counted read. Columnsort's window
+   has no row: its plan only admits geometries whose window of
+   r/B + 1 blocks is at least three blocks below m, so its check cannot
+   fire through the sorter. *)
+let residency_cases =
+  let b = 4 in
+  let input n =
+    let s = Storage.create ~block_size:b () in
+    let cells = Array.init (n * b) (fun i -> Cell.item ~tag:i ~key:(i * 7919 mod 97) ~value:i ()) in
+    (s, Ext_array.of_cells s ~block_size:b cells)
+  in
+  let rng () = Odex_crypto.Rng.create ~seed:0x8E5 in
+  let sort sorter ~m n = (input n, fun a -> Odex_sortnet.Ext_sort.run sorter ~m a) in
+  [
+    ("cache sort", `Whole_run, 7, 8, sort Odex_sortnet.Ext_sort.cache_sort ~m:7 8);
+    ("windowed chunk group", `Whole_run, 1, 2, sort Odex_sortnet.Ext_sort.bitonic_windowed ~m:1 8);
+    ("butterfly ring", `After_io, 2, 3, (input 8, fun a -> ignore (Odex.Butterfly.compact ~m:2 a)));
+    ( "selection and quantiles in-cache base",
+      `Whole_run,
+      7,
+      8,
+      (input 8, fun a -> ignore (Odex.Selection.items_in_cache ~m:7 a)) );
+    ( "IBLT decode",
+      `Whole_run,
+      15,
+      16,
+      ( input 1,
+        fun a ->
+          let module I = Odex_iblt.Ext_iblt in
+          let t = I.create (Ext_array.storage a) ~cells:8 (Odex_crypto.Prf.key_of_int 5) in
+          ignore (I.decode_in_cache t ~m:(I.table_blocks t - 1)) ) );
+    ( "log* region",
+      `After_io,
+      1,
+      2,
+      ( input 64,
+        fun a ->
+          ignore
+            (Odex.Logstar_compaction.run ~sparse_threshold:0 ~m:1 ~rng:(rng ()) ~capacity:256
+               a) ) );
+  ]
+  |> List.map (fun (site, when_, capacity, requested, ((s, a), run)) ->
+         ( "residency refusal: " ^ site,
+           `Quick,
+           fun () ->
+             let reads_before = Stats.reads (Storage.stats s) in
+             Alcotest.check_raises site (Residency.Overflow { capacity; requested }) (fun () ->
+                 run a);
+             if when_ = `Whole_run then
+               Alcotest.(check int) (site ^ ": refused run read nothing") reads_before
+                 (Stats.reads (Storage.stats s)) ))
 
 (* ---------------- trace and stats plumbing ---------------- *)
 
@@ -411,7 +441,7 @@ let suite =
     ("batched I/O under a fault storm", `Quick, test_many_parity_under_faults);
     ("backend run edge cases", `Quick, test_backend_run_edges);
     ("faulty run resume contract", `Quick, test_faulty_run_resume_contract);
-    ("cache load_run", `Quick, test_cache_load_run);
     ("full trace growth", `Quick, test_full_trace_growth);
     ("stats transfer fields", `Quick, test_stats_transfer_fields);
   ]
+  @ residency_cases

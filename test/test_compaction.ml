@@ -18,11 +18,11 @@ let consolidated_array ?(b = 4) ~n occupied =
 let occupied_positions a =
   let s = Ext_array.storage a in
   List.filter
-    (fun i -> not (Block.is_empty (Storage.unchecked_peek s (Ext_array.addr a i))))
+    (fun i -> Array.exists Cell.is_item (Storage.unchecked_peek s (Ext_array.addr a i)))
     (List.init (Ext_array.blocks a) (fun i -> i))
 
 let block_seed a i =
-  match Block.items (Storage.unchecked_peek (Ext_array.storage a) (Ext_array.addr a i)) with
+  match Util.block_items (Storage.unchecked_peek (Ext_array.storage a) (Ext_array.addr a i)) with
   | it :: _ -> it.value
   | [] -> -1
 
@@ -33,7 +33,7 @@ let test_consolidation_basic () =
   let cells = Util.cells_of_keys keys in
   let s = Util.storage ~b:3 () in
   let a = Ext_array.of_cells s ~block_size:3 cells in
-  let even (it : Cell.item) = it.key mod 2 = 0 in
+  let even buf off = Flat.key buf off mod 2 = 0 in
   let d = Consolidation.run ~distinguished:even ~into:None a in
   Alcotest.(check bool) "postcondition" true (Util.occupied_prefix_property d);
   Alcotest.(check (list int)) "even keys in order" [ 4; 2; 6 ]
@@ -169,11 +169,9 @@ let test_butterfly_m3_minimum () =
   Alcotest.(check int) "works at m=3" 3 r;
   Alcotest.(check (list int)) "prefix" [ 0; 1; 2 ] (occupied_positions a);
   let _, a2 = consolidated_array ~n:4 [ (1, 1) ] in
-  Alcotest.(check bool) "m=2 rejected" true
-    (try
-       ignore (Butterfly.compact ~m:2 a2);
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.check_raises "m=2 refused: the ring needs three blocks"
+    (Residency.Overflow { capacity = 2; requested = 3 }) (fun () ->
+      ignore (Butterfly.compact ~m:2 a2))
 
 let test_butterfly_expand_invalid_factor () =
   let _, a = consolidated_array ~n:8 [ (0, 1); (1, 2) ] in

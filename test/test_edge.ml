@@ -69,12 +69,12 @@ let test_arrays_never_alias () =
     x
   in
   for i = 0 to 3 do
-    Ext_array.write_block a i (blk i);
-    Ext_array.write_block b i (blk (100 + i))
+    Storage.write s (Ext_array.addr a i) (blk i);
+    Storage.write s (Ext_array.addr b i) (blk (100 + i))
   done;
   let v = Ext_array.view s ~base:(Ext_array.base a) ~blocks:4 in
-  Ext_array.write_block v 2 (blk 42);
-  let keys arr = List.init 4 (fun i -> Cell.key_exn (Ext_array.read_block arr i).(0)) in
+  Storage.write s (Ext_array.addr v 2) (blk 42);
+  let keys arr = List.init 4 (fun i -> Cell.key_exn (Util.read_at arr i).(0)) in
   Alcotest.(check (list int)) "a, written through its view" [ 0; 1; 42; 3 ] (keys a);
   Alcotest.(check (list int)) "b untouched" [ 100; 101; 102; 103 ] (keys b)
 
@@ -84,8 +84,8 @@ let test_arrays_never_alias () =
 let test_unchecked_ops_leave_accounting_alone () =
   let s = Util.storage ~b:2 () in
   let a = Ext_array.of_cells s ~block_size:2 (Util.cells_of_keys [| 4; 7; 1; 9 |]) in
-  ignore (Ext_array.read_block a 0);
-  Ext_array.write_block a 1 (Ext_array.read_block a 1);
+  ignore (Util.read_at a 0);
+  Storage.write s (Ext_array.addr a 1) (Util.read_at a 1);
   let st = Storage.stats s and tr = Storage.trace s in
   let reads0 = Stats.reads st and writes0 = Stats.writes st in
   let len0 = Trace.length tr and dig0 = Trace.digest tr in

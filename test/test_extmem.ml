@@ -77,20 +77,33 @@ let test_cell_accessors () =
   let c = Cell.item ~tag:4 ~key:1 ~value:2 () in
   Alcotest.(check int) "key" 1 (Cell.key_exn c);
   Alcotest.(check (pair int int)) "value, tag" (2, 4) ((Cell.get c).value, (Cell.get c).tag);
-  Alcotest.check cell_t "with_tag" (Cell.item ~tag:9 ~key:1 ~value:2 ()) (Cell.with_tag c 9);
-  Alcotest.check cell_t "with_tag empty" Cell.empty (Cell.with_tag Cell.empty 9);
+  (* The same words read and rewritten in place on an image. *)
+  let f = Flat.create ~block_size:1 ~blocks:1 in
+  let off = Flat.cell_offset f ~block:0 ~slot:0 in
+  Flat.set_cell f off c;
+  Alcotest.(check (list int)) "image key, value, tag, aux" [ 1; 2; 4; 0 ]
+    [ Flat.key f off; Flat.value f off; Flat.tag f off; Flat.aux f off ];
+  Flat.set_tag f off 9;
+  Alcotest.check cell_t "set_tag" (Cell.item ~tag:9 ~key:1 ~value:2 ()) (Flat.get_cell f off);
+  Flat.set_item f off ~key:3 ~value:5 ~tag:7 ~aux:11;
+  Alcotest.check cell_t "set_item"
+    (Cell.item ~tag:7 ~aux:11 ~key:3 ~value:5 ())
+    (Flat.get_cell f off);
   Alcotest.check_raises "get empty" (Invalid_argument "Cell.get: empty cell") (fun () ->
       ignore (Cell.get Cell.empty))
 
 let test_block_basics () =
   let blk = Block.make 4 in
-  Alcotest.(check int) "empty count" 0 (Block.count_items blk);
-  Alcotest.(check bool) "is_empty" true (Block.is_empty blk);
-  blk.(0) <- Cell.item ~key:1 ~value:10 ();
-  blk.(1) <- Cell.item ~key:2 ~value:20 ();
-  Alcotest.(check int) "count" 2 (Block.count_items blk);
-  Alcotest.(check (list int)) "items order" [ 1; 2 ]
-    (List.map (fun (it : Cell.item) -> it.key) (Block.items blk));
+  let flat = Flat.create ~block_size:4 ~blocks:1 in
+  Alcotest.(check int) "empty count" 0 (Flat.count_items flat 0);
+  Alcotest.(check int) "no first item" (-1) (Flat.first_item flat 0);
+  blk.(1) <- Cell.item ~key:1 ~value:10 ();
+  blk.(2) <- Cell.item ~key:2 ~value:20 ();
+  Flat.set_block flat 0 blk;
+  Alcotest.(check int) "count" 2 (Flat.count_items flat 0);
+  Alcotest.(check int) "first item"
+    (Flat.cell_offset flat ~block:0 ~slot:1)
+    (Flat.first_item flat 0);
   let off = 8 in
   let buf = Bigbuf.create (off + Block.encoded_size 4) in
   Block.encode_into_big blk buf off;
@@ -113,7 +126,7 @@ let test_block_sort () =
   Order.sort_images Order.Keys (Flat.buffer flat) offs;
   let sorted = Array.map (Flat.get_cell flat) offs in
   Alcotest.(check (list int)) "sorted, empties last" [ 1; 2; 3 ]
-    (List.map (fun (it : Cell.item) -> it.key) (Block.items sorted));
+    (List.map (fun (it : Cell.item) -> it.key) (Util.block_items sorted));
   Alcotest.(check bool) "last is empty" true (sorted.(3) = Cell.empty)
 
 let test_storage_roundtrip () =
@@ -167,7 +180,7 @@ let test_storage_encrypted () =
   let got = Storage.read s base in
   Alcotest.check cell_t "encrypted roundtrip" blk.(0) got.(0);
   let fresh = Storage.read s (base + 1) in
-  Alcotest.(check bool) "alloc'd block decrypts to empties" true (Block.is_empty fresh)
+  Alcotest.(check bool) "alloc'd block decrypts to empties" false (Array.exists Cell.is_item fresh)
 
 let test_trace_modes () =
   let t = Trace.create Trace.Full in
@@ -201,8 +214,10 @@ let test_ext_array () =
   let sub = Ext_array.sub a ~off:1 ~len:2 in
   Alcotest.(check int) "sub blocks" 2 (Ext_array.blocks sub);
   Alcotest.(check int) "sub addr" (Ext_array.addr a 1) (Ext_array.addr sub 0);
-  let blk = Ext_array.read_block a 0 in
-  Alcotest.check cell_t "read_block" cells.(0) blk.(0);
+  let f = Flat.create ~block_size:3 ~blocks:1 in
+  Ext_array.read_flat a 0 ~count:1 f;
+  Alcotest.check cell_t "read_flat" cells.(0)
+    (Flat.get_cell f (Flat.cell_offset f ~block:0 ~slot:0));
   Alcotest.(check int) "read counted" 1 (Stats.reads (Storage.stats s))
 
 (* Two adjacent windows tile their parent: the right one starts where
@@ -216,14 +231,14 @@ let test_ext_array_adjacent_windows () =
     (Ext_array.base left + Ext_array.blocks left)
     (Ext_array.base right);
   let blk key =
-    let b = Block.make 2 in
-    b.(0) <- Cell.item ~key ~value:0 ();
-    b
+    let f = Flat.create ~block_size:2 ~blocks:1 in
+    Flat.set_item f (Flat.cell_offset f ~block:0 ~slot:0) ~key ~value:0 ~tag:0 ~aux:0;
+    f
   in
-  Ext_array.write_block left 3 (blk 30);
-  Ext_array.write_block right 0 (blk 40);
+  Ext_array.write_flat left 3 ~count:1 (blk 30);
+  Ext_array.write_flat right 0 ~count:1 (blk 40);
   Alcotest.(check (list int)) "parent sees both writes" [ 30; 40 ]
-    (List.map (fun i -> Cell.key_exn (Ext_array.read_block a i).(0)) [ 3; 4 ])
+    (List.map (fun i -> Cell.key_exn (Util.read_at a i).(0)) [ 3; 4 ])
 
 (* [Full] keeps every op in recording order well past its first buffer
    growths, and the per-I/O fast paths [record_read]/[record_write] fold
@@ -252,53 +267,6 @@ let test_trace_long_sequence () =
   Trace.record retried (Trace.Retry_read 5);
   Trace.record plain (Trace.Read 5);
   Alcotest.(check bool) "a retry is not a read" false (Trace.equal retried plain)
-
-let test_cache_accounting () =
-  let s = Util.storage ~b:2 () in
-  let base = Storage.alloc s 5 in
-  let c = Cache.create s ~capacity:3 in
-  ignore (Cache.load c base);
-  ignore (Cache.load c (base + 1));
-  ignore (Cache.load c base);
-  Alcotest.(check int) "resident" 2 (Cache.resident c);
-  Alcotest.(check int) "only two read IOs" 2 (Stats.reads (Storage.stats s));
-  Cache.drop c (base + 1);
-  Alcotest.(check int) "evicted" 1 (Cache.resident c);
-  Cache.drop_all c;
-  Alcotest.(check int) "all evicted" 0 (Cache.resident c);
-  Alcotest.(check int) "the cache writes nothing" 0 (Stats.writes (Storage.stats s))
-
-let test_cache_copy_boundary () =
-  let s = Util.storage ~b:2 () in
-  let base = Storage.alloc s 1 in
-  let c = Cache.create s ~capacity:2 in
-  (* [load] hands out a caller-owned copy: mutating it must not reach
-     the resident block. *)
-  let copy = Cache.load c base in
-  copy.(0) <- Cell.item ~key:9 ~value:9 ();
-  Alcotest.(check bool) "mutated load copy leaves the resident block" true
-    (Block.is_empty (Cache.borrow c base));
-  (* A hit hands out a copy too. *)
-  let hit = Cache.load c base in
-  hit.(0) <- Cell.item ~key:8 ~value:8 ();
-  Alcotest.(check bool) "mutated hit copy leaves the resident block" true
-    (Block.is_empty (Cache.borrow c base))
-
-let test_cache_overflow () =
-  let s = Util.storage ~b:2 () in
-  let base = Storage.alloc s 5 in
-  let c = Cache.create s ~capacity:2 in
-  ignore (Cache.load c base);
-  ignore (Cache.load c (base + 1));
-  Alcotest.(check bool) "third load overflows" true
-    (try
-       ignore (Cache.load c (base + 2));
-       false
-     with Cache.Overflow _ -> true);
-  Cache.drop c base;
-  ignore (Cache.load c (base + 3));
-  (* The refused load never became resident, so the peak is the capacity. *)
-  Alcotest.(check int) "peak tracked" 2 (Cache.peak c)
 
 let test_emodel () =
   Alcotest.(check int) "ceil_div" 3 (Emodel.ceil_div 7 3);
@@ -447,9 +415,6 @@ let suite =
     ("ext_array", `Quick, test_ext_array);
     ("ext_array adjacent windows", `Quick, test_ext_array_adjacent_windows);
     ("trace keeps long sequences whole", `Quick, test_trace_long_sequence);
-    ("cache accounting", `Quick, test_cache_accounting);
-    ("cache copy-at-boundary", `Quick, test_cache_copy_boundary);
-    ("cache overflow", `Quick, test_cache_overflow);
     ("emodel arithmetic", `Quick, test_emodel);
     prop_cell_roundtrip;
     prop_cell_roundtrip_flat_slot;

@@ -695,7 +695,7 @@ let sweep_point ~keys ~full_ios k =
           let idx = (i * sweep_b) + j in
           if idx < Array.length cells then blk.(j) <- cells.(idx)
         done;
-        Ext_array.write_block v i blk
+        Storage.write (Ext_array.storage v) (Ext_array.addr v i) blk
       done;
       v
     end
@@ -865,7 +865,7 @@ let bucket_sweep_point ~keys ~full_ios k =
           let idx = (i * bk_b) + j in
           if idx < Array.length cells then blk.(j) <- cells.(idx)
         done;
-        Ext_array.write_block v i blk
+        Storage.write (Ext_array.storage v) (Ext_array.addr v i) blk
       done;
       v
     end
@@ -1061,7 +1061,7 @@ let sharded_sweep_point ~keys ~full_ios k =
           let idx = (i * sweep_b) + j in
           if idx < Array.length cells then blk.(j) <- cells.(idx)
         done;
-        Ext_array.write_block v i blk
+        Storage.write (Ext_array.storage v) (Ext_array.addr v i) blk
       done;
       v
     end
@@ -1286,7 +1286,7 @@ let session_sweep_point ~cs_keys ~vals ~full_ios k =
             let idx = (i * mx_b) + j in
             if idx < Array.length cells then blk.(j) <- cells.(idx)
           done;
-          Ext_array.write_block v i blk
+          Storage.write (Ext_array.storage v) (Ext_array.addr v i) blk
         done
       end;
       Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.columnsort ~m:mx_m v;

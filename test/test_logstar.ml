@@ -16,7 +16,7 @@ let payload_seeds arr =
     (List.filter_map
        (fun i ->
          match
-           Block.items (Storage.unchecked_peek (Ext_array.storage arr) (Ext_array.addr arr i))
+           Util.block_items (Storage.unchecked_peek (Ext_array.storage arr) (Ext_array.addr arr i))
          with
          | it :: _ -> Some it.Cell.value
          | [] -> None)
@@ -104,8 +104,8 @@ let test_audit_flags_leaky_algorithm () =
         (fun _rng s a ->
           let n = Ext_array.blocks a in
           for i = 0 to n - 1 do
-            let blk = Ext_array.read_block a i in
-            match Block.items blk with
+            let blk = Util.read_at a i in
+            match Util.block_items blk with
             | it :: _ -> ignore (Storage.read s (Ext_array.addr a (it.key mod n)))
             | [] -> ()
           done);

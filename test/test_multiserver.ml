@@ -89,7 +89,7 @@ let test_shard_digests_stable () =
 let hotspot =
   sub "hotspot" (fun ~rng:_ ~m:_ _s a ->
       for _ = 1 to 16 do
-        ignore (Ext_array.read_block a 0)
+        ignore (Util.read_at a 0)
       done)
 
 let test_prp_seed_leak_caught () =
@@ -261,7 +261,7 @@ let test_twoserver_beats_single_server () =
 let shard_leak_subject ~n_cells =
   sub "shard-colliding-leak" (fun ~rng:_ ~m:_ _s a ->
       for i = 0 to Ext_array.blocks a - 1 do
-        ignore (Ext_array.read_block a i)
+        ignore (Util.read_at a i)
       done;
       let hot =
         match Ext_array.items a with
@@ -269,7 +269,7 @@ let shard_leak_subject ~n_cells =
         | _ -> 0
       in
       for _ = 1 to 8 do
-        ignore (Ext_array.read_block a hot)
+        ignore (Util.read_at a hot)
       done)
 
 let test_shard_distribution_clean () =

@@ -112,13 +112,13 @@ let leaky_subject =
       (fun ~rng:_ ~m:_ _s a ->
         Ext_array.with_span a "leak.prelude" (fun () ->
             for i = 0 to Ext_array.blocks a - 1 do
-              ignore (Ext_array.read_block a i)
+              ignore (Util.read_at a i)
             done);
         Ext_array.with_span a "leak.scan" (fun () ->
             for i = 0 to Ext_array.blocks a - 1 do
-              let blk = Ext_array.read_block a i in
+              let blk = Util.read_at a i in
               match blk.(0) with
-              | Cell.Item it when it.key land 1 = 0 -> ignore (Ext_array.read_block a i)
+              | Cell.Item it when it.key land 1 = 0 -> ignore (Util.read_at a i)
               | _ -> ()
             done));
   }

@@ -14,7 +14,11 @@ let prop_consolidation =
       let s = Util.storage ~b () in
       let a = Ext_array.of_cells s ~block_size:b cells in
       let pred (it : Cell.item) = it.key mod 100 <= thresh - 50 || it.key mod 100 >= thresh in
-      let d = Consolidation.run ~distinguished:pred ~into:None a in
+      let d =
+        Consolidation.run
+          ~distinguished:(fun buf off -> pred (Cell.get (Flat.get_cell buf off)))
+          ~into:None a
+      in
       let expected =
         List.filter_map
           (fun c ->
@@ -48,7 +52,7 @@ let prop_butterfly_roundtrip =
         if r > 0 then Butterfly.expand ~m a (fun i -> orig.(i) - i);
         let occupied_now =
           List.filter
-            (fun i -> not (Block.is_empty (Storage.unchecked_peek s (Ext_array.addr a i))))
+            (fun i -> Array.exists Cell.is_item (Storage.unchecked_peek s (Ext_array.addr a i)))
             (List.init n (fun i -> i))
         in
         occupied_now = original
@@ -215,7 +219,7 @@ let prop_run_buf_never_stale =
                     blk)
               in
               Storage.write_many s (base + off) blks;
-              Array.iteri (fun i blk -> model.(off + i) <- Block.copy blk) blks
+              Array.iteri (fun i blk -> model.(off + i) <- Array.copy blk) blks
             end
             else begin
               let got = Storage.read_many s (base + off) len in

@@ -470,6 +470,65 @@ let sorter_allocation_cases =
         ("cache sort, 64 blocks", cache_sort, 8, 64, 64);
       ]
 
+(* A hierarchical ORAM access that triggers no rebuild stages every
+   word as a one-block image and tests its item and key in place: at
+   oram-mixed's shape (1 024 words, z = 36, m = 64, B = 4, Mem, digest
+   trace) each such access allocates under 100 minor words. Accesses
+   whose counter reaches a multiple of z rebuild, and are skipped. *)
+let test_oram_access_allocation () =
+  let words = 1024 and z = 36 in
+  let s = Storage.create ~block_size:4 () in
+  let o =
+    Odex_oram.Hierarchical_oram.init ~bucket_size:z ~m:64
+      ~rng:(Odex_crypto.Rng.create ~seed:0x0a11) s ~values:(Array.init words (fun i -> i))
+  in
+  let worst = ref 0. and measured = ref 0 in
+  for i = 0 to 399 do
+    let addr = i * 7919 mod words in
+    let rebuilds = (Odex_oram.Hierarchical_oram.accesses o + 1) mod z = 0 in
+    let w0 = Gc.minor_words () in
+    if i land 1 = 0 then ignore (Odex_oram.Hierarchical_oram.read o addr)
+    else Odex_oram.Hierarchical_oram.write o addr i;
+    let w = Gc.minor_words () -. w0 in
+    (* The first rounds warm the levels up. *)
+    if i >= 100 && not rebuilds then begin
+      incr measured;
+      if w > !worst then worst := w
+    end
+  done;
+  Alcotest.(check bool) "measured accesses" true (!measured > 250);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words in the worst non-rebuild access (want < 100)" !worst)
+    true (!worst < 100.)
+
+(* One selection at select-mem's shape (N = 16 384, B = 8, m = 64,
+   e = 1/4) on a warmed Mem store: every scan tests occupancy and
+   compares images in place, so it allocates under 2 minor words per
+   counted I/O (0.94 measured, dev and release builds alike). *)
+let test_selection_allocation () =
+  let b = 8 and n = 16384 in
+  let s = Storage.create ~block_size:b () in
+  let rng = Odex_crypto.Rng.create ~seed:0x5e1 in
+  let cells =
+    Array.init n (fun i ->
+        let k = Odex_crypto.Rng.int rng (4 * n) in
+        Cell.item ~tag:i ~key:k ~value:(k * 3) ())
+  in
+  let a = Ext_array.of_cells s ~block_size:b cells in
+  let select () =
+    Odex.Selection.select ~exponent:0.25 ~m:64 ~rng:(Odex_crypto.Rng.create ~seed:0x5e1ec7)
+      ~k:(n / 2) a
+  in
+  ignore (select ());
+  let ios0 = Stats.total (Storage.stats s) in
+  let w0 = Gc.minor_words () in
+  let r = select () in
+  let per_io = (Gc.minor_words () -. w0) /. float_of_int (Stats.total (Storage.stats s) - ios0) in
+  Alcotest.(check bool) "selection succeeded" true r.Odex.Selection.ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per counted I/O (want < 2)" per_io)
+    true (per_io < 2.0)
+
 (* The journal stages each record in its off-heap arena: on a warmed
    journal (arena, overlay and append log grown by an identical first
    round), appending a 64-block run allocates exactly what appending a
@@ -524,6 +583,8 @@ let suite =
     ("blit and set_cell allocation-free", `Quick, test_blit_and_set_cell_do_not_allocate);
     ("bucket sort allocation", `Quick, test_bucket_sort_allocation);
     ("journal append allocation", `Quick, test_journal_append_allocation);
+    ("hierarchical ORAM access allocation", `Quick, test_oram_access_allocation);
+    ("selection allocation", `Quick, test_selection_allocation);
   ]
   @ sorter_allocation_cases
   @ sealed_parity_cases

@@ -33,7 +33,7 @@ let flat_pair u v =
 
 let test_merge_split () =
   let mk keys = Array.map (fun k -> if k < 0 then Cell.empty else Cell.item ~key:k ~value:k ()) keys in
-  let keys f i = List.map (fun (it : Cell.item) -> it.key) (Block.items (Flat.get_block f i)) in
+  let keys f i = List.map (fun (it : Cell.item) -> it.key) (Util.block_items (Flat.get_block f i)) in
   let f = flat_pair (mk [| 1; 5; 9 |]) (mk [| 2; 3; -1 |]) in
   Ext_sort.merge_split ~order:Order.Keys ~ascending:true f 0 1;
   Alcotest.(check (list int)) "low half" [ 1; 2; 3 ] (keys f 0);
@@ -114,7 +114,7 @@ let test_cache_sort_overflow () =
        ignore
          (Util.with_array ~b:1 cells (fun _s a -> Ext_sort.run Ext_sort.cache_sort ~m:2 a));
        false
-     with Cache.Overflow _ -> true)
+     with Residency.Overflow _ -> true)
 
 let test_sort_preserves_payload () =
   let keys = [| 4; 2; 7; 2; 0; 9; 4 |] in
@@ -462,8 +462,8 @@ let test_permute_blocks_correct () =
      contiguous (blocks travel unopened). *)
   let original = Array.init 128 (fun i -> Array.to_list (Array.sub keys (i * 4) 4)) in
   for i = 0 to 127 do
-    let blk = Ext_array.read_block a i in
-    let got = Util.keys_of_items (Block.items blk) in
+    let blk = Util.read_at a i in
+    let got = Util.keys_of_items (Util.block_items blk) in
     Alcotest.(check bool)
       (Printf.sprintf "output block %d is an input block" i)
       true

@@ -137,7 +137,7 @@ let leaky_subject =
       let n = Ext_array.blocks a in
       let k = match Ext_array.items a with it :: _ -> it.key | [] -> 0 in
       for _ = 1 to 64 do
-        ignore (Ext_array.read_block a ((k + Odex_crypto.Rng.int rng 2) mod n))
+        ignore (Util.read_at a ((k + Odex_crypto.Rng.int rng 2) mod n))
       done)
 
 let test_detects_leak () =

@@ -1,6 +1,6 @@
 (* The telemetry subsystem: zero-cost disabled sink, latency histograms,
    backend-op timing, span phases whose counts are read off the stores'
-   Stats ledgers, cache counters, exports — and the load-bearing property
+   Stats ledgers, exports — and the load-bearing property
    that profiling is invisible to the adversary (pair-tested). *)
 
 open Odex_extmem
@@ -13,7 +13,7 @@ let test_disabled_sink_is_noop () =
   Alcotest.(check bool) "disabled" false (Telemetry.enabled t);
   Telemetry.record (Telemetry.cell t ~backend:"mem" Telemetry.Read) ~blocks:1 ~bytes:64 ~ns:100;
   Telemetry.register t (fun () ->
-      { Telemetry.ios = 3; retries = 1; faults = 1; bytes = 512; hits = 9; misses = 0 });
+      { Telemetry.ios = 3; retries = 1; faults = 1; bytes = 512 });
   let r = Telemetry.with_phase t "phase" (fun () -> 42) in
   Alcotest.(check int) "with_phase is exactly f ()" 42 r;
   Alcotest.(check int) "no op stats" 0 (List.length (Telemetry.op_stats t));
@@ -94,7 +94,7 @@ let test_storage_ops_timed () =
   Storage.write s base blk;
   ignore (Storage.read s base);
   ignore (Storage.read_many s base 8);
-  Storage.write_many s base (Array.init 8 (fun _ -> Block.copy blk));
+  Storage.write_many s base (Array.init 8 (fun _ -> Array.copy blk));
   Storage.sync s;
   let stats = Telemetry.op_stats tel in
   let find op =
@@ -195,34 +195,12 @@ let test_retry_and_fault_attribution () =
       Alcotest.(check int) "faults" 2 p.Telemetry.faults
   | l -> Alcotest.failf "expected 1 phase, got %d" (List.length l)
 
-(* ---------------- cache counters ---------------- *)
-
-let test_cache_counters () =
-  let tel = Telemetry.create () in
-  let s = Storage.create ~telemetry:tel ~block_size:2 () in
-  let base = Storage.alloc s 8 in
-  let c = Cache.create s ~capacity:8 in
-  ignore (Cache.load c base);
-  ignore (Cache.load c base);
-  ignore (Cache.load c (base + 1));
-  Cache.load_run c base ~count:4;
-  let counter name =
-    match List.assoc_opt name (Telemetry.counters tel) with Some v -> v | None -> 0
-  in
-  (* load: 1 miss + 1 hit + 1 miss; load_run over [0,4): 2 hits, 2 misses. *)
-  Alcotest.(check int) "hits" 3 (counter "cache.hit");
-  Alcotest.(check int) "misses" 4 (counter "cache.miss");
-  let st = Stats.snapshot (Storage.stats s) in
-  Alcotest.(check (list int)) "the counters are the store's ledger" [ 3; 4 ]
-    [ st.hits; st.misses ]
-
 (* ---------------- one ledger ---------------- *)
 
 (* The sink counts nothing itself: a phase's numbers are differences of
    the stores' Stats. Over one root phase the phases must therefore add
    up to exactly the Stats deltas — whatever nests, raises, retries or
-   goes through the cache inside — and the counters must be the Stats
-   cache fields. [retried]: the store's own retry loop sees faults (a
+   moves as a flat run inside. [retried]: the store's own retry loop sees faults (a
    journal over a faulty device absorbs them). *)
 let ledger_identity ~retried make_spec () =
   let spec = make_spec () in
@@ -235,26 +213,23 @@ let ledger_identity ~retried make_spec () =
     (fun () ->
       let base = Storage.alloc s 8 in
       let st = Storage.stats s in
-      let c = Cache.create s ~capacity:8 in
+      let run = Flat.create ~block_size:2 ~blocks:4 in
       let before = Stats.snapshot st in
       Storage.with_span s "root" (fun () ->
           ignore (Storage.read s base);
           Storage.with_span s "load" (fun () ->
-              Cache.load_run c base ~count:4;
-              ignore (Cache.load c (base + 1));
+              Storage.read_flat s base 4 run;
               Storage.with_span s "scan" (fun () -> ignore (Storage.read_many s (base + 4) 4)));
           (try
              Storage.with_span s "doomed" (fun () ->
                  Storage.write s (base + 7) (Storage.read s (base + 6));
                  failwith "boom")
            with Failure _ -> ());
-          Storage.with_span s "drop" (fun () ->
-              Cache.drop c base;
-              Cache.drop_all c));
+          Storage.with_span s "idle" (fun () -> ()));
       let after = Stats.snapshot st in
       let phases = Telemetry.phases tel in
       Alcotest.(check (list string)) "phases in completion order"
-        [ "scan"; "load"; "doomed"; "drop"; "root" ]
+        [ "scan"; "load"; "doomed"; "idle"; "root" ]
         (List.map (fun (p : Telemetry.phase) -> p.label) phases);
       let sum f = List.fold_left (fun a p -> a + f p) 0 phases in
       let delta f = f after - f before in
@@ -270,11 +245,7 @@ let ledger_identity ~retried make_spec () =
       Alcotest.(check bool) "ledger faults never exceed the injected ones" true
         (after.faults <= Storage.faults_injected s);
       Alcotest.(check int) "the raising phase kept its read and write" 2
-        (List.find (fun (p : Telemetry.phase) -> p.label = "doomed") phases).ios;
-      Alcotest.(check (list (pair string int)))
-        "counters are the Stats cache fields"
-        [ ("cache.hit", after.hits); ("cache.miss", after.misses) ]
-        (Telemetry.counters tel))
+        (List.find (fun (p : Telemetry.phase) -> p.label = "doomed") phases).ios)
 
 let ledger_specs =
   let faulty inner = Storage.Faulty { inner; seed = 3; failure_rate = 1.0; max_burst = 1 } in
@@ -382,7 +353,6 @@ let suite =
     ("checkpoint commits are timed", `Quick, test_checkpoint_commits_timed);
     ("phase counter attribution", `Quick, test_phase_attribution);
     ("retries and faults attributed", `Quick, test_retry_and_fault_attribution);
-    ("cache hit/miss counters", `Quick, test_cache_counters);
     ("bare-sink phase attribution", `Quick, test_bare_sink_phase);
     ("telemetry invisible to the adversary (mem)", `Quick, test_telemetry_invisible_mem);
     ("telemetry invisible to the adversary (file)", `Quick, test_telemetry_invisible_file);

@@ -51,25 +51,34 @@ let storage ?cipher ?(trace = Trace.Digest) ~b () =
 let cells_of_keys keys =
   Array.mapi (fun i k -> Cell.item ~tag:i ~key:k ~value:(k * 10) ()) keys
 
+(* Block [i] of an array through the store's decoded view: one counted
+   read, as an algorithm would make it. *)
+let read_at a i = Storage.read (Ext_array.storage a) (Ext_array.addr a i)
+
+(* A decoded block's items, in block order. *)
+let block_items (blk : Block.t) =
+  List.filter_map (function Cell.Empty -> None | Cell.Item it -> Some it) (Array.to_list blk)
+
 (* The array's blocks, read out of band (uncounted, untraced). *)
 let peek_blocks a =
   List.init (Ext_array.blocks a) (fun i ->
       Storage.unchecked_peek (Ext_array.storage a) (Ext_array.addr a i))
 
 let occupied_blocks a =
-  List.length (List.filter (fun blk -> not (Block.is_empty blk)) (peek_blocks a))
+  List.length (List.filter (Array.exists Cell.is_item) (peek_blocks a))
 
 (* Lemma 3's postcondition: every block is full or empty, except that the
    last non-empty block may be partial. *)
 let occupied_prefix_property a =
-  match List.rev (List.filter (( <> ) 0) (List.map Block.count_items (peek_blocks a))) with
+  let count blk = List.length (block_items blk) in
+  match List.rev (List.filter (( <> ) 0) (List.map count (peek_blocks a))) with
   | [] -> true
   | _ :: rest -> List.for_all (( = ) (Ext_array.block_size a)) rest
 
 (* Every block's items share one color. *)
 let monochromatic ~color_of a =
   List.for_all
-    (fun blk -> List.length (List.sort_uniq compare (List.map color_of (Block.items blk))) <= 1)
+    (fun blk -> List.length (List.sort_uniq compare (List.map color_of (block_items blk))) <= 1)
     (peek_blocks a)
 
 (* The 1-indexed rank quantile [i] of [q] targets among [total] items:
