@@ -798,7 +798,9 @@ let e14_table rs =
    default-Z bucket geometry's 4*zb + 2 = 114 blocks at B = 8. Columnsort's
    one-level geometry caps N at ~M^{3/2}; sizes past the cap are skipped
    for that engine (the cap is public geometry, not a sorting defect).
-   `--sorter NAME` narrows the sweep to one engine. *)
+   `auto` is the default dispatch every lib caller sorts with: the
+   cheapest fixed-circuit engine at each size. `--sorter NAME` narrows
+   the sweep to one engine. *)
 
 let e15 env =
   let b = 8 and m = 128 in
@@ -831,7 +833,7 @@ let e15 env =
     (fun name -> List.filter_map (sort name) sizes)
     (match env.H.set.sorter with
     | Some engine -> [ engine ]
-    | None -> [ "batcher"; "columnsort"; "bucket" ])
+    | None -> [ "batcher"; "columnsort"; "bucket"; "auto" ])
 
 let e15_table rs =
   let engines = keys_of (fun (r : H.record) -> r.sorter) rs in
@@ -847,8 +849,9 @@ let e15_table rs =
   Table.note
     "  (* = no bucket plan fits m: the engine ran its windowed-bitonic fallback)\n\
     \  bucket stays below batcher at every out-of-core N it plans; columnsort leads inside\n\
-    \  its one-level capacity (~18.9k cells here) and is n/a beyond it. EXPERIMENTS.md E15\n\
-    \  records the crossovers.\n"
+    \  its one-level capacity (~18.9k cells here) and is n/a beyond it. auto takes columnsort\n\
+    \  where its scratch fits the windowed network's padding (not at a power-of-two N/B, which\n\
+    \  the network sorts in place), else the network. EXPERIMENTS.md E15 records the crossovers.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E16: seal/unseal throughput. A mem-backed store (so the device is not

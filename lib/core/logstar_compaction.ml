@@ -2,12 +2,13 @@ open Odex_extmem
 
 type outcome = { dest : Ext_array.t; phases : int; ok : bool }
 
-(* Compact each region to its first [prefix] blocks in Alice's memory:
-   the region is gathered high to low, one block at a time, into
-   [region] (one-slot views in [slots]). Survivors that do not fit stay
-   in place (the final Theorem 4 pass collects them). Fixed trace: every
-   region block is read and written once. *)
-let compact_regions ~m ~rho ~prefix a =
+(* Compact each region in Alice's memory: the region is gathered high to
+   low, one block at a time, into [region] (one-slot views in [slots]),
+   and its survivors are packed in region order into its first slots.
+   Those past the caller's prefix stay there for the final Theorem 4
+   pass to collect. Fixed trace: every region block is read and written
+   once. *)
+let compact_regions ~m ~rho a =
   let n = Ext_array.blocks a in
   let b = Ext_array.block_size a in
   Residency.check ~m rho;
@@ -29,19 +30,8 @@ let compact_regions ~m ~rho ~prefix a =
         incr count
       end
     done;
-    (* The top [fits] survivors (the first met scanning down) fill the
-       prefix in region order; the lower ones overflow and stay at their
-       own slot when it lies past the prefix; everything else becomes
-       empty. *)
-    let fits = min prefix !count in
-    let first_fit = if fits > 0 then survivors.(!count - fits) else 0 in
     for slot = 0 to len - 1 do
-      let out =
-        if slot < fits then slots.(survivors.(!count - fits + slot))
-        else if slot >= prefix && slot < first_fit && Flat.first_item region slot >= 0 then
-          slots.(slot)
-        else empty
-      in
+      let out = if slot < !count then slots.(survivors.(slot)) else empty in
       Ext_array.write_flat a (lo + slot) ~count:1 out
     done
   done
@@ -111,7 +101,7 @@ let run ?(c0 = 8) ?key ?sparse_threshold ~m ~rng ~capacity a =
           max 2 (min (max 2 m) cap)
         in
         let prefix = max 1 (rho / (t_i * t_i)) in
-        compact_regions ~m ~rho ~prefix !cur;
+        compact_regions ~m ~rho !cur;
         let n_cur = Ext_array.blocks !cur in
         let regions = Emodel.ceil_div n_cur rho in
         for _ = 1 to t_i * t_i do

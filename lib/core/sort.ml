@@ -74,16 +74,11 @@ let rec sort_padded_rec ~m ~rng ~inject_failure ~sweep ~bucket_engine ~shuffle_e
   let fallback_threshold = max (2 * m) (8 * (colors + 4)) in
   (* Injected failures (test hook) skip the work entirely, leaving the
      subarray unsorted — the genuine failure mode sweeping must repair. *)
-  if n <= m then begin
-    let fail = inject_failure path in
-    if not fail then Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.cache_sort ~m a;
-    (a, not fail)
-  end
-  else if n <= fallback_threshold then begin
+  if n <= fallback_threshold then begin
     (* Too small for the pipeline to make progress: deterministic
-       oblivious sort (Lemma 2 substrate). *)
+       oblivious sort (Lemma 2 substrate; the cache sort when n <= m). *)
     let fail = inject_failure path in
-    if not fail then Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.bitonic_windowed ~m a;
+    if not fail then Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~m a;
     (a, not fail)
   end
   else begin
@@ -159,7 +154,7 @@ let rec sort_padded_rec ~m ~rng ~inject_failure ~sweep ~bucket_engine ~shuffle_e
     (* Progress guard: if compaction failed to shrink, finish this level
        deterministically instead of recursing forever. *)
     if Array.exists (fun d -> Ext_array.blocks d >= n) buckets then begin
-      Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.bitonic_windowed ~m a;
+      Odex_sortnet.Ext_sort.run Odex_sortnet.Ext_sort.auto ~m a;
       (a, !ok)
     end
     else begin

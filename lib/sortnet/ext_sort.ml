@@ -1,11 +1,16 @@
 open Odex_extmem
 
+type cost = { ios : int; scratch_blocks : int }
+
 type t = {
   name : string;
   exec : real:bool -> order:Order.t -> m:int -> Ext_array.t -> unit;
+  cost : blocks:int -> m:int -> b:int -> cost option;
 }
 
 let name t = t.name
+
+let cost t ~blocks ~m ~b = t.cost ~blocks ~m ~b
 
 let run t ?(order = Order.Keys) ~m a = t.exec ~real:true ~order ~m a
 
@@ -57,7 +62,14 @@ let cache_sort_exec ~real ~order ~m a =
       if real then Stage.sort_cells order src ~first:0 (Array.make (Ext_array.cells a) 0) dst;
       if real then dst else src)
 
-let cache_sort = { name = "cache"; exec = cache_sort_exec }
+let cache_sort =
+  {
+    name = "cache";
+    exec = cache_sort_exec;
+    cost =
+      (fun ~blocks ~m ~b:_ ->
+        if blocks <= m then Some { ios = 2 * blocks; scratch_blocks = 0 } else None);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Block-level bitonic sort.
@@ -75,6 +87,15 @@ let cache_sort = { name = "cache"; exec = cache_sort_exec }
 let next_power_of_two n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
+
+(* The padded work array a non-power-of-two input is copied into. *)
+let network_scratch n =
+  let n2 = next_power_of_two n in
+  if n = 0 || n2 = n then 0 else n2
+
+(* Butterfly levels per chunk pass, capped so a group fits the cache. *)
+let chunk_levels ~levels_per_pass m =
+  if m < 2 then 1 else max 1 (min (levels_per_pass m) (Emodel.ilog2_floor m))
 
 (* Phase-checkpointed execution on a journaled store: the network is cut
    into a deterministic sequence of phases — the pre-sort/copy scan,
@@ -107,7 +128,7 @@ let bitonic_exec ~levels_per_pass ~real ~order ~m a =
     let n2 = next_power_of_two n in
     (* A chunk group of up to 2^lpp blocks is resident at once (a pair
        of blocks at least): check Alice's bound before any I/O. *)
-    let lpp = if m < 2 then 1 else max 1 (min (levels_per_pass m) (Emodel.ilog2_floor m)) in
+    let lpp = chunk_levels ~levels_per_pass m in
     let gmax = min n2 (1 lsl lpp) in
     Residency.check ~m gmax;
     let ck = Storage.journaled storage in
@@ -224,24 +245,72 @@ let bitonic_exec ~levels_per_pass ~real ~order ~m a =
     if ck then Storage.checkpoint_clear storage ~owner
   end
 
-let bitonic = { name = "bitonic"; exec = bitonic_exec ~levels_per_pass:(fun _ -> 1) }
+(* [bitonic_exec]'s counted I/Os: the pre-sort scan (2n), two n2-block
+   scans per chunk pass — stage 2^t has t levels, cut into chunks of
+   lpp — and, when padded, the copy-back (2n). *)
+let bitonic_cost ~levels_per_pass ~blocks:n ~m ~b:_ =
+  if n = 0 then Some { ios = 0; scratch_blocks = 0 }
+  else begin
+    let n2 = next_power_of_two n in
+    let lpp = chunk_levels ~levels_per_pass m in
+    if min n2 (1 lsl lpp) > m then None
+    else begin
+      let passes = ref 0 in
+      for t = 1 to Emodel.ilog2_floor n2 do
+        passes := !passes + Emodel.ceil_div t lpp
+      done;
+      let scratch_blocks = network_scratch n in
+      let copies = if scratch_blocks = 0 then 2 * n else 4 * n in
+      Some { ios = copies + (2 * n2 * !passes); scratch_blocks }
+    end
+  end
 
-let bitonic_windowed =
+let network name ~levels_per_pass =
+  { name; exec = bitonic_exec ~levels_per_pass; cost = bitonic_cost ~levels_per_pass }
+
+let bitonic = network "bitonic" ~levels_per_pass:(fun _ -> 1)
+let bitonic_windowed = network "bitonic-windowed" ~levels_per_pass:Emodel.ilog2_floor
+
+let columnsort =
   {
-    name = "bitonic-windowed";
-    exec = bitonic_exec ~levels_per_pass:(fun m -> Emodel.ilog2_floor m);
+    name = "columnsort";
+    exec = Columnsort.exec;
+    cost =
+      (fun ~blocks ~m ~b ->
+        Option.map
+          (fun (ios, scratch_blocks) -> { ios; scratch_blocks })
+          (Columnsort.cost ~blocks ~b ~m));
   }
+
+(* The dispatch: the fewest counted I/Os among the fixed-circuit engines
+   that take no more scratch than the windowed network would at the
+   shape, so auto never grows the store beyond it. Ties go to the
+   earlier engine. A function of (blocks, m, B) alone; [None] when no
+   engine admits the shape. *)
+let choose ~blocks ~m ~b =
+  let bound = network_scratch blocks in
+  List.fold_left
+    (fun best e ->
+      match e.cost ~blocks ~m ~b with
+      | Some c when c.scratch_blocks <= bound -> (
+          match best with Some (_, c') when c'.ios <= c.ios -> best | _ -> Some (e, c))
+      | _ -> best)
+    None
+    [ cache_sort; bitonic_windowed; columnsort ]
 
 let auto =
   {
     name = "auto";
     exec =
       (fun ~real ~order ~m a ->
-        if Ext_array.blocks a <= m then cache_sort_exec ~real ~order ~m a
-        else bitonic_exec ~levels_per_pass:(fun m -> Emodel.ilog2_floor m) ~real ~order ~m a);
+        let e =
+          match choose ~blocks:(Ext_array.blocks a) ~m ~b:(Ext_array.block_size a) with
+          | Some (e, _) -> e
+          | None -> bitonic_windowed
+        in
+        e.exec ~real ~order ~m a);
+    cost = (fun ~blocks ~m ~b -> Option.map snd (choose ~blocks ~m ~b));
   }
-
-let columnsort = { name = "columnsort"; exec = Columnsort.exec }
 
 (* ------------------------------------------------------------------ *)
 (* Bucket oblivious sort (Asharov et al., DESIGN.md §12). Dispatch is
@@ -257,11 +326,14 @@ let bucket_exec ~master ~real ~order ~m a =
   else
     match Bucket_sort.plan_for ~b:(Ext_array.block_size a) ~m ~n_cells:(n * Ext_array.block_size a) with
     | Some plan -> Bucket_sort.sort ~plan ~master ~real ~order ~m a
-    | None -> bitonic_exec ~levels_per_pass:(fun m -> Emodel.ilog2_floor m) ~real ~order ~m a
+    | None -> bitonic_windowed.exec ~real ~order ~m a
+
+let no_cost ~blocks:_ ~m:_ ~b:_ = None
 
 let bucket ?(seed = 0xB0C4E7) () =
   {
     name = "bucket";
+    cost = no_cost;
     exec =
       (fun ~real ~order ~m a ->
         (* A fresh stream per exec: the same sorter value replays the
@@ -273,6 +345,7 @@ let bucket ?(seed = 0xB0C4E7) () =
 let bucket_rng rng =
   {
     name = "bucket";
+    cost = no_cost;
     exec =
       (fun ~real ~order ~m a ->
         bucket_exec ~master:(Odex_crypto.Rng.int rng 0x3FFFFFFF) ~real ~order ~m a);

@@ -20,7 +20,8 @@
     - [columnsort] — Leighton's seven linear passes, for inputs up to one
       columnsort level's capacity.
     - [bucket] / [bucket_rng] — the randomized bucket oblivious sort.
-    - [auto] — [cache_sort] or [bitonic_windowed], by size.
+    - [auto] — the cheapest of [cache_sort], [bitonic_windowed] and
+      [columnsort] at the shape, by their exact {!cost}.
 
     The fixed-circuit sorters' address traces depend only on (N/B, m, B),
     so they are data-oblivious by construction; [bucket]'s merge order is
@@ -72,11 +73,33 @@ val columnsort : t
 (** Leighton's columnsort (the Chaudhry–Cormen lineage the paper cites):
     seven linear passes, O(N/B) I/Os — but only for N up to one
     columnsort level's capacity (roughly (m/2)·(m·B) cells, the familiar
-    M^{3/2} bound); raises [Invalid_argument] beyond it. See
-    {!Columnsort.plan}. *)
+    M^{3/2} bound); raises [Invalid_argument] beyond it. Sorts in place:
+    its one allocation is a transposition scratch of the planned matrix's
+    r·s/B blocks. See {!Columnsort.plan}. *)
 
 val auto : t
-(** [cache_sort] when the array fits in cache, else [bitonic_windowed]. *)
+(** The fixed-circuit engine with the fewest counted I/Os at the shape:
+    the argmin of {!cost}'s [ios] over [cache_sort], [bitonic_windowed]
+    and [columnsort], among those whose [scratch_blocks] is no larger
+    than [bitonic_windowed]'s there (the padded power of two n2 when
+    N/B is not one, else 0) — so dispatching never allocates more than
+    the network would. Ties go to that list's order. The choice is a
+    function of (N/B, m, B) alone, so the trace stays data-independent
+    and [run_selective] keeps its dummy-pass contract. [bucket] is never
+    chosen: its certificate is rank-isomorphic, not exact. Where no
+    engine admits the shape it runs [bitonic_windowed], which raises. *)
+
+type cost = { ios : int; scratch_blocks : int }
+(** An engine's counted I/Os (reads plus writes) on a shape, and the
+    blocks it allocates on the store. *)
+
+val cost : t -> blocks:int -> m:int -> b:int -> cost option
+(** [cost s ~blocks ~m ~b] is the exact cost of [run s] (or of a dummy
+    [run_selective]) on a [blocks]-block array at cache [m] and block
+    size [b], in closed form; [None] when the engine refuses the shape
+    (raises on it). Given for [cache_sort], [bitonic], [bitonic_windowed],
+    [columnsort] and [auto]; always [None] for the bucket sorters, whose
+    count has no closed form here. *)
 
 val bucket : ?seed:int -> unit -> t
 (** Bucket oblivious sort ({!Bucket_sort}, DESIGN.md §12): route the

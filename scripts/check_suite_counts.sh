@@ -72,7 +72,7 @@ if want:
 # workload ios_per_op bytes_per_op space_amp
 pins='sort-mem 121720 39924160 21.78125
 sort-sealed-stripe 24178 7930384 20.5
-oram-mixed 609.328125 102367.125 151.265625'
+oram-mixed 329.828125 55411.125 140.765625'
 
 echo "$pins" | while read -r w ios bytes amp; do
   check "$w" 1 "$ios" "$bytes" "$amp"

@@ -48,7 +48,8 @@ let run_entry ~spec (e : Odex_obcheck.Registry.entry) =
    seed 0xFA17). Recorded when every transfer could still be served
    either as one backend run or as a per-block loop, with both ways
    agreeing on every row, so the table is the per-block behaviour the
-   run path must keep. *)
+   run path must keep. The loose-compaction, sort and hier-oram rows
+   moved down when [Ext_sort.auto] began dispatching to columnsort. *)
 let pins =
   [
     ( "consolidation",
@@ -61,8 +62,8 @@ let pins =
       (1280, 0xbdad53329f5ec68eL, 640, 640, 0),
       (1377, 0xbf0e24702699ee03L, 640, 640, 97) );
     ( "loose-compaction",
-      (9456, 0x155a656f91233874L, 4820, 4636, 0),
-      (10180, 0xaeba244338b743edL, 4820, 4636, 724) );
+      (7680, 0x979ccfcd2bb9a282L, 3932, 3748, 0),
+      (8262, 0xd15245de9128b6f5L, 3932, 3748, 582) );
     ( "logstar-compaction",
       (5128, 0xf5fff108dcd93b71L, 2564, 2564, 0),
       (5539, 0xb84071bf6e933ce6L, 2564, 2564, 411) );
@@ -76,8 +77,8 @@ let pins =
       (7424, 0x1034819b99124171L, 3840, 3584, 0),
       (7983, 0x52b219995c4dab31L, 3840, 3584, 559) );
     ( "sort",
-      (489726, 0x5ee00b33e1937ccaL, 244260, 245466, 0),
-      (526361, 0xbea2fbef7e872b8bL, 244260, 245466, 36635) );
+      (437562, 0xc4fd949492b5efefL, 218178, 219384, 0),
+      (470331, 0xcb5ac43bbc3e490dL, 218178, 219384, 32769) );
     ( "bucket-sort",
       (9832, 0x8d1fe895affa1fd8L, 5172, 4660, 0),
       (10579, 0x5dcd195da3de17a3L, 5172, 4660, 747) );
@@ -91,8 +92,8 @@ let pins =
       (111345, 0xc8c06801fb173790L, 56212, 55133, 0),
       (119717, 0x79403964e3588e1aL, 56212, 55133, 8372) );
     ( "hier-oram",
-      (186942, 0xde83a79760f4fc5cL, 95320, 91622, 0),
-      (200980, 0xfb36f594e041deeeL, 95320, 91622, 14038) );
+      (183666, 0xeb3068567557fc35L, 93682, 89984, 0),
+      (197369, 0xa763241f5bae3df8L, 93682, 89984, 13703) );
   ]
 
 let test_registry_pins backend_name () =

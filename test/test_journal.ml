@@ -1161,7 +1161,10 @@ let test_oram_rebuild_checkpoints () =
 
 let mx_b = 2
 let mx_m = 8
-let cs_cells = 16 (* columnsort plan at m = 8, b = 2: r = 8, s = 2 *)
+(* Columnsort plan at m = 8, b = 2: r = 8, s = 2 over 7 blocks, so the
+   matrix's last block is virtual and the sort's only allocation is its
+   8-block transposition scratch, re-attached from the cursor. *)
+let cs_cells = 14
 let cs_blocks = cs_cells / mx_b
 let oram_n = 8
 let oram_z = 4 (* stash period 4: 8 reads drive two rebuilds (upto 0, 1) *)
@@ -1195,7 +1198,7 @@ let run_session s ~cs_keys ~vals ~progress =
   let rng = Odex_crypto.Rng.create ~seed:oram_seed in
   progress.oram_started <- true;
   let o =
-    Odex_oram.Hierarchical_oram.init ~sorter:Odex_sortnet.Ext_sort.bitonic_windowed
+    Odex_oram.Hierarchical_oram.init ~sorter:Odex_sortnet.Ext_sort.auto
       ~bucket_size:oram_z ~m:mx_m ~rng s ~values:vals
   in
   for i = 0 to oram_reads - 1 do
@@ -1301,13 +1304,13 @@ let session_sweep_point ~cs_keys ~vals ~full_ios k =
   (* --- ORAM recovery --- *)
   let o2, boundary =
     match
-      Odex_oram.Hierarchical_oram.resume ~sorter:Odex_sortnet.Ext_sort.bitonic_windowed s2
+      Odex_oram.Hierarchical_oram.resume ~sorter:Odex_sortnet.Ext_sort.auto s2
     with
     | Some o -> (o, Odex_oram.Hierarchical_oram.accesses o)
     | None ->
         (* The session checkpoint never committed: start over. *)
         let rng = Odex_crypto.Rng.create ~seed:oram_seed in
-        ( Odex_oram.Hierarchical_oram.init ~sorter:Odex_sortnet.Ext_sort.bitonic_windowed
+        ( Odex_oram.Hierarchical_oram.init ~sorter:Odex_sortnet.Ext_sort.auto
             ~bucket_size:oram_z ~m:mx_m ~rng s2 ~values:vals,
           -1 )
   in

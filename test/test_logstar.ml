@@ -154,8 +154,40 @@ let test_audit_all_core_algorithms () =
         Alcotest.failf "%s failed the obliviousness audit" report.Oblivious.subject)
     subjects
 
+(* Region compaction once overwrote a survivor whose slot lay inside
+   the region's prefix and still reported ok. With no initial thinning
+   (c0 = 0) and the tower phases forced, regions reach it crowded. A run
+   either returns every block it was given or reports the loss: the
+   crowded draws overflow the final pass's r/4-block reserve and must
+   say so with ok = false. *)
+let test_logstar_keeps_every_block () =
+  let n = 2048 in
+  let complete = ref 0 in
+  for seed = 1 to 40 do
+    let rng = Util.rng_of "logstar-keeps" seed in
+    let count = 64 + Odex_crypto.Rng.int rng 448 in
+    let pos = Array.init n (fun i -> i) in
+    for i = n - 1 downto 1 do
+      let j = Odex_crypto.Rng.int rng (i + 1) in
+      let t = pos.(i) in
+      pos.(i) <- pos.(j);
+      pos.(j) <- t
+    done;
+    let occupied = List.init count (fun i -> (pos.(i), i + 1)) in
+    let _, a = consolidated ~b:2 ~n occupied in
+    let out = Logstar_compaction.run ~c0:0 ~sparse_threshold:0 ~m:16 ~rng ~capacity:512 a in
+    let kept = List.length (Ext_array.items out.Logstar_compaction.dest) = 2 * count in
+    if kept then incr complete;
+    if out.Logstar_compaction.ok && not kept then
+      Alcotest.failf "seed %d: ok with %d of %d blocks" seed
+        (List.length (payload_seeds out.Logstar_compaction.dest))
+        count
+  done;
+  if !complete < 20 then Alcotest.failf "only %d of 40 runs kept every block" !complete
+
 let suite =
   [
+    ("logstar keeps every block", `Quick, test_logstar_keeps_every_block);
     ("logstar basic", `Quick, test_logstar_basic);
     ("logstar edges", `Quick, test_logstar_empty_and_full_edges);
     ("logstar quarter load", `Quick, test_logstar_quarter_load);

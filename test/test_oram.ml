@@ -112,11 +112,14 @@ let test_sqrt_oram_value_oblivious () =
 let test_sqrt_oram_sublinear_scaling () =
   (* Amortized I/O per access is Θ(√n · polylog): quadrupling n must
      scale it far less than the 4x of the linear-scan ORAM. The absolute
-     crossover against linear is measured at bench scale (E10). *)
-  let per_access n =
+     crossover against linear is measured at bench scale (E10). Both
+     sizes run one named engine: n = 400 and n = 1 600 fall on either
+     side of columnsort's one-level capacity at m = 64, so under [auto]
+     the ratio would compare two different sorts. *)
+  let per_access ~sorter n =
     let s = Util.storage ~b:4 () in
     let rng = Odex_crypto.Rng.create ~seed:7 in
-    let t = Sqrt_oram.init ~m:64 ~rng s ~values:(Array.make n 0) in
+    let t = Sqrt_oram.init ~sorter ~m:64 ~rng s ~values:(Array.make n 0) in
     (* Whole epochs only, so the reshuffle cost is fairly amortized. *)
     let ops = ref 0 in
     while Sqrt_oram.epochs t < 2 do
@@ -125,11 +128,18 @@ let test_sqrt_oram_sublinear_scaling () =
     done;
     Float.of_int (Stats.total (Storage.stats s)) /. Float.of_int !ops
   in
-  let small = per_access 400 in
-  let big = per_access 1600 in
+  let windowed = per_access ~sorter:Odex_sortnet.Ext_sort.bitonic_windowed in
+  let small = windowed 400 in
+  let big = windowed 1600 in
   let ratio = big /. small in
   if ratio > 3.2 then
-    Alcotest.failf "per-access cost scaled by %.2f for 4x n (linear would be 4.0)" ratio
+    Alcotest.failf "per-access cost scaled by %.2f for 4x n (linear would be 4.0)" ratio;
+  (* The default dispatch never costs more per access than the network. *)
+  List.iter
+    (fun (n, w) ->
+      let a = per_access ~sorter:Odex_sortnet.Ext_sort.auto n in
+      if a > w then Alcotest.failf "n = %d: auto %.1f I/Os per access, windowed %.1f" n a w)
+    [ (400, small); (1600, big) ]
 
 (* ---------------- hierarchical ORAM ---------------- *)
 

@@ -188,6 +188,13 @@ let test_windowed_fewer_ios () =
 
 (* ---------------- columnsort ---------------- *)
 
+(* Virtual padding: shapes whose planned matrix runs past the array —
+   the last column partly virtual, or (10 blocks at B = 8, m = 8;
+   51 at B = 8, m = 16; 148 at B = 4, m = 32) one or more wholly
+   virtual columns — with inputs that stress the empties the
+   untranspose drops: all empty, all one key, few distinct keys. *)
+let padded_shapes = [ (15, 2, 16); (47, 4, 16); (10, 8, 8); (51, 8, 16); (148, 4, 32); (899, 8, 64) ]
+
 let test_columnsort_plan () =
   (match Columnsort.plan ~n_cells:8192 ~b:8 ~m:256 with
   | Some (r, s) ->
@@ -196,7 +203,11 @@ let test_columnsort_plan () =
       Alcotest.(check bool) "covers n" true (r * s >= 8192)
   | None -> Alcotest.fail "plan should exist");
   Alcotest.(check bool) "oversized input refused" true
-    (Columnsort.plan ~n_cells:10_000_000 ~b:8 ~m:64 = None)
+    (Columnsort.plan ~n_cells:10_000_000 ~b:8 ~m:64 = None);
+  (* The least padding, then the fewest columns: 252 blocks at B = 4,
+     m = 64 take s = 6 with none, not s = 5 over 275 blocks. *)
+  Alcotest.(check (option (pair int int))) "least padding" (Some (168, 6))
+    (Columnsort.plan ~n_cells:1008 ~b:4 ~m:64)
 
 let test_columnsort_correct () =
   let rng = Odex_crypto.Rng.create ~seed:21 in
@@ -232,7 +243,20 @@ let test_columnsort_dummy_pass () =
     ( Odex_extmem.Trace.digest (Odex_extmem.Storage.trace s),
       Odex_extmem.Trace.length (Odex_extmem.Storage.trace s) )
   in
-  Alcotest.(check bool) "dummy trace = real trace" true (digest true = digest false)
+  Alcotest.(check bool) "dummy trace = real trace" true (digest true = digest false);
+  (* At padded shapes too, every cell stays where it was. *)
+  List.iter
+    (fun (blocks, b, m) ->
+      let cells =
+        Array.init (blocks * b) (fun i ->
+            if i mod 5 = 1 then Cell.empty else Cell.item ~tag:(i mod 3) ~key:(i * 7 mod 11) ~value:i ())
+      in
+      let (), a =
+        Util.with_array ~b cells (fun _s a -> Ext_sort.run_selective Ext_sort.columnsort ~real:false ~m a)
+      in
+      if Ext_array.to_cells a <> cells then
+        Alcotest.failf "dummy columnsort moved a cell at %d/%d/%d" blocks b m)
+    padded_shapes
 
 let test_columnsort_linear_ios () =
   (* Columnsort is O(n) passes: I/Os per block must stay ~flat. *)
@@ -270,6 +294,114 @@ let prop_columnsort_sorts =
       in
       let got = Util.keys_of_items (Odex_extmem.Ext_array.items a) in
       got = List.sort compare (Array.to_list keys))
+
+let test_columnsort_virtual_padding () =
+  List.iter
+    (fun (blocks, b, m) ->
+      let r, s = Option.get (Columnsort.plan ~n_cells:(blocks * b) ~b ~m) in
+      if r * s <= blocks * b then Alcotest.failf "shape %d/%d/%d is not padded" blocks b m;
+      let n = blocks * b in
+      let rng = Odex_crypto.Rng.create ~seed:(blocks + m) in
+      List.iter
+        (fun (what, cells) ->
+          let (), a = Util.with_array ~b cells (fun _s a -> Ext_sort.run Ext_sort.columnsort ~m a) in
+          let want =
+            List.sort compare
+              (List.filter_map (function Cell.Item (it : Cell.item) -> Some it.key | Cell.Empty -> None)
+                 (Array.to_list cells))
+          in
+          let got = Util.keys_of_items (Ext_array.items a) in
+          if got <> want then Alcotest.failf "columnsort %s at %d/%d/%d" what blocks b m;
+          (* Empties last: the items form a prefix. *)
+          let out = Ext_array.to_cells a in
+          let k = List.length want in
+          if not (Array.for_all (fun c -> c <> Cell.empty) (Array.sub out 0 k)) then
+            Alcotest.failf "columnsort %s at %d/%d/%d: empties before items" what blocks b m)
+        [
+          ("all empty", Array.make n Cell.empty);
+          ("all equal", Util.cells_of_keys (Array.make n 9));
+          ("duplicates", Util.cells_of_keys (Util.random_keys rng n ~bound:3));
+          ("half empty", Array.init n (fun i -> if i mod 2 = 0 then Cell.empty else Cell.item ~key:(n - i) ~value:i ()));
+        ])
+    padded_shapes;
+  (* 51 blocks at B = 8, m = 16: columns of 12 blocks, the sixth
+     starting at block 60. *)
+  Alcotest.(check (option (pair int int))) "a wholly virtual last column" (Some (96, 6))
+    (Columnsort.plan ~n_cells:(51 * 8) ~b:8 ~m:16)
+
+(* [cost] against the store: a run's counted I/Os and the capacity it
+   allocates equal the closed form, and a refused shape raises. *)
+let measured sorter ~blocks ~b ~m =
+  let s = Util.storage ~trace:Trace.Off ~b () in
+  let a = Ext_array.create s ~blocks in
+  let cap = Storage.capacity s and ios = Stats.total (Storage.stats s) in
+  match Ext_sort.run sorter ~m a with
+  | () ->
+      Some
+        { Ext_sort.ios = Stats.total (Storage.stats s) - ios; scratch_blocks = Storage.capacity s - cap }
+  | exception (Invalid_argument _ | Residency.Overflow _) -> None
+
+let fixed_circuit = [ Ext_sort.cache_sort; Ext_sort.bitonic; Ext_sort.bitonic_windowed; Ext_sort.columnsort; Ext_sort.auto ]
+
+let prop_cost_exact =
+  Util.qcheck_case ~name:"cost is the counted I/Os and scratch of every fixed-circuit engine"
+    ~count:60
+    (* Powers of two too: there the network pads nothing, so auto must
+       not take an engine that allocates. *)
+    QCheck2.Gen.(
+      triple
+        (frequency [ (3, int_range 1 2000); (1, map (fun k -> 1 lsl k) (int_range 0 10)) ])
+        (oneofl [ 2; 4; 8 ]) (int_range 8 256))
+    (fun (blocks, b, m) ->
+      let cost e = Ext_sort.cost e ~blocks ~m ~b in
+      List.iter
+        (fun e ->
+          let want = cost e and got = measured e ~blocks ~b ~m in
+          if want <> got then
+            let show = function
+              | None -> "refused"
+              | Some { Ext_sort.ios; scratch_blocks } -> Printf.sprintf "%d I/Os, %d scratch" ios scratch_blocks
+            in
+            QCheck2.Test.fail_reportf "%s at %d blocks, B = %d, m = %d: cost %s, measured %s"
+              (Ext_sort.name e) blocks b m (show want) (show got))
+        fixed_circuit;
+      match (cost Ext_sort.auto, cost Ext_sort.bitonic_windowed) with
+      | Some a, Some w -> a.ios <= w.ios && a.scratch_blocks <= w.scratch_blocks
+      | _ -> false)
+
+(* The sort rows of bench/records.pin whose engine has a closed form:
+   each pinned count is the engine's cost at the row's shape. *)
+let test_cost_matches_pins () =
+  let engine_of exp name =
+    match (exp, name) with
+    | "E9", "sort-bitonic" -> Some Ext_sort.bitonic
+    | "E9", "sort-bitonic-win" -> Some Ext_sort.bitonic_windowed
+    | "E9", "sort-columnsort" -> Some Ext_sort.columnsort
+    | "E15", _ -> (
+        match String.split_on_char '-' name with
+        | [ "sort"; engine; _ ] when engine <> "bucket" -> Ext_sort.find engine
+        | _ -> None)
+    | _ -> None
+  in
+  let rows =
+    (* From the repo root (dune exec) or the test's build directory. *)
+    let pin = "bench/records.pin" in
+    In_channel.with_open_text (if Sys.file_exists pin then pin else "../" ^ pin) In_channel.input_lines
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ exp; name; n; b; m; _; _; total ] -> (
+               match engine_of exp name with
+               | Some e -> Some (exp ^ " " ^ name, e, int_of_string n, int_of_string b, int_of_string m, int_of_string total)
+               | None -> None)
+           | _ -> None)
+  in
+  if List.length rows < 20 then Alcotest.failf "only %d sort rows found" (List.length rows);
+  List.iter
+    (fun (row, e, n, b, m, total) ->
+      match Ext_sort.cost e ~blocks:(n / b) ~m ~b with
+      | Some c -> Alcotest.(check int) (Printf.sprintf "%s %d" row n) total c.Ext_sort.ios
+      | None -> Alcotest.failf "%s %d: cost refuses a pinned shape" row n)
+    rows
 
 let prop_bitonic_sorts =
   Util.qcheck_case ~name:"bitonic-windowed sorts arbitrary keys" ~count:60
@@ -754,6 +886,9 @@ let suite =
     ("columnsort dummy pass", `Quick, test_columnsort_dummy_pass);
     ("columnsort linear I/Os", `Quick, test_columnsort_linear_ios);
     ("columnsort capacity", `Quick, test_columnsort_capacity_raises);
+    ("columnsort virtual padding", `Quick, test_columnsort_virtual_padding);
+    ("cost matches the pinned sort rows", `Quick, test_cost_matches_pins);
+    prop_cost_exact;
     prop_columnsort_sorts;
     prop_bitonic_sorts;
     ("bucket plan geometry", `Quick, test_bucket_plan);
