@@ -249,8 +249,9 @@ val checkpoint : t -> owner:string -> phase:int -> cursor:int -> unit
     it runs internally, an independent columnsort — each keep their own
     slot; owners still fold their array base and shape into the string,
     and a resumed computation must be the same deterministic computation
-    that wrote the slot ({!Ext_sort}'s phase numbering is the canonical
-    client). [(0, 0)] is the reserved "no checkpoint" value —
+    that wrote the slot. The canonical client is the phase runner
+    {!Phases}, which numbers an algorithm's phases and persists its
+    scratch base as the cursor. [(0, 0)] is the reserved "no checkpoint" value —
     [~phase:0 ~cursor:0] is {!checkpoint_clear} — and a negative [phase]
     or [cursor], a phase-0 nonzero-cursor pair, an over-long owner, or a
     full table raise [Invalid_argument] (see {!Journal.checkpoint}).

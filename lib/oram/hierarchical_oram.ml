@@ -255,12 +255,12 @@ let healthy t = t.healthy
    [upto].
 
    On a journaled store the rebuild is cut into ten deterministic,
-   idempotent phases checkpointed under "oram-rebuild" (the scaffold the
-   sorters use): entry-snapshot, gather, fillers, dedup sort, dedup
-   scan, bucket sort, trim scan, compaction, install, source clear. The
-   cursor persists the scratch base so a resumed process re-attaches the
-   same scratch; the two inner sorts checkpoint their own phases under
-   their own "ext-sort/..." (or columnsort/bucket) owners, which coexist
+   idempotent phases run by {!Phases} under "oram-rebuild", the runner
+   the sorters use: entry-snapshot, gather, fillers, dedup sort, dedup
+   scan, bucket sort, trim scan, compaction, install, source clear. A
+   resumed process re-attaches the same scratch; the two inner sorts
+   checkpoint their own phases under their own "ext-sort/..." (or
+   columnsort/bucket) owners, which coexist
    with this one in the store's checkpoint table. Idempotency: gather,
    fillers and install rewrite their whole output from sources no phase
    before "clear" mutates; the two scans and the compaction are fixed
@@ -289,38 +289,21 @@ let do_rebuild t upto =
   in
   let candidate_blocks = List.fold_left (fun acc a -> acc + Ext_array.blocks a) 0 sources in
   let scratch_blocks = candidate_blocks + (buckets * t.z) in
-  let ck = Storage.journaled t.storage in
-  let done_phase, done_cursor =
-    if ck then Storage.checkpoint_state t.storage ~owner:rebuild_owner else (0, 0)
-  in
-  let scratch, done_phase =
-    if done_phase > 0 && done_cursor + scratch_blocks <= Storage.capacity t.storage then
-      (Ext_array.view t.storage ~base:done_cursor ~blocks:scratch_blocks, done_phase)
-    else (Ext_array.create t.storage ~blocks:scratch_blocks, 0)
-  in
-  let phase = ref 0 in
-  let run_phase f =
-    incr phase;
-    if !phase > done_phase then begin
-      f ();
-      if ck then
-        Storage.checkpoint t.storage ~owner:rebuild_owner ~phase:!phase
-          ~cursor:(Ext_array.base scratch)
-    end
-  in
+  let phases = Phases.start t.storage ~owner:rebuild_owner ~scratch:scratch_blocks in
+  let scratch = Phases.scratch phases in
   (* Phase 1 — entry: persist the pre-rebuild snapshot (counters,
      occupancy, and the rng state BEFORE the epoch key draw) with the
      in-flight marker set; the checkpoint commits it together with the
      stash writes of the accesses that triggered this rebuild, so a
      resumed process sees a consistent trigger-point state and re-draws
      the same key below. *)
-  run_phase (fun () -> persist_meta t ~inflight:upto);
+  Phases.run phases (fun () -> persist_meta t ~inflight:upto);
   let fresh_key = Odex_crypto.Prf.fresh_key t.rng in
   (* Phase 2 — gather all candidate words, stamping each with its
      source's age so the dedup keeps the newest copy: stash words carry
      positive access-counter timestamps, level-idx words get -(idx+1)
      (shallower = newer). *)
-  run_phase (fun () ->
+  Phases.run phases (fun () ->
       let cursor = ref 0 in
       List.iteri
         (fun src_pos src ->
@@ -334,7 +317,7 @@ let do_rebuild t upto =
         sources);
   (* Phase 3 — pre-placed fillers: z per bucket, sorting after the reals
      of their bucket (same aux, larger key). *)
-  run_phase (fun () ->
+  Phases.run phases (fun () ->
       for b = 0 to buckets - 1 do
         set_word t ~key:filler_key ~value:0 ~tag:0 ~aux:b;
         for j = 0 to t.z - 1 do
@@ -344,10 +327,11 @@ let do_rebuild t upto =
   (* Phase 4 — deduplicate: sort by (address, newest first); timestamps
      ride in [tag]. Fillers (key = max_int) sort to the end and survive.
      The inner sort checkpoints its own phases under its own owner. *)
-  run_phase (fun () -> Odex_sortnet.Ext_sort.run t.sorter ~order:Order.Dedup ~m:t.m scratch);
+  Phases.run phases (fun () ->
+      Odex_sortnet.Ext_sort.run t.sorter ~order:Order.Dedup ~m:t.m scratch);
   (* Phase 5 — dedup scan, assigning the epoch bucket while we hold each
      block. *)
-  run_phase (fun () ->
+  Phases.run phases (fun () ->
       let prev = ref min_int in
       for i = 0 to Ext_array.blocks scratch - 1 do
         get_word t scratch i;
@@ -364,10 +348,10 @@ let do_rebuild t upto =
       done);
   (* Phase 6 — group by bucket (reals before fillers via the key
      tiebreak). *)
-  run_phase (fun () ->
+  Phases.run phases (fun () ->
       Odex_sortnet.Ext_sort.run t.sorter ~order:Order.By_aux ~m:t.m scratch);
   (* Phase 7 — keep the first z entries of every bucket. *)
-  run_phase (fun () ->
+  Phases.run phases (fun () ->
       let cur_bucket = ref (-1) in
       let in_bucket = ref 0 in
       for i = 0 to Ext_array.blocks scratch - 1 do
@@ -390,14 +374,14 @@ let do_rebuild t upto =
       done;
       persist_healthy t);
   (* Phase 8 — compact: each bucket ends up exactly z aligned blocks. *)
-  run_phase (fun () ->
+  Phases.run phases (fun () ->
       let occupied = Odex.Butterfly.compact ~m:t.m scratch in
       if occupied <> buckets * t.z then begin
         t.healthy <- false;
         persist_healthy t
       end);
   (* Phase 9 — install: fillers become empty slots. *)
-  run_phase (fun () ->
+  Phases.run phases (fun () ->
       for i = 0 to (buckets * t.z) - 1 do
         get_word t scratch i;
         if Flat.is_item t.word (w0 t) && Flat.key t.word (w0 t) <> filler_key then
@@ -409,7 +393,7 @@ let do_rebuild t upto =
   target.key <- fresh_key;
   target.occupied <- true;
   (* Phase 10 — clear the merged sources. *)
-  run_phase (fun () ->
+  Phases.run phases (fun () ->
       clear_array t t.stash;
       for idx = 0 to upto - 1 do
         if t.levels.(idx).occupied then clear_array t t.levels.(idx).region
@@ -421,10 +405,8 @@ let do_rebuild t upto =
      now past the key draw) and the slot clear land in one commit, so
      the install itself is crash-durable and a later crash resumes from
      this boundary. *)
-  if ck then begin
-    persist_meta t ~inflight:(-1);
-    Storage.checkpoint_clear t.storage ~owner:rebuild_owner
-  end
+  persist_meta t ~inflight:(-1);
+  Phases.finish phases
 
 let rebuild t upto =
   t.rebuild_count <- t.rebuild_count + 1;

@@ -88,55 +88,50 @@ let simulate plan ~master ~b ~n_blocks =
 let simulate_overflow plan ~master ~b ~n_blocks =
   snd (simulate plan ~master ~b ~n_blocks)
 
-(* Checkpoint scaffold, same shape as the bitonic path: one slot per
-   owner, phase counter + scratch base as cursor, cleared on completion.
-   Phases re-run after a crash are byte-identical because each one
-   reads only areas the previous checkpoint committed. *)
-let attach_scratch storage ~owner ~blocks =
-  let ck = Storage.journaled storage in
-  let done_phase, done_cursor =
-    if ck then Storage.checkpoint_state storage ~owner else (0, 0)
-  in
-  let scratch, done_phase =
-    if done_phase > 0 && done_cursor >= 0 && done_cursor + blocks <= Storage.capacity storage
-    then (Ext_array.view storage ~base:done_cursor ~blocks, done_phase)
-    else (Ext_array.create storage ~blocks, 0)
-  in
-  let counter = ref 0 in
-  let run_phase f =
-    incr counter;
-    if !counter > done_phase then begin
-      f ();
-      if ck then
-        Storage.checkpoint storage ~owner ~phase:!counter ~cursor:(Ext_array.base scratch)
-    end
-  in
-  let finish () = if ck then Storage.checkpoint_clear storage ~owner in
-  (scratch, run_phase, finish)
+(* The kernels below never look at a cell: they move encoded images
+   between flat buffers ({!Flat}) read and written as whole runs, with no
+   decode. The routing unit is a cell, or — for shuffle passes whose
+   blocks must stay intact — a whole block slot, which the same kernels
+   move as one unit per block. Units are walked by byte offset, so no
+   unit costs a division.
 
-(* The kernels below never look at a cell: they move encoded cell
-   images between flat buffers ({!Flat}) read and written as whole runs,
-   with no decode. Cells are walked by byte offset — the next cell of a
-   block is [Flat.cell_bytes] on, the first cell of the next block a
-   further [Flat.header_bytes] — so no cell costs a division. *)
+   A cursor is a position in a flat run — the current unit's byte offset
+   [off] and its index [slot] within its block — together with the
+   grain it steps by: the unit's size [bytes], [per] units per block,
+   and [first], the offset of a block's first unit past its header
+   (0 for slots), which a step off a block's last unit also skips.
+   Keeping the grain in the cursor makes a step read one record.
+   [cells b] and [slots b] are the two grains, positioned at a run's
+   start. *)
+type cursor = { bytes : int; per : int; first : int; mutable off : int; mutable slot : int }
 
-(* A cell position in a flat run: byte offset and slot within its
-   block. *)
-type cursor = { mutable off : int; mutable slot : int }
+let cells b =
+  let first = Flat.header_bytes in
+  { bytes = Flat.cell_bytes; per = b; first; off = first; slot = 0 }
 
-let cursor () = { off = Flat.header_bytes; slot = 0 }
+let slots b = { bytes = Flat.stride_of ~block_size:b; per = 1; first = 0; off = 0; slot = 0 }
+let cursor u = { u with off = u.first; slot = 0 }
 
 let rewind c =
-  c.off <- Flat.header_bytes;
+  c.off <- c.first;
   c.slot <- 0
 
-(* Step to the next cell, branch-free: [wrap] is 1 when leaving a
-   block's last cell, which also skips the next block's header. *)
-let[@inline] advance c ~b =
+(* Step to the next unit, branch-free: [wrap] is 1 when leaving a
+   block's last unit, which also skips the next block's header. *)
+let[@inline] advance c =
   let k = c.slot + 1 in
-  let wrap = Bool.to_int (k = b) in
-  c.slot <- k * (1 - wrap);
-  c.off <- c.off + Flat.cell_bytes + (Flat.header_bytes * wrap)
+  let wrap = Bool.to_int (k = c.per) in
+  c.slot <- k land (wrap - 1);
+  c.off <- c.off + c.bytes + (c.first land -wrap)
+
+(* Copy or clear one unit of [c]'s grain, at byte offsets. *)
+let[@inline] copy c src soff dst doff =
+  if c.bytes = Flat.cell_bytes then Flat.copy_cell src soff dst doff
+  else Odex_crypto.Bigbuf.blit (Flat.buffer src) soff (Flat.buffer dst) doff c.bytes
+
+let[@inline] clear c f off =
+  if c.bytes = Flat.cell_bytes then Flat.clear_cell f off
+  else Odex_crypto.Bigbuf.zero (Flat.buffer f) off c.bytes
 
 (* Move the initial half-fills into area [dst]: whole-block copies,
    shape-determined. *)
@@ -155,51 +150,51 @@ let scatter_phase a dst plan =
   done
 
 (* One butterfly level: for each bucket pair (g, g|2^l), MergeSplit by a
-   fresh coin bit per cell. Reads the occupied prefix of [src] (count
-   [before], from the replayed table) and deals each cell image into one
-   of two side buffers — the coin is the side's index, so the deal has
-   no data-dependent branch — then writes each side's packed prefix,
+   fresh coin bit per unit. Reads the occupied prefix of [src] (count
+   [before], from the replayed table) and deals each unit's image into
+   one of two side buffers — the coin is the side's index, so the deal
+   has no data-dependent branch — then writes each side's packed prefix,
    sized by [after] (the next level's replayed counts), into [dst].
-   Cells beyond a bucket's count are stale and never read; the tail of
-   a side's last block is zeroed, an all-zero image being [Empty].
-   Excess cells on an overflowing side are dropped ([after] is capped
-   at Z) — the trace is already fixed by the counts, so the drop is
+   Units beyond a bucket's count are stale and never read; the tail of a
+   side's last block is zeroed, an all-zero image being [Empty]. Excess
+   units on an overflowing side are dropped ([after] is capped at Z) —
+   the trace is already fixed by the counts, so the drop is
    Alice-private. The four buffers (two sources, two sides) are the
    4·zb blocks {!feasible} charges, allocated once per level. *)
-let route_level ~src ~dst plan ~before ~after ~master l =
-  let b = Ext_array.block_size src in
+let route_level u ~src ~dst plan ~before ~after ~master l =
   let rng = level_rng ~master l in
   let stride = 1 lsl l in
-  let flat () = Flat.create ~block_size:b ~blocks:plan.zb in
+  let flat () = Flat.create ~block_size:(Ext_array.block_size src) ~blocks:plan.zb in
   let from_g = flat () and from_h = flat () in
   let sides = [| flat (); flat () |] in
-  (* Per side (0 = lo, 1 = hi): cells dealt and the next free cell. *)
-  let dealt = [| 0; 0 |] and at = [| cursor (); cursor () |] in
+  (* Per side (0 = lo, 1 = hi): units dealt and the next free unit. *)
+  let dealt = [| 0; 0 |] and at = [| cursor u; cursor u |] in
   let read bucket buf =
     let cnt = before.(bucket) in
-    if cnt > 0 then Ext_array.read_flat src (bucket * plan.zb) ~count:(Emodel.ceil_div cnt b) buf
+    if cnt > 0 then
+      Ext_array.read_flat src (bucket * plan.zb) ~count:(Emodel.ceil_div cnt u.per) buf
   in
-  let from = cursor () in
+  let from = cursor u in
   let deal buf cnt =
     rewind from;
     for _ = 1 to cnt do
       let s = Bool.to_int (Odex_crypto.Rng.bool rng) in
       if dealt.(s) < plan.z then begin
-        Flat.copy_cell buf from.off sides.(s) at.(s).off;
-        advance at.(s) ~b
+        copy from buf from.off sides.(s) at.(s).off;
+        advance at.(s)
       end;
       dealt.(s) <- dealt.(s) + 1;
-      advance from ~b
+      advance from
     done
   in
   let write bucket s =
     let cnt = after.(bucket) in
-    let nb = Emodel.ceil_div cnt b in
+    let nb = Emodel.ceil_div cnt u.per in
     if nb > 0 then begin
       let side = sides.(s) and c = at.(s) in
-      for _ = cnt to (nb * b) - 1 do
-        Flat.clear_cell side c.off;
-        advance c ~b
+      for _ = cnt to (nb * u.per) - 1 do
+        clear c side c.off;
+        advance c
       done;
       Ext_array.write_flat dst (bucket * plan.zb) ~count:nb side
     end
@@ -220,6 +215,39 @@ let route_level ~src ~dst plan ~before ~after ~master l =
     end
   done
 
+(* The routing prefix both pipelines share, run by {!Phases} under
+   [owner]: attach the two ping-pong scratch areas, replay the counts,
+   scatter, route every level. Phases re-run after a crash are
+   byte-identical because each one reads only areas the previous
+   checkpoint committed. *)
+type routing = {
+  phases : Phases.t;
+  final : int array;  (** per-bucket unit counts after the last level *)
+  overflow : bool;
+  routed : Ext_array.t;  (** the area holding the routed buckets *)
+  spare : Ext_array.t;  (** the other area, free for the next phases *)
+}
+
+let route u ~owner plan ~master a =
+  let n = Ext_array.blocks a in
+  let area = plan.beta * plan.zb in
+  let phases =
+    Phases.start (Ext_array.storage a)
+      ~owner:(Printf.sprintf "%s/%d/%d" owner (Ext_array.base a) n)
+      ~scratch:(2 * area)
+  in
+  let area_a = Ext_array.sub (Phases.scratch phases) ~off:0 ~len:area in
+  let area_b = Ext_array.sub (Phases.scratch phases) ~off:area ~len:area in
+  let counts, overflow = simulate plan ~master ~b:u.per ~n_blocks:n in
+  Phases.run phases (fun () -> scatter_phase a area_a plan);
+  for l = 0 to plan.levels - 1 do
+    let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
+    Phases.run phases (fun () ->
+        route_level u ~src ~dst plan ~before:counts.(l) ~after:counts.(l + 1) ~master l)
+  done;
+  let routed, spare = if plan.levels land 1 = 1 then (area_b, area_a) else (area_a, area_b) in
+  { phases; final = counts.(plan.levels); overflow; routed; spare }
+
 (* Finalize order: a fresh random priority per element, ties broken by
    the element's position in its bucket, so the order is total. The
    pair is packed into one int — priority above, position (a byte
@@ -233,53 +261,53 @@ let priority_keys rng ~count ~pos =
   Array.sort Int.compare keys;
   (keys, (1 lsl shift) - 1)
 
-(* Emit every counted cell of [src]'s buckets in a fresh uniform
+(* Emit every counted unit of [src]'s buckets in a fresh uniform
    within-bucket order, then pad with empties so exactly [blocks a]
-   blocks are written. Output cells collect in a staging run of zb + 1
+   blocks are written. Output units collect in a staging run of zb + 1
    blocks; the blocks a bucket completes are written as one run right
    after that bucket is read — the same point in the schedule a
    block-at-a-time emitter writes them — and the partial block carries
    over. *)
-let finalize_cells ~src plan ~counts ~master a =
+let finalize u ~src plan ~counts ~master a =
   let b = Ext_array.block_size a in
   let n = Ext_array.blocks a in
   let rng = finalize_rng ~master in
   let bucket = Flat.create ~block_size:b ~blocks:plan.zb in
   let out = Flat.create ~block_size:b ~blocks:(plan.zb + 1) in
   let written = ref 0 and fill = ref 0 in
-  let next = cursor () and from = cursor () in
+  let next = cursor u and from = cursor u in
   for g = 0 to plan.beta - 1 do
     let cnt = counts.(g) in
     if cnt > 0 then begin
-      Ext_array.read_flat src (g * plan.zb) ~count:(Emodel.ceil_div cnt b) bucket;
+      Ext_array.read_flat src (g * plan.zb) ~count:(Emodel.ceil_div cnt u.per) bucket;
       let offs = Array.make cnt 0 in
       rewind from;
       for j = 0 to cnt - 1 do
         offs.(j) <- from.off;
-        advance from ~b
+        advance from
       done;
       let keys, mask = priority_keys rng ~count:cnt ~pos:(Array.get offs) in
       Array.iter
         (fun key ->
-          Flat.copy_cell bucket (key land mask) out next.off;
-          advance next ~b)
+          copy next bucket (key land mask) out next.off;
+          advance next)
         keys;
       fill := !fill + cnt;
-      let full = !fill / b in
+      let full = !fill / u.per in
       if full > 0 then begin
         Ext_array.write_flat a !written ~count:full out;
         written := !written + full;
-        fill := !fill - (full * b);
+        fill := !fill - (full * u.per);
         if !fill > 0 then Flat.copy_block out full out 0;
-        next.off <- Flat.cell_offset out ~block:0 ~slot:!fill;
+        next.off <- u.first + (!fill * u.bytes);
         next.slot <- !fill
       end
     end
   done;
   if !written < n then begin
-    for _ = !fill to b - 1 do
-      Flat.clear_cell out next.off;
-      advance next ~b
+    for _ = !fill to u.per - 1 do
+      clear next out next.off;
+      advance next
     done;
     Flat.clear_blocks out 1 plan.zb;
     while !written < n do
@@ -293,12 +321,11 @@ let finalize_cells ~src plan ~counts ~master a =
 type outcome = { ok : bool }
 
 (* In-cache fallback: the whole array staged once, a private
-   Fisher–Yates over its cells ([cells]) or its blocks, one write —
-   fixed trace. The shuffle permutes unit indices; the images then move
-   in that order. *)
-let cache_permute ~cells ~master ~m a =
+   Fisher–Yates over its units, one write — fixed trace. The shuffle
+   permutes unit indices; the images then move in that order. *)
+let cache_permute u ~master ~m a =
   Stage.whole ~m a (fun src dst ->
-      let units = if cells then Ext_array.cells a else Ext_array.blocks a in
+      let units = Ext_array.blocks a * u.per in
       let perm = Array.init units Fun.id in
       let rng = finalize_rng ~master in
       for i = units - 1 downto 1 do
@@ -307,133 +334,45 @@ let cache_permute ~cells ~master ~m a =
         perm.(i) <- perm.(j);
         perm.(j) <- t
       done;
-      if cells then Stage.gather src (Array.map (Stage.offset src) perm) ~first:0 ~len:units dst
-      else Array.iteri (fun k p -> Flat.copy_block src p dst k) perm;
+      let stride = Flat.stride_of ~block_size:(Ext_array.block_size a) in
+      let at k = ((k / u.per) * stride) + u.first + ((k mod u.per) * u.bytes) in
+      Array.iteri (fun k p -> copy u src (at p) dst (at k)) perm;
       dst)
 
-(* ------------------------------------------------------------------ *)
-(* Block-granularity routing: blocks travel through the butterfly
-   unopened, for shuffle passes whose blocks must stay intact.        *)
-(* ------------------------------------------------------------------ *)
-
-let route_level_blocks ~src ~dst plan ~before ~master l =
-  let rng = level_rng ~master l in
-  let stride = 1 lsl l in
-  let flat () = Flat.create ~block_size:(Ext_array.block_size src) ~blocks:plan.zb in
-  let from_g = flat () and from_h = flat () in
-  let sides = [| flat (); flat () |] in
-  let dealt = [| 0; 0 |] in
-  let gather bucket buf =
-    let cnt = before.(bucket) in
-    if cnt > 0 then Ext_array.read_flat src (bucket * plan.zb) ~count:cnt buf
-  in
-  let route buf cnt =
-    for j = 0 to cnt - 1 do
-      let s = Bool.to_int (Odex_crypto.Rng.bool rng) in
-      if dealt.(s) < plan.z then Flat.copy_block buf j sides.(s) dealt.(s);
-      dealt.(s) <- dealt.(s) + 1
-    done
-  in
-  let scatter bucket s =
-    let cnt = min plan.z dealt.(s) in
-    if cnt > 0 then Ext_array.write_flat dst (bucket * plan.zb) ~count:cnt sides.(s)
-  in
-  for g = 0 to plan.beta - 1 do
-    if g land stride = 0 then begin
-      let h = g lor stride in
-      gather g from_g;
-      gather h from_h;
-      dealt.(0) <- 0;
-      dealt.(1) <- 0;
-      route from_g before.(g);
-      route from_h before.(h);
-      scatter g 0;
-      scatter h 1
-    end
-  done
-
-let finalize_blocks ~src plan ~counts ~master a =
-  let n = Ext_array.blocks a in
-  let rng = finalize_rng ~master in
-  let flat () = Flat.create ~block_size:(Ext_array.block_size a) ~blocks:plan.zb in
-  let bucket = flat () and out = flat () in
-  let written = ref 0 in
-  for g = 0 to plan.beta - 1 do
-    let cnt = counts.(g) in
-    if cnt > 0 then begin
-      Ext_array.read_flat src (g * plan.zb) ~count:cnt bucket;
-      let keys, mask = priority_keys rng ~count:cnt ~pos:Fun.id in
-      Array.iteri (fun k key -> Flat.copy_block bucket (key land mask) out k) keys;
-      Ext_array.write_flat a !written ~count:cnt out;
-      written := !written + cnt
-    end
-  done;
-  Flat.clear_blocks out 0 plan.zb;
-  while !written < n do
-    let c = min plan.zb (n - !written) in
-    Ext_array.write_flat a !written ~count:c out;
-    written := !written + c
-  done
-
-(* ------------------------------------------------------------------ *)
-(* The permutation driver, one for both granularities. [b] is the
-   routing unit's size in cells — the array's block size when cells
-   travel, 1 when a b:1 plan over the block count moves whole blocks —
-   and the kernels do that granularity's in-cache shuffle, level
-   routing and final emission.                                        *)
-(* ------------------------------------------------------------------ *)
-
-let permute_with ~cache ~route ~finalize ~b ?z_cells ~rng ~m a =
+(* The permutation: the shared routing, then one phase emitting every
+   bucket in a fresh order. [u] is the routing unit — a cell, or a whole
+   block under a b:1 plan over the block count. *)
+let permute_with u ?z_cells ~rng ~m a =
   let n = Ext_array.blocks a in
   if n = 0 then { ok = true }
   else begin
     let master = Odex_crypto.Rng.int rng 0x3FFFFFFF in
     if n <= m then begin
-      cache ~master ~m a;
+      cache_permute u ~master ~m a;
       { ok = true }
     end
     else begin
       let plan =
         match z_cells with
         | Some z ->
-            let p = make_plan ~b ~z_cells:z ~n_cells:(n * b) in
+            let p = make_plan ~b:u.per ~z_cells:z ~n_cells:(n * u.per) in
             if not (feasible ~m p) then
               invalid_arg "Bucket_sort.permute: bucket size does not fit the cache";
             p
         | None -> (
-            match auto_plan ~b ~m ~n_cells:(n * b) with
+            match auto_plan ~b:u.per ~m ~n_cells:(n * u.per) with
             | Some p -> p
             | None -> invalid_arg "Bucket_sort.permute: need m >= 18 blocks")
       in
-      let storage = Ext_array.storage a in
-      let owner = Printf.sprintf "bucket-perm/%d/%d" (Ext_array.base a) n in
-      let area = plan.beta * plan.zb in
-      let scratch, run_phase, finish = attach_scratch storage ~owner ~blocks:(2 * area) in
-      let area_a = Ext_array.sub scratch ~off:0 ~len:area in
-      let area_b = Ext_array.sub scratch ~off:area ~len:area in
-      let counts, overflow = simulate plan ~master ~b ~n_blocks:n in
-      run_phase (fun () -> scatter_phase a area_a plan);
-      for l = 0 to plan.levels - 1 do
-        let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
-        run_phase (fun () ->
-            route ~src ~dst plan ~before:counts.(l) ~after:counts.(l + 1) ~master l)
-      done;
-      let final = if plan.levels land 1 = 1 then area_b else area_a in
-      run_phase (fun () -> finalize ~src:final plan ~counts:counts.(plan.levels) ~master a);
-      finish ();
-      { ok = not overflow }
+      let r = route u ~owner:"bucket-perm" plan ~master a in
+      Phases.run r.phases (fun () -> finalize u ~src:r.routed plan ~counts:r.final ~master a);
+      Phases.finish r.phases;
+      { ok = not r.overflow }
     end
   end
 
-let permute ?z_cells ~rng ~m a =
-  permute_with ~cache:(cache_permute ~cells:true) ~route:route_level ~finalize:finalize_cells
-    ~b:(Ext_array.block_size a) ?z_cells ~rng ~m a
-
-let permute_blocks ~rng ~m a =
-  permute_with ~cache:(cache_permute ~cells:false)
-    ~route:(fun ~src ~dst plan ~before ~after:_ ~master l ->
-      route_level_blocks ~src ~dst plan ~before ~master l)
-    ~finalize:finalize_blocks ~b:1 ~rng ~m a
+let permute ?z_cells ~rng ~m a = permute_with (cells (Ext_array.block_size a)) ?z_cells ~rng ~m a
+let permute_blocks ~rng ~m a = permute_with (slots (Ext_array.block_size a)) ~rng ~m a
 
 (* ------------------------------------------------------------------ *)
 (* The sorter: route, locally sort bucket groups into runs, merge.    *)
@@ -549,7 +488,7 @@ let local_sort ~order ~src ~dst plan ~final_counts ~gpr ~run_cells ~run_offs =
   let group = Flat.create ~block_size:b ~blocks:(gpr * plan.zb) in
   let windows = Array.init gpr (fun i -> Flat.sub group ~off:(i * plan.zb) ~len:plan.zb) in
   let out = Flat.create ~block_size:b ~blocks:(gpr * plan.zb) in
-  let from = cursor () and next = cursor () in
+  let from = cells b and next = cells b in
   for j = 0 to Array.length run_cells - 1 do
     let offs = Array.make run_cells.(j) 0 in
     let pos = ref 0 in
@@ -563,7 +502,7 @@ let local_sort ~order ~src ~dst plan ~final_counts ~gpr ~run_cells ~run_offs =
         for _ = 1 to cnt do
           offs.(!pos) <- from.off;
           incr pos;
-          advance from ~b
+          advance from
         done
       end
     done;
@@ -574,11 +513,11 @@ let local_sort ~order ~src ~dst plan ~final_counts ~gpr ~run_cells ~run_offs =
       Array.iter
         (fun off ->
           Flat.copy_cell group off out next.off;
-          advance next ~b)
+          advance next)
         offs;
       for _ = run_cells.(j) to (nb * b) - 1 do
         Flat.clear_cell out next.off;
-        advance next ~b
+        advance next
       done;
       Ext_array.write_flat dst run_offs.(j) ~count:nb out
     end
@@ -590,33 +529,17 @@ let sort ~plan ~master ~real ~order ~m a =
   if not (feasible ~m plan) then invalid_arg "Bucket_sort.sort: plan does not fit the cache";
   if n = 0 then ()
   else begin
-    let storage = Ext_array.storage a in
-    let owner = Printf.sprintf "bucket-sort/%d/%d" (Ext_array.base a) n in
-    let area = plan.beta * plan.zb in
-    let scratch, run_phase, finish = attach_scratch storage ~owner ~blocks:(2 * area) in
-    let area_a = Ext_array.sub scratch ~off:0 ~len:area in
-    let area_b = Ext_array.sub scratch ~off:area ~len:area in
-    let counts, overflow = simulate plan ~master ~b ~n_blocks:n in
-    run_phase (fun () -> scatter_phase a area_a plan);
-    for l = 0 to plan.levels - 1 do
-      let src, dst = if l land 1 = 0 then (area_a, area_b) else (area_b, area_a) in
-      run_phase (fun () ->
-          route_level ~src ~dst plan ~before:counts.(l) ~after:counts.(l + 1) ~master l)
-    done;
-    let routed, spare =
-      if plan.levels land 1 = 1 then (area_b, area_a) else (area_a, area_b)
-    in
+    let r = route (cells b) ~owner:"bucket-sort" plan ~master a in
     (* Local sort: groups of [gpr] routed buckets become one sorted run
        in [spare], packed at shape-and-coin-determined offsets. The run
        count is shape-determined, so the merge phase structure is too. *)
-    let final_counts = counts.(plan.levels) in
     let gpr = max 1 (m / (2 * plan.zb)) in
     let nruns = Emodel.ceil_div plan.beta gpr in
     let run_cells =
       Array.init nruns (fun j ->
           let cells = ref 0 in
           for g = j * gpr to min plan.beta ((j + 1) * gpr) - 1 do
-            cells := !cells + final_counts.(g)
+            cells := !cells + r.final.(g)
           done;
           !cells)
     in
@@ -624,8 +547,9 @@ let sort ~plan ~master ~real ~order ~m a =
     for j = 1 to nruns - 1 do
       run_offs.(j) <- run_offs.(j - 1) + Emodel.ceil_div run_cells.(j - 1) b
     done;
-    run_phase (fun () ->
-        local_sort ~order ~src:routed ~dst:spare plan ~final_counts ~gpr ~run_cells ~run_offs);
+    Phases.run r.phases (fun () ->
+        local_sort ~order ~src:r.routed ~dst:r.spare plan ~final_counts:r.final ~gpr ~run_cells
+          ~run_offs);
     (* Merge passes ping-pong between the two areas until one run
        remains. *)
     let fan = max 2 (min nruns (m - 1)) in
@@ -645,7 +569,7 @@ let sort ~plan ~master ~real ~order ~m a =
           out_runs.(gj) <- (!off, !cells);
           off := !off + Emodel.ceil_div !cells b
         done;
-        run_phase (fun () ->
+        Phases.run r.phases (fun () ->
             for gj = 0 to ngroups - 1 do
               let lo = gj * fan and hi = min k ((gj + 1) * fan) in
               merge_group ~order ~src ~dst ~dst_off:(fst out_runs.(gj))
@@ -655,11 +579,11 @@ let sort ~plan ~master ~real ~order ~m a =
       end
     in
     let runs0 = Array.init nruns (fun j -> (run_offs.(j), run_cells.(j))) in
-    let final_area, _ = passes spare routed runs0 in
-    if overflow then begin
+    let final_area, _ = passes r.spare r.routed runs0 in
+    if r.overflow then begin
       (* The full schedule above already ran (the event is coin-public,
          so both members of a pair stop identically); leave [a] intact. *)
-      finish ();
+      Phases.finish r.phases;
       raise
         (Overflow
            (Printf.sprintf "bucket sort: bucket overflow (Z = %d cells, beta = %d)" plan.z
@@ -668,7 +592,7 @@ let sort ~plan ~master ~real ~order ~m a =
     (* Copy-back reads both the merged result and the array's current
        content: a dummy pass writes the latter back, so selective runs
        keep their fixed trace without touching the data. *)
-    run_phase (fun () ->
+    Phases.run r.phases (fun () ->
         let chunk = max 1 (min 32 ((m - 1) / 2)) in
         let merged = Flat.create ~block_size:b ~blocks:chunk in
         let current = Flat.create ~block_size:b ~blocks:chunk in
@@ -680,5 +604,5 @@ let sort ~plan ~master ~real ~order ~m a =
           Ext_array.write_flat a !off ~count:len (if real then merged else current);
           off := !off + len
         done);
-    finish ()
+    Phases.finish r.phases
   end

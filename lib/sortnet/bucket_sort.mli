@@ -23,13 +23,14 @@
     mode plus the statistical trace-distribution check, see
     {!Odex_obcheck.Pairtest} and {!Odex_obcheck.Statcheck}).
 
-    Crash-resume: both pipelines checkpoint once per butterfly level /
-    merge pass (owners ["bucket-perm/<base>/<n>"] and
-    ["bucket-sort/<base>/<n>"]). Levels route between two ping-pong
-    scratch areas, so every phase reads only data the previous
-    checkpoint committed and re-running a torn phase is byte-identical;
-    the private counts are re-derived on resume by replaying the coins
-    with {!simulate_overflow}'s machinery. *)
+    Crash-resume: both pipelines share one routing prefix run by
+    {!Odex_extmem.Phases} — the scatter and every butterfly level are one
+    phase each — and then checkpoint every further pass (owners
+    ["bucket-perm/<base>/<n>"] and ["bucket-sort/<base>/<n>"]). Levels
+    route between two ping-pong scratch areas, so every phase reads only
+    data the previous checkpoint committed and re-running a torn phase is
+    byte-identical; the private counts are re-derived on resume by
+    replaying the coins with {!simulate_overflow}'s machinery. *)
 
 open Odex_extmem
 
@@ -125,6 +126,8 @@ val permute : ?z_cells:int -> rng:Odex_crypto.Rng.t -> m:int -> Ext_array.t -> o
 
 val permute_blocks : rng:Odex_crypto.Rng.t -> m:int -> Ext_array.t -> outcome
 (** Same routing at {e block} granularity: blocks travel through the
-    butterfly unopened. This is the drop-in replacement for the Knuth
+    butterfly unopened. The kernels are {!permute}'s with a whole block
+    slot as the unit, one unit per block, under a plan over the block
+    count. This is the drop-in replacement for the Knuth
     shuffle in shuffle-and-deal passes ({!Odex.Shuffle_deal}), where
     block payloads must stay intact. *)

@@ -185,17 +185,12 @@ let cost ~blocks ~b ~m =
       in
       Some ((5 * blocks) + (3 * nb) + untranspose + windows, nb)
 
-(* Phase-checkpointed execution on a journaled store, the same scaffold
-   as the bitonic and bucket paths: the eight columnsort steps are cut
-   into a deterministic phase sequence — one phase per column sort, the
-   transpose/untranspose permutations, one per boundary window — each of
-   which is idempotent (re-sorting a sorted range, or re-running a
-   read-only-source permutation, is a fixed point), so a killed sort
-   reopened with [resume:true] skips the committed phases and re-enters
-   at the first incomplete one. The cursor persists the scratch's base,
-   so a resumed run re-attaches it. The owner folds in the input's base
-   and shape and lives in the store's checkpoint table alongside any
-   other in-flight algorithm's slot. *)
+(* Phase-checkpointed execution ({!Phases}) under owner
+   "columnsort/<base>/<blocks>": one phase per column sort, the
+   transpose and untranspose permutations, one per boundary window. Each
+   is idempotent — re-sorting a sorted range, or re-running a
+   read-only-source permutation, is a fixed point. The runner's scratch
+   is the transposition scratch; one column needs none. *)
 let exec ~real ~order ~m a =
   let blocks = Ext_array.blocks a in
   let b = Ext_array.block_size a in
@@ -207,51 +202,33 @@ let exec ~real ~order ~m a =
             (capacity ~%d); use bitonic_windowed"
            (blocks * b) m b (capacity ~b ~m))
   | Some (r, s) ->
-      let storage = Ext_array.storage a in
-      let nb = r * s / b in
-      let ck = Storage.journaled storage in
-      let owner = Printf.sprintf "columnsort/%d/%d" (Ext_array.base a) blocks in
-      let done_phase, done_cursor =
-        if ck then Storage.checkpoint_state storage ~owner else (0, 0)
-      in
       (* Alice's staging, allocated once per sort: no stage below holds
          more than a window of w = r/B + 1 blocks. *)
       let w = (r / b) + 1 in
       Residency.check ~m w;
       let src = Flat.create ~block_size:b ~blocks:w and dst = Flat.create ~block_size:b ~blocks:w in
       let offs = Array.make r 0 in
-      (* One column needs no transposition and so no scratch. *)
-      let scratch, done_phase =
-        if s = 1 then (None, done_phase)
-        else if done_phase > 0 && done_cursor >= 0 && done_cursor + nb <= Storage.capacity storage
-        then (Some (Ext_array.view storage ~base:done_cursor ~blocks:nb), done_phase)
-        else (Some (Ext_array.create storage ~blocks:nb), 0)
-      in
-      let cursor = Option.fold ~none:0 ~some:Ext_array.base scratch in
-      let phase = ref 0 in
-      let run_phase f =
-        incr phase;
-        if !phase > done_phase then begin
-          f ();
-          if ck then Storage.checkpoint storage ~owner ~phase:!phase ~cursor
-        end
+      let phases =
+        Phases.start (Ext_array.storage a)
+          ~owner:(Printf.sprintf "columnsort/%d/%d" (Ext_array.base a) blocks)
+          ~scratch:(if s = 1 then 0 else r * s / b)
       in
       let sort_columns arr =
         for j = 0 to s - 1 do
-          run_phase (fun () -> sort_range ~src ~dst ~offs ~real ~order arr (j * r))
+          Phases.run phases (fun () -> sort_range ~src ~dst ~offs ~real ~order arr (j * r))
         done
       in
       sort_columns a;
-      Option.iter
-        (fun scratch ->
-          run_phase (fun () -> transpose_scatter ~r ~s a scratch);
-          sort_columns scratch;
-          run_phase (fun () -> untranspose_gather ~r ~s scratch a);
-          sort_columns a;
-          (* Steps 6-8 without copying: sort the r-cell windows that
-             straddle adjacent column boundaries. *)
-          for j = 0 to s - 2 do
-            run_phase (fun () -> sort_range ~src ~dst ~offs ~real ~order a ((j * r) + (r / 2)))
-          done)
-        scratch;
-      if ck then Storage.checkpoint_clear storage ~owner
+      if s > 1 then begin
+        let scratch = Phases.scratch phases in
+        Phases.run phases (fun () -> transpose_scatter ~r ~s a scratch);
+        sort_columns scratch;
+        Phases.run phases (fun () -> untranspose_gather ~r ~s scratch a);
+        sort_columns a;
+        (* Steps 6-8 without copying: sort the r-cell windows that
+           straddle adjacent column boundaries. *)
+        for j = 0 to s - 2 do
+          Phases.run phases (fun () -> sort_range ~src ~dst ~offs ~real ~order a ((j * r) + (r / 2)))
+        done
+      end;
+      Phases.finish phases

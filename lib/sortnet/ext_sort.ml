@@ -97,28 +97,15 @@ let network_scratch n =
 let chunk_levels ~levels_per_pass m =
   if m < 2 then 1 else max 1 (min (levels_per_pass m) (Emodel.ilog2_floor m))
 
-(* Phase-checkpointed execution on a journaled store: the network is cut
-   into a deterministic sequence of phases — the pre-sort/copy scan,
-   one per chunk pass, the copy-back — numbered identically on every run
-   with the same (n, m). After each phase the journal checkpoint slot is
-   advanced, so a killed run reopened with [resume:true] skips the
-   phases already committed and restarts from the first incomplete one.
-   That is sound because every phase is idempotent: re-running a
+(* Phase-checkpointed execution ({!Phases}) under owner
+   "ext-sort/<base>/<blocks>": the pre-sort/copy scan, one phase per
+   chunk pass, the copy-back. Every phase is idempotent — re-running a
    compare-exchange pass (or either copy scan) on its own output is a
-   fixed point, so at-least-once phase execution converges to the same
-   array. The slot's cursor persists the padded work array's base
-   address, letting the resumed run re-attach it instead of allocating a
-   fresh one (a crash before the first checkpoint re-allocates — the
-   orphaned scratch is the price of not having committed anything yet).
-
-   The owner string folds in the array base and block count: a slot
-   written by a different array (or a differently-shaped sort) is
-   ignored. The store's checkpoint table keys slots by the full owner
-   string, so a sort nested inside another checkpointed computation (the
-   ORAM rebuild) keeps its slot without clobbering its host's — resuming
-   is still sound only for the same deterministic sort invocation that
-   wrote the slot (see {!Storage.checkpoint}). On unjournaled stores all
-   of this costs two integer reads and no I/O. *)
+   fixed point — so at-least-once execution converges to the same array.
+   The runner's scratch is the padded work array; an unpadded network
+   works in place and takes none. A sort nested inside another
+   checkpointed computation (the ORAM rebuild) keeps its own slot beside
+   its host's. *)
 
 let bitonic_exec ~levels_per_pass ~real ~order ~m a =
   let n = Ext_array.blocks a in
@@ -131,27 +118,12 @@ let bitonic_exec ~levels_per_pass ~real ~order ~m a =
     let lpp = chunk_levels ~levels_per_pass m in
     let gmax = min n2 (1 lsl lpp) in
     Residency.check ~m gmax;
-    let ck = Storage.journaled storage in
-    let owner = Printf.sprintf "ext-sort/%d/%d" (Ext_array.base a) n in
-    let done_phase, done_cursor =
-      if ck then Storage.checkpoint_state storage ~owner else (0, 0)
+    let phases =
+      Phases.start storage
+        ~owner:(Printf.sprintf "ext-sort/%d/%d" (Ext_array.base a) n)
+        ~scratch:(network_scratch n)
     in
-    let work, done_phase =
-      if n2 = n then (a, done_phase)
-      else if
-        done_phase > 0 && done_cursor >= 0 && done_cursor + n2 <= Storage.capacity storage
-      then (Ext_array.view storage ~base:done_cursor ~blocks:n2, done_phase)
-      else (Ext_array.create storage ~blocks:n2, 0)
-    in
-    let phase = ref 0 in
-    let run_phase f =
-      incr phase;
-      if !phase > done_phase then begin
-        f ();
-        if ck then
-          Storage.checkpoint storage ~owner ~phase:!phase ~cursor:(Ext_array.base work)
-      end
-    in
+    let work = if n2 = n then a else Phases.scratch phases in
     (* Alice's staging, allocated once per sort: a chunk group (or a
        32-block scan run) as read, [input], and as written, [output];
        [one] carries a strided group's blocks; [pos] holds a group's
@@ -225,7 +197,7 @@ let bitonic_exec ~levels_per_pass ~real ~order ~m a =
     in
     (* Pre-sort each block internally (and copy into the padded work
        array when needed); padding blocks are already all-empty = +∞. *)
-    run_phase (fun () -> scan ~presort:real a work);
+    Phases.run phases (fun () -> scan ~presort:real a work);
     let stage = ref 2 in
     while !stage <= n2 do
       let top = Emodel.ilog2_floor !stage - 1 in
@@ -233,16 +205,14 @@ let bitonic_exec ~levels_per_pass ~real ~order ~m a =
       while !hi >= 0 do
         let lo = max 0 (!hi - lpp + 1) in
         let stage_now = !stage and hi_now = !hi in
-        run_phase (fun () -> chunk ~stage:stage_now ~hi:hi_now ~lo);
+        Phases.run phases (fun () -> chunk ~stage:stage_now ~hi:hi_now ~lo);
         hi := lo - 1
       done;
       stage := !stage * 2
     done;
     (* Copy-back, the same scan without the sort. *)
-    if work != a then run_phase (fun () -> scan ~presort:false work a);
-    (* Done: clear the slot so the next sort over this array starts
-       fresh instead of "resuming" past its own phases. *)
-    if ck then Storage.checkpoint_clear storage ~owner
+    if work != a then Phases.run phases (fun () -> scan ~presort:false work a);
+    Phases.finish phases
   end
 
 (* [bitonic_exec]'s counted I/Os: the pre-sort scan (2n), two n2-block

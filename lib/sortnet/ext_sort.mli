@@ -64,7 +64,10 @@ val cache_sort : t
 (** Requires [blocks a <= m]. *)
 
 val bitonic : t
-(** Requires [m >= 2]. Pads to a power of two internally. *)
+(** Requires [m >= 2]. Pads to a power of two internally. It never wins
+    on cost (3.7–5.6× the windowed network's I/Os at every E9 shape), so
+    [auto] never picks it. It stays only as E9's and E10's measured
+    log² baseline and as CI's [batcher] sorter leg. *)
 
 val bitonic_windowed : t
 (** Requires [m >= 2]. *)

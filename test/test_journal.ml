@@ -753,11 +753,87 @@ let test_kill_at_every_op_sweep () =
   Alcotest.(check bool) "some crash points resumed mid-sort (not from scratch)" true
     !saw_mid_sort_resume
 
-(* ---------------- bucket sort: kill-at-every-op ---------------- *)
+(* ---------------- the phase runner ---------------- *)
 
-(* The same sweep against the bucket oblivious sort's own checkpoints
-   (owner "bucket-sort/<base>/<n>"): scatter, each butterfly level, run
-   formation, each merge pass, copy-back. The pair here is
+(* Every resumable algorithm attaches its scratch and numbers its phases
+   through [Phases]; one table covers the attach rule. Each case plants
+   the owner's slot (or not) on a store of 8 blocks, runs four phases
+   over [scratch] blocks and finishes, recording which phases ran, where
+   the scratch sits, how much the store grew and the slot after every
+   phase. *)
+type runner_case = {
+  label : string;
+  journaled : bool;
+  planted : (int * int) option;  (** (phase, cursor) *)
+  scratch : int;
+  ran : int list;
+  base : int;  (** where the scratch must sit *)
+}
+
+let runner_cases =
+  [
+    { label = "unjournaled store"; journaled = false; planted = None; scratch = 3;
+      ran = [ 1; 2; 3; 4 ]; base = 8 };
+    { label = "fresh start"; journaled = true; planted = None; scratch = 3;
+      ran = [ 1; 2; 3; 4 ]; base = 8 };
+    { label = "resume re-attaches at the cursor"; journaled = true; planted = Some (2, 4);
+      scratch = 3; ran = [ 3; 4 ]; base = 4 };
+    { label = "stale cursor restarts fresh"; journaled = true; planted = Some (2, 6);
+      scratch = 3; ran = [ 1; 2; 3; 4 ]; base = 8 };
+    { label = "zero scratch allocates nothing"; journaled = true; planted = None; scratch = 0;
+      ran = [ 1; 2; 3; 4 ]; base = 8 };
+  ]
+
+let test_phase_runner () =
+  List.iter
+    (fun c ->
+      with_temp_pair (fun sp jp ->
+          let backend =
+            if c.journaled then
+              Storage.Journaled { inner = Storage.File { path = sp }; path = jp; durable = false }
+            else Storage.Mem
+          in
+          let s = Storage.create ~backend ~block_size:2 () in
+          Fun.protect ~finally:(fun () -> Storage.close s) @@ fun () ->
+          ignore (Storage.alloc s 8);
+          let owner = "runner/0/8" in
+          Option.iter (fun (phase, cursor) -> Storage.checkpoint s ~owner ~phase ~cursor) c.planted;
+          let commits = Storage.journal_commits s in
+          let p = Phases.start s ~owner ~scratch:c.scratch in
+          let scratch = Phases.scratch p in
+          let at what = Printf.sprintf "%s: %s" c.label what in
+          Alcotest.(check int) (at "scratch base") c.base (Ext_array.base scratch);
+          Alcotest.(check int) (at "scratch blocks") c.scratch (Ext_array.blocks scratch);
+          Alcotest.(check int) (at "store size")
+            (8 + if c.base = 8 then c.scratch else 0)
+            (Storage.capacity s);
+          let ran = ref [] in
+          for k = 1 to 4 do
+            Phases.run p (fun () -> ran := k :: !ran);
+            let skipped = 4 - List.length c.ran in
+            let want = if c.journaled then (max k skipped, c.base) else (0, 0) in
+            Alcotest.(check (pair int int))
+              (at (Printf.sprintf "slot after phase %d" k))
+              want (Storage.checkpoint_state s ~owner)
+          done;
+          Alcotest.(check (list int)) (at "phases run") c.ran (List.rev !ran);
+          Phases.finish p;
+          Alcotest.(check (pair int int)) (at "slot cleared") (0, 0)
+            (Storage.checkpoint_state s ~owner);
+          if not c.journaled then begin
+            Alcotest.(check int) (at "no commit") commits (Storage.journal_commits s);
+            Alcotest.(check int) (at "no slot") 0 (List.length (Storage.checkpoint_slots s))
+          end))
+    runner_cases
+
+(* ---------------- bucket pipelines: kill-at-every-op ---------------- *)
+
+(* The same sweep against the bucket pipelines' own checkpoints. The
+   sort (owner "bucket-sort/<base>/<n>") checkpoints the scatter, each
+   butterfly level, run formation, each merge pass and the copy-back;
+   the permutation (owner "bucket-perm/<base>/<n>") the scatter, each
+   level and the final emission. The permutation's output order is
+   random, so its resumed output is checked as a multiset. The pair here is
    rank-isomorphic (shared rank r maps to 2r / 2r+1), because the merge
    phase's read order is rank-driven — recovery must still be
    bit-identical across the pair at every crash point. *)
@@ -779,6 +855,37 @@ let bk_master =
   in
   lazy (find 0)
 
+(* The permutation draws its master from [rng]: the first seed whose
+   master routes cleanly. *)
+let bk_perm_seed =
+  let master seed = Odex_crypto.Rng.int (Odex_crypto.Rng.create ~seed) 0x3FFFFFFF in
+  let rec find seed =
+    if seed > 5000 then failwith "no clean permutation seed below 5000"
+    else if
+      Odex_sortnet.Bucket_sort.simulate_overflow bk_plan ~master:(master seed) ~b:bk_b
+        ~n_blocks:(bk_cells / bk_b)
+    then find (seed + 1)
+    else seed
+  in
+  lazy (find 0)
+
+type bucket_pipeline = Sort | Permute
+
+let bucket_owner pipeline nblocks =
+  Printf.sprintf "%s/0/%d"
+    (match pipeline with Sort -> "bucket-sort" | Permute -> "bucket-perm")
+    nblocks
+
+let bucket_run pipeline a =
+  match pipeline with
+  | Sort ->
+      Odex_sortnet.Bucket_sort.sort ~plan:bk_plan ~master:(Lazy.force bk_master) ~real:true
+        ~order:Order.Keys ~m:bk_m a
+  | Permute ->
+      let rng = Odex_crypto.Rng.create ~seed:(Lazy.force bk_perm_seed) in
+      let o = Odex_sortnet.Bucket_sort.permute ~z_cells:8 ~rng ~m:bk_m a in
+      if not o.ok then Alcotest.fail "bucket permute overflowed on a clean seed"
+
 let bk_rank_keys =
   let ranks =
     let a = Array.init bk_cells (fun i -> i) in
@@ -793,13 +900,12 @@ let bk_rank_keys =
   in
   fun parity -> Array.map (fun r -> (2 * r) + parity) ranks
 
-let bucket_sort_once s cells =
+let bucket_once pipeline s cells =
   let a = Ext_array.of_cells s ~block_size:bk_b cells in
-  Odex_sortnet.Bucket_sort.sort ~plan:bk_plan ~master:(Lazy.force bk_master) ~real:true
-    ~order:Order.Keys ~m:bk_m a;
+  bucket_run pipeline a;
   a
 
-let bucket_full_sort_ios keys =
+let bucket_full_ios pipeline keys =
   let sp, jp = temp_pair () in
   Fun.protect ~finally:(fun () -> cleanup [ sp; jp ]) @@ fun () ->
   let spec = Storage.Journaled { inner = Storage.File { path = sp }; path = jp; durable = false } in
@@ -810,11 +916,10 @@ let bucket_full_sort_ios keys =
       let cells = Util.cells_of_keys keys in
       let a = Ext_array.of_cells s ~block_size:bk_b cells in
       let before = Stats.total (Storage.stats s) in
-      Odex_sortnet.Bucket_sort.sort ~plan:bk_plan ~master:(Lazy.force bk_master) ~real:true
-        ~order:Order.Keys ~m:bk_m a;
+      bucket_run pipeline a;
       Stats.total (Storage.stats s) - before)
 
-let bucket_sweep_point ~keys ~full_ios k =
+let bucket_sweep_point pipeline ~keys ~full_ios k =
   let sp, jp = temp_pair () in
   Fun.protect ~finally:(fun () -> cleanup [ sp; jp ]) @@ fun () ->
   let cipher = Odex_crypto.Cipher.key_of_int 99 in
@@ -832,7 +937,7 @@ let bucket_sweep_point ~keys ~full_ios k =
   let s = Storage.create ~cipher ~trace_mode:Trace.Digest ~backend:crash_spec ~block_size:bk_b () in
   let crashed, appends =
     match
-      ignore (bucket_sort_once s cells);
+      ignore (bucket_once pipeline s cells);
       Storage.close s
     with
     | () -> (false, [])
@@ -850,12 +955,12 @@ let bucket_sweep_point ~keys ~full_ios k =
       ~block_size:bk_b ()
   in
   let replays = Storage.journal_replay s2 in
-  let owner = Printf.sprintf "bucket-sort/0/%d" nblocks in
+  let owner = bucket_owner pipeline nblocks in
   let resumed_phase, _ = Storage.checkpoint_state s2 ~owner in
   let a2 =
     if resumed_phase > 0 && Storage.capacity s2 >= nblocks then
       (* The scatter phase committed, so the input was fully consumed:
-         re-attach and let the sort skip its finished phases. *)
+         re-attach and let the pipeline skip its finished phases. *)
       Ext_array.view s2 ~base:0 ~blocks:nblocks
     else if Storage.capacity s2 >= nblocks then begin
       let v = Ext_array.view s2 ~base:0 ~blocks:nblocks in
@@ -872,13 +977,13 @@ let bucket_sweep_point ~keys ~full_ios k =
     else Ext_array.of_cells s2 ~block_size:bk_b cells
   in
   let before = Stats.total (Storage.stats s2) in
-  Odex_sortnet.Bucket_sort.sort ~plan:bk_plan ~master:(Lazy.force bk_master) ~real:true
-    ~order:Order.Keys ~m:bk_m a2;
+  bucket_run pipeline a2;
   let resumed_ios = Stats.total (Storage.stats s2) - before in
   let got = List.map (fun (it : Cell.item) -> it.key) (Ext_array.items a2) in
+  let got = match pipeline with Sort -> got | Permute -> List.sort compare got in
   let expect = List.sort compare (Array.to_list keys) in
   if got <> expect then
-    Alcotest.failf "bucket k=%d: resumed sort wrong — got [%s], want [%s]" k
+    Alcotest.failf "bucket k=%d: resumed output wrong — got [%s], want [%s]" k
       (String.concat ";" (List.map string_of_int got))
       (String.concat ";" (List.map string_of_int expect));
   if resumed_phase > 0 && resumed_ios >= full_ios then
@@ -896,17 +1001,17 @@ let bucket_sweep_point ~keys ~full_ios k =
     (scan_at_crash @ scan_sealed sp ~payload_size);
   { crashed; appends; replays; resumed_phase; resumed_ios }
 
-let test_bucket_kill_at_every_op_sweep () =
+let bucket_kill_at_every_op_sweep pipeline () =
   let keys_a = bk_rank_keys 0 and keys_b = bk_rank_keys 1 in
-  let full_a = bucket_full_sort_ios keys_a in
-  let full_b = bucket_full_sort_ios keys_b in
+  let full_a = bucket_full_ios pipeline keys_a in
+  let full_b = bucket_full_ios pipeline keys_b in
   Alcotest.(check int) "isomorphic pair costs the same full sort" full_a full_b;
   let schedule = Alcotest.(list (pair int int)) in
   let saw_mid_sort_resume = ref false in
   let rec go k =
     if k > 4000 then Alcotest.fail "bucket sweep never reached a crash-free run";
-    let oa = bucket_sweep_point ~keys:keys_a ~full_ios:full_a k in
-    let ob = bucket_sweep_point ~keys:keys_b ~full_ios:full_b k in
+    let oa = bucket_sweep_point pipeline ~keys:keys_a ~full_ios:full_a k in
+    let ob = bucket_sweep_point pipeline ~keys:keys_b ~full_ios:full_b k in
     Alcotest.(check bool) (Printf.sprintf "bucket k=%d: same fate" k) oa.crashed ob.crashed;
     Alcotest.check schedule
       (Printf.sprintf "bucket k=%d: same append schedule" k)
@@ -937,7 +1042,7 @@ let test_bucket_trace_parity_journal_on_off () =
         Fun.protect
           ~finally:(fun () -> Storage.close s)
           (fun () ->
-            let a = bucket_sort_once s (Util.cells_of_keys keys) in
+            let a = bucket_once Sort s (Util.cells_of_keys keys) in
             Util.check_sorted_by_key (Storage.backend_kind s) a;
             let st = Storage.stats s and tr = Storage.trace s in
             (Stats.reads st, Stats.writes st, Trace.length tr, Trace.digest tr))
@@ -1480,13 +1585,15 @@ let suite =
     ("checkpoint slot persistence", `Quick, test_checkpoint_slot_persistence);
     ("checkpoint validation", `Quick, test_checkpoint_validation);
     ("multi-owner checkpoints never clobber", `Quick, test_multi_owner_no_clobber);
+    ("phase runner attaches and resumes", `Quick, test_phase_runner);
     checkpoint_no_alias_prop;
     ("retired journal engine refused", `Quick, test_retired_journal_engine_refused);
     ("v2 journal refused", `Quick, test_v2_journal_refused);
     ("foreign journal rejected", `Quick, test_foreign_journal_rejected);
     ("trace parity with journaling on and off", `Quick, test_trace_parity_journal_on_off);
     ("kill-at-every-op sweep", `Slow, test_kill_at_every_op_sweep);
-    ("bucket sort kill-at-every-op sweep", `Slow, test_bucket_kill_at_every_op_sweep);
+    ("bucket sort kill-at-every-op sweep", `Slow, bucket_kill_at_every_op_sweep Sort);
+    ("bucket permute kill-at-every-op sweep", `Slow, bucket_kill_at_every_op_sweep Permute);
     ("bucket sort journal on/off trace parity", `Quick,
       test_bucket_trace_parity_journal_on_off);
     ("sharded stripe kill-at-every-op sweep", `Slow, test_sharded_kill_at_every_op_sweep);
