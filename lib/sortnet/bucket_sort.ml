@@ -91,29 +91,29 @@ let simulate_overflow plan ~master ~b ~n_blocks =
 (* The kernels below never look at a cell: they move encoded images
    between flat buffers ({!Flat}) read and written as whole runs, with no
    decode. The routing unit is a cell, or — for shuffle passes whose
-   blocks must stay intact — a whole block slot, which the same kernels
-   move as one unit per block. Units are walked by byte offset, so no
+   blocks must stay intact — a whole block's images, which the same
+   kernels move as one unit per block. Units are walked by byte offset, so no
    unit costs a division.
 
    A cursor is a position in a flat run — the current unit's byte offset
    [off] and its index [slot] within its block — together with the
-   grain it steps by: the unit's size [bytes], [per] units per block,
-   and [first], the offset of a block's first unit past its header
-   (0 for slots), which a step off a block's last unit also skips.
-   Keeping the grain in the cursor makes a step read one record.
-   [cells b] and [slots b] are the two grains, positioned at a run's
-   start. *)
-type cursor = { bytes : int; per : int; first : int; mutable off : int; mutable slot : int }
+   grain it steps by: [span] cell images per unit ([bytes] bytes) and
+   [per] units per block. A unit's images are contiguous, so copying or
+   clearing a unit is [span] image copies at one stride; a step off a
+   block's last unit also skips the next block's header. Keeping the
+   grain in the cursor makes a step read one record. [cells b] and
+   [slots b] are the two grains, positioned at a run's start. *)
+type cursor = { span : int; bytes : int; per : int; mutable off : int; mutable slot : int }
 
-let cells b =
-  let first = Flat.header_bytes in
-  { bytes = Flat.cell_bytes; per = b; first; off = first; slot = 0 }
+let grain ~span ~per =
+  { span; bytes = span * Flat.cell_bytes; per; off = Flat.header_bytes; slot = 0 }
 
-let slots b = { bytes = Flat.stride_of ~block_size:b; per = 1; first = 0; off = 0; slot = 0 }
-let cursor u = { u with off = u.first; slot = 0 }
+let cells b = grain ~span:1 ~per:b
+let slots b = grain ~span:b ~per:1
+let cursor u = { u with off = Flat.header_bytes; slot = 0 }
 
 let rewind c =
-  c.off <- c.first;
+  c.off <- Flat.header_bytes;
   c.slot <- 0
 
 (* Step to the next unit, branch-free: [wrap] is 1 when leaving a
@@ -122,16 +122,28 @@ let[@inline] advance c =
   let k = c.slot + 1 in
   let wrap = Bool.to_int (k = c.per) in
   c.slot <- k land (wrap - 1);
-  c.off <- c.off + c.bytes + (c.first land -wrap)
+  c.off <- c.off + c.bytes + (Flat.header_bytes land -wrap)
 
-(* Copy or clear one unit of [c]'s grain, at byte offsets. *)
-let[@inline] copy c src soff dst doff =
-  if c.bytes = Flat.cell_bytes then Flat.copy_cell src soff dst doff
-  else Odex_crypto.Bigbuf.blit (Flat.buffer src) soff (Flat.buffer dst) doff c.bytes
+(* Copy or clear the unit of [u]'s grain at a byte offset. *)
+let copy u src soff dst doff =
+  for i = 0 to u.span - 1 do
+    let d = i * Flat.cell_bytes in
+    Flat.copy_cell src (soff + d) dst (doff + d)
+  done
 
-let[@inline] clear c f off =
-  if c.bytes = Flat.cell_bytes then Flat.clear_cell f off
-  else Odex_crypto.Bigbuf.zero (Flat.buffer f) off c.bytes
+let clear u f off =
+  for i = 0 to u.span - 1 do
+    Flat.clear_cell f (off + (i * Flat.cell_bytes))
+  done
+
+(* The byte offsets of a run's first [n] units, in order: the layout
+   rule is [advance]'s alone. *)
+let offsets u n =
+  let c = cursor u in
+  Array.init n (fun _ ->
+      let off = c.off in
+      advance c;
+      off)
 
 (* Move the initial half-fills into area [dst]: whole-block copies,
    shape-determined. *)
@@ -180,7 +192,7 @@ let route_level u ~src ~dst plan ~before ~after ~master l =
     for _ = 1 to cnt do
       let s = Bool.to_int (Odex_crypto.Rng.bool rng) in
       if dealt.(s) < plan.z then begin
-        copy from buf from.off sides.(s) at.(s).off;
+        copy u buf from.off sides.(s) at.(s).off;
         advance at.(s)
       end;
       dealt.(s) <- dealt.(s) + 1;
@@ -193,7 +205,7 @@ let route_level u ~src ~dst plan ~before ~after ~master l =
     if nb > 0 then begin
       let side = sides.(s) and c = at.(s) in
       for _ = cnt to (nb * u.per) - 1 do
-        clear c side c.off;
+        clear u side c.off;
         advance c
       done;
       Ext_array.write_flat dst (bucket * plan.zb) ~count:nb side
@@ -274,22 +286,17 @@ let finalize u ~src plan ~counts ~master a =
   let rng = finalize_rng ~master in
   let bucket = Flat.create ~block_size:b ~blocks:plan.zb in
   let out = Flat.create ~block_size:b ~blocks:(plan.zb + 1) in
+  let offs = offsets u (plan.zb * u.per) in
   let written = ref 0 and fill = ref 0 in
-  let next = cursor u and from = cursor u in
+  let next = cursor u in
   for g = 0 to plan.beta - 1 do
     let cnt = counts.(g) in
     if cnt > 0 then begin
       Ext_array.read_flat src (g * plan.zb) ~count:(Emodel.ceil_div cnt u.per) bucket;
-      let offs = Array.make cnt 0 in
-      rewind from;
-      for j = 0 to cnt - 1 do
-        offs.(j) <- from.off;
-        advance from
-      done;
       let keys, mask = priority_keys rng ~count:cnt ~pos:(Array.get offs) in
       Array.iter
         (fun key ->
-          copy next bucket (key land mask) out next.off;
+          copy u bucket (key land mask) out next.off;
           advance next)
         keys;
       fill := !fill + cnt;
@@ -299,14 +306,14 @@ let finalize u ~src plan ~counts ~master a =
         written := !written + full;
         fill := !fill - (full * u.per);
         if !fill > 0 then Flat.copy_block out full out 0;
-        next.off <- u.first + (!fill * u.bytes);
+        next.off <- offs.(!fill);
         next.slot <- !fill
       end
     end
   done;
   if !written < n then begin
     for _ = !fill to u.per - 1 do
-      clear next out next.off;
+      clear u out next.off;
       advance next
     done;
     Flat.clear_blocks out 1 plan.zb;
@@ -326,6 +333,7 @@ type outcome = { ok : bool }
 let cache_permute u ~master ~m a =
   Stage.whole ~m a (fun src dst ->
       let units = Ext_array.blocks a * u.per in
+      let at = offsets u units in
       let perm = Array.init units Fun.id in
       let rng = finalize_rng ~master in
       for i = units - 1 downto 1 do
@@ -334,9 +342,7 @@ let cache_permute u ~master ~m a =
         perm.(i) <- perm.(j);
         perm.(j) <- t
       done;
-      let stride = Flat.stride_of ~block_size:(Ext_array.block_size a) in
-      let at k = ((k / u.per) * stride) + u.first + ((k mod u.per) * u.bytes) in
-      Array.iteri (fun k p -> copy u src (at p) dst (at k)) perm;
+      Array.iteri (fun k p -> copy u src at.(p) dst at.(k)) perm;
       dst)
 
 (* The permutation: the shared routing, then one phase emitting every

@@ -126,8 +126,8 @@ val permute : ?z_cells:int -> rng:Odex_crypto.Rng.t -> m:int -> Ext_array.t -> o
 
 val permute_blocks : rng:Odex_crypto.Rng.t -> m:int -> Ext_array.t -> outcome
 (** Same routing at {e block} granularity: blocks travel through the
-    butterfly unopened. The kernels are {!permute}'s with a whole block
-    slot as the unit, one unit per block, under a plan over the block
-    count. This is the drop-in replacement for the Knuth
+    butterfly unopened. The kernels are {!permute}'s with a whole
+    block's images as the unit, one unit per block, under a plan over
+    the block count. This is the drop-in replacement for the Knuth
     shuffle in shuffle-and-deal passes ({!Odex.Shuffle_deal}), where
     block payloads must stay intact. *)
