@@ -159,8 +159,19 @@ let rec instantiate ~block_size ~payload_size ~resume ~auto_commit_bytes = funct
       if Option.is_some j then invalid_arg "Storage: nested Journaled specs are not supported";
       let journal =
         match
-          Option.iter (fun m -> ignore (parse_header ~block_size m)) (b.read_meta ());
-          Journal.create ?auto_commit_bytes ~path ~payload_size ~durable ~replay:resume b
+          let mark = Option.map (parse_header ~block_size) (b.read_meta ()) in
+          let j = Journal.create ?auto_commit_bytes ~path ~payload_size ~durable ~replay:resume b in
+          (* The journal header holds the store header as of the last
+             commit, durable before its group was applied; the store's
+             own copy is written without an fsync, so a power loss can
+             leave it behind the nonces the replayed payloads carry. *)
+          (match Journal.meta j with
+          | Some m when Some (parse_header ~block_size m) > mark -> b.write_meta m
+          | _ -> ()
+          | exception e ->
+              Journal.abandon j;
+              raise e);
+          j
         with
         | j -> j
         | exception e ->
@@ -320,9 +331,10 @@ let abandon t =
 
 (* ---- journal-backed checkpoints (no-ops on unjournaled stores).
 
-   The slot write commits the journal first, so a checkpoint is also a
-   group-commit boundary; the nonce counter is checkpointed exactly (as
-   on [sync]/[close]) so a resume after the crash wastes no reservation.
+   The slot rides in the header of a journal commit, so a checkpoint is
+   also a group-commit boundary; the nonce counter is checkpointed
+   exactly (as on [sync]/[close]) just before, so the same header
+   carries it and a resume after the crash wastes no reservation.
    All of it is out-of-band server state: uncounted, untraced — traces
    are bit-identical with journaling on and off (pair-tested). *)
 

@@ -243,7 +243,10 @@ val checkpoint : t -> owner:string -> phase:int -> cursor:int -> unit
     non-negative [cursor], e.g. a scratch-array base). Also a journal
     group-commit and an exact nonce-counter checkpoint, so it is a safe
     crash boundary: killed after phase [k], the computation reopens with
-    [resume:true] and restarts from phase [k + 1]. The table holds
+    [resume:true] and restarts from phase [k + 1]. The slot, the counter
+    and the pending group become durable together, in one journal group
+    (two journal fsyncs on a durable journal, one with nothing pending).
+    The table holds
     {!Journal.max_slots} slots keyed by the full owner string, so
     concurrent algorithms on one store — an ORAM rebuild, the ext-sort
     it runs internally, an independent columnsort — each keep their own

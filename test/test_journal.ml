@@ -74,18 +74,51 @@ let test_auto_commit_bounds_tail () =
       b.close ())
 
 (* The decorator against a map model: random writes, reads, holds,
-   releases and commits on overlapping addresses, under an auto-commit
-   threshold of about two records, so auto-commits fire between ops and
-   a held group grows the arena well past its first size. Every read
-   must see the model's latest write (zeros where none). The sequence
-   ends in a crash — [abandon], or, when the inner store is armed to
-   die after a few dozen operations, at that kill, which inside a
-   commit lands after its marker — and a replayed reopen must land
-   exactly on the model as of the last commit, explicit or automatic. *)
-type model_op = Write of int * int * int | Read of int * int | Hold | Release | Commit
+   releases, commits, checkpoints, clears and clean closes on
+   overlapping addresses, under an auto-commit threshold of about two
+   records, so auto-commits fire between ops and a held group grows the
+   arena well past its first size. The model keeps the live and the
+   committed map and the checkpoint table; every read must see the
+   model's latest write (zeros where none) and every owner's slot the
+   model's. A clean close reopens with replay, which must redo nothing.
+   The sequence ends in one of three ways:
+   - [Abandon]: a crash with nothing in flight;
+   - [Kill k]: the inner store dies after k operations — a kill in a
+     read precedes any marker, one in a write's auto-commit, a commit, a
+     checkpoint, a clear or a close follows it;
+   - [Tear k]: a checkpoint is killed part-way through its group's
+     arena write, while the marker still names the previous group.
+   A replayed reopen must land exactly on the model as of the last
+   commit: the map and the checkpoint table. *)
+type model_op =
+  | Write of int * int * int
+  | Read of int * int
+  | Hold
+  | Release
+  | Commit
+  | Checkpoint of int * int * int  (** owner, phase, cursor *)
+  | Clear of int
+  | Close
+
+type model_end = Abandon | Kill of int | Tear of int
+
+let show_model_op = function
+  | Write (a, c, v) -> Printf.sprintf "Write(%d,%d,%d)" a c v
+  | Read (a, c) -> Printf.sprintf "Read(%d,%d)" a c
+  | Hold -> "Hold"
+  | Release -> "Release"
+  | Commit -> "Commit"
+  | Checkpoint (o, p, c) -> Printf.sprintf "Checkpoint(o%d,%d,%d)" o p c
+  | Clear o -> Printf.sprintf "Clear(o%d)" o
+  | Close -> "Close"
+
+let show_model_end = function
+  | Abandon -> "Abandon"
+  | Kill k -> Printf.sprintf "Kill %d" k
+  | Tear k -> Printf.sprintf "Tear %d" k
 
 let journal_model_prop =
-  let blocks = 24 and payload = 16 in
+  let blocks = 24 and payload = 16 and owners = 3 in
   let open QCheck2.Gen in
   let run =
     pair (int_range 0 (blocks - 1)) (int_range 1 6) >|= fun (a, c) -> (a, min c (blocks - a))
@@ -98,24 +131,51 @@ let journal_model_prop =
         (1, pure Hold);
         (1, pure Release);
         (1, pure Commit);
+        ( 2,
+          map3 (fun o p c -> Checkpoint (o, p, c)) (int_range 0 (owners - 1)) (int_range 1 5)
+            (int_range 0 9) );
+        (1, map (fun o -> Clear o) (int_range 0 (owners - 1)));
+        (1, pure Close);
       ]
   in
+  let ending =
+    frequency
+      [
+        (1, pure Abandon);
+        (2, map (fun k -> Kill k) (int_range 0 60));
+        (2, map (fun k -> Tear k) (int_range 0 4095));
+      ]
+  in
+  let print (ops, e) =
+    Printf.sprintf "[%s] then %s" (String.concat "; " (List.map show_model_op ops))
+      (show_model_end e)
+  in
   let block v i = Bytes.init payload (fun k -> Char.chr ((v + (31 * i) + k) land 0xFF)) in
-  Util.qcheck_case ~count:150 ~name:"journal matches a map model"
-    (pair (list_size (int_range 1 80) op) (opt (int_range 0 60)))
-    (fun (ops, kill) ->
+  let owner o = Printf.sprintf "o%d" o in
+  Util.qcheck_case ~count:200 ~print ~name:"journal matches a map model"
+    (pair (list_size (int_range 1 80) op) ending)
+    (fun (ops, ending) ->
       with_temp_pair (fun sp jp ->
-          let inner = Backend.file ~path:sp ~payload_size:payload in
-          let inner = match kill with None -> inner | Some ops -> Backend.crash_after ~ops inner in
-          let j =
-            Journal.create ~auto_commit_bytes:100 ~path:jp ~payload_size:payload ~durable:false
-              ~replay:false inner
+          let inner () =
+            let f = Backend.file ~path:sp ~payload_size:payload in
+            match ending with Kill ops -> Backend.crash_after ~ops f | _ -> f
           in
-          let b = Journal.backend j in
-          b.ensure blocks;
+          let open_ ~replay inner =
+            Journal.create ~auto_commit_bytes:100 ~path:jp ~payload_size:payload ~durable:false
+              ~replay inner
+          in
+          let cur = ref (open_ ~replay:false (inner ())) in
+          (Journal.backend !cur).ensure blocks;
           let live = Array.make blocks (Bytes.make payload '\000') in
-          let committed = ref (Array.copy live) and reads_ok = ref true and dead = ref false in
-          let step = function
+          let committed = ref (Array.copy live) and table = Hashtbl.create 4 in
+          let ok = ref true and dead = ref false in
+          let sorted_table () =
+            List.sort compare (Hashtbl.fold (fun o (p, c) acc -> (o, p, c) :: acc) table [])
+          in
+          let step op =
+            let j = !cur in
+            let b = Journal.backend j in
+            match op with
             | Write (a, c, v) ->
                 for i = 0 to c - 1 do
                   live.(a + i) <- block v i
@@ -127,26 +187,56 @@ let journal_model_prop =
                 b.read_run ~addr:a ~count:c ~payload ~buf ~off:0;
                 let got = Util.bytes_of_big buf in
                 for i = 0 to c - 1 do
-                  if Bytes.sub got (i * payload) payload <> live.(a + i) then reads_ok := false
+                  if Bytes.sub got (i * payload) payload <> live.(a + i) then ok := false
                 done
             | Hold -> Journal.hold j
             | Release -> Journal.release j
             | Commit -> Journal.commit j
+            | Checkpoint (o, p, c) ->
+                Hashtbl.replace table (owner o) (p, c);
+                Journal.checkpoint j ~owner:(owner o) ~phase:p ~cursor:c
+            | Clear o ->
+                Hashtbl.remove table (owner o);
+                Journal.clear j ~owner:(owner o)
+            | Close -> (
+                b.close ();
+                committed := Array.copy live;
+                (* A clean close leaves nothing to redo. *)
+                let inner = inner () in
+                match open_ ~replay:true inner with
+                | j' ->
+                    cur := j';
+                    (Journal.backend j').ensure blocks;
+                    if Journal.replay_log j' <> [] then ok := false
+                | exception e ->
+                    inner.close ();
+                    raise e)
           in
           List.iter
             (fun op ->
               if not !dead then begin
-                let commits = Journal.commits j in
+                let commits = Journal.commits !cur in
                 match step op with
-                | () -> if Journal.commits j > commits then committed := Array.copy live
+                | () ->
+                    if Journal.commits !cur > commits then committed := Array.copy live;
+                    for o = 0 to owners - 1 do
+                      let want = Option.value (Hashtbl.find_opt table (owner o)) ~default:(0, 0) in
+                      if Journal.state !cur ~owner:(owner o) <> want then ok := false
+                    done
                 | exception Backend.Crashed -> (
-                    (* A kill in a read precedes any marker; one in a
-                       write's auto-commit or in a commit follows it. *)
                     dead := true;
                     match op with Read _ -> () | _ -> committed := Array.copy live)
               end)
             ops;
-          Journal.abandon j;
+          (match ending with
+          | Tear k when (not !dead) && Journal.pending_bytes !cur > 0 -> (
+              (* The previous group is the boundary: no slot for "torn". *)
+              Journal.tear_after !cur (k mod Journal.pending_bytes !cur);
+              match Journal.checkpoint !cur ~owner:"torn" ~phase:9 ~cursor:1 with
+              | () -> ok := false
+              | exception Backend.Crashed -> ())
+          | _ -> ());
+          Journal.abandon !cur;
           let j =
             Journal.create ~path:jp ~payload_size:payload ~durable:false ~replay:true
               (Backend.file ~path:sp ~payload_size:payload)
@@ -156,7 +246,8 @@ let journal_model_prop =
             ~finally:(fun () -> b.close ())
             (fun () ->
               b.ensure blocks;
-              !reads_ok
+              !ok
+              && List.sort compare (Journal.slots j) = sorted_table ()
               && Array.for_all Fun.id
                    (Array.mapi (fun a want -> Util.read_block b a = want) !committed))))
 
@@ -193,6 +284,65 @@ let test_replay_heals_crashed_apply () =
           (payload i) (Util.read_block b i)
       done;
       b.close ())
+
+(* A commit that raises after its marker — an inner write failing for
+   good, not a kill — leaves its group pending under the epoch its
+   records carry. The next commit rewrites it byte for byte as the
+   prefix of a longer group, so whether that commit completes, is
+   killed during its apply, or is torn in its record write, a reopen
+   lands on a commit boundary: all six blocks, or the three the failed
+   commit marked. *)
+let test_failed_commit_retried () =
+  List.iter
+    (fun (name, faults, torn) ->
+      with_temp_pair (fun sp jp ->
+          let pending = ref [ Failure "failed write" ] in
+          let file = Backend.file ~path:sp ~payload_size:16 in
+          let flaky =
+            {
+              file with
+              Backend.write_run =
+                (fun ~addr ~count ~payload ~buf ~off ->
+                  match !pending with
+                  | e :: rest ->
+                      pending := rest;
+                      raise e
+                  | [] -> file.write_run ~addr ~count ~payload ~buf ~off);
+            }
+          in
+          let j = Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:false flaky in
+          let b = Journal.backend j in
+          b.ensure 8;
+          for i = 0 to 2 do
+            Util.write_block b i (payload i)
+          done;
+          (match Journal.commit j with
+          | () -> Alcotest.fail "expected the failed apply"
+          | exception Failure _ -> ());
+          for i = 3 to 5 do
+            Util.write_block b i (payload i)
+          done;
+          pending := faults;
+          if torn then Journal.tear_after j (Journal.pending_bytes j - 1);
+          (match Journal.commit j with
+          | () -> if faults <> [] || torn then Alcotest.failf "%s: expected the kill" name
+          | exception Backend.Crashed -> ());
+          Journal.abandon j;
+          let j =
+            Journal.create ~path:jp ~payload_size:16 ~durable:false ~replay:true
+              (Backend.file ~path:sp ~payload_size:16)
+          in
+          let b = Journal.backend j in
+          for i = 0 to 5 do
+            let want = if torn && i >= 3 then Bytes.make 16 '\000' else payload i in
+            Alcotest.(check bytes) (Printf.sprintf "%s: block %d" name i) want (Util.read_block b i)
+          done;
+          b.close ()))
+    [
+      ("retry completes", [], false);
+      ("retry killed in its apply", [ Backend.Crashed ], false);
+      ("retry torn in its record write", [], true);
+    ]
 
 (* Journal-file surgery on a marked-committed-but-unapplied group: a torn
    tail (short body) and a corrupted body byte must both stop replay at
@@ -430,18 +580,25 @@ let checkpoint_no_alias_prop =
 
 (* ---------------- retired formats are refused ---------------- *)
 
-(* FNV-1a-64, re-derived here so the fixture bytes are produced
-   independently of the implementation under test. *)
-let fnv64 =
-  let prime = 0x100000001B3L in
-  fun h bytes ->
-    let h = ref h in
-    Bytes.iter
-      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-      bytes;
-    !h
-
+(* FNV-1a-64 over bytes, the retired formats' checksum, and the v4
+   word-wide checksum over 64-bit little-endian words (xor, a multiply
+   by the FNV prime, a 32-bit xorshift), re-derived here so the fixture
+   bytes are produced independently of the implementation under test. *)
+let fnv_prime = 0x100000001B3L
 let fnv64_offset = 0xCBF29CE484222325L
+
+let fnv64 h bytes =
+  let h = ref h in
+  Bytes.iter (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime) bytes;
+  !h
+
+let word_checksum bytes =
+  let h = ref fnv64_offset in
+  for i = 0 to (Bytes.length bytes / 8) - 1 do
+    let x = Int64.mul (Int64.logxor !h (Bytes.get_int64_le bytes (8 * i))) fnv_prime in
+    h := Int64.logxor x (Int64.shift_right_logical x 32)
+  done;
+  !h
 
 (* A sealed journaled store written by the current code, holding one
    checkpoint and one committed-but-unapplied record (the commit marker
@@ -476,17 +633,19 @@ let with_sealed_journal f =
           Storage.close
             (Storage.create ~cipher ~resume ~backend:(spec ~crash:None) ~block_size:b ())))
 
-(* An ODEXJRN3 header naming engine id 1 (the retired PRF keystream)
+(* An ODEXJRN4 header naming engine id 1 (the retired PRF keystream)
    under a valid checksum is refused before anything replays. *)
 let test_retired_journal_engine_refused () =
   with_sealed_journal (fun ~sp ~jp ~reopen ->
       let h = Bytes.of_string (Util.read_file jp) in
-      Alcotest.(check string) "fixture is a v3 journal" "ODEXJRN3" (Bytes.sub_string h 0 8);
+      Alcotest.(check string) "fixture is a v4 journal" "ODEXJRN4" (Bytes.sub_string h 0 8);
       Alcotest.(check bool) "fixture has a record to replay" true
         (Bytes.length h > Journal.header_bytes);
-      Bytes.set_int64_le h 24 1L;
       let cks = Journal.header_bytes - 8 in
-      Bytes.set_int64_le h cks (fnv64 fnv64_offset (Bytes.sub h 0 cks));
+      Alcotest.(check int64) "fixture checksum re-derived" (Bytes.get_int64_le h cks)
+        (word_checksum (Bytes.sub h 0 cks));
+      Bytes.set_int64_le h 24 1L;
+      Bytes.set_int64_le h cks (word_checksum (Bytes.sub h 0 cks));
       Out_channel.with_open_bin jp (fun oc -> Out_channel.output_bytes oc h);
       List.iter
         (fun resume ->
@@ -516,6 +675,31 @@ let test_v2_journal_refused () =
           Util.check_refused
             ~what:(Printf.sprintf "v2 journal (resume %b)" resume)
             ~cause:"unrecognized journal format (bad magic)" ~paths:[ sp; jp ] (reopen ~resume))
+        [ true; false ])
+
+(* A v3 journal ("ODEXJRN3", 616-byte header, byte-serial FNV-1a
+   checksum, records that carry no epoch) is refused by name, with one
+   live slot and a committed tail that a reopen must not replay. *)
+let test_v3_journal_refused () =
+  with_sealed_journal (fun ~sp ~jp ~reopen ->
+      let payload_size = Flat.stride_of ~block_size:2 in
+      let h = Bytes.make 616 '\000' in
+      Bytes.blit_string "ODEXJRN3" 0 h 0 8;
+      Bytes.set_int64_le h 8 (Int64.of_int payload_size);
+      Bytes.set_int64_le h 16 616L (* committed tail *);
+      Bytes.set_int64_le h 24 2L (* engine id *);
+      Bytes.set_int64_le h 32 1L (* slot 0 occupied *);
+      Bytes.set_int64_le h 40 3L (* phase *);
+      Bytes.set_int64_le h 48 7L (* cursor *);
+      Bytes.set_int64_le h 56 10L;
+      Bytes.blit_string "sorter/0/6" 0 h 64 10;
+      Bytes.set_int64_le h 608 (fnv64 fnv64_offset (Bytes.sub h 0 608));
+      Out_channel.with_open_bin jp (fun oc -> Out_channel.output_bytes oc h);
+      List.iter
+        (fun resume ->
+          Util.check_refused
+            ~what:(Printf.sprintf "v3 journal (resume %b)" resume)
+            ~cause:"retired journal format v3 (ODEXJRN3)" ~paths:[ sp; jp ] (reopen ~resume))
         [ true; false ])
 
 let test_foreign_journal_rejected () =
@@ -602,6 +786,80 @@ let check_no_nonce_reuse name scans =
               Alcotest.failf "%s: nonce %Ld sealed two different payloads" name nonce
         | None -> Hashtbl.add tbl nonce ct)
     scans
+
+(* A durable checkpoint is one durable group: the arena's fsync and the
+   header's, and no truncation. With nothing pending the slot costs one
+   header write and one fsync. *)
+let test_checkpoint_fsync_count () =
+  with_temp_pair (fun sp jp ->
+      let backend =
+        Storage.Journaled { inner = Storage.File { path = sp }; path = jp; durable = true }
+      in
+      let s =
+        Storage.create ~cipher:(Odex_crypto.Cipher.key_of_int 3) ~backend ~block_size:2 ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Storage.close s)
+        (fun () ->
+          let base = Storage.alloc s 4 in
+          let counted name ~fsyncs:(lo, hi) f =
+            let f0 = Journal.fsyncs () and t0 = Journal.ftruncates () in
+            f ();
+            let fs = Journal.fsyncs () - f0 in
+            if fs < lo || fs > hi then
+              Alcotest.failf "%s: %d journal fsyncs, want %d..%d" name fs lo hi;
+            Alcotest.(check int) (name ^ ": no truncation") 0 (Journal.ftruncates () - t0)
+          in
+          let pending () = Storage.journal_appends s <> [] in
+          Alcotest.(check bool) "alloc left a pending group" true (pending ());
+          counted "checkpoint, group pending" ~fsyncs:(1, 2) (fun () ->
+              Storage.checkpoint s ~owner:"fsync" ~phase:1 ~cursor:base);
+          counted "checkpoint, nothing pending" ~fsyncs:(1, 1) (fun () ->
+              Storage.checkpoint s ~owner:"fsync" ~phase:2 ~cursor:base);
+          Storage.write s base (Block.make 2);
+          counted "clear, group pending" ~fsyncs:(1, 2) (fun () ->
+              Storage.checkpoint_clear s ~owner:"fsync");
+          counted "clear, nothing pending" ~fsyncs:(1, 1) (fun () ->
+              Storage.checkpoint_clear s ~owner:"fsync")))
+
+(* The nonce high-water mark rides in the commit group. The store file's
+   header is written without an fsync, so a power loss after a commit's
+   marker can roll it back to its bytes from before the group while the
+   journal still names the group: replay restores the group's payloads,
+   sealed under nonces above the rolled-back mark. The mark the journal
+   header carries must win, or the resumed store seals under those
+   nonces again. *)
+let test_nonce_mark_survives_store_header_rollback () =
+  with_temp_pair (fun sp jp ->
+      let b = 2 and cipher = Odex_crypto.Cipher.key_of_int 13 in
+      let payload_size = Flat.stride_of ~block_size:b in
+      let backend =
+        Storage.Journaled { inner = Storage.File { path = sp }; path = jp; durable = true }
+      in
+      let fill s base v =
+        for i = 0 to 7 do
+          Storage.write s (base + i) (Util.cells_of_keys [| v + i; v + i + 100 |])
+        done
+      in
+      let s = Storage.create ~cipher ~backend ~block_size:b () in
+      let base = Storage.alloc s 8 in
+      Storage.checkpoint s ~owner:"nonce" ~phase:1 ~cursor:base;
+      let pre_commit = String.sub (Util.read_file sp) 0 Backend.file_header_bytes in
+      fill s base 10;
+      Storage.checkpoint s ~owner:"nonce" ~phase:2 ~cursor:base;
+      let used = Option.get (Storage.next_nonce s) in
+      let scan_before = scan_sealed sp ~payload_size in
+      Storage.abandon s;
+      let fd = Unix.openfile sp [ Unix.O_WRONLY ] 0 in
+      ignore (Unix.write_substring fd pre_commit 0 (String.length pre_commit));
+      Unix.close fd;
+      let s = Storage.create ~cipher ~resume:true ~backend ~block_size:b () in
+      Alcotest.(check bool) "the group was replayed" true (Storage.journal_replay s <> []);
+      Alcotest.(check bool) "resumed nonce counter is past every used nonce" true
+        (Option.get (Storage.next_nonce s) >= used);
+      fill s base 50;
+      Storage.close s;
+      check_no_nonce_reuse "rolled-back store header" (scan_before @ scan_sealed sp ~payload_size))
 
 type sweep_obs = {
   crashed : bool;
@@ -1581,6 +1839,7 @@ let suite =
     ("auto-commit bounds the tail", `Quick, test_auto_commit_bounds_tail);
     journal_model_prop;
     ("replay heals a crashed apply", `Quick, test_replay_heals_crashed_apply);
+    ("a commit failed after its marker is retried", `Quick, test_failed_commit_retried);
     ("torn tail and corrupt record discarded", `Quick, test_torn_tail_discarded);
     ("checkpoint slot persistence", `Quick, test_checkpoint_slot_persistence);
     ("checkpoint validation", `Quick, test_checkpoint_validation);
@@ -1589,8 +1848,12 @@ let suite =
     checkpoint_no_alias_prop;
     ("retired journal engine refused", `Quick, test_retired_journal_engine_refused);
     ("v2 journal refused", `Quick, test_v2_journal_refused);
+    ("v3 journal refused", `Quick, test_v3_journal_refused);
     ("foreign journal rejected", `Quick, test_foreign_journal_rejected);
     ("trace parity with journaling on and off", `Quick, test_trace_parity_journal_on_off);
+    ("checkpoint fsync count", `Quick, test_checkpoint_fsync_count);
+    ("nonce mark survives a store header rollback", `Quick,
+      test_nonce_mark_survives_store_header_rollback);
     ("kill-at-every-op sweep", `Slow, test_kill_at_every_op_sweep);
     ("bucket sort kill-at-every-op sweep", `Slow, bucket_kill_at_every_op_sweep Sort);
     ("bucket permute kill-at-every-op sweep", `Slow, bucket_kill_at_every_op_sweep Permute);

@@ -153,10 +153,11 @@ let rng_of name i = Odex_crypto.Rng.create ~seed:(seed_stream name i)
 (* qcheck cases run under a pinned generator stream: the random state is
    derived from [base_seed] and the case name, never from the clock, so
    every run draws the same inputs (QCheck's default state is seeded
-   from self_init unless QCHECK_SEED is set). *)
-let qcheck_case ?(count = 100) ~name gen prop =
+   from self_init unless QCHECK_SEED is set). [print] shows a failing
+   case's shrunk counterexample. *)
+let qcheck_case ?(count = 100) ?print ~name gen prop =
   let rand = Random.State.make [| base_seed; seed_stream name 0 |] in
-  QCheck_alcotest.to_alcotest ~rand (QCheck2.Test.make ~count ~name gen prop)
+  QCheck_alcotest.to_alcotest ~rand (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
